@@ -18,16 +18,63 @@ from .gaingraph import GainGraph, complete_gain_graph
 from .groups import FiniteGroup, FrobeniusPartition
 
 
-def group_from_spec(spec: Any) -> FiniteGroup:
+def _where(path: str, key: str | int) -> str:
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
+def _field(spec: dict, key: str, path: str) -> Any:
+    if key not in spec:
+        raise ValueError(f"spec field {_where(path, key)} is missing")
+    return spec[key]
+
+
+def _int(value: Any, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"spec field {where} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _list(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"spec field {where} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _int_rows(value: Any, where: str) -> list[list[int]]:
+    """A list of lists of integers, e.g. a Cayley table or an action."""
+    for i, row in enumerate(_list(value, where)):
+        at = _where(where, i)
+        for j, x in enumerate(_list(row, at)):
+            _int(x, _where(at, j))
+    return value
+
+
+def group_from_spec(spec: Any, path: str = "") -> FiniteGroup:
+    """Build a group from its JSON spec; a malformed spec raises ValueError
+    naming the JSON path of the bad field (``path`` prefixes nested specs)."""
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("group spec must be an object with a 'kind' field")
+        what = f"spec field {path}" if path else "group spec"
+        raise ValueError(f"{what} must be an object with a 'kind' field")
+
+    def get_int(key: str) -> int:
+        return _int(_field(spec, key, path), _where(path, key))
+
+    def sub(key: str) -> FiniteGroup:
+        return group_from_spec(_field(spec, key, path), _where(path, key))
+
     kind = spec["kind"]
     if kind == "cyclic":
-        return _groups.make_cyclic(int(spec["n"]))
+        return _groups.make_cyclic(get_int("n"))
     if kind == "dihedral":
-        return _groups.make_dihedral(int(spec["order"]))
+        return _groups.make_dihedral(get_int("order"))
     if kind == "direct":
-        factors = [group_from_spec(s) for s in spec["factors"]]
+        where = _where(path, "factors")
+        factors = [
+            group_from_spec(s, _where(where, i))
+            for i, s in enumerate(_list(_field(spec, "factors", path), where))
+        ]
         if len(factors) < 2:
             raise ValueError("direct product needs at least two factors")
         out = factors[0]
@@ -35,17 +82,19 @@ def group_from_spec(spec: Any) -> FiniteGroup:
             out = _groups.make_direct_product(out, f)
         return out
     if kind == "semidirect":
-        return _groups.make_semidirect(
-            group_from_spec(spec["g1"]),
-            group_from_spec(spec["g2"]),
-            spec["action"],
-        )
+        action = _int_rows(_field(spec, "action", path), _where(path, "action"))
+        return _groups.make_semidirect(sub("g1"), sub("g2"), action)
     if kind == "field_affine":
-        return _groups.make_field_affine(int(spec["q"]))
+        return _groups.make_field_affine(get_int("q"))
     if kind == "inversion":
-        return _groups.make_inversion_extension(group_from_spec(spec["base"]))
+        return _groups.make_inversion_extension(sub("base"))
     if kind == "table":
-        return _groups.from_table(spec["table"], labels=spec.get("labels"))
+        table = _int_rows(_field(spec, "table", path), _where(path, "table"))
+        labels = spec.get("labels")
+        where = _where(path, "labels")
+        if labels is not None and len(_list(labels, where)) != len(table):
+            raise ValueError(f"spec field {where} must have one label per element")
+        return _groups.from_table(table, labels=labels)
     raise ValueError(f"unknown group kind {kind!r}")
 
 
@@ -53,21 +102,34 @@ def load_group(path: str | Path) -> FiniteGroup:
     return group_from_spec(json.loads(Path(path).read_text()))
 
 
-def _resolve_group(spec: Any, base_dir: Path) -> FiniteGroup:
+def _resolve_group(spec: Any, base_dir: Path, path: str) -> FiniteGroup:
     if isinstance(spec, dict) and "file" in spec:
-        return load_group(base_dir / spec["file"])
-    return group_from_spec(spec)
+        file = spec["file"]
+        if not isinstance(file, str):
+            raise ValueError(f"spec field {_where(path, 'file')} must be a string")
+        return load_group(base_dir / file)
+    return group_from_spec(spec, path)
 
 
 def graph_from_spec(spec: Any, base_dir: Optional[Path] = None) -> GainGraph:
+    """Build a gain graph from its JSON spec; a malformed spec raises
+    ValueError naming the JSON path of the bad field."""
     base_dir = base_dir or Path(".")
+    if not isinstance(spec, dict):
+        raise ValueError("graph spec must be a JSON object")
     if "complete" in spec:
         inner = spec["complete"]
-        group = _resolve_group(inner["group"], base_dir)
-        return complete_gain_graph(group, int(inner["n"]))
-    group = _resolve_group(spec["group"], base_dir)
-    triples = [tuple(int(x) for x in e) for e in spec["edges"]]
-    return GainGraph.from_triples(group, int(spec["vertices"]), triples)
+        if not isinstance(inner, dict):
+            raise ValueError("spec field complete must be an object")
+        group = _resolve_group(_field(inner, "group", "complete"), base_dir, "complete.group")
+        return complete_gain_graph(group, _int(_field(inner, "n", "complete"), "complete.n"))
+    group = _resolve_group(_field(spec, "group", ""), base_dir, "group")
+    vertices = _int(_field(spec, "vertices", ""), "vertices")
+    edges = _int_rows(_field(spec, "edges", ""), "edges")
+    for i, e in enumerate(edges):
+        if len(e) != 3:
+            raise ValueError(f"spec field edges[{i}] must be [tail, head, gain]")
+    return GainGraph.from_triples(group, vertices, edges)
 
 
 def load_graph(path: str | Path) -> GainGraph:

@@ -12,6 +12,9 @@ from typing import Iterable, Optional, Sequence
 from .errors import LimitExceeded
 
 DEFAULT_GROUP_LIMIT = 96
+# Largest Cayley table a constructor builds: the order of AGL(1,101), the
+# largest group make_field_affine admits. Checked before any table exists.
+MAX_TABLE_ORDER = 10100
 
 
 class FiniteGroup:
@@ -146,7 +149,13 @@ def _inverses_from_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def _check_table_order(n: int) -> None:
+    if n > MAX_TABLE_ORDER:
+        raise ValueError(f"group order {n} exceeds the table cap {MAX_TABLE_ORDER}")
+
+
 def _build(mul, n: int, labels=None, affine_modulus=None) -> FiniteGroup:
+    _check_table_order(n)
     table = [[mul(a, b) for b in range(n)] for a in range(n)]
     return FiniteGroup(table, labels=labels, affine_modulus=affine_modulus)
 
@@ -155,7 +164,9 @@ def make_cyclic(n: int) -> FiniteGroup:
     """Z/n with addition mod n."""
     if n < 1:
         raise ValueError("cyclic group order must be positive")
-    return _build(lambda a, b: (a + b) % n, n)
+    _check_table_order(n)
+    # row a is range(n) rotated left by a: (a + b) mod n
+    return FiniteGroup([[*range(a, n), *range(a)] for a in range(n)])
 
 
 def make_dihedral(two_n: int) -> FiniteGroup:
@@ -200,6 +211,7 @@ def make_semidirect(
     ``action[b]`` is the permutation φ_b of g1's elements; the family must be a
     homomorphism from g2 into Aut(g1). Pairs (a,b) get index a*|g2| + b.
     """
+    _check_table_order(g1.order * g2.order)
     if len(action) != g2.order:
         raise ValueError("action must give one permutation per element of g2")
     phis = [tuple(p) for p in action]
@@ -316,22 +328,24 @@ def from_table(table: Sequence[Sequence[int]], labels=None) -> FiniteGroup:
 
 
 def generated_subgroup(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    """Closure of the generators under multiplication and inverse."""
-    elems = {0}
-    frontier = [0]
-    for g in gens:
-        if g not in elems:
-            elems.add(g)
-            frontier.append(g)
-    while frontier:
-        new = []
-        for a in list(elems):
-            for b in frontier:
-                for c in (group.mul(a, b), group.mul(b, a)):
-                    if c not in elems:
-                        elems.add(c)
-                        new.append(c)
-        frontier = new
+    """The subgroup generated by ``gens``: the orbit of 0 under right
+    multiplication by the generators.
+
+    Each element is multiplied once by each distinct non-identity generator,
+    so the cost is O(|H|·|gens|). No inverse step is needed: in a finite group
+    g^-1 = g^(k-1) for k the order of g, so a set closed under products is
+    closed under inverses.
+    """
+    steps = tuple(set(gens) - {0})
+    seen = {0}
+    elems = [0]
+    for a in elems:
+        row = group.table[a]
+        for g in steps:
+            c = row[g]
+            if c not in seen:
+                seen.add(c)
+                elems.append(c)
     return Subgroup(tuple(sorted(elems)))
 
 
@@ -343,22 +357,33 @@ def is_subgroup(group: FiniteGroup, elements: Iterable[int]) -> bool:
 
 
 def subgroups(group: FiniteGroup, limit: int = DEFAULT_GROUP_LIMIT) -> list[Subgroup]:
-    """All subgroups, sorted by (size, elements)."""
+    """All subgroups, sorted by (size, elements).
+
+    Every subgroup is the join of the cyclic subgroups of its elements, so
+    joining one cyclic subgroup at a time from the cyclic subgroups reaches
+    them all: for found K < H and g in H - K, <K, g> is a larger subgroup of
+    H. Each found subgroup keeps the short generator tuple it was found by and
+    is extended by one generator per cyclic subgroup it does not contain.
+    """
     if group.order > limit:
         raise LimitExceeded(f"group order {group.order} exceeds limit {limit}")
-    trivial = Subgroup((0,))
-    found = {trivial.elements: trivial}
-    frontier = [trivial]
+    cyclic: dict[tuple[int, ...], tuple[Subgroup, int]] = {}
+    for g in range(1, group.order):
+        c = generated_subgroup(group, (g,))
+        cyclic.setdefault(c.elements, (c, g))
+    reps = [g for _, g in cyclic.values()]
+    found = {(0,): Subgroup((0,))} | {key: c for key, (c, _) in cyclic.items()}
+    frontier = [(c, (g,)) for c, g in cyclic.values()]
     while frontier:
-        h = frontier.pop()
-        base = set(h.elements)
-        for g in range(1, group.order):
+        h, gens = frontier.pop()
+        base = h.element_set
+        for g in reps:
             if g in base:
                 continue
-            k = generated_subgroup(group, base | {g})
+            k = generated_subgroup(group, gens + (g,))
             if k.elements not in found:
                 found[k.elements] = k
-                frontier.append(k)
+                frontier.append((k, gens + (g,)))
     return sorted(found.values(), key=lambda s: (s.order, s.elements))
 
 

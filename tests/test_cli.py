@@ -74,6 +74,28 @@ def test_frobpart_bad_file(write, capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, spec, path",
+    [
+        ("frobpart", "--group", {"kind": "cyclic"}, "n"),
+        (
+            "frobpart",
+            "--group",
+            {"kind": "semidirect", "g1": {"kind": "cyclic", "n": 3},
+             "g2": {"kind": "cyclic", "n": 2}, "action": 5},
+            "action",
+        ),
+        ("matrix", "--graph", {"group": D6_SPEC, "edges": [[0, 1, 2]]}, "vertices"),
+    ],
+    ids=["cyclic-without-n", "semidirect-action-int", "graph-without-vertices"],
+)
+def test_malformed_spec_exits_cleanly(write, capsys, command, flag, spec, path):
+    code, out, err = run(capsys, command, flag, write("spec.json", spec))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and f"field {path} " in err
+
+
 def test_rank_empty_subset(write, capsys):
     path = write("k4.json", K4_D6_SPEC)
     code, out, _ = run(capsys, "rank", "--graph", path, "--kernel", "auto", "--subset", "")

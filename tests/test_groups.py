@@ -1,6 +1,10 @@
+import functools
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobmat import (
     FrobeniusPartition,
@@ -21,7 +25,8 @@ from frobmat import (
     subgroups,
     validate_partition,
 )
-from frobmat.groups import conjugate_subgroup, subgroup_as_group
+from frobmat.fileio import group_from_spec
+from frobmat.groups import conjugate_subgroup, generated_subgroup, subgroup_as_group
 
 
 def quaternion_table():
@@ -203,6 +208,21 @@ def test_inversion_extension_rejects_bad_input():
         make_inversion_extension(heisenberg21)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_cyclic(10**6),
+        lambda: group_from_spec({"kind": "direct", "factors": [{"kind": "cyclic", "n": 1000}] * 2}),
+    ],
+    ids=["cyclic-1e6", "Z1000xZ1000"],
+)
+def test_table_cap_rejects_before_building(build):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="table cap"):
+        build()
+    assert time.perf_counter() - start < 1.0
+
+
 def test_from_table_trivial_and_z2():
     assert from_table([[0]]).order == 1
     g = from_table([[0, 1], [1, 0]])
@@ -242,6 +262,60 @@ def brute_force_subgroups(g):
             if all(g.mul(a, b) in s for a in s for b in s):
                 out.append(tuple(sorted(s)))
     return sorted(out, key=lambda t: (len(t), t))
+
+
+SMALL_GROUPS = {
+    **{f"Z{n}": lambda n=n: make_cyclic(n) for n in range(1, 13)},
+    "D8": lambda: make_dihedral(8),
+    "D10": lambda: make_dihedral(10),
+    "D12": lambda: make_dihedral(12),
+    "Z2xZ4": lambda: make_direct_product(make_cyclic(2), make_cyclic(4)),
+    "Z2xZ2xZ2": lambda: make_direct_product(
+        make_direct_product(make_cyclic(2), make_cyclic(2)), make_cyclic(2)
+    ),
+    "Z3:Z4": lambda: make_semidirect(
+        make_cyclic(3), make_cyclic(4), [[x * (-1) ** b % 3 for x in range(3)] for b in range(4)]
+    ),
+    "AGL(1,3)": lambda: make_field_affine(3),
+    "Q8": lambda: from_table(quaternion_table()),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def small_group(name):
+    g = SMALL_GROUPS[name]()
+    return g, brute_force_subgroups(g)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+def test_subgroups_match_brute_force(name):
+    g, expected = small_group(name)
+    assert [s.elements for s in subgroups(g)] == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SMALL_GROUPS)),
+    picks=st.lists(st.integers(min_value=0, max_value=11), max_size=4),
+)
+def test_generated_subgroup_is_smallest_containing_subgroup(name, picks):
+    g, subs = small_group(name)
+    gens = [x % g.order for x in picks]
+    smallest = min((s for s in subs if set(gens) <= set(s)), key=len)
+    assert generated_subgroup(g, gens).elements == smallest
+
+
+@pytest.mark.parametrize(
+    "group, limit, count",
+    [
+        (lambda: make_field_affine(7), 96, 26),
+        (lambda: make_field_affine(11), 110, 38),
+        (lambda: make_direct_product(make_cyclic(2), make_dihedral(48)), 96, 258),
+    ],
+    ids=["AGL(1,7)", "AGL(1,11)", "C2xD48"],
+)
+def test_subgroup_lattice_sizes(group, limit, count):
+    assert len(subgroups(group(), limit=limit)) == count
 
 
 def test_subgroups_z4():
