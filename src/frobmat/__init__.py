@@ -69,6 +69,7 @@ from .lifts import (
     circuits,
     class_member,
     class_member_walks,
+    contract,
     contract_kernel_loop,
     contract_nonloop,
     contract_unbalanced_loop,

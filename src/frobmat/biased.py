@@ -5,9 +5,10 @@ the theta property, linear classes, and the elementary-lift rank construction.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import LimitExceeded
 from .gaingraph import GainGraph, enumerate_cycles, is_balanced_cycle
@@ -169,62 +170,66 @@ class FuncOracle(RankOracle):
         return self._fn(frozenset(subset))
 
 
+def component_rank(
+    g: GainGraph,
+    subset: Iterable[int],
+    flags: Callable[[ComponentScan], tuple[bool, bool]],
+) -> int:
+    """|V(G[X])| - b(X) + l(X) over the components of the restriction to X.
+
+    ``flags`` maps each scanned component to (balanced, lifted): b(X) counts
+    the balanced components and l(X) is one iff some component is lifted.
+    """
+    total = 0
+    lifted = False
+    for sc in scan_components(g, subset):
+        balanced, lifts = flags(sc)
+        total += len(sc.vertices) - balanced
+        lifted = lifted or lifts
+    return total + lifted
+
+
 def frame_rank(b: BiasedGraph, subset: Iterable[int]) -> int:
     """|V(G[X])| minus the number of balanced components."""
-    total = 0
-    for sc in scan_components(b.graph, subset):
-        total += len(sc.vertices)
-        if b.component_balanced(sc):
-            total -= 1
-    return total
+    return component_rank(b.graph, subset, lambda sc: (b.component_balanced(sc), False))
 
 
 def graphic_rank(g: GainGraph, subset: Iterable[int]) -> int:
-    total = 0
-    for sc in scan_components(g, subset):
-        total += len(sc.vertices) - 1
-    return total
+    return component_rank(g, subset, lambda sc: (True, False))
 
 
 def lift_rank(b: BiasedGraph, subset: Iterable[int]) -> int:
     """Graphic rank, plus one iff the restriction has an unbalanced cycle."""
-    total = 0
-    lifted = 0
-    for sc in scan_components(b.graph, subset):
-        total += len(sc.vertices) - 1
-        if not b.component_balanced(sc):
-            lifted = 1
-    return total + lifted
+    return component_rank(b.graph, subset, lambda sc: (True, not b.component_balanced(sc)))
 
 
-class FrameOracle(RankOracle):
+class _EdgeOracle(RankOracle):
+    """A rank function whose ground set is every edge of a biased graph."""
+
     def __init__(self, biased: BiasedGraph):
         self.biased = biased
-        self.ground = tuple(sorted(e.id for e in biased.graph.edges))
+        self.ground = tuple(sorted(biased.graph.edge_ids()))
 
+
+class FrameOracle(_EdgeOracle):
     def rank(self, subset: Iterable[int]) -> int:
         return frame_rank(self.biased, subset)
 
 
-class LiftOracle(RankOracle):
-    def __init__(self, biased: BiasedGraph):
-        self.biased = biased
-        self.ground = tuple(sorted(e.id for e in biased.graph.edges))
-
+class LiftOracle(_EdgeOracle):
     def rank(self, subset: Iterable[int]) -> int:
         return lift_rank(self.biased, subset)
 
 
-class GraphicOracle(RankOracle):
+class GraphicOracle(_EdgeOracle):
     def __init__(self, graph: GainGraph):
-        self.graph = graph
-        self.ground = tuple(sorted(e.id for e in graph.edges))
+        super().__init__(BiasedGraph.from_gain_graph(graph))
 
     def rank(self, subset: Iterable[int]) -> int:
-        return graphic_rank(self.graph, subset)
+        return graphic_rank(self.biased.graph, subset)
 
 
-class ClassLiftOracle(RankOracle):
+class ClassLiftOracle(_EdgeOracle):
     """Elementary lift of a frame matroid given by an explicit linear class.
 
     The lift term inspects only the circuits of the restriction, so rank
@@ -233,24 +238,13 @@ class ClassLiftOracle(RankOracle):
     """
 
     def __init__(self, biased: BiasedGraph, members: Iterable[Iterable[int]]):
-        self.biased = biased
+        super().__init__(biased)
         self.members = frozenset(frozenset(c) for c in members)
-        self.ground = tuple(sorted(e.id for e in biased.graph.edges))
 
     def rank(self, subset: Iterable[int]) -> int:
         sub = self.biased.restrict(subset)
-        base = 0
-        lifted = 0
-        for sc in scan_components(sub.graph, [e.id for e in sub.graph.edges]):
-            base += len(sc.vertices)
-            if sub.component_balanced(sc):
-                base -= 1
-        if any(
-            frozenset(c) not in self.members
-            for c in frame_circuits(sub)
-        ):
-            lifted = 1
-        return base + lifted
+        lifted = any(frozenset(c) not in self.members for c in frame_circuits(sub))
+        return frame_rank(sub, sub.graph.edge_ids()) + lifted
 
 
 def _vertices_of(g: GainGraph, ids: Iterable[int]) -> frozenset[int]:
@@ -448,6 +442,23 @@ def minimal_dependent_sets(
             if oracle.rank(combo) < size:
                 found.append(s)
     return sorted(tuple(sorted(c)) for c in found)
+
+
+def subset_sweep(
+    ground: Sequence[int],
+    exhaustive_limit: int,
+    samples: int,
+    rng: Optional[random.Random],
+) -> Iterator[tuple[int, ...]]:
+    """Every subset of ``ground`` by size, in ``itertools.combinations`` order,
+    when it has at most ``exhaustive_limit`` elements; else ``samples`` random
+    halves, each element kept on one draw of ``rng``."""
+    if len(ground) <= exhaustive_limit:
+        for size in range(len(ground) + 1):
+            yield from itertools.combinations(ground, size)
+        return
+    for _ in range(samples):
+        yield tuple(i for i in ground if rng.random() < 0.5)
 
 
 def rank_table(oracle: RankOracle, limit: int = DEFAULT_AXIOM_LIMIT) -> dict[int, int]:

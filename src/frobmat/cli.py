@@ -7,7 +7,6 @@ stderr with a nonzero exit.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import random
@@ -22,6 +21,7 @@ from .biased import (
     frame_circuits,
     is_linear_class,
     matroid_axiom_check,
+    subset_sweep,
 )
 from .errors import LimitExceeded, RecoveryError
 from .gaingraph import GainGraph, quotient_gains
@@ -38,9 +38,7 @@ from .lifts import (
     LiftedMatroid,
     bases,
     circuits,
-    contract_kernel_loop,
-    contract_nonloop,
-    contract_unbalanced_loop,
+    contract,
     delete,
     linear_class,
 )
@@ -158,28 +156,11 @@ def _verify_minors(ctx, graph, oracle, seed: int) -> tuple[bool, str]:
     rng = random.Random(seed)
     ids = list(oracle.ground)
     for e in graph.edges:
-        if not e.is_loop:
-            minor = contract_nonloop(ctx, graph, e.id)
-        elif e.gain == 0:
-            minor = contract_unbalanced_loop(ctx, graph, e.id)
-        elif ctx.in_kernel(e.gain):
-            minor = contract_kernel_loop(ctx, graph, e.id)
-        else:
-            minor = contract_unbalanced_loop(ctx, graph, e.id)
+        minor = contract(ctx, graph, e.id)
         deletion = delete(ctx, graph, e.id)
         rest = [i for i in ids if i != e.id]
         r_e = oracle.rank([e.id])
-        if len(rest) <= 12:
-            subsets = [
-                combo
-                for r in range(len(rest) + 1)
-                for combo in itertools.combinations(rest, r)
-            ]
-        else:
-            subsets = [
-                tuple(i for i in rest if rng.random() < 0.5) for _ in range(300)
-            ]
-        for sub in subsets:
+        for sub in subset_sweep(rest, 12, 300, rng):
             if deletion.rank(sub) != oracle.rank(sub):
                 return False, f"deletion of {e.id} differs on {sub}"
             if minor.rank(sub) != oracle.rank(set(sub) | {e.id}) - r_e:
@@ -193,13 +174,7 @@ def cmd_minor(args) -> int:
     for eid in fileio.parse_id_list(args.delete or ""):
         current = delete(ctx, current, eid).graph
     for eid in fileio.parse_id_list(args.contract or ""):
-        e = current.edge(eid)
-        if not e.is_loop:
-            current = contract_nonloop(ctx, current, eid).graph
-        elif e.gain != 0 and ctx.in_kernel(e.gain):
-            current = contract_kernel_loop(ctx, current, eid).graph
-        else:
-            current = contract_unbalanced_loop(ctx, current, eid).graph
+        current = contract(ctx, current, eid).graph
     raw = json.loads(Path(args.graph).read_text())
     group_spec = raw.get("group") or raw.get("complete", {}).get("group")
     print(json.dumps(fileio.graph_to_spec(current, group_spec), indent=1))

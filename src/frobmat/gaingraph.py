@@ -15,6 +15,8 @@ from .groups import FiniteGroup, QuotientMap, make_inversion_extension
 
 DEFAULT_CYCLE_EDGE_LIMIT = 40
 DEFAULT_CYCLE_COUNT_LIMIT = 10**6
+# Most edges complete_gain_graph builds; checked before the first edge exists.
+MAX_COMPLETE_EDGES = 100_000
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ class GainGraph:
 
     def gain_from(self, eid: int, u: int) -> int:
         """Gain of the orientation leaving u; loops return the stored gain."""
-        e = self._by_id[eid]
+        e = self.edge(eid)
         if u == e.tail:
             return e.gain
         if u == e.head:
@@ -86,7 +88,7 @@ class GainGraph:
         raise ValueError(f"vertex {u} is not an end of edge {eid}")
 
     def other_end(self, eid: int, u: int) -> int:
-        e = self._by_id[eid]
+        e = self.edge(eid)
         if u == e.tail:
             return e.head
         if u == e.head:
@@ -200,13 +202,13 @@ def _check_cycle(g: GainGraph, cycle: Iterable[int]) -> list[Edge]:
     return edges
 
 
-def cycle_walk(g: GainGraph, cycle: Iterable[int]) -> Walk:
-    """A simple closed walk traversing the cycle once, from its least vertex."""
-    edges = _check_cycle(g, cycle)
-    if len(edges) == 1 and edges[0].is_loop:
-        return Walk(edges[0].tail, ((edges[0].id, True),))
-    start = min(min(e.tail, e.head) for e in edges)
-    unused = {e.id for e in edges}
+def walk_edges(g: GainGraph, edges: Iterable[int], start: int) -> Walk:
+    """Walk every edge of the set once from ``start``, each step taking the
+    least unused edge at the current vertex.
+
+    Traverses a cycle through ``start`` or a path from one of its ends.
+    """
+    unused = set(edges)
     at = start
     steps: list[tuple[int, bool]] = []
     while unused:
@@ -215,9 +217,13 @@ def cycle_walk(g: GainGraph, cycle: Iterable[int]) -> Walk:
         steps.append((eid, at == e.tail))
         at = g.other_end(eid, at)
         unused.discard(eid)
-    if at != start:
-        raise ValueError("edge set is not a closed cycle")
     return Walk(start, tuple(steps))
+
+
+def cycle_walk(g: GainGraph, cycle: Iterable[int]) -> Walk:
+    """A simple closed walk traversing the cycle once, from its least vertex."""
+    edges = _check_cycle(g, cycle)
+    return walk_edges(g, (e.id for e in edges), min(min(e.tail, e.head) for e in edges))
 
 
 def is_balanced_cycle(g: GainGraph, cycle: Iterable[int]) -> bool:
@@ -289,6 +295,12 @@ def complete_gain_graph(group: FiniteGroup, n: int) -> GainGraph:
     """
     if n < 2:
         raise ValueError("complete gain graph needs at least 2 vertices")
+    count = n * (n - 1) // 2 * group.order
+    if count > MAX_COMPLETE_EDGES:
+        raise ValueError(
+            f"K_{n} over a group of order {group.order} has {count} edges, "
+            f"above the cap {MAX_COMPLETE_EDGES}"
+        )
     edges = []
     eid = 0
     for i in range(n):

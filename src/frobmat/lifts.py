@@ -11,17 +11,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Optional, Sequence
 
 from .biased import (
     BiasedGraph,
+    FuncOracle,
     RankOracle,
     _vertices_of,
+    component_rank,
     frame_circuits,
     is_linear_class,
     minimal_dependent_sets,
     scan_components,
+    subset_sweep,
 )
 from .errors import LimitExceeded
 from .gaingraph import (
@@ -35,6 +38,7 @@ from .gaingraph import (
     is_balanced_cycle,
     normalize_forest,
     quotient_gains,
+    walk_edges,
 )
 from .groups import (
     FiniteGroup,
@@ -91,13 +95,13 @@ class FrobeniusContext:
 
 
 def _component_flags(ctx: FrobeniusContext, scan) -> tuple[bool, bool]:
-    """(quotient-balanced, lift-free) flags of one scanned component.
+    """(quotient-balanced, lifted) flags of one scanned component.
 
     A component adds nothing to the lift term exactly when its normalized
     non-tree gains are all the identity, or all fall in one complement part.
     """
     balanced = True
-    lift_free = True
+    lifted = False
     seen_part: Optional[int] = None
     for _, red in scan.nontree:
         p = ctx.part_of[red]
@@ -105,12 +109,12 @@ def _component_flags(ctx: FrobeniusContext, scan) -> tuple[bool, bool]:
             continue
         balanced = balanced and p == KERNEL_PART
         if p == KERNEL_PART:
-            lift_free = False
+            lifted = True
         elif seen_part is None:
             seen_part = p
         elif p != seen_part:
-            lift_free = False
-    return balanced, lift_free
+            lifted = True
+    return balanced, lifted
 
 
 class LiftedMatroid(RankOracle):
@@ -128,26 +132,13 @@ class LiftedMatroid(RankOracle):
         self.ground = tuple(sorted(e.id for e in graph.edges))
 
     def rank(self, subset: Iterable[int]) -> int:
-        total = 0
-        lifted = 0
-        for sc in scan_components(self.graph, subset):
-            total += len(sc.vertices)
-            balanced, lift_free = _component_flags(self.ctx, sc)
-            if balanced:
-                total -= 1
-            if not lift_free:
-                lifted = 1
-        return total + lifted
+        return component_rank(self.graph, subset, partial(_component_flags, self.ctx))
 
     def underlying_rank(self, subset: Iterable[int]) -> int:
         """Rank in the frame matroid of the quotient gain graph."""
-        total = 0
-        for sc in scan_components(self.graph, subset):
-            total += len(sc.vertices)
-            balanced, _ = _component_flags(self.ctx, sc)
-            if balanced:
-                total -= 1
-        return total
+        return component_rank(
+            self.graph, subset, lambda sc: (_component_flags(self.ctx, sc)[0], False)
+        )
 
     @cached_property
     def quotient_biased(self) -> BiasedGraph:
@@ -158,15 +149,7 @@ class LiftedMatroid(RankOracle):
         return tuple(linear_class(self.ctx, self.graph))
 
     def underlying_oracle(self) -> RankOracle:
-        outer = self
-
-        class _Frame(RankOracle):
-            ground = outer.ground
-
-            def rank(self, subset):
-                return outer.underlying_rank(subset)
-
-        return _Frame()
+        return FuncOracle(self.ground, self.underlying_rank)
 
 
 def matroid_rank(ctx: FrobeniusContext, g: GainGraph, subset: Iterable[int]) -> int:
@@ -256,37 +239,6 @@ def class_member(
     return parts[0] == parts[1]
 
 
-def _walk_around(g: GainGraph, cycle: frozenset[int], start: int) -> Walk:
-    """Simple closed walk on a cycle, rebased to start at a given vertex."""
-    w = cycle_walk(g, cycle)
-    if w.start == start:
-        return w
-    order = []
-    at = w.start
-    for eid, forward in w.steps:
-        order.append((at, eid, forward))
-        at = g.other_end(eid, at)
-    pos = next(i for i, (v, _, _) in enumerate(order) if v == start)
-    rotated = order[pos:] + order[:pos]
-    return Walk(start, tuple((eid, fwd) for _, eid, fwd in rotated))
-
-
-def _path_walk(g: GainGraph, path: frozenset[int], start: int) -> Walk:
-    """Traverse a path edge set beginning at one of its endpoints."""
-    remaining = set(path)
-    at = start
-    steps = []
-    while remaining:
-        eid = min(
-            i for i in remaining if at in (g.edge(i).tail, g.edge(i).head)
-        )
-        e = g.edge(eid)
-        steps.append((eid, at == e.tail))
-        at = g.other_end(eid, at)
-        remaining.discard(eid)
-    return Walk(start, tuple(steps))
-
-
 def _reverse_walk(g: GainGraph, w: Walk) -> Walk:
     at = w.start
     for eid, _ in w.steps:
@@ -333,23 +285,23 @@ def cyclic_covering_pair(
         c1, c2 = shape.cycles
         shared = _vertices_of(g, c1) & _vertices_of(g, c2)
         v = min(shared)
-        return _walk_around(g, c1, v), _walk_around(g, c2, v)
+        return walk_edges(g, c1, v), walk_edges(g, c2, v)
     if shape.kind == "loose":
         c1, c2 = shape.cycles
         pverts = _vertices_of(g, shape.path)
         u = min(pverts & _vertices_of(g, c1))
         w = min(pverts & _vertices_of(g, c2))
-        forth = _path_walk(g, shape.path, u)
+        forth = walk_edges(g, shape.path, u)
         return (
-            _walk_around(g, c1, u),
-            _concat(_concat(forth, _walk_around(g, c2, w)), _reverse_walk(g, forth)),
+            walk_edges(g, c1, u),
+            _concat(_concat(forth, walk_edges(g, c2, w)), _reverse_walk(g, forth)),
         )
     p12, p13, p23 = _theta_paths(shape.cycles)
     branch = _vertices_of(g, p12) & _vertices_of(g, p13) & _vertices_of(g, p23)
     u = min(branch)
-    walk12 = _path_walk(g, p12, u)
-    walk13 = _path_walk(g, p13, u)
-    walk23 = _path_walk(g, p23, u)
+    walk12 = walk_edges(g, p12, u)
+    walk13 = walk_edges(g, p13, u)
+    walk23 = walk_edges(g, p23, u)
     w1 = _concat(walk12, _reverse_walk(g, walk13))
     w2 = _concat(walk13, _reverse_walk(g, walk23))
     return w1, w2
@@ -428,6 +380,17 @@ def delete(ctx: FrobeniusContext, g: GainGraph, eid: int) -> LiftedMatroid:
     if eid not in {e.id for e in g.edges}:
         raise ValueError(f"no edge {eid}")
     return LiftedMatroid(ctx, g.with_edges(e for e in g.edges if e.id != eid))
+
+
+def contract(ctx: FrobeniusContext, g: GainGraph, eid: int) -> LiftedMatroid:
+    """Contraction of any edge, by the rule for its kind: non-loop, non-identity
+    kernel loop, or any other loop."""
+    e = g.edge(eid)
+    if not e.is_loop:
+        return contract_nonloop(ctx, g, eid)
+    if e.gain != 0 and ctx.in_kernel(e.gain):
+        return contract_kernel_loop(ctx, g, eid)
+    return contract_unbalanced_loop(ctx, g, eid)
 
 
 def contract_nonloop(ctx: FrobeniusContext, g: GainGraph, eid: int) -> LiftedMatroid:
@@ -594,8 +557,8 @@ def is_elementary_lift(
     """Decide whether m is an elementary lift of host; recover its class.
 
     On success returns (True, class); on failure (False, witness) where the
-    witness is either a linear-class violation or a subset whose rank the
-    two-case formula cannot reproduce.
+    witness is either a linear-class violation or the first subset, by size,
+    whose rank the two-case formula cannot reproduce.
     """
     if tuple(m.ground) != tuple(host.ground):
         raise ValueError("ground sets differ")
@@ -606,10 +569,8 @@ def is_elementary_lift(
     ok, witness = is_linear_class(host, host_circuits, recovered)
     if not ok:
         return False, witness
-    ground = m.ground
-    n = len(ground)
-    for mask in range(1 << n):
-        subset = frozenset(ground[i] for i in range(n) if mask >> i & 1)
+    for combo in subset_sweep(m.ground, limit, 0, None):
+        subset = frozenset(combo)
         extra = 0
         for c in host_circuits:
             if c <= subset and c not in recovered:

@@ -13,7 +13,7 @@ import itertools
 import random
 from typing import Iterable, Sequence
 
-from .biased import BiasedGraph, FrameOracle, RankOracle
+from .biased import BiasedGraph, FrameOracle, RankOracle, subset_sweep
 from .errors import RecoveryError
 from .gaingraph import (
     GainGraph,
@@ -135,8 +135,7 @@ def _check_elementary(
         return
     if m.rank(()) != 0:
         raise RecoveryError("rank of the empty set is not zero")
-    for _ in range(samples):
-        subset = [i for i in ids if rng.random() < 0.5]
+    for subset in subset_sweep(ids, EXHAUSTIVE_EDGE_LIMIT, samples, rng):
         d = m.rank(subset) - frame.rank(subset)
         if d not in (0, 1):
             raise RecoveryError(
@@ -226,19 +225,13 @@ def recover_partition(
 
     reconstructed = LiftedMatroid(FrobeniusContext(group, partition, validate=False), g)
     ids = list(m.ground)
-    if len(ids) <= EXHAUSTIVE_EDGE_LIMIT:
-        subsets: Iterable[Sequence[int]] = (
-            combo for r in range(len(ids) + 1) for combo in itertools.combinations(ids, r)
-        )
-    else:
-        structured: list[Sequence[int]] = [
+    subsets: Iterable[Sequence[int]] = subset_sweep(ids, EXHAUSTIVE_EDGE_LIMIT, verify_sweep, rng)
+    if len(ids) > EXHAUSTIVE_EDGE_LIMIT:
+        structured = [
             edge_bundle(group, n, (0, a, b))
             for a, b in itertools.combinations_with_replacement(group.elements(), 2)
         ]
-        randoms = (
-            [i for i in ids if rng.random() < 0.5] for _ in range(verify_sweep)
-        )
-        subsets = itertools.chain(structured, randoms)
+        subsets = itertools.chain(structured, subsets)
     for subset in subsets:
         if m.rank(subset) != reconstructed.rank(subset):
             raise RecoveryError(

@@ -6,12 +6,11 @@ vertices. Entries are reduced residues mod q.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .biased import RankOracle
+from .biased import RankOracle, subset_sweep
 from .gaingraph import Edge, GainGraph, apply_switching
 from .groups import FiniteGroup
 from .lifts import FrobeniusContext, LiftedMatroid
@@ -171,18 +170,7 @@ def verify_representation(
     ids = sorted(e.id for e in g.edges)
     vec = VectorOracle(matrix, ids)
     m = LiftedMatroid(ctx, g)
-    if len(ids) <= exhaustive_limit:
-        pools: Iterable[tuple[int, ...]] = (
-            combo
-            for r in range(len(ids) + 1)
-            for combo in itertools.combinations(ids, r)
-        )
-    else:
-        rng = random.Random(seed)
-        pools = (
-            tuple(i for i in ids if rng.random() < 0.5) for _ in range(samples)
-        )
-    for subset in pools:
+    for subset in subset_sweep(ids, exhaustive_limit, samples, random.Random(seed)):
         if vec.rank(subset) != m.rank(subset):
             return False, subset
     return True, None

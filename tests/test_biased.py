@@ -22,7 +22,7 @@ from frobmat import (
     minimal_dependent_sets,
     theta_property_check,
 )
-from frobmat.biased import FuncOracle
+from frobmat.biased import FuncOracle, subset_sweep
 from frobmat.errors import LimitExceeded
 
 from conftest import random_gain_graph
@@ -241,6 +241,16 @@ def test_minimal_dependent_sets_u12():
 def test_minimal_dependent_sets_limit():
     with pytest.raises(LimitExceeded):
         minimal_dependent_sets(FuncOracle(range(25), len))
+
+
+def test_subset_sweep_exhaustive_by_size_else_seeded_halves():
+    ground = (2, 5, 7)
+    assert list(subset_sweep(ground, 3, 0, None)) == [
+        (), (2,), (5,), (7,), (2, 5), (2, 7), (5, 7), (2, 5, 7)
+    ]
+    rng, same = random.Random(4), random.Random(4)
+    want = [tuple(i for i in ground if same.random() < 0.5) for _ in range(5)]
+    assert list(subset_sweep(ground, 2, 5, rng)) == want
 
 
 def test_axiom_check_graphic_k4():

@@ -96,6 +96,21 @@ def test_malformed_spec_exits_cleanly(write, capsys, command, flag, spec, path):
     assert err.startswith("error: ") and f"field {path} " in err
 
 
+def test_oversized_complete_graph_exits_before_building(write, capsys, monkeypatch):
+    import frobmat.gaingraph as gaingraph
+
+    def no_edge(*args):
+        raise AssertionError("an edge was built before the size check")
+
+    # about 10^10 edges: an uncapped build would exhaust memory
+    monkeypatch.setattr(gaingraph, "Edge", no_edge)
+    spec = {"complete": {"group": {"kind": "cyclic", "n": 2}, "n": 100000}}
+    code, out, err = run(capsys, "rank", "--graph", write("big.json", spec))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "above the cap" in err
+
+
 def test_rank_empty_subset(write, capsys):
     path = write("k4.json", K4_D6_SPEC)
     code, out, _ = run(capsys, "rank", "--graph", path, "--kernel", "auto", "--subset", "")

@@ -52,6 +52,13 @@ def test_back_and_forth_cancels(d6):
     assert gain_of_walk(k3, walk) == 0
 
 
+@pytest.mark.parametrize("method", ["gain_from", "other_end"])
+def test_unknown_edge_id_is_a_value_error(d6, method):
+    g = graph(d6, 2, [(0, 1, 3)])
+    with pytest.raises(ValueError, match="no edge 7"):
+        getattr(g, method)(7, 0)
+
+
 def test_walk_rejects_broken_incidence(d6):
     g = graph(d6, 3, [(0, 1, 1), (1, 2, 2)])
     with pytest.raises(ValueError):

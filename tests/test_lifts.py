@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobmat import (
     BiasedGraph,
@@ -11,11 +13,13 @@ from frobmat import (
     LiftOracle,
     LiftedMatroid,
     bases,
+    brylawski_lift,
     build_spike_graph,
     circuits,
     class_member,
     class_member_walks,
     complete_gain_graph,
+    contract,
     contract_kernel_loop,
     contract_nonloop,
     contract_unbalanced_loop,
@@ -24,10 +28,13 @@ from frobmat import (
     enumerate_cycles,
     frame_circuits,
     frobenius_partitions,
+    is_balanced_cycle,
     is_elementary_lift,
     is_linear_class,
     linear_class,
     make_cyclic,
+    make_dihedral,
+    make_field_affine,
     matroid_axiom_check,
     matroid_rank,
     minimal_dependent_sets,
@@ -209,6 +216,26 @@ def test_rank_collapses_to_frame_and_lift(d6):
             for sub in itertools.combinations(ids, r):
                 assert mf.rank(sub) == fo.rank(sub)
                 assert ml.rank(sub) == lo.rank(sub)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_rank_matches_brylawski_lift_of_explicit_host(seed):
+    """The lift against the modular-pair lift of its class over a host whose
+    balance is cycle membership, with no tree-reduced gains on that side."""
+    rng = random.Random(seed)
+    group = make_dihedral(6) if seed % 2 else make_field_affine(5)
+    g = random_gain_graph(group, rng, max_vertices=4, max_edges=9)
+    for ctx in contexts_of(group):
+        qg = quotient_gains(g, ctx.quotient)
+        host = BiasedGraph.from_balanced_set(
+            qg, [c for c in enumerate_cycles(qg) if is_balanced_cycle(qg, c)]
+        )
+        expected = brylawski_lift(FrameOracle(host), frame_circuits(host), linear_class(ctx, g))
+        m = LiftedMatroid(ctx, g)
+        for r in range(len(m.ground) + 1):
+            for sub in itertools.combinations(m.ground, r):
+                assert m.rank(sub) == expected.rank(sub), (ctx, sub)
 
 
 def test_k4_d6_rank(d6, d6_frobenius):
@@ -402,6 +429,15 @@ def test_contract_kernel_loop_rejects_wrong_gain(d6, d6_frobenius):
     g = graph(d6, 1, [(0, 0, 3)])
     with pytest.raises(ValueError, match="kernel"):
         contract_kernel_loop(d6_frobenius, g, 0)
+
+
+def test_contract_picks_the_rule_for_each_edge_kind(d6, d6_frobenius):
+    # a non-loop, an identity loop, a kernel loop and a complement loop
+    g = graph(d6, 2, [(0, 1, 3), (0, 0, 0), (0, 0, 1), (1, 1, 3)])
+    rules = [contract_nonloop, delete, contract_kernel_loop, contract_unbalanced_loop]
+    for eid, rule in enumerate(rules):
+        got, want = contract(d6_frobenius, g, eid).graph, rule(d6_frobenius, g, eid).graph
+        assert (got.vertex_count, got.edges) == (want.vertex_count, want.edges)
 
 
 def test_loop_placement_lemmas(d6, d6_frobenius):
