@@ -4,6 +4,7 @@ the theta property, linear classes, and the elementary-lift rank construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import deque
@@ -15,6 +16,9 @@ from .gaingraph import GainGraph, enumerate_cycles, is_balanced_cycle
 
 DEFAULT_GROUND_LIMIT = 20
 DEFAULT_AXIOM_LIMIT = 16
+# Element classes for component_rank; complements are numbered from 0.
+IDENTITY_PART = -2
+KERNEL_PART = -1
 
 
 @dataclass(frozen=True)
@@ -171,36 +175,111 @@ class FuncOracle(RankOracle):
 
 
 def component_rank(
-    g: GainGraph,
-    subset: Iterable[int],
-    flags: Callable[[ComponentScan], tuple[bool, bool]],
+    g: GainGraph, subset: Iterable[int], part_of: Sequence[int], lift: bool
 ) -> int:
-    """|V(G[X])| - b(X) + l(X) over the components of the restriction to X.
+    """|V(G[X])| - b(X) + l(X), by one union-find pass over the edges of X.
 
-    ``flags`` maps each scanned component to (balanced, lifted): b(X) counts
-    the balanced components and l(X) is one iff some component is lifted.
+    ``part_of`` classifies each group element as IDENTITY_PART, KERNEL_PART
+    or a complement index; the kernel must be normal and the complements
+    closed under conjugation. A component is balanced (counted in b) when its
+    gain group lies in the kernel, and lifted when it lies in no single
+    complement; l(X) is one iff ``lift`` is set and some component is lifted.
+
+    Each vertex holds its root and a potential eta relative to it, chosen so
+    that switching by eta makes every forest edge the identity; an edge
+    t -> h with gain x inside a component then reduces to eta(t)^-1 x eta(h).
+    Each root holds its vertices and, once one is seen, a reduced gain in a
+    complement (its witness). A merge re-roots the smaller component by c,
+    which conjugates its reduced gains, so its witness becomes c^-1 w c.
+    Neither verdict depends on the forest: both are properties of the gain
+    group up to conjugacy.
     """
+    table = g.group.table
+    inverse = g.group.inverse
+    ends = g.ends
+    root: dict[int, int] = {}
+    eta: dict[int, int] = {}
+    members: dict[int, list[int]] = {}
+    witness: dict[int, int] = {}
+    lifted = False
+    for eid in subset:
+        try:
+            t, h, x = ends[eid]
+        except KeyError:
+            raise ValueError(f"no edge {eid}") from None
+        if t not in root:
+            root[t], eta[t], members[t] = t, 0, [t]
+        if h not in root:
+            root[h], eta[h], members[h] = h, 0, [h]
+        rt, rh = root[t], root[h]
+        if rt == rh:
+            red = table[table[inverse[eta[t]]][x]][eta[h]]
+            part = part_of[red]
+            if part == IDENTITY_PART:
+                continue
+            if part == KERNEL_PART:
+                lifted = True
+                continue
+            w = witness.setdefault(rt, red)
+            lifted = lifted or part_of[w] != part
+            continue
+        # move the smaller component: a is its end of the edge, y the gain
+        # of the orientation a -> b
+        if len(members[rt]) < len(members[rh]):
+            a, b, y, keep, move = t, h, x, rh, rt
+        else:
+            a, b, y, keep, move = h, t, inverse[x], rt, rh
+        c = table[table[inverse[eta[a]]][y]][eta[b]]
+        moved = members.pop(move)
+        for v in moved:
+            root[v] = keep
+            eta[v] = table[eta[v]][c]
+        members[keep].extend(moved)
+        if move in witness:
+            w = table[table[inverse[c]][witness.pop(move)]][c]
+            kept = witness.setdefault(keep, w)
+            lifted = lifted or part_of[kept] != part_of[w]
+    balanced = len(members) - len(witness)
+    return len(root) - balanced + (lift and lifted)
+
+
+@functools.lru_cache(maxsize=64)
+def _uniform_parts(order: int, part: int) -> tuple[int, ...]:
+    """The classification that puts every non-identity element in ``part``."""
+    return (IDENTITY_PART,) + (part,) * (order - 1)
+
+
+def _scan_rank(b: BiasedGraph, subset: Iterable[int], lift: bool) -> int:
+    """Frame (or, with ``lift``, lift) rank from scanned components; the route
+    for biased graphs given by an explicit balanced-cycle set."""
     total = 0
     lifted = False
-    for sc in scan_components(g, subset):
-        balanced, lifts = flags(sc)
-        total += len(sc.vertices) - balanced
-        lifted = lifted or lifts
+    for sc in scan_components(b.graph, subset):
+        if lift:
+            total += len(sc.vertices) - 1
+            lifted = lifted or not b.component_balanced(sc)
+        else:
+            total += len(sc.vertices) - b.component_balanced(sc)
     return total + lifted
 
 
 def frame_rank(b: BiasedGraph, subset: Iterable[int]) -> int:
     """|V(G[X])| minus the number of balanced components."""
-    return component_rank(b.graph, subset, lambda sc: (b.component_balanced(sc), False))
+    if not b.gain_derived:
+        return _scan_rank(b, subset, False)
+    return component_rank(b.graph, subset, _uniform_parts(b.graph.group.order, 0), False)
 
 
 def graphic_rank(g: GainGraph, subset: Iterable[int]) -> int:
-    return component_rank(g, subset, lambda sc: (True, False))
+    return component_rank(g, subset, _uniform_parts(g.group.order, IDENTITY_PART), False)
 
 
 def lift_rank(b: BiasedGraph, subset: Iterable[int]) -> int:
     """Graphic rank, plus one iff the restriction has an unbalanced cycle."""
-    return component_rank(b.graph, subset, lambda sc: (True, not b.component_balanced(sc)))
+    if not b.gain_derived:
+        return _scan_rank(b, subset, True)
+    parts = _uniform_parts(b.graph.group.order, KERNEL_PART)
+    return component_rank(b.graph, subset, parts, True)
 
 
 class _EdgeOracle(RankOracle):

@@ -8,6 +8,7 @@ tail == head. Edge ids are stable: minors drop ids but never renumber them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import LimitExceeded
@@ -74,6 +75,11 @@ class GainGraph:
             return self._by_id[eid]
         except KeyError:
             raise ValueError(f"no edge {eid}") from None
+
+    @cached_property
+    def ends(self) -> dict[int, tuple[int, int, int]]:
+        """Edge id -> (tail, head, gain)."""
+        return {e.id: (e.tail, e.head, e.gain) for e in self.edges}
 
     def edge_ids(self) -> tuple[int, ...]:
         return tuple(e.id for e in self.edges)
@@ -206,17 +212,30 @@ def walk_edges(g: GainGraph, edges: Iterable[int], start: int) -> Walk:
     """Walk every edge of the set once from ``start``, each step taking the
     least unused edge at the current vertex.
 
-    Traverses a cycle through ``start`` or a path from one of its ends.
+    Traverses a cycle through ``start`` or a path from one of its ends. Each
+    vertex's incident edges are listed once, by id, before the walk starts.
     """
     unused = set(edges)
+    ends: dict[int, tuple[int, int]] = {}
+    incident: dict[int, list[int]] = {}
+    for eid in sorted(unused):
+        e = g.edge(eid)
+        ends[eid] = (e.tail, e.head)
+        incident.setdefault(e.tail, []).append(eid)
+        if not e.is_loop:
+            incident.setdefault(e.head, []).append(eid)
     at = start
     steps: list[tuple[int, bool]] = []
     while unused:
-        eid = min(i for i in unused if at in (g.edge(i).tail, g.edge(i).head))
-        e = g.edge(eid)
-        steps.append((eid, at == e.tail))
-        at = g.other_end(eid, at)
-        unused.discard(eid)
+        for eid in incident.get(at, ()):
+            if eid in unused:
+                break
+        else:
+            raise ValueError(f"no unused edge of the set meets vertex {at}")
+        t, h = ends[eid]
+        steps.append((eid, at == t))
+        at = h if at == t else t
+        unused.remove(eid)
     return Walk(start, tuple(steps))
 
 

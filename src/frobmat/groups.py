@@ -293,6 +293,7 @@ def from_table(table: Sequence[Sequence[int]], labels=None) -> FiniteGroup:
     n = len(table)
     if n == 0:
         raise ValueError("empty table")
+    _check_table_order(n)
     rows = [list(r) for r in table]
     for i, row in enumerate(rows):
         if len(row) != n:

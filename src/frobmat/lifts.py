@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .biased import (
+    IDENTITY_PART,
+    KERNEL_PART,
     BiasedGraph,
     FuncOracle,
     RankOracle,
@@ -49,9 +51,6 @@ from .groups import (
     subgroup_as_group,
     validate_partition,
 )
-
-IDENTITY_PART = -2
-KERNEL_PART = -1
 
 
 class FrobeniusContext:
@@ -94,29 +93,6 @@ class FrobeniusContext:
         )
 
 
-def _component_flags(ctx: FrobeniusContext, scan) -> tuple[bool, bool]:
-    """(quotient-balanced, lifted) flags of one scanned component.
-
-    A component adds nothing to the lift term exactly when its normalized
-    non-tree gains are all the identity, or all fall in one complement part.
-    """
-    balanced = True
-    lifted = False
-    seen_part: Optional[int] = None
-    for _, red in scan.nontree:
-        p = ctx.part_of[red]
-        if p == IDENTITY_PART:
-            continue
-        balanced = balanced and p == KERNEL_PART
-        if p == KERNEL_PART:
-            lifted = True
-        elif seen_part is None:
-            seen_part = p
-        elif p != seen_part:
-            lifted = True
-    return balanced, lifted
-
-
 class LiftedMatroid(RankOracle):
     """Rank oracle of the constructed elementary lift.
 
@@ -132,13 +108,11 @@ class LiftedMatroid(RankOracle):
         self.ground = tuple(sorted(e.id for e in graph.edges))
 
     def rank(self, subset: Iterable[int]) -> int:
-        return component_rank(self.graph, subset, partial(_component_flags, self.ctx))
+        return component_rank(self.graph, subset, self.ctx.part_of, True)
 
     def underlying_rank(self, subset: Iterable[int]) -> int:
         """Rank in the frame matroid of the quotient gain graph."""
-        return component_rank(
-            self.graph, subset, lambda sc: (_component_flags(self.ctx, sc)[0], False)
-        )
+        return component_rank(self.graph, subset, self.ctx.part_of, False)
 
     @cached_property
     def quotient_biased(self) -> BiasedGraph:

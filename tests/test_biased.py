@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobmat import (
     BiasedGraph,
@@ -13,16 +15,18 @@ from frobmat import (
     enumerate_cycles,
     frame_circuits,
     frame_rank,
+    is_balanced_cycle,
     is_linear_class,
     lift_circuits,
     lift_rank,
     make_cyclic,
     make_dihedral,
+    make_field_affine,
     matroid_axiom_check,
     minimal_dependent_sets,
     theta_property_check,
 )
-from frobmat.biased import FuncOracle, subset_sweep
+from frobmat.biased import FuncOracle, graphic_rank, subset_sweep
 from frobmat.errors import LimitExceeded
 
 from conftest import random_gain_graph
@@ -50,6 +54,36 @@ def test_frame_rank_unbalanced_loop(d6):
 def test_frame_rank_balanced_triangle(d6):
     b = biased(d6, 3, [(0, 1, 1), (1, 2, 2), (0, 2, 0)])
     assert frame_rank(b, [0, 1, 2]) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_gain_ranks_match_explicit_balanced_set(seed):
+    """The union-find ranks of a gain graph against the same graph given by
+    its balanced cycles, whose ranks come from scanned components."""
+    rng = random.Random(seed)
+    group = make_dihedral(6) if seed % 2 else make_field_affine(5)
+    g = random_gain_graph(group, rng, max_vertices=5, max_edges=9)
+    gain = BiasedGraph.from_gain_graph(g)
+    explicit = BiasedGraph.from_balanced_set(
+        g, [c for c in enumerate_cycles(g) if is_balanced_cycle(g, c)]
+    )
+    every_cycle = BiasedGraph.from_balanced_set(g, enumerate_cycles(g))
+    ids = g.edge_ids()
+    for r in range(len(ids) + 1):
+        for sub in itertools.combinations(ids, r):
+            assert frame_rank(gain, sub) == frame_rank(explicit, sub), sub
+            assert lift_rank(gain, sub) == lift_rank(explicit, sub), sub
+            assert graphic_rank(g, sub) == frame_rank(every_cycle, sub), sub
+
+
+@pytest.mark.parametrize("oracle", [FrameOracle, LiftOracle, GraphicOracle])
+def test_unknown_edge_and_empty_subset(d6, oracle):
+    b = biased(d6, 3, [(0, 1, 1), (1, 2, 4), (2, 2, 3)])
+    o = oracle(b.graph) if oracle is GraphicOracle else oracle(b)
+    assert o.rank([]) == 0
+    with pytest.raises(ValueError, match="no edge 7"):
+        o.rank([0, 7])
 
 
 # --- circuit families -------------------------------------------------------

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobmat import (
     FrobeniusContext,
@@ -341,3 +345,110 @@ def test_limit_flag_and_env(write, capsys, monkeypatch):
     monkeypatch.delenv("FROBMAT_LIMIT")
     code, _, _ = run(capsys, "frobpart", "--group", path)
     assert code == 0
+
+
+# Graph specs the error-path test mutates: every group kind, a complete graph
+# and loops.
+MUTABLE_SPECS = [
+    FIGURE_SPEC,
+    {"complete": {"group": {"kind": "cyclic", "n": 3}, "n": 4}},
+    {
+        "group": {"kind": "table", "table": [[0, 1], [1, 0]]},
+        "vertices": 2,
+        "edges": [[0, 1, 1], [1, 1, 0], [0, 1, 0]],
+    },
+    {
+        "group": {
+            "kind": "semidirect",
+            "g1": {"kind": "cyclic", "n": 3},
+            "g2": {"kind": "cyclic", "n": 2},
+            "action": [[0, 1, 2], [0, 2, 1]],
+        },
+        "vertices": 3,
+        "edges": [[0, 1, 2], [1, 2, 3], [2, 0, 5], [1, 1, 4]],
+    },
+    {
+        "group": {"kind": "inversion", "base": {"kind": "cyclic", "n": 5}},
+        "vertices": 2,
+        "edges": [[0, 1, 1], [0, 1, 6], [0, 0, 3]],
+    },
+    {
+        "group": {
+            "kind": "direct",
+            "factors": [{"kind": "cyclic", "n": 2}, {"kind": "dihedral", "order": 6}],
+        },
+        "vertices": 3,
+        "edges": [[0, 1, 7], [1, 2, 0], [2, 2, 11]],
+    },
+]
+
+# Small integers only, plus one far past every cap: a group spec of order
+# near the table cap would be valid and slow to build.
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.just(10**12),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+ID_TOKENS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["", " ", "a", "1.5", "+2", "0x1", "9" * 30, "1 2"]),
+)
+
+
+def _paths(node, at=()):
+    yield at
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, at + (key,))
+
+
+def _mutate(data, spec):
+    """Replace, delete or append at one place in a copy of the spec."""
+    spec = json.loads(json.dumps(spec))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(spec))))
+        if not path:
+            continue
+        parent = spec
+        for key in path[:-1]:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(["replace", "delete", "append"]))
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "append" and isinstance(parent[path[-1]], list):
+            parent[path[-1]].append(data.draw(JSON_VALUES))
+        else:
+            parent[path[-1]] = data.draw(JSON_VALUES)
+    return spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_specs_and_subsets_answer_or_fail_in_one_line(tmp_path_factory, data):
+    spec = _mutate(data, data.draw(st.sampled_from(MUTABLE_SPECS)))
+    path = tmp_path_factory.mktemp("spec") / "graph.json"
+    path.write_text(json.dumps(spec))
+    args = ["rank", "--graph", str(path), "--kernel", data.draw(st.sampled_from(["auto", "0"]))]
+    if data.draw(st.booleans()):
+        args += ["--subset", ",".join(data.draw(st.lists(ID_TOKENS, max_size=5)))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue().strip().isdigit()
+    else:
+        assert code == 2 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobmat import (
+    Edge,
     GainGraph,
     Subgroup,
     Walk,
@@ -23,6 +24,7 @@ from frobmat import (
     quotient_gains,
 )
 from frobmat.errors import LimitExceeded
+from frobmat.gaingraph import walk_edges
 
 from conftest import random_gain_graph
 
@@ -63,6 +65,44 @@ def test_walk_rejects_broken_incidence(d6):
     g = graph(d6, 3, [(0, 1, 1), (1, 2, 2)])
     with pytest.raises(ValueError):
         gain_of_walk(g, Walk(0, ((1, True),)))
+
+
+def _rescanning_walk(g, edges, start):
+    """walk_edges as first written: every step rescans the unused set."""
+    unused = set(edges)
+    at = start
+    steps = []
+    while unused:
+        eid = min(i for i in unused if at in (g.edge(i).tail, g.edge(i).head))
+        steps.append((eid, at == g.edge(eid).tail))
+        at = g.other_end(eid, at)
+        unused.discard(eid)
+    return Walk(start, tuple(steps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_walk_edges_matches_rescanning_walk(seed):
+    """Same steps, start and direction on cycles from every vertex and on
+    paths from both ends, with shuffled edge ids, parallel edges and loops."""
+    rng = random.Random(seed)
+    group = make_dihedral(6)
+    nv = rng.randint(2, 6)
+    path = rng.sample(range(nv), rng.randint(2, nv))
+    triples = [(u, w, rng.randrange(6)) for u, w in zip(path, path[1:])]
+    triples += [
+        (rng.randrange(nv), rng.randrange(nv), rng.randrange(6))
+        for _ in range(rng.randint(0, 8))
+    ]
+    ids = rng.sample(range(100), len(triples))
+    g = GainGraph(group, nv, (Edge(i, t, h, x) for i, (t, h, x) in zip(ids, triples)))
+    path_ids = ids[: len(path) - 1]
+    for start in (path[0], path[-1]):
+        assert walk_edges(g, path_ids, start) == _rescanning_walk(g, path_ids, start)
+    for cycle in enumerate_cycles(g):
+        for e in cycle:
+            for start in (g.edge(e).tail, g.edge(e).head):
+                assert walk_edges(g, cycle, start) == _rescanning_walk(g, cycle, start)
 
 
 # --- switching --------------------------------------------------------------

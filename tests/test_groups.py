@@ -26,7 +26,12 @@ from frobmat import (
     validate_partition,
 )
 from frobmat.fileio import group_from_spec
-from frobmat.groups import conjugate_subgroup, generated_subgroup, subgroup_as_group
+from frobmat.groups import (
+    MAX_TABLE_ORDER,
+    conjugate_subgroup,
+    generated_subgroup,
+    subgroup_as_group,
+)
 
 
 def quaternion_table():
@@ -221,6 +226,14 @@ def test_table_cap_rejects_before_building(build):
     with pytest.raises(ValueError, match="table cap"):
         build()
     assert time.perf_counter() - start < 1.0
+
+
+def test_from_table_cap_rejects_before_copying_rows():
+    # one short row referenced 10101 times: nothing large is allocated, and
+    # an uncapped check would fail later, on squareness, after copying rows
+    row = [0]
+    with pytest.raises(ValueError, match="table cap"):
+        from_table([row] * (MAX_TABLE_ORDER + 1))
 
 
 def test_from_table_trivial_and_z2():

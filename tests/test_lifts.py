@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from frobmat import (
     BiasedGraph,
+    Edge,
     FrameOracle,
     FrobeniusContext,
     GainGraph,
     LiftOracle,
     LiftedMatroid,
+    apply_switching,
     bases,
     brylawski_lift,
     build_spike_graph,
@@ -236,6 +238,41 @@ def test_rank_matches_brylawski_lift_of_explicit_host(seed):
         for r in range(len(m.ground) + 1):
             for sub in itertools.combinations(m.ground, r):
                 assert m.rank(sub) == expected.rank(sub), (ctx, sub)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_rank_ignores_edge_order_duplicates_switching_and_relabelling(seed):
+    """The union-find state depends on the order edges arrive in and on the
+    gains' presentation; the ranks must not."""
+    rng = random.Random(seed)
+    group = make_dihedral(6) if seed % 2 else make_field_affine(5)
+    g = random_gain_graph(group, rng, max_vertices=5, max_edges=8)
+    eta = [rng.randrange(group.order) for _ in range(g.vertex_count)]
+    perm = rng.sample(range(g.vertex_count), g.vertex_count)
+    moved = GainGraph(
+        group,
+        g.vertex_count,
+        (Edge(e.id, perm[e.tail], perm[e.head], e.gain) for e in apply_switching(g, eta).edges),
+    )
+    for ctx in contexts_of(group):
+        m, m2 = LiftedMatroid(ctx, g), LiftedMatroid(ctx, moved)
+        for r in range(len(m.ground) + 1):
+            for sub in itertools.combinations(m.ground, r):
+                mixed = list(sub) + rng.choices(sub, k=rng.randint(0, r))
+                rng.shuffle(mixed)
+                for rank in (m.rank, m.underlying_rank):
+                    assert rank(mixed) == rank(sub), (ctx, sub, mixed)
+                assert m2.rank(mixed) == m.rank(sub), (ctx, sub, eta, perm)
+                assert m2.underlying_rank(mixed) == m.underlying_rank(sub), (ctx, sub)
+
+
+def test_rank_rejects_unknown_edge_and_empty_is_zero(d6, d6_frobenius):
+    m = LiftedMatroid(d6_frobenius, graph(d6, 2, [(0, 1, 3), (1, 1, 4)]))
+    assert m.rank([]) == 0 and m.underlying_rank(()) == 0
+    for rank in (m.rank, m.underlying_rank):
+        with pytest.raises(ValueError, match="no edge 5"):
+            rank([0, 5])
 
 
 def test_k4_d6_rank(d6, d6_frobenius):
