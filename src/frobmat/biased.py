@@ -421,7 +421,7 @@ def _circuit_families(b: BiasedGraph, loose_mode: str, max_edges: int):
         shared_edges = c1 & c2
         if shared_edges:
             union = c1 | c2
-            if len(union) != len(_vertices_of(b.graph, union)) + 1:
+            if len(union) != len(vsets[c1] | vsets[c2]) + 1:
                 continue
             third = c1 ^ c2
             if third in balanced:
@@ -459,7 +459,9 @@ def is_linear_class(
     """Check the modular-pair closure; returns (ok, witness).
 
     The witness is (C1, C2, C): a modular pair from the candidate class and a
-    host circuit in its union that the class misses.
+    host circuit in its union that the class misses. Pairs are tested once
+    per distinct union, keyed by a bitmask over the members' edges: a union
+    that failed would have returned at its first pair.
     """
     circuits = sorted({frozenset(c) for c in host_circuits}, key=sorted)
     circuit_set = set(circuits)
@@ -467,13 +469,25 @@ def is_linear_class(
     for c in members:
         if c not in circuit_set:
             raise ValueError(f"candidate {sorted(c)} is not a circuit of the host")
-    mem_list = sorted(members, key=sorted)
-    for c1, c2 in itertools.combinations(mem_list, 2):
+    bit = {eid: 1 << i for i, eid in enumerate(sorted(set().union(*members)))}
+
+    def mask(c: frozenset[int]) -> int:
+        return sum(bit[eid] for eid in c)
+
+    mem_list = [(c, mask(c)) for c in sorted(members, key=sorted)]
+    # host circuits the class misses that can lie inside a union of members
+    outside = [(mask(c), c) for c in circuits if c not in members and c.issubset(bit)]
+    seen: set[int] = set()
+    for (c1, m1), (c2, m2) in itertools.combinations(mem_list, 2):
+        u = m1 | m2
+        if u in seen:
+            continue
+        seen.add(u)
         union = c1 | c2
         if len(union) - host.rank(union) != 2:
             continue
-        for c in circuits:
-            if c <= union and c not in members:
+        for m, c in outside:
+            if m & u == m:
                 return False, (tuple(sorted(c1)), tuple(sorted(c2)), tuple(sorted(c)))
     return True, None
 

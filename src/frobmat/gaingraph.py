@@ -120,15 +120,20 @@ def gain_set(g: GainGraph, eid: int) -> frozenset[int]:
 
 def gain_of_walk(g: GainGraph, walk: Walk) -> int:
     """Ordered product of oriented gains along the walk."""
-    group = g.group
+    table = g.group.table
+    inverse = g.group.inverse
+    ends = g.ends
     value = 0
     at = walk.start
     for eid, forward in walk.steps:
-        e = g.edge(eid)
-        u, v = (e.tail, e.head) if forward else (e.head, e.tail)
+        try:
+            t, h, x = ends[eid]
+        except KeyError:
+            raise ValueError(f"no edge {eid}") from None
+        u, v = (t, h) if forward else (h, t)
         if u != at:
             raise ValueError(f"walk step {eid} does not start at vertex {at}")
-        value = group.mul(value, e.gain if forward else group.inv(e.gain))
+        value = table[value][x if forward else inverse[x]]
         at = v
     return value
 
@@ -183,29 +188,40 @@ def normalize_forest(g: GainGraph, forest: Iterable[int], root: int) -> list[int
     return eta
 
 
-def _check_cycle(g: GainGraph, cycle: Iterable[int]) -> list[Edge]:
-    edges = [g.edge(i) for i in sorted(set(cycle))]
-    if not edges:
+def _check_cycle(g: GainGraph, cycle: Iterable[int]) -> tuple[list[int], int]:
+    """The sorted ids of a vertex-simple cycle and its least vertex.
+
+    Raises ValueError unless every vertex the edges meet has degree two and
+    one search from a vertex reaches all of them.
+    """
+    ends = g.ends
+    ids = sorted(set(cycle))
+    if not ids:
         raise ValueError("empty edge set is not a cycle")
-    deg: dict[int, int] = {}
-    for e in edges:
-        deg[e.tail] = deg.get(e.tail, 0) + 1
-        deg[e.head] = deg.get(e.head, 0) + 1
-    if any(d != 2 for d in deg.values()):
+    incident: dict[int, list[int]] = {}
+    for eid in ids:
+        try:
+            t, h, _ = ends[eid]
+        except KeyError:
+            raise ValueError(f"no edge {eid}") from None
+        incident.setdefault(t, []).append(eid)
+        incident.setdefault(h, []).append(eid)
+    if any(len(lst) != 2 for lst in incident.values()):
         raise ValueError("edge set is not a vertex-simple cycle")
-    # connectivity
-    verts = set(deg)
-    reach = {edges[0].tail}
-    changed = True
-    while changed:
-        changed = False
-        for e in edges:
-            if (e.tail in reach) != (e.head in reach):
-                reach.update((e.tail, e.head))
-                changed = True
-    if reach != verts:
+    start = ends[ids[0]][0]
+    reach = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for eid in incident[u]:
+            t, h, _ = ends[eid]
+            w = h if u == t else t
+            if w not in reach:
+                reach.add(w)
+                stack.append(w)
+    if len(reach) != len(incident):
         raise ValueError("edge set is not connected")
-    return edges
+    return ids, min(incident)
 
 
 def walk_edges(g: GainGraph, edges: Iterable[int], start: int) -> Walk:
@@ -215,15 +231,17 @@ def walk_edges(g: GainGraph, edges: Iterable[int], start: int) -> Walk:
     Traverses a cycle through ``start`` or a path from one of its ends. Each
     vertex's incident edges are listed once, by id, before the walk starts.
     """
+    ends = g.ends
     unused = set(edges)
-    ends: dict[int, tuple[int, int]] = {}
     incident: dict[int, list[int]] = {}
     for eid in sorted(unused):
-        e = g.edge(eid)
-        ends[eid] = (e.tail, e.head)
-        incident.setdefault(e.tail, []).append(eid)
-        if not e.is_loop:
-            incident.setdefault(e.head, []).append(eid)
+        try:
+            t, h, _ = ends[eid]
+        except KeyError:
+            raise ValueError(f"no edge {eid}") from None
+        incident.setdefault(t, []).append(eid)
+        if t != h:
+            incident.setdefault(h, []).append(eid)
     at = start
     steps: list[tuple[int, bool]] = []
     while unused:
@@ -232,7 +250,7 @@ def walk_edges(g: GainGraph, edges: Iterable[int], start: int) -> Walk:
                 break
         else:
             raise ValueError(f"no unused edge of the set meets vertex {at}")
-        t, h = ends[eid]
+        t, h, _ = ends[eid]
         steps.append((eid, at == t))
         at = h if at == t else t
         unused.remove(eid)
@@ -241,8 +259,8 @@ def walk_edges(g: GainGraph, edges: Iterable[int], start: int) -> Walk:
 
 def cycle_walk(g: GainGraph, cycle: Iterable[int]) -> Walk:
     """A simple closed walk traversing the cycle once, from its least vertex."""
-    edges = _check_cycle(g, cycle)
-    return walk_edges(g, (e.id for e in edges), min(min(e.tail, e.head) for e in edges))
+    ids, start = _check_cycle(g, cycle)
+    return walk_edges(g, ids, start)
 
 
 def is_balanced_cycle(g: GainGraph, cycle: Iterable[int]) -> bool:

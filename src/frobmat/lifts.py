@@ -326,22 +326,42 @@ def bases(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
 
 
 def circuits(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
-    """Circuits: the linear class, plus minimal nullity-two sets avoiding it."""
+    """Circuits: the linear class, plus the nullity-two unions of two frame
+    circuits that contain no member of it.
+
+    Such a union X is already minimal: every proper subset misses an element
+    of C1 or C2, which is no coloop of X, so its nullity is at most one. Edge
+    and vertex sets are bitmasks; a pair whose union has more than two edges
+    beyond its vertices cannot have nullity two (frame rank is at most the
+    vertex count), so it is skipped before the rank query, as is a union
+    already found.
+    """
     oracle = LiftedMatroid(ctx, g)
-    n_circuits = [frozenset(c) for c in frame_circuits(oracle.quotient_biased)]
-    members = {frozenset(c) for c in oracle.linear_class}
+    ground = oracle.ground
+    bit = {eid: 1 << i for i, eid in enumerate(ground)}
+
+    def ids_of(u: int) -> tuple[int, ...]:
+        return tuple(eid for eid in ground if u & bit[eid])
+
+    ends = g.ends
+    shapes = []
+    for c in frame_circuits(oracle.quotient_biased):
+        verts = 0
+        for eid in c:
+            t, h, _ = ends[eid]
+            verts |= 1 << t | 1 << h
+        shapes.append((sum(bit[eid] for eid in c), verts))
     unions = set()
-    for c1, c2 in itertools.combinations(n_circuits, 2):
-        u = c1 | c2
-        if len(u) - oracle.underlying_rank(u) == 2:
+    for (e1, v1), (e2, v2) in itertools.combinations(shapes, 2):
+        u = e1 | e2
+        if u in unions or u.bit_count() - (v1 | v2).bit_count() > 2:
+            continue
+        ids = ids_of(u)
+        if len(ids) - oracle.underlying_rank(ids) == 2:
             unions.add(u)
-    minimal = [
-        u for u in unions if not any(v < u for v in unions)
-    ]
-    extras = [
-        u for u in minimal if not any(c <= u for c in members)
-    ]
-    out = {tuple(sorted(c)) for c in members} | {tuple(sorted(u)) for u in extras}
+    members = [sum(bit[eid] for eid in c) for c in oracle.linear_class]
+    out = set(oracle.linear_class)
+    out.update(ids_of(u) for u in unions if not any(m & u == m for m in members))
     return sorted(out)
 
 

@@ -15,6 +15,11 @@ from .gaingraph import Edge, GainGraph, apply_switching
 from .groups import FiniteGroup
 from .lifts import FrobeniusContext, LiftedMatroid
 
+# Most entries incidence_matrix builds, counting an edgeless graph's rows as
+# one column; checked before the first row exists. K_4 over AGL(1,101) needs
+# 5 x 60600.
+MAX_MATRIX_ENTRIES = 2_000_000
+
 
 @dataclass(frozen=True)
 class AffinePair:
@@ -104,8 +109,14 @@ def incidence_matrix(g: GainGraph) -> FieldMatrix:
     gets a in row 0 and 1-b at its vertex.
     """
     q = affine_modulus(g.group)
+    rows, cols = g.vertex_count + 1, len(g.edges)
+    if rows * max(cols, 1) > MAX_MATRIX_ENTRIES:
+        raise ValueError(
+            f"a {rows} x {cols} incidence matrix is above the cap of "
+            f"{MAX_MATRIX_ENTRIES} entries"
+        )
     edges = sorted(g.edges, key=lambda e: e.id)
-    data = [[0] * len(edges) for _ in range(g.vertex_count + 1)]
+    data = [[0] * cols for _ in range(rows)]
     for j, e in enumerate(edges):
         pair = affine_pair(g.group, e.gain)
         data[0][j] = pair.a

@@ -17,10 +17,12 @@ from frobmat import (
     apply_switching,
     build_spike_graph,
     complete_gain_graph,
+    enumerate_cycles,
     frame_circuits,
     frobenius_partitions,
     from_table,
     incidence_matrix,
+    is_balanced_cycle,
     is_linear_class,
     linear_class,
     make_cyclic,
@@ -152,12 +154,19 @@ def test_criterion_03_special_case_collapse():
         ctx_frame, ctx_lift = contexts[id(group)]
         b = BiasedGraph.from_gain_graph(g)
         fo, lo = FrameOracle(b), LiftOracle(b)
+        # the same matroids from the balanced cycles alone, by component scan
+        explicit = BiasedGraph.from_balanced_set(
+            g, [c for c in enumerate_cycles(g) if is_balanced_cycle(g, c)]
+        )
+        fx, lx = FrameOracle(explicit), LiftOracle(explicit)
         mf, ml = LiftedMatroid(ctx_frame, g), LiftedMatroid(ctx_lift, g)
         ids = [e.id for e in g.edges]
         for r in range(len(ids) + 1):
             for sub in itertools.combinations(ids, r):
                 assert mf.rank(sub) == fo.rank(sub), (group.order, sub)
                 assert ml.rank(sub) == lo.rank(sub), (group.order, sub)
+                assert mf.rank(sub) == fx.rank(sub), (group.order, sub)
+                assert ml.rank(sub) == lx.rank(sub), (group.order, sub)
         checked += 1
     report(3, checked == 100, f"{checked} graphs collapse to frame and lift ranks on all subsets",
            started, 60.0)

@@ -115,6 +115,21 @@ def test_oversized_complete_graph_exits_before_building(write, capsys, monkeypat
     assert err.startswith("error: ") and "above the cap" in err
 
 
+def test_oversized_matrix_exits_before_allocating_rows(write, capsys, monkeypatch):
+    import frobmat.represent as represent
+
+    def no_rows(*args):
+        raise AssertionError("matrix rows were allocated before the size check")
+
+    # about 10^9 rows: an uncapped build would exhaust memory
+    monkeypatch.setattr(represent, "range", no_rows, raising=False)
+    spec = dict(FIGURE_SPEC, vertices=1_000_000_000)
+    code, out, err = run(capsys, "matrix", "--graph", write("big.json", spec))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "above the cap" in err
+
+
 def test_rank_empty_subset(write, capsys):
     path = write("k4.json", K4_D6_SPEC)
     code, out, _ = run(capsys, "rank", "--graph", path, "--kernel", "auto", "--subset", "")
@@ -437,9 +452,12 @@ def test_mutated_specs_and_subsets_answer_or_fail_in_one_line(tmp_path_factory, 
     spec = _mutate(data, data.draw(st.sampled_from(MUTABLE_SPECS)))
     path = tmp_path_factory.mktemp("spec") / "graph.json"
     path.write_text(json.dumps(spec))
-    args = ["rank", "--graph", str(path), "--kernel", data.draw(st.sampled_from(["auto", "0"]))]
-    if data.draw(st.booleans()):
-        args += ["--subset", ",".join(data.draw(st.lists(ID_TOKENS, max_size=5)))]
+    command = data.draw(st.sampled_from(["rank", "matrix"]))
+    args = [command, "--graph", str(path)]
+    if command == "rank":
+        args += ["--kernel", data.draw(st.sampled_from(["auto", "0"]))]
+        if data.draw(st.booleans()):
+            args += ["--subset", ",".join(data.draw(st.lists(ID_TOKENS, max_size=5)))]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -447,7 +465,11 @@ def test_mutated_specs_and_subsets_answer_or_fail_in_one_line(tmp_path_factory, 
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
     if code == 0:
-        assert err.getvalue() == "" and out.getvalue().strip().isdigit()
+        assert err.getvalue() == ""
+        # a rank, or a matrix whose header line is "q rows cols"
+        words = out.getvalue().splitlines()[0].split()
+        assert len(words) == (1 if command == "rank" else 3)
+        assert all(w.isdigit() for w in words)
     else:
         assert code == 2 and out.getvalue() == ""
         lines = err.getvalue().splitlines()

@@ -37,6 +37,7 @@ from frobmat import (
     make_cyclic,
     make_dihedral,
     make_field_affine,
+    make_inversion_extension,
     matroid_axiom_check,
     matroid_rank,
     minimal_dependent_sets,
@@ -44,6 +45,7 @@ from frobmat import (
     switch_invariance_check,
     verify_spike,
 )
+from frobmat.biased import FuncOracle
 from frobmat.lifts import _classify_circuit
 
 from conftest import random_gain_graph
@@ -342,6 +344,72 @@ def test_bases_circuits_match_brute_force(d6, d6_frobenius):
         assert sorted(bases(d6_frobenius, g)) == brute
 
 
+# Groups of the differential tests below, D6, F20 and Inv(Z9), with the
+# contexts of all their partitions built once.
+DIFFERENTIAL_GROUPS = [
+    make_dihedral(6),
+    make_field_affine(5),
+    make_inversion_extension(make_cyclic(9)),
+]
+DIFFERENTIAL_CONTEXTS = [contexts_of(group) for group in DIFFERENTIAL_GROUPS]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_circuits_match_minimal_dependent_sets(seed):
+    rng = random.Random(seed)
+    i = seed % len(DIFFERENTIAL_GROUPS)
+    g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=4, max_edges=10)
+    for ctx in DIFFERENTIAL_CONTEXTS[i]:
+        assert circuits(ctx, g) == minimal_dependent_sets(LiftedMatroid(ctx, g)), ctx
+
+
+def _pairwise_linear_class(host, host_circuits, cand):
+    """The modular-pair check over every pair of members, no union skipped;
+    also returns how many distinct unions it reached."""
+    circuits = sorted({frozenset(c) for c in host_circuits}, key=sorted)
+    members = {frozenset(c) for c in cand}
+    unions = set()
+    for c1, c2 in itertools.combinations(sorted(members, key=sorted), 2):
+        union = c1 | c2
+        unions.add(union)
+        if len(union) - host.rank(union) != 2:
+            continue
+        for c in circuits:
+            if c <= union and c not in members:
+                witness = (tuple(sorted(c1)), tuple(sorted(c2)), tuple(sorted(c)))
+                return False, witness, len(unions)
+    return True, None, len(unions)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_is_linear_class_matches_pairwise_check_with_one_query_per_union(seed):
+    """Same verdict and witness as the pairwise loop, with one host rank
+    query per distinct union up to the verdict; candidates are the class,
+    random sets of host circuits, and the class with one circuit toggled."""
+    rng = random.Random(seed)
+    i = seed % len(DIFFERENTIAL_GROUPS)
+    g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=4, max_edges=10)
+    for ctx in DIFFERENTIAL_CONTEXTS[i]:
+        qb = BiasedGraph.from_gain_graph(quotient_gains(g, ctx.quotient))
+        host = FrameOracle(qb)
+        host_circuits = frame_circuits(qb)
+        cls = linear_class(ctx, g)
+        candidates = [cls, [c for c in host_circuits if rng.random() < 0.5]]
+        if host_circuits:
+            flip = rng.choice(host_circuits)
+            candidates.append([c for c in cls if c != flip] if flip in cls else cls + [flip])
+        for cand in candidates:
+            queries = []
+            counted = FuncOracle(host.ground, lambda x: queries.append(x) or host.rank(x))
+            ok, witness = is_linear_class(counted, host_circuits, cand)
+            want_ok, want_witness, unions = _pairwise_linear_class(host, host_circuits, cand)
+            assert (ok, witness) == (want_ok, want_witness), (ctx, cand)
+            assert len(queries) == unions, (ctx, cand)
+            assert ok or cand is not cls
+
+
 # --- minors -----------------------------------------------------------------
 
 
@@ -559,8 +627,6 @@ def test_is_elementary_lift_of_itself(d6, d6_frobenius):
 
 
 def test_free_matroid_lifts_single_circuit():
-    from frobmat.biased import FuncOracle
-
     host = FuncOracle(range(3), lambda s: min(len(s), 2))  # one 3-element circuit
     free = FuncOracle(range(3), len)
     ok, recovered = is_elementary_lift(free, host)
@@ -578,8 +644,6 @@ def test_lifted_matroid_is_elementary_lift_of_frame(d6, d6_frobenius):
 
 
 def test_is_elementary_lift_rejects_non_lift(d6, d6_frobenius):
-    from frobmat.biased import FuncOracle
-
     g = graph(d6, 3, [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
     m = LiftedMatroid(d6_frobenius, g)
     # bump the rank of one pair only: no linear class reproduces this

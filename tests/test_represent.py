@@ -23,7 +23,7 @@ from frobmat import (
     switching_projective_check,
     verify_representation,
 )
-from frobmat.represent import FieldMatrix
+from frobmat.represent import MAX_MATRIX_ENTRIES, FieldMatrix
 
 from conftest import random_gain_graph
 
@@ -107,6 +107,23 @@ def test_identity_gain_edge_column(f20):
 def test_translation_loop_column(f20):
     g = GainGraph.from_triples(f20, 1, [(0, 0, affine_index(f20, 2, 1))])
     assert incidence_matrix(g).column(0) == (2, 0)  # 1 - 1 = 0 at the vertex
+
+
+@pytest.mark.parametrize(
+    "vertices, triples",
+    [(10**9, [(0, 1, 0)]), (MAX_MATRIX_ENTRIES, [])],
+    ids=["many-rows", "many-rows-no-edges"],
+)
+def test_incidence_matrix_cap_rejects_before_allocating(f20, monkeypatch, vertices, triples):
+    import frobmat.represent as represent
+
+    def no_rows(*args):
+        raise AssertionError("matrix rows were allocated before the size check")
+
+    monkeypatch.setattr(represent, "range", no_rows, raising=False)
+    g = GainGraph.from_triples(f20, vertices, triples)
+    with pytest.raises(ValueError, match="above the cap"):
+        incidence_matrix(g)
 
 
 def test_matrix_rank_gf_basics():
