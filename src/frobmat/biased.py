@@ -203,10 +203,7 @@ def component_rank(
     witness: dict[int, int] = {}
     lifted = False
     for eid in subset:
-        try:
-            t, h, x = ends[eid]
-        except KeyError:
-            raise ValueError(f"no edge {eid}") from None
+        t, h, x = ends[eid]
         if t not in root:
             root[t], eta[t], members[t] = t, 0, [t]
         if h not in root:

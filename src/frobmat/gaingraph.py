@@ -40,6 +40,13 @@ class Walk:
     steps: tuple[tuple[int, bool], ...]
 
 
+class EdgeEnds(dict):
+    """Edge id -> (tail, head, gain); an unknown id raises ValueError."""
+
+    def __missing__(self, eid: int) -> tuple[int, int, int]:
+        raise ValueError(f"no edge {eid}")
+
+
 class GainGraph:
     """Immutable gain graph over a FiniteGroup."""
 
@@ -77,9 +84,9 @@ class GainGraph:
             raise ValueError(f"no edge {eid}") from None
 
     @cached_property
-    def ends(self) -> dict[int, tuple[int, int, int]]:
+    def ends(self) -> EdgeEnds:
         """Edge id -> (tail, head, gain)."""
-        return {e.id: (e.tail, e.head, e.gain) for e in self.edges}
+        return EdgeEnds({e.id: (e.tail, e.head, e.gain) for e in self.edges})
 
     def edge_ids(self) -> tuple[int, ...]:
         return tuple(e.id for e in self.edges)
@@ -126,10 +133,7 @@ def gain_of_walk(g: GainGraph, walk: Walk) -> int:
     value = 0
     at = walk.start
     for eid, forward in walk.steps:
-        try:
-            t, h, x = ends[eid]
-        except KeyError:
-            raise ValueError(f"no edge {eid}") from None
+        t, h, x = ends[eid]
         u, v = (t, h) if forward else (h, t)
         if u != at:
             raise ValueError(f"walk step {eid} does not start at vertex {at}")
@@ -200,10 +204,7 @@ def _check_cycle(g: GainGraph, cycle: Iterable[int]) -> tuple[list[int], int]:
         raise ValueError("empty edge set is not a cycle")
     incident: dict[int, list[int]] = {}
     for eid in ids:
-        try:
-            t, h, _ = ends[eid]
-        except KeyError:
-            raise ValueError(f"no edge {eid}") from None
+        t, h, _ = ends[eid]
         incident.setdefault(t, []).append(eid)
         incident.setdefault(h, []).append(eid)
     if any(len(lst) != 2 for lst in incident.values()):
@@ -235,10 +236,7 @@ def walk_edges(g: GainGraph, edges: Iterable[int], start: int) -> Walk:
     unused = set(edges)
     incident: dict[int, list[int]] = {}
     for eid in sorted(unused):
-        try:
-            t, h, _ = ends[eid]
-        except KeyError:
-            raise ValueError(f"no edge {eid}") from None
+        t, h, _ = ends[eid]
         incident.setdefault(t, []).append(eid)
         if t != h:
             incident.setdefault(h, []).append(eid)

@@ -344,13 +344,19 @@ def circuits(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
         return tuple(eid for eid in ground if u & bit[eid])
 
     ends = g.ends
+    # vertices numbered densely, so a mask's size follows the edge count
+    vbit = {
+        v: 1 << i
+        for i, v in enumerate(sorted({x for eid in ground for x in ends[eid][:2]}))
+    }
     shapes = []
     for c in frame_circuits(oracle.quotient_biased):
-        verts = 0
+        edges = verts = 0
         for eid in c:
             t, h, _ = ends[eid]
-            verts |= 1 << t | 1 << h
-        shapes.append((sum(bit[eid] for eid in c), verts))
+            edges |= bit[eid]
+            verts |= vbit[t] | vbit[h]
+        shapes.append((edges, verts))
     unions = set()
     for (e1, v1), (e2, v2) in itertools.combinations(shapes, 2):
         u = e1 | e2

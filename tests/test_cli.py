@@ -466,10 +466,11 @@ def test_mutated_specs_and_subsets_answer_or_fail_in_one_line(tmp_path_factory, 
             code = exc.code
     if code == 0:
         assert err.getvalue() == ""
-        # a rank, or a matrix whose header line is "q rows cols"
-        words = out.getvalue().splitlines()[0].split()
-        assert len(words) == (1 if command == "rank" else 3)
-        assert all(w.isdigit() for w in words)
+        if command == "rank":
+            assert out.getvalue().strip().isdigit()
+        else:  # a matrix, whose header line is "q rows cols"
+            words = out.getvalue().splitlines()[0].split()
+            assert len(words) == 3 and all(w.isdigit() for w in words)
     else:
         assert code == 2 and out.getvalue() == ""
         lines = err.getvalue().splitlines()

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -342,6 +343,22 @@ def test_bases_circuits_match_brute_force(d6, d6_frobenius):
             if m.rank(combo) == r
         )
         assert sorted(bases(d6_frobenius, g)) == brute
+
+
+def test_circuits_on_high_vertex_numbers(d6, d6_frobenius):
+    """The same graph moved to the top of 10^9 vertices has the same
+    circuits, as fast; vertex masks are sized by the vertices the edges
+    meet, so an edge on vertex 10^9 - 1 costs no 10^9-bit mask."""
+    low = graph(d6, 3, [(0, 1, 0), (1, 2, 0), (0, 2, 1), (0, 1, 2), (1, 2, 3), (0, 0, 4)])
+    top = 10**9 - low.vertex_count
+    high = GainGraph(
+        d6, 10**9, (Edge(e.id, e.tail + top, e.head + top, e.gain) for e in low.edges)
+    )
+    expected = circuits(d6_frobenius, low)
+    assert len(expected) == 3
+    start = time.perf_counter()
+    assert circuits(d6_frobenius, high) == expected
+    assert time.perf_counter() - start < 2.0  # 10^9-bit masks take seconds
 
 
 # Groups of the differential tests below, D6, F20 and Inv(Z9), with the
