@@ -164,6 +164,11 @@ class RankOracle:
     def full_rank(self) -> int:
         return self.rank(self.ground)
 
+    def component_form(self) -> Optional[tuple[GainGraph, Sequence[int], bool]]:
+        """(graph, part_of, lift) when rank(X) is component_rank(graph, X,
+        part_of, lift); None when the rank is computed some other way."""
+        return None
+
 
 class FuncOracle(RankOracle):
     def __init__(self, ground: Iterable[int], fn: Callable[[frozenset[int]], int]):
@@ -174,16 +179,11 @@ class FuncOracle(RankOracle):
         return self._fn(frozenset(subset))
 
 
-def component_rank(
-    g: GainGraph, subset: Iterable[int], part_of: Sequence[int], lift: bool
-) -> int:
-    """|V(G[X])| - b(X) + l(X), by one union-find pass over the edges of X.
-
-    ``part_of`` classifies each group element as IDENTITY_PART, KERNEL_PART
-    or a complement index; the kernel must be normal and the complements
-    closed under conjugation. A component is balanced (counted in b) when its
-    gain group lies in the kernel, and lifted when it lies in no single
-    complement; l(X) is one iff ``lift`` is set and some component is lifted.
+def _union_edges(
+    g: GainGraph, part_of: Sequence[int], state: tuple, edges: Iterable[int], lifted: bool
+) -> bool:
+    """Add ``edges`` to the union-find ``state`` (root, eta, members,
+    witness) in place; returns the lifted flag.
 
     Each vertex holds its root and a potential eta relative to it, chosen so
     that switching by eta makes every forest edge the identity; an edge
@@ -191,23 +191,18 @@ def component_rank(
     Each root holds its vertices and, once one is seen, a reduced gain in a
     complement (its witness). A merge re-roots the smaller component by c,
     which conjugates its reduced gains, so its witness becomes c^-1 w c.
-    Neither verdict depends on the forest: both are properties of the gain
-    group up to conjugacy.
+    Members are tuples, so a shallow copy of the four dicts is a snapshot.
     """
+    root, eta, members, witness = state
     table = g.group.table
     inverse = g.group.inverse
     ends = g.ends
-    root: dict[int, int] = {}
-    eta: dict[int, int] = {}
-    members: dict[int, list[int]] = {}
-    witness: dict[int, int] = {}
-    lifted = False
-    for eid in subset:
+    for eid in edges:
         t, h, x = ends[eid]
         if t not in root:
-            root[t], eta[t], members[t] = t, 0, [t]
+            root[t], eta[t], members[t] = t, 0, (t,)
         if h not in root:
-            root[h], eta[h], members[h] = h, 0, [h]
+            root[h], eta[h], members[h] = h, 0, (h,)
         rt, rh = root[t], root[h]
         if rt == rh:
             red = table[table[inverse[eta[t]]][x]][eta[h]]
@@ -231,13 +226,30 @@ def component_rank(
         for v in moved:
             root[v] = keep
             eta[v] = table[eta[v]][c]
-        members[keep].extend(moved)
+        members[keep] += moved
         if move in witness:
             w = table[table[inverse[c]][witness.pop(move)]][c]
             kept = witness.setdefault(keep, w)
             lifted = lifted or part_of[kept] != part_of[w]
-    balanced = len(members) - len(witness)
-    return len(root) - balanced + (lift and lifted)
+    return lifted
+
+
+def component_rank(
+    g: GainGraph, subset: Iterable[int], part_of: Sequence[int], lift: bool
+) -> int:
+    """|V(G[X])| - b(X) + l(X), by one union-find pass over the edges of X.
+
+    ``part_of`` classifies each group element as IDENTITY_PART, KERNEL_PART
+    or a complement index; the kernel must be normal and the complements
+    closed under conjugation. A component is balanced (counted in b) when its
+    gain group lies in the kernel, and lifted when it lies in no single
+    complement; l(X) is one iff ``lift`` is set and some component is lifted.
+    Neither verdict depends on the forest: both are properties of the gain
+    group up to conjugacy.
+    """
+    state = root, _, members, witness = {}, {}, {}, {}
+    lifted = _union_edges(g, part_of, state, subset, False)
+    return len(root) - len(members) + len(witness) + (lift and lifted)
 
 
 @functools.lru_cache(maxsize=64)
@@ -286,15 +298,29 @@ class _EdgeOracle(RankOracle):
         self.biased = biased
         self.ground = tuple(sorted(biased.graph.edge_ids()))
 
+    def _uniform_form(self, part: int, lift: bool):
+        """The component form that puts every non-identity gain in ``part``;
+        None for a balanced-cycle set, whose ranks come from scans."""
+        if not self.biased.gain_derived:
+            return None
+        g = self.biased.graph
+        return g, _uniform_parts(g.group.order, part), lift
+
 
 class FrameOracle(_EdgeOracle):
     def rank(self, subset: Iterable[int]) -> int:
         return frame_rank(self.biased, subset)
 
+    def component_form(self):
+        return self._uniform_form(0, False)
+
 
 class LiftOracle(_EdgeOracle):
     def rank(self, subset: Iterable[int]) -> int:
         return lift_rank(self.biased, subset)
+
+    def component_form(self):
+        return self._uniform_form(KERNEL_PART, True)
 
 
 class GraphicOracle(_EdgeOracle):
@@ -303,6 +329,9 @@ class GraphicOracle(_EdgeOracle):
 
     def rank(self, subset: Iterable[int]) -> int:
         return graphic_rank(self.biased.graph, subset)
+
+    def component_form(self):
+        return self._uniform_form(IDENTITY_PART, False)
 
 
 class ClassLiftOracle(_EdgeOracle):
@@ -551,16 +580,40 @@ def subset_sweep(
         yield tuple(i for i in ground if rng.random() < 0.5)
 
 
-def rank_table(oracle: RankOracle, limit: int = DEFAULT_AXIOM_LIMIT) -> dict[int, int]:
-    """Rank of every subset, keyed by bitmask over the sorted ground set."""
+def rank_table(oracle: RankOracle, limit: int = DEFAULT_AXIOM_LIMIT) -> list[int]:
+    """Rank of every subset, indexed by bitmask over the sorted ground set.
+
+    An oracle with a component form is walked depth first, one edge per
+    step: each subset's union-find state is a copy of its parent's (the
+    subset without its largest element) plus that element. Any other oracle
+    is asked once per subset.
+    """
     ground = oracle.ground
     m = len(ground)
     if m > limit:
         raise LimitExceeded(f"ground set larger than {limit}")
-    table: dict[int, int] = {}
-    for mask in range(1 << m):
-        subset = [ground[i] for i in range(m) if mask >> i & 1]
-        table[mask] = oracle.rank(subset)
+    form = oracle.component_form()
+    if form is None:
+        return [
+            oracle.rank([ground[i] for i in range(m) if mask >> i & 1])
+            for mask in range(1 << m)
+        ]
+    g, part_of, lift = form
+    table = [0] * (1 << m)
+
+    def visit(mask: int, start: int, state: tuple, lifted: bool) -> None:
+        for j in range(start, m):
+            # the last child is a leaf, so it may take the parent's state
+            child = state if j == m - 1 else tuple(d.copy() for d in state)
+            root, _, members, witness = child
+            child_lifted = _union_edges(g, part_of, child, (ground[j],), lifted)
+            table[mask | 1 << j] = (
+                len(root) - len(members) + len(witness) + (lift and child_lifted)
+            )
+            if j < m - 1:
+                visit(mask | 1 << j, j + 1, child, child_lifted)
+
+    visit(0, 0, ({}, {}, {}, {}), False)
     return table
 
 
@@ -569,35 +622,43 @@ def matroid_axiom_check(oracle: RankOracle, limit: int = DEFAULT_AXIOM_LIMIT):
 
     Returns (True, None) or (False, witness) where the witness names the first
     violated axiom and the subset involved.
+
+    The unit-increase pass also builds, per subset X, the mask Z(X) of the
+    elements i outside X with r(X+i) = r(X). Given unit increase, (X, a, b)
+    breaks local submodularity iff a and b are in Z(X) and b is not in
+    Z(X+a). Taking a, then b, lowest first gives the first failing pair in
+    ``combinations`` order.
     """
     ground = oracle.ground
     m = len(ground)
     table = rank_table(oracle, limit=limit)
     if table[0] != 0:
         return False, ("empty", (), table[0])
-    for mask in range(1 << m):
-        r = table[mask]
-        for i in range(m):
-            if mask >> i & 1:
-                continue
-            step = table[mask | 1 << i] - r
-            if step < 0 or step > 1:
-                return False, (
-                    "unit",
-                    tuple(ground[k] for k in range(m) if mask >> k & 1),
-                    ground[i],
-                )
-    for mask in range(1 << m):
-        r = table[mask]
-        free = [i for i in range(m) if not mask >> i & 1]
-        for a, b in itertools.combinations(free, 2):
-            if (
-                table[mask | 1 << a] + table[mask | 1 << b]
-                < table[mask | 1 << a | 1 << b] + r
-            ):
-                return False, (
-                    "submodular",
-                    tuple(ground[k] for k in range(m) if mask >> k & 1),
-                    (ground[a], ground[b]),
-                )
+
+    def subset(mask: int) -> tuple[int, ...]:
+        return tuple(ground[k] for k in range(m) if mask >> k & 1)
+
+    full = (1 << m) - 1
+    closure = [0] * (1 << m)
+    for mask, r in enumerate(table):
+        z = 0
+        free = full ^ mask
+        while free:
+            low = free & -free
+            free ^= low
+            step = table[mask | low] - r
+            if step == 0:
+                z |= low
+            elif step != 1:
+                return False, ("unit", subset(mask), ground[low.bit_length() - 1])
+        closure[mask] = z
+    for mask, z in enumerate(closure):
+        rest = z
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            bad = rest & ~closure[mask | low]
+            if bad:
+                pair = (ground[low.bit_length() - 1], ground[(bad & -bad).bit_length() - 1])
+                return False, ("submodular", subset(mask), pair)
     return True, None

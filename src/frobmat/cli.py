@@ -134,7 +134,7 @@ def cmd_verify(args) -> int:
         host = FrameOracle(oracle.quotient_biased)
         host_circuits = frame_circuits(oracle.quotient_biased)
         if args.linear_class == "":
-            cand = linear_class(ctx, graph)
+            cand = linear_class(ctx, graph, frame=host_circuits)
         else:
             cand = fileio.parse_circuits(Path(args.linear_class).read_text())
         try:

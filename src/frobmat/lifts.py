@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .biased import (
     IDENTITY_PART,
@@ -110,6 +110,9 @@ class LiftedMatroid(RankOracle):
     def rank(self, subset: Iterable[int]) -> int:
         return component_rank(self.graph, subset, self.ctx.part_of, True)
 
+    def component_form(self):
+        return self.graph, self.ctx.part_of, True
+
     def underlying_rank(self, subset: Iterable[int]) -> int:
         """Rank in the frame matroid of the quotient gain graph."""
         return component_rank(self.graph, subset, self.ctx.part_of, False)
@@ -119,8 +122,13 @@ class LiftedMatroid(RankOracle):
         return BiasedGraph.from_gain_graph(quotient_gains(self.graph, self.ctx.quotient))
 
     @cached_property
+    def frame_circuits(self) -> tuple[tuple[int, ...], ...]:
+        """The circuits of the underlying frame matroid, computed once."""
+        return tuple(frame_circuits(self.quotient_biased))
+
+    @cached_property
     def linear_class(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(linear_class(self.ctx, self.graph))
+        return tuple(linear_class(self.ctx, self.graph, frame=self.frame_circuits))
 
     def underlying_oracle(self) -> RankOracle:
         return FuncOracle(self.ground, self.underlying_rank)
@@ -282,15 +290,20 @@ def cyclic_covering_pair(
 
 
 def linear_class(
-    ctx: FrobeniusContext, g: GainGraph, max_edges: int = 40
+    ctx: FrobeniusContext,
+    g: GainGraph,
+    max_edges: int = 40,
+    frame: Optional[Iterable[tuple[int, ...]]] = None,
 ) -> list[tuple[int, ...]]:
-    """All frame-matroid circuits of the quotient graph admitted by the class."""
-    biased = BiasedGraph.from_gain_graph(quotient_gains(g, ctx.quotient))
-    out = []
-    for circuit in frame_circuits(biased, max_edges=max_edges):
-        if class_member(ctx, g, circuit, validate=False):
-            out.append(circuit)
-    return out
+    """All frame-matroid circuits of the quotient graph admitted by the class.
+
+    ``frame`` is the quotient's frame circuits, for a caller that holds them
+    already; they are enumerated here otherwise.
+    """
+    if frame is None:
+        biased = BiasedGraph.from_gain_graph(quotient_gains(g, ctx.quotient))
+        frame = frame_circuits(biased, max_edges=max_edges)
+    return [c for c in frame if class_member(ctx, g, c, validate=False)]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +317,7 @@ def bases(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
     ground = oracle.ground
     n_rank = oracle.underlying_rank(ground)
     lifted = oracle.rank(ground) - n_rank
-    circuits = [frozenset(c) for c in frame_circuits(oracle.quotient_biased)]
+    circuits = [frozenset(c) for c in oracle.frame_circuits]
     members = {frozenset(c) for c in oracle.linear_class}
     out = []
     if lifted == 0:
@@ -350,7 +363,7 @@ def circuits(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
         for i, v in enumerate(sorted({x for eid in ground for x in ends[eid][:2]}))
     }
     shapes = []
-    for c in frame_circuits(oracle.quotient_biased):
+    for c in oracle.frame_circuits:
         edges = verts = 0
         for eid in c:
             t, h, _ = ends[eid]

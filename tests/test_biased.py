@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from frobmat import (
     BiasedGraph,
     FrameOracle,
+    FrobeniusContext,
     GainGraph,
     GraphicOracle,
     LiftOracle,
+    LiftedMatroid,
     brylawski_lift,
     enumerate_cycles,
     frame_circuits,
     frame_rank,
+    frobenius_partitions,
     is_balanced_cycle,
     is_linear_class,
     lift_circuits,
@@ -26,7 +29,7 @@ from frobmat import (
     minimal_dependent_sets,
     theta_property_check,
 )
-from frobmat.biased import FuncOracle, graphic_rank, subset_sweep
+from frobmat.biased import FuncOracle, graphic_rank, rank_table, subset_sweep
 from frobmat.errors import LimitExceeded
 
 from conftest import random_gain_graph
@@ -305,3 +308,105 @@ def test_axiom_check_catches_corruption():
     ok, witness = matroid_axiom_check(FuncOracle(base.ground, rank))
     assert not ok
     assert witness is not None
+
+
+# The corruption case above, then one oracle failing at each axiom; the
+# witnesses are those of the pairwise check the closure masks replaced.
+TRIANGLE = GraphicOracle(graph(make_cyclic(1), 3, [(0, 1, 0), (1, 2, 0), (0, 2, 0)]))
+
+
+@pytest.mark.parametrize(
+    "ground, rank, witness",
+    [
+        ((0, 1, 2), lambda s: TRIANGLE.rank(s) + (s == {0, 1}), ("unit", (0,), 1)),
+        ((2, 4, 6), lambda s: 1, ("empty", (), 1)),
+        ((2, 4, 6), lambda s: 2 * len(s), ("unit", (), 2)),
+        ((2, 4, 6), lambda s: len(s) - ({4, 6} <= s) - (len(s) == 3), ("unit", (2, 4), 6)),
+        ((3, 5, 7, 9), lambda s: int({5, 7, 9} <= s), ("submodular", (5,), (7, 9))),
+        (
+            (3, 5, 7, 9),
+            lambda s: int({3, 5, 7, 9} <= s) + min(len(s & {7, 9}), 1),
+            ("submodular", (3, 7), (5, 9)),
+        ),
+    ],
+)
+def test_axiom_check_witnesses(ground, rank, witness):
+    assert matroid_axiom_check(FuncOracle(ground, rank)) == (False, witness)
+
+
+def _pairwise_axiom_check(oracle):
+    """The axiom check with every pair tested at every subset, kept as the
+    reference for the closure-mask check."""
+    ground = oracle.ground
+    m = len(ground)
+    table = {
+        mask: oracle.rank([ground[i] for i in range(m) if mask >> i & 1])
+        for mask in range(1 << m)
+    }
+    if table[0] != 0:
+        return False, ("empty", (), table[0])
+    for mask in range(1 << m):
+        r = table[mask]
+        for i in range(m):
+            if mask >> i & 1:
+                continue
+            step = table[mask | 1 << i] - r
+            if step < 0 or step > 1:
+                return False, (
+                    "unit",
+                    tuple(ground[k] for k in range(m) if mask >> k & 1),
+                    ground[i],
+                )
+    for mask in range(1 << m):
+        r = table[mask]
+        free = [i for i in range(m) if not mask >> i & 1]
+        for a, b in itertools.combinations(free, 2):
+            if (
+                table[mask | 1 << a] + table[mask | 1 << b]
+                < table[mask | 1 << a | 1 << b] + r
+            ):
+                return False, (
+                    "submodular",
+                    tuple(ground[k] for k in range(m) if mask >> k & 1),
+                    (ground[a], ground[b]),
+                )
+    return True, None
+
+
+AXIOM_GROUPS = [make_dihedral(6), make_field_affine(5)]
+AXIOM_CONTEXTS = [
+    [FrobeniusContext(grp, p, validate=False) for p in frobenius_partitions(grp)]
+    for grp in AXIOM_GROUPS
+]
+
+
+def _random_table(rng: random.Random) -> tuple[tuple[int, ...], list[int]]:
+    """A rank table over at most six elements: random values, a maximum of
+    intersection sizes (unit increase, often not submodular), or a real
+    lift's table with up to two entries moved by one."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        i = rng.randrange(len(AXIOM_GROUPS))
+        g = random_gain_graph(AXIOM_GROUPS[i], rng, max_vertices=4, max_edges=6)
+        m = LiftedMatroid(rng.choice(AXIOM_CONTEXTS[i]), g)
+        table = rank_table(m)
+        for _ in range(rng.randrange(3)):
+            table[rng.randrange(len(table))] += rng.choice((-1, 1))
+        return m.ground, table
+    ground = tuple(sorted(rng.sample(range(20), rng.randint(3 * kind, 6))))
+    n = 1 << len(ground)
+    if kind == 0:
+        table = [rng.randrange(4) for _ in range(n)]
+        table[0] = rng.choice((0, 0, 0, 1))
+        return ground, table
+    sets = [rng.getrandbits(len(ground)) for _ in range(rng.randint(2, 3))]
+    return ground, [max((x & s).bit_count() for s in sets) for x in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_axiom_check_matches_pairwise_reference(seed):
+    ground, table = _random_table(random.Random(seed))
+    index = {e: 1 << k for k, e in enumerate(ground)}
+    oracle = FuncOracle(ground, lambda s: table[sum(index[e] for e in s)])
+    assert matroid_axiom_check(oracle) == _pairwise_axiom_check(oracle)

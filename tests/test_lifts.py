@@ -12,6 +12,7 @@ from frobmat import (
     FrameOracle,
     FrobeniusContext,
     GainGraph,
+    GraphicOracle,
     LiftOracle,
     LiftedMatroid,
     apply_switching,
@@ -46,7 +47,7 @@ from frobmat import (
     switch_invariance_check,
     verify_spike,
 )
-from frobmat.biased import FuncOracle
+from frobmat.biased import FuncOracle, component_rank, rank_table
 from frobmat.lifts import _classify_circuit
 
 from conftest import random_gain_graph
@@ -379,6 +380,35 @@ def test_circuits_match_minimal_dependent_sets(seed):
     g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=4, max_edges=10)
     for ctx in DIFFERENTIAL_CONTEXTS[i]:
         assert circuits(ctx, g) == minimal_dependent_sets(LiftedMatroid(ctx, g)), ctx
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_rank_table_walk_matches_per_subset_routes(seed):
+    """The one-edge-per-step walk against a fresh component_rank per subset,
+    and against routes that share none of its code: the scanned components
+    of the balanced-cycle set, and the modular-pair lift over that host."""
+    rng = random.Random(seed)
+    i = seed % len(DIFFERENTIAL_GROUPS)
+    g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=4, max_edges=10)
+
+    def explicit(graph):
+        return BiasedGraph.from_balanced_set(
+            graph, [c for c in enumerate_cycles(graph) if is_balanced_cycle(graph, c)]
+        )
+
+    gain, scanned = BiasedGraph.from_gain_graph(g), explicit(g)
+    every_cycle = BiasedGraph.from_balanced_set(g, enumerate_cycles(g))
+    assert rank_table(FrameOracle(gain)) == rank_table(FrameOracle(scanned))
+    assert rank_table(LiftOracle(gain)) == rank_table(LiftOracle(scanned))
+    assert rank_table(GraphicOracle(g)) == rank_table(FrameOracle(every_cycle))
+    for ctx in DIFFERENTIAL_CONTEXTS[i]:
+        walk = rank_table(LiftedMatroid(ctx, g))
+        fresh = FuncOracle(g.edge_ids(), lambda s: component_rank(g, s, ctx.part_of, True))
+        assert walk == rank_table(fresh), ctx
+        host = explicit(quotient_gains(g, ctx.quotient))
+        lift = brylawski_lift(FrameOracle(host), frame_circuits(host), linear_class(ctx, g))
+        assert walk == rank_table(lift), ctx
 
 
 def _pairwise_linear_class(host, host_circuits, cand):
