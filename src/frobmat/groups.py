@@ -7,7 +7,7 @@ relabel their natural element sets to keep that invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import LimitExceeded
 
@@ -350,8 +350,17 @@ def generated_subgroup(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     return Subgroup(tuple(sorted(elems)))
 
 
+def _check_range(group: FiniteGroup, elements: Collection[int]) -> None:
+    """Raise ValueError if an element is not an index of the group."""
+    low, high = min(elements, default=0), max(elements, default=0)
+    if low < 0 or high >= group.order:
+        bad = low if low < 0 else high
+        raise ValueError(f"element {bad} out of range for a group of order {group.order}")
+
+
 def is_subgroup(group: FiniteGroup, elements: Iterable[int]) -> bool:
     s = frozenset(elements)
+    _check_range(group, s)
     if 0 not in s:
         return False
     return all(group.mul(a, b) in s for a in s for b in s)
@@ -393,6 +402,7 @@ def conjugate_subgroup(group: FiniteGroup, h: Subgroup, g: int) -> Subgroup:
 
 
 def is_normal(group: FiniteGroup, h: Subgroup) -> bool:
+    _check_range(group, h.elements)
     s = h.element_set
     return all(
         group.conjugate(g, a) in s for g in group.elements() for a in h.elements
@@ -401,6 +411,7 @@ def is_normal(group: FiniteGroup, h: Subgroup) -> bool:
 
 def is_malnormal(group: FiniteGroup, h: Subgroup) -> bool:
     """True iff every conjugate by an element outside h meets h only in 0."""
+    _check_range(group, h.elements)
     s = h.element_set
     for g in group.elements():
         if g in s:

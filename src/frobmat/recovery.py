@@ -10,17 +10,16 @@ re-verifies every property the reconstruction relies on.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .biased import BiasedGraph, FrameOracle, RankOracle, subset_sweep
-from .errors import RecoveryError
+from .errors import LimitExceeded, RecoveryError
 from .gaingraph import (
-    GainGraph,
+    DEFAULT_CYCLE_COUNT_LIMIT,
     complete_edge_id,
     complete_gain_graph,
-    enumerate_cycles,
-    is_balanced_cycle,
     quotient_gains,
 )
 from .groups import (
@@ -51,15 +50,84 @@ def edge_bundle(group: FiniteGroup, n: int, elements: Iterable[int]) -> tuple[in
     return tuple(sorted(out))
 
 
-def _is_circuit(m: RankOracle, subset: Sequence[int]) -> bool:
-    ids = sorted(subset)
-    if m.rank(ids) != len(ids) - 1:
+def _is_circuit(m: RankOracle, ids: Sequence[int]) -> bool:
+    """True iff the sorted ids form a circuit of m."""
+    r = len(ids) - 1
+    if m.rank(ids) != r:
         return False
-    return all(m.rank([x for x in ids if x != e]) == len(ids) - 1 for e in ids)
+    return all(m.rank([x for x in ids if x != e]) == r for e in ids)
 
 
-def _random_cycle(g: GainGraph, n: int, rng: random.Random, balanced: bool) -> list[int]:
-    group = g.group
+def _complete_cycle(
+    group: FiniteGroup, n: int, verts: Sequence[int], gains: Sequence[int]
+) -> tuple[tuple[int, ...], bool]:
+    """The closed walk on K_n through the distinct ``verts`` whose step from
+    verts[t] to verts[t+1] carries gain gains[t]: its sorted edge ids, and
+    whether it is balanced (the product of its gains is the identity).
+
+    A balanced walk of length two uses one edge twice, so it is no cycle.
+    """
+    table, inverse = group.table, group.inverse
+    k = len(verts)
+    acc = 0
+    ids = []
+    for t in range(k):
+        i, j, x = verts[t], verts[(t + 1) % k], gains[t]
+        acc = table[acc][x]
+        if i < j:
+            ids.append(complete_edge_id(group, n, i, j, x))
+        else:
+            ids.append(complete_edge_id(group, n, j, i, inverse[x]))
+    ids.sort()
+    return tuple(ids), acc == 0
+
+
+def _complete_digons(group: FiniteGroup, n: int) -> Iterable[tuple[tuple[int, ...], bool]]:
+    """Every digon of K_n with its balance flag; parallel edges carry
+    distinct gains, so none is balanced."""
+    inverse = group.inverse
+    for i, j in itertools.combinations(range(n), 2):
+        for a, b in itertools.combinations(range(group.order), 2):
+            yield _complete_cycle(group, n, (i, j), (a, inverse[b]))
+
+
+def complete_cycle_count(group_order: int, n: int) -> int:
+    """The number of cycles of K_n over a group of the given order:
+    sum over k >= 3 of C(n,k)·(k-1)!/2·|G|^k vertex cycles with gain words,
+    plus C(n,2)·C(|G|,2) digons."""
+    longer = sum(
+        math.comb(n, k) * math.factorial(k - 1) // 2 * group_order**k for k in range(3, n + 1)
+    )
+    return longer + math.comb(n, 2) * math.comb(group_order, 2)
+
+
+def _all_complete_cycles(group: FiniteGroup, n: int) -> list[tuple[tuple[int, ...], bool]]:
+    """Every cycle of K_n with its balance flag, sorted by edge ids.
+
+    Each vertex cycle is listed once, from its least vertex in the direction
+    whose second vertex is below its last, and crossed with every gain word.
+    The count is checked against the enumeration cap before anything is built.
+    """
+    if complete_cycle_count(group.order, n) > DEFAULT_CYCLE_COUNT_LIMIT:
+        raise LimitExceeded(f"more than {DEFAULT_CYCLE_COUNT_LIMIT} cycles")
+    out = list(_complete_digons(group, n))
+    for k in range(3, n + 1):
+        for first, *rest in itertools.combinations(range(n), k):
+            for tail in itertools.permutations(rest):
+                if tail[0] > tail[-1]:
+                    continue
+                verts = (first,) + tail
+                for word in itertools.product(range(group.order), repeat=k):
+                    out.append(_complete_cycle(group, n, verts, word))
+    out.sort()
+    return out
+
+
+def _random_cycle(
+    group: FiniteGroup, n: int, rng: random.Random, balanced: bool
+) -> Optional[tuple[tuple[int, ...], bool]]:
+    """A random cycle of K_n and its balance flag, or None for a balanced
+    digon, which is one edge walked twice."""
     # balanced digons do not exist in a complete gain graph (parallel edges
     # carry distinct gains), so balanced samples use length >= 3
     k = rng.randint(3 if balanced else 2, n)
@@ -70,51 +138,35 @@ def _random_cycle(g: GainGraph, n: int, rng: random.Random, balanced: bool) -> l
         for x in gains[:-1]:
             acc = group.mul(acc, x)
         gains[-1] = group.inv(acc)
-    ids = []
-    for t in range(k):
-        i, j = verts[t], verts[(t + 1) % k]
-        if i < j:
-            ids.append(complete_edge_id(group, n, i, j, gains[t]))
-        else:
-            ids.append(complete_edge_id(group, n, j, i, group.inv(gains[t])))
-    if len(set(ids)) != k:
-        return []
-    return sorted(ids)
+    cycle = _complete_cycle(group, n, verts, gains)
+    if k == 2 and cycle[1]:
+        return None
+    return cycle
 
 
 def _check_cycle_hypothesis(
     group: FiniteGroup,
     n: int,
-    g: GainGraph,
     m: RankOracle,
     rng: random.Random,
     samples: int,
 ) -> None:
     """A cycle must be a circuit of m exactly when it is balanced."""
     if group.order <= EXHAUSTIVE_GROUP_ORDER:
-        cycles: Iterable[Sequence[int]] = enumerate_cycles(g, max_edges=len(g.edges))
+        cycles = _all_complete_cycles(group, n)
     else:
-        seen = set()
         # all digons (the sharpest probes), plus random cycles of both kinds
-        for i, j in itertools.combinations(range(n), 2):
-            for a, b in itertools.combinations(range(group.order), 2):
-                seen.add(
-                    (
-                        complete_edge_id(group, n, i, j, a),
-                        complete_edge_id(group, n, i, j, b),
-                    )
-                )
+        found = dict(_complete_digons(group, n))
         for _ in range(samples):
             for want_balanced in (False, True):
-                c = _random_cycle(g, n, rng, want_balanced)
-                if c:
-                    seen.add(tuple(c))
-        cycles = sorted(seen)
-    for cycle in cycles:
-        balanced = is_balanced_cycle(g, cycle)
+                c = _random_cycle(group, n, rng, want_balanced)
+                if c is not None:
+                    found[c[0]] = c[1]
+        cycles = sorted(found.items())
+    for cycle, balanced in cycles:
         if balanced != _is_circuit(m, cycle):
             raise RecoveryError(
-                f"cycle {tuple(cycle)} is {'balanced' if balanced else 'unbalanced'} "
+                f"cycle {cycle} is {'balanced' if balanced else 'unbalanced'} "
                 f"but is {'not ' if balanced else ''}a circuit of the lift"
             )
 
@@ -170,7 +222,7 @@ def recover_partition(
     qm = quotient(group, kernel)
     frame = FrameOracle(BiasedGraph.from_gain_graph(quotient_gains(g, qm)))
     _check_elementary(m, frame, rng, samples)
-    _check_cycle_hypothesis(group, n, g, m, rng, samples)
+    _check_cycle_hypothesis(group, n, m, rng, samples)
 
     kernel_set = kernel.element_set
     if len(kernel_set) == group.order:

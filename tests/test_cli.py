@@ -350,6 +350,17 @@ def test_recover_rejects_class_violating_cycles(write, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("with_class", [False, True])
+def test_recover_rejects_out_of_range_kernel(write, capsys, with_class):
+    spec = {"complete": {"group": {"kind": "cyclic", "n": 2}, "n": 4}}
+    args = ["recover", "--graph", write("k4.json", spec), "--kernel", "0,99"]
+    if with_class:
+        args += ["--class", write("c.txt", "0,1\n")]
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "99" in err
+
+
 def test_limit_flag_and_env(write, capsys, monkeypatch):
     path = write("g.json", D6_SPEC)
     code, _, err = run(capsys, "frobpart", "--group", path, "--limit", "2")

@@ -30,6 +30,7 @@ from frobmat.groups import (
     MAX_TABLE_ORDER,
     conjugate_subgroup,
     generated_subgroup,
+    is_subgroup,
     subgroup_as_group,
 )
 
@@ -474,3 +475,18 @@ def test_subgroup_as_group(d6):
 
 def test_find_isomorphism_returns_none_for_distinct_groups():
     assert find_isomorphism(make_cyclic(4), make_direct_product(make_cyclic(2), make_cyclic(2))) is None
+
+
+def test_out_of_range_elements_are_rejected(d6):
+    """An element that is no index of the group is a ValueError, not an
+    IndexError from the Cayley table, in every subgroup predicate."""
+    bad = Subgroup((0, 99))
+    for check in (
+        lambda: is_subgroup(d6, [0, 99]),
+        lambda: is_subgroup(d6, [-1, 0]),
+        lambda: is_normal(d6, bad),
+        lambda: is_malnormal(d6, bad),
+        lambda: quotient(d6, bad),
+    ):
+        with pytest.raises(ValueError, match="out of range for a group of order 6"):
+            check()

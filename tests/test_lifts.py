@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from frobmat import (
     BiasedGraph,
+    ClassLiftOracle,
     Edge,
     FrameOracle,
     FrobeniusContext,
@@ -409,6 +410,20 @@ def test_rank_table_walk_matches_per_subset_routes(seed):
         host = explicit(quotient_gains(g, ctx.quotient))
         lift = brylawski_lift(FrameOracle(host), frame_circuits(host), linear_class(ctx, g))
         assert walk == rank_table(lift), ctx
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_lifted_matroid_matches_class_lift_oracle(seed):
+    """LiftedMatroid against the quotient frame matroid lifted by its own
+    computed linear class, on every subset and under every partition."""
+    rng = random.Random(seed)
+    i = seed % 2  # D6 or F20
+    g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=4, max_edges=8)
+    for ctx in DIFFERENTIAL_CONTEXTS[i]:
+        m = LiftedMatroid(ctx, g)
+        by_class = ClassLiftOracle(m.quotient_biased, linear_class(ctx, g))
+        assert rank_table(m) == rank_table(by_class), ctx
 
 
 def _pairwise_linear_class(host, host_circuits, cand):

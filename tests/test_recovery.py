@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobmat import (
     BiasedGraph,
@@ -6,17 +10,25 @@ from frobmat import (
     FrameOracle,
     FrobeniusContext,
     LiftedMatroid,
+    LimitExceeded,
     RecoveryError,
     Subgroup,
     complete_edge_id,
     complete_gain_graph,
     edge_bundle,
+    enumerate_cycles,
     frobenius_partitions,
+    is_balanced_cycle,
     linear_class,
+    make_cyclic,
+    make_dihedral,
+    make_field_affine,
     quotient_gains,
     recover_partition,
     switching_action_check,
 )
+from frobmat.biased import FuncOracle
+from frobmat.recovery import _all_complete_cycles, _random_cycle, complete_cycle_count
 
 
 def test_edge_bundle_counts(d6):
@@ -95,6 +107,102 @@ def test_rejects_mismatched_kernel(d6, d6_partitions, d6_frobenius):
     m = LiftedMatroid(d6_frobenius, k4)
     with pytest.raises(RecoveryError):
         recover_partition(d6, Subgroup(tuple(range(6))), 4, m)
+
+
+def test_rejects_out_of_range_kernel(d6, d6_frobenius):
+    m = LiftedMatroid(d6_frobenius, complete_gain_graph(d6, 4))
+    with pytest.raises(ValueError, match="element 99 out of range"):
+        recover_partition(d6, Subgroup((0, 99)), 4, m)
+
+
+def _flip_cycles(g, m, balanced, length, mod, residue):
+    """m with the circuit status flipped on every cycle of the given length
+    and balance whose id sum is ``residue`` mod ``mod``."""
+
+    def rank(subset):
+        r = m.rank(subset)
+        if len(subset) != length or sum(subset) % mod != residue:
+            return r
+        try:
+            flag = is_balanced_cycle(g, subset)
+        except ValueError:
+            return r
+        if flag != balanced:
+            return r
+        return r + 1 if balanced else r - 1
+
+    return FuncOracle(m.ground, rank)
+
+
+WITNESS_GROUPS = {"D6": make_dihedral(6), "F20": make_field_affine(5)}
+
+
+@pytest.mark.parametrize(
+    "name,balanced,length,mod,residue,seed,message",
+    [
+        # every cycle is checked (order <= 10)
+        ("D6", True, 3, 5, 0, 0, "cycle (0, 9, 21) is balanced but is not a circuit of the lift"),
+        ("D6", False, 4, 17, 5, 5,
+         "cycle (0, 9, 29, 35) is unbalanced but is a circuit of the lift"),
+        # all digons plus seeded samples (order 20)
+        ("F20", True, 3, 5, 0, 0, "cycle (0, 35, 75) is balanced but is not a circuit of the lift"),
+        ("F20", False, 2, 7, 0, 0, "cycle (0, 7) is unbalanced but is a circuit of the lift"),
+        ("F20", False, 4, 17, 5, 5,
+         "cycle (1, 28, 96, 118) is unbalanced but is a circuit of the lift"),
+    ],
+)
+def test_cycle_hypothesis_witnesses(name, balanced, length, mod, residue, seed, message):
+    """The first failing cycle in sorted id order, for both routes and both
+    failure kinds; the sampled witnesses also pin the seeded draws."""
+    group = WITNESS_GROUPS[name]
+    part = frobenius_partitions(group)[-1]
+    g = complete_gain_graph(group, 4)
+    m = LiftedMatroid(FrobeniusContext(group, part, validate=False), g)
+    oracle = _flip_cycles(g, m, balanced, length, mod, residue)
+    with pytest.raises(RecoveryError) as info:
+        recover_partition(group, part.kernel, 4, oracle, seed=seed)
+    assert str(info.value) == message
+
+
+ROUTE_GROUPS = [make_cyclic(2), make_cyclic(5), make_dihedral(6), make_field_affine(3)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("group", ROUTE_GROUPS, ids=["Z2", "Z5", "D6", "AGL(1,3)"])
+def test_complete_cycles_match_enumeration(group, n):
+    """Cycles built with their gains against the edge-set enumeration and
+    the walk-based balance test, and the closed-form count against both."""
+    g = complete_gain_graph(group, n)
+    expected = [(c, is_balanced_cycle(g, c)) for c in enumerate_cycles(g, max_edges=len(g.edges))]
+    assert _all_complete_cycles(group, n) == expected
+    assert complete_cycle_count(group.order, n) == len(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(0, len(ROUTE_GROUPS) - 1), st.integers(2, 4))
+def test_random_cycle_balance_matches_walk(seed, gi, n):
+    group = ROUTE_GROUPS[gi]
+    g = complete_gain_graph(group, n)
+    rng = random.Random(seed)
+    for _ in range(20):
+        for want_balanced in (False, True) if n >= 3 else (False,):
+            cycle = _random_cycle(group, n, rng, want_balanced)
+            if cycle is None:
+                continue
+            ids, balanced = cycle
+            assert list(ids) == sorted(set(ids))
+            assert balanced == is_balanced_cycle(g, ids)
+            assert balanced or not want_balanced
+
+
+def test_k5_over_order_ten_is_refused_by_its_cycle_count():
+    assert complete_cycle_count(10, 5) == 1_360_450
+    assert complete_cycle_count(9, 5) == 814_653
+    group = make_dihedral(10)
+    part = frobenius_partitions(group)[2]
+    m = LiftedMatroid(FrobeniusContext(group, part, validate=False), complete_gain_graph(group, 5))
+    with pytest.raises(LimitExceeded, match="more than 1000000 cycles"):
+        recover_partition(group, part.kernel, 5, m)
 
 
 def test_round_trip_sampled_path_uses_seed(d6, d6_partitions, d6_frobenius):
