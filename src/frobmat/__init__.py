@@ -77,7 +77,6 @@ from .lifts import (
     delete,
     is_elementary_lift,
     linear_class,
-    matroid_rank,
     switch_invariance_check,
     verify_spike,
 )

@@ -31,7 +31,6 @@ class ComponentScan:
 
     vertices: tuple[int, ...]
     edge_ids: tuple[int, ...]
-    tree_ids: frozenset[int]
     nontree: tuple[tuple[int, int], ...]
 
 
@@ -92,7 +91,6 @@ def scan_components(g: GainGraph, subset: Iterable[int]) -> list[ComponentScan]:
             ComponentScan(
                 vertices=tuple(verts),
                 edge_ids=tuple(e.id for e in edges_by_comp[i]),
-                tree_ids=frozenset(e.id for e in edges_by_comp[i] if e.id in tree),
                 nontree=tuple(nontree),
             )
         )
@@ -142,9 +140,7 @@ class BiasedGraph:
         return BiasedGraph(sub, (c for c in self.balanced if c <= keep))
 
     def component_balanced(self, scan: ComponentScan) -> bool:
-        """All cycles of the component balanced."""
-        if self.balanced is None:
-            return all(red == 0 for _, red in scan.nontree)
+        """All cycles of the component in the explicit balanced set."""
         if not scan.nontree:
             return True
         sub = self.graph.with_edges(self.graph.edge(i) for i in scan.edge_ids)
@@ -533,16 +529,17 @@ def brylawski_lift(
     ok, witness = is_linear_class(host, circuits, members)
     if not ok:
         raise ValueError(f"not a linear class; modular-pair witness {witness}")
+    return FuncOracle(host.ground, lambda x: _brylawski_rank(host, circuits, members, x))
 
-    def rank(x: frozenset[int]) -> int:
-        extra = 0
-        for c in circuits:
-            if c <= x and c not in members:
-                extra = 1
-                break
-        return host.rank(x) + extra
 
-    return FuncOracle(host.ground, rank)
+def _brylawski_rank(
+    host: RankOracle,
+    circuits: Iterable[frozenset[int]],
+    members: set[frozenset[int]],
+    x: frozenset[int],
+) -> int:
+    """Host rank of x, plus one when a host circuit outside the class lies in x."""
+    return host.rank(x) + any(c <= x and c not in members for c in circuits)
 
 
 def minimal_dependent_sets(

@@ -20,6 +20,7 @@ from .biased import (
     BiasedGraph,
     FuncOracle,
     RankOracle,
+    _brylawski_rank,
     _vertices_of,
     component_rank,
     frame_circuits,
@@ -134,10 +135,6 @@ class LiftedMatroid(RankOracle):
         return FuncOracle(self.ground, self.underlying_rank)
 
 
-def matroid_rank(ctx: FrobeniusContext, g: GainGraph, subset: Iterable[int]) -> int:
-    return LiftedMatroid(ctx, g).rank(subset)
-
-
 # ---------------------------------------------------------------------------
 # circuit classification and class membership
 
@@ -194,28 +191,19 @@ def _classify_circuit(ctx: FrobeniusContext, g: GainGraph, circuit: Iterable[int
     return _CircuitShape("tight", (c1, c2), frozenset())
 
 
-def class_member(
-    ctx: FrobeniusContext,
-    g: GainGraph,
-    circuit: Iterable[int],
-    validate: bool = True,
-) -> bool:
-    """Whether a circuit of the underlying frame matroid is in the linear class.
+def class_member(ctx: FrobeniusContext, g: GainGraph, circuit: Iterable[int]) -> bool:
+    """Whether a circuit of the underlying frame matroid is in the linear class,
+    decided from its gains.
 
     Cycles must be balanced outright; thetas and handcuffs are accepted when,
     after normalizing a spanning tree of the circuit, both leftover gains land
-    in the same complement part.
+    in the same complement part. ``linear_class`` decides by rank instead, so
+    this and ``class_member_walks`` are the gain-side routes to compare it with.
     """
     ids = sorted(set(circuit))
-    if validate:
-        shape = _classify_circuit(ctx, g, ids)
-        if shape.kind == "cycle":
-            return is_balanced_cycle(g, ids)
-    scans = scan_components(g, ids)
-    sc = scans[0]
-    if len(sc.nontree) == 1:
-        return sc.nontree[0][1] == 0
-    parts = [ctx.part_of[red] for _, red in sc.nontree]
+    if _classify_circuit(ctx, g, ids).kind == "cycle":
+        return is_balanced_cycle(g, ids)
+    parts = [ctx.part_of[red] for _, red in scan_components(g, ids)[0].nontree]
     if any(p < 0 for p in parts):
         return False
     return parts[0] == parts[1]
@@ -292,18 +280,20 @@ def cyclic_covering_pair(
 def linear_class(
     ctx: FrobeniusContext,
     g: GainGraph,
-    max_edges: int = 40,
     frame: Optional[Iterable[tuple[int, ...]]] = None,
 ) -> list[tuple[int, ...]]:
     """All frame-matroid circuits of the quotient graph admitted by the class.
 
-    ``frame`` is the quotient's frame circuits, for a caller that holds them
-    already; they are enumerated here otherwise.
+    The lift is the elementary lift of the frame matroid N that the class
+    selects, so a circuit C of N is a member iff it stays a circuit of the
+    lift: rank(C) = |C| - 1, the lift bit of C is zero (Brylawski,
+    *Constructions*, 1986). ``frame`` is the quotient's frame circuits, for a
+    caller that holds them already; they are enumerated here otherwise.
     """
+    oracle = LiftedMatroid(ctx, g)
     if frame is None:
-        biased = BiasedGraph.from_gain_graph(quotient_gains(g, ctx.quotient))
-        frame = frame_circuits(biased, max_edges=max_edges)
-    return [c for c in frame if class_member(ctx, g, c, validate=False)]
+        frame = oracle.frame_circuits
+    return [c for c in frame if oracle.rank(c) == len(c) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -316,24 +306,22 @@ def bases(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
     oracle = LiftedMatroid(ctx, g)
     ground = oracle.ground
     n_rank = oracle.underlying_rank(ground)
-    lifted = oracle.rank(ground) - n_rank
+    if oracle.rank(ground) == n_rank:
+        # M = N, and an independent set of N holds no circuit
+        return [
+            combo
+            for combo in itertools.combinations(ground, n_rank)
+            if oracle.underlying_rank(combo) == n_rank
+        ]
+    # a spanning set of nullity one holds exactly one circuit of N
     circuits = [frozenset(c) for c in oracle.frame_circuits]
     members = {frozenset(c) for c in oracle.linear_class}
     out = []
-    if lifted == 0:
-        for combo in itertools.combinations(ground, n_rank):
-            s = frozenset(combo)
-            if oracle.underlying_rank(combo) == n_rank and not any(
-                c <= s for c in circuits
-            ):
-                out.append(combo)
-        return out
     for combo in itertools.combinations(ground, n_rank + 1):
-        s = frozenset(combo)
         if oracle.underlying_rank(combo) != n_rank:
             continue
-        inside = [c for c in circuits if c <= s]
-        if len(inside) == 1 and inside[0] not in members:
+        s = frozenset(combo)
+        if next(c for c in circuits if c <= s) not in members:
             out.append(combo)
     return out
 
@@ -584,12 +572,7 @@ def is_elementary_lift(
         return False, witness
     for combo in subset_sweep(m.ground, limit, 0, None):
         subset = frozenset(combo)
-        extra = 0
-        for c in host_circuits:
-            if c <= subset and c not in recovered:
-                extra = 1
-                break
-        if m.rank(subset) != host.rank(subset) + extra:
+        if m.rank(subset) != _brylawski_rank(host, host_circuits, recovered, subset):
             return False, tuple(sorted(subset))
     return True, sorted(tuple(sorted(c)) for c in recovered)
 

@@ -42,7 +42,6 @@ from frobmat import (
     make_field_affine,
     make_inversion_extension,
     matroid_axiom_check,
-    matroid_rank,
     minimal_dependent_sets,
     quotient_gains,
     switch_invariance_check,
@@ -173,7 +172,7 @@ def test_linear_class_lift_case_is_balanced_cycles(d6):
     ctx = contexts_of(d6)[0]  # kernel = whole group
     rng = random.Random(3)
     g = random_gain_graph(d6, rng, max_vertices=4, max_edges=8)
-    expected = [c for c in enumerate_cycles(g) if class_member(ctx, g, c, validate=False)]
+    expected = [c for c in enumerate_cycles(g) if class_member(ctx, g, c)]
     balanced = [
         c
         for c in enumerate_cycles(g)
@@ -206,7 +205,7 @@ def test_linear_class_passes_linear_class_check(d6_frobenius, d6):
 
 def test_rank_disjoint_kernel_loops(z2, lift_ctx_z2):
     g = graph(z2, 2, [(0, 0, 1), (1, 1, 1)])
-    assert matroid_rank(lift_ctx_z2, g, [0, 1]) == 1
+    assert LiftedMatroid(lift_ctx_z2, g).rank([0, 1]) == 1
 
 
 def test_rank_collapses_to_frame_and_lift(d6):
@@ -228,8 +227,8 @@ def test_rank_collapses_to_frame_and_lift(d6):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_rank_matches_brylawski_lift_of_explicit_host(seed):
-    """The lift against the modular-pair lift of its class over a host whose
-    balance is cycle membership, with no tree-reduced gains on that side."""
+    """The lift against the modular-pair lift of the gain-defined class over a
+    host whose balance is cycle membership."""
     rng = random.Random(seed)
     group = make_dihedral(6) if seed % 2 else make_field_affine(5)
     g = random_gain_graph(group, rng, max_vertices=4, max_edges=9)
@@ -238,7 +237,7 @@ def test_rank_matches_brylawski_lift_of_explicit_host(seed):
         host = BiasedGraph.from_balanced_set(
             qg, [c for c in enumerate_cycles(qg) if is_balanced_cycle(qg, c)]
         )
-        expected = brylawski_lift(FrameOracle(host), frame_circuits(host), linear_class(ctx, g))
+        expected = brylawski_lift(FrameOracle(host), frame_circuits(host), _class_by_gains(ctx, g))
         m = LiftedMatroid(ctx, g)
         for r in range(len(m.ground) + 1):
             for sub in itertools.combinations(m.ground, r):
@@ -332,21 +331,6 @@ def test_basis_with_unbalanced_loop(d6, d6_frobenius):
     assert bases(d6_frobenius, g) == [(0, 1, 2)]
 
 
-def test_bases_circuits_match_brute_force(d6, d6_frobenius):
-    rng = random.Random(19)
-    for _ in range(8):
-        g = random_gain_graph(d6, rng, max_vertices=4, max_edges=8)
-        m = LiftedMatroid(d6_frobenius, g)
-        assert sorted(circuits(d6_frobenius, g)) == sorted(minimal_dependent_sets(m))
-        r = m.full_rank()
-        brute = sorted(
-            combo
-            for combo in itertools.combinations(m.ground, r)
-            if m.rank(combo) == r
-        )
-        assert sorted(bases(d6_frobenius, g)) == brute
-
-
 def test_circuits_on_high_vertex_numbers(d6, d6_frobenius):
     """The same graph moved to the top of 10^9 vertices has the same
     circuits, as fast; vertex masks are sized by the vertices the edges
@@ -383,6 +367,58 @@ def test_circuits_match_minimal_dependent_sets(seed):
         assert circuits(ctx, g) == minimal_dependent_sets(LiftedMatroid(ctx, g)), ctx
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_bases_circuits_match_brute_force(seed):
+    rng = random.Random(seed)
+    i = seed % len(DIFFERENTIAL_GROUPS)
+    g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=4, max_edges=8)
+    for ctx in DIFFERENTIAL_CONTEXTS[i]:
+        m = LiftedMatroid(ctx, g)
+        assert circuits(ctx, g) == minimal_dependent_sets(m), ctx
+        r = m.full_rank()
+        brute = [c for c in itertools.combinations(m.ground, r) if m.rank(c) == r]
+        assert bases(ctx, g) == brute, ctx
+
+
+def test_bases_brute_force_on_both_branches(d6):
+    """A lift partition lifts K_3 over D6 (l(E) = 1), a frame partition does
+    not (M = N), so each branch of ``bases`` runs."""
+    k3 = complete_gain_graph(d6, 3)
+    lifted = []
+    for ctx in contexts_of(d6):
+        m = LiftedMatroid(ctx, k3)
+        r = m.full_rank()
+        lifted.append(r - m.underlying_rank(m.ground))
+        brute = [c for c in itertools.combinations(m.ground, r) if m.rank(c) == r]
+        assert bases(ctx, k3) == brute, ctx
+    assert sorted(set(lifted)) == [0, 1]
+
+
+def _class_by_gains(ctx, g):
+    """The linear class by its gain definition, independent of the rank."""
+    qb = BiasedGraph.from_gain_graph(quotient_gains(g, ctx.quotient))
+    return [c for c in frame_circuits(qb) if class_member(ctx, g, c)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_linear_class_matches_class_member(seed):
+    """The class read off the lift bit against the gain-side test, under
+    every partition."""
+    rng = random.Random(seed)
+    i = seed % len(DIFFERENTIAL_GROUPS)
+    g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=4, max_edges=10)
+    for ctx in DIFFERENTIAL_CONTEXTS[i]:
+        assert linear_class(ctx, g) == _class_by_gains(ctx, g), ctx
+
+
+def test_linear_class_matches_class_member_on_k3(d6):
+    k3 = complete_gain_graph(d6, 3)
+    for ctx in contexts_of(d6):
+        assert linear_class(ctx, k3) == _class_by_gains(ctx, k3), ctx
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_rank_table_walk_matches_per_subset_routes(seed):
@@ -408,21 +444,21 @@ def test_rank_table_walk_matches_per_subset_routes(seed):
         fresh = FuncOracle(g.edge_ids(), lambda s: component_rank(g, s, ctx.part_of, True))
         assert walk == rank_table(fresh), ctx
         host = explicit(quotient_gains(g, ctx.quotient))
-        lift = brylawski_lift(FrameOracle(host), frame_circuits(host), linear_class(ctx, g))
+        lift = brylawski_lift(FrameOracle(host), frame_circuits(host), _class_by_gains(ctx, g))
         assert walk == rank_table(lift), ctx
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_lifted_matroid_matches_class_lift_oracle(seed):
-    """LiftedMatroid against the quotient frame matroid lifted by its own
-    computed linear class, on every subset and under every partition."""
+    """LiftedMatroid against the quotient frame matroid lifted by the
+    gain-defined linear class, on every subset and under every partition."""
     rng = random.Random(seed)
     i = seed % 2  # D6 or F20
     g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=4, max_edges=8)
     for ctx in DIFFERENTIAL_CONTEXTS[i]:
         m = LiftedMatroid(ctx, g)
-        by_class = ClassLiftOracle(m.quotient_biased, linear_class(ctx, g))
+        by_class = ClassLiftOracle(m.quotient_biased, _class_by_gains(ctx, g))
         assert rank_table(m) == rank_table(by_class), ctx
 
 
