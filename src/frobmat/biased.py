@@ -176,7 +176,12 @@ class FuncOracle(RankOracle):
 
 
 def _union_edges(
-    g: GainGraph, part_of: Sequence[int], state: tuple, edges: Iterable[int], lifted: bool
+    g: GainGraph,
+    part_of: Sequence[int],
+    state: tuple,
+    edges: Iterable[int],
+    lifted: bool,
+    need: int = -1,
 ) -> bool:
     """Add ``edges`` to the union-find ``state`` (root, eta, members,
     witness) in place; returns the lifted flag.
@@ -188,6 +193,13 @@ def _union_edges(
     complement (its witness). A merge re-roots the smaller component by c,
     which conjugates its reduced gains, so its witness becomes c^-1 w c.
     Members are tuples, so a shallow copy of the four dicts is a snapshot.
+
+    ``need`` counts down the edges that raise |V| - c + w + l by one: a
+    merge (unless both sides have a witness and l stays), a component's
+    first witness, or the lifted flag turning on. At zero the pass stops and
+    the rest of ``edges`` is left unread; a negative count never stops it. A
+    caller that does not count l passes ``lifted`` set, so that no edge
+    turns it on.
     """
     root, eta, members, witness = state
     table = g.group.table
@@ -206,27 +218,40 @@ def _union_edges(
             if part == IDENTITY_PART:
                 continue
             if part == KERNEL_PART:
+                if lifted:
+                    continue
                 lifted = True
+            elif rt not in witness:
+                witness[rt] = red
+            elif lifted or part_of[witness[rt]] == part:
                 continue
-            w = witness.setdefault(rt, red)
-            lifted = lifted or part_of[w] != part
-            continue
-        # move the smaller component: a is its end of the edge, y the gain
-        # of the orientation a -> b
-        if len(members[rt]) < len(members[rh]):
-            a, b, y, keep, move = t, h, x, rh, rt
+            else:
+                lifted = True
         else:
-            a, b, y, keep, move = h, t, inverse[x], rt, rh
-        c = table[table[inverse[eta[a]]][y]][eta[b]]
-        moved = members.pop(move)
-        for v in moved:
-            root[v] = keep
-            eta[v] = table[eta[v]][c]
-        members[keep] += moved
-        if move in witness:
-            w = table[table[inverse[c]][witness.pop(move)]][c]
-            kept = witness.setdefault(keep, w)
-            lifted = lifted or part_of[kept] != part_of[w]
+            # move the smaller component: a is its end of the edge, y the
+            # gain of the orientation a -> b
+            if len(members[rt]) < len(members[rh]):
+                a, b, y, keep, move = t, h, x, rh, rt
+            else:
+                a, b, y, keep, move = h, t, inverse[x], rt, rh
+            c = table[table[inverse[eta[a]]][y]][eta[b]]
+            moved = members.pop(move)
+            for v in moved:
+                root[v] = keep
+                eta[v] = table[eta[v]][c]
+            members[keep] += moved
+            if move in witness:
+                w = table[table[inverse[c]][witness.pop(move)]][c]
+                if keep not in witness:
+                    witness[keep] = w
+                elif lifted or part_of[witness[keep]] == part_of[w]:
+                    continue
+                else:
+                    lifted = True
+        # the edge raised the rank by one
+        need -= 1
+        if not need:
+            break
     return lifted
 
 
@@ -243,8 +268,26 @@ def component_rank(
     Neither verdict depends on the forest: both are properties of the gain
     group up to conjugacy.
     """
+    return _capped_rank(g, subset, part_of, lift, -1)
+
+
+def _capped_rank(
+    g: GainGraph, subset: Iterable[int], part_of: Sequence[int], lift: bool, cap: int
+) -> int:
+    """component_rank, stopped once the edges read so far reach rank ``cap``.
+
+    With ``cap`` the rank of every edge of ``g`` this is exact: rank is
+    monotone, so a set holding a prefix of that rank has that rank. The ids
+    after the stop are still looked up, so an unknown one raises ValueError.
+    A negative cap never stops the pass.
+    """
     state = root, _, members, witness = {}, {}, {}, {}
-    lifted = _union_edges(g, part_of, state, subset, False)
+    rest = iter(subset)
+    # the empty state has rank 0, so ``cap`` rank-raising edges reach the cap
+    lifted = _union_edges(g, part_of, state, rest, not lift, cap)
+    ends = g.ends
+    for eid in rest:
+        ends[eid]
     return len(root) - len(members) + len(witness) + (lift and lifted)
 
 
@@ -302,10 +345,28 @@ class _EdgeOracle(RankOracle):
         g = self.biased.graph
         return g, _uniform_parts(g.group.order, part), lift
 
+    @functools.cached_property
+    def _capped_form(self):
+        """(graph, part_of, rank of the ground set), the rank found by one
+        direct pass; it stops each later pass early (see _capped_rank).
+        None for a balanced-cycle set."""
+        form = self.component_form()
+        if form is None:
+            return None
+        g, part_of, lift = form
+        return g, part_of, component_rank(g, self.ground, part_of, lift)
+
+    def _rank(self, subset: Iterable[int], lift: bool) -> int:
+        form = self._capped_form
+        if form is None:
+            return _scan_rank(self.biased, subset, lift)
+        g, part_of, cap = form
+        return _capped_rank(g, subset, part_of, lift, cap)
+
 
 class FrameOracle(_EdgeOracle):
     def rank(self, subset: Iterable[int]) -> int:
-        return frame_rank(self.biased, subset)
+        return self._rank(subset, False)
 
     def component_form(self):
         return self._uniform_form(0, False)
@@ -313,7 +374,7 @@ class FrameOracle(_EdgeOracle):
 
 class LiftOracle(_EdgeOracle):
     def rank(self, subset: Iterable[int]) -> int:
-        return lift_rank(self.biased, subset)
+        return self._rank(subset, True)
 
     def component_form(self):
         return self._uniform_form(KERNEL_PART, True)
@@ -324,7 +385,7 @@ class GraphicOracle(_EdgeOracle):
         super().__init__(BiasedGraph.from_gain_graph(graph))
 
     def rank(self, subset: Iterable[int]) -> int:
-        return graphic_rank(self.biased.graph, subset)
+        return self._rank(subset, False)
 
     def component_form(self):
         return self._uniform_form(IDENTITY_PART, False)

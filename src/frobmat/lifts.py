@@ -21,6 +21,7 @@ from .biased import (
     FuncOracle,
     RankOracle,
     _brylawski_rank,
+    _capped_rank,
     _vertices_of,
     component_rank,
     frame_circuits,
@@ -109,14 +110,24 @@ class LiftedMatroid(RankOracle):
         self.ground = tuple(sorted(e.id for e in graph.edges))
 
     def rank(self, subset: Iterable[int]) -> int:
-        return component_rank(self.graph, subset, self.ctx.part_of, True)
+        return _capped_rank(self.graph, subset, self.ctx.part_of, True, self._rank_cap)
 
     def component_form(self):
         return self.graph, self.ctx.part_of, True
 
     def underlying_rank(self, subset: Iterable[int]) -> int:
         """Rank in the frame matroid of the quotient gain graph."""
-        return component_rank(self.graph, subset, self.ctx.part_of, False)
+        return _capped_rank(self.graph, subset, self.ctx.part_of, False, self._frame_cap)
+
+    # r(E) and the frame rank of E, each by one direct pass (not a rank
+    # query); they stop each later pass early (see _capped_rank)
+    @cached_property
+    def _rank_cap(self) -> int:
+        return component_rank(self.graph, self.ground, self.ctx.part_of, True)
+
+    @cached_property
+    def _frame_cap(self) -> int:
+        return component_rank(self.graph, self.ground, self.ctx.part_of, False)
 
     @cached_property
     def quotient_biased(self) -> BiasedGraph:

@@ -462,6 +462,139 @@ def test_lifted_matroid_matches_class_lift_oracle(seed):
         assert rank_table(m) == rank_table(by_class), ctx
 
 
+def _awkward_graph(group, rng):
+    """A random gain graph with a loop, a parallel pair, a second component
+    and an isolated vertex, its edge ids shuffled and not consecutive."""
+    nv = rng.randint(1, 4)
+    triples = [
+        (rng.randrange(nv), rng.randrange(nv), rng.randrange(group.order))
+        for _ in range(rng.randint(0, 5))
+    ]
+    v = rng.randrange(nv)
+    triples.append((v, v, rng.randrange(group.order)))
+    t, h, _ = triples[0]
+    triples.append((t, h, rng.randrange(group.order)))
+    triples.append((nv, nv + 1, rng.randrange(group.order)))
+    ids = rng.sample(range(3 * len(triples)), len(triples))
+    edges = (Edge(i, t, h, x) for i, (t, h, x) in zip(ids, triples))
+    return GainGraph(group, nv + 3, edges)
+
+
+def _uncapped(oracle):
+    """The oracle's ranks by a plain component_rank pass over every id."""
+    g, part_of, lift = oracle.component_form()
+    return lambda ids: component_rank(g, ids, part_of, lift)
+
+
+def _shuffled_queries(ids, rng):
+    """Every subset of ``ids``, shuffled and with some ids repeated, so that
+    a pass may stop at any position."""
+    for r in range(len(ids) + 1):
+        for sub in itertools.combinations(ids, r):
+            query = list(sub) + rng.choices(sub, k=rng.randint(0, r))
+            rng.shuffle(query)
+            yield sub, query
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_capped_ranks_match_uncapped_and_explicit_routes(seed):
+    """Every oracle whose passes stop at the ground-set rank against a pass
+    that reads every id, and against the explicit balanced-cycle route:
+    scanned components for the frame, lift and graphic ranks, and the
+    modular-pair lift of the gain-defined class for the lifted rank."""
+    rng = random.Random(seed)
+    i = seed % len(DIFFERENTIAL_GROUPS)
+    g = _awkward_graph(DIFFERENTIAL_GROUPS[i], rng)
+
+    def explicit(graph):
+        return BiasedGraph.from_balanced_set(
+            graph, [c for c in enumerate_cycles(graph) if is_balanced_cycle(graph, c)]
+        )
+
+    gain, scanned = BiasedGraph.from_gain_graph(g), explicit(g)
+    every_cycle = BiasedGraph.from_balanced_set(g, enumerate_cycles(g))
+    routes = [
+        (FrameOracle(gain).rank, _uncapped(FrameOracle(gain)), FrameOracle(scanned).rank),
+        (LiftOracle(gain).rank, _uncapped(LiftOracle(gain)), LiftOracle(scanned).rank),
+        (GraphicOracle(g).rank, _uncapped(GraphicOracle(g)), FrameOracle(every_cycle).rank),
+    ]
+    for ctx in DIFFERENTIAL_CONTEXTS[i]:
+        m = LiftedMatroid(ctx, g)
+        host = explicit(quotient_gains(g, ctx.quotient))
+        frame = FrameOracle(host)
+        lift = brylawski_lift(frame, frame_circuits(host), _class_by_gains(ctx, g))
+        routes.append((m.rank, _uncapped(m), lift.rank))
+        routes.append(
+            (
+                m.underlying_rank,
+                lambda ids, ctx=ctx: component_rank(g, ids, ctx.part_of, False),
+                frame.rank,
+            )
+        )
+    for sub, query in _shuffled_queries(g.edge_ids(), rng):
+        for capped, uncapped, by_cycles in routes:
+            expected = by_cycles(sub)
+            assert capped(query) == uncapped(query) == expected, (sub, query)
+
+
+COMPLETE_GRAPHS = [
+    complete_gain_graph(make_dihedral(6), 4),
+    complete_gain_graph(make_inversion_extension(make_cyclic(9)), 4),
+    complete_gain_graph(make_field_affine(5), 5),
+]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_capped_ranks_match_uncapped_on_complete_graphs(seed):
+    """On K_4 and K_5, where a random half reaches the ground-set rank early,
+    the stopped passes against passes that read every id, under every
+    partition; queries are random halves, small sets and the ground set,
+    shuffled with repeats."""
+    rng = random.Random(seed)
+    g = COMPLETE_GRAPHS[seed % len(COMPLETE_GRAPHS)]
+    ids = g.edge_ids()
+    queries = [list(ids)] + [
+        [i for i in ids if rng.random() < rng.choice((0.05, 0.5))] for _ in range(40)
+    ]
+    queries += [q + rng.choices(q, k=len(q) // 2) for q in queries if q]
+    for q in queries:
+        rng.shuffle(q)
+    b = BiasedGraph.from_gain_graph(g)
+    oracles = [FrameOracle(b), LiftOracle(b), GraphicOracle(g)]
+    for ctx in contexts_of(g.group):
+        oracles.append(LiftedMatroid(ctx, g))
+    for oracle in oracles:
+        uncapped = _uncapped(oracle)
+        for q in queries:
+            assert oracle.rank(q) == uncapped(q), (oracle, q)
+    for ctx in contexts_of(g.group):
+        m = LiftedMatroid(ctx, g)
+        for q in queries:
+            assert m.underlying_rank(q) == component_rank(g, q, ctx.part_of, False), (ctx, q)
+
+
+@pytest.mark.parametrize("complete", [False, True])
+def test_unknown_id_after_the_ground_set_rank_raises(d6, d6_frobenius, complete):
+    """Every id is looked up, also after a pass has reached the ground-set
+    rank and stopped counting."""
+    g = complete_gain_graph(d6, 4) if complete else graph(d6, 3, [(0, 1, 3), (1, 2, 4), (2, 2, 1)])
+    b = BiasedGraph.from_gain_graph(g)
+    m = LiftedMatroid(d6_frobenius, g)
+    missing = max(g.edge_ids()) + 1
+    for rank in (
+        m.rank,
+        m.underlying_rank,
+        FrameOracle(b).rank,
+        LiftOracle(b).rank,
+        GraphicOracle(g).rank,
+    ):
+        assert rank(g.edge_ids()) > 0
+        with pytest.raises(ValueError, match=f"no edge {missing}"):
+            rank(list(g.edge_ids()) + [missing])
+
+
 def _pairwise_linear_class(host, host_circuits, cand):
     """The modular-pair check over every pair of members, no union skipped;
     also returns how many distinct unions it reached."""
