@@ -149,6 +149,12 @@ class BiasedGraph:
         )
 
 
+# step(state, e, last) -> (state', rank'): the state and rank of the set
+# plus ground element e; ``state`` is left as it was unless ``last`` is set,
+# which says the caller will not use it again
+Step = Callable[[object, int, bool], tuple[object, int]]
+
+
 class RankOracle:
     """A ground set of edge ids plus a rank function on id subsets."""
 
@@ -160,10 +166,17 @@ class RankOracle:
     def full_rank(self) -> int:
         return self.rank(self.ground)
 
-    def component_form(self) -> Optional[tuple[GainGraph, Sequence[int], bool]]:
-        """(graph, part_of, lift) when rank(X) is component_rank(graph, X,
-        part_of, lift); None when the rank is computed some other way."""
-        return None
+    def walk(self) -> tuple[object, int, Step]:
+        """(state, rank, step): the state and rank of the empty set, and a
+        step that adds one ground element. This one keeps the set itself and
+        asks ``rank`` once per step; oracles with an incremental form walk
+        one element per step instead."""
+
+        def step(state: tuple[int, ...], e: int, last: bool):
+            state += (e,)
+            return state, self.rank(state)
+
+        return (), self.rank(()), step
 
 
 class FuncOracle(RankOracle):
@@ -255,6 +268,24 @@ def _union_edges(
     return lifted
 
 
+def component_walk(g: GainGraph, part_of: Sequence[int], lift: bool) -> tuple[object, int, Step]:
+    """The walk of component_rank(g, ., part_of, lift): each step runs
+    _union_edges on one edge, on a copy of the union-find state unless the
+    step is the state's last."""
+
+    def step(state: tuple, e: int, last: bool):
+        uf, lifted = state
+        root, eta, members, witness = uf
+        if not last:
+            uf = root, eta, members, witness = (
+                root.copy(), eta.copy(), members.copy(), witness.copy()
+            )
+        lifted = _union_edges(g, part_of, uf, (e,), lifted)
+        return (uf, lifted), len(root) - len(members) + len(witness) + (lift and lifted)
+
+    return (({}, {}, {}, {}), False), 0, step
+
+
 def component_rank(
     g: GainGraph, subset: Iterable[int], part_of: Sequence[int], lift: bool
 ) -> int:
@@ -333,15 +364,21 @@ def lift_rank(b: BiasedGraph, subset: Iterable[int]) -> int:
 class _EdgeOracle(RankOracle):
     """A rank function whose ground set is every edge of a biased graph."""
 
+    # (part, lift): component_rank with every non-identity gain in ``part``;
+    # None in a subclass that computes its rank some other way
+    _uniform: Optional[tuple[int, bool]] = None
+
     def __init__(self, biased: BiasedGraph):
         self.biased = biased
         self.ground = tuple(sorted(biased.graph.edge_ids()))
 
-    def _uniform_form(self, part: int, lift: bool):
-        """The component form that puts every non-identity gain in ``part``;
-        None for a balanced-cycle set, whose ranks come from scans."""
-        if not self.biased.gain_derived:
+    @functools.cached_property
+    def _form(self) -> Optional[tuple[GainGraph, Sequence[int], bool]]:
+        """(graph, part_of, lift) when the rank is component_rank; None for a
+        balanced-cycle set, whose ranks come from scans."""
+        if self._uniform is None or not self.biased.gain_derived:
             return None
+        part, lift = self._uniform
         g = self.biased.graph
         return g, _uniform_parts(g.group.order, part), lift
 
@@ -350,11 +387,16 @@ class _EdgeOracle(RankOracle):
         """(graph, part_of, rank of the ground set), the rank found by one
         direct pass; it stops each later pass early (see _capped_rank).
         None for a balanced-cycle set."""
-        form = self.component_form()
+        form = self._form
         if form is None:
             return None
         g, part_of, lift = form
         return g, part_of, component_rank(g, self.ground, part_of, lift)
+
+    def walk(self):
+        if self._form is None:
+            return super().walk()
+        return component_walk(*self._form)
 
     def _rank(self, subset: Iterable[int], lift: bool) -> int:
         form = self._capped_form
@@ -365,30 +407,27 @@ class _EdgeOracle(RankOracle):
 
 
 class FrameOracle(_EdgeOracle):
+    _uniform = 0, False
+
     def rank(self, subset: Iterable[int]) -> int:
         return self._rank(subset, False)
 
-    def component_form(self):
-        return self._uniform_form(0, False)
-
 
 class LiftOracle(_EdgeOracle):
+    _uniform = KERNEL_PART, True
+
     def rank(self, subset: Iterable[int]) -> int:
         return self._rank(subset, True)
 
-    def component_form(self):
-        return self._uniform_form(KERNEL_PART, True)
-
 
 class GraphicOracle(_EdgeOracle):
+    _uniform = IDENTITY_PART, False
+
     def __init__(self, graph: GainGraph):
         super().__init__(BiasedGraph.from_gain_graph(graph))
 
     def rank(self, subset: Iterable[int]) -> int:
         return self._rank(subset, False)
-
-    def component_form(self):
-        return self._uniform_form(IDENTITY_PART, False)
 
 
 class ClassLiftOracle(_EdgeOracle):
@@ -590,17 +629,49 @@ def brylawski_lift(
     ok, witness = is_linear_class(host, circuits, members)
     if not ok:
         raise ValueError(f"not a linear class; modular-pair witness {witness}")
-    return FuncOracle(host.ground, lambda x: _brylawski_rank(host, circuits, members, x))
+    return _BrylawskiOracle(host, circuits, members)
 
 
-def _brylawski_rank(
-    host: RankOracle,
-    circuits: Iterable[frozenset[int]],
-    members: set[frozenset[int]],
-    x: frozenset[int],
-) -> int:
-    """Host rank of x, plus one when a host circuit outside the class lies in x."""
-    return host.rank(x) + any(c <= x and c not in members for c in circuits)
+class _BrylawskiOracle(RankOracle):
+    """Host rank of x, plus one when a host circuit outside the class lies in
+    x; the class is not checked here."""
+
+    def __init__(
+        self,
+        host: RankOracle,
+        circuits: Iterable[frozenset[int]],
+        members: set[frozenset[int]],
+    ):
+        self.ground = host.ground
+        self.host = host
+        self.outside = [c for c in circuits if c not in members]
+
+    def rank(self, subset: Iterable[int]) -> int:
+        x = frozenset(subset)
+        return self.host.rank(x) + any(c <= x for c in self.outside)
+
+    def walk(self):
+        """The host's walk, with the subset's mask and the lift bit: a step
+        on e sets the bit when an outside circuit through e is now inside."""
+        bit = {e: 1 << i for i, e in enumerate(self.ground)}
+        through: dict[int, list[int]] = {e: [] for e in self.ground}
+        for c in self.outside:
+            # a circuit with an element off the ground set lies in no subset
+            if c <= bit.keys():
+                mask = sum(bit[e] for e in c)
+                for e in c:
+                    through[e].append(mask)
+        host_state, r, host_step = self.host.walk()
+        lifted = frozenset() in self.outside
+
+        def step(state: tuple, e: int, last: bool):
+            host_state, mask, lifted = state
+            host_state, r = host_step(host_state, e, last)
+            mask |= bit[e]
+            lifted = lifted or any(c & mask == c for c in through[e])
+            return (host_state, mask, lifted), r + lifted
+
+        return (host_state, 0, lifted), r + lifted, step
 
 
 def minimal_dependent_sets(
@@ -641,38 +712,68 @@ def subset_sweep(
 def rank_table(oracle: RankOracle, limit: int = DEFAULT_AXIOM_LIMIT) -> list[int]:
     """Rank of every subset, indexed by bitmask over the sorted ground set.
 
-    An oracle with a component form is walked depth first, one edge per
-    step: each subset's union-find state is a copy of its parent's (the
-    subset without its largest element) plus that element. Any other oracle
-    is asked once per subset.
+    The oracle is walked depth first, one element per step: each subset's
+    state is its parent's (the subset without its last element) plus that
+    element.
     """
     ground = oracle.ground
     m = len(ground)
     if m > limit:
         raise LimitExceeded(f"ground set larger than {limit}")
-    form = oracle.component_form()
-    if form is None:
-        return [
-            oracle.rank([ground[i] for i in range(m) if mask >> i & 1])
-            for mask in range(1 << m)
-        ]
-    g, part_of, lift = form
-    table = [0] * (1 << m)
+    state, r, step = oracle.walk()
+    table = [r] * (1 << m)
 
-    def visit(mask: int, start: int, state: tuple, lifted: bool) -> None:
+    def visit(mask: int, start: int, state: object) -> None:
         for j in range(start, m):
             # the last child is a leaf, so it may take the parent's state
-            child = state if j == m - 1 else tuple(d.copy() for d in state)
-            root, _, members, witness = child
-            child_lifted = _union_edges(g, part_of, child, (ground[j],), lifted)
-            table[mask | 1 << j] = (
-                len(root) - len(members) + len(witness) + (lift and child_lifted)
-            )
-            if j < m - 1:
-                visit(mask | 1 << j, j + 1, child, child_lifted)
+            last = j == m - 1
+            child, table[mask | 1 << j] = step(state, ground[j], last)
+            if not last:
+                visit(mask | 1 << j, j + 1, child)
 
-    visit(0, 0, ({}, {}, {}, {}), False)
+    visit(0, 0, state)
     return table
+
+
+def first_disagreement(a: RankOracle, b: RankOracle) -> Optional[tuple[int, ...]]:
+    """The first subset of the common ground set, by size and then in
+    ``itertools.combinations`` order, on which a and b differ in rank; None
+    when they agree on every subset.
+
+    Both oracles are walked depth first, one element per step. That order
+    visits the subsets of each size in combinations order, so after a
+    disagreement of size s only a smaller subset can come first, and the
+    walk goes no deeper than s - 1 from there on. Each node costs one step
+    of each walk, and no run visits more than 2^m nodes.
+    """
+    ground = a.ground
+    if tuple(b.ground) != tuple(ground):
+        raise ValueError("ground sets differ")
+    m = len(ground)
+    state_a, ra, step_a = a.walk()
+    state_b, rb, step_b = b.walk()
+    if ra != rb:
+        return ()
+    found: Optional[tuple[int, ...]] = None
+    depth = m  # the largest size still worth visiting
+
+    def visit(path: tuple[int, ...], start: int, sa: object, sb: object) -> None:
+        # called only while sets one larger than ``path`` are worth visiting
+        nonlocal found, depth
+        size = len(path) + 1
+        for j in range(start, m):
+            e = ground[j]
+            last = j == m - 1
+            ca, xa = step_a(sa, e, last)
+            cb, xb = step_b(sb, e, last)
+            if xa != xb:
+                found, depth = path + (e,), size - 1
+                return
+            if not last and size < depth:
+                visit(path + (e,), j + 1, ca, cb)
+
+    visit((), 0, state_a, state_b)
+    return found
 
 
 def matroid_axiom_check(oracle: RankOracle, limit: int = DEFAULT_AXIOM_LIMIT):

@@ -10,6 +10,7 @@ switching, inside a single part.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -20,18 +21,20 @@ from .biased import (
     BiasedGraph,
     FuncOracle,
     RankOracle,
-    _brylawski_rank,
+    _BrylawskiOracle,
     _capped_rank,
     _vertices_of,
     component_rank,
+    component_walk,
+    first_disagreement,
     frame_circuits,
     is_linear_class,
     minimal_dependent_sets,
     scan_components,
-    subset_sweep,
 )
 from .errors import LimitExceeded
 from .gaingraph import (
+    DEFAULT_CYCLE_COUNT_LIMIT,
     Edge,
     GainGraph,
     Walk,
@@ -112,8 +115,8 @@ class LiftedMatroid(RankOracle):
     def rank(self, subset: Iterable[int]) -> int:
         return _capped_rank(self.graph, subset, self.ctx.part_of, True, self._rank_cap)
 
-    def component_form(self):
-        return self.graph, self.ctx.part_of, True
+    def walk(self):
+        return component_walk(self.graph, self.ctx.part_of, True)
 
     def underlying_rank(self, subset: Iterable[int]) -> int:
         """Rank in the frame matroid of the quotient gain graph."""
@@ -313,11 +316,20 @@ def linear_class(
 
 def bases(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
     """Bases per the spanning characterization over the underlying frame
-    matroid."""
+    matroid.
+
+    Raises LimitExceeded, before any candidate or frame circuit is built,
+    when there are more than DEFAULT_CYCLE_COUNT_LIMIT candidates.
+    """
     oracle = LiftedMatroid(ctx, g)
     ground = oracle.ground
     n_rank = oracle.underlying_rank(ground)
-    if oracle.rank(ground) == n_rank:
+    size = oracle.rank(ground)
+    if math.comb(len(ground), size) > DEFAULT_CYCLE_COUNT_LIMIT:
+        raise LimitExceeded(
+            f"more than {DEFAULT_CYCLE_COUNT_LIMIT} basis candidates of size {size}"
+        )
+    if size == n_rank:
         # M = N, and an independent set of N holds no circuit
         return [
             combo
@@ -581,10 +593,9 @@ def is_elementary_lift(
     ok, witness = is_linear_class(host, host_circuits, recovered)
     if not ok:
         return False, witness
-    for combo in subset_sweep(m.ground, limit, 0, None):
-        subset = frozenset(combo)
-        if m.rank(subset) != _brylawski_rank(host, host_circuits, recovered, subset):
-            return False, tuple(sorted(subset))
+    bad = first_disagreement(m, _BrylawskiOracle(host, host_circuits, recovered))
+    if bad is not None:
+        return False, tuple(sorted(bad))
     return True, sorted(tuple(sorted(c)) for c in recovered)
 
 

@@ -14,7 +14,7 @@ import math
 import random
 from typing import Iterable, Optional, Sequence
 
-from .biased import BiasedGraph, FrameOracle, RankOracle, subset_sweep
+from .biased import BiasedGraph, FrameOracle, RankOracle, first_disagreement, subset_sweep
 from .errors import LimitExceeded, RecoveryError
 from .gaingraph import (
     DEFAULT_CYCLE_COUNT_LIMIT,
@@ -277,18 +277,26 @@ def recover_partition(
 
     reconstructed = LiftedMatroid(FrobeniusContext(group, partition, validate=False), g)
     ids = list(m.ground)
-    subsets: Iterable[Sequence[int]] = subset_sweep(ids, EXHAUSTIVE_EDGE_LIMIT, verify_sweep, rng)
-    if len(ids) > EXHAUSTIVE_EDGE_LIMIT:
+    if len(ids) <= EXHAUSTIVE_EDGE_LIMIT:
+        bad = first_disagreement(m, reconstructed)
+    else:
         structured = [
             edge_bundle(group, n, (0, a, b))
             for a, b in itertools.combinations_with_replacement(group.elements(), 2)
         ]
-        subsets = itertools.chain(structured, subsets)
-    for subset in subsets:
-        if m.rank(subset) != reconstructed.rank(subset):
-            raise RecoveryError(
-                f"reconstructed matroid disagrees with the input on {tuple(sorted(subset))}"
-            )
+        sampled = subset_sweep(ids, EXHAUSTIVE_EDGE_LIMIT, verify_sweep, rng)
+        bad = next(
+            (
+                s
+                for s in itertools.chain(structured, sampled)
+                if m.rank(s) != reconstructed.rank(s)
+            ),
+            None,
+        )
+    if bad is not None:
+        raise RecoveryError(
+            f"reconstructed matroid disagrees with the input on {tuple(sorted(bad))}"
+        )
     return partition
 
 

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .biased import RankOracle, subset_sweep
+from .biased import RankOracle, first_disagreement, subset_sweep
 from .gaingraph import Edge, GainGraph, apply_switching
 from .groups import FiniteGroup
 from .lifts import FrobeniusContext, LiftedMatroid
@@ -165,6 +165,32 @@ class VectorOracle(RankOracle):
     def rank(self, subset: Iterable[int]) -> int:
         return matrix_rank_gf(self.matrix, [self._col_of[i] for i in subset])
 
+    def walk(self):
+        """The state is a basis of the columns so far, in echelon form: a
+        tuple of (pivot, row), each row scaled to 1 at its pivot and zero at
+        the pivots of the rows before it. A step reduces one column against
+        the rows in order and appends what is left, if anything."""
+        q, rows = self.matrix.q, self.matrix.rows
+        columns = {eid: self.matrix.column(j) for eid, j in self._col_of.items()}
+        inverse = [0] + [pow(x, q - 2, q) for x in range(1, q)]
+
+        def step(basis: tuple, eid: int, last: bool):
+            if len(basis) == rows:
+                return basis, rows
+            col = columns[eid]
+            for p, row in basis:
+                f = col[p]
+                if f:
+                    col = [(x - f * y) % q for x, y in zip(col, row)]
+            pivot = next((i for i, x in enumerate(col) if x), None)
+            if pivot is None:
+                return basis, len(basis)
+            c = inverse[col[pivot]]
+            basis += ((pivot, tuple(x * c % q for x in col)),)
+            return basis, len(basis)
+
+        return (), 0, step
+
 
 def verify_representation(
     ctx: FrobeniusContext,
@@ -181,6 +207,9 @@ def verify_representation(
     ids = sorted(e.id for e in g.edges)
     vec = VectorOracle(matrix, ids)
     m = LiftedMatroid(ctx, g)
+    if len(ids) <= exhaustive_limit:
+        bad = first_disagreement(vec, m)
+        return bad is None, bad
     for subset in subset_sweep(ids, exhaustive_limit, samples, random.Random(seed)):
         if vec.rank(subset) != m.rank(subset):
             return False, subset

@@ -29,7 +29,13 @@ from frobmat import (
     minimal_dependent_sets,
     theta_property_check,
 )
-from frobmat.biased import FuncOracle, graphic_rank, rank_table, subset_sweep
+from frobmat.biased import (
+    FuncOracle,
+    first_disagreement,
+    graphic_rank,
+    rank_table,
+    subset_sweep,
+)
 from frobmat.errors import LimitExceeded
 
 from conftest import random_gain_graph
@@ -410,3 +416,64 @@ def test_axiom_check_matches_pairwise_reference(seed):
     index = {e: 1 << k for k, e in enumerate(ground)}
     oracle = FuncOracle(ground, lambda s: table[sum(index[e] for e in s)])
     assert matroid_axiom_check(oracle) == _pairwise_axiom_check(oracle)
+
+
+# --- first disagreement -------------------------------------------------------
+
+
+def _first_by_size(a, b):
+    """The reference scan: every subset by size, in combinations order, one
+    rank query per oracle each."""
+    return next(
+        (
+            s
+            for k in range(len(a.ground) + 1)
+            for s in itertools.combinations(a.ground, k)
+            if a.rank(s) != b.rank(s)
+        ),
+        None,
+    )
+
+
+def _corrupted(oracle, rng):
+    """A per-subset copy of ``oracle`` with up to two ranks moved by one; the
+    moved sets are drawn by size first, so that small ones come up."""
+    ground = oracle.ground
+    moved = {}
+    for _ in range(rng.randrange(3)):
+        s = frozenset(rng.sample(ground, rng.randint(0, len(ground))))
+        moved[s] = rng.choice((-1, 1))
+    return FuncOracle(ground, lambda s: oracle.rank(s) + moved.get(s, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_first_disagreement_matches_by_size_scan(seed):
+    """The pruned walk against the reference scan: a lift against corrupted
+    copies of itself, walkable and not, and walkable pairs that differ as
+    matroids (two partitions, the quotient frame and lift)."""
+    rng = random.Random(seed)
+    i = rng.randrange(len(AXIOM_GROUPS))
+    g = random_gain_graph(AXIOM_GROUPS[i], rng, max_vertices=4, max_edges=9)
+    ctx, other = rng.choice(AXIOM_CONTEXTS[i]), rng.choice(AXIOM_CONTEXTS[i])
+    m = LiftedMatroid(ctx, g)
+    bad = _corrupted(m, rng)
+    plain = FuncOracle(m.ground, m.rank)
+    quotient = m.quotient_biased
+    pairs = [
+        (m, bad),
+        (bad, m),
+        (plain, bad),
+        (m, plain),
+        (m, LiftedMatroid(other, g)),
+        (m, FrameOracle(quotient)),
+        (LiftOracle(quotient), m),
+        (GraphicOracle(g), FrameOracle(quotient)),
+    ]
+    for a, b in pairs:
+        assert first_disagreement(a, b) == _first_by_size(a, b), (a, b)
+
+
+def test_first_disagreement_rejects_other_ground_sets():
+    with pytest.raises(ValueError, match="ground sets differ"):
+        first_disagreement(FuncOracle(range(3), len), FuncOracle(range(4), len))

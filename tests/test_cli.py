@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,19 @@ def test_bases_of_tree(write, capsys):
     spec = {"group": D6_SPEC, "vertices": 3, "edges": [[0, 1, 0], [1, 2, 0]]}
     code, out, _ = run(capsys, "bases", "--graph", write("t.json", spec), "--kernel", "auto")
     assert code == 0 and out == "0,1\n"
+
+
+def test_bases_above_the_candidate_cap_exits_in_one_line(write, capsys):
+    """36 edges on 6 vertices over D6: the lift has rank 7, and C(36, 7) is
+    about 8.3 million candidates."""
+    rng = random.Random(0)
+    edges = [[rng.randrange(6), rng.randrange(6), rng.randrange(6)] for _ in range(36)]
+    spec = {"group": D6_SPEC, "vertices": 6, "edges": edges}
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bases", "--graph", write("g.json", spec), "--kernel", "auto")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: more than 1000000 basis candidates of size 7\n"
 
 
 def test_matrix_figure_golden(write, capsys):

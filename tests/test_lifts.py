@@ -16,6 +16,7 @@ from frobmat import (
     GraphicOracle,
     LiftOracle,
     LiftedMatroid,
+    LimitExceeded,
     apply_switching,
     bases,
     brylawski_lift,
@@ -43,6 +44,7 @@ from frobmat import (
     make_inversion_extension,
     matroid_axiom_check,
     minimal_dependent_sets,
+    normalize_forest,
     quotient_gains,
     switch_invariance_check,
     verify_spike,
@@ -395,6 +397,24 @@ def test_bases_brute_force_on_both_branches(d6):
     assert sorted(set(lifted)) == [0, 1]
 
 
+def test_bases_checks_the_candidate_count_first(d6, monkeypatch):
+    """Every partition of a 36-edge, 6-vertex graph over D6 has more than
+    10^6 candidates (C(36, 6) and C(36, 7)); the cap raises before the frame
+    circuits are enumerated."""
+    import frobmat.lifts as lifts
+
+    def refuse(*args):
+        raise AssertionError("frame circuits enumerated before the candidate count was checked")
+
+    rng = random.Random(0)
+    g = graph(d6, 6, [(rng.randrange(6), rng.randrange(6), rng.randrange(6)) for _ in range(36)])
+    contexts = contexts_of(d6)
+    monkeypatch.setattr(lifts, "frame_circuits", refuse)
+    for ctx in contexts:
+        with pytest.raises(LimitExceeded, match="more than 1000000 basis candidates"):
+            bases(ctx, g)
+
+
 def _class_by_gains(ctx, g):
     """The linear class by its gain definition, independent of the rank."""
     qb = BiasedGraph.from_gain_graph(quotient_gains(g, ctx.quotient))
@@ -411,6 +431,48 @@ def test_linear_class_matches_class_member(seed):
     g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=4, max_edges=10)
     for ctx in DIFFERENTIAL_CONTEXTS[i]:
         assert linear_class(ctx, g) == _class_by_gains(ctx, g), ctx
+
+
+def _random_tree_verdict(ctx, g, circuit, rng):
+    """class_member's test of a theta or handcuff, read after normalizing a
+    random spanning tree of the circuit instead of the BFS tree."""
+    ids = list(circuit)
+    rng.shuffle(ids)
+    comp = {}
+
+    def find(v):
+        while comp.get(v, v) != v:
+            v = comp[v]
+        return v
+
+    tree = []
+    for eid in ids:
+        e = g.edge(eid)
+        a, b = find(e.tail), find(e.head)
+        if a != b:
+            comp[a] = b
+            tree.append(eid)
+    eta = normalize_forest(g, tree, g.edge(ids[0]).tail)
+    switched = apply_switching(g, eta)
+    parts = [ctx.part_of[switched.edge(eid).gain] for eid in ids if eid not in tree]
+    return all(p >= 0 for p in parts) and parts[0] == parts[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_class_member_does_not_depend_on_the_spanning_tree(seed):
+    """On every theta and handcuff of the quotient, under every partition of
+    D6 and F20, class_member (the BFS tree of scan_components) agrees with
+    the verdict read off a random spanning tree."""
+    rng = random.Random(seed)
+    i = seed % 2  # D6 or F20
+    g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=4, max_edges=8)
+    for ctx in DIFFERENTIAL_CONTEXTS[i]:
+        for c in LiftedMatroid(ctx, g).frame_circuits:
+            if _classify_circuit(ctx, g, c).kind == "cycle":
+                continue
+            for _ in range(3):
+                assert _random_tree_verdict(ctx, g, c, rng) == class_member(ctx, g, c), (ctx, c)
 
 
 def test_linear_class_matches_class_member_on_k3(d6):
@@ -482,7 +544,10 @@ def _awkward_graph(group, rng):
 
 def _uncapped(oracle):
     """The oracle's ranks by a plain component_rank pass over every id."""
-    g, part_of, lift = oracle.component_form()
+    if isinstance(oracle, LiftedMatroid):
+        g, part_of, lift = oracle.graph, oracle.ctx.part_of, True
+    else:
+        g, part_of, lift = oracle._form
     return lambda ids: component_rank(g, ids, part_of, lift)
 
 
@@ -884,6 +949,27 @@ def test_is_elementary_lift_rejects_non_lift(d6, d6_frobenius):
     ok, witness = is_elementary_lift(bumped, m)
     assert not ok
     assert witness == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "bumped,witness",
+    [
+        ([(0, 1, 2, 5, 6), (2, 4, 7)], (2, 4, 7)),
+        ([(3, 5, 8)], (3, 5, 8)),
+        ([(0, 1), (1, 2, 3, 4, 5, 6)], (0, 1)),
+    ],
+)
+def test_is_elementary_lift_witness_is_first_by_size(d6, d6_frobenius, bumped, witness):
+    """One rank raised on each bumped set (none a host circuit): the witness
+    is the first of them by size, then in combinations order."""
+    g = graph(
+        d6, 4,
+        [(2, 1, 3), (0, 0, 4), (0, 2, 4), (0, 1, 0), (0, 3, 3), (0, 1, 0), (3, 0, 4), (0, 1, 5), (0, 3, 0)],
+    )
+    m = LiftedMatroid(d6_frobenius, g)
+    bad = {frozenset(s) for s in bumped}
+    oracle = FuncOracle(m.ground, lambda s: m.rank(s) + (s in bad))
+    assert is_elementary_lift(oracle, m.underlying_oracle()) == (False, witness)
 
 
 # --- switching invariance ----------------------------------------------------

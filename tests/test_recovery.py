@@ -134,6 +134,31 @@ def _flip_cycles(g, m, balanced, length, mod, residue):
     return FuncOracle(m.ground, rank)
 
 
+@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize(
+    "bumped,witness",
+    [
+        ([(0, 1, 2, 3, 4, 7, 9)], (0, 1, 2, 3, 4, 7, 9)),
+        ([(0, 1, 2, 3, 4, 7, 9), (2, 5, 8, 11)], (2, 5, 8, 11)),
+    ],
+)
+def test_exhaustive_sweep_witnesses(z2, monkeypatch, index, bumped, witness):
+    """K_4 over Z2 (12 edges) with one rank raised on each bumped set: the
+    first of them by size is named by the elementary check and, with that
+    check skipped, by the final comparison with the reconstructed lift."""
+    part = frobenius_partitions(z2)[index]
+    m = LiftedMatroid(FrobeniusContext(z2, part), complete_gain_graph(z2, 4))
+    bad = {frozenset(s) for s in bumped}
+    oracle = FuncOracle(m.ground, lambda s: m.rank(s) + (s in bad))
+    with pytest.raises(RecoveryError) as info:
+        recover_partition(z2, part.kernel, 4, oracle)
+    assert str(info.value) == f"not an elementary lift of the frame matroid: {witness}"
+    monkeypatch.setattr("frobmat.recovery._check_elementary", lambda *args: None)
+    with pytest.raises(RecoveryError) as info:
+        recover_partition(z2, part.kernel, 4, oracle)
+    assert str(info.value) == f"reconstructed matroid disagrees with the input on {witness}"
+
+
 WITNESS_GROUPS = {"D6": make_dihedral(6), "F20": make_field_affine(5)}
 
 

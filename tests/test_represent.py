@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobmat import (
     AffinePair,
@@ -23,6 +25,7 @@ from frobmat import (
     switching_projective_check,
     verify_representation,
 )
+from frobmat.biased import rank_table
 from frobmat.represent import MAX_MATRIX_ENTRIES, FieldMatrix
 
 from conftest import random_gain_graph
@@ -166,6 +169,38 @@ def test_verify_representation_random_graphs():
             assert ok, (q, witness, [(e.tail, e.head, e.gain) for e in g.edges])
 
 
+# (seed, lift-partition witness, frame-partition witness): the first subset,
+# by size and then in combinations order, on which the matrix and the lift
+# disagree; the matrix represents neither of these two partitions
+PINNED_WITNESSES = [
+    (0, (1, 3), (0, 6, 10)),
+    (1, (1, 4), (1, 4)),
+    (2, (1, 2, 5), (1, 2, 5)),
+    (3, (3, 4), (0, 2, 4)),
+    (10, (0, 4, 5), (0, 2, 4, 5)),
+    (11, (0, 4), (0, 1)),
+    (20, (2, 6), (0, 2, 6, 7)),
+    (29, (3, 6), (0, 1, 3, 6)),
+    (30, (0, 2, 7), (0, 2, 3, 7)),
+    (33, (1, 5, 7), (1, 3, 5, 7)),
+    (37, (4, 5), (0, 2, 5)),
+    (39, (0, 1, 4), (0, 1, 4)),
+]
+
+
+@pytest.mark.parametrize("seed,lift_witness,frame_witness", PINNED_WITNESSES)
+def test_verify_representation_pinned_witnesses(f20, seed, lift_witness, frame_witness):
+    """Graphs of 8-12 edges over AGL(1,5) on the lift and frame partitions."""
+    rng = random.Random(seed)
+    nv = rng.randint(3, 5)
+    ne = rng.randint(8, 12)
+    triples = [(rng.randrange(nv), rng.randrange(nv), rng.randrange(20)) for _ in range(ne)]
+    g = GainGraph.from_triples(f20, nv, triples)
+    lift, frame = frobenius_partitions(f20)[:2]
+    assert verify_representation(FrobeniusContext(f20, lift), g) == (False, lift_witness)
+    assert verify_representation(FrobeniusContext(f20, frame), g) == (False, frame_witness)
+
+
 def test_row_zero_deletion_gives_frame_matroid(figure_graph, f20_frobenius):
     m = incidence_matrix(figure_graph)
     body = FieldMatrix.build(5, [list(r) for r in m.entries[1:]])
@@ -264,3 +299,43 @@ def test_incidence_matrix_rejects_other_groups(d6):
     g = GainGraph.from_triples(d6, 2, [(0, 1, 3)])
     with pytest.raises(ValueError, match="field_affine"):
         incidence_matrix(g)
+
+
+def _awkward_matrix(rng):
+    """A random matrix over GF(3), GF(5) or GF(7) whose columns include zero
+    columns, repeats and nonzero multiples of earlier ones."""
+    q = rng.choice((3, 5, 7))
+    rows = rng.randint(1, 5)
+    cols = []
+    for _ in range(rng.randint(0, 10)):
+        kind = rng.randrange(4) if cols else 0
+        if kind == 1:
+            cols.append([0] * rows)
+        elif kind == 2:
+            cols.append(list(rng.choice(cols)))
+        elif kind == 3:
+            c = rng.randrange(1, q)
+            cols.append([c * x for x in rng.choice(cols)])
+        else:
+            cols.append([rng.randrange(q) for _ in range(rows)])
+    data = [[col[i] for col in cols] for i in range(rows)]
+    return FieldMatrix.build(q, data) if cols else FieldMatrix(q, rows, 0, ((),) * rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_vector_walk_matches_per_subset_elimination(seed):
+    """The echelon walk's rank table against one matrix_rank_gf per subset;
+    ground ids are shuffled and not consecutive."""
+    rng = random.Random(seed)
+    matrix = _awkward_matrix(rng)
+    ids = rng.sample(range(3 * matrix.cols + 1), matrix.cols)
+    oracle = VectorOracle(matrix, ids)
+    col_of = {eid: j for j, eid in enumerate(ids)}
+    subsets = [
+        [e for k, e in enumerate(oracle.ground) if mask >> k & 1]
+        for mask in range(1 << matrix.cols)
+    ]
+    want = [matrix_rank_gf(matrix, [col_of[e] for e in s]) for s in subsets]
+    assert rank_table(oracle) == want
+    assert [oracle.rank(s) for s in subsets] == want
