@@ -159,6 +159,9 @@ class RankOracle:
     """A ground set of edge ids plus a rank function on id subsets."""
 
     ground: tuple[int, ...]
+    # True when ``walk`` steps one element at a time rather than asking
+    # ``rank`` of each subset
+    incremental = False
 
     def rank(self, subset: Iterable[int]) -> int:
         raise NotImplementedError
@@ -392,6 +395,10 @@ class _EdgeOracle(RankOracle):
             return None
         g, part_of, lift = form
         return g, part_of, component_rank(g, self.ground, part_of, lift)
+
+    @property
+    def incremental(self) -> bool:
+        return self._form is not None
 
     def walk(self):
         if self._form is None:
@@ -629,49 +636,17 @@ def brylawski_lift(
     ok, witness = is_linear_class(host, circuits, members)
     if not ok:
         raise ValueError(f"not a linear class; modular-pair witness {witness}")
-    return _BrylawskiOracle(host, circuits, members)
+    return FuncOracle(host.ground, lambda x: _brylawski_rank(host, circuits, members, x))
 
 
-class _BrylawskiOracle(RankOracle):
-    """Host rank of x, plus one when a host circuit outside the class lies in
-    x; the class is not checked here."""
-
-    def __init__(
-        self,
-        host: RankOracle,
-        circuits: Iterable[frozenset[int]],
-        members: set[frozenset[int]],
-    ):
-        self.ground = host.ground
-        self.host = host
-        self.outside = [c for c in circuits if c not in members]
-
-    def rank(self, subset: Iterable[int]) -> int:
-        x = frozenset(subset)
-        return self.host.rank(x) + any(c <= x for c in self.outside)
-
-    def walk(self):
-        """The host's walk, with the subset's mask and the lift bit: a step
-        on e sets the bit when an outside circuit through e is now inside."""
-        bit = {e: 1 << i for i, e in enumerate(self.ground)}
-        through: dict[int, list[int]] = {e: [] for e in self.ground}
-        for c in self.outside:
-            # a circuit with an element off the ground set lies in no subset
-            if c <= bit.keys():
-                mask = sum(bit[e] for e in c)
-                for e in c:
-                    through[e].append(mask)
-        host_state, r, host_step = self.host.walk()
-        lifted = frozenset() in self.outside
-
-        def step(state: tuple, e: int, last: bool):
-            host_state, mask, lifted = state
-            host_state, r = host_step(host_state, e, last)
-            mask |= bit[e]
-            lifted = lifted or any(c & mask == c for c in through[e])
-            return (host_state, mask, lifted), r + lifted
-
-        return (host_state, 0, lifted), r + lifted, step
+def _brylawski_rank(
+    host: RankOracle,
+    circuits: Iterable[frozenset[int]],
+    members: set[frozenset[int]],
+    x: frozenset[int],
+) -> int:
+    """Host rank of x, plus one when a host circuit outside the class lies in x."""
+    return host.rank(x) + any(c <= x and c not in members for c in circuits)
 
 
 def minimal_dependent_sets(
@@ -740,15 +715,30 @@ def first_disagreement(a: RankOracle, b: RankOracle) -> Optional[tuple[int, ...]
     ``itertools.combinations`` order, on which a and b differ in rank; None
     when they agree on every subset.
 
-    Both oracles are walked depth first, one element per step. That order
-    visits the subsets of each size in combinations order, so after a
-    disagreement of size s only a smaller subset can come first, and the
-    walk goes no deeper than s - 1 from there on. Each node costs one step
-    of each walk, and no run visits more than 2^m nodes.
+    When both oracles are incremental they are walked together (see
+    _walk_disagreement). Otherwise each subset is asked of both by size, so
+    the scan stops at the witness: depth first, a walk could ask nearly all
+    2^m subsets before a small witness whose first element comes late.
     """
     ground = a.ground
     if tuple(b.ground) != tuple(ground):
         raise ValueError("ground sets differ")
+    if a.incremental and b.incremental:
+        return _walk_disagreement(a, b)
+    return next(
+        (s for s in subset_sweep(ground, len(ground), 0, None) if a.rank(s) != b.rank(s)),
+        None,
+    )
+
+
+def _walk_disagreement(a: RankOracle, b: RankOracle) -> Optional[tuple[int, ...]]:
+    """first_disagreement by walking both oracles depth first, one element
+    per step. That order visits the subsets of each size in combinations
+    order, so after a disagreement of size s only a smaller subset can come
+    first, and the walk goes no deeper than s - 1 from there on. Each node
+    costs one step of each walk, and no run visits more than 2^m nodes.
+    """
+    ground = a.ground
     m = len(ground)
     state_a, ra, step_a = a.walk()
     state_b, rb, step_b = b.walk()

@@ -21,7 +21,7 @@ from .biased import (
     BiasedGraph,
     FuncOracle,
     RankOracle,
-    _BrylawskiOracle,
+    _brylawski_rank,
     _capped_rank,
     _vertices_of,
     component_rank,
@@ -104,6 +104,8 @@ class LiftedMatroid(RankOracle):
     rank(X) = |V(G[X])| - b(X) + l(X) with b counting quotient-balanced
     components and l the lift bit.
     """
+
+    incremental = True
 
     def __init__(self, ctx: FrobeniusContext, graph: GainGraph):
         if graph.group is not ctx.group:
@@ -593,7 +595,8 @@ def is_elementary_lift(
     ok, witness = is_linear_class(host, host_circuits, recovered)
     if not ok:
         return False, witness
-    bad = first_disagreement(m, _BrylawskiOracle(host, host_circuits, recovered))
+    lift = FuncOracle(host.ground, lambda x: _brylawski_rank(host, host_circuits, recovered, x))
+    bad = first_disagreement(m, lift)
     if bad is not None:
         return False, tuple(sorted(bad))
     return True, sorted(tuple(sorted(c)) for c in recovered)

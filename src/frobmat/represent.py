@@ -154,6 +154,8 @@ def matrix_rank_gf(m: FieldMatrix, columns: Optional[Iterable[int]] = None) -> i
 class VectorOracle(RankOracle):
     """Rank oracle of a column matroid; ground ids are column indices."""
 
+    incremental = True
+
     def __init__(self, matrix: FieldMatrix, ids: Optional[Sequence[int]] = None):
         self.matrix = matrix
         ids = list(ids) if ids is not None else list(range(matrix.cols))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from frobmat import (
     LiftOracle,
     LiftedMatroid,
     brylawski_lift,
+    complete_gain_graph,
     enumerate_cycles,
     frame_circuits,
     frame_rank,
@@ -31,6 +33,7 @@ from frobmat import (
 )
 from frobmat.biased import (
     FuncOracle,
+    _walk_disagreement,
     first_disagreement,
     graphic_rank,
     rank_table,
@@ -449,9 +452,10 @@ def _corrupted(oracle, rng):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_first_disagreement_matches_by_size_scan(seed):
-    """The pruned walk against the reference scan: a lift against corrupted
-    copies of itself, walkable and not, and walkable pairs that differ as
-    matroids (two partitions, the quotient frame and lift)."""
+    """first_disagreement and the pruned walk on its own (which any oracle
+    can take, by its per-subset walk) against the reference scan: a lift
+    against corrupted copies of itself, walkable and not, and walkable pairs
+    that differ as matroids (two partitions, the quotient frame and lift)."""
     rng = random.Random(seed)
     i = rng.randrange(len(AXIOM_GROUPS))
     g = random_gain_graph(AXIOM_GROUPS[i], rng, max_vertices=4, max_edges=9)
@@ -471,7 +475,29 @@ def test_first_disagreement_matches_by_size_scan(seed):
         (GraphicOracle(g), FrameOracle(quotient)),
     ]
     for a, b in pairs:
-        assert first_disagreement(a, b) == _first_by_size(a, b), (a, b)
+        expected = _first_by_size(a, b)
+        assert first_disagreement(a, b) == expected, (a, b)
+        assert _walk_disagreement(a, b) == expected, (a, b)
+
+
+def test_first_disagreement_asks_a_plain_oracle_by_size(z2):
+    """With an oracle that is asked per subset, the comparison stops at the
+    witness of a by-size scan: one rank flipped on (2, 5, 8, 11) of K_4 over
+    Z2 costs the subsets of at most four elements up to it, not the supersets
+    of 0 and 1 a depth-first walk would visit first."""
+    m = LiftedMatroid(FrobeniusContext(z2, frobenius_partitions(z2)[0]), complete_gain_graph(z2, 4))
+    assert len(m.ground) == 12
+    witness = (2, 5, 8, 11)
+    asked = []
+
+    def rank(s):
+        asked.append(s)
+        return m.rank(s) + (s == frozenset(witness))
+
+    assert first_disagreement(m, FuncOracle(m.ground, rank)) == witness
+    assert len(asked) == sum(math.comb(12, k) for k in range(4)) + list(
+        itertools.combinations(m.ground, 4)
+    ).index(witness) + 1
 
 
 def test_first_disagreement_rejects_other_ground_sets():
