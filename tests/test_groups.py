@@ -28,6 +28,7 @@ from frobmat import (
 from frobmat.fileio import group_from_spec
 from frobmat.groups import (
     MAX_TABLE_ORDER,
+    _conjugation_closed,
     conjugate_subgroup,
     generated_subgroup,
     is_subgroup,
@@ -490,3 +491,173 @@ def test_out_of_range_elements_are_rejected(d6):
     ):
         with pytest.raises(ValueError, match="out of range for a group of order 6"):
             check()
+
+
+# --- the join search and normality against their definitions ---------------
+
+
+def _reference_subgroups(group):
+    """The join search with every join recomputed from 0: each found h is
+    joined with every cyclic representative outside it, and <gens, g> is the
+    orbit of 0 under right multiplication by gens + (g,)."""
+
+    def orbit(gens):
+        elems, seen = [0], {0}
+        for a in elems:
+            for g in gens:
+                c = group.table[a][g]
+                if c not in seen:
+                    seen.add(c)
+                    elems.append(c)
+        return tuple(sorted(elems))
+
+    cyclic = {}
+    for g in range(1, group.order):
+        cyclic.setdefault(orbit((g,)), g)
+    found = {(0,)} | set(cyclic)
+    frontier = [(key, (g,)) for key, g in cyclic.items()]
+    while frontier:
+        h, gens = frontier.pop()
+        for g in cyclic.values():
+            if g in h:
+                continue
+            k = orbit(gens + (g,))
+            if k not in found:
+                found.add(k)
+                frontier.append((k, gens + (g,)))
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+def _cyc(n):
+    return {"kind": "cyclic", "n": n}
+
+
+def _dih(order):
+    return {"kind": "dihedral", "order": order}
+
+
+def _direct(a, b):
+    return {"kind": "direct", "factors": [a, b]}
+
+
+def _cyclic_action(m, k, u):
+    """Z_m ⋊ Z_k where the generator of Z_k multiplies by the unit u."""
+    action = [[pow(u, b, m) * x % m for x in range(m)] for b in range(k)]
+    return {"kind": "semidirect", "g1": _cyc(m), "g2": _cyc(k), "action": action}
+
+
+# Catalog families of order 18-96: direct products (cyclic, dihedral, affine
+# factors), cyclic semidirect products, inversion extensions, AGL(1,7), C2×D48.
+LATTICE_GROUPS = {
+    "Inv(Z3xZ3)": {"kind": "inversion", "base": _direct(_cyc(3), _cyc(3))},
+    "Inv(Z5xZ5)": {"kind": "inversion", "base": _direct(_cyc(5), _cyc(5))},
+    "AGL(1,7)": {"kind": "field_affine", "q": 7},
+    "D48": _dih(48),
+    "C2xC24": _direct(_cyc(2), _cyc(24)),
+    "C3xC12": _direct(_cyc(3), _cyc(12)),
+    "C4xC8": _direct(_cyc(4), _cyc(8)),
+    "C6xC6": _direct(_cyc(6), _cyc(6)),
+    "C2xD20": _direct(_cyc(2), _dih(20)),
+    "C3xD14": _direct(_cyc(3), _dih(14)),
+    "D10xC4": _direct(_dih(10), _cyc(4)),
+    "C5xD6": _direct(_cyc(5), _dih(6)),
+    "C2xAGL(1,5)": _direct(_cyc(2), {"kind": "field_affine", "q": 5}),
+    "D6xD6": _direct(_dih(6), _dih(6)),
+    "C2xD48": _direct(_cyc(2), _dih(48)),
+    "Z7:Z6": _cyclic_action(7, 6, 3),
+    "Z13:Z4": _cyclic_action(13, 4, 5),
+    "Z5:Z8": _cyclic_action(5, 8, 2),
+    "Z16:Z2": _cyclic_action(16, 2, 7),
+    "Z8:Z4": _cyclic_action(8, 4, 3),
+    "Z12:Z2": _cyclic_action(12, 2, 5),
+    "Z11:Z5": _cyclic_action(11, 5, 3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_group(name):
+    return group_from_spec(LATTICE_GROUPS[name])
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_GROUPS))
+def test_subgroups_match_the_reference_join_search(name):
+    g = lattice_group(name)
+    assert [s.elements for s in subgroups(g)] == _reference_subgroups(g)
+
+
+def _normal_by_definition(g, elements):
+    s = set(elements)
+    return all(g.conjugate(x, a) in s for x in g.elements() for a in elements)
+
+
+def _closed_by_definition(g, family):
+    members = {a.elements for a in family}
+    return all(
+        conjugate_subgroup(g, a, x).elements in members
+        for a in family
+        for x in g.elements()
+    )
+
+
+NORMALITY_GROUPS = sorted(SMALL_GROUPS) + ["Inv(Z3xZ3)", "AGL(1,7)", "C2xAGL(1,5)", "Z8:Z4"]
+
+
+@functools.lru_cache(maxsize=None)
+def normality_group(name):
+    g = SMALL_GROUPS[name]() if name in SMALL_GROUPS else lattice_group(name)
+    return g, tuple(subgroups(g))
+
+
+@pytest.mark.parametrize("name", NORMALITY_GROUPS)
+def test_is_normal_matches_its_definition_on_every_subgroup(name):
+    g, subs = normality_group(name)
+    for h in subs:
+        assert is_normal(g, h) == _normal_by_definition(g, h.elements)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(NORMALITY_GROUPS), data=st.data())
+def test_normality_tests_match_their_definitions_on_random_sets(name, data):
+    g, subs = normality_group(name)
+    # any set holding 0, subgroup or not
+    rest = data.draw(st.sets(st.integers(0, g.order - 1)))
+    h = Subgroup(tuple(sorted({0} | rest)))
+    assert is_normal(g, h) == _normal_by_definition(g, h.elements)
+    picks = data.draw(st.lists(st.sampled_from(subs), min_size=1, max_size=4))
+    assert _conjugation_closed(g, picks) == _closed_by_definition(g, picks)
+    # the union of the picks' conjugacy classes is closed; dropping one
+    # member of a class of two or more breaks it
+    closed = sorted({conjugate_subgroup(g, a, x) for a in picks for x in g.elements()})
+    assert _conjugation_closed(g, closed) and _closed_by_definition(g, closed)
+    drop = data.draw(st.sampled_from(closed))
+    broken = [a for a in closed if a != drop]
+    assert _conjugation_closed(g, broken) == _closed_by_definition(g, broken)
+    assert _conjugation_closed(g, broken) == is_normal(g, drop)
+
+
+@pytest.mark.parametrize(
+    "a, b, image",
+    [
+        (lambda: make_field_affine(3), lambda: make_dihedral(6), [0, 3, 1, 4, 2, 5]),
+        (
+            lambda: make_inversion_extension(make_cyclic(9)),
+            lambda: make_dihedral(18),
+            [0, 9, 1, 10, 2, 11, 3, 12, 4, 13, 5, 14, 6, 15, 7, 16, 8, 17],
+        ),
+        (
+            lambda: make_semidirect(
+                make_cyclic(5), make_cyclic(4), [[pow(2, b, 5) * x % 5 for x in range(5)] for b in range(4)]
+            ),
+            lambda: make_field_affine(5),
+            [0, 1, 3, 2, 4, 5, 7, 6, 8, 9, 11, 10, 12, 13, 15, 14, 16, 17, 19, 18],
+        ),
+        (
+            lambda: make_direct_product(make_cyclic(2), make_cyclic(6)),
+            lambda: make_direct_product(make_cyclic(6), make_cyclic(2)),
+            [0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11],
+        ),
+    ],
+    ids=["AGL(1,3)-D6", "Inv(Z9)-D18", "Z5:Z4-AGL(1,5)", "Z2xZ6-Z6xZ2"],
+)
+def test_find_isomorphism_maps_are_pinned(a, b, image):
+    assert find_isomorphism(a(), b()) == image
