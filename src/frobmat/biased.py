@@ -6,13 +6,19 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import LimitExceeded
-from .gaingraph import GainGraph, enumerate_cycles, is_balanced_cycle
+from .gaingraph import (
+    DEFAULT_CYCLE_COUNT_LIMIT,
+    GainGraph,
+    enumerate_cycles,
+    is_balanced_cycle,
+)
 
 DEFAULT_GROUND_LIMIT = 20
 DEFAULT_AXIOM_LIMIT = 16
@@ -539,12 +545,18 @@ def _circuit_families(b: BiasedGraph, loose_mode: str, max_edges: int):
     """Balanced cycles plus the unbalanced-pair families.
 
     ``loose_mode`` picks the fourth family: "paths" gives loose handcuffs
-    (frame), "disjoint" gives vertex-disjoint pairs (lift).
+    (frame), "disjoint" gives vertex-disjoint pairs (lift). Raises
+    LimitExceeded, before the first pair, when there are more than
+    DEFAULT_CYCLE_COUNT_LIMIT pairs of unbalanced cycles.
     """
     cycles = enumerate_cycles(b.graph, max_edges=max_edges)
     balanced = {frozenset(c) for c in cycles if b.cycle_is_balanced(c)}
     circuits: set[frozenset[int]] = set(balanced)
     unbalanced = [frozenset(c) for c in cycles if frozenset(c) not in balanced]
+    if math.comb(len(unbalanced), 2) > DEFAULT_CYCLE_COUNT_LIMIT:
+        raise LimitExceeded(
+            f"more than {DEFAULT_CYCLE_COUNT_LIMIT} pairs of unbalanced cycles"
+        )
     vsets = {c: _vertices_of(b.graph, c) for c in unbalanced}
     for c1, c2 in itertools.combinations(unbalanced, 2):
         shared_edges = c1 & c2

@@ -25,7 +25,9 @@ class FiniteGroup:
     prime q for which elements decode as pairs (a, b) with b in GF(q)*.
     """
 
-    __slots__ = ("order", "table", "inverse", "labels", "affine_modulus", "_abelian")
+    __slots__ = (
+        "order", "table", "inverse", "labels", "affine_modulus", "_abelian", "_generators"
+    )
 
     def __init__(
         self,
@@ -39,6 +41,7 @@ class FiniteGroup:
         self.labels = tuple(labels) if labels is not None else None
         self.affine_modulus = affine_modulus
         self._abelian: Optional[bool] = None
+        self._generators: Optional[tuple[int, ...]] = None
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -72,6 +75,22 @@ class FiniteGroup:
                 t[a][b] == t[b][a] for a in range(self.order) for b in range(a)
             )
         return self._abelian
+
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """A generating sequence, chosen greedily: each element, in index
+        order, that the earlier ones do not generate joins it."""
+        if self._generators is None:
+            gens: list[int] = []
+            span: list[int] = [0]
+            seen = {0}
+            for x in range(self.order):
+                if x not in seen:
+                    gens.append(x)
+                    span = _close(self.table, span, gens)
+                    seen = set(span)
+            self._generators = tuple(gens)
+        return self._generators
 
     def order_profile(self) -> tuple[int, ...]:
         """Sorted element orders; a cheap isomorphism fingerprint."""
@@ -328,6 +347,37 @@ def from_table(table: Sequence[Sequence[int]], labels=None) -> FiniteGroup:
     return FiniteGroup(rows, labels=labels)
 
 
+def _close(
+    table: tuple[tuple[int, ...], ...], base: Sequence[int], gens: Sequence[int]
+) -> list[int]:
+    """<base, gens> for the elements ``base`` of a subgroup; ``gens`` must
+    include generators of ``base``.
+
+    The result is the union of the right cosets base·r reached from base by
+    right multiplication by ``gens``: each coset representative is multiplied
+    once by each generator, and a product outside every coset so far opens
+    one new coset, listed in full. That is |cosets|·|gens| lookups plus one
+    coset expansion per new coset. The union is closed under right
+    multiplication by a generating set, hence a subgroup: b·r·g = b·(r·g)
+    lies in base·(r·g), and r·g lies in a coset found. Base (0,) gives the
+    orbit of 0 under the generators.
+    """
+    elems = list(base)
+    seen = set(elems)
+    reps = [0]
+    for r in reps:
+        row = table[r]
+        for g in gens:
+            c = row[g]
+            if c not in seen:
+                reps.append(c)
+                for b in base:
+                    x = table[b][c]
+                    seen.add(x)
+                    elems.append(x)
+    return elems
+
+
 def generated_subgroup(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """The subgroup generated by ``gens``: the orbit of 0 under right
     multiplication by the generators.
@@ -337,17 +387,7 @@ def generated_subgroup(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     g^-1 = g^(k-1) for k the order of g, so a set closed under products is
     closed under inverses.
     """
-    steps = tuple(set(gens) - {0})
-    seen = {0}
-    elems = [0]
-    for a in elems:
-        row = group.table[a]
-        for g in steps:
-            c = row[g]
-            if c not in seen:
-                seen.add(c)
-                elems.append(c)
-    return Subgroup(tuple(sorted(elems)))
+    return Subgroup(tuple(sorted(_close(group.table, (0,), tuple(set(gens) - {0})))))
 
 
 def _check_range(group: FiniteGroup, elements: Collection[int]) -> None:
@@ -373,10 +413,18 @@ def subgroups(group: FiniteGroup, limit: int = DEFAULT_GROUP_LIMIT) -> list[Subg
     joining one cyclic subgroup at a time from the cyclic subgroups reaches
     them all: for found K < H and g in H - K, <K, g> is a larger subgroup of
     H. Each found subgroup keeps the short generator tuple it was found by and
-    is extended by one generator per cyclic subgroup it does not contain.
+    is extended by one generator per cyclic subgroup it does not contain; the
+    join is a coset closure over the found subgroup (:func:`_close`).
+
+    One join is made per double coset: for g' in h·g·h, <h, g'> = <h, g>, so
+    once <h, g> is made every representative in h·g·h is skipped. Each join
+    skipped would only find a subgroup already found, so the subgroups found,
+    and the order they are extended in, are those of one join per
+    representative outside h.
     """
     if group.order > limit:
         raise LimitExceeded(f"group order {group.order} exceeds limit {limit}")
+    table = group.table
     cyclic: dict[tuple[int, ...], tuple[Subgroup, int]] = {}
     for g in range(1, group.order):
         c = generated_subgroup(group, (g,))
@@ -386,14 +434,24 @@ def subgroups(group: FiniteGroup, limit: int = DEFAULT_GROUP_LIMIT) -> list[Subg
     frontier = [(c, (g,)) for c, g in cyclic.values()]
     while frontier:
         h, gens = frontier.pop()
-        base = h.element_set
+        base = h.elements
+        covered = set(base)
         for g in reps:
-            if g in base:
+            if g in covered:
                 continue
-            k = generated_subgroup(group, gens + (g,))
-            if k.elements not in found:
-                found[k.elements] = k
-                frontier.append((k, gens + (g,)))
+            # h·g·h as the right cosets h·(g·b); covered is a union of right
+            # cosets of h, so one already met is skipped whole
+            row = table[g]
+            for b in base:
+                x = row[b]
+                if x not in covered:
+                    for a in base:
+                        covered.add(table[a][x])
+            joined = gens + (g,)
+            key = tuple(sorted(_close(table, base, joined)))
+            if key not in found:
+                k = found[key] = Subgroup(key)
+                frontier.append((k, joined))
     return sorted(found.values(), key=lambda s: (s.order, s.elements))
 
 
@@ -402,10 +460,15 @@ def conjugate_subgroup(group: FiniteGroup, h: Subgroup, g: int) -> Subgroup:
 
 
 def is_normal(group: FiniteGroup, h: Subgroup) -> bool:
+    """True iff h is closed under conjugation by the group's generators.
+
+    That is enough: g^-1·h·g has the size of h, so it is h, and a set fixed
+    by conjugation by each generator is fixed by the group they generate.
+    """
     _check_range(group, h.elements)
     s = h.element_set
     return all(
-        group.conjugate(g, a) in s for g in group.elements() for a in h.elements
+        group.conjugate(g, a) in s for g in group.generators for a in h.elements
     )
 
 
@@ -442,11 +505,17 @@ def _exact_covers(
 
 
 def _conjugation_closed(group: FiniteGroup, family: Sequence[Subgroup]) -> bool:
+    """True iff conjugating a member by any group element gives a member.
+
+    Tested on the generators only: conjugation by g is injective, so if it
+    maps the finite family into itself it permutes it, and so does every
+    product of generators (see :func:`is_normal`).
+    """
     members = {a.elements for a in family}
     return all(
         conjugate_subgroup(group, a, g).elements in members
         for a in family
-        for g in group.elements()
+        for g in group.generators
     )
 
 
@@ -562,12 +631,7 @@ def find_isomorphism(a: FiniteGroup, b: FiniteGroup) -> Optional[list[int]]:
         return None
     if a.order_profile() != b.order_profile():
         return None
-    gens: list[int] = []
-    span = {0}
-    for x in a.elements():
-        if x not in span:
-            gens.append(x)
-            span = set(generated_subgroup(a, gens).elements)
+    gens = a.generators
     by_order: dict[int, list[int]] = {}
     for y in b.elements():
         by_order.setdefault(b.element_order(y), []).append(y)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frobmat.biased as biased_module
 from frobmat import (
     BiasedGraph,
     FrameOracle,
@@ -117,6 +118,33 @@ def test_frame_circuits_k4_with_loop_matches_brute_force():
     triples = [(0, 1, 0), (0, 2, 0), (0, 3, 0), (1, 2, 0), (1, 3, 0), (2, 3, 0), (0, 0, 1)]
     b = biased(z2, 4, triples)
     assert sorted(frame_circuits(b)) == sorted(minimal_dependent_sets(FrameOracle(b)))
+
+
+@pytest.mark.parametrize("family", [frame_circuits, lift_circuits])
+def test_circuit_families_refuse_too_many_unbalanced_pairs_before_the_first(
+    d6, family, monkeypatch
+):
+    """36 random edges on 6 vertices over D6: thousands of unbalanced cycles,
+    so more than 10^6 pairs; the cap raises before any pair is looked at."""
+    rng = random.Random(0)
+    b = biased(d6, 6, [(rng.randrange(6), rng.randrange(6), rng.randrange(6)) for _ in range(36)])
+
+    def no_pairs(*args):
+        raise AssertionError("a pair was examined")
+
+    monkeypatch.setattr(biased_module, "_vertices_of", no_pairs)
+    with pytest.raises(LimitExceeded, match="more than 1000000 pairs of unbalanced cycles"):
+        family(b)
+
+
+def test_circuit_family_pair_cap_is_inclusive(d6, monkeypatch):
+    """Two unbalanced loops make one pair: a cap of 1 admits it, 0 refuses."""
+    b = biased(d6, 1, [(0, 0, 3), (0, 0, 1)])
+    monkeypatch.setattr(biased_module, "DEFAULT_CYCLE_COUNT_LIMIT", 1)
+    assert frame_circuits(b) == [(0, 1)]
+    monkeypatch.setattr(biased_module, "DEFAULT_CYCLE_COUNT_LIMIT", 0)
+    with pytest.raises(LimitExceeded, match="more than 0 pairs"):
+        frame_circuits(b)
 
 
 def test_lift_rank_balanced_equals_graphic(d6):

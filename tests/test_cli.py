@@ -212,17 +212,40 @@ def test_bases_of_tree(write, capsys):
     assert code == 0 and out == "0,1\n"
 
 
-def test_bases_above_the_candidate_cap_exits_in_one_line(write, capsys):
-    """36 edges on 6 vertices over D6: the lift has rank 7, and C(36, 7) is
-    about 8.3 million candidates."""
+def d6_36_edge_spec():
+    """36 random edges on 6 vertices over D6, under the 40-edge cycle cap."""
     rng = random.Random(0)
     edges = [[rng.randrange(6), rng.randrange(6), rng.randrange(6)] for _ in range(36)]
-    spec = {"group": D6_SPEC, "vertices": 6, "edges": edges}
+    return {"group": D6_SPEC, "vertices": 6, "edges": edges}
+
+
+def test_bases_above_the_candidate_cap_exits_in_one_line(write, capsys):
+    """The 36-edge D6 graph: the lift has rank 7, and C(36, 7) is about 8.3
+    million candidates."""
     start = time.perf_counter()
-    code, out, err = run(capsys, "bases", "--graph", write("g.json", spec), "--kernel", "auto")
+    code, out, err = run(
+        capsys, "bases", "--graph", write("g.json", d6_36_edge_spec()), "--kernel", "auto"
+    )
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err == "error: more than 1000000 basis candidates of size 7\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["circuits"], ["circuits", "--of", "linear-class"], ["verify", "--linear-class"]],
+    ids=["circuits", "circuits-linear-class", "verify-linear-class"],
+)
+def test_circuit_families_above_the_pair_cap_exit_in_one_line(write, capsys, command):
+    """The 36-edge D6 graph has 5,627 cycles; the unbalanced ones alone make
+    more than a million pairs, refused before the first pair."""
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, *command, "--graph", write("g.json", d6_36_edge_spec()), "--kernel", "auto"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: more than 1000000 pairs of unbalanced cycles\n"
 
 
 def test_matrix_figure_golden(write, capsys):

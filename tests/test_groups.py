@@ -635,6 +635,18 @@ def test_normality_tests_match_their_definitions_on_random_sets(name, data):
     assert _conjugation_closed(g, broken) == is_normal(g, drop)
 
 
+@pytest.mark.parametrize("name", NORMALITY_GROUPS + ["C2xD48", "Inv(Z5xZ5)"])
+def test_generators_are_the_greedy_generating_sequence(name):
+    g = SMALL_GROUPS[name]() if name in SMALL_GROUPS else lattice_group(name)
+    gens, span = [], {0}
+    for x in g.elements():
+        if x not in span:
+            gens.append(x)
+            span = set(generated_subgroup(g, gens).elements)
+    assert g.generators == tuple(gens)
+    assert generated_subgroup(g, g.generators).elements == tuple(g.elements())
+
+
 @pytest.mark.parametrize(
     "a, b, image",
     [
