@@ -82,7 +82,7 @@ class FiniteGroup:
         order, that the earlier ones do not generate joins it."""
         if self._generators is None:
             gens: list[int] = []
-            span: list[int] = [0]
+            span = [0]
             seen = {0}
             for x in range(self.order):
                 if x not in seen:
