@@ -6,6 +6,7 @@ relabel their natural element sets to keep that invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -413,40 +414,52 @@ def subgroups(group: FiniteGroup, limit: int = DEFAULT_GROUP_LIMIT) -> list[Subg
     joining one cyclic subgroup at a time from the cyclic subgroups reaches
     them all: for found K < H and g in H - K, <K, g> is a larger subgroup of
     H. Each found subgroup keeps the short generator tuple it was found by and
-    is extended by one generator per cyclic subgroup it does not contain; the
-    join is a coset closure over the found subgroup (:func:`_close`).
+    is extended by the least generator g of each cyclic subgroup it does not
+    contain; the join is a coset closure over the found subgroup
+    (:func:`_close`).
 
-    One join is made per double coset: for g' in h·g·h, <h, g'> = <h, g>, so
-    once <h, g> is made every representative in h·g·h is skipped. Each join
-    skipped would only find a subgroup already found, so the subgroups found,
-    and the order they are extended in, are those of one join per
+    A join <h, g> also stands for every representative g' in a double coset
+    h·x·h with x a generator of <g>: <h, g'> = <h, x> = <h, g>, since
+    <x> = <g>. So once <h, g> is made those representatives are skipped. A
+    skipped join would only find a subgroup already found, so the subgroups
+    found, and the order they are extended in, are those of one join per
     representative outside h.
     """
     if group.order > limit:
         raise LimitExceeded(f"group order {group.order} exceeds limit {limit}")
     table = group.table
-    cyclic: dict[tuple[int, ...], tuple[Subgroup, int]] = {}
+    found = {(0,): Subgroup((0,))}
+    frontier: list[tuple[Subgroup, tuple[int, ...]]] = []
+    # each cyclic subgroup once, by its least generator g, with all its
+    # generators g^k, k prime to the order of g; the orbit of 0 under g
+    # lists g^0, g^1, ... in order
+    rep_gens: dict[int, list[int]] = {}
+    named: set[int] = set()
     for g in range(1, group.order):
+        if g in named:
+            continue
         c = generated_subgroup(group, (g,))
-        cyclic.setdefault(c.elements, (c, g))
-    reps = [g for _, g in cyclic.values()]
-    found = {(0,): Subgroup((0,))} | {key: c for key, (c, _) in cyclic.items()}
-    frontier = [(c, (g,)) for c, g in cyclic.values()]
+        powers = _close(table, (0,), (g,))
+        rep_gens[g] = [x for k, x in enumerate(powers) if math.gcd(k, c.order) == 1]
+        named.update(rep_gens[g])
+        found[c.elements] = c
+        frontier.append((c, (g,)))
     while frontier:
         h, gens = frontier.pop()
         base = h.elements
         covered = set(base)
-        for g in reps:
+        for g, xs in rep_gens.items():
             if g in covered:
                 continue
-            # h·g·h as the right cosets h·(g·b); covered is a union of right
+            # h·x·h as the right cosets h·(x·b); covered is a union of right
             # cosets of h, so one already met is skipped whole
-            row = table[g]
-            for b in base:
-                x = row[b]
-                if x not in covered:
-                    for a in base:
-                        covered.add(table[a][x])
+            for x in xs:
+                row = table[x]
+                for b in base:
+                    y = row[b]
+                    if y not in covered:
+                        for a in base:
+                            covered.add(table[a][y])
             joined = gens + (g,)
             key = tuple(sorted(_close(table, base, joined)))
             if key not in found:
