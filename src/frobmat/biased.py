@@ -602,7 +602,9 @@ def is_linear_class(
     The witness is (C1, C2, C): a modular pair from the candidate class and a
     host circuit in its union that the class misses. Pairs are tested once
     per distinct union, keyed by a bitmask over the members' edges: a union
-    that failed would have returned at its first pair.
+    that failed would have returned at its first pair. The host rank is asked
+    only of a union that holds a circuit the class misses; any other union
+    passes whatever its rank.
     """
     circuits = sorted({frozenset(c) for c in host_circuits}, key=sorted)
     circuit_set = set(circuits)
@@ -624,12 +626,12 @@ def is_linear_class(
         if u in seen:
             continue
         seen.add(u)
-        union = c1 | c2
-        if len(union) - host.rank(union) != 2:
+        c = next((c for m, c in outside if m & u == m), None)
+        if c is None:
             continue
-        for m, c in outside:
-            if m & u == m:
-                return False, (tuple(sorted(c1)), tuple(sorted(c2)), tuple(sorted(c)))
+        union = c1 | c2
+        if len(union) - host.rank(union) == 2:
+            return False, (tuple(sorted(c1)), tuple(sorted(c2)), tuple(sorted(c)))
     return True, None
 
 

@@ -115,6 +115,10 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (args.axioms or args.linear_class is not None or args.representation or args.minors):
+        raise ValueError(
+            "verify needs at least one of --axioms, --linear-class, --representation, --minors"
+        )
     _, graph, ctx = _context(args)
     oracle = LiftedMatroid(ctx, graph)
     failures = 0

@@ -356,11 +356,13 @@ def circuits(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
     circuits that contain no member of it.
 
     Such a union X is already minimal: every proper subset misses an element
-    of C1 or C2, which is no coloop of X, so its nullity is at most one. Edge
-    and vertex sets are bitmasks; a pair whose union has more than two edges
-    beyond its vertices cannot have nullity two (frame rank is at most the
-    vertex count), so it is skipped before the rank query, as is a union
-    already found.
+    of C1 or C2, which is no coloop of X, so its nullity is at most one. Only
+    pairs of non-members are formed: X holds no member, so neither circuit
+    of a pair giving X is one, and a union taken with a member contains that
+    member and is rejected anyway. Edge and vertex sets are bitmasks; a pair
+    whose union has more than two edges beyond its vertices cannot have
+    nullity two (frame rank is at most the vertex count), so it is skipped
+    before the rank query, as is a union already found.
     """
     oracle = LiftedMatroid(ctx, g)
     ground = oracle.ground
@@ -375,8 +377,11 @@ def circuits(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
         v: 1 << i
         for i, v in enumerate(sorted({x for eid in ground for x in ends[eid][:2]}))
     }
+    in_class = set(oracle.linear_class)
     shapes = []
     for c in oracle.frame_circuits:
+        if c in in_class:
+            continue
         edges = verts = 0
         for eid in c:
             t, h, _ = ends[eid]
@@ -392,7 +397,7 @@ def circuits(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
         if len(ids) - oracle.underlying_rank(ids) == 2:
             unions.add(u)
     members = [sum(bit[eid] for eid in c) for c in oracle.linear_class]
-    out = set(oracle.linear_class)
+    out = set(in_class)
     out.update(ids_of(u) for u in unions if not any(m & u == m for m in members))
     return sorted(out)
 

@@ -289,6 +289,16 @@ def test_verify_axioms_linear_class_minors(write, capsys):
     assert out == "axioms: PASS\nlinear-class: PASS\nminors: PASS\n"
 
 
+def test_verify_without_a_check_exits_before_loading_the_graph(tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")  # loading it would fail differently
+    code, out, err = run(capsys, "verify", "--graph", missing)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: verify needs at least one of --axioms, --linear-class,"
+        " --representation, --minors\n"
+    )
+
+
 def test_verify_corrupted_class_file(write, capsys):
     # identity-gain theta: three balanced cycles, any two force the third
     theta = {

@@ -369,6 +369,87 @@ def test_circuits_match_minimal_dependent_sets(seed):
         assert circuits(ctx, g) == minimal_dependent_sets(LiftedMatroid(ctx, g)), ctx
 
 
+def _all_pairs_circuits(ctx, g):
+    """The circuit list from every pair of frame circuits, members included,
+    each nullity-two union kept unless it holds a member."""
+    oracle = LiftedMatroid(ctx, g)
+    ground = oracle.ground
+    bit = {eid: 1 << i for i, eid in enumerate(ground)}
+
+    def ids_of(u):
+        return tuple(eid for eid in ground if u & bit[eid])
+
+    ends = g.ends
+    vbit = {
+        v: 1 << i
+        for i, v in enumerate(sorted({x for eid in ground for x in ends[eid][:2]}))
+    }
+    shapes = []
+    for c in oracle.frame_circuits:
+        edges = verts = 0
+        for eid in c:
+            t, h, _ = ends[eid]
+            edges |= bit[eid]
+            verts |= vbit[t] | vbit[h]
+        shapes.append((edges, verts))
+    unions = set()
+    for (e1, v1), (e2, v2) in itertools.combinations(shapes, 2):
+        u = e1 | e2
+        if u in unions or u.bit_count() - (v1 | v2).bit_count() > 2:
+            continue
+        ids = ids_of(u)
+        if len(ids) - oracle.underlying_rank(ids) == 2:
+            unions.add(u)
+    members = [sum(bit[eid] for eid in c) for c in oracle.linear_class]
+    out = set(oracle.linear_class)
+    out.update(ids_of(u) for u in unions if not any(m & u == m for m in members))
+    return sorted(out)
+
+
+def _graph_with_loop_and_parallel_pair(group, rng, min_edges, max_edges):
+    """A random gain graph on 3-4 vertices whose edges include a loop and a
+    parallel pair."""
+    nv = rng.randint(3, 4)
+    triples = [
+        (rng.randrange(nv), rng.randrange(nv), rng.randrange(group.order))
+        for _ in range(rng.randint(min_edges, max_edges) - 3)
+    ]
+    v = rng.randrange(nv)
+    triples.append((v, v, rng.randrange(group.order)))
+    t, h = rng.sample(range(nv), 2)
+    triples += [(t, h, rng.randrange(group.order)), (h, t, rng.randrange(group.order))]
+    return graph(group, nv, triples)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_circuits_match_all_pairs_loop(seed):
+    """Pairing only non-member frame circuits finds the circuits that every
+    pair, members included, finds."""
+    rng = random.Random(seed)
+    i = seed % len(DIFFERENTIAL_GROUPS)
+    g = _graph_with_loop_and_parallel_pair(DIFFERENTIAL_GROUPS[i], rng, 9, 14)
+    assert 9 <= len(g.edges) <= 14
+    for ctx in DIFFERENTIAL_CONTEXTS[i]:
+        assert circuits(ctx, g) == _all_pairs_circuits(ctx, g), ctx
+
+
+def test_circuits_reject_a_union_of_non_members_that_holds_a_member(d6, d6_frobenius):
+    """A theta whose three cycles are quotient-balanced: {0,1,2} and {0,3,4}
+    have a non-identity kernel gain and are not members, {1,2,3,4} has the
+    identity gain and is one. The first two have a nullity-two union, the
+    whole theta, which holds the member, so it is no circuit."""
+    g = graph(d6, 4, [(0, 1, 1), (0, 2, 0), (2, 1, 0), (0, 3, 0), (3, 1, 0)])
+    assert d6_frobenius.in_kernel(1)
+    qb = BiasedGraph.from_gain_graph(quotient_gains(g, d6_frobenius.quotient))
+    assert frame_circuits(qb) == [(0, 1, 2), (0, 3, 4), (1, 2, 3, 4)]
+    assert linear_class(d6_frobenius, g) == [(1, 2, 3, 4)]
+    m = LiftedMatroid(d6_frobenius, g)
+    assert len(m.ground) - m.underlying_rank(m.ground) == 2
+    assert circuits(d6_frobenius, g) == [(1, 2, 3, 4)]
+    assert circuits(d6_frobenius, g) == _all_pairs_circuits(d6_frobenius, g)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_bases_circuits_match_brute_force(seed):
@@ -662,13 +743,15 @@ def test_unknown_id_after_the_ground_set_rank_raises(d6, d6_frobenius, complete)
 
 def _pairwise_linear_class(host, host_circuits, cand):
     """The modular-pair check over every pair of members, no union skipped;
-    also returns how many distinct unions it reached."""
+    also returns how many distinct unions it reached that hold a host
+    circuit outside the candidate, the only unions whose rank can fail it."""
     circuits = sorted({frozenset(c) for c in host_circuits}, key=sorted)
     members = {frozenset(c) for c in cand}
     unions = set()
     for c1, c2 in itertools.combinations(sorted(members, key=sorted), 2):
         union = c1 | c2
-        unions.add(union)
+        if any(c <= union and c not in members for c in circuits):
+            unions.add(union)
         if len(union) - host.rank(union) != 2:
             continue
         for c in circuits:
@@ -680,10 +763,11 @@ def _pairwise_linear_class(host, host_circuits, cand):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1))
-def test_is_linear_class_matches_pairwise_check_with_one_query_per_union(seed):
+def test_is_linear_class_matches_pairwise_check_querying_unions_with_outside_circuits(seed):
     """Same verdict and witness as the pairwise loop, with one host rank
-    query per distinct union up to the verdict; candidates are the class,
-    random sets of host circuits, and the class with one circuit toggled."""
+    query per distinct union, up to the verdict, that holds a host circuit
+    outside the candidate; candidates are the class, random sets of host
+    circuits, and the class with one circuit toggled."""
     rng = random.Random(seed)
     i = seed % len(DIFFERENTIAL_GROUPS)
     g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=4, max_edges=10)
