@@ -138,13 +138,6 @@ class BiasedGraph:
             return is_balanced_cycle(self.graph, cycle)
         return frozenset(cycle) in self.balanced
 
-    def restrict(self, subset: Iterable[int]) -> "BiasedGraph":
-        keep = set(subset)
-        sub = self.graph.with_edges(e for e in self.graph.edges if e.id in keep)
-        if self.balanced is None:
-            return BiasedGraph(sub, None)
-        return BiasedGraph(sub, (c for c in self.balanced if c <= keep))
-
     def component_balanced(self, scan: ComponentScan) -> bool:
         """All cycles of the component in the explicit balanced set."""
         if not scan.nontree:
@@ -444,21 +437,58 @@ class GraphicOracle(_EdgeOracle):
 
 
 class ClassLiftOracle(_EdgeOracle):
-    """Elementary lift of a frame matroid given by an explicit linear class.
+    """Elementary lift of a frame matroid given by an explicit linear class:
+    the frame rank, plus one when X holds a frame circuit outside the class.
 
-    The lift term inspects only the circuits of the restriction, so rank
-    queries stay local; the class set must list every member as a sorted edge
-    id collection.
+    The host's frame circuits are listed once, at the first query, with no
+    cap on the edge count; the cycle-count and pair caps still bound them.
     """
 
     def __init__(self, biased: BiasedGraph, members: Iterable[Iterable[int]]):
         super().__init__(biased)
         self.members = frozenset(frozenset(c) for c in members)
 
+    @functools.cached_property
+    def _lift(self) -> RankOracle:
+        circuits = frame_circuits(self.biased, max_edges=len(self.ground))
+        return _class_lift(FrameOracle(self.biased), circuits, self.members)
+
     def rank(self, subset: Iterable[int]) -> int:
-        sub = self.biased.restrict(subset)
-        lifted = any(frozenset(c) not in self.members for c in frame_circuits(sub))
-        return frame_rank(sub, sub.graph.edge_ids()) + lifted
+        return self._lift.rank(subset)
+
+
+class EdgeIndex:
+    """Sets of edge ids as int masks: the sorted ``ids`` are bits 0, 1, ...
+
+    Given a graph, the vertices at the ends of those edges are numbered
+    densely too, so a vertex mask's size follows the edge count, not the
+    vertex numbers. An id outside the index raises KeyError.
+    """
+
+    def __init__(self, ids: Iterable[int], graph: Optional[GainGraph] = None):
+        self.bit = {eid: 1 << i for i, eid in enumerate(sorted(set(ids)))}
+        if graph is not None:
+            ends = graph.ends
+            verts = sorted({v for eid in self.bit for v in ends[eid][:2]})
+            vbit = {v: 1 << i for i, v in enumerate(verts)}
+            self._ends = {eid: vbit[ends[eid][0]] | vbit[ends[eid][1]] for eid in self.bit}
+
+    def mask(self, ids: Iterable[int]) -> int:
+        """The mask of ``ids``, which must be distinct."""
+        return sum(map(self.bit.__getitem__, ids))
+
+    def ids(self, mask: int) -> tuple[int, ...]:
+        """The ids of ``mask``, sorted."""
+        return tuple(eid for eid, b in self.bit.items() if mask & b)
+
+    def shape(self, ids: Iterable[int]) -> tuple[int, int]:
+        """(edge mask, vertex mask) of ``ids``; needs the graph."""
+        bit, ends = self.bit, self._ends
+        edges = verts = 0
+        for eid in ids:
+            edges |= bit[eid]
+            verts |= ends[eid]
+        return edges, verts
 
 
 def _vertices_of(g: GainGraph, ids: Iterable[int]) -> frozenset[int]:
@@ -470,115 +500,87 @@ def _vertices_of(g: GainGraph, ids: Iterable[int]) -> frozenset[int]:
     return frozenset(verts)
 
 
-def _connecting_paths(
-    g: GainGraph,
-    avoid_edges: frozenset[int],
-    v1: frozenset[int],
-    v2: frozenset[int],
-) -> list[tuple[int, ...]]:
-    """Simple paths from v1 to v2 meeting them only at the endpoints."""
-    adj: dict[int, list] = {}
-    for e in g.edges:
-        if e.id in avoid_edges or e.is_loop:
-            continue
-        adj.setdefault(e.tail, []).append(e)
-        adj.setdefault(e.head, []).append(e)
-    for lst in adj.values():
-        lst.sort(key=lambda e: e.id)
-    paths: list[tuple[int, ...]] = []
-
-    def grow(at: int, interior: set[int], path: list[int]):
-        for e in adj.get(at, ()):
-            other = e.head if at == e.tail else e.tail
-            if other in v1 or other in interior:
-                continue
-            if other in v2:
-                paths.append(tuple(sorted(path + [e.id])))
-                continue
-            interior.add(other)
-            path.append(e.id)
-            grow(other, interior, path)
-            path.pop()
-            interior.remove(other)
-
-    for s in sorted(v1):
-        grow(s, set(), [])
-    return paths
-
-
-def _thetas(
-    b: BiasedGraph, cycles: Sequence[tuple[int, ...]]
-) -> list[tuple[frozenset[int], tuple[frozenset[int], frozenset[int], frozenset[int]]]]:
-    """All theta subgraphs as (edge union, three constituent cycles)."""
-    sets = [frozenset(c) for c in cycles]
-    members = set(sets)
-    seen: set[frozenset[int]] = set()
-    out = []
-    for c1, c2 in itertools.combinations(sets, 2):
-        if not (c1 & c2):
-            continue
-        union = c1 | c2
-        if union in seen:
-            continue
-        if len(union) != len(_vertices_of(b.graph, union)) + 1:
-            continue
-        third = c1 ^ c2
-        if third not in members:
-            continue
-        seen.add(union)
-        out.append((union, (c1, c2, third)))
-    return out
-
-
 def theta_property_check(b: BiasedGraph, max_edges: int = 40):
     """(True, None), or (False, witness) with a theta holding exactly two
-    balanced cycles."""
+    balanced cycles.
+
+    Two cycles that share an edge span a theta when their union has one edge
+    more than its vertices and their symmetric difference is a cycle, the
+    third. Each theta is judged once, at its first pair.
+    """
     cycles = enumerate_cycles(b.graph, max_edges=max_edges)
-    for union, triple in _thetas(b, cycles):
-        flags = [b.cycle_is_balanced(c) for c in triple]
-        if sum(flags) == 2:
-            return False, tuple(sorted(tuple(sorted(c)) for c in triple))
+    index = EdgeIndex(b.graph.edge_ids(), b.graph)
+    shaped = [(c, index.shape(c)) for c in cycles]
+    cycle_of = {e: c for c, (e, _) in shaped}
+    seen: set[int] = set()
+    for (c1, (e1, v1)), (c2, (e2, v2)) in itertools.combinations(shaped, 2):
+        union = e1 | e2
+        third = cycle_of.get(e1 ^ e2)
+        if not e1 & e2 or union in seen or third is None:
+            continue
+        if union.bit_count() != (v1 | v2).bit_count() + 1:
+            continue
+        seen.add(union)
+        if sum(b.cycle_is_balanced(c) for c in (c1, c2, third)) == 2:
+            return False, tuple(sorted((c1, c2, third)))
     return True, None
 
 
 def _circuit_families(b: BiasedGraph, loose_mode: str, max_edges: int):
-    """Balanced cycles plus the unbalanced-pair families.
+    """Balanced cycles plus the unbalanced-pair families, built as masks of
+    one EdgeIndex.
 
     ``loose_mode`` picks the fourth family: "paths" gives loose handcuffs
-    (frame), "disjoint" gives vertex-disjoint pairs (lift). Raises
-    LimitExceeded, before the first pair, when there are more than
-    DEFAULT_CYCLE_COUNT_LIMIT pairs of unbalanced cycles.
+    (frame), "disjoint" gives vertex-disjoint pairs (lift). Two unbalanced
+    cycles sharing an edge give an unbalanced theta when their union has one
+    edge more than its vertices and the third cycle is unbalanced. Raises
+    LimitExceeded, before the first cycle is masked, when there are more
+    than DEFAULT_CYCLE_COUNT_LIMIT pairs of unbalanced cycles.
     """
-    cycles = enumerate_cycles(b.graph, max_edges=max_edges)
-    balanced = {frozenset(c) for c in cycles if b.cycle_is_balanced(c)}
-    circuits: set[frozenset[int]] = set(balanced)
-    unbalanced = [frozenset(c) for c in cycles if frozenset(c) not in balanced]
-    if math.comb(len(unbalanced), 2) > DEFAULT_CYCLE_COUNT_LIMIT:
+    g = b.graph
+    cycles = enumerate_cycles(g, max_edges=max_edges)
+    flags = [b.cycle_is_balanced(c) for c in cycles]
+    if math.comb(flags.count(False), 2) > DEFAULT_CYCLE_COUNT_LIMIT:
         raise LimitExceeded(
             f"more than {DEFAULT_CYCLE_COUNT_LIMIT} pairs of unbalanced cycles"
         )
-    vsets = {c: _vertices_of(b.graph, c) for c in unbalanced}
-    for c1, c2 in itertools.combinations(unbalanced, 2):
-        shared_edges = c1 & c2
-        if shared_edges:
-            union = c1 | c2
-            if len(union) != len(vsets[c1] | vsets[c2]) + 1:
+    index = EdgeIndex(g.edge_ids(), g)
+    shapes = [index.shape(c) for c in cycles]
+    balanced = {e for (e, _), bal in zip(shapes, flags) if bal}
+    circuits = set(balanced)
+    # non-loop edges at each vertex bit, as (edge bit, other end's bit)
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for eid in index.bit:
+        e, v = index.shape((eid,))
+        low = v & -v
+        if v != low:
+            adj.setdefault(low, []).append((e, v ^ low))
+            adj.setdefault(v ^ low, []).append((e, low))
+
+    def connect(at: int, seen: int, edges: int, goal: int) -> None:
+        """Add ``edges`` plus each path from ``at`` that avoids ``seen`` and
+        meets ``goal`` only at its end."""
+        for e, w in adj.get(at, ()):
+            if w & seen:
                 continue
-            third = c1 ^ c2
-            if third in balanced:
-                continue
-            circuits.add(union)
-            continue
-        common = vsets[c1] & vsets[c2]
-        if len(common) == 1:
-            circuits.add(c1 | c2)
-        elif not common:
-            if loose_mode == "disjoint":
-                circuits.add(c1 | c2)
+            if w & goal:
+                circuits.add(edges | e)
             else:
-                for path in _connecting_paths(b.graph, c1 | c2, vsets[c1], vsets[c2]):
-                    circuits.add(c1 | c2 | frozenset(path))
-    return sorted(tuple(sorted(c)) for c in circuits)
+                connect(w, seen | w, edges | e, goal)
+
+    unbalanced = [s for s, bal in zip(shapes, flags) if not bal]
+    for (e1, v1), (e2, v2) in itertools.combinations(unbalanced, 2):
+        union, common = e1 | e2, v1 & v2
+        if e1 & e2:
+            if union.bit_count() == (v1 | v2).bit_count() + 1 and e1 ^ e2 not in balanced:
+                circuits.add(union)
+        elif common.bit_count() == 1 or not common and loose_mode == "disjoint":
+            circuits.add(union)
+        elif not common:
+            for start in adj:
+                if start & v1:
+                    connect(start, v1, union, v2)
+    return sorted(index.ids(c) for c in circuits)
 
 
 def frame_circuits(b: BiasedGraph, max_edges: int = 40) -> list[tuple[int, ...]]:
@@ -601,10 +603,10 @@ def is_linear_class(
 
     The witness is (C1, C2, C): a modular pair from the candidate class and a
     host circuit in its union that the class misses. Pairs are tested once
-    per distinct union, keyed by a bitmask over the members' edges: a union
-    that failed would have returned at its first pair. The host rank is asked
-    only of a union that holds a circuit the class misses; any other union
-    passes whatever its rank.
+    per distinct union, keyed by its EdgeIndex mask: a union that failed
+    would have returned at its first pair. The host rank is asked only of a
+    union that holds a circuit the class misses; any other union passes
+    whatever its rank.
     """
     circuits = sorted({frozenset(c) for c in host_circuits}, key=sorted)
     circuit_set = set(circuits)
@@ -612,14 +614,12 @@ def is_linear_class(
     for c in members:
         if c not in circuit_set:
             raise ValueError(f"candidate {sorted(c)} is not a circuit of the host")
-    bit = {eid: 1 << i for i, eid in enumerate(sorted(set().union(*members)))}
-
-    def mask(c: frozenset[int]) -> int:
-        return sum(bit[eid] for eid in c)
-
-    mem_list = [(c, mask(c)) for c in sorted(members, key=sorted)]
+    index = EdgeIndex(set().union(*circuits))
+    mem_list = [(c, index.mask(c)) for c in sorted(members, key=sorted)]
+    covered = index.mask(set().union(*members))
     # host circuits the class misses that can lie inside a union of members
-    outside = [(mask(c), c) for c in circuits if c not in members and c.issubset(bit)]
+    outside = [(index.mask(c), c) for c in circuits if c not in members]
+    outside = [(m, c) for m, c in outside if m & covered == m]
     seen: set[int] = set()
     for (c1, m1), (c2, m2) in itertools.combinations(mem_list, 2):
         u = m1 | m2
@@ -645,22 +645,31 @@ def brylawski_lift(
     rank(X) = host rank, plus one unless every host circuit inside X belongs
     to the class. Rejects classes that fail the modular-pair condition.
     """
-    circuits = [frozenset(c) for c in host_circuits]
-    members = {frozenset(c) for c in linear_class}
+    circuits, members = list(host_circuits), list(linear_class)
     ok, witness = is_linear_class(host, circuits, members)
     if not ok:
         raise ValueError(f"not a linear class; modular-pair witness {witness}")
-    return FuncOracle(host.ground, lambda x: _brylawski_rank(host, circuits, members, x))
+    return _class_lift(host, circuits, members)
 
 
-def _brylawski_rank(
+def _class_lift(
     host: RankOracle,
-    circuits: Iterable[frozenset[int]],
-    members: set[frozenset[int]],
-    x: frozenset[int],
-) -> int:
-    """Host rank of x, plus one when a host circuit outside the class lies in x."""
-    return host.rank(x) + any(c <= x and c not in members for c in circuits)
+    circuits: Iterable[Iterable[int]],
+    members: Iterable[Iterable[int]],
+) -> RankOracle:
+    """Host rank of X, plus one when a host circuit outside the class lies in
+    X. The circuits outside are masked once; the host is asked first, so an
+    unknown id raises the host's ValueError."""
+    index = EdgeIndex(host.ground)
+    members = {frozenset(c) for c in members}
+    outside = {index.mask(c) for c in circuits if frozenset(c) not in members}
+
+    def rank(x: frozenset[int]) -> int:
+        r = host.rank(x)
+        u = index.mask(x)
+        return r + any(m & u == m for m in outside)
+
+    return FuncOracle(host.ground, rank)
 
 
 def minimal_dependent_sets(
@@ -670,15 +679,16 @@ def minimal_dependent_sets(
     ground = oracle.ground
     if len(ground) > limit:
         raise LimitExceeded(f"ground set larger than {limit}")
-    found: list[frozenset[int]] = []
+    index = EdgeIndex(ground)
+    found: list[int] = []
     for size in range(1, len(ground) + 1):
         for combo in itertools.combinations(ground, size):
-            s = frozenset(combo)
-            if any(c <= s for c in found):
+            s = index.mask(combo)
+            if any(c & s == c for c in found):
                 continue
             if oracle.rank(combo) < size:
                 found.append(s)
-    return sorted(tuple(sorted(c)) for c in found)
+    return sorted(index.ids(c) for c in found)
 
 
 def subset_sweep(

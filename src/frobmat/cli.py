@@ -121,6 +121,9 @@ def cmd_verify(args) -> int:
         )
     _, graph, ctx = _context(args)
     oracle = LiftedMatroid(ctx, graph)
+    # printed once every requested check has returned, so an error in a later
+    # check leaves its one ``error:`` line alone
+    lines: list[str] = []
     failures = 0
 
     def report(name: str, ok: bool, detail: str = ""):
@@ -128,7 +131,7 @@ def cmd_verify(args) -> int:
         line = f"{name}: {'PASS' if ok else 'FAIL'}"
         if detail and not ok:
             line += f" ({detail})"
-        print(line)
+        lines.append(line)
         failures += 0 if ok else 1
 
     if args.axioms:
@@ -152,6 +155,7 @@ def cmd_verify(args) -> int:
     if args.minors:
         ok, detail = _verify_minors(ctx, graph, oracle, args.seed)
         report("minors", ok, detail)
+    print("\n".join(lines))
     return 1 if failures else 0
 
 

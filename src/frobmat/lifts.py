@@ -19,10 +19,11 @@ from .biased import (
     IDENTITY_PART,
     KERNEL_PART,
     BiasedGraph,
+    EdgeIndex,
     FuncOracle,
     RankOracle,
-    _brylawski_rank,
     _capped_rank,
+    _class_lift,
     _vertices_of,
     component_rank,
     component_walk,
@@ -338,16 +339,18 @@ def bases(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
             for combo in itertools.combinations(ground, n_rank)
             if oracle.underlying_rank(combo) == n_rank
         ]
-    # a spanning set of nullity one holds exactly one circuit of N
-    circuits = [frozenset(c) for c in oracle.frame_circuits]
-    members = {frozenset(c) for c in oracle.linear_class}
+    # a spanning set of nullity one holds exactly one circuit of N, and is a
+    # basis of M iff that circuit is outside the class
+    index = EdgeIndex(ground)
+    in_class = set(oracle.linear_class)
+    # smaller circuits lie in more candidates, so they are tried first
+    masks = sorted((len(c), index.mask(c), c in in_class) for c in oracle.frame_circuits)
     out = []
-    for combo in itertools.combinations(ground, n_rank + 1):
-        if oracle.underlying_rank(combo) != n_rank:
-            continue
-        s = frozenset(combo)
-        if next(c for c in circuits if c <= s) not in members:
-            out.append(combo)
+    for combo in itertools.combinations(ground, size):
+        if oracle.underlying_rank(combo) == n_rank:
+            u = index.mask(combo)
+            if not next(member for _, m, member in masks if m & u == m):
+                out.append(combo)
     return out
 
 
@@ -359,46 +362,26 @@ def circuits(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
     of C1 or C2, which is no coloop of X, so its nullity is at most one. Only
     pairs of non-members are formed: X holds no member, so neither circuit
     of a pair giving X is one, and a union taken with a member contains that
-    member and is rejected anyway. Edge and vertex sets are bitmasks; a pair
-    whose union has more than two edges beyond its vertices cannot have
-    nullity two (frame rank is at most the vertex count), so it is skipped
-    before the rank query, as is a union already found.
+    member and is rejected anyway. Edge and vertex sets are masks of one
+    EdgeIndex; a pair whose union has more than two edges beyond its vertices
+    cannot have nullity two (frame rank is at most the vertex count), so it
+    is skipped before the rank query, as is a union already found.
     """
     oracle = LiftedMatroid(ctx, g)
-    ground = oracle.ground
-    bit = {eid: 1 << i for i, eid in enumerate(ground)}
-
-    def ids_of(u: int) -> tuple[int, ...]:
-        return tuple(eid for eid in ground if u & bit[eid])
-
-    ends = g.ends
-    # vertices numbered densely, so a mask's size follows the edge count
-    vbit = {
-        v: 1 << i
-        for i, v in enumerate(sorted({x for eid in ground for x in ends[eid][:2]}))
-    }
+    index = EdgeIndex(oracle.ground, g)
     in_class = set(oracle.linear_class)
-    shapes = []
-    for c in oracle.frame_circuits:
-        if c in in_class:
-            continue
-        edges = verts = 0
-        for eid in c:
-            t, h, _ = ends[eid]
-            edges |= bit[eid]
-            verts |= vbit[t] | vbit[h]
-        shapes.append((edges, verts))
+    shapes = [index.shape(c) for c in oracle.frame_circuits if c not in in_class]
     unions = set()
     for (e1, v1), (e2, v2) in itertools.combinations(shapes, 2):
         u = e1 | e2
         if u in unions or u.bit_count() - (v1 | v2).bit_count() > 2:
             continue
-        ids = ids_of(u)
+        ids = index.ids(u)
         if len(ids) - oracle.underlying_rank(ids) == 2:
             unions.add(u)
-    members = [sum(bit[eid] for eid in c) for c in oracle.linear_class]
+    members = [index.mask(c) for c in oracle.linear_class]
     out = set(in_class)
-    out.update(ids_of(u) for u in unions if not any(m & u == m for m in members))
+    out.update(index.ids(u) for u in unions if not any(m & u == m for m in members))
     return sorted(out)
 
 
@@ -595,16 +578,15 @@ def is_elementary_lift(
         raise ValueError("ground sets differ")
     if len(m.ground) > limit:
         raise LimitExceeded(f"ground set larger than {limit}")
-    host_circuits = [frozenset(c) for c in minimal_dependent_sets(host, limit=limit)]
-    recovered = {c for c in host_circuits if m.rank(c) == len(c) - 1}
+    host_circuits = minimal_dependent_sets(host, limit=limit)
+    recovered = [c for c in host_circuits if m.rank(c) == len(c) - 1]
     ok, witness = is_linear_class(host, host_circuits, recovered)
     if not ok:
         return False, witness
-    lift = FuncOracle(host.ground, lambda x: _brylawski_rank(host, host_circuits, recovered, x))
-    bad = first_disagreement(m, lift)
+    bad = first_disagreement(m, _class_lift(host, host_circuits, recovered))
     if bad is not None:
         return False, tuple(sorted(bad))
-    return True, sorted(tuple(sorted(c)) for c in recovered)
+    return True, recovered
 
 
 def switch_invariance_check(

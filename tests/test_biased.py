@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import frobmat.biased as biased_module
 from frobmat import (
     BiasedGraph,
+    ClassLiftOracle,
     FrameOracle,
     FrobeniusContext,
     GainGraph,
@@ -90,10 +91,15 @@ def test_gain_ranks_match_explicit_balanced_set(seed):
             assert graphic_rank(g, sub) == frame_rank(every_cycle, sub), sub
 
 
-@pytest.mark.parametrize("oracle", [FrameOracle, LiftOracle, GraphicOracle])
+@pytest.mark.parametrize("oracle", [FrameOracle, LiftOracle, GraphicOracle, ClassLiftOracle])
 def test_unknown_edge_and_empty_subset(d6, oracle):
     b = biased(d6, 3, [(0, 1, 1), (1, 2, 4), (2, 2, 3)])
-    o = oracle(b.graph) if oracle is GraphicOracle else oracle(b)
+    if oracle is GraphicOracle:
+        o = oracle(b.graph)
+    elif oracle is ClassLiftOracle:
+        o = oracle(b, [])
+    else:
+        o = oracle(b)
     assert o.rank([]) == 0
     with pytest.raises(ValueError, match="no edge 7"):
         o.rank([0, 7])
@@ -125,14 +131,15 @@ def test_circuit_families_refuse_too_many_unbalanced_pairs_before_the_first(
     d6, family, monkeypatch
 ):
     """36 random edges on 6 vertices over D6: thousands of unbalanced cycles,
-    so more than 10^6 pairs; the cap raises before any pair is looked at."""
+    so more than 10^6 pairs; the cap raises before any cycle is masked for
+    the pair loop."""
     rng = random.Random(0)
     b = biased(d6, 6, [(rng.randrange(6), rng.randrange(6), rng.randrange(6)) for _ in range(36)])
 
     def no_pairs(*args):
-        raise AssertionError("a pair was examined")
+        raise AssertionError("a cycle was masked for the pair loop")
 
-    monkeypatch.setattr(biased_module, "_vertices_of", no_pairs)
+    monkeypatch.setattr(biased_module.EdgeIndex, "shape", no_pairs)
     with pytest.raises(LimitExceeded, match="more than 1000000 pairs of unbalanced cycles"):
         family(b)
 
@@ -184,17 +191,74 @@ def test_frame_equals_lift_without_disjoint_unbalanced_cycles():
                 assert frame_rank(b, sub) == lift_rank(b, sub)
 
 
-def test_circuits_match_brute_force_on_random_graphs():
-    rng = random.Random(23)
-    for group in (make_dihedral(6), make_cyclic(3)):
-        for _ in range(12):
-            b = BiasedGraph.from_gain_graph(random_gain_graph(group, rng))
-            assert sorted(frame_circuits(b)) == sorted(
-                minimal_dependent_sets(FrameOracle(b))
-            )
-            assert sorted(lift_circuits(b)) == sorted(
-                minimal_dependent_sets(LiftOracle(b))
-            )
+def _thetas_by_pairs(b):
+    """theta_property_check by the frozenset pair loop it replaced: every
+    theta as (union, three cycles), then the first with two balanced."""
+    from frobmat.biased import _vertices_of
+
+    sets = [frozenset(c) for c in enumerate_cycles(b.graph)]
+    seen, thetas = set(), []
+    for c1, c2 in itertools.combinations(sets, 2):
+        union = c1 | c2
+        if not c1 & c2 or union in seen:
+            continue
+        if len(union) != len(_vertices_of(b.graph, union)) + 1 or c1 ^ c2 not in sets:
+            continue
+        seen.add(union)
+        thetas.append((c1, c2, c1 ^ c2))
+    for triple in thetas:
+        if sum(b.cycle_is_balanced(c) for c in triple) == 2:
+            return False, tuple(sorted(tuple(sorted(c)) for c in triple))
+    return True, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_circuit_families_and_thetas_match_brute_force(seed):
+    """Frame and lift circuits against minimal dependent sets, on a gain
+    graph over D6, Z3 or F20 (at most 10 edges, with a loop and a parallel
+    pair) and on the same graph given by its balanced cycles; the theta
+    verdict against the pair loop, also on a random balanced set."""
+    rng = random.Random(seed)
+    group = (make_dihedral(6), make_cyclic(3), make_field_affine(5))[seed % 3]
+    nv = rng.randint(2, 4)
+    triples = [
+        (rng.randrange(nv), rng.randrange(nv), rng.randrange(group.order))
+        for _ in range(rng.randint(0, 7))
+    ]
+    v, t = rng.randrange(nv), rng.randrange(nv)
+    triples += [(v, v, rng.randrange(group.order))]
+    triples += [(t, (t + 1) % nv, rng.randrange(group.order)) for _ in range(2)]
+    g = graph(group, nv, triples)
+    cycles = enumerate_cycles(g)
+    gain = BiasedGraph.from_gain_graph(g)
+    explicit = BiasedGraph.from_balanced_set(g, [c for c in cycles if is_balanced_cycle(g, c)])
+    for b in (gain, explicit):
+        assert frame_circuits(b) == minimal_dependent_sets(FrameOracle(b))
+        assert lift_circuits(b) == minimal_dependent_sets(LiftOracle(b))
+        assert theta_property_check(b) == _thetas_by_pairs(b) == (True, None)
+    arbitrary = BiasedGraph.from_balanced_set(g, [c for c in cycles if rng.random() < 0.5])
+    assert theta_property_check(arbitrary) == _thetas_by_pairs(arbitrary)
+
+
+def test_class_lift_oracle_answers_past_the_cycle_edge_cap(d6):
+    """A 41-edge path with an unbalanced digon at one end, an unbalanced loop
+    at the other and a balanced triangle: the host's circuits are listed over
+    all 41 edges, past the 40-edge cap of a default cycle enumeration. The
+    loose handcuff of the digon and the loop is the one circuit outside the
+    class, and only the whole ground set holds it."""
+    triples = [(i, i + 1, 0) for i in range(38)]
+    triples += [(0, 1, 3), (0, 2, 0), (38, 38, 1)]
+    b = biased(d6, 39, triples)
+    assert len(b.graph.edges) == 41
+    with pytest.raises(LimitExceeded, match="capped at 40 edges"):
+        frame_circuits(b)
+    members = [(0, 1, 39)]
+    oracle = ClassLiftOracle(b, members)
+    frame = FrameOracle(b)
+    assert oracle.rank(oracle.ground) == frame.rank(frame.ground) + 1 == 40
+    assert oracle.rank([0, 1, 39]) == 2
+    assert oracle.rank(oracle.ground[:-1]) == frame.rank(oracle.ground[:-1]) == 39
 
 
 # --- theta property ---------------------------------------------------------

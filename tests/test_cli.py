@@ -299,6 +299,20 @@ def test_verify_without_a_check_exits_before_loading_the_graph(tmp_path, capsys)
     )
 
 
+def test_verify_prints_no_report_lines_before_an_error(write, capsys):
+    """The axioms pass on a D6 graph, but a representation needs a
+    make_field_affine group: only the one error line is written."""
+    code, out, err = run(
+        capsys,
+        "verify",
+        "--graph", write("g.json", GOLDEN_D6_GRAPH),
+        "--kernel", "auto",
+        "--axioms", "--representation",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_corrupted_class_file(write, capsys):
     # identity-gain theta: three balanced cycles, any two force the third
     theta = {
