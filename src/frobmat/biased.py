@@ -20,8 +20,8 @@ from .gaingraph import (
     is_balanced_cycle,
 )
 
-DEFAULT_GROUND_LIMIT = 20
-DEFAULT_AXIOM_LIMIT = 16
+# Most elements a sweep over every subset takes
+EXHAUSTIVE_LIMIT = 16
 # Element classes for component_rank; complements are numbered from 0.
 IDENTITY_PART = -2
 KERNEL_PART = -1
@@ -270,24 +270,6 @@ def _union_edges(
     return lifted
 
 
-def component_walk(g: GainGraph, part_of: Sequence[int], lift: bool) -> tuple[object, int, Step]:
-    """The walk of component_rank(g, ., part_of, lift): each step runs
-    _union_edges on one edge, on a copy of the union-find state unless the
-    step is the state's last."""
-
-    def step(state: tuple, e: int, last: bool):
-        uf, lifted = state
-        root, eta, members, witness = uf
-        if not last:
-            uf = root, eta, members, witness = (
-                root.copy(), eta.copy(), members.copy(), witness.copy()
-            )
-        lifted = _union_edges(g, part_of, uf, (e,), lifted)
-        return (uf, lifted), len(root) - len(members) + len(witness) + (lift and lifted)
-
-    return (({}, {}, {}, {}), False), 0, step
-
-
 def component_rank(
     g: GainGraph, subset: Iterable[int], part_of: Sequence[int], lift: bool
 ) -> int:
@@ -324,6 +306,46 @@ def _capped_rank(
     return len(root) - len(members) + len(witness) + (lift and lifted)
 
 
+class ComponentOracle(RankOracle):
+    """component_rank(graph, X, part_of, lift) on every edge of ``graph``.
+
+    r(E) is found once, by a direct pass (not a rank query), and each later
+    pass stops once its prefix reaches it (see _capped_rank). The walk runs
+    _union_edges on one edge per step, on a copy of the union-find state
+    unless the step is the state's last.
+    """
+
+    incremental = True
+
+    def __init__(self, graph: GainGraph, part_of: Sequence[int], lift: bool):
+        self.graph = graph
+        self.part_of = part_of
+        self.lift = lift
+        self.ground = tuple(sorted(graph.edge_ids()))
+
+    @functools.cached_property
+    def _cap(self) -> int:
+        return component_rank(self.graph, self.ground, self.part_of, self.lift)
+
+    def rank(self, subset: Iterable[int]) -> int:
+        return _capped_rank(self.graph, subset, self.part_of, self.lift, self._cap)
+
+    def walk(self):
+        g, part_of, lift = self.graph, self.part_of, self.lift
+
+        def step(state: tuple, e: int, last: bool):
+            uf, lifted = state
+            root, eta, members, witness = uf
+            if not last:
+                uf = root, eta, members, witness = (
+                    root.copy(), eta.copy(), members.copy(), witness.copy()
+                )
+            lifted = _union_edges(g, part_of, uf, (e,), lifted)
+            return (uf, lifted), len(root) - len(members) + len(witness) + (lift and lifted)
+
+        return (({}, {}, {}, {}), False), 0, step
+
+
 @functools.lru_cache(maxsize=64)
 def _uniform_parts(order: int, part: int) -> tuple[int, ...]:
     """The classification that puts every non-identity element in ``part``."""
@@ -344,117 +366,118 @@ def _scan_rank(b: BiasedGraph, subset: Iterable[int], lift: bool) -> int:
     return total + lifted
 
 
-def frame_rank(b: BiasedGraph, subset: Iterable[int]) -> int:
-    """|V(G[X])| minus the number of balanced components."""
-    if not b.gain_derived:
-        return _scan_rank(b, subset, False)
-    return component_rank(b.graph, subset, _uniform_parts(b.graph.group.order, 0), False)
+class _EdgeOracle(ComponentOracle):
+    """The ComponentOracle of a biased graph with every non-identity gain in
+    the part ``_part``. A graph given by an explicit balanced-cycle set is
+    read from scanned components instead, one subset at a time."""
 
-
-def graphic_rank(g: GainGraph, subset: Iterable[int]) -> int:
-    return component_rank(g, subset, _uniform_parts(g.group.order, IDENTITY_PART), False)
-
-
-def lift_rank(b: BiasedGraph, subset: Iterable[int]) -> int:
-    """Graphic rank, plus one iff the restriction has an unbalanced cycle."""
-    if not b.gain_derived:
-        return _scan_rank(b, subset, True)
-    parts = _uniform_parts(b.graph.group.order, KERNEL_PART)
-    return component_rank(b.graph, subset, parts, True)
-
-
-class _EdgeOracle(RankOracle):
-    """A rank function whose ground set is every edge of a biased graph."""
-
-    # (part, lift): component_rank with every non-identity gain in ``part``;
-    # None in a subclass that computes its rank some other way
-    _uniform: Optional[tuple[int, bool]] = None
+    _part: int
+    _lift = False
 
     def __init__(self, biased: BiasedGraph):
+        g = biased.graph
+        super().__init__(g, _uniform_parts(g.group.order, self._part), self._lift)
         self.biased = biased
-        self.ground = tuple(sorted(biased.graph.edge_ids()))
+        self.incremental = biased.gain_derived
 
-    @functools.cached_property
-    def _form(self) -> Optional[tuple[GainGraph, Sequence[int], bool]]:
-        """(graph, part_of, lift) when the rank is component_rank; None for a
-        balanced-cycle set, whose ranks come from scans."""
-        if self._uniform is None or not self.biased.gain_derived:
-            return None
-        part, lift = self._uniform
-        g = self.biased.graph
-        return g, _uniform_parts(g.group.order, part), lift
-
-    @functools.cached_property
-    def _capped_form(self):
-        """(graph, part_of, rank of the ground set), the rank found by one
-        direct pass; it stops each later pass early (see _capped_rank).
-        None for a balanced-cycle set."""
-        form = self._form
-        if form is None:
-            return None
-        g, part_of, lift = form
-        return g, part_of, component_rank(g, self.ground, part_of, lift)
-
-    @property
-    def incremental(self) -> bool:
-        return self._form is not None
+    def rank(self, subset: Iterable[int]) -> int:
+        if not self.incremental:
+            return _scan_rank(self.biased, subset, self.lift)
+        return super().rank(subset)
 
     def walk(self):
-        if self._form is None:
-            return super().walk()
-        return component_walk(*self._form)
-
-    def _rank(self, subset: Iterable[int], lift: bool) -> int:
-        form = self._capped_form
-        if form is None:
-            return _scan_rank(self.biased, subset, lift)
-        g, part_of, cap = form
-        return _capped_rank(g, subset, part_of, lift, cap)
+        return super().walk() if self.incremental else RankOracle.walk(self)
 
 
 class FrameOracle(_EdgeOracle):
-    _uniform = 0, False
-
-    def rank(self, subset: Iterable[int]) -> int:
-        return self._rank(subset, False)
+    _part = 0
+    # bound here as well: bench/tracing.py wraps the method in this class's
+    # own __dict__
+    rank = _EdgeOracle.rank
 
 
 class LiftOracle(_EdgeOracle):
-    _uniform = KERNEL_PART, True
-
-    def rank(self, subset: Iterable[int]) -> int:
-        return self._rank(subset, True)
+    _part, _lift = KERNEL_PART, True
 
 
 class GraphicOracle(_EdgeOracle):
-    _uniform = IDENTITY_PART, False
+    _part = IDENTITY_PART
 
     def __init__(self, graph: GainGraph):
         super().__init__(BiasedGraph.from_gain_graph(graph))
 
+
+def frame_rank(b: BiasedGraph, subset: Iterable[int]) -> int:
+    """|V(G[X])| minus the number of balanced components."""
+    return FrameOracle(b).rank(subset)
+
+
+def graphic_rank(g: GainGraph, subset: Iterable[int]) -> int:
+    return GraphicOracle(g).rank(subset)
+
+
+def lift_rank(b: BiasedGraph, subset: Iterable[int]) -> int:
+    """Graphic rank, plus one iff the restriction has an unbalanced cycle."""
+    return LiftOracle(b).rank(subset)
+
+
+class _ClassLift(RankOracle):
+    """The elementary lift of ``host`` by a linear class of its circuits
+    (Brylawski, *Constructions*, 1986): the host rank of X, plus one when a
+    host circuit outside the class lies in X.
+
+    The circuits outside are masked once, at the first query, and grouped by
+    their least edge: a circuit lies in X only if its least edge does, so a
+    query tests only the groups of the edges in X. The host is asked first,
+    so an unknown id raises the host's ValueError.
+    """
+
+    def __init__(
+        self,
+        host: RankOracle,
+        circuits: Iterable[Iterable[int]],
+        members: Iterable[Iterable[int]],
+    ):
+        self.host = host
+        self.ground = host.ground
+        self.members = frozenset(frozenset(c) for c in members)
+        self._circuits = circuits
+
+    def _host_circuits(self) -> Iterable[Iterable[int]]:
+        return self._circuits
+
+    @functools.cached_property
+    def _outside(self) -> tuple[EdgeIndex, dict[int, list[int]]]:
+        """(the index of the ground set, the masks of the circuits outside
+        the class by their least edge id)."""
+        index = EdgeIndex(self.ground)
+        by_least: dict[int, list[int]] = {}
+        for c in self._host_circuits():
+            if frozenset(c) not in self.members:
+                by_least.setdefault(min(c), []).append(index.mask(c))
+        return index, by_least
+
     def rank(self, subset: Iterable[int]) -> int:
-        return self._rank(subset, False)
+        r = self.host.rank(subset)
+        index, by_least = self._outside
+        x = set(subset)
+        u = index.mask(x)
+        return r + any(m & u == m for eid in x for m in by_least.get(eid, ()))
 
 
-class ClassLiftOracle(_EdgeOracle):
-    """Elementary lift of a frame matroid given by an explicit linear class:
-    the frame rank, plus one when X holds a frame circuit outside the class.
+class ClassLiftOracle(_ClassLift):
+    """The lift of the frame matroid of ``biased`` by an explicit linear class.
 
     The host's frame circuits are listed once, at the first query, with no
     cap on the edge count; the cycle-count and pair caps still bound them.
     """
 
     def __init__(self, biased: BiasedGraph, members: Iterable[Iterable[int]]):
-        super().__init__(biased)
-        self.members = frozenset(frozenset(c) for c in members)
+        super().__init__(FrameOracle(biased), (), members)
+        self.biased = biased
 
-    @functools.cached_property
-    def _lift(self) -> RankOracle:
-        circuits = frame_circuits(self.biased, max_edges=len(self.ground))
-        return _class_lift(FrameOracle(self.biased), circuits, self.members)
-
-    def rank(self, subset: Iterable[int]) -> int:
-        return self._lift.rank(subset)
+    def _host_circuits(self) -> list[tuple[int, ...]]:
+        return frame_circuits(self.biased, max_edges=len(self.ground))
 
 
 class EdgeIndex:
@@ -649,36 +672,14 @@ def brylawski_lift(
     ok, witness = is_linear_class(host, circuits, members)
     if not ok:
         raise ValueError(f"not a linear class; modular-pair witness {witness}")
-    return _class_lift(host, circuits, members)
+    return _ClassLift(host, circuits, members)
 
 
-def _class_lift(
-    host: RankOracle,
-    circuits: Iterable[Iterable[int]],
-    members: Iterable[Iterable[int]],
-) -> RankOracle:
-    """Host rank of X, plus one when a host circuit outside the class lies in
-    X. The circuits outside are masked once; the host is asked first, so an
-    unknown id raises the host's ValueError."""
-    index = EdgeIndex(host.ground)
-    members = {frozenset(c) for c in members}
-    outside = {index.mask(c) for c in circuits if frozenset(c) not in members}
-
-    def rank(x: frozenset[int]) -> int:
-        r = host.rank(x)
-        u = index.mask(x)
-        return r + any(m & u == m for m in outside)
-
-    return FuncOracle(host.ground, rank)
-
-
-def minimal_dependent_sets(
-    oracle: RankOracle, limit: int = DEFAULT_GROUND_LIMIT
-) -> list[tuple[int, ...]]:
+def minimal_dependent_sets(oracle: RankOracle) -> list[tuple[int, ...]]:
     """All inclusion-minimal X with rank(X) < |X|, by exhaustive search."""
     ground = oracle.ground
-    if len(ground) > limit:
-        raise LimitExceeded(f"ground set larger than {limit}")
+    if len(ground) > EXHAUSTIVE_LIMIT:
+        raise LimitExceeded(f"ground set larger than {EXHAUSTIVE_LIMIT}")
     index = EdgeIndex(ground)
     found: list[int] = []
     for size in range(1, len(ground) + 1):
@@ -708,7 +709,7 @@ def subset_sweep(
         yield tuple(i for i in ground if rng.random() < 0.5)
 
 
-def rank_table(oracle: RankOracle, limit: int = DEFAULT_AXIOM_LIMIT) -> list[int]:
+def rank_table(oracle: RankOracle) -> list[int]:
     """Rank of every subset, indexed by bitmask over the sorted ground set.
 
     The oracle is walked depth first, one element per step: each subset's
@@ -717,8 +718,8 @@ def rank_table(oracle: RankOracle, limit: int = DEFAULT_AXIOM_LIMIT) -> list[int
     """
     ground = oracle.ground
     m = len(ground)
-    if m > limit:
-        raise LimitExceeded(f"ground set larger than {limit}")
+    if m > EXHAUSTIVE_LIMIT:
+        raise LimitExceeded(f"ground set larger than {EXHAUSTIVE_LIMIT}")
     state, r, step = oracle.walk()
     table = [r] * (1 << m)
 
@@ -790,7 +791,7 @@ def _walk_disagreement(a: RankOracle, b: RankOracle) -> Optional[tuple[int, ...]
     return found
 
 
-def matroid_axiom_check(oracle: RankOracle, limit: int = DEFAULT_AXIOM_LIMIT):
+def matroid_axiom_check(oracle: RankOracle):
     """Verify r(∅)=0, unit increase, and local submodularity on all subsets.
 
     Returns (True, None) or (False, witness) where the witness names the first
@@ -804,7 +805,7 @@ def matroid_axiom_check(oracle: RankOracle, limit: int = DEFAULT_AXIOM_LIMIT):
     """
     ground = oracle.ground
     m = len(ground)
-    table = rank_table(oracle, limit=limit)
+    table = rank_table(oracle)
     if table[0] != 0:
         return False, ("empty", (), table[0])
 

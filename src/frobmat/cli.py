@@ -24,7 +24,7 @@ from .biased import (
     subset_sweep,
 )
 from .errors import LimitExceeded, RecoveryError
-from .gaingraph import GainGraph, quotient_gains
+from .gaingraph import DEFAULT_CYCLE_COUNT_LIMIT, GainGraph, quotient_gains
 from .groups import (
     DEFAULT_GROUP_LIMIT,
     FiniteGroup,
@@ -42,7 +42,7 @@ from .lifts import (
     delete,
     linear_class,
 )
-from .recovery import recover_partition
+from .recovery import complete_cycle_count, recover_partition
 from .represent import incidence_matrix, verify_representation
 
 
@@ -193,14 +193,19 @@ def cmd_recover(args) -> int:
     graph = fileio.load_graph(args.graph)
     group = graph.group
     kernel = Subgroup(tuple(sorted(fileio.parse_id_list(args.kernel))))
+    n = graph.vertex_count
     if args.cls:
         members = fileio.parse_circuits(Path(args.cls).read_text())
         qgraph = quotient_gains(graph, group_quotient(group, kernel))
+        # the oracle lists every cycle of its host at its first query; the
+        # host of K_n has complete_cycle_count of them, and recovery
+        # refuses any other graph
+        if complete_cycle_count(group.order, n) > DEFAULT_CYCLE_COUNT_LIMIT:
+            raise LimitExceeded(f"more than {DEFAULT_CYCLE_COUNT_LIMIT} cycles")
         oracle = ClassLiftOracle(BiasedGraph.from_gain_graph(qgraph), members)
     else:
         part = _select_partition(group, args.kernel, _limit(args))
         oracle = LiftedMatroid(FrobeniusContext(group, part, validate=False), graph)
-    n = graph.vertex_count
     recovered = recover_partition(group, kernel, n, oracle, seed=args.seed)
     print(fileio.format_partition(group, recovered, 1))
     return 0
@@ -220,22 +225,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=True, kernel=True):
-        if graph:
-            p.add_argument("--graph", required=True, help="gain graph JSON file")
+    def common(p, kernel=True):
+        p.add_argument("--graph", required=True, help="gain graph JSON file")
         if kernel:
             p.add_argument(
                 "--kernel",
                 default="auto",
                 help="partition selector: 'auto' or kernel elements 'e1,e2,...'",
             )
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--limit", type=int, default=0, help="group enumeration cap")
 
     p = sub.add_parser("frobpart", help="list Frobenius partitions of a group")
     p.add_argument("--group", required=True, help="group spec JSON file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit", type=int, default=0)
+    p.add_argument("--limit", type=int, default=0, help="group enumeration cap")
     p.set_defaults(fn=cmd_frobpart)
 
     p = sub.add_parser("rank", help="rank of an edge subset")
@@ -254,12 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="incidence matrix over GF(q)")
     p.add_argument("--graph", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit", type=int, default=0)
     p.set_defaults(fn=cmd_matrix)
 
     p = sub.add_parser("verify", help="verification report")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--axioms", action="store_true")
     p.add_argument(
         "--linear-class",
@@ -281,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", help="recover the partition from a lift")
     common(p, kernel=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kernel", required=True, help="kernel elements 'e1,e2,...'")
     p.add_argument(
         "--class",

@@ -19,14 +19,11 @@ from .biased import (
     IDENTITY_PART,
     KERNEL_PART,
     BiasedGraph,
+    ComponentOracle,
     EdgeIndex,
-    FuncOracle,
     RankOracle,
-    _capped_rank,
-    _class_lift,
+    _ClassLift,
     _vertices_of,
-    component_rank,
-    component_walk,
     first_disagreement,
     frame_circuits,
     is_linear_class,
@@ -99,41 +96,28 @@ class FrobeniusContext:
         )
 
 
-class LiftedMatroid(RankOracle):
+class LiftedMatroid(ComponentOracle):
     """Rank oracle of the constructed elementary lift.
 
     rank(X) = |V(G[X])| - b(X) + l(X) with b counting quotient-balanced
-    components and l the lift bit.
+    components and l the lift bit; the same pass without l is the frame rank
+    of the quotient, ``underlying_rank``.
     """
-
-    incremental = True
 
     def __init__(self, ctx: FrobeniusContext, graph: GainGraph):
         if graph.group is not ctx.group:
             raise ValueError("graph group differs from the context group")
+        super().__init__(graph, ctx.part_of, True)
         self.ctx = ctx
-        self.graph = graph
-        self.ground = tuple(sorted(e.id for e in graph.edges))
+        self._frame = ComponentOracle(graph, ctx.part_of, False)
 
-    def rank(self, subset: Iterable[int]) -> int:
-        return _capped_rank(self.graph, subset, self.ctx.part_of, True, self._rank_cap)
-
-    def walk(self):
-        return component_walk(self.graph, self.ctx.part_of, True)
+    # bound here as well: bench/tracing.py wraps the method in this class's
+    # own __dict__
+    rank = ComponentOracle.rank
 
     def underlying_rank(self, subset: Iterable[int]) -> int:
         """Rank in the frame matroid of the quotient gain graph."""
-        return _capped_rank(self.graph, subset, self.ctx.part_of, False, self._frame_cap)
-
-    # r(E) and the frame rank of E, each by one direct pass (not a rank
-    # query); they stop each later pass early (see _capped_rank)
-    @cached_property
-    def _rank_cap(self) -> int:
-        return component_rank(self.graph, self.ground, self.ctx.part_of, True)
-
-    @cached_property
-    def _frame_cap(self) -> int:
-        return component_rank(self.graph, self.ground, self.ctx.part_of, False)
+        return self._frame.rank(subset)
 
     @cached_property
     def quotient_biased(self) -> BiasedGraph:
@@ -149,7 +133,8 @@ class LiftedMatroid(RankOracle):
         return tuple(linear_class(self.ctx, self.graph, frame=self.frame_circuits))
 
     def underlying_oracle(self) -> RankOracle:
-        return FuncOracle(self.ground, self.underlying_rank)
+        """The frame matroid of the quotient gain graph, walkable."""
+        return self._frame
 
 
 # ---------------------------------------------------------------------------
@@ -565,25 +550,22 @@ def verify_spike(oracle: RankOracle, r: int) -> tuple[bool, tuple[int, ...]]:
     return bool(tips), tuple(tips)
 
 
-def is_elementary_lift(
-    m: RankOracle, host: RankOracle, limit: int = 16
-) -> tuple[bool, object]:
+def is_elementary_lift(m: RankOracle, host: RankOracle) -> tuple[bool, object]:
     """Decide whether m is an elementary lift of host; recover its class.
 
     On success returns (True, class); on failure (False, witness) where the
     witness is either a linear-class violation or the first subset, by size,
-    whose rank the two-case formula cannot reproduce.
+    whose rank the two-case formula cannot reproduce. Raises LimitExceeded
+    above biased.EXHAUSTIVE_LIMIT elements.
     """
     if tuple(m.ground) != tuple(host.ground):
         raise ValueError("ground sets differ")
-    if len(m.ground) > limit:
-        raise LimitExceeded(f"ground set larger than {limit}")
-    host_circuits = minimal_dependent_sets(host, limit=limit)
+    host_circuits = minimal_dependent_sets(host)
     recovered = [c for c in host_circuits if m.rank(c) == len(c) - 1]
     ok, witness = is_linear_class(host, host_circuits, recovered)
     if not ok:
         return False, witness
-    bad = first_disagreement(m, _class_lift(host, host_circuits, recovered))
+    bad = first_disagreement(m, _ClassLift(host, host_circuits, recovered))
     if bad is not None:
         return False, tuple(sorted(bad))
     return True, recovered

@@ -14,7 +14,14 @@ import math
 import random
 from typing import Iterable, Optional, Sequence
 
-from .biased import BiasedGraph, FrameOracle, RankOracle, first_disagreement, subset_sweep
+from .biased import (
+    EXHAUSTIVE_LIMIT,
+    BiasedGraph,
+    FrameOracle,
+    RankOracle,
+    first_disagreement,
+    subset_sweep,
+)
 from .errors import LimitExceeded, RecoveryError
 from .gaingraph import (
     DEFAULT_CYCLE_COUNT_LIMIT,
@@ -35,7 +42,9 @@ from .groups import (
 from .lifts import FrobeniusContext, LiftedMatroid, is_elementary_lift
 
 EXHAUSTIVE_GROUP_ORDER = 10
-EXHAUSTIVE_EDGE_LIMIT = 16
+# Random draws per sampled check: cycles of each kind in the cycle
+# hypothesis, and subsets in the elementary check and the final comparison
+SAMPLES = 1500
 
 
 def edge_bundle(group: FiniteGroup, n: int, elements: Iterable[int]) -> tuple[int, ...]:
@@ -149,7 +158,6 @@ def _check_cycle_hypothesis(
     n: int,
     m: RankOracle,
     rng: random.Random,
-    samples: int,
 ) -> None:
     """A cycle must be a circuit of m exactly when it is balanced."""
     if group.order <= EXHAUSTIVE_GROUP_ORDER:
@@ -157,7 +165,7 @@ def _check_cycle_hypothesis(
     else:
         # all digons (the sharpest probes), plus random cycles of both kinds
         found = dict(_complete_digons(group, n))
-        for _ in range(samples):
+        for _ in range(SAMPLES):
             for want_balanced in (False, True):
                 c = _random_cycle(group, n, rng, want_balanced)
                 if c is not None:
@@ -171,23 +179,18 @@ def _check_cycle_hypothesis(
             )
 
 
-def _check_elementary(
-    m: RankOracle,
-    frame: RankOracle,
-    rng: random.Random,
-    samples: int,
-) -> None:
+def _check_elementary(m: RankOracle, frame: RankOracle, rng: random.Random) -> None:
     ids = list(m.ground)
     if tuple(frame.ground) != tuple(ids):
         raise RecoveryError("ground sets of the lift and frame oracles differ")
-    if len(ids) <= EXHAUSTIVE_EDGE_LIMIT:
+    if len(ids) <= EXHAUSTIVE_LIMIT:
         ok, witness = is_elementary_lift(m, frame)
         if not ok:
             raise RecoveryError(f"not an elementary lift of the frame matroid: {witness}")
         return
     if m.rank(()) != 0:
         raise RecoveryError("rank of the empty set is not zero")
-    for subset in subset_sweep(ids, EXHAUSTIVE_EDGE_LIMIT, samples, rng):
+    for subset in subset_sweep(ids, EXHAUSTIVE_LIMIT, SAMPLES, rng):
         d = m.rank(subset) - frame.rank(subset)
         if d not in (0, 1):
             raise RecoveryError(
@@ -201,8 +204,6 @@ def recover_partition(
     n: int,
     m: RankOracle,
     seed: int = 0,
-    samples: int = 1500,
-    verify_sweep: int = 1500,
 ) -> FrobeniusPartition:
     """Reconstruct the partition whose lift over the complete gain graph is m.
 
@@ -221,8 +222,8 @@ def recover_partition(
         raise RecoveryError("oracle ground set does not match the complete gain graph")
     qm = quotient(group, kernel)
     frame = FrameOracle(BiasedGraph.from_gain_graph(quotient_gains(g, qm)))
-    _check_elementary(m, frame, rng, samples)
-    _check_cycle_hypothesis(group, n, m, rng, samples)
+    _check_elementary(m, frame, rng)
+    _check_cycle_hypothesis(group, n, m, rng)
 
     kernel_set = kernel.element_set
     if len(kernel_set) == group.order:
@@ -277,14 +278,14 @@ def recover_partition(
 
     reconstructed = LiftedMatroid(FrobeniusContext(group, partition, validate=False), g)
     ids = list(m.ground)
-    if len(ids) <= EXHAUSTIVE_EDGE_LIMIT:
+    if len(ids) <= EXHAUSTIVE_LIMIT:
         bad = first_disagreement(m, reconstructed)
     else:
         structured = [
             edge_bundle(group, n, (0, a, b))
             for a, b in itertools.combinations_with_replacement(group.elements(), 2)
         ]
-        sampled = subset_sweep(ids, EXHAUSTIVE_EDGE_LIMIT, verify_sweep, rng)
+        sampled = subset_sweep(ids, EXHAUSTIVE_LIMIT, SAMPLES, rng)
         bad = next(
             (
                 s

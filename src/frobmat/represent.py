@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .biased import RankOracle, first_disagreement, subset_sweep
+from .biased import EXHAUSTIVE_LIMIT, RankOracle, first_disagreement, subset_sweep
 from .gaingraph import Edge, GainGraph, apply_switching
 from .groups import FiniteGroup
 from .lifts import FrobeniusContext, LiftedMatroid
@@ -194,13 +194,11 @@ class VectorOracle(RankOracle):
         return (), 0, step
 
 
-def verify_representation(
-    ctx: FrobeniusContext,
-    g: GainGraph,
-    exhaustive_limit: int = 16,
-    samples: int = 2000,
-    seed: int = 0,
-):
+# Random subsets verify_representation compares above EXHAUSTIVE_LIMIT edges
+SAMPLES = 2000
+
+
+def verify_representation(ctx: FrobeniusContext, g: GainGraph, seed: int = 0):
     """Compare matrix rank and matroid rank on all (or sampled) subsets.
 
     Returns (True, None) or (False, witness subset).
@@ -209,10 +207,10 @@ def verify_representation(
     ids = sorted(e.id for e in g.edges)
     vec = VectorOracle(matrix, ids)
     m = LiftedMatroid(ctx, g)
-    if len(ids) <= exhaustive_limit:
+    if len(ids) <= EXHAUSTIVE_LIMIT:
         bad = first_disagreement(vec, m)
         return bad is None, bad
-    for subset in subset_sweep(ids, exhaustive_limit, samples, random.Random(seed)):
+    for subset in subset_sweep(ids, EXHAUSTIVE_LIMIT, SAMPLES, random.Random(seed)):
         if vec.rank(subset) != m.rank(subset):
             return False, subset
     return True, None

@@ -261,6 +261,32 @@ def test_class_lift_oracle_answers_past_the_cycle_edge_cap(d6):
     assert oracle.rank(oracle.ground[:-1]) == frame.rank(oracle.ground[:-1]) == 39
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_class_lift_oracle_matches_its_definition(seed):
+    """The class-lift rank against its definition on every subset, asked in
+    shuffled order with repeats: the frame rank, plus one iff some frame
+    circuit outside the class lies in X. The class is any set of frame
+    circuits, so circuits outside it start at every edge. An unknown id
+    raises the host's ValueError."""
+    rng = random.Random(seed)
+    group = make_dihedral(6) if seed % 2 else make_field_affine(5)
+    b = BiasedGraph.from_gain_graph(random_gain_graph(group, rng, max_edges=9))
+    circuits = frame_circuits(b)
+    members = [c for c in circuits if rng.random() < 0.5]
+    outside = [set(c) for c in circuits if c not in members]
+    oracle, frame = ClassLiftOracle(b, members), FrameOracle(b)
+    ids = oracle.ground
+    for r in range(len(ids) + 1):
+        for sub in itertools.combinations(ids, r):
+            want = frame.rank(sub) + any(c <= set(sub) for c in outside)
+            query = list(sub) + rng.choices(sub, k=rng.randint(0, r))
+            rng.shuffle(query)
+            assert oracle.rank(query) == want, (sub, query)
+    with pytest.raises(ValueError, match=f"no edge {max(ids) + 1}"):
+        oracle.rank([max(ids) + 1] + list(ids))
+
+
 # --- theta property ---------------------------------------------------------
 
 

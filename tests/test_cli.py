@@ -423,6 +423,39 @@ def test_recover_rejects_out_of_range_kernel(write, capsys, with_class):
     assert err.startswith("error:") and err.count("\n") == 1 and "99" in err
 
 
+def test_recover_class_refuses_too_many_cycles_before_listing_any(write, capsys, monkeypatch):
+    """K_5 over D20 has more than 10^6 cycles; the class-lift oracle would
+    list them all at its first query."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("cycles were listed")
+
+    monkeypatch.setattr("frobmat.biased.enumerate_cycles", fail)
+    spec = {"complete": {"group": {"kind": "dihedral", "order": 20}, "n": 5}}
+    code, out, err = run(
+        capsys, "recover", "--graph", write("k5.json", spec), "--kernel", "0",
+        "--class", write("c.txt", "0,1\n"),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: more than 1000000 cycles\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, "--seed") for c in ("frobpart", "rank", "circuits", "bases", "matrix", "minor")]
+    + [("matrix", "--limit")],
+)
+def test_unread_flags_are_refused_in_one_line(write, capsys, command, flag):
+    source = ["--group", write("d6.json", D6_SPEC)] if command == "frobpart" else [
+        "--graph", write("g.json", FIGURE_SPEC)
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *source, flag, "1"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("error: unrecognized arguments") and err.count("\n") == 1
+
+
 def test_limit_flag_and_env(write, capsys, monkeypatch):
     path = write("g.json", D6_SPEC)
     code, _, err = run(capsys, "frobpart", "--group", path, "--limit", "2")

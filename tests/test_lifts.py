@@ -625,11 +625,7 @@ def _awkward_graph(group, rng):
 
 def _uncapped(oracle):
     """The oracle's ranks by a plain component_rank pass over every id."""
-    if isinstance(oracle, LiftedMatroid):
-        g, part_of, lift = oracle.graph, oracle.ctx.part_of, True
-    else:
-        g, part_of, lift = oracle._form
-    return lambda ids: component_rank(g, ids, part_of, lift)
+    return lambda ids: component_rank(oracle.graph, ids, oracle.part_of, oracle.lift)
 
 
 def _shuffled_queries(ids, rng):
@@ -648,7 +644,9 @@ def test_capped_ranks_match_uncapped_and_explicit_routes(seed):
     """Every oracle whose passes stop at the ground-set rank against a pass
     that reads every id, and against the explicit balanced-cycle route:
     scanned components for the frame, lift and graphic ranks, and the
-    modular-pair lift of the gain-defined class for the lifted rank."""
+    modular-pair lift of the gain-defined class for the lifted rank. The
+    walk of ``underlying_oracle`` is checked against per-subset
+    ``underlying_rank``."""
     rng = random.Random(seed)
     i = seed % len(DIFFERENTIAL_GROUPS)
     g = _awkward_graph(DIFFERENTIAL_GROUPS[i], rng)
@@ -678,6 +676,9 @@ def test_capped_ranks_match_uncapped_and_explicit_routes(seed):
                 frame.rank,
             )
         )
+        routes.append((m.underlying_oracle().rank, _uncapped(m.underlying_oracle()), frame.rank))
+        walked = rank_table(m.underlying_oracle())
+        assert walked == rank_table(FuncOracle(m.ground, m.underlying_rank)), ctx
     for sub, query in _shuffled_queries(g.edge_ids(), rng):
         for capped, uncapped, by_cycles in routes:
             expected = by_cycles(sub)
