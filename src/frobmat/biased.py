@@ -181,15 +181,6 @@ class RankOracle:
         return (), self.rank(()), step
 
 
-class FuncOracle(RankOracle):
-    def __init__(self, ground: Iterable[int], fn: Callable[[frozenset[int]], int]):
-        self.ground = tuple(sorted(ground))
-        self._fn = fn
-
-    def rank(self, subset: Iterable[int]) -> int:
-        return self._fn(frozenset(subset))
-
-
 def _union_edges(
     g: GainGraph,
     part_of: Sequence[int],
@@ -795,44 +786,63 @@ def matroid_axiom_check(oracle: RankOracle):
     """Verify r(∅)=0, unit increase, and local submodularity on all subsets.
 
     Returns (True, None) or (False, witness) where the witness names the first
-    violated axiom and the subset involved.
+    violated axiom and the subset involved: the least subset X by its mask
+    over the sorted ground set, then the least element i, or pair a < b.
 
-    The unit-increase pass also builds, per subset X, the mask Z(X) of the
-    elements i outside X with r(X+i) = r(X). Given unit increase, (X, a, b)
-    breaks local submodularity iff a and b are in Z(X) and b is not in
-    Z(X+a). Taking a, then b, lowest first gives the first failing pair in
-    ``combinations`` order.
+    The table is packed into one int with one byte per subset, so each test
+    runs on all 2^m subsets at once. With HIGH 0x80 in every byte, byte X of
+    ((ranks >> (8 << i)) | HIGH) - ranks is 128 + r(X+i) - r(X); over the X
+    without i it gives the unit-increase failures and the mask E[i] of the X
+    with r(X+i) = r(X). Given unit increase, (X, a, b) breaks local
+    submodularity exactly where E[a] & E[b] & ~(E[b] >> (8 << a)) is set.
+
+    Only a failing oracle has ranks outside [0, m]; they are clamped to
+    [-1, m + 1] so that every rank fits a byte. That keeps the first unit
+    failure: every subset below it has a rank in [0, |X|], and a clamped
+    rank still steps from r(X) <= m - 1 by less than 0 or more than 1.
     """
     ground = oracle.ground
     m = len(ground)
     table = rank_table(oracle)
     if table[0] != 0:
         return False, ("empty", (), table[0])
+    if min(table) < 0 or max(table) > m:
+        # shifted up by one, which no difference sees
+        table = [min(max(r, -1), m + 1) + 1 for r in table]
+    n = 1 << m
+    ranks = int.from_bytes(bytes(table), "little")
+    ones = int.from_bytes(b"\x01" * n, "little")
+    high, low7 = ones << 7, ones * 0x7F
+
+    def first(bits: int) -> int:
+        """The subset whose byte holds the lowest set bit of ``bits``."""
+        return (bits & -bits).bit_length() - 1 >> 3
 
     def subset(mask: int) -> tuple[int, ...]:
         return tuple(ground[k] for k in range(m) if mask >> k & 1)
 
-    full = (1 << m) - 1
-    closure = [0] * (1 << m)
-    for mask, r in enumerate(table):
-        z = 0
-        free = full ^ mask
-        while free:
-            low = free & -free
-            free ^= low
-            step = table[mask | low] - r
-            if step == 0:
-                z |= low
-            elif step != 1:
-                return False, ("unit", subset(mask), ground[low.bit_length() - 1])
-        closure[mask] = z
-    for mask, z in enumerate(closure):
-        rest = z
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            bad = rest & ~closure[mask | low]
-            if bad:
-                pair = (ground[low.bit_length() - 1], ground[(bad & -bad).bit_length() - 1])
-                return False, ("submodular", subset(mask), pair)
+    unit, equal = [], []
+    for i in range(m):
+        # bit 7 of byte X set iff X lacks i
+        free = int.from_bytes((b"\x80" * (1 << i) + bytes(1 << i)) * (n >> i + 1), "little")
+        d = ((ranks >> (8 << i)) | high) - ranks
+        # r(X+i) - r(X) in the bytes where it is at least 0
+        up = d & low7
+        # bit 7 where the step is below 0 (bit 7 of d clear) or above 1
+        bad = (~d | up + (low7 - ones)) & free
+        if bad:
+            unit.append((first(bad), i))
+        # E[i]: bit 7 where the step is 0
+        equal.append(d & ~(up + low7) & free)
+    if unit:
+        mask, i = min(unit)
+        return False, ("unit", subset(mask), ground[i])
+    pairs = [
+        (first(broken), a, b)
+        for a, b in itertools.combinations(range(m), 2)
+        if (broken := equal[a] & equal[b] & ~(equal[b] >> (8 << a)))
+    ]
+    if pairs:
+        mask, a, b = min(pairs)
+        return False, ("submodular", subset(mask), (ground[a], ground[b]))
     return True, None

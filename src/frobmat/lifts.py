@@ -304,10 +304,14 @@ def linear_class(
 
 def bases(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
     """Bases per the spanning characterization over the underlying frame
-    matroid.
+    matroid, in ``itertools.combinations`` order.
 
-    Raises LimitExceeded, before any candidate or frame circuit is built,
-    when there are more than DEFAULT_CYCLE_COUNT_LIMIT candidates.
+    The sets of size r(E) that span N are found by walking N depth first,
+    one element per step: a prefix whose nullity (length minus rank) exceeds
+    r(E) - r_N(E) is cut, since nullity never falls as elements are added
+    and a spanning candidate has exactly that nullity. Raises LimitExceeded,
+    before any candidate or frame circuit is built, when there are more than
+    DEFAULT_CYCLE_COUNT_LIMIT candidates.
     """
     oracle = LiftedMatroid(ctx, g)
     ground = oracle.ground
@@ -317,13 +321,26 @@ def bases(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
         raise LimitExceeded(
             f"more than {DEFAULT_CYCLE_COUNT_LIMIT} basis candidates of size {size}"
         )
-    if size == n_rank:
+    slack = size - n_rank
+    state, _, step = oracle.underlying_oracle().walk()
+    spanning = []
+
+    def visit(path: tuple[int, ...], start: int, state: object) -> None:
+        if len(path) == size:
+            spanning.append(path)
+            return
+        # the last index that leaves room for the rest of the candidate
+        stop = len(ground) - size + len(path)
+        for j in range(start, stop + 1):
+            # the last child may take the parent's state
+            child, r = step(state, ground[j], j == stop)
+            if len(path) + 1 - r <= slack:
+                visit(path + (ground[j],), j + 1, child)
+
+    visit((), 0, state)
+    if not slack:
         # M = N, and an independent set of N holds no circuit
-        return [
-            combo
-            for combo in itertools.combinations(ground, n_rank)
-            if oracle.underlying_rank(combo) == n_rank
-        ]
+        return spanning
     # a spanning set of nullity one holds exactly one circuit of N, and is a
     # basis of M iff that circuit is outside the class
     index = EdgeIndex(ground)
@@ -331,11 +348,10 @@ def bases(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
     # smaller circuits lie in more candidates, so they are tried first
     masks = sorted((len(c), index.mask(c), c in in_class) for c in oracle.frame_circuits)
     out = []
-    for combo in itertools.combinations(ground, size):
-        if oracle.underlying_rank(combo) == n_rank:
-            u = index.mask(combo)
-            if not next(member for _, m, member in masks if m & u == m):
-                out.append(combo)
+    for combo in spanning:
+        u = index.mask(combo)
+        if not next(member for _, m, member in masks if m & u == m):
+            out.append(combo)
     return out
 
 

@@ -1,4 +1,5 @@
 import random
+from typing import Callable, Iterable
 
 import pytest
 
@@ -10,6 +11,7 @@ from frobmat import (
     make_dihedral,
     make_field_affine,
 )
+from frobmat.biased import RankOracle
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +52,14 @@ def random_gain_graph(group, rng: random.Random, max_vertices=4, max_edges=8):
         for _ in range(ne)
     ]
     return GainGraph.from_triples(group, nv, triples)
+
+
+class FuncOracle(RankOracle):
+    """A rank oracle given by a function of frozensets, asked once per subset."""
+
+    def __init__(self, ground: Iterable[int], fn: Callable[[frozenset[int]], int]):
+        self.ground = tuple(sorted(ground))
+        self._fn = fn
+
+    def rank(self, subset: Iterable[int]) -> int:
+        return self._fn(frozenset(subset))

@@ -34,7 +34,6 @@ from frobmat import (
     theta_property_check,
 )
 from frobmat.biased import (
-    FuncOracle,
     _walk_disagreement,
     first_disagreement,
     graphic_rank,
@@ -43,7 +42,7 @@ from frobmat.biased import (
 )
 from frobmat.errors import LimitExceeded
 
-from conftest import random_gain_graph
+from conftest import FuncOracle, random_gain_graph
 
 
 def graph(group, n, triples):
@@ -507,20 +506,19 @@ AXIOM_CONTEXTS = [
 ]
 
 
-def _random_table(rng: random.Random) -> tuple[tuple[int, ...], list[int]]:
-    """A rank table over at most six elements: random values, a maximum of
+def _table_in_range(rng: random.Random, kind: int) -> tuple[tuple[int, ...], list[int]]:
+    """A rank table over at most nine elements: random values, a maximum of
     intersection sizes (unit increase, often not submodular), or a real
     lift's table with up to two entries moved by one."""
-    kind = rng.randrange(3)
     if kind == 2:
         i = rng.randrange(len(AXIOM_GROUPS))
-        g = random_gain_graph(AXIOM_GROUPS[i], rng, max_vertices=4, max_edges=6)
+        g = random_gain_graph(AXIOM_GROUPS[i], rng, max_vertices=4, max_edges=9)
         m = LiftedMatroid(rng.choice(AXIOM_CONTEXTS[i]), g)
         table = rank_table(m)
         for _ in range(rng.randrange(3)):
             table[rng.randrange(len(table))] += rng.choice((-1, 1))
         return m.ground, table
-    ground = tuple(sorted(rng.sample(range(20), rng.randint(3 * kind, 6))))
+    ground = tuple(sorted(rng.sample(range(20), rng.randint(3 * kind, 9))))
     n = 1 << len(ground)
     if kind == 0:
         table = [rng.randrange(4) for _ in range(n)]
@@ -530,13 +528,56 @@ def _random_table(rng: random.Random) -> tuple[tuple[int, ...], list[int]]:
     return ground, [max((x & s).bit_count() for s in sets) for x in range(n)]
 
 
+def _random_table(rng: random.Random) -> tuple[tuple[int, ...], list[int]]:
+    """A table of _table_in_range, or one of those with one to three entries
+    moved far outside [0, m], which the check clamps before packing."""
+    kind = rng.randrange(4)
+    if kind < 3:
+        return _table_in_range(rng, kind)
+    ground, table = _table_in_range(rng, rng.randrange(3))
+    for _ in range(rng.randint(1, 3)):
+        table[rng.randrange(len(table))] = rng.choice((-300, len(ground) + 2, 10**30))
+    return ground, table
+
+
+def _table_oracle(ground, table):
+    index = {e: 1 << k for k, e in enumerate(ground)}
+    return FuncOracle(ground, lambda s: table[sum(index[e] for e in s)])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_axiom_check_matches_pairwise_reference(seed):
-    ground, table = _random_table(random.Random(seed))
-    index = {e: 1 << k for k, e in enumerate(ground)}
-    oracle = FuncOracle(ground, lambda s: table[sum(index[e] for e in s)])
+    oracle = _table_oracle(*_random_table(random.Random(seed)))
     assert matroid_axiom_check(oracle) == _pairwise_axiom_check(oracle)
+
+
+def test_axiom_check_at_the_size_bound():
+    """K_6 plus one parallel edge has EXHAUSTIVE_LIMIT elements and passes."""
+    z1 = make_cyclic(1)
+    k6 = [(i, j, 0) for i, j in itertools.combinations(range(6), 2)]
+    oracle = GraphicOracle(graph(z1, 6, k6 + [(0, 1, 0)]))
+    assert len(oracle.ground) == biased_module.EXHAUSTIVE_LIMIT
+    assert matroid_axiom_check(oracle) == (True, None)
+
+
+def test_axiom_check_on_twelve_elements_matches_pairwise_reference():
+    """K_5 plus two parallel edges, with the rank of the flat spanned by
+    vertices 0-3 (its eight edges) raised from three to four: unit increase
+    holds, local submodularity breaks."""
+    z1 = make_cyclic(1)
+    k5 = [(i, j, 0) for i, j in itertools.combinations(range(5), 2)]
+    g = graph(z1, 5, k5 + [(0, 1, 0), (2, 3, 0)])
+    oracle = GraphicOracle(g)
+    table = rank_table(oracle)
+    assert len(oracle.ground) == 12
+    flat = sum(1 << k for k, e in enumerate(oracle.ground) if 4 not in g.ends[e][:2])
+    assert flat.bit_count() == 8 and table[flat] == 3
+    table[flat] += 1
+    bumped = _table_oracle(oracle.ground, table)
+    result = _pairwise_axiom_check(bumped)
+    assert result[1][0] == "submodular"
+    assert matroid_axiom_check(bumped) == result
 
 
 # --- first disagreement -------------------------------------------------------

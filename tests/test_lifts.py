@@ -49,10 +49,10 @@ from frobmat import (
     switch_invariance_check,
     verify_spike,
 )
-from frobmat.biased import FuncOracle, component_rank, rank_table
+from frobmat.biased import component_rank, rank_table
 from frobmat.lifts import _classify_circuit
 
-from conftest import random_gain_graph
+from conftest import FuncOracle, random_gain_graph
 
 
 def graph(group, n, triples):
@@ -476,6 +476,25 @@ def test_bases_brute_force_on_both_branches(d6):
         brute = [c for c in itertools.combinations(m.ground, r) if m.rank(c) == r]
         assert bases(ctx, k3) == brute, ctx
     assert sorted(set(lifted)) == [0, 1]
+
+
+def test_bases_asks_underlying_rank_once(d6, monkeypatch):
+    """The spanning candidates come from one walk of the quotient frame
+    matroid, not from a rank query per candidate: K_3 over D6 has 816 or
+    3,060 candidates, and its partitions run both branches of ``bases``."""
+    asked = []
+    rank = LiftedMatroid.underlying_rank
+
+    def counted(self, subset):
+        asked.append(subset)
+        return rank(self, subset)
+
+    monkeypatch.setattr(LiftedMatroid, "underlying_rank", counted)
+    k3 = complete_gain_graph(d6, 3)
+    for ctx in contexts_of(d6):
+        asked.clear()
+        assert bases(ctx, k3)
+        assert len(asked) <= 1, ctx
 
 
 def test_bases_checks_the_candidate_count_first(d6, monkeypatch):

@@ -27,8 +27,9 @@ from frobmat import (
     recover_partition,
     switching_action_check,
 )
-from frobmat.biased import FuncOracle
 from frobmat.recovery import _all_complete_cycles, _random_cycle, complete_cycle_count
+
+from conftest import FuncOracle
 
 
 def test_edge_bundle_counts(d6):
