@@ -283,18 +283,22 @@ def _capped_rank(
     """component_rank, stopped once the edges read so far reach rank ``cap``.
 
     With ``cap`` the rank of every edge of ``g`` this is exact: rank is
-    monotone, so a set holding a prefix of that rank has that rank. The ids
-    after the stop are still looked up, so an unknown one raises ValueError.
-    A negative cap never stops the pass.
+    monotone, so a set holding a prefix of that rank has that rank. A pass
+    that stopped early has rank ``cap``; only then are ids left unread, and
+    they are checked against the edge table by one ``filterfalse`` pass, so
+    an unknown one still raises ValueError. A negative cap never stops the
+    pass.
     """
     state = root, _, members, witness = {}, {}, {}, {}
     rest = iter(subset)
     # the empty state has rank 0, so ``cap`` rank-raising edges reach the cap
     lifted = _union_edges(g, part_of, state, rest, not lift, cap)
-    ends = g.ends
-    for eid in rest:
-        ends[eid]
-    return len(root) - len(members) + len(witness) + (lift and lifted)
+    r = len(root) - len(members) + len(witness) + (lift and lifted)
+    if r == cap:
+        ends = g.ends
+        for eid in itertools.filterfalse(ends.__contains__, rest):
+            ends[eid]
+    return r
 
 
 class ComponentOracle(RankOracle):
@@ -419,8 +423,10 @@ class _ClassLift(RankOracle):
 
     The circuits outside are masked once, at the first query, and grouped by
     their least edge: a circuit lies in X only if its least edge does, so a
-    query tests only the groups of the edges in X. The host is asked first,
-    so an unknown id raises the host's ValueError.
+    query tests only the groups of the edges in X. Each group is sorted by
+    edge count, and a query stops reading it at the first circuit larger
+    than X. The host is asked first, so an unknown id raises the host's
+    ValueError.
     """
 
     def __init__(
@@ -438,14 +444,17 @@ class _ClassLift(RankOracle):
         return self._circuits
 
     @functools.cached_property
-    def _outside(self) -> tuple[EdgeIndex, dict[int, list[int]]]:
-        """(the index of the ground set, the masks of the circuits outside
-        the class by their least edge id)."""
+    def _outside(self) -> tuple[EdgeIndex, dict[int, list[tuple[int, int]]]]:
+        """(the index of the ground set, the (edge count, mask) of the
+        circuits outside the class by their least edge id, sorted)."""
         index = EdgeIndex(self.ground)
-        by_least: dict[int, list[int]] = {}
+        by_least: dict[int, list[tuple[int, int]]] = {}
         for c in self._host_circuits():
             if frozenset(c) not in self.members:
-                by_least.setdefault(min(c), []).append(index.mask(c))
+                m = index.mask(c)
+                by_least.setdefault(min(c), []).append((m.bit_count(), m))
+        for bucket in by_least.values():
+            bucket.sort()
         return index, by_least
 
     def rank(self, subset: Iterable[int]) -> int:
@@ -453,7 +462,14 @@ class _ClassLift(RankOracle):
         index, by_least = self._outside
         x = set(subset)
         u = index.mask(x)
-        return r + any(m & u == m for eid in x for m in by_least.get(eid, ()))
+        size = len(x)
+        for eid in x:
+            for count, m in by_least.get(eid, ()):
+                if count > size:
+                    break
+                if m & u == m:
+                    return r + 1
+        return r
 
 
 class ClassLiftOracle(_ClassLift):
@@ -683,6 +699,10 @@ def minimal_dependent_sets(oracle: RankOracle) -> list[tuple[int, ...]]:
     return sorted(index.ids(c) for c in found)
 
 
+# byte -> 1 when its bit 7 is clear, else 0
+_KEEP_BELOW_HIGH = bytes(b < 0x80 for b in range(256))
+
+
 def subset_sweep(
     ground: Sequence[int],
     exhaustive_limit: int,
@@ -691,13 +711,23 @@ def subset_sweep(
 ) -> Iterator[tuple[int, ...]]:
     """Every subset of ``ground`` by size, in ``itertools.combinations`` order,
     when it has at most ``exhaustive_limit`` elements; else ``samples`` random
-    halves, each element kept on one draw of ``rng``."""
-    if len(ground) <= exhaustive_limit:
-        for size in range(len(ground) + 1):
+    halves, each listed in ``ground``'s order.
+
+    A half keeps each element exactly when one ``rng.random() < 0.5`` per
+    element would, and leaves ``rng`` in the same state: ``random()`` is
+    below one half exactly when the top bit of the first of its two 32-bit
+    words is clear, and ``getrandbits(64 * k)`` draws the same 2k words and
+    packs them little-endian, so byte 8i + 3 holds element i's bit as its
+    bit 7.
+    """
+    k = len(ground)
+    if k <= exhaustive_limit:
+        for size in range(k + 1):
             yield from itertools.combinations(ground, size)
         return
     for _ in range(samples):
-        yield tuple(i for i in ground if rng.random() < 0.5)
+        words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+        yield tuple(itertools.compress(ground, words[3::8].translate(_KEEP_BELOW_HIGH)))
 
 
 def rank_table(oracle: RankOracle) -> list[int]:

@@ -8,7 +8,7 @@ tail == head. Edge ids are stable: minors drop ids but never renumber them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import LimitExceeded
@@ -352,6 +352,20 @@ def complete_edge_id(group: FiniteGroup, n: int, i: int, j: int, alpha: int) -> 
         raise ValueError("need 0 <= i < j < n")
     pair_index = i * n - i * (i + 1) // 2 + (j - i - 1)
     return pair_index * group.order + alpha
+
+
+@lru_cache(maxsize=64)
+def complete_pair_offsets(order: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """offset[i][j] = offset[j][i] = the id of the identity edge of the pair
+    {i, j} in complete_gain_graph(group, n) for a group of the given order:
+    for i < j, complete_edge_id(group, n, i, j, alpha) is offset[i][j] + alpha."""
+    offset = [[0] * n for _ in range(n)]
+    pair = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            offset[i][j] = offset[j][i] = pair * order
+            pair += 1
+    return tuple(map(tuple, offset))
 
 
 def from_signed_gains(

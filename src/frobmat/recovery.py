@@ -27,6 +27,7 @@ from .gaingraph import (
     DEFAULT_CYCLE_COUNT_LIMIT,
     complete_edge_id,
     complete_gain_graph,
+    complete_pair_offsets,
     quotient_gains,
 )
 from .groups import (
@@ -77,16 +78,14 @@ def _complete_cycle(
     A balanced walk of length two uses one edge twice, so it is no cycle.
     """
     table, inverse = group.table, group.inverse
+    offset = complete_pair_offsets(group.order, n)
     k = len(verts)
     acc = 0
     ids = []
     for t in range(k):
         i, j, x = verts[t], verts[(t + 1) % k], gains[t]
         acc = table[acc][x]
-        if i < j:
-            ids.append(complete_edge_id(group, n, i, j, x))
-        else:
-            ids.append(complete_edge_id(group, n, j, i, inverse[x]))
+        ids.append(offset[i][j] + (x if i < j else inverse[x]))
     ids.sort()
     return tuple(ids), acc == 0
 
@@ -179,22 +178,26 @@ def _check_cycle_hypothesis(
             )
 
 
-def _check_elementary(m: RankOracle, frame: RankOracle, rng: random.Random) -> None:
-    ids = list(m.ground)
-    if tuple(frame.ground) != tuple(ids):
+def _check_elementary(
+    m: RankOracle, frame: RankOracle, bundled: Sequence[int], rng: random.Random
+) -> None:
+    """m must be an elementary lift of ``frame``: checked on every subset
+    when the ground has at most EXHAUSTIVE_LIMIT edges, else on random
+    halves of the ground listed as ``bundled``."""
+    if tuple(frame.ground) != tuple(m.ground):
         raise RecoveryError("ground sets of the lift and frame oracles differ")
-    if len(ids) <= EXHAUSTIVE_LIMIT:
+    if len(bundled) <= EXHAUSTIVE_LIMIT:
         ok, witness = is_elementary_lift(m, frame)
         if not ok:
             raise RecoveryError(f"not an elementary lift of the frame matroid: {witness}")
         return
     if m.rank(()) != 0:
         raise RecoveryError("rank of the empty set is not zero")
-    for subset in subset_sweep(ids, EXHAUSTIVE_LIMIT, SAMPLES, rng):
+    for subset in subset_sweep(bundled, EXHAUSTIVE_LIMIT, SAMPLES, rng):
         d = m.rank(subset) - frame.rank(subset)
         if d not in (0, 1):
             raise RecoveryError(
-                f"subset {tuple(subset)} has lift rank {d} above the frame rank"
+                f"subset {tuple(sorted(subset))} has lift rank {d} above the frame rank"
             )
 
 
@@ -220,9 +223,13 @@ def recover_partition(
     g = complete_gain_graph(group, n)
     if tuple(m.ground) != tuple(e.id for e in g.edges):
         raise RecoveryError("oracle ground set does not match the complete gain graph")
+    # the ground bundle by bundle, the identity bundle first: a random half
+    # listed this way reaches a spanning forest of identity edges, and then
+    # its first unbalanced edges, within a few reads, where a rank pass stops
+    bundled = tuple(e for a in group.elements() for e in edge_bundle(group, n, (a,)))
     qm = quotient(group, kernel)
     frame = FrameOracle(BiasedGraph.from_gain_graph(quotient_gains(g, qm)))
-    _check_elementary(m, frame, rng)
+    _check_elementary(m, frame, bundled, rng)
     _check_cycle_hypothesis(group, n, m, rng)
 
     kernel_set = kernel.element_set
@@ -277,15 +284,14 @@ def recover_partition(
             validate_partition(group, partition)
 
     reconstructed = LiftedMatroid(FrobeniusContext(group, partition, validate=False), g)
-    ids = list(m.ground)
-    if len(ids) <= EXHAUSTIVE_LIMIT:
+    if len(bundled) <= EXHAUSTIVE_LIMIT:
         bad = first_disagreement(m, reconstructed)
     else:
         structured = [
             edge_bundle(group, n, (0, a, b))
             for a, b in itertools.combinations_with_replacement(group.elements(), 2)
         ]
-        sampled = subset_sweep(ids, EXHAUSTIVE_LIMIT, SAMPLES, rng)
+        sampled = subset_sweep(bundled, EXHAUSTIVE_LIMIT, SAMPLES, rng)
         bad = next(
             (
                 s

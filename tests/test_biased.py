@@ -34,6 +34,7 @@ from frobmat import (
     theta_property_check,
 )
 from frobmat.biased import (
+    EXHAUSTIVE_LIMIT,
     _walk_disagreement,
     first_disagreement,
     graphic_rank,
@@ -414,6 +415,19 @@ def test_subset_sweep_exhaustive_by_size_else_seeded_halves():
     rng, same = random.Random(4), random.Random(4)
     want = [tuple(i for i in ground if same.random() < 0.5) for _ in range(5)]
     assert list(subset_sweep(ground, 2, 5, rng)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(17, 260), st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))
+def test_sampled_halves_match_one_random_draw_per_element(size, shuffle_seed, seed):
+    """Each sampled half keeps, in ground order, the elements whose
+    ``random()`` draw is below one half, and leaves the generator where
+    those draws leave it."""
+    ground = random.Random(shuffle_seed).sample(range(2 * size), size)
+    rng, ref = random.Random(seed), random.Random(seed)
+    for half in subset_sweep(ground, EXHAUSTIVE_LIMIT, 4, rng):
+        assert half == tuple(i for i in ground if ref.random() < 0.5)
+        assert rng.getstate() == ref.getstate()
 
 
 def test_axiom_check_graphic_k4():

@@ -31,6 +31,7 @@ from frobmat import (
     contract_unbalanced_loop,
     cyclic_covering_pair,
     delete,
+    edge_bundle,
     enumerate_cycles,
     frame_circuits,
     frobenius_partitions,
@@ -749,16 +750,33 @@ def test_unknown_id_after_the_ground_set_rank_raises(d6, d6_frobenius, complete)
     b = BiasedGraph.from_gain_graph(g)
     m = LiftedMatroid(d6_frobenius, g)
     missing = max(g.edge_ids()) + 1
-    for rank in (
+    ranks = [
         m.rank,
         m.underlying_rank,
         FrameOracle(b).rank,
         LiftOracle(b).rank,
         GraphicOracle(g).rank,
-    ):
+    ]
+    for rank in ranks:
         assert rank(g.edge_ids()) > 0
         with pytest.raises(ValueError, match=f"no edge {missing}"):
             rank(list(g.edge_ids()) + [missing])
+    if not complete:
+        return
+    # bundle by bundle, the first two of reflections from different
+    # complements: every capped pass reaches r(E) inside them and stops there
+    query = [e for a in (3, 4, 0, 1, 2, 5) for e in edge_bundle(d6, 4, (a,))]
+    for rank in ranks:
+        assert rank(query[:12]) == rank(g.edge_ids())
+    # component_rank never stops
+    ranks += [
+        lambda s, lift=lift: component_rank(g, s, d6_frobenius.part_of, lift)
+        for lift in (False, True)
+    ]
+    for rank in ranks:
+        for at in (len(query), 1):
+            with pytest.raises(ValueError, match=f"no edge {missing}"):
+                rank(query[:at] + [missing] + query[at:])
 
 
 def _pairwise_linear_class(host, host_circuits, cand):

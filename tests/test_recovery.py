@@ -221,6 +221,46 @@ def test_random_cycle_balance_matches_walk(seed, gi, n):
             assert balanced or not want_balanced
 
 
+def _z7_frame_lift():
+    """K_4 over Z7 (42 edges, so every sweep samples) and its lift under the
+    partition with the trivial kernel."""
+    z7 = make_cyclic(7)
+    part = next(p for p in frobenius_partitions(z7) if p.kernel.order == 1)
+    return z7, part, LiftedMatroid(FrobeniusContext(z7, part), complete_gain_graph(z7, 4))
+
+
+def test_sampled_elementary_check_names_the_first_failing_half():
+    """With the kernel trivial the lift is the quotient frame matroid, so an
+    oracle two above it on every set of 21 or more edges fails at the first
+    such half. The halves are drawn over the ground listed bundle by bundle,
+    one random() draw per edge, and the witness is printed sorted."""
+    z7, part, m = _z7_frame_lift()
+    oracle = FuncOracle(m.ground, lambda s: m.rank(s) + 2 * (len(s) >= 21))
+    bundled = [e for a in z7.elements() for e in edge_bundle(z7, 4, (a,))]
+    ref = random.Random(0)
+    half = ()
+    while len(half) < 21:
+        half = tuple(e for e in bundled if ref.random() < 0.5)
+    with pytest.raises(RecoveryError) as info:
+        recover_partition(z7, part.kernel, 4, oracle, seed=0)
+    assert str(info.value) == f"subset {tuple(sorted(half))} has lift rank 2 above the frame rank"
+
+
+def test_recovery_rank_query_count_on_k4_over_z7():
+    """The order in which the sampled sweeps list the ground changes which
+    halves they ask, not how many queries recovery makes."""
+    z7, part, m = _z7_frame_lift()
+    calls = 0
+
+    def rank(s):
+        nonlocal calls
+        calls += 1
+        return m.rank(s)
+
+    assert recover_partition(z7, part.kernel, 4, FuncOracle(m.ground, rank), seed=0) == part
+    assert calls == 16435
+
+
 def test_k5_over_order_ten_is_refused_by_its_cycle_count():
     assert complete_cycle_count(10, 5) == 1_360_450
     assert complete_cycle_count(9, 5) == 814_653
