@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from frobmat import (
     FrobeniusContext,
+    LiftedMatroid,
     build_spike_graph,
     frobenius_partitions,
     linear_class,
     make_cyclic,
 )
+from frobmat.lifts import contract, delete
+from frobmat import cli
 from frobmat.cli import main
 from frobmat.fileio import format_circuits, graph_to_spec
 
@@ -289,6 +292,99 @@ def test_verify_axioms_linear_class_minors(write, capsys):
     assert out == "axioms: PASS\nlinear-class: PASS\nminors: PASS\n"
 
 
+def _wrong_contraction(ctx, g, eid):
+    return delete(ctx, g, eid)
+
+
+def _swapped_deletion(ctx, g, eid):
+    return contract(ctx, g, eid)
+
+
+def _other_partition_deletion(index):
+    """A wrong deletion: the deleted graph's lift under partition ``index``."""
+
+    def wrong(ctx, g, eid):
+        part = frobenius_partitions(ctx.group)[index]
+        return LiftedMatroid(FrobeniusContext(ctx.group, part), delete(ctx, g, eid).graph)
+
+    return wrong
+
+
+AGL15_SPEC = {"kind": "field_affine", "q": 5}
+MINORS_D6_9 = [
+    [0, 2, 0], [1, 0, 3], [1, 1, 5], [1, 0, 0], [1, 0, 3], [1, 2, 0], [2, 1, 2],
+    [2, 0, 4], [0, 1, 0],
+]
+MINORS_AGL_10 = [
+    [0, 2, 17], [0, 1, 19], [1, 2, 18], [0, 2, 0], [1, 1, 17], [0, 0, 15], [2, 2, 15],
+    [1, 2, 4], [0, 2, 4], [2, 1, 0],
+]
+MINORS_D6_15 = [
+    [0, 0, 0], [2, 1, 5], [2, 2, 4], [1, 0, 4], [1, 3, 5], [3, 2, 4], [3, 2, 0], [0, 2, 3],
+    [2, 3, 3], [1, 1, 1], [1, 0, 1], [2, 1, 1], [2, 1, 3], [3, 2, 4], [2, 2, 3],
+]
+MINORS_AGL_15 = [
+    [1, 2, 3], [3, 3, 4], [0, 0, 0], [3, 2, 1], [1, 2, 8], [1, 0, 8], [1, 0, 8], [2, 1, 5],
+    [2, 2, 11], [0, 2, 12], [1, 1, 7], [3, 2, 2], [2, 0, 9], [2, 1, 13], [3, 2, 13],
+]
+MINORS_D6_14A = [
+    [3, 0, 3], [3, 1, 3], [1, 1, 5], [3, 0, 1], [0, 0, 1], [1, 2, 4], [2, 3, 3], [0, 0, 5],
+    [2, 0, 5], [0, 1, 5], [2, 2, 1], [2, 2, 3], [0, 2, 4], [3, 0, 5],
+]
+MINORS_D6_14B = [
+    [3, 2, 5], [3, 3, 0], [2, 1, 4], [2, 1, 2], [0, 1, 2], [0, 3, 0], [2, 1, 0], [3, 3, 2],
+    [3, 3, 3], [0, 0, 4], [1, 1, 4], [2, 0, 1], [1, 0, 3], [3, 0, 2],
+]
+
+
+@pytest.mark.parametrize(
+    "group, vertices, edges, seed, wrong, line",
+    [
+        # at most 13 edges: every subset of the rest, by size
+        (D6_SPEC, 3, MINORS_D6_9, 0, {"contract": _wrong_contraction},
+         "contraction of 0 differs on (3, 5)"),
+        # both minors wrong on the same subsets: deletion is named
+        (D6_SPEC, 3, MINORS_D6_9, 0,
+         {"contract": _wrong_contraction, "delete": _swapped_deletion},
+         "deletion of 0 differs on (3, 5)"),
+        # the contraction's witness (3, 5) comes before the deletion's (1, 2, 3)
+        (D6_SPEC, 3, MINORS_D6_9, 0,
+         {"contract": _wrong_contraction, "delete": _other_partition_deletion(0)},
+         "contraction of 0 differs on (3, 5)"),
+        # the deletion's witness (4, 5) comes before the contraction's (1, 4, 8)
+        (AGL15_SPEC, 3, MINORS_AGL_10, 0,
+         {"contract": _wrong_contraction, "delete": _other_partition_deletion(0)},
+         "deletion of 0 differs on (4, 5)"),
+        # above 13 edges: seeded halves, drawn on from edge to edge
+        (D6_SPEC, 4, MINORS_D6_15, 7, {"contract": _wrong_contraction},
+         "contraction of 1 differs on (3, 4, 5, 7, 8, 12, 13, 14)"),
+        (AGL15_SPEC, 4, MINORS_AGL_15, 7,
+         {"contract": _wrong_contraction, "delete": _swapped_deletion},
+         "deletion of 0 differs on (1, 2, 4, 6, 7, 9, 10, 11, 12, 13)"),
+        (D6_SPEC, 4, MINORS_D6_14A, 36,
+         {"contract": _wrong_contraction, "delete": _other_partition_deletion(1)},
+         "contraction of 0 differs on (1, 7, 9, 11)"),
+        (D6_SPEC, 4, MINORS_D6_14B, 30,
+         {"contract": _wrong_contraction, "delete": _other_partition_deletion(0)},
+         "deletion of 0 differs on (2, 3, 5, 6, 7, 10, 13)"),
+    ],
+)
+def test_verify_minors_names_the_first_wrong_minor(
+    write, capsys, monkeypatch, group, vertices, edges, seed, wrong, line
+):
+    """With a wrong minor injected, the report names the earlier of the
+    deletion and contraction witnesses, by size and then in combinations
+    order (or by sample), and the deletion on a tie."""
+    for name, fn in wrong.items():
+        monkeypatch.setattr(cli, name, fn)
+    spec = {"group": group, "vertices": vertices, "edges": edges}
+    code, out, err = run(
+        capsys, "verify", "--graph", write("g.json", spec), "--kernel", "auto",
+        "--minors", "--seed", str(seed),
+    )
+    assert (code, out, err) == (1, f"minors: FAIL ({line})\n", "")
+
+
 def test_verify_without_a_check_exits_before_loading_the_graph(tmp_path, capsys):
     missing = str(tmp_path / "absent.json")  # loading it would fail differently
     code, out, err = run(capsys, "verify", "--graph", missing)
@@ -354,6 +450,36 @@ def test_minor_contract_merges_vertex(write, capsys):
     data = json.loads(out)
     assert data["vertices"] == 2
     assert len(data["edges"]) == 1
+
+
+@pytest.mark.parametrize(
+    "group, edges, loop, want",
+    [
+        (
+            D6_SPEC,
+            [[0, 1, 3], [0, 0, 1], [1, 2, 4], [2, 0, 5], [1, 1, 2], [0, 2, 1], [2, 2, 3]],
+            1,
+            [[0, 1, 3], [1, 2, 3], [2, 0, 3], [1, 1, 0], [0, 2, 0], [2, 2, 3]],
+        ),
+        (
+            AGL15_SPEC,
+            [[0, 1, 13], [1, 2, 6], [2, 2, 8], [0, 2, 11], [1, 1, 19], [2, 0, 7], [0, 0, 2]],
+            2,
+            [[0, 1, 1], [1, 2, 2], [0, 2, 3], [1, 1, 3], [2, 0, 3], [0, 0, 2]],
+        ),
+    ],
+    ids=["D6", "AGL(1,5)"],
+)
+def test_minor_contract_kernel_loop_output(write, capsys, group, edges, loop, want):
+    """Contracting a non-identity kernel loop maps every gain into the first
+    complement through the quotient."""
+    spec = {"group": group, "vertices": 3, "edges": edges}
+    code, out, err = run(
+        capsys, "minor", "--graph", write("g.json", spec), "--kernel", "auto",
+        "--contract", str(loop),
+    )
+    want_spec = {"group": group, "vertices": 3, "edges": want}
+    assert (code, out, err) == (0, json.dumps(want_spec, indent=1) + "\n", "")
 
 
 def test_minor_invalid_edge_errors(write, capsys):

@@ -41,8 +41,10 @@ from frobmat import (
     linear_class,
     make_cyclic,
     make_dihedral,
+    make_direct_product,
     make_field_affine,
     make_inversion_extension,
+    make_semidirect,
     matroid_axiom_check,
     minimal_dependent_sets,
     normalize_forest,
@@ -51,6 +53,7 @@ from frobmat import (
     verify_spike,
 )
 from frobmat.biased import component_rank, rank_table
+from frobmat.groups import find_isomorphism, subgroup_as_group
 from frobmat.lifts import _classify_circuit
 
 from conftest import FuncOracle, random_gain_graph
@@ -940,6 +943,46 @@ def test_contract_kernel_loop_d6(d6, d6_frobenius):
                     d6_frobenius, g, e.id, contract_kernel_loop(d6_frobenius, g, e.id)
                 )
                 count += 1
+
+
+def _frobenius_family_up_to_56():
+    """Groups of order at most 56 from every make_* constructor whose
+    partitions include a nontrivial kernel and quotient."""
+    z = make_cyclic
+    groups = [make_dihedral(2 * n) for n in range(3, 28, 2)]
+    groups += [make_field_affine(q) for q in (3, 5, 7)]
+    groups += [make_inversion_extension(make_direct_product(z(a), z(a))) for a in (3, 5)]
+    groups += [make_inversion_extension(z(n)) for n in (9, 15, 21, 25, 27)]
+    for m, k, u in ((5, 4, 2), (5, 4, 3), (7, 3, 2), (7, 3, 4), (7, 6, 3), (11, 5, 3),
+                    (13, 3, 3), (13, 4, 5), (13, 4, 8), (3, 4, 2), (5, 8, 2), (9, 2, 8)):
+        groups.append(make_semidirect(z(m), z(k), [[pow(u, b, m) * x % m for x in range(m)] for b in range(k)]))
+    groups += [make_direct_product(z(2), make_dihedral(6)), make_direct_product(z(3), make_dihedral(10))]
+    return groups
+
+
+def test_kernel_loop_embedding_is_an_isomorphism_onto_a_complement():
+    """The gain each element gets when a kernel loop is contracted equals the
+    image of its coset under the first isomorphism, found by backtracking,
+    from the quotient onto a complement."""
+    checked = 0
+    for group in _frobenius_family_up_to_56():
+        assert group.order <= 56
+        for part in frobenius_partitions(group):
+            if not 1 < part.kernel.order < group.order:
+                continue
+            ctx = FrobeniusContext(group, part)
+            qm = ctx.quotient
+            want = None
+            for comp in part.complements:
+                iso = find_isomorphism(qm.quotient, subgroup_as_group(group, comp))
+                if iso is not None:
+                    want = [comp.elements[iso[x]] for x in qm.quotient.elements()]
+                    break
+            g = graph(group, 1, [(0, 0, part.kernel.elements[1])] + [(0, 0, a) for a in group.elements()])
+            gains = [e.gain for e in contract_kernel_loop(ctx, g, 0).graph.edges]
+            assert gains == [want[qm.projection[a]] for a in group.elements()], (group.order, part)
+            checked += 1
+    assert checked == 33
 
 
 def test_contract_kernel_loop_only_edge(d6, d6_frobenius):
