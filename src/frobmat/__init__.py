@@ -45,10 +45,8 @@ from .groups import (
     FrobeniusPartition,
     QuotientMap,
     Subgroup,
-    find_isomorphism,
     frobenius_partitions,
     from_table,
-    is_isomorphic,
     is_malnormal,
     is_normal,
     make_cyclic,

@@ -704,14 +704,10 @@ _KEEP_BELOW_HIGH = bytes(b < 0x80 for b in range(256))
 
 
 def subset_sweep(
-    ground: Sequence[int],
-    exhaustive_limit: int,
-    samples: int,
-    rng: Optional[random.Random],
+    ground: Sequence[int], samples: int, rng: random.Random
 ) -> Iterator[tuple[int, ...]]:
-    """Every subset of ``ground`` by size, in ``itertools.combinations`` order,
-    when it has at most ``exhaustive_limit`` elements; else ``samples`` random
-    halves, each listed in ``ground``'s order.
+    """``samples`` random halves of ``ground``, each listed in ``ground``'s
+    order.
 
     A half keeps each element exactly when one ``rng.random() < 0.5`` per
     element would, and leaves ``rng`` in the same state: ``random()`` is
@@ -721,10 +717,6 @@ def subset_sweep(
     bit 7.
     """
     k = len(ground)
-    if k <= exhaustive_limit:
-        for size in range(k + 1):
-            yield from itertools.combinations(ground, size)
-        return
     for _ in range(samples):
         words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
         yield tuple(itertools.compress(ground, words[3::8].translate(_KEEP_BELOW_HIGH)))
@@ -756,25 +748,34 @@ def rank_table(oracle: RankOracle) -> list[int]:
     return table
 
 
-def first_disagreement(a: RankOracle, b: RankOracle) -> Optional[tuple[int, ...]]:
-    """The first subset of the common ground set, by size and then in
-    ``itertools.combinations`` order, on which a and b differ in rank; None
-    when they agree on every subset.
+def first_disagreement(
+    a: RankOracle, b: RankOracle, sample: Optional[Iterable[Sequence[int]]] = None
+) -> Optional[tuple[int, ...]]:
+    """The first subset on which a and b differ in rank; None when they agree
+    on every subset compared.
 
-    When both oracles are incremental they are walked together (see
-    _walk_disagreement). Otherwise each subset is asked of both by size, so
-    the scan stops at the witness: depth first, a walk could ask nearly all
-    2^m subsets before a small witness whose first element comes late.
+    With ``sample`` None every subset of the common ground set is compared,
+    by size and then in ``itertools.combinations`` order; above
+    EXHAUSTIVE_LIMIT elements this raises LimitExceeded before either oracle
+    is asked. Otherwise the subsets of ``sample`` are compared in its order.
+
+    An exhaustive comparison of two incremental oracles walks them together
+    (see _walk_disagreement). Otherwise each subset is asked of both by size,
+    so the scan stops at the witness: depth first, a walk could ask nearly
+    all 2^m subsets before a small witness whose first element comes late.
     """
     ground = a.ground
     if tuple(b.ground) != tuple(ground):
         raise ValueError("ground sets differ")
-    if a.incremental and b.incremental:
-        return _walk_disagreement(a, b)
-    return next(
-        (s for s in subset_sweep(ground, len(ground), 0, None) if a.rank(s) != b.rank(s)),
-        None,
-    )
+    if sample is None:
+        if len(ground) > EXHAUSTIVE_LIMIT:
+            raise LimitExceeded(f"ground set larger than {EXHAUSTIVE_LIMIT}")
+        if a.incremental and b.incremental:
+            return _walk_disagreement(a, b)
+        sample = (
+            s for size in range(len(ground) + 1) for s in itertools.combinations(ground, size)
+        )
+    return next((s for s in sample if a.rank(s) != b.rank(s)), None)
 
 
 def _walk_disagreement(a: RankOracle, b: RankOracle) -> Optional[tuple[int, ...]]:

@@ -61,13 +61,6 @@ class FiniteGroup:
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels is not None else str(a)
 
-    def element_order(self, a: int) -> int:
-        x, k = a, 1
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
-
     @property
     def is_abelian(self) -> bool:
         if self._abelian is None:
@@ -92,10 +85,6 @@ class FiniteGroup:
                     seen = set(span)
             self._generators = tuple(gens)
         return self._generators
-
-    def order_profile(self) -> tuple[int, ...]:
-        """Sorted element orders; a cheap isomorphism fingerprint."""
-        return tuple(sorted(self.element_order(a) for a in self.elements()))
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
@@ -623,78 +612,3 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientMap:
         projection=projection,
         section=tuple(reps),
     )
-
-
-def subgroup_as_group(group: FiniteGroup, sub: Subgroup) -> FiniteGroup:
-    """The subgroup as a standalone FiniteGroup; element i is sub.elements[i]."""
-    index = {e: i for i, e in enumerate(sub.elements)}
-    table = [
-        [index[group.mul(a, b)] for b in sub.elements] for a in sub.elements
-    ]
-    return FiniteGroup(table, labels=[group.label(e) for e in sub.elements])
-
-
-def find_isomorphism(a: FiniteGroup, b: FiniteGroup) -> Optional[list[int]]:
-    """An isomorphism a -> b as an image array, or None.
-
-    Backtracks over images of a small generating sequence, propagating the
-    products each choice forces.
-    """
-    if a.order != b.order:
-        return None
-    if a.order_profile() != b.order_profile():
-        return None
-    gens = a.generators
-    by_order: dict[int, list[int]] = {}
-    for y in b.elements():
-        by_order.setdefault(b.element_order(y), []).append(y)
-
-    def close(mapping: dict[int, int]) -> Optional[dict[int, int]]:
-        used = set(mapping.values())
-        if len(used) != len(mapping):
-            return None
-        work = list(mapping)
-        known = list(mapping)
-        while work:
-            p = work.pop()
-            for q in list(known):
-                for (x, y) in ((p, q), (q, p)):
-                    r = a.mul(x, y)
-                    img = b.mul(mapping[x], mapping[y])
-                    if r in mapping:
-                        if mapping[r] != img:
-                            return None
-                    else:
-                        if img in used:
-                            return None
-                        mapping[r] = img
-                        used.add(img)
-                        work.append(r)
-                        known.append(r)
-        return mapping
-
-    def extend(mapping: dict[int, int], i: int) -> Optional[dict[int, int]]:
-        if i == len(gens):
-            return mapping if len(mapping) == a.order else None
-        g = gens[i]
-        if g in mapping:
-            return extend(mapping, i + 1)
-        for y in by_order[a.element_order(g)]:
-            if y in mapping.values():
-                continue
-            nxt = close(dict(mapping) | {g: y})
-            if nxt is None:
-                continue
-            res = extend(nxt, i + 1)
-            if res is not None:
-                return res
-        return None
-
-    full = extend({0: 0}, 0)
-    if full is None:
-        return None
-    return [full[x] for x in a.elements()]
-
-
-def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
-    return find_isomorphism(a, b) is not None

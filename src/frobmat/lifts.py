@@ -49,9 +49,7 @@ from .groups import (
     FiniteGroup,
     FrobeniusPartition,
     QuotientMap,
-    find_isomorphism,
     quotient,
-    subgroup_as_group,
     validate_partition,
 )
 
@@ -477,8 +475,9 @@ def contract_kernel_loop(ctx: FrobeniusContext, g: GainGraph, eid: int) -> Lifte
     """Contraction of a non-identity kernel loop.
 
     Drops the loop and replaces every gain by its quotient image, re-embedded
-    into the group through an isomorphism from the quotient onto a complement
-    (the identity map when the quotient is trivial).
+    into the first complement (the identity when the quotient is trivial and
+    there is no complement). A Frobenius complement is a transversal of the
+    kernel, so the projection maps it isomorphically onto the quotient.
     """
     e = g.edge(eid)
     if not e.is_loop:
@@ -486,20 +485,10 @@ def contract_kernel_loop(ctx: FrobeniusContext, g: GainGraph, eid: int) -> Lifte
     if e.gain == 0 or not ctx.in_kernel(e.gain):
         raise ValueError("loop gain must be a non-identity kernel element")
     qm = ctx.quotient
-    if qm.quotient.order == 1:
-        embed = [0]
-    else:
-        embed = None
-        for comp in ctx.partition.complements:
-            sub = subgroup_as_group(ctx.group, comp)
-            iso = find_isomorphism(qm.quotient, sub)
-            if iso is not None:
-                embed = [comp.elements[iso[x]] for x in qm.quotient.elements()]
-                break
-        if embed is None:
-            raise ValueError(
-                "no complement is isomorphic to the quotient; cannot contract"
-            )
+    embed = [0] * qm.quotient.order
+    for comp in ctx.partition.complements[:1]:
+        for h in comp.elements:
+            embed[qm.projection[h]] = h
     new_edges = [
         Edge(f.id, f.tail, f.head, embed[qm.projection[f.gain]])
         for f in g.edges

@@ -193,7 +193,7 @@ def _check_elementary(
         return
     if m.rank(()) != 0:
         raise RecoveryError("rank of the empty set is not zero")
-    for subset in subset_sweep(bundled, EXHAUSTIVE_LIMIT, SAMPLES, rng):
+    for subset in subset_sweep(bundled, SAMPLES, rng):
         d = m.rank(subset) - frame.rank(subset)
         if d not in (0, 1):
             raise RecoveryError(
@@ -284,22 +284,14 @@ def recover_partition(
             validate_partition(group, partition)
 
     reconstructed = LiftedMatroid(FrobeniusContext(group, partition, validate=False), g)
-    if len(bundled) <= EXHAUSTIVE_LIMIT:
-        bad = first_disagreement(m, reconstructed)
-    else:
-        structured = [
+    sample = None
+    if len(bundled) > EXHAUSTIVE_LIMIT:
+        structured = (
             edge_bundle(group, n, (0, a, b))
             for a, b in itertools.combinations_with_replacement(group.elements(), 2)
-        ]
-        sampled = subset_sweep(bundled, EXHAUSTIVE_LIMIT, SAMPLES, rng)
-        bad = next(
-            (
-                s
-                for s in itertools.chain(structured, sampled)
-                if m.rank(s) != reconstructed.rank(s)
-            ),
-            None,
         )
+        sample = itertools.chain(structured, subset_sweep(bundled, SAMPLES, rng))
+    bad = first_disagreement(m, reconstructed, sample)
     if bad is not None:
         raise RecoveryError(
             f"reconstructed matroid disagrees with the input on {tuple(sorted(bad))}"

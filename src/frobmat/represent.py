@@ -207,13 +207,11 @@ def verify_representation(ctx: FrobeniusContext, g: GainGraph, seed: int = 0):
     ids = sorted(e.id for e in g.edges)
     vec = VectorOracle(matrix, ids)
     m = LiftedMatroid(ctx, g)
-    if len(ids) <= EXHAUSTIVE_LIMIT:
-        bad = first_disagreement(vec, m)
-        return bad is None, bad
-    for subset in subset_sweep(ids, EXHAUSTIVE_LIMIT, SAMPLES, random.Random(seed)):
-        if vec.rank(subset) != m.rank(subset):
-            return False, subset
-    return True, None
+    sample = None
+    if len(ids) > EXHAUSTIVE_LIMIT:
+        sample = subset_sweep(ids, SAMPLES, random.Random(seed))
+    bad = first_disagreement(vec, m, sample)
+    return bad is None, bad
 
 
 def reorient_edge(g: GainGraph, eid: int) -> GainGraph:

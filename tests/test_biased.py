@@ -407,14 +407,11 @@ def test_minimal_dependent_sets_limit():
         minimal_dependent_sets(FuncOracle(range(25), len))
 
 
-def test_subset_sweep_exhaustive_by_size_else_seeded_halves():
+def test_subset_sweep_draws_seeded_halves():
     ground = (2, 5, 7)
-    assert list(subset_sweep(ground, 3, 0, None)) == [
-        (), (2,), (5,), (7,), (2, 5), (2, 7), (5, 7), (2, 5, 7)
-    ]
     rng, same = random.Random(4), random.Random(4)
     want = [tuple(i for i in ground if same.random() < 0.5) for _ in range(5)]
-    assert list(subset_sweep(ground, 2, 5, rng)) == want
+    assert list(subset_sweep(ground, 5, rng)) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -425,7 +422,7 @@ def test_sampled_halves_match_one_random_draw_per_element(size, shuffle_seed, se
     those draws leave it."""
     ground = random.Random(shuffle_seed).sample(range(2 * size), size)
     rng, ref = random.Random(seed), random.Random(seed)
-    for half in subset_sweep(ground, EXHAUSTIVE_LIMIT, 4, rng):
+    for half in subset_sweep(ground, 4, rng):
         assert half == tuple(i for i in ground if ref.random() < 0.5)
         assert rng.getstate() == ref.getstate()
 
@@ -671,6 +668,34 @@ def test_first_disagreement_asks_a_plain_oracle_by_size(z2):
     assert len(asked) == sum(math.comb(12, k) for k in range(4)) + list(
         itertools.combinations(m.ground, 4)
     ).index(witness) + 1
+
+
+def test_first_disagreement_asks_every_subset_by_size():
+    """Exhaustive and per subset, the comparison asks every subset of the
+    ground, by size and then in combinations order, when the oracles agree."""
+    asked = []
+    counted = FuncOracle((2, 5, 7), lambda s: asked.append(s) or len(s))
+    assert first_disagreement(counted, FuncOracle((2, 5, 7), len)) is None
+    assert asked == [frozenset(s) for s in [
+        (), (2,), (5,), (7,), (2, 5), (2, 7), (5, 7), (2, 5, 7)
+    ]]
+
+
+def test_first_disagreement_compares_a_sample_in_its_order():
+    a = FuncOracle(range(4), len)
+    b = FuncOracle(range(4), lambda s: min(len(s), 2))
+    assert first_disagreement(a, b, [(0,), (1, 2), (3, 2, 1), (0, 1, 2)]) == (3, 2, 1)
+    assert first_disagreement(a, b, [(0,), (1, 2)]) is None
+
+
+def test_first_disagreement_refuses_a_large_ground_before_any_query():
+    asked = []
+    counted = FuncOracle(range(EXHAUSTIVE_LIMIT + 1), lambda s: asked.append(s) or len(s))
+    with pytest.raises(LimitExceeded):
+        first_disagreement(counted, counted)
+    assert asked == []
+    assert first_disagreement(counted, counted, [(0, 1)]) is None
+    assert asked == [frozenset((0, 1))] * 2
 
 
 def test_first_disagreement_rejects_other_ground_sets():

@@ -331,6 +331,10 @@ MINORS_D6_14A = [
     [3, 0, 3], [3, 1, 3], [1, 1, 5], [3, 0, 1], [0, 0, 1], [1, 2, 4], [2, 3, 3], [0, 0, 5],
     [2, 0, 5], [0, 1, 5], [2, 2, 1], [2, 2, 3], [0, 2, 4], [3, 0, 5],
 ]
+MINORS_D6_16 = [
+    [3, 0, 5], [3, 0, 1], [1, 3, 5], [3, 3, 5], [2, 2, 2], [2, 3, 3], [2, 0, 0], [3, 2, 0],
+    [2, 1, 1], [0, 0, 2], [0, 3, 0], [0, 1, 4], [3, 3, 2], [1, 0, 5], [2, 1, 4], [0, 1, 2],
+]
 MINORS_D6_14B = [
     [3, 2, 5], [3, 3, 0], [2, 1, 4], [2, 1, 2], [0, 1, 2], [0, 3, 0], [2, 1, 0], [3, 3, 2],
     [3, 3, 3], [0, 0, 4], [1, 1, 4], [2, 0, 1], [1, 0, 3], [3, 0, 2],
@@ -367,6 +371,11 @@ MINORS_D6_14B = [
         (D6_SPEC, 4, MINORS_D6_14B, 30,
          {"contract": _wrong_contraction, "delete": _other_partition_deletion(0)},
          "deletion of 0 differs on (2, 3, 5, 6, 7, 10, 13)"),
+        # the deletion's witness comes first in the sample, though the
+        # contraction's, (2, 4, 7, 11, 15), is smaller
+        (D6_SPEC, 4, MINORS_D6_16, 17,
+         {"contract": _wrong_contraction, "delete": _other_partition_deletion(0)},
+         "deletion of 0 differs on (4, 8, 9, 10, 12, 14)"),
     ],
 )
 def test_verify_minors_names_the_first_wrong_minor(

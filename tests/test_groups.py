@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from frobmat import (
     FrobeniusPartition,
     Subgroup,
-    find_isomorphism,
     frobenius_partitions,
     from_table,
-    is_isomorphic,
     is_malnormal,
     is_normal,
     make_cyclic,
@@ -32,8 +30,9 @@ from frobmat.groups import (
     conjugate_subgroup,
     generated_subgroup,
     is_subgroup,
-    subgroup_as_group,
 )
+
+from conftest import element_order, find_isomorphism, is_isomorphic, subgroup_as_group
 
 
 def quaternion_table():
@@ -139,7 +138,7 @@ def test_direct_product_with_trivial():
 
 def test_direct_product_z3_z3_orders():
     g = make_direct_product(make_cyclic(3), make_cyclic(3))
-    assert all(g.element_order(x) == 3 for x in g.elements() if x != 0)
+    assert all(element_order(g, x) == 3 for x in g.elements() if x != 0)
 
 
 def test_semidirect_trivial_action_is_direct_product():

@@ -53,10 +53,9 @@ from frobmat import (
     verify_spike,
 )
 from frobmat.biased import component_rank, rank_table
-from frobmat.groups import find_isomorphism, subgroup_as_group
 from frobmat.lifts import _classify_circuit
 
-from conftest import FuncOracle, random_gain_graph
+from conftest import FuncOracle, find_isomorphism, random_gain_graph, subgroup_as_group
 
 
 def graph(group, n, triples):
