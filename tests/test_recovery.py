@@ -261,6 +261,24 @@ def test_recovery_rank_query_count_on_k4_over_z7():
     assert calls == 16435
 
 
+def test_recovery_rank_query_count_on_k5_over_agl15():
+    """K_5 over AGL(1,5) with its Frobenius kernel Z5: a non-abelian group
+    whose rank queries run every union-find branch. The count pins that a
+    cheaper pass does not come from asking fewer queries."""
+    group = make_field_affine(5)
+    part = next(p for p in frobenius_partitions(group) if 1 < p.kernel.order < group.order)
+    m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 5))
+    calls = 0
+
+    def rank(s):
+        nonlocal calls
+        calls += 1
+        return m.rank(s)
+
+    assert recover_partition(group, part.kernel, 5, FuncOracle(m.ground, rank), seed=0) == part
+    assert calls == 13958
+
+
 def test_k5_over_order_ten_is_refused_by_its_cycle_count():
     assert complete_cycle_count(10, 5) == 1_360_450
     assert complete_cycle_count(9, 5) == 814_653
