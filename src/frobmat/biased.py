@@ -195,17 +195,21 @@ def _union_edges(
     Each vertex holds its root and a potential eta relative to it, chosen so
     that switching by eta makes every forest edge the identity; an edge
     t -> h with gain x inside a component then reduces to eta(t)^-1 x eta(h).
+    A vertex seen for the first time joins the component of the edge's other
+    end in place, with the eta that makes the edge the identity (two unseen
+    ends start a component rooted at t; a loop at an unseen vertex makes it a
+    singleton first), so only an edge between two seen vertices merges.
     Each root holds its vertices and, once one is seen, a reduced gain in a
     complement (its witness). A merge re-roots the smaller component by c,
     which conjugates its reduced gains, so its witness becomes c^-1 w c.
     Members are tuples, so a shallow copy of the four dicts is a snapshot.
 
-    ``need`` counts down the edges that raise |V| - c + w + l by one: a
-    merge (unless both sides have a witness and l stays), a component's
-    first witness, or the lifted flag turning on. At zero the pass stops and
-    the rest of ``edges`` is left unread; a negative count never stops it. A
-    caller that does not count l passes ``lifted`` set, so that no edge
-    turns it on.
+    ``need`` counts down the edges that raise |V| - c + w + l by one: an
+    unseen end joining, a merge (unless both sides have a witness and l
+    stays), a component's first witness, or the lifted flag turning on. At
+    zero the pass stops and the rest of ``edges`` is left unread; a negative
+    count never stops it. A caller that does not count l passes ``lifted``
+    set, so that no edge turns it on.
     """
     root, eta, members, witness = state
     table = g.group.table
@@ -213,12 +217,25 @@ def _union_edges(
     ends = g.ends
     for eid in edges:
         t, h, x = ends[eid]
-        if t not in root:
+        rt = root.get(t)
+        rh = root.get(h)
+        if rt is None and t == h:
             root[t], eta[t], members[t] = t, 0, (t,)
-        if h not in root:
-            root[h], eta[h], members[h] = h, 0, (h,)
-        rt, rh = root[t], root[h]
-        if rt == rh:
+            rt = rh = t
+        if rt is None:
+            if rh is None:
+                root[t] = root[h] = t
+                eta[t], eta[h] = 0, inverse[x]
+                members[t] = (t, h)
+            else:
+                root[t] = rh
+                eta[t] = table[x][eta[h]]
+                members[rh] += (t,)
+        elif rh is None:
+            root[h] = rt
+            eta[h] = table[inverse[x]][eta[t]]
+            members[rt] += (h,)
+        elif rt == rh:
             red = table[table[inverse[eta[t]]][x]][eta[h]]
             part = part_of[red]
             if part == IDENTITY_PART:

@@ -16,8 +16,8 @@ from .groups import FiniteGroup
 from .lifts import FrobeniusContext, LiftedMatroid
 
 # Most entries incidence_matrix builds, counting an edgeless graph's rows as
-# one column; checked before the first row exists. K_4 over AGL(1,101) needs
-# 5 x 60600.
+# one column; checked before the first row exists. K_4 over AGL(1,47), the
+# largest group, needs 5 x 12972.
 MAX_MATRIX_ENTRIES = 2_000_000
 
 

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -12,10 +16,14 @@ from frobmat import (
     FrobeniusContext,
     LiftedMatroid,
     build_spike_graph,
+    complete_gain_graph,
+    enumerate_cycles,
     frobenius_partitions,
+    is_balanced_cycle,
     linear_class,
     make_cyclic,
 )
+import frobmat
 from frobmat.lifts import contract, delete
 from frobmat import cli
 from frobmat.cli import main
@@ -76,6 +84,27 @@ def test_frobpart_field_affine_three(write, capsys):
     assert code == 0
     assert out.count("partition") == 3
     assert "kernel size 3; complement sizes: 2,2,2" in out
+
+
+def test_frobpart_refuses_agl_1_101_under_a_1gb_address_space(write):
+    """AGL(1,101) is past the table cap, so a child process limited to 1 GB
+    of address space prints one error line and exits 2 without building its
+    10100 x 10100 table. The limit applies to the child only."""
+    path = write("g.json", {"kind": "field_affine", "q": 101})
+    src = os.path.dirname(os.path.dirname(frobmat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-m", "frobmat.cli", "frobpart", "--group", path],
+        capture_output=True, text=True, env=env, preexec_fn=limit,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert child.returncode == 2 and child.stdout == ""
+    assert child.stderr == "error: field modulus 101 exceeds the cap 47\n"
 
 
 def test_frobpart_bad_file(write, capsys):
@@ -545,6 +574,22 @@ def test_recover_rejects_class_violating_cycles(write, capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_recover_refuses_a_non_frobenius_kernel(write, capsys):
+    """The converse theorem: Z4 is not Frobenius with kernel {0, 2}, so the
+    class of its 256 balanced cycles of K_4 is not that of an elementary
+    lift of the quotient frame matroid, and recovery refuses it."""
+    k4 = complete_gain_graph(make_cyclic(4), 4)
+    balanced = [c for c in enumerate_cycles(k4) if is_balanced_cycle(k4, c)]
+    assert len(balanced) == 256
+    spec = {"complete": {"group": {"kind": "cyclic", "n": 4}, "n": 4}}
+    code, out, err = run(
+        capsys, "recover", "--graph", write("k4.json", spec), "--kernel", "0,2",
+        "--class", write("class.txt", format_circuits(balanced)),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: bundle of the identity and 1 does not have rank n\n"
 
 
 @pytest.mark.parametrize("with_class", [False, True])

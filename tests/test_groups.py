@@ -230,7 +230,7 @@ def test_table_cap_rejects_before_building(build):
 
 
 def test_from_table_cap_rejects_before_copying_rows():
-    # one short row referenced 10101 times: nothing large is allocated, and
+    # one short row referenced past the cap: nothing large is allocated, and
     # an uncapped check would fail later, on squareness, after copying rows
     row = [0]
     with pytest.raises(ValueError, match="table cap"):
