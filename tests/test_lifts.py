@@ -52,7 +52,7 @@ from frobmat import (
     switch_invariance_check,
     verify_spike,
 )
-from frobmat.biased import component_rank, rank_table
+from frobmat.biased import IDENTITY_PART, KERNEL_PART, component_rank, rank_table
 from frobmat.lifts import _classify_circuit
 
 from conftest import FuncOracle, find_isomorphism, random_gain_graph, subgroup_as_group
@@ -370,6 +370,62 @@ def test_circuits_match_minimal_dependent_sets(seed):
     g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=4, max_edges=10)
     for ctx in DIFFERENTIAL_CONTEXTS[i]:
         assert circuits(ctx, g) == minimal_dependent_sets(LiftedMatroid(ctx, g)), ctx
+
+
+def _branch_edges(data, group, ctx):
+    """A small edge set on four vertices whose orderings reach every step of
+    the union-find pass: two unseen ends, an unseen tail, an unseen head, a
+    loop at a vertex not yet seen (with an identity, kernel or complement
+    gain) that a later edge joins, and a parallel pair."""
+    vertex = st.integers(0, 3)
+    gain = st.integers(0, group.order - 1)
+    path = data.draw(
+        st.lists(
+            st.tuples(vertex, vertex, gain).filter(lambda e: e[0] != e[1]),
+            min_size=2,
+            max_size=3,
+        )
+    )
+    t, h, _ = path[0]
+    parallel = (t, h) if data.draw(st.booleans()) else (h, t)
+    by_part = {}
+    for x in group.elements():
+        by_part.setdefault(min(ctx.part_of[x], 0), []).append(x)
+    loop_gain = data.draw(st.sampled_from(by_part[data.draw(st.sampled_from(sorted(by_part)))]))
+    return path + [(*parallel, data.draw(gain)), (path[-1][1], path[-1][1], loop_gain)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_union_find_ranks_are_order_invariant_on_every_branch(data):
+    """Every ordering of a small edge set, through component_rank with and
+    without the lift bit and through the walk, against the ranks of the
+    explicit balanced-set route and of brylawski_lift."""
+    i = data.draw(st.sampled_from(range(len(DIFFERENTIAL_GROUPS))))
+    group = DIFFERENTIAL_GROUPS[i]
+    ctx = data.draw(st.sampled_from(DIFFERENTIAL_CONTEXTS[i]))
+    g = GainGraph.from_triples(group, 4, _branch_edges(data, group, ctx))
+    balanced = [c for c in enumerate_cycles(g) if is_balanced_cycle(g, c)]
+    frame = FrameOracle(BiasedGraph.from_balanced_set(g, balanced))
+    lift = LiftOracle(BiasedGraph.from_balanced_set(g, balanced))
+    qg = quotient_gains(g, ctx.quotient)
+    host = BiasedGraph.from_balanced_set(
+        qg, [c for c in enumerate_cycles(qg) if is_balanced_cycle(qg, c)]
+    )
+    quotient = FrameOracle(host)
+    expected = brylawski_lift(quotient, frame_circuits(host), _class_by_gains(ctx, g))
+    m = LiftedMatroid(ctx, g)
+    trivial = (IDENTITY_PART,) + (0,) * (group.order - 1)
+    kernel = (IDENTITY_PART,) + (KERNEL_PART,) * (group.order - 1)
+    for order in itertools.permutations(g.edge_ids()):
+        assert component_rank(g, order, trivial, False) == frame.rank(order), order
+        assert component_rank(g, order, kernel, True) == lift.rank(order), order
+        assert component_rank(g, order, ctx.part_of, False) == quotient.rank(order), order
+        assert m.rank(order) == expected.rank(order), order
+        state, _, step = m.walk()
+        for k, e in enumerate(order, 1):
+            state, r = step(state, e, k == len(order))
+            assert r == expected.rank(order[:k]), order[:k]
 
 
 def _all_pairs_circuits(ctx, g):
