@@ -222,6 +222,7 @@ def _union_edges(
         if rt is None and t == h:
             root[t], eta[t], members[t] = t, 0, (t,)
             rt = rh = t
+        # an unseen end takes eta(t) = x eta(h), or eta(h) = x^-1 eta(t)
         if rt is None:
             if rh is None:
                 root[t] = root[h] = t

@@ -15,8 +15,8 @@ from .errors import LimitExceeded
 DEFAULT_GROUP_LIMIT = 96
 # Largest Cayley table a constructor builds: the order of AGL(1,47), the
 # largest group make_field_affine admits. `frobpart` builds its table in
-# about 3 s at 216 MB peak, so it fits under a 1 GB address-space limit.
-# Checked before any table exists.
+# about 3 s at 216 MB peak RSS (2-core Xeon, CPython 3.11), so it fits under
+# a 1 GB address-space limit. Checked before any table exists.
 MAX_TABLE_ORDER = 2162
 
 

@@ -375,24 +375,26 @@ def test_circuits_match_minimal_dependent_sets(seed):
 def _branch_edges(data, group, ctx):
     """A small edge set on four vertices whose orderings reach every step of
     the union-find pass: two unseen ends, an unseen tail, an unseen head, a
-    loop at a vertex not yet seen (with an identity, kernel or complement
-    gain) that a later edge joins, and a parallel pair."""
-    vertex = st.integers(0, 3)
-    gain = st.integers(0, group.order - 1)
-    path = data.draw(
-        st.lists(
-            st.tuples(vertex, vertex, gain).filter(lambda e: e[0] != e[1]),
-            min_size=2,
-            max_size=3,
-        )
-    )
-    t, h, _ = path[0]
-    parallel = (t, h) if data.draw(st.booleans()) else (h, t)
+    loop at a vertex not yet seen that a later edge joins, and a parallel
+    pair. The path edges are oriented at random; the loop gain and the gain
+    of the parallel pair's digon are each drawn from the identity, the
+    kernel or a complement."""
     by_part = {}
     for x in group.elements():
         by_part.setdefault(min(ctx.part_of[x], 0), []).append(x)
-    loop_gain = data.draw(st.sampled_from(by_part[data.draw(st.sampled_from(sorted(by_part)))]))
-    return path + [(*parallel, data.draw(gain)), (path[-1][1], path[-1][1], loop_gain)]
+
+    def part_element():
+        return data.draw(st.sampled_from(by_part[data.draw(st.sampled_from(sorted(by_part)))]))
+
+    walk = data.draw(st.permutations(range(4)))[: data.draw(st.integers(3, 4))]
+    path = []
+    for u, v in zip(walk, walk[1:]):
+        x = data.draw(st.integers(0, group.order - 1))
+        path.append((u, v, x) if data.draw(st.booleans()) else (v, u, group.inverse[x]))
+    t, h, x = data.draw(st.sampled_from(path))
+    # with the path edge t -> h it closes a digon of gain x^-1 (x y) = y
+    parallel = (t, h, group.mul(x, part_element()))
+    return path + [parallel, (data.draw(st.sampled_from(walk)),) * 2 + (part_element(),)]
 
 
 @settings(max_examples=30, deadline=None)
