@@ -92,7 +92,8 @@ def test_frobpart_refuses_agl_1_101_under_a_1gb_address_space(write):
     10100 x 10100 table. The limit applies to the child only."""
     path = write("g.json", {"kind": "field_affine", "q": 101})
     src = os.path.dirname(os.path.dirname(frobmat.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    path_dirs = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_dirs)))
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
