@@ -52,8 +52,18 @@ def _int_rows(value: Any, where: str) -> list[list[int]]:
 
 
 def group_from_spec(spec: Any, path: str = "") -> FiniteGroup:
-    """Build a group from its JSON spec; a malformed spec raises ValueError
-    naming the JSON path of the bad field (``path`` prefixes nested specs)."""
+    """Build a group and its Cayley table from its JSON spec; a malformed
+    spec raises ValueError naming the JSON path of the bad field (``path``
+    prefixes nested specs)."""
+    group = _spec_group(spec, path)
+    group.table  # builds the table
+    return group
+
+
+def _spec_group(spec: Any, path: str) -> FiniteGroup:
+    """:func:`group_from_spec` with the table left to its first read: the
+    loaders below take it, so a command that refuses a group by its order
+    (:func:`groups.subgroups`) never builds the table."""
     if not isinstance(spec, dict) or "kind" not in spec:
         what = f"spec field {path}" if path else "group spec"
         raise ValueError(f"{what} must be an object with a 'kind' field")
@@ -62,7 +72,7 @@ def group_from_spec(spec: Any, path: str = "") -> FiniteGroup:
         return _int(_field(spec, key, path), _where(path, key))
 
     def sub(key: str) -> FiniteGroup:
-        return group_from_spec(_field(spec, key, path), _where(path, key))
+        return _spec_group(_field(spec, key, path), _where(path, key))
 
     kind = spec["kind"]
     if kind == "cyclic":
@@ -72,7 +82,7 @@ def group_from_spec(spec: Any, path: str = "") -> FiniteGroup:
     if kind == "direct":
         where = _where(path, "factors")
         factors = [
-            group_from_spec(s, _where(where, i))
+            _spec_group(s, _where(where, i))
             for i, s in enumerate(_list(_field(spec, "factors", path), where))
         ]
         if len(factors) < 2:
@@ -99,7 +109,7 @@ def group_from_spec(spec: Any, path: str = "") -> FiniteGroup:
 
 
 def load_group(path: str | Path) -> FiniteGroup:
-    return group_from_spec(json.loads(Path(path).read_text()))
+    return _spec_group(json.loads(Path(path).read_text()), "")
 
 
 def _resolve_group(spec: Any, base_dir: Path, path: str) -> FiniteGroup:
@@ -108,7 +118,7 @@ def _resolve_group(spec: Any, base_dir: Path, path: str) -> FiniteGroup:
         if not isinstance(file, str):
             raise ValueError(f"spec field {_where(path, 'file')} must be a string")
         return load_group(base_dir / file)
-    return group_from_spec(spec, path)
+    return _spec_group(spec, path)
 
 
 def graph_from_spec(spec: Any, base_dir: Optional[Path] = None) -> GainGraph:

@@ -86,14 +86,14 @@ def test_frobpart_field_affine_three(write, capsys):
     assert "kernel size 3; complement sizes: 2,2,2" in out
 
 
-def test_frobpart_refuses_agl_1_101_under_a_1gb_address_space(write):
-    """AGL(1,101) is past the table cap, so a child process limited to 1 GB
-    of address space prints one error line and exits 2 without building its
-    10100 x 10100 table. The limit applies to the child only."""
-    path = write("g.json", {"kind": "field_affine", "q": 101})
+def _frobpart_in_child(path):
+    """Run ``frobpart`` on ``path`` in a child process limited to 1 GB of
+    address space, at the default limit; the limit applies to the child only.
+    Returns the child and its wall time."""
     src = os.path.dirname(os.path.dirname(frobmat.__file__))
     path_dirs = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_dirs)))
+    env.pop("FROBMAT_LIMIT", None)
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -103,9 +103,97 @@ def test_frobpart_refuses_agl_1_101_under_a_1gb_address_space(write):
         [sys.executable, "-m", "frobmat.cli", "frobpart", "--group", path],
         capture_output=True, text=True, env=env, preexec_fn=limit,
     )
-    assert time.perf_counter() - start < 1.0
+    return child, time.perf_counter() - start
+
+
+def test_frobpart_refuses_agl_1_101_under_a_1gb_address_space(write):
+    """AGL(1,101) is past the table cap, so the child prints one error line
+    and exits 2 without building its 10100 x 10100 table."""
+    child, seconds = _frobpart_in_child(write("g.json", {"kind": "field_affine", "q": 101}))
+    assert seconds < 1.0
     assert child.returncode == 2 and child.stdout == ""
     assert child.stderr == "error: field modulus 101 exceeds the cap 47\n"
+
+
+@pytest.mark.parametrize(
+    "spec, order",
+    [
+        ({"kind": "field_affine", "q": 47}, 2162),
+        ({"kind": "table", "table": [[(a + b) % 240 for b in range(240)] for a in range(240)]}, 240),
+    ],
+    ids=["AGL(1,47)", "Z240-table"],
+)
+def test_frobpart_refuses_a_group_above_the_limit_at_once(write, spec, order):
+    """A group inside the table cap but above the limit is refused by its
+    order before its table is built (AGL(1,47)) and after its table is
+    checked (a given table, whose check comes first)."""
+    child, seconds = _frobpart_in_child(write("g.json", spec))
+    assert seconds < 1.0
+    assert child.returncode == 2 and child.stdout == ""
+    assert child.stderr == f"error: group order {order} exceeds limit 96\n"
+
+
+AGL47 = {"kind": "field_affine", "q": 47}
+
+
+@pytest.mark.parametrize(
+    "argv, spec, env, err",
+    [
+        (["frobpart", "--group"], AGL47, None, "group order 2162 exceeds limit 96"),
+        (
+            ["rank", "--graph"],
+            {"group": AGL47, "vertices": 2, "edges": [[0, 1, 5]]},
+            None,
+            "group order 2162 exceeds limit 96",
+        ),
+        (
+            ["rank", "--graph"],
+            {"group": AGL47, "vertices": 2, "edges": [[0, 1, 5000]]},
+            None,
+            "edge 0 has gain out of range",
+        ),
+        (
+            ["circuits", "--graph"],
+            {"group": AGL47, "vertices": 2, "edges": [[0, 1, 5000]]},
+            "many",
+            "edge 0 has gain out of range",
+        ),
+        (
+            ["bases", "--graph"],
+            {"complete": {"group": AGL47, "n": 2}},
+            "many",
+            "invalid literal for int() with base 10: 'many'",
+        ),
+        (
+            ["recover", "--kernel", "1", "--graph"],
+            {"complete": {"group": AGL47, "n": 2}},
+            None,
+            "subgroup must contain the identity 0",
+        ),
+    ],
+    ids=["frobpart", "rank", "rank-bad-gain", "bad-gain-before-bad-env", "bad-env", "recover-bad-kernel"],
+)
+def test_a_group_above_the_limit_is_refused_unbuilt_after_other_input_errors(
+    write, capsys, monkeypatch, argv, spec, env, err
+):
+    """Commands that search partitions load their group with its table
+    unbuilt. A group above the limit is refused by its order, or by an
+    earlier error in the rest of the input, as before, and its table is never
+    built."""
+    import frobmat.fileio as fileio
+    from frobmat.groups import FiniteGroup
+
+    loaded = []
+    spec_group = fileio._spec_group
+    monkeypatch.setattr(fileio, "_spec_group", lambda *a: loaded.append(spec_group(*a)) or loaded[-1])
+    if env is None:
+        monkeypatch.delenv("FROBMAT_LIMIT", raising=False)
+    else:
+        monkeypatch.setenv("FROBMAT_LIMIT", env)
+    code, out, got = run(capsys, *argv, write("spec.json", spec))
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+    assert [g.order for g in loaded] == [2162]
+    assert type(loaded[0]) is not FiniteGroup  # still unbuilt
 
 
 def test_frobpart_bad_file(write, capsys):

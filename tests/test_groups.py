@@ -1,5 +1,8 @@
 import functools
 import itertools
+import math
+import random
+import re
 import time
 
 import pytest
@@ -672,3 +675,313 @@ def test_generators_are_the_greedy_generating_sequence(name):
 )
 def test_find_isomorphism_maps_are_pinned(a, b, image):
     assert find_isomorphism(a(), b()) == image
+
+
+# --- row-built tables against the per-cell rules ----------------------------
+# An independent route: every table cell from its product rule, and the
+# automorphism and homomorphism laws of a semidirect action one cell at a
+# time, with the error texts of the library.
+
+
+def _cell_table(mul, n):
+    return [[mul(a, b) for b in range(n)] for a in range(n)]
+
+
+def _cell_inverse(table):
+    return tuple(row.index(0) for row in table)
+
+
+class _CellGroup:
+    def __init__(self, table, labels=None, affine_modulus=None):
+        self.table, self.labels, self.affine_modulus = table, labels, affine_modulus
+        self.order = len(table)
+        self.inverse = _cell_inverse(table)
+
+    def label(self, a):
+        return self.labels[a] if self.labels is not None else str(a)
+
+
+def _cell_cyclic(n):
+    return _CellGroup(_cell_table(lambda a, b: (a + b) % n, n))
+
+
+def _cell_dihedral(two_n):
+    n = two_n // 2
+
+    def mul(x, y):
+        i, p = x % n, x >= n
+        j, q = y % n, y >= n
+        # r^i s ∘ r^j (s^q) = r^(i-j) s^(1+q); r^i ∘ r^j s^q = r^(i+j) s^q
+        k = (i - j) % n if p else (i + j) % n
+        return k + (0 if p == q else n)
+
+    labels = [f"r^{i}" for i in range(n)] + [f"r^{i}s" for i in range(n)]
+    return _CellGroup(_cell_table(mul, two_n), labels)
+
+
+def _cell_semidirect(g1, g2, action):
+    if len(action) != g2.order:
+        raise ValueError("action must give one permutation per element of g2")
+    phis = [tuple(p) for p in action]
+    els1, els2 = range(g1.order), range(g2.order)
+    mul1 = lambda a, b: g1.table[a][b]
+    mul2 = lambda a, b: g2.table[a][b]
+    for b, phi in enumerate(phis):
+        if sorted(phi) != list(els1):
+            raise ValueError(f"action[{b}] is not a permutation of g1")
+        if phi[0] != 0:
+            raise ValueError(f"action[{b}] does not fix the identity")
+        for x in els1:
+            for y in els1:
+                if phi[mul1(x, y)] != mul1(phi[x], phi[y]):
+                    raise ValueError(
+                        f"action[{b}] is not an automorphism: breaks ({b},{x},{y})"
+                    )
+    if phis[0] != tuple(els1):
+        raise ValueError("action[0] must be the identity automorphism")
+    for b in els2:
+        for d in els2:
+            comp = tuple(phis[b][phis[d][x]] for x in els1)
+            if comp != phis[mul2(b, d)]:
+                raise ValueError(
+                    f"action is not a homomorphism: breaks ({b},{d},{mul2(b, d)})"
+                )
+    n2 = g2.order
+
+    def mul(x, y):
+        a, b = divmod(x, n2)
+        c, d = divmod(y, n2)
+        return mul1(a, phis[b][c]) * n2 + mul2(b, d)
+
+    labels = [f"({g1.label(a)},{g2.label(b)})" for a in els1 for b in els2]
+    return _CellGroup(_cell_table(mul, g1.order * n2), labels)
+
+
+def _cell_field_affine(q):
+    def mul(x, y):
+        a, b = divmod(x, q - 1)
+        c, d = divmod(y, q - 1)
+        b, d = b + 1, d + 1
+        return ((a + b * c) % q) * (q - 1) + (b * d) % q - 1
+
+    labels = [f"({a},{b})" for a in range(q) for b in range(1, q)]
+    return _CellGroup(_cell_table(mul, q * (q - 1)), labels, affine_modulus=q)
+
+
+def _cell_group(spec):
+    """The group of a well-formed spec, cell by cell."""
+    kind = spec["kind"]
+    if kind == "cyclic":
+        return _cell_cyclic(spec["n"])
+    if kind == "dihedral":
+        return _cell_dihedral(spec["order"])
+    if kind == "field_affine":
+        return _cell_field_affine(spec["q"])
+    if kind == "direct":
+        out = _cell_group(spec["factors"][0])
+        for f in spec["factors"][1:]:
+            g = _cell_group(f)
+            out = _cell_semidirect(out, g, [list(range(out.order))] * g.order)
+        return out
+    if kind == "semidirect":
+        return _cell_semidirect(_cell_group(spec["g1"]), _cell_group(spec["g2"]), spec["action"])
+    assert kind == "inversion"
+    base = _cell_group(spec["base"])
+    if base.order % 2 == 0:
+        raise ValueError("base group must have odd order")
+    t = base.table
+    if any(t[a][b] != t[b][a] for a in range(base.order) for b in range(a)):
+        raise ValueError("base group must be abelian")
+    return _cell_semidirect(base, _cell_cyclic(2), [list(range(base.order)), list(base.inverse)])
+
+
+def _outcome(build):
+    """A built group's table, inverse, labels, affine modulus and
+    commutativity, or the text of the ValueError it raised."""
+    try:
+        g = build()
+    except ValueError as exc:
+        return str(exc)
+    t = [list(row) for row in g.table]
+    abelian = all(t[a][b] == t[b][a] for a in range(len(t)) for b in range(a))
+    labels = list(g.labels) if g.labels is not None else None
+    return t, tuple(g.inverse), labels, g.affine_modulus, abelian
+
+
+def _shapes():
+    """Every direct, semidirect and inversion shape of the catalog, nested
+    products included, plus the dihedral groups of order 2-60 and AGL(1,q)
+    for q <= 13."""
+    affine = lambda q: {"kind": "field_affine", "q": q}
+    out = {f"D{o}": _dih(o) for o in range(2, 61, 2)}
+    out.update({f"AGL(1,{q})": affine(q) for q in (3, 5, 7, 11, 13)})
+    for n in range(1, 24, 2):
+        out[f"Inv(Z{n})"] = {"kind": "inversion", "base": _cyc(n)}
+    factors = [_cyc(2), _cyc(3), _cyc(4), _cyc(5), _cyc(6), _dih(6), _dih(10), affine(5)]
+    names = ["Z2", "Z3", "Z4", "Z5", "Z6", "D6", "D10", "AGL(1,5)"]
+    for (a, f), (b, g) in itertools.product(zip(names, factors), repeat=2):
+        out[f"{a}x{b}"] = _direct(f, g)
+    for m, k, units in (
+        (3, 4, (2,)), (5, 4, (2, 3)), (7, 3, (2, 4)), (7, 6, (3, 5)), (9, 2, (8,)),
+        (11, 5, (3, 4)), (13, 3, (3, 9)), (13, 4, (5, 8)), (3, 8, (2,)), (5, 8, (2, 3)),
+        (8, 2, (3, 5)), (8, 4, (3,)), (16, 2, (7,)), (12, 2, (5,)), (7, 2, (6,)), (11, 2, (10,)),
+    ):
+        for u in units:
+            out[f"Z{m}:{u}Z{k}"] = _cyclic_action(m, k, u)
+    z7z3 = _cyclic_action(7, 3, 2)
+    out.update({
+        "Inv(Z3xZ3)": {"kind": "inversion", "base": _direct(_cyc(3), _cyc(3))},
+        "Inv(Z5xZ5)": {"kind": "inversion", "base": _direct(_cyc(5), _cyc(5))},
+        "Inv(Z3xZ5)": {"kind": "inversion", "base": _direct(_cyc(3), _cyc(5))},
+        "Z2xD6xZ3": {"kind": "direct", "factors": [_cyc(2), _dih(6), _cyc(3)]},
+        "Inv(Z5)xAGL(1,5)": _direct({"kind": "inversion", "base": _cyc(5)}, affine(5)),
+        "Z2x(Z7:Z3)": _direct(_cyc(2), z7z3),
+        "(Z7:Z3)xD6": _direct(z7z3, _dih(6)),
+        "(Z2xZ2):Z3": {
+            "kind": "semidirect",
+            "g1": _direct(_cyc(2), _cyc(2)),
+            "g2": _cyc(3),
+            "action": [[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]],
+        },
+        "Inv(Z3xZ3)xZ2": _direct({"kind": "inversion", "base": _direct(_cyc(3), _cyc(3))}, _cyc(2)),
+    })
+    return out
+
+
+SHAPES = _shapes()
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_row_built_tables_match_the_per_cell_rules(name):
+    spec = SHAPES[name]
+    row_built = _outcome(lambda: group_from_spec(spec))
+    assert not isinstance(row_built, str), row_built
+    assert row_built == _outcome(lambda: _cell_group(spec))
+
+
+@pytest.mark.parametrize(
+    "make, cell",
+    [
+        (lambda: make_dihedral(2), lambda: _cell_dihedral(2)),
+        (lambda: make_field_affine(13), lambda: _cell_field_affine(13)),
+        (lambda: make_cyclic(7), lambda: _cell_cyclic(7)),
+        (
+            lambda: make_direct_product(make_dihedral(8), make_field_affine(3)),
+            lambda: _cell_group(_direct(_dih(8), {"kind": "field_affine", "q": 3})),
+        ),
+    ],
+    ids=["D2", "AGL(1,13)", "Z7", "D8xAGL(1,3)"],
+)
+def test_constructors_match_the_per_cell_rules(make, cell):
+    """Groups from the constructors themselves build their tables at the
+    first read, not in group_from_spec."""
+    assert _outcome(make) == _outcome(cell)
+
+
+def _corrupted_action(rng):
+    """A cyclic action Z_m ⋊ Z_k with one or two changes: an entry moved,
+    two entries swapped, a permutation replaced by another automorphism, or
+    a row dropped."""
+    m, k, u = rng.choice([(5, 4, 2), (7, 3, 2), (7, 6, 3), (13, 4, 5), (8, 2, 3), (9, 2, 8),
+                          (12, 2, 5), (3, 2, 2), (8, 4, 3)])
+    action = [[pow(u, b, m) * x % m for x in range(m)] for b in range(k)]
+    for _ in range(rng.randrange(1, 3)):
+        b = rng.randrange(len(action))
+        change = rng.randrange(4)
+        if change == 0:
+            action[b][rng.randrange(m)] = rng.randrange(m)
+        elif change == 1:
+            i, j = rng.sample(range(m), 2)
+            action[b][i], action[b][j] = action[b][j], action[b][i]
+        elif change == 2:
+            unit = rng.choice([v for v in range(1, m) if math.gcd(v, m) == 1])
+            action[b] = [unit * x % m for x in range(m)]
+        elif len(action) > 1:
+            del action[b]
+    return {"kind": "semidirect", "g1": _cyc(m), "g2": _cyc(k), "action": action}
+
+
+def test_corrupted_actions_fail_alike_on_both_routes():
+    rng = random.Random(2024)
+    kinds = set()
+    for _ in range(300):
+        spec = _corrupted_action(rng)
+        row_built = _outcome(lambda: group_from_spec(spec))
+        assert row_built == _outcome(lambda: _cell_group(spec)), spec
+        kinds.add(re.sub(r"\[\d+\]", "[#]", row_built).split(":")[0] if isinstance(row_built, str) else "group")
+    assert kinds == {
+        "group",
+        "action must give one permutation per element of g2",
+        "action[#] is not a permutation of g1",
+        "action[#] does not fix the identity",
+        "action[#] is not an automorphism",
+        "action[#] must be the identity automorphism",
+        "action is not a homomorphism",
+    }
+
+
+def _cell_from_table(table, labels=None):
+    """from_table with associativity tested one triple at a time."""
+    n = len(table)
+    rows = [list(r) for r in table]
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"table is not square: row {i} has length {len(row)}")
+        for x in row:
+            if not isinstance(x, int) or not 0 <= x < n:
+                raise ValueError(f"not closed: row {i} contains {x!r}")
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+                    raise ValueError(f"not associative at triple ({a},{b},{c})")
+    ident = None
+    for e in range(n):
+        if rows[e] == list(range(n)) and all(rows[a][e] == a for a in range(n)):
+            ident = e
+            break
+    if ident is None:
+        raise ValueError("no identity element")
+    if ident != 0:
+        perm = list(range(n))
+        perm[0], perm[ident] = ident, 0
+        rows = [[perm[rows[perm[a]][perm[b]]] for b in range(n)] for a in range(n)]
+        if labels is not None:
+            labels = [labels[perm[a]] for a in range(n)]
+    for a in range(n):
+        if 0 not in rows[a]:
+            raise ValueError(f"no inverse for {a}")
+        b = rows[a].index(0)
+        if rows[b][a] != 0:
+            raise ValueError(f"no inverse for {a}")
+    return _CellGroup(rows, labels)
+
+
+def test_corrupted_tables_fail_alike_on_both_routes():
+    """Group tables relabelled at random, some with one to three cells
+    changed, and small random magmas (a zero semigroup among them: associative
+    with no identity) take the same verdict and text on both routes."""
+    rng = random.Random(7)
+    bases = [make_cyclic(6), make_dihedral(8), make_field_affine(5), from_table(quaternion_table()),
+             make_cyclic(1), make_cyclic(2)]
+    verdicts = set()
+    for trial in range(400):
+        if trial % 10 == 9:
+            n = rng.randrange(1, 4)
+            table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        else:
+            g = rng.choice(bases)
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            table = [[0] * g.order for _ in range(g.order)]
+            for a in range(g.order):
+                for b in range(g.order):
+                    table[perm[a]][perm[b]] = perm[g.table[a][b]]
+            for _ in range(rng.randrange(0, 4) if g.order > 1 else 0):
+                table[rng.randrange(g.order)][rng.randrange(g.order)] = rng.randrange(g.order)
+        labels = [f"x{i}" for i in range(len(table))]
+        row_built = _outcome(lambda: from_table(table, labels=labels))
+        assert row_built == _outcome(lambda: _cell_from_table(table, labels=labels)), table
+        verdicts.add(row_built.split(" ")[0] if isinstance(row_built, str) else "group")
+    assert verdicts == {"group", "not", "no"}
+    assert _outcome(lambda: from_table([[0, 0], [0, 0]])) == "no identity element"
