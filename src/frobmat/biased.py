@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .errors import LimitExceeded
 from .gaingraph import (
     DEFAULT_CYCLE_COUNT_LIMIT,
+    DEFAULT_CYCLE_EDGE_LIMIT,
     GainGraph,
     enumerate_cycles,
     is_balanced_cycle,
@@ -548,7 +549,7 @@ def _vertices_of(g: GainGraph, ids: Iterable[int]) -> frozenset[int]:
     return frozenset(verts)
 
 
-def theta_property_check(b: BiasedGraph, max_edges: int = 40):
+def theta_property_check(b: BiasedGraph):
     """(True, None), or (False, witness) with a theta holding exactly two
     balanced cycles.
 
@@ -556,7 +557,7 @@ def theta_property_check(b: BiasedGraph, max_edges: int = 40):
     more than its vertices and their symmetric difference is a cycle, the
     third. Each theta is judged once, at its first pair.
     """
-    cycles = enumerate_cycles(b.graph, max_edges=max_edges)
+    cycles = enumerate_cycles(b.graph)
     index = EdgeIndex(b.graph.edge_ids(), b.graph)
     shaped = [(c, index.shape(c)) for c in cycles]
     cycle_of = {e: c for c, (e, _) in shaped}
@@ -631,15 +632,17 @@ def _circuit_families(b: BiasedGraph, loose_mode: str, max_edges: int):
     return sorted(index.ids(c) for c in circuits)
 
 
-def frame_circuits(b: BiasedGraph, max_edges: int = 40) -> list[tuple[int, ...]]:
+def frame_circuits(
+    b: BiasedGraph, max_edges: int = DEFAULT_CYCLE_EDGE_LIMIT
+) -> list[tuple[int, ...]]:
     """Balanced cycles, unbalanced tight/loose handcuffs, unbalanced thetas."""
     return _circuit_families(b, "paths", max_edges)
 
 
-def lift_circuits(b: BiasedGraph, max_edges: int = 40) -> list[tuple[int, ...]]:
+def lift_circuits(b: BiasedGraph) -> list[tuple[int, ...]]:
     """Like frame circuits, with vertex-disjoint unbalanced pairs instead of
     loose handcuffs."""
-    return _circuit_families(b, "disjoint", max_edges)
+    return _circuit_families(b, "disjoint", DEFAULT_CYCLE_EDGE_LIMIT)
 
 
 def is_linear_class(

@@ -43,11 +43,13 @@ def _list(value: Any, where: str) -> list:
 
 
 def _int_rows(value: Any, where: str) -> list[list[int]]:
-    """A list of lists of integers, e.g. a Cayley table or an action."""
+    """A list of lists of integers, e.g. a Cayley table or an action. Rows
+    are checked by type first, so paths are formatted only in a bad row."""
     for i, row in enumerate(_list(value, where)):
-        at = _where(where, i)
-        for j, x in enumerate(_list(row, at)):
-            _int(x, _where(at, j))
+        if not isinstance(row, list) or not all(type(x) is int for x in row):
+            at = _where(where, i)
+            for j, x in enumerate(_list(row, at)):
+                _int(x, _where(at, j))
     return value
 
 

@@ -130,10 +130,6 @@ class LiftedMatroid(ComponentOracle):
     def linear_class(self) -> tuple[tuple[int, ...], ...]:
         return tuple(linear_class(self.ctx, self.graph, frame=self.frame_circuits))
 
-    def underlying_oracle(self) -> RankOracle:
-        """The frame matroid of the quotient gain graph, walkable."""
-        return self._frame
-
 
 # ---------------------------------------------------------------------------
 # circuit classification and class membership
@@ -301,55 +297,37 @@ def linear_class(
 
 
 def bases(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
-    """Bases per the spanning characterization over the underlying frame
-    matroid, in ``itertools.combinations`` order.
+    """The independent sets of size r(E) of the lift, in
+    ``itertools.combinations`` order.
 
-    The sets of size r(E) that span N are found by walking N depth first,
-    one element per step: a prefix whose nullity (length minus rank) exceeds
-    r(E) - r_N(E) is cut, since nullity never falls as elements are added
-    and a spanning candidate has exactly that nullity. Raises LimitExceeded,
-    before any candidate or frame circuit is built, when there are more than
+    The lift is walked depth first, one element per step, and a prefix is
+    cut once it is dependent, since every set holding it is too. Raises
+    LimitExceeded, before the walk, when there are more than
     DEFAULT_CYCLE_COUNT_LIMIT candidates.
     """
     oracle = LiftedMatroid(ctx, g)
     ground = oracle.ground
-    n_rank = oracle.underlying_rank(ground)
-    size = oracle.rank(ground)
+    size = oracle.full_rank()
     if math.comb(len(ground), size) > DEFAULT_CYCLE_COUNT_LIMIT:
         raise LimitExceeded(
             f"more than {DEFAULT_CYCLE_COUNT_LIMIT} basis candidates of size {size}"
         )
-    slack = size - n_rank
-    state, _, step = oracle.underlying_oracle().walk()
-    spanning = []
+    state, _, step = oracle.walk()
+    out = []
 
     def visit(path: tuple[int, ...], start: int, state: object) -> None:
         if len(path) == size:
-            spanning.append(path)
+            out.append(path)
             return
         # the last index that leaves room for the rest of the candidate
         stop = len(ground) - size + len(path)
         for j in range(start, stop + 1):
             # the last child may take the parent's state
             child, r = step(state, ground[j], j == stop)
-            if len(path) + 1 - r <= slack:
+            if r > len(path):
                 visit(path + (ground[j],), j + 1, child)
 
     visit((), 0, state)
-    if not slack:
-        # M = N, and an independent set of N holds no circuit
-        return spanning
-    # a spanning set of nullity one holds exactly one circuit of N, and is a
-    # basis of M iff that circuit is outside the class
-    index = EdgeIndex(ground)
-    in_class = set(oracle.linear_class)
-    # smaller circuits lie in more candidates, so they are tried first
-    masks = sorted((len(c), index.mask(c), c in in_class) for c in oracle.frame_circuits)
-    out = []
-    for combo in spanning:
-        u = index.mask(combo)
-        if not next(member for _, m, member in masks if m & u == m):
-            out.append(combo)
     return out
 
 
@@ -364,23 +342,26 @@ def circuits(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
     member and is rejected anyway. Edge and vertex sets are masks of one
     EdgeIndex; a pair whose union has more than two edges beyond its vertices
     cannot have nullity two (frame rank is at most the vertex count), so it
-    is skipped before the rank query, as is a union already found.
+    is skipped before the rank query, as is a union already tested and one
+    that holds a member. So N is asked once per union that can be a circuit.
     """
     oracle = LiftedMatroid(ctx, g)
     index = EdgeIndex(oracle.ground, g)
     in_class = set(oracle.linear_class)
     shapes = [index.shape(c) for c in oracle.frame_circuits if c not in in_class]
-    unions = set()
+    members = [index.mask(c) for c in oracle.linear_class]
+    out = set(in_class)
+    seen = set()
     for (e1, v1), (e2, v2) in itertools.combinations(shapes, 2):
         u = e1 | e2
-        if u in unions or u.bit_count() - (v1 | v2).bit_count() > 2:
+        if u in seen or u.bit_count() - (v1 | v2).bit_count() > 2:
+            continue
+        seen.add(u)
+        if any(m & u == m for m in members):
             continue
         ids = index.ids(u)
         if len(ids) - oracle.underlying_rank(ids) == 2:
-            unions.add(u)
-    members = [index.mask(c) for c in oracle.linear_class]
-    out = set(in_class)
-    out.update(index.ids(u) for u in unions if not any(m & u == m for m in members))
+            out.add(ids)
     return sorted(out)
 
 

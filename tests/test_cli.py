@@ -170,8 +170,23 @@ AGL47 = {"kind": "field_affine", "q": 47}
             None,
             "subgroup must contain the identity 0",
         ),
+        (
+            ["frobpart", "--group"],
+            {"kind": "direct", "factors": [AGL47, {"kind": "cyclic", "n": 1}]},
+            None,
+            "group order 2162 exceeds limit 96",
+        ),
+        (
+            ["frobpart", "--group"],
+            {"kind": "direct", "factors": [{"kind": "cyclic", "n": 1}, AGL47]},
+            None,
+            "group order 2162 exceeds limit 96",
+        ),
     ],
-    ids=["frobpart", "rank", "rank-bad-gain", "bad-gain-before-bad-env", "bad-env", "recover-bad-kernel"],
+    ids=[
+        "frobpart", "rank", "rank-bad-gain", "bad-gain-before-bad-env", "bad-env",
+        "recover-bad-kernel", "direct-agl-first", "direct-agl-second",
+    ],
 )
 def test_a_group_above_the_limit_is_refused_unbuilt_after_other_input_errors(
     write, capsys, monkeypatch, argv, spec, env, err
@@ -179,7 +194,7 @@ def test_a_group_above_the_limit_is_refused_unbuilt_after_other_input_errors(
     """Commands that search partitions load their group with its table
     unbuilt. A group above the limit is refused by its order, or by an
     earlier error in the rest of the input, as before, and its table is never
-    built."""
+    built, nor, for a direct product, a factor's."""
     import frobmat.fileio as fileio
     from frobmat.groups import FiniteGroup
 
@@ -192,8 +207,9 @@ def test_a_group_above_the_limit_is_refused_unbuilt_after_other_input_errors(
         monkeypatch.setenv("FROBMAT_LIMIT", env)
     code, out, got = run(capsys, *argv, write("spec.json", spec))
     assert (code, out, got) == (2, "", f"error: {err}\n")
-    assert [g.order for g in loaded] == [2162]
-    assert type(loaded[0]) is not FiniteGroup  # still unbuilt
+    # the group is loaded last, after any factors
+    assert loaded[-1].order == 2162
+    assert all(type(g) is not FiniteGroup for g in loaded)  # still unbuilt
 
 
 def test_frobpart_bad_file(write, capsys):
@@ -221,6 +237,62 @@ def test_malformed_spec_exits_cleanly(write, capsys, command, flag, spec, path):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and f"field {path} " in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ([D6_SPEC], "graph spec must be a JSON object"),
+        ({"group": {"file": 6}, "vertices": 1, "edges": []}, "spec field group.file must be a string"),
+        (
+            {"complete": {"group": {"file": None}, "n": 2}},
+            "spec field complete.group.file must be a string",
+        ),
+        (
+            {"group": {"kind": "table", "table": [[0]], "labels": ["e", "x"]}, "vertices": 1,
+             "edges": []},
+            "spec field group.labels must have one label per element",
+        ),
+        (
+            {"group": D6_SPEC, "vertices": 2, "edges": [[0, 1, 2], 3]},
+            "spec field edges[1] must be a list, got int",
+        ),
+        (
+            {"group": D6_SPEC, "vertices": 2, "edges": [[0, 1, 2], [0, 1, False]]},
+            "spec field edges[1][2] must be an integer, got bool",
+        ),
+    ],
+    ids=["not-an-object", "file-not-a-string", "complete-file-not-a-string", "label-count",
+         "row-not-a-list", "cell-not-an-integer"],
+)
+def test_graph_spec_errors_name_their_field(write, capsys, spec, message):
+    code, out, err = run(capsys, "rank", "--graph", write("spec.json", json.dumps(spec)))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_graph_spec_reads_its_group_from_a_file_beside_it(write, capsys):
+    write("d6.json", D6_SPEC)
+    edges = [[0, 1, 1], [1, 2, 3], [2, 0, 4], [0, 0, 2]]
+    inline = {"group": D6_SPEC, "vertices": 3, "edges": edges}
+    by_file = dict(inline, group={"file": "d6.json"})
+    expected = run(capsys, "circuits", "--graph", write("inline.json", inline))
+    assert expected[0] == 0 and expected[1]
+    assert run(capsys, "circuits", "--graph", write("by_file.json", by_file)) == expected
+    complete = {"complete": {"group": {"file": "d6.json"}, "n": 4}}
+    assert run(capsys, "rank", "--graph", write("k4.json", complete)) == (0, "5\n", "")
+
+
+def test_int_rows_formats_no_path_for_a_valid_table(monkeypatch):
+    """A valid 1000-element table is checked by type alone: no cell's JSON
+    path is formatted."""
+    import frobmat.fileio as fileio
+
+    calls = []
+    where = fileio._where
+    monkeypatch.setattr(fileio, "_where", lambda *a: calls.append(a) or where(*a))
+    table = [list(range(1000))] * 1000
+    assert fileio._int_rows(table, "table") is table
+    assert calls == []
 
 
 def test_oversized_complete_graph_exits_before_building(write, capsys, monkeypatch):

@@ -264,6 +264,22 @@ def test_from_table_rejects_non_associative():
         from_table([[0, 1, 2], [1, 0, 0], [2, 0, 0]])
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([], "empty table"),
+        ([[0, 1], [1]], "table is not square: row 1 has length 1"),
+        ([[0, 2], [1, 0]], "not closed: row 0 contains 2"),
+        ([[0, 1], [1, "0"]], "not closed: row 1 contains '0'"),
+    ],
+    ids=["empty", "not-square", "out-of-range", "not-an-int"],
+)
+def test_from_table_names_the_first_bad_row(table, message):
+    with pytest.raises(ValueError) as info:
+        from_table(table)
+    assert str(info.value) == message
+
+
 # --- subgroup machinery -----------------------------------------------------
 
 
@@ -433,9 +449,23 @@ def test_at_most_one_nontrivial_partition():
 
 
 def test_validate_partition_rejects_bad_family(d6):
-    bad = FrobeniusPartition(Subgroup((0, 1, 2)), (Subgroup((0, 3)),))
-    with pytest.raises(ValueError, match="not covered"):
-        validate_partition(d6, bad)
+    """One partition of D6 (rotations 0-2, reflections 3-5) per invariant.
+    Conjugation closure has no case: a proper malnormal subgroup is a
+    Frobenius complement, and these are all conjugate, so a family that
+    passes the earlier checks is closed."""
+    for kernel, complements, message in [
+        ((0, 1), (), "kernel is not a subgroup"),
+        ((0, 3), (), "kernel is not normal"),
+        ((0, 1, 2), ((0,),), "complements must be nontrivial"),
+        ((0, 1, 2), ((0, 3, 4),), "complement 0 is not a subgroup"),
+        ((0,), ((0, 1, 2),), "complement 0 is not malnormal"),
+        ((0, 1, 2), ((0, 3), (0, 3)), "element 3 covered twice"),
+        ((0, 1, 2), ((0, 3),), "elements not covered: [4, 5]"),
+    ]:
+        bad = FrobeniusPartition(Subgroup(kernel), tuple(map(Subgroup, complements)))
+        with pytest.raises(ValueError) as info:
+            validate_partition(d6, bad)
+        assert str(info.value) == message
 
 
 # --- quotients --------------------------------------------------------------

@@ -52,7 +52,13 @@ from frobmat import (
     switch_invariance_check,
     verify_spike,
 )
-from frobmat.biased import IDENTITY_PART, KERNEL_PART, component_rank, rank_table
+from frobmat.biased import (
+    IDENTITY_PART,
+    KERNEL_PART,
+    ComponentOracle,
+    component_rank,
+    rank_table,
+)
 from frobmat.lifts import _classify_circuit
 
 from conftest import FuncOracle, find_isomorphism, random_gain_graph, subgroup_as_group
@@ -495,6 +501,36 @@ def test_circuits_match_all_pairs_loop(seed):
         assert circuits(ctx, g) == _all_pairs_circuits(ctx, g), ctx
 
 
+def test_circuits_ask_once_per_union_that_can_be_a_circuit(monkeypatch):
+    """N is asked once per distinct union of two non-member frame circuits
+    that passes the vertex bound and holds no member: not again at a later
+    pair that forms it, and not at all when it holds a member."""
+    asked = []
+    rank = LiftedMatroid.underlying_rank
+    monkeypatch.setattr(
+        LiftedMatroid, "underlying_rank", lambda self, s: asked.append(s) or rank(self, s)
+    )
+    rng = random.Random(5)
+    for trial in range(12):
+        i = trial % len(DIFFERENTIAL_GROUPS)
+        g = _graph_with_loop_and_parallel_pair(DIFFERENTIAL_GROUPS[i], rng, 9, 14)
+        ends = g.ends
+        for ctx in DIFFERENTIAL_CONTEXTS[i]:
+            m = LiftedMatroid(ctx, g)
+            members = [set(c) for c in m.linear_class]
+            others = [set(c) for c in m.frame_circuits if c not in m.linear_class]
+            expected = set()
+            for c1, c2 in itertools.combinations(others, 2):
+                u = c1 | c2
+                verts = {v for eid in u for v in ends[eid][:2]}
+                if len(u) - len(verts) <= 2 and not any(c <= u for c in members):
+                    expected.add(frozenset(u))
+            asked.clear()
+            circuits(ctx, g)
+            assert len(asked) == len(expected), ctx
+            assert {frozenset(s) for s in asked} == expected, ctx
+
+
 def test_circuits_reject_a_union_of_non_members_that_holds_a_member(d6, d6_frobenius):
     """A theta whose three cycles are quotient-balanced: {0,1,2} and {0,3,4}
     have a non-identity kernel gain and are not members, {1,2,3,4} has the
@@ -539,41 +575,85 @@ def test_bases_brute_force_on_both_branches(d6):
     assert sorted(set(lifted)) == [0, 1]
 
 
-def test_bases_asks_underlying_rank_once(d6, monkeypatch):
-    """The spanning candidates come from one walk of the quotient frame
-    matroid, not from a rank query per candidate: K_3 over D6 has 816 or
-    3,060 candidates, and its partitions run both branches of ``bases``."""
-    asked = []
-    rank = LiftedMatroid.underlying_rank
+def test_bases_never_asks_the_frame_matroid(d6, monkeypatch):
+    """The bases come from one walk of the lift itself: neither the rank of
+    the quotient frame matroid nor its circuits or linear class are asked
+    for. K_3 over D6 has 816 or 3,060 candidates, and its partitions give
+    both r(E) = r_N(E) and r(E) = r_N(E) + 1."""
+    import frobmat.lifts as lifts
 
-    def counted(self, subset):
-        asked.append(subset)
-        return rank(self, subset)
+    def refuse(*args, **kwargs):
+        raise AssertionError("bases asked the frame matroid")
 
-    monkeypatch.setattr(LiftedMatroid, "underlying_rank", counted)
+    monkeypatch.setattr(LiftedMatroid, "underlying_rank", refuse)
+    for name in ("frame_circuits", "linear_class"):
+        monkeypatch.setattr(lifts, name, refuse)
+        monkeypatch.setattr(LiftedMatroid, name, property(refuse))
     k3 = complete_gain_graph(d6, 3)
     for ctx in contexts_of(d6):
-        asked.clear()
         assert bases(ctx, k3)
-        assert len(asked) <= 1, ctx
 
 
 def test_bases_checks_the_candidate_count_first(d6, monkeypatch):
     """Every partition of a 36-edge, 6-vertex graph over D6 has more than
-    10^6 candidates (C(36, 6) and C(36, 7)); the cap raises before the frame
-    circuits are enumerated."""
-    import frobmat.lifts as lifts
+    10^6 candidates (C(36, 6) and C(36, 7)); the cap raises before the walk
+    starts."""
 
     def refuse(*args):
-        raise AssertionError("frame circuits enumerated before the candidate count was checked")
+        raise AssertionError("the walk started before the candidate count was checked")
 
     rng = random.Random(0)
     g = graph(d6, 6, [(rng.randrange(6), rng.randrange(6), rng.randrange(6)) for _ in range(36)])
     contexts = contexts_of(d6)
-    monkeypatch.setattr(lifts, "frame_circuits", refuse)
+    monkeypatch.setattr(LiftedMatroid, "walk", refuse)
     for ctx in contexts:
         with pytest.raises(LimitExceeded, match="more than 1000000 basis candidates"):
             bases(ctx, g)
+
+
+def _spanning_bases(ctx, g):
+    """Bases by the spanning characterization of an elementary lift M of N
+    (Brylawski, *Constructions*, 1986): the sets B of size r(E) with
+    r_N(B) = r_N(E) and, when r(E) > r_N(E), whose one frame circuit lies
+    outside the class. Frame circuits and class come from the gains."""
+    m = LiftedMatroid(ctx, g)
+    size, n_rank = m.full_rank(), m.underlying_rank(m.ground)
+    qb = BiasedGraph.from_gain_graph(quotient_gains(g, ctx.quotient))
+    frame = [frozenset(c) for c in frame_circuits(qb)]
+    members = {frozenset(c) for c in _class_by_gains(ctx, g)}
+    out = []
+    for combo in itertools.combinations(m.ground, size):
+        if m.underlying_rank(combo) != n_rank:
+            continue
+        if size > n_rank:
+            (inside,) = [c for c in frame if c <= set(combo)]
+            if inside in members:
+                continue
+        out.append(combo)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_bases_match_the_spanning_characterization(seed):
+    rng = random.Random(seed)
+    i = seed % len(DIFFERENTIAL_GROUPS)
+    g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=4, max_edges=8)
+    for ctx in DIFFERENTIAL_CONTEXTS[i]:
+        assert bases(ctx, g) == _spanning_bases(ctx, g), ctx
+
+
+def test_bases_match_the_spanning_characterization_on_both_branches(d6):
+    """K_3 over D6 under every partition: r(E) = r_N(E), where a basis spans
+    N, and r(E) = r_N(E) + 1, where it also holds one frame circuit outside
+    the class."""
+    k3 = complete_gain_graph(d6, 3)
+    slacks = set()
+    for ctx in contexts_of(d6):
+        m = LiftedMatroid(ctx, k3)
+        slacks.add(m.full_rank() - m.underlying_rank(m.ground))
+        assert bases(ctx, k3) == _spanning_bases(ctx, k3), ctx
+    assert slacks == {0, 1}
 
 
 def _class_by_gains(ctx, g):
@@ -725,8 +805,8 @@ def test_capped_ranks_match_uncapped_and_explicit_routes(seed):
     that reads every id, and against the explicit balanced-cycle route:
     scanned components for the frame, lift and graphic ranks, and the
     modular-pair lift of the gain-defined class for the lifted rank. The
-    walk of ``underlying_oracle`` is checked against per-subset
-    ``underlying_rank``."""
+    walk of the quotient's frame ComponentOracle is checked against
+    per-subset ``underlying_rank``."""
     rng = random.Random(seed)
     i = seed % len(DIFFERENTIAL_GROUPS)
     g = _awkward_graph(DIFFERENTIAL_GROUPS[i], rng)
@@ -756,8 +836,9 @@ def test_capped_ranks_match_uncapped_and_explicit_routes(seed):
                 frame.rank,
             )
         )
-        routes.append((m.underlying_oracle().rank, _uncapped(m.underlying_oracle()), frame.rank))
-        walked = rank_table(m.underlying_oracle())
+        quotient = ComponentOracle(g, ctx.part_of, False)
+        routes.append((quotient.rank, _uncapped(quotient), frame.rank))
+        walked = rank_table(quotient)
         assert walked == rank_table(FuncOracle(m.ground, m.underlying_rank)), ctx
     for sub, query in _shuffled_queries(g.edge_ids(), rng):
         for capped, uncapped, by_cycles in routes:
@@ -1156,7 +1237,7 @@ def test_lifted_matroid_is_elementary_lift_of_frame(d6, d6_frobenius):
     for _ in range(8):
         g = random_gain_graph(d6, rng)
         m = LiftedMatroid(d6_frobenius, g)
-        ok, recovered = is_elementary_lift(m, m.underlying_oracle())
+        ok, recovered = is_elementary_lift(m, ComponentOracle(g, d6_frobenius.part_of, False))
         assert ok
         assert sorted(map(tuple, recovered)) == sorted(linear_class(d6_frobenius, g))
 
@@ -1191,7 +1272,8 @@ def test_is_elementary_lift_witness_is_first_by_size(d6, d6_frobenius, bumped, w
     m = LiftedMatroid(d6_frobenius, g)
     bad = {frozenset(s) for s in bumped}
     oracle = FuncOracle(m.ground, lambda s: m.rank(s) + (s in bad))
-    assert is_elementary_lift(oracle, m.underlying_oracle()) == (False, witness)
+    host = ComponentOracle(g, d6_frobenius.part_of, False)
+    assert is_elementary_lift(oracle, host) == (False, witness)
 
 
 # --- switching invariance ----------------------------------------------------

@@ -116,6 +116,12 @@ def test_rejects_out_of_range_kernel(d6, d6_frobenius):
         recover_partition(d6, Subgroup((0, 99)), 4, m)
 
 
+def test_rejects_an_oracle_on_another_ground(d6, d6_partitions):
+    with pytest.raises(RecoveryError) as info:
+        recover_partition(d6, d6_partitions[2].kernel, 4, FuncOracle(range(5), len))
+    assert str(info.value) == "oracle ground set does not match the complete gain graph"
+
+
 def _flip_cycles(g, m, balanced, length, mod, residue):
     """m with the circuit status flipped on every cycle of the given length
     and balance whose id sum is ``residue`` mod ``mod``."""
@@ -187,6 +193,46 @@ def test_cycle_hypothesis_witnesses(name, balanced, length, mod, residue, seed, 
     oracle = _flip_cycles(g, m, balanced, length, mod, residue)
     with pytest.raises(RecoveryError) as info:
         recover_partition(group, part.kernel, 4, oracle, seed=seed)
+    assert str(info.value) == message
+
+
+def _bundles_at_rank(group, pairs, rank):
+    """A patch that answers ``rank`` on the K_4 bundle of the identity and
+    each pair, and passes every other answer through."""
+    bundles = {frozenset(edge_bundle(group, 4, (0, a, b))) for a, b in pairs}
+    return lambda s, r: rank if s in bundles else r
+
+
+D6, F20 = WITNESS_GROUPS["D6"], WITNESS_GROUPS["F20"]
+
+
+@pytest.mark.parametrize(
+    "group, patch, message",
+    [
+        (D6, lambda s, r: r + (not s), "rank of the empty set is not zero"),
+        (D6, lambda s, r: r + 2 * (len(s) == 36), "full rank 7 is neither n nor n+1"),
+        (
+            D6,
+            _bundles_at_rank(D6, [(3, 4), (4, 5)], 4),
+            "bundle relation is not an equivalence relation (witness classes of 3 and 4)",
+        ),
+        (D6, _bundles_at_rank(D6, [(3, 4)], 4), "recovered class (0, 3, 4) is not a subgroup"),
+        # 11 is the involution of the complement {0, 11, 14, 17}, a Z4
+        (F20, _bundles_at_rank(F20, [(11, 14), (11, 17)], 5),
+         "recovered subgroup (0, 11) is not malnormal"),
+    ],
+    ids=["empty-set", "full-rank", "not-transitive", "not-a-subgroup", "not-malnormal"],
+)
+def test_rejects_a_lift_changed_only_where_named(group, patch, message):
+    """The Frobenius lift over K_4 (36 or 120 edges, so the elementary check
+    samples), with the answers ``patch`` changes: the empty set, the whole
+    ground, or bundles of the identity and two elements, which only the
+    bundle relation asks."""
+    part = frobenius_partitions(group)[-1]
+    m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 4))
+    oracle = FuncOracle(m.ground, lambda s: patch(s, m.rank(s)))
+    with pytest.raises(RecoveryError) as info:
+        recover_partition(group, part.kernel, 4, oracle)
     assert str(info.value) == message
 
 

@@ -14,6 +14,7 @@ from frobmat import (
     affine_index,
     affine_pair,
     apply_switching,
+    complete_gain_graph,
     frobenius_partitions,
     incidence_matrix,
     make_field_affine,
@@ -167,6 +168,19 @@ def test_verify_representation_random_graphs():
             g = random_gain_graph(group, rng, max_vertices=4, max_edges=7)
             ok, witness = verify_representation(ctx, g)
             assert ok, (q, witness, [(e.tail, e.head, e.gain) for e in g.edges])
+
+
+def test_verify_representation_samples_above_sixteen_edges(f20):
+    """K_3 over AGL(1,5) has 60 edges, so seeded random subsets are compared
+    in place of all of them: the Frobenius partition passes, and the lift
+    partition fails on a subset of 25 edges, the first one drawn, where the
+    full sweep would name a smaller one first."""
+    g = complete_gain_graph(f20, 3)
+    lift, _, frobenius = frobenius_partitions(f20)
+    assert verify_representation(FrobeniusContext(f20, frobenius), g) == (True, None)
+    witness = (2, 3, 5, 7, 8, 12, 15, 20, 24, 25, 26, 30, 32, 35, 37, 40, 41, 43, 44, 46,
+               48, 51, 52, 53, 56)
+    assert verify_representation(FrobeniusContext(f20, lift), g) == (False, witness)
 
 
 # (seed, lift-partition witness, frame-partition witness): the first subset,
