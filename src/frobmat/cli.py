@@ -48,11 +48,23 @@ from .recovery import complete_cycle_count, recover_partition
 from .represent import incidence_matrix, verify_representation
 
 
+def _positive_int(text: str, name: str) -> int:
+    """``text`` as a positive integer; ValueError naming ``name`` otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {text!r}")
+    return value
+
+
 def _limit(args) -> int:
-    if getattr(args, "limit", None):
-        return args.limit
+    """The group order cap: ``--limit``, else ``FROBMAT_LIMIT``, else the default."""
+    if getattr(args, "limit", None) is not None:
+        return _positive_int(args.limit, "--limit")
     env = os.environ.get("FROBMAT_LIMIT")
-    return int(env) if env else DEFAULT_GROUP_LIMIT
+    return _positive_int(env, "FROBMAT_LIMIT") if env else DEFAULT_GROUP_LIMIT
 
 
 def _select_partition(group: FiniteGroup, selector: str, limit: int) -> FrobeniusPartition:
@@ -271,11 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
                 default="auto",
                 help="partition selector: 'auto' or kernel elements 'e1,e2,...'",
             )
-        p.add_argument("--limit", type=int, default=0, help="group enumeration cap")
+        p.add_argument("--limit", default=None, help="group enumeration cap")
 
     p = sub.add_parser("frobpart", help="list Frobenius partitions of a group")
     p.add_argument("--group", required=True, help="group spec JSON file")
-    p.add_argument("--limit", type=int, default=0, help="group enumeration cap")
+    p.add_argument("--limit", default=None, help="group enumeration cap")
     p.set_defaults(fn=cmd_frobpart)
 
     p = sub.add_parser("rank", help="rank of an edge subset")

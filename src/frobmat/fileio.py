@@ -65,7 +65,7 @@ def group_from_spec(spec: Any, path: str = "") -> FiniteGroup:
 def _spec_group(spec: Any, path: str) -> FiniteGroup:
     """:func:`group_from_spec` with the table left to its first read: the
     loaders below take it, so a command that refuses a group by its order
-    (:func:`groups.subgroups`) never builds the table."""
+    (:func:`groups.frobenius_partitions`) never builds the table."""
     if not isinstance(spec, dict) or "kind" not in spec:
         what = f"spec field {path}" if path else "group spec"
         raise ValueError(f"{what} must be an object with a 'kind' field")

@@ -523,25 +523,6 @@ def is_malnormal(group: FiniteGroup, h: Subgroup) -> bool:
     return True
 
 
-def _exact_covers(
-    target: frozenset[int], candidates: list[Subgroup]
-) -> Iterable[tuple[Subgroup, ...]]:
-    """Yield families of candidates whose non-identity parts partition target."""
-    order = {e: i for i, e in enumerate(sorted(target))}
-    parts = [(c, c.element_set - {0}) for c in candidates]
-
-    def rec(uncovered: frozenset[int], start_chosen: tuple[Subgroup, ...]):
-        if not uncovered:
-            yield start_chosen
-            return
-        pivot = min(uncovered, key=order.__getitem__)
-        for cand, body in parts:
-            if pivot in body and body <= uncovered:
-                yield from rec(uncovered - body, start_chosen + (cand,))
-
-    yield from rec(target, ())
-
-
 def _conjugation_closed(group: FiniteGroup, family: Sequence[Subgroup]) -> bool:
     """True iff conjugating a member by any group element gives a member.
 
@@ -562,36 +543,76 @@ def frobenius_partitions(
 ) -> list[FrobeniusPartition]:
     """Every partition {kernel} ∪ complements satisfying the invariants.
 
-    Order: the whole-group partition first, then the trivial-kernel one, then
-    nontrivial partitions sorted by kernel elements.
+    Order: the whole-group partition, then (for order > 1) the trivial-kernel
+    one ({0}, (G,)), then the nontrivial one if the group is a Frobenius group.
+
+    A proper nontrivial malnormal subgroup H is a Frobenius complement, so by
+    Frobenius's theorem the rest of G outside the conjugates of H, with 0, is
+    a normal subgroup, the kernel; the kernel is unique and the complements
+    are one conjugacy class (Isaacs, *Finite Group Theory*, 2008). So there is
+    at most one nontrivial partition, and no trivial-kernel family but {G}.
+
+    The complement is found from centralizers. For y in H − {0},
+    malnormality gives C_G(y) ⊆ H, and H has a nontrivial centre, so for x
+    in H − {0} the largest C_G(y) over y in C_G(x) − {0} is H itself. A
+    kernel element's centralizer stays in the kernel, so for x in the kernel
+    that largest centralizer lies in the kernel and is not malnormal, and
+    skipping its elements skips kernel elements only. The walk over x thus
+    meets a complement element unless G is not a Frobenius group, and tests
+    malnormality once per distinct candidate.
     """
-    subs = subgroups(group, limit=limit)
-    malnormal = [a for a in subs if a.order > 1 and is_malnormal(group, a)]
-    out = []
-    for n in subs:
-        if not is_normal(group, n):
-            continue
-        if n.order == group.order:
-            out.append(FrobeniusPartition(n, ()))
-            continue
-        rest = frozenset(group.elements()) - n.element_set
-        cands = [a for a in malnormal if (a.element_set - {0}) <= rest]
-        for family in _exact_covers(rest, cands):
-            if _conjugation_closed(group, family):
-                out.append(
-                    FrobeniusPartition(n, tuple(sorted(family, key=lambda s: s.elements)))
-                )
+    if group.order > limit:
+        raise LimitExceeded(f"group order {group.order} exceeds limit {limit}")
+    n = group.order
+    whole = Subgroup(tuple(range(n)))
+    out = [FrobeniusPartition(whole, ())]
+    if n > 1:
+        out.append(FrobeniusPartition(Subgroup((0,)), (whole,)))
+    if group.is_abelian:
+        return out
+    table = group.table
+    centralizers: dict[int, list[int]] = {}
 
-    def key(p: FrobeniusPartition):
-        if p.kernel.order == group.order:
-            tier = 0
-        elif p.kernel.order == 1:
-            tier = 1
-        else:
-            tier = 2
-        return (tier, p.kernel.elements)
+    def centralizer(y: int) -> list[int]:
+        if y not in centralizers:
+            row = table[y]
+            centralizers[y] = [g for g, r in enumerate(table) if r[y] == row[g]]
+        return centralizers[y]
 
-    return sorted(out, key=key)
+    seen: set[int] = set()
+    for x in range(1, n):
+        if x in seen:
+            continue
+        h = max(map(centralizer, centralizer(x)[1:]), key=len)
+        if len(h) < n and is_malnormal(group, Subgroup(tuple(h))):
+            out.append(_partition_from_complement(group, h))
+            break
+        seen.update(h)
+    return out
+
+
+def _partition_from_complement(group: FiniteGroup, h: Sequence[int]) -> FrobeniusPartition:
+    """The partition whose complements are the conjugates of the proper
+    malnormal subgroup ``h``, one per right coset h·g. Raises ValueError
+    unless they meet only in 0 and leave a normal kernel, as in any group.
+    """
+    table = group.table
+    rest = set(range(1, group.order))
+    done: set[int] = set()
+    complements = []
+    for g in group.elements():
+        if g in done:
+            continue
+        done.update(table[a][g] for a in h)
+        conj = sorted(group.conjugate(g, a) for a in h)
+        if not rest.issuperset(conj[1:]):
+            raise ValueError("conjugates of a malnormal subgroup overlap")
+        rest.difference_update(conj[1:])
+        complements.append(Subgroup(tuple(conj)))
+    kernel = Subgroup((0, *sorted(rest)))
+    if not (is_subgroup(group, kernel.elements) and is_normal(group, kernel)):
+        raise ValueError("Frobenius kernel is not a normal subgroup")
+    return FrobeniusPartition(kernel, tuple(sorted(complements)))
 
 
 def validate_partition(group: FiniteGroup, part: FrobeniusPartition) -> None:

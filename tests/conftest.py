@@ -1,19 +1,25 @@
 import random
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import pytest
 
 from frobmat import (
     FiniteGroup,
     FrobeniusContext,
+    FrobeniusPartition,
     GainGraph,
     Subgroup,
     frobenius_partitions,
+    from_table,
+    is_malnormal,
+    is_normal,
     make_cyclic,
     make_dihedral,
     make_field_affine,
+    subgroups,
 )
 from frobmat.biased import RankOracle
+from frobmat.groups import DEFAULT_GROUP_LIMIT, _conjugation_closed
 
 
 @pytest.fixture(scope="session")
@@ -157,3 +163,78 @@ def find_isomorphism(a: FiniteGroup, b: FiniteGroup) -> Optional[list[int]]:
 
 def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     return find_isomorphism(a, b) is not None
+
+
+# The exhaustive partition search over the whole subgroup lattice: every
+# normal subgroup as a kernel, every exact cover of the rest by malnormal
+# subgroups, kept if conjugation-closed. The reference for
+# frobenius_partitions, which finds the same partitions from one centralizer.
+
+
+def _exact_covers(
+    target: frozenset[int], candidates: list[Subgroup]
+) -> Iterable[tuple[Subgroup, ...]]:
+    """Yield families of candidates whose non-identity parts partition target."""
+    order = {e: i for i, e in enumerate(sorted(target))}
+    parts = [(c, c.element_set - {0}) for c in candidates]
+
+    def rec(uncovered: frozenset[int], start_chosen: tuple[Subgroup, ...]):
+        if not uncovered:
+            yield start_chosen
+            return
+        pivot = min(uncovered, key=order.__getitem__)
+        for cand, body in parts:
+            if pivot in body and body <= uncovered:
+                yield from rec(uncovered - body, start_chosen + (cand,))
+
+    yield from rec(target, ())
+
+
+def exhaustive_partitions(
+    group: FiniteGroup, limit: int = DEFAULT_GROUP_LIMIT
+) -> list[FrobeniusPartition]:
+    """Every partition {kernel} ∪ complements satisfying the invariants, in
+    the order of frobenius_partitions: whole group, trivial kernel, then by
+    kernel elements."""
+    subs = subgroups(group, limit=limit)
+    malnormal = [a for a in subs if a.order > 1 and is_malnormal(group, a)]
+    out = []
+    for n in subs:
+        if not is_normal(group, n):
+            continue
+        if n.order == group.order:
+            out.append(FrobeniusPartition(n, ()))
+            continue
+        rest = frozenset(group.elements()) - n.element_set
+        cands = [a for a in malnormal if (a.element_set - {0}) <= rest]
+        for family in _exact_covers(rest, cands):
+            if _conjugation_closed(group, family):
+                out.append(
+                    FrobeniusPartition(n, tuple(sorted(family, key=lambda s: s.elements)))
+                )
+
+    def key(p: FrobeniusPartition):
+        if p.kernel.order == group.order:
+            tier = 0
+        elif p.kernel.order == 1:
+            tier = 1
+        else:
+            tier = 2
+        return (tier, p.kernel.elements)
+
+    return sorted(out, key=key)
+
+
+def perm_group(gens: Sequence[Sequence[int]], degree: int) -> FiniteGroup:
+    """The group generated by permutations of range(degree), as a validated
+    Cayley table; p∘q applies p first, and the identity comes first."""
+    ident = tuple(range(degree))
+    elems = [ident]
+    index = {ident: 0}
+    for p in elems:
+        for g in gens:
+            q = tuple(g[i] for i in p)
+            if q not in index:
+                index[q] = len(elems)
+                elems.append(q)
+    return from_table([[index[tuple(q[i] for i in p)] for q in elems] for p in elems])

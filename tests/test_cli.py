@@ -162,7 +162,7 @@ AGL47 = {"kind": "field_affine", "q": 47}
             ["bases", "--graph"],
             {"complete": {"group": AGL47, "n": 2}},
             "many",
-            "invalid literal for int() with base 10: 'many'",
+            "FROBMAT_LIMIT must be a positive integer, got 'many'",
         ),
         (
             ["recover", "--kernel", "1", "--graph"],
@@ -807,6 +807,18 @@ def test_limit_flag_and_env(write, capsys, monkeypatch):
     monkeypatch.delenv("FROBMAT_LIMIT")
     code, _, _ = run(capsys, "frobpart", "--group", path)
     assert code == 0
+    # a limit of 0 is refused, not taken for "no limit given"
+    for bad in ("0", "-3", "abc"):
+        code, out, err = run(capsys, "frobpart", "--group", path, "--limit", bad)
+        assert (code, out) == (2, "")
+        assert err == f"error: --limit must be a positive integer, got '{bad}'\n"
+        monkeypatch.setenv("FROBMAT_LIMIT", bad)
+        code, out, err = run(capsys, "frobpart", "--group", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: FROBMAT_LIMIT must be a positive integer, got '{bad}'\n"
+        code, out, _ = run(capsys, "frobpart", "--group", path, "--limit", "6")
+        assert code == 0 and out.count("partition") == 3
+        monkeypatch.delenv("FROBMAT_LIMIT")
 
 
 # Graph specs the error-path test mutates: every group kind, a complete graph

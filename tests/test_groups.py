@@ -26,6 +26,7 @@ from frobmat import (
     subgroups,
     validate_partition,
 )
+from frobmat import groups as groups_module
 from frobmat.fileio import group_from_spec
 from frobmat.groups import (
     MAX_TABLE_ORDER,
@@ -35,7 +36,14 @@ from frobmat.groups import (
     is_subgroup,
 )
 
-from conftest import element_order, find_isomorphism, is_isomorphic, subgroup_as_group
+from conftest import (
+    element_order,
+    exhaustive_partitions,
+    find_isomorphism,
+    is_isomorphic,
+    perm_group,
+    subgroup_as_group,
+)
 
 
 def quaternion_table():
@@ -446,6 +454,188 @@ def test_at_most_one_nontrivial_partition():
     ):
         parts = frobenius_partitions(g)
         assert sum(1 for p in parts if p.is_nontrivial(g.order)) <= 1
+
+
+def _semidirect_cyclic(m, k, u):
+    """Z_m ⋊ Z_k where the generator of Z_k multiplies by the unit u."""
+    action = [[pow(u, b, m) * x % m for x in range(m)] for b in range(k)]
+    return make_semidirect(make_cyclic(m), make_cyclic(k), action)
+
+
+def _affine_perms(mats, p=3):
+    """Permutations of the vectors of F_p² (index a + p·b for (a, b)): the
+    matrices ``mats`` acting v ↦ Mv, and one translation if ``mats`` is
+    followed by None."""
+    vecs = [(a, b) for b in range(p) for a in range(p)]
+
+    def index(v):
+        return v[0] % p + p * (v[1] % p)
+
+    perms = []
+    for m in mats:
+        if m is None:
+            perms.append([index((a + 1, b)) for a, b in vecs])
+        else:
+            perms.append([index((m[0][0] * a + m[0][1] * b, m[1][0] * a + m[1][1] * b)) for a, b in vecs])
+    return perms
+
+
+def _gf8_times_x(v):
+    return (v << 1) ^ (0b1011 if v & 4 else 0)
+
+
+Q8_IN_SL23 = [((0, 1), (2, 0)), ((1, 1), (1, 2))]
+
+# name -> (generators, degree, order, Frobenius?)
+PERMUTATION_GROUPS = {
+    "A4": ([(1, 2, 0, 3), (1, 0, 3, 2)], 4, 12, True),
+    "S4": ([(1, 0, 2, 3), (1, 2, 3, 0)], 4, 24, False),
+    "SL(2,3)": (_affine_perms([((1, 1), (0, 1)), ((1, 0), (1, 1))]), 9, 24, False),
+    "S3xS3": ([(1, 0, 2, 3, 4, 5), (1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 3, 5), (0, 1, 2, 4, 5, 3)], 6, 36, False),
+    "AGL(1,8)": ([[v ^ 1 for v in range(8)], [_gf8_times_x(v) for v in range(8)]], 8, 56, True),
+    # GF(9) = F_3[i], i² = -1; 1 + i has order 8 and acts as [[1, 2], [1, 1]]
+    "AGL(1,9)": (_affine_perms([((1, 2), (1, 1)), None]), 9, 72, True),
+    "3^2:Q8": (_affine_perms(Q8_IN_SL23 + [None]), 9, 72, True),
+}
+
+
+UNIT_ACTIONS = [
+    (m, k, u)
+    for m in range(2, 49)
+    for k in range(2, 96 // m + 1)
+    for u in range(1, m)
+    if math.gcd(u, m) == 1 and pow(u, k, m) == 1
+]
+
+REFERENCE_FAMILIES = {
+    "cyclic": lambda: [make_cyclic(n) for n in range(2, 57)],
+    "dihedral": lambda: [make_dihedral(n) for n in range(2, 57, 2)],
+    "affine": lambda: [make_field_affine(q) for q in (3, 5, 7, 11)],
+    "inversion": lambda: [make_inversion_extension(make_cyclic(n)) for n in range(3, 24, 2)],
+    "small": lambda: [
+        make_direct_product(make_cyclic(3), make_cyclic(3)),
+        make_direct_product(make_cyclic(5), make_cyclic(5)),
+        from_table(quaternion_table()),
+    ],
+    "semidirect": lambda: [_semidirect_cyclic(*muk) for muk in UNIT_ACTIONS],
+    "permutation": lambda: [
+        perm_group(gens, degree) for gens, degree, _, _ in PERMUTATION_GROUPS.values()
+    ],
+}
+
+
+@pytest.mark.parametrize("family", sorted(REFERENCE_FAMILIES))
+def test_partitions_match_the_exhaustive_search(family):
+    # AGL(1,11) has order 110, above the default limit
+    for g in REFERENCE_FAMILIES[family]():
+        assert frobenius_partitions(g, limit=110) == exhaustive_partitions(g, limit=110)
+
+
+@pytest.mark.parametrize("name", sorted(PERMUTATION_GROUPS))
+def test_permutation_groups_are_frobenius_as_known(name):
+    gens, degree, order, frobenius = PERMUTATION_GROUPS[name]
+    g = perm_group(gens, degree)
+    assert g.order == order
+    assert (len(frobenius_partitions(g)) == 3) == frobenius
+
+
+FACTORS = {
+    "Z1": lambda: make_cyclic(1),
+    "Z2": lambda: make_cyclic(2),
+    "Z3": lambda: make_cyclic(3),
+    "Z4": lambda: make_cyclic(4),
+    "D6": lambda: make_dihedral(6),
+    "D8": lambda: make_dihedral(8),
+    "D10": lambda: make_dihedral(10),
+    "Q8": lambda: from_table(quaternion_table()),
+    "A4": lambda: perm_group(*PERMUTATION_GROUPS["A4"][:2]),
+    "AGL(1,5)": lambda: make_field_affine(5),
+    "AGL(1,7)": lambda: make_field_affine(7),
+}
+FACTOR_PAIRS = [
+    (a, b)
+    for a in sorted(FACTORS)
+    for b in sorted(FACTORS)
+    if FACTORS[a]().order * FACTORS[b]().order <= 96
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=st.sampled_from(FACTOR_PAIRS))
+def test_partitions_of_direct_products_match_the_exhaustive_search(pair):
+    g = make_direct_product(*(FACTORS[name]() for name in pair))
+    assert frobenius_partitions(g) == exhaustive_partitions(g)
+
+
+def _relabelled(group, rng):
+    """The group with its non-identity elements renamed at random, and the
+    renaming as an image array."""
+    image = [0] + rng.sample(range(1, group.order), group.order - 1)
+    table = [[0] * group.order for _ in group.elements()]
+    for a, row in enumerate(group.table):
+        for b, ab in enumerate(row):
+            table[image[a]][image[b]] = image[ab]
+    return from_table(table), image
+
+
+@functools.lru_cache(maxsize=None)
+def _q8_complement_group():
+    g = perm_group(*PERMUTATION_GROUPS["3^2:Q8"][:2])
+    return g, exhaustive_partitions(g)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_partitions_do_not_depend_on_element_labels(seed):
+    # 3²:Q8 is the one Frobenius group of order ≤ 96 with a nonabelian
+    # complement, so the only one where the centralizer of a complement
+    # element can be smaller than its complement; the labels decide which
+    # complement elements the walk meets first
+    g, parts = _q8_complement_group()
+    h, image = _relabelled(g, random.Random(seed))
+
+    def rename(s):
+        return Subgroup(tuple(sorted(image[e] for e in s.elements)))
+
+    assert frobenius_partitions(h) == [
+        FrobeniusPartition(rename(p.kernel), tuple(sorted(map(rename, p.complements))))
+        for p in parts
+    ]
+
+
+def test_partition_search_builds_no_subgroup_lattice(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("frobenius_partitions enumerated subgroups")
+
+    monkeypatch.setattr(groups_module, "subgroups", refuse)
+    monkeypatch.setattr(groups_module, "generated_subgroup", refuse)
+    for g in (
+        make_dihedral(6),
+        make_field_affine(7),
+        perm_group(*PERMUTATION_GROUPS["3^2:Q8"][:2]),
+        group_from_spec(LATTICE_GROUPS["C2xD48"]),
+    ):
+        assert [p.kernel.order for p in frobenius_partitions(g)][:2] == [g.order, 1]
+
+
+def test_partition_search_refuses_by_order_before_the_table():
+    from frobmat.errors import LimitExceeded
+
+    g = make_field_affine(47)
+    with pytest.raises(LimitExceeded) as info:
+        frobenius_partitions(g)
+    assert str(info.value) == "group order 2162 exceeds limit 96"
+    assert type(g) is groups_module._Unbuilt
+
+
+def test_partitions_of_orders_one_and_two():
+    whole = FrobeniusPartition(Subgroup((0,)), ())
+    assert frobenius_partitions(make_cyclic(1)) == [whole]
+    z2 = Subgroup((0, 1))
+    assert frobenius_partitions(make_cyclic(2)) == [
+        FrobeniusPartition(z2, ()),
+        FrobeniusPartition(Subgroup((0,)), (z2,)),
+    ]
 
 
 def test_validate_partition_rejects_bad_family(d6):
