@@ -559,7 +559,10 @@ def frobenius_partitions(
     that largest centralizer lies in the kernel and is not malnormal, and
     skipping its elements skips kernel elements only. The walk over x thus
     meets a complement element unless G is not a Frobenius group, and tests
-    malnormality once per distinct candidate.
+    malnormality once per distinct candidate. A Frobenius group has a
+    trivial centre, since the centralizers of a kernel element and of a
+    complement element meet only in 0; so the walk stops at the first
+    candidate that is the whole group, at x = 1 for an abelian group.
     """
     if group.order > limit:
         raise LimitExceeded(f"group order {group.order} exceeds limit {limit}")
@@ -568,8 +571,6 @@ def frobenius_partitions(
     out = [FrobeniusPartition(whole, ())]
     if n > 1:
         out.append(FrobeniusPartition(Subgroup((0,)), (whole,)))
-    if group.is_abelian:
-        return out
     table = group.table
     centralizers: dict[int, list[int]] = {}
 
@@ -583,8 +584,11 @@ def frobenius_partitions(
     for x in range(1, n):
         if x in seen:
             continue
-        h = max(map(centralizer, centralizer(x)[1:]), key=len)
-        if len(h) < n and is_malnormal(group, Subgroup(tuple(h))):
+        c = centralizer(x)
+        h = c if len(c) == n else max(map(centralizer, c[1:]), key=len)
+        if len(h) == n:
+            break
+        if is_malnormal(group, Subgroup(tuple(h))):
             out.append(_partition_from_complement(group, h))
             break
         seen.update(h)

@@ -456,16 +456,9 @@ def test_at_most_one_nontrivial_partition():
         assert sum(1 for p in parts if p.is_nontrivial(g.order)) <= 1
 
 
-def _semidirect_cyclic(m, k, u):
-    """Z_m ⋊ Z_k where the generator of Z_k multiplies by the unit u."""
-    action = [[pow(u, b, m) * x % m for x in range(m)] for b in range(k)]
-    return make_semidirect(make_cyclic(m), make_cyclic(k), action)
-
-
 def _affine_perms(mats, p=3):
-    """Permutations of the vectors of F_p² (index a + p·b for (a, b)): the
-    matrices ``mats`` acting v ↦ Mv, and one translation if ``mats`` is
-    followed by None."""
+    """Permutations of the vectors of F_p² (index a + p·b for (a, b)): each
+    matrix M in ``mats`` acts as v ↦ Mv, and None as v ↦ v + (1, 0)."""
     vecs = [(a, b) for b in range(p) for a in range(p)]
 
     def index(v):
@@ -517,7 +510,7 @@ REFERENCE_FAMILIES = {
         make_direct_product(make_cyclic(5), make_cyclic(5)),
         from_table(quaternion_table()),
     ],
-    "semidirect": lambda: [_semidirect_cyclic(*muk) for muk in UNIT_ACTIONS],
+    "semidirect": lambda: [group_from_spec(_cyclic_action(*muk)) for muk in UNIT_ACTIONS],
     "permutation": lambda: [
         perm_group(gens, degree) for gens, degree, _, _ in PERMUTATION_GROUPS.values()
     ],
@@ -616,6 +609,17 @@ def test_partition_search_builds_no_subgroup_lattice(monkeypatch):
         group_from_spec(LATTICE_GROUPS["C2xD48"]),
     ):
         assert [p.kernel.order for p in frobenius_partitions(g)][:2] == [g.order, 1]
+
+
+def test_a_partition_that_fails_its_final_check_is_refused(monkeypatch):
+    # the checks cannot fail in a group; lying tests reach them
+    monkeypatch.setattr(groups_module, "is_malnormal", lambda group, h: True)
+    with pytest.raises(ValueError, match="^conjugates of a malnormal subgroup overlap$"):
+        frobenius_partitions(perm_group(*PERMUTATION_GROUPS["S4"][:2]))
+    monkeypatch.undo()
+    monkeypatch.setattr(groups_module, "is_normal", lambda group, h: False)
+    with pytest.raises(ValueError, match="^Frobenius kernel is not a normal subgroup$"):
+        frobenius_partitions(make_dihedral(6))
 
 
 def test_partition_search_refuses_by_order_before_the_table():
