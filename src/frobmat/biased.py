@@ -10,7 +10,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import LimitExceeded
 from .gaingraph import (
@@ -440,12 +440,8 @@ class _ClassLift(RankOracle):
     (Brylawski, *Constructions*, 1986): the host rank of X, plus one when a
     host circuit outside the class lies in X.
 
-    The circuits outside are masked once, at the first query, and grouped by
-    their least edge: a circuit lies in X only if its least edge does, so a
-    query tests only the groups of the edges in X. Each group is sorted by
-    edge count, and a query stops reading it at the first circuit larger
-    than X. The host is asked first, so an unknown id raises the host's
-    ValueError.
+    The circuits outside are indexed once, at the first query or check. The
+    host is asked first, so an unknown id raises the host's ValueError.
     """
 
     def __init__(
@@ -463,32 +459,37 @@ class _ClassLift(RankOracle):
         return self._circuits
 
     @functools.cached_property
-    def _outside(self) -> tuple[EdgeIndex, dict[int, list[tuple[int, int]]]]:
-        """(the index of the ground set, the (edge count, mask) of the
-        circuits outside the class by their least edge id, sorted)."""
-        index = EdgeIndex(self.ground)
-        by_least: dict[int, list[tuple[int, int]]] = {}
-        for c in self._host_circuits():
-            if frozenset(c) not in self.members:
-                m = index.mask(c)
-                by_least.setdefault(min(c), []).append((m.bit_count(), m))
-        for bucket in by_least.values():
-            bucket.sort()
-        return index, by_least
+    def _outside(self) -> CircuitIndex:
+        outside = (c for c in self._host_circuits() if frozenset(c) not in self.members)
+        return CircuitIndex(EdgeIndex(self.ground), outside)
 
     def rank(self, subset: Iterable[int]) -> int:
         r = self.host.rank(subset)
-        index, by_least = self._outside
+        outside = self._outside
         x = set(subset)
-        u = index.mask(x)
-        size = len(x)
-        for eid in x:
-            for count, m in by_least.get(eid, ()):
-                if count > size:
-                    break
-                if m & u == m:
-                    return r + 1
-        return r
+        return r + any(outside.inside(x, outside.index.mask(x)))
+
+    def modular_pair_check(self):
+        """(True, None) when the members are closed under modular pairs, else
+        (False, (C1, C2, C)): a modular pair of members and the first host
+        circuit, in sorted order, in its union and outside the class. The
+        host rank is asked once per distinct union that holds such a
+        circuit; no other union can fail. Raises ValueError for a member
+        that is no host circuit.
+        """
+        circuits = {frozenset(c) for c in self._host_circuits()}
+        for c in self.members:
+            if c not in circuits:
+                raise ValueError(f"candidate {sorted(c)} is not a circuit of the host")
+        outside = self._outside
+        index = outside.index
+        members = sorted(self.members, key=sorted)
+        for i, j, u in distinct_unions([index.mask(c) for c in members]):
+            union = members[i] | members[j]
+            if any(outside.inside(union, u)) and len(union) - self.host.rank(union) == 2:
+                c = min(map(index.ids, outside.inside(union, u)))
+                return False, (tuple(sorted(members[i])), tuple(sorted(members[j])), c)
+        return True, None
 
 
 class ClassLiftOracle(_ClassLift):
@@ -540,6 +541,47 @@ class EdgeIndex:
         return edges, verts
 
 
+class CircuitIndex:
+    """Circuits as masks of one EdgeIndex, in buckets by their least edge id.
+
+    A circuit lies in X only if its least edge does, so a query reads only
+    the buckets of the edges in X. Each bucket is sorted by edge count, and
+    a query stops reading it at the first circuit larger than X.
+    """
+
+    def __init__(self, index: EdgeIndex, circuits: Iterable[Iterable[int]]):
+        self.index = index
+        self._by_least: dict[int, list[tuple[int, int]]] = {}
+        for c in circuits:
+            m = index.mask(c)
+            self._by_least.setdefault(min(c), []).append((m.bit_count(), m))
+        for bucket in self._by_least.values():
+            bucket.sort()
+
+    def inside(self, ids: Collection[int], mask: int) -> Iterator[int]:
+        """The masks of the indexed circuits that lie in X, given as its
+        distinct edge ``ids`` and its ``mask``."""
+        by_least, size = self._by_least, len(ids)
+        for eid in ids:
+            for count, m in by_least.get(eid, ()):
+                if count > size:
+                    break
+                if m & mask == m:
+                    yield m
+
+
+def distinct_unions(masks: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """(i, j, masks[i] | masks[j]) for each distinct union of two masks, at
+    the first pair i < j in ``itertools.combinations`` order that forms it.
+    A filter that depends only on the union may run after this one."""
+    seen: set[int] = set()
+    for (i, a), (j, b) in itertools.combinations(enumerate(masks), 2):
+        u = a | b
+        if u not in seen:
+            seen.add(u)
+            yield i, j, u
+
+
 def _vertices_of(g: GainGraph, ids: Iterable[int]) -> frozenset[int]:
     verts = set()
     for i in ids:
@@ -553,25 +595,23 @@ def theta_property_check(b: BiasedGraph):
     """(True, None), or (False, witness) with a theta holding exactly two
     balanced cycles.
 
-    Two cycles that share an edge span a theta when their union has one edge
-    more than its vertices and their symmetric difference is a cycle, the
-    third. Each theta is judged once, at its first pair.
+    Two cycles span a theta when their union has one edge more than its
+    vertices and their symmetric difference is a cycle, the third (two
+    cycles with no common edge have no cycle as their symmetric
+    difference). Each theta is judged once, at its first pair.
     """
     cycles = enumerate_cycles(b.graph)
     index = EdgeIndex(b.graph.edge_ids(), b.graph)
-    shaped = [(c, index.shape(c)) for c in cycles]
-    cycle_of = {e: c for c, (e, _) in shaped}
-    seen: set[int] = set()
-    for (c1, (e1, v1)), (c2, (e2, v2)) in itertools.combinations(shaped, 2):
-        union = e1 | e2
-        third = cycle_of.get(e1 ^ e2)
-        if not e1 & e2 or union in seen or third is None:
+    shapes = [index.shape(c) for c in cycles]
+    edges = [e for e, _ in shapes]
+    cycle_of = dict(zip(edges, cycles))
+    for i, j, union in distinct_unions(edges):
+        third = cycle_of.get(edges[i] ^ edges[j])
+        verts = shapes[i][1] | shapes[j][1]
+        if third is None or union.bit_count() != verts.bit_count() + 1:
             continue
-        if union.bit_count() != (v1 | v2).bit_count() + 1:
-            continue
-        seen.add(union)
-        if sum(b.cycle_is_balanced(c) for c in (c1, c2, third)) == 2:
-            return False, tuple(sorted((c1, c2, third)))
+        if sum(b.cycle_is_balanced(c) for c in (cycles[i], cycles[j], third)) == 2:
+            return False, tuple(sorted((cycles[i], cycles[j], third)))
     return True, None
 
 
@@ -650,40 +690,9 @@ def is_linear_class(
     host_circuits: Iterable[Iterable[int]],
     cand: Iterable[Iterable[int]],
 ):
-    """Check the modular-pair closure; returns (ok, witness).
-
-    The witness is (C1, C2, C): a modular pair from the candidate class and a
-    host circuit in its union that the class misses. Pairs are tested once
-    per distinct union, keyed by its EdgeIndex mask: a union that failed
-    would have returned at its first pair. The host rank is asked only of a
-    union that holds a circuit the class misses; any other union passes
-    whatever its rank.
-    """
-    circuits = sorted({frozenset(c) for c in host_circuits}, key=sorted)
-    circuit_set = set(circuits)
-    members = {frozenset(c) for c in cand}
-    for c in members:
-        if c not in circuit_set:
-            raise ValueError(f"candidate {sorted(c)} is not a circuit of the host")
-    index = EdgeIndex(set().union(*circuits))
-    mem_list = [(c, index.mask(c)) for c in sorted(members, key=sorted)]
-    covered = index.mask(set().union(*members))
-    # host circuits the class misses that can lie inside a union of members
-    outside = [(index.mask(c), c) for c in circuits if c not in members]
-    outside = [(m, c) for m, c in outside if m & covered == m]
-    seen: set[int] = set()
-    for (c1, m1), (c2, m2) in itertools.combinations(mem_list, 2):
-        u = m1 | m2
-        if u in seen:
-            continue
-        seen.add(u)
-        c = next((c for m, c in outside if m & u == m), None)
-        if c is None:
-            continue
-        union = c1 | c2
-        if len(union) - host.rank(union) == 2:
-            return False, (tuple(sorted(c1)), tuple(sorted(c2)), tuple(sorted(c)))
-    return True, None
+    """Check the modular-pair closure; returns (ok, witness) as
+    _ClassLift.modular_pair_check does."""
+    return _ClassLift(host, list(host_circuits), cand).modular_pair_check()
 
 
 def brylawski_lift(
@@ -696,11 +705,11 @@ def brylawski_lift(
     rank(X) = host rank, plus one unless every host circuit inside X belongs
     to the class. Rejects classes that fail the modular-pair condition.
     """
-    circuits, members = list(host_circuits), list(linear_class)
-    ok, witness = is_linear_class(host, circuits, members)
+    lift = _ClassLift(host, list(host_circuits), linear_class)
+    ok, witness = lift.modular_pair_check()
     if not ok:
         raise ValueError(f"not a linear class; modular-pair witness {witness}")
-    return _ClassLift(host, circuits, members)
+    return lift
 
 
 def minimal_dependent_sets(oracle: RankOracle) -> list[tuple[int, ...]]:

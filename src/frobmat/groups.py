@@ -33,8 +33,7 @@ class FiniteGroup:
     """
 
     __slots__ = (
-        "order", "table", "inverse", "labels", "affine_modulus", "_abelian", "_generators",
-        "_rows",
+        "order", "table", "inverse", "labels", "affine_modulus", "_generators", "_rows",
     )
 
     def __init__(
@@ -52,7 +51,6 @@ class FiniteGroup:
             self.order, self._rows, self.__class__ = order, table, _Unbuilt
         self.labels = tuple(labels) if labels is not None else None
         self.affine_modulus = affine_modulus
-        self._abelian: Optional[bool] = None
         self._generators: Optional[tuple[int, ...]] = None
 
     def mul(self, a: int, b: int) -> int:
@@ -71,12 +69,6 @@ class FiniteGroup:
 
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels is not None else str(a)
-
-    @property
-    def is_abelian(self) -> bool:
-        if self._abelian is None:
-            self._abelian = self.table == tuple(zip(*self.table))
-        return self._abelian
 
     @property
     def generators(self) -> tuple[int, ...]:
@@ -307,7 +299,8 @@ def make_inversion_extension(g1: FiniteGroup) -> FiniteGroup:
     """g1 ⋊ {1,-1} where -1 acts by inversion; g1 must be abelian of odd order."""
     if g1.order % 2 == 0:
         raise ValueError("base group must have odd order")
-    if not g1.is_abelian:
+    # generators that commute make the group they generate abelian
+    if any(g1.mul(a, b) != g1.mul(b, a) for a in g1.generators for b in g1.generators):
         raise ValueError("base group must be abelian")
     action = [list(g1.elements()), list(g1.inverse)]
     return make_semidirect(g1, make_cyclic(2), action)
@@ -523,21 +516,6 @@ def is_malnormal(group: FiniteGroup, h: Subgroup) -> bool:
     return True
 
 
-def _conjugation_closed(group: FiniteGroup, family: Sequence[Subgroup]) -> bool:
-    """True iff conjugating a member by any group element gives a member.
-
-    Tested on the generators only: conjugation by g is injective, so if it
-    maps the finite family into itself it permutes it, and so does every
-    product of generators (see :func:`is_normal`).
-    """
-    members = {a.elements for a in family}
-    return all(
-        conjugate_subgroup(group, a, g).elements in members
-        for a in family
-        for g in group.generators
-    )
-
-
 def frobenius_partitions(
     group: FiniteGroup, limit: int = DEFAULT_GROUP_LIMIT
 ) -> list[FrobeniusPartition]:
@@ -620,19 +598,28 @@ def _partition_from_complement(group: FiniteGroup, h: Sequence[int]) -> Frobeniu
 
 
 def validate_partition(group: FiniteGroup, part: FrobeniusPartition) -> None:
-    """Raise ValueError if any FrobeniusPartition invariant fails."""
+    """Raise ValueError if any FrobeniusPartition invariant fails.
+
+    Complement 0 is tested for malnormality in full, and a later one only
+    when it is no conjugate of complement 0. Complements that pass are
+    conjugation-closed: they are Frobenius complements, one conjugacy class
+    (see frobenius_partitions).
+    """
     if not is_subgroup(group, part.kernel.elements):
         raise ValueError("kernel is not a subgroup")
     if not is_normal(group, part.kernel):
         raise ValueError("kernel is not normal")
     seen: dict[int, int] = {}
+    conjugates: set[Subgroup] = set()
     for i, a in enumerate(part.complements):
         if a.order < 2:
             raise ValueError("complements must be nontrivial")
         if not is_subgroup(group, a.elements):
             raise ValueError(f"complement {i} is not a subgroup")
-        if not is_malnormal(group, a):
+        if a not in conjugates and not is_malnormal(group, a):
             raise ValueError(f"complement {i} is not malnormal")
+        if i == 0:
+            conjugates = {conjugate_subgroup(group, a, g) for g in group.elements()}
         for e in a.elements:
             if e == 0:
                 continue
@@ -643,8 +630,6 @@ def validate_partition(group: FiniteGroup, part: FrobeniusPartition) -> None:
     if covered != set(group.elements()):
         missing = sorted(set(group.elements()) - covered)
         raise ValueError(f"elements not covered: {missing}")
-    if not _conjugation_closed(group, part.complements):
-        raise ValueError("complement family is not conjugation-closed")
 
 
 def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientMap:

@@ -19,14 +19,15 @@ from .biased import (
     IDENTITY_PART,
     KERNEL_PART,
     BiasedGraph,
+    CircuitIndex,
     ComponentOracle,
     EdgeIndex,
     RankOracle,
     _ClassLift,
     _vertices_of,
+    distinct_unions,
     first_disagreement,
     frame_circuits,
-    is_linear_class,
     minimal_dependent_sets,
     scan_components,
 )
@@ -339,28 +340,23 @@ def circuits(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
     of C1 or C2, which is no coloop of X, so its nullity is at most one. Only
     pairs of non-members are formed: X holds no member, so neither circuit
     of a pair giving X is one, and a union taken with a member contains that
-    member and is rejected anyway. Edge and vertex sets are masks of one
-    EdgeIndex; a pair whose union has more than two edges beyond its vertices
+    member and is rejected anyway. Each union is taken once (see
+    distinct_unions); one with more than two edges beyond its vertices
     cannot have nullity two (frame rank is at most the vertex count), so it
-    is skipped before the rank query, as is a union already tested and one
-    that holds a member. So N is asked once per union that can be a circuit.
+    is skipped before the rank query, as is one that holds a member. So N is
+    asked once per union that can be a circuit.
     """
     oracle = LiftedMatroid(ctx, g)
     index = EdgeIndex(oracle.ground, g)
-    in_class = set(oracle.linear_class)
-    shapes = [index.shape(c) for c in oracle.frame_circuits if c not in in_class]
-    members = [index.mask(c) for c in oracle.linear_class]
-    out = set(in_class)
-    seen = set()
-    for (e1, v1), (e2, v2) in itertools.combinations(shapes, 2):
-        u = e1 | e2
-        if u in seen or u.bit_count() - (v1 | v2).bit_count() > 2:
+    members = CircuitIndex(index, oracle.linear_class)
+    out = set(oracle.linear_class)
+    others = [c for c in oracle.frame_circuits if c not in out]
+    shapes = [index.shape(c) for c in others]
+    for i, j, u in distinct_unions([e for e, _ in shapes]):
+        if u.bit_count() - (shapes[i][1] | shapes[j][1]).bit_count() > 2:
             continue
-        seen.add(u)
-        if any(m & u == m for m in members):
-            continue
-        ids = index.ids(u)
-        if len(ids) - oracle.underlying_rank(ids) == 2:
+        ids = tuple(sorted({*others[i], *others[j]}))
+        if not any(members.inside(ids, u)) and len(ids) - oracle.underlying_rank(ids) == 2:
             out.add(ids)
     return sorted(out)
 
@@ -548,10 +544,11 @@ def is_elementary_lift(m: RankOracle, host: RankOracle) -> tuple[bool, object]:
         raise ValueError("ground sets differ")
     host_circuits = minimal_dependent_sets(host)
     recovered = [c for c in host_circuits if m.rank(c) == len(c) - 1]
-    ok, witness = is_linear_class(host, host_circuits, recovered)
+    lift = _ClassLift(host, host_circuits, recovered)
+    ok, witness = lift.modular_pair_check()
     if not ok:
         return False, witness
-    bad = first_disagreement(m, _ClassLift(host, host_circuits, recovered))
+    bad = first_disagreement(m, lift)
     if bad is not None:
         return False, tuple(sorted(bad))
     return True, recovered

@@ -19,7 +19,7 @@ from frobmat import (
     subgroups,
 )
 from frobmat.biased import RankOracle
-from frobmat.groups import DEFAULT_GROUP_LIMIT, _conjugation_closed
+from frobmat.groups import DEFAULT_GROUP_LIMIT, conjugate_subgroup
 
 
 @pytest.fixture(scope="session")
@@ -169,6 +169,21 @@ def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
 # normal subgroup as a kernel, every exact cover of the rest by malnormal
 # subgroups, kept if conjugation-closed. The reference for
 # frobenius_partitions, which finds the same partitions from one centralizer.
+
+
+def _conjugation_closed(group: FiniteGroup, family: Sequence[Subgroup]) -> bool:
+    """True iff conjugating a member by any group element gives a member.
+
+    Tested on the generators only: conjugation by g is injective, so if it
+    maps the finite family into itself it permutes it, and so does every
+    product of generators (see :func:`frobmat.groups.is_normal`).
+    """
+    members = {a.elements for a in family}
+    return all(
+        conjugate_subgroup(group, a, g).elements in members
+        for a in family
+        for g in group.generators
+    )
 
 
 def _exact_covers(

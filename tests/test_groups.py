@@ -30,13 +30,13 @@ from frobmat import groups as groups_module
 from frobmat.fileio import group_from_spec
 from frobmat.groups import (
     MAX_TABLE_ORDER,
-    _conjugation_closed,
     conjugate_subgroup,
     generated_subgroup,
     is_subgroup,
 )
 
 from conftest import (
+    _conjugation_closed,
     element_order,
     exhaustive_partitions,
     find_isomorphism,
@@ -660,6 +660,25 @@ def test_validate_partition_rejects_bad_family(d6):
         with pytest.raises(ValueError) as info:
             validate_partition(d6, bad)
         assert str(info.value) == message
+
+
+def test_validate_partition_tests_malnormality_of_non_conjugates_only(monkeypatch, d6):
+    """Complement 0 is tested in full and its conjugates are not; a later
+    complement that is no conjugate of complement 0 still is."""
+    calls = []
+    malnormal = groups_module.is_malnormal
+    monkeypatch.setattr(
+        groups_module, "is_malnormal", lambda g, h: calls.append(h) or malnormal(g, h)
+    )
+    for group in (d6, make_field_affine(7)):
+        part = frobenius_partitions(group)[2]
+        assert len(part.complements) > 1
+        calls.clear()
+        validate_partition(group, part)
+        assert calls == [part.complements[0]]
+    bad = FrobeniusPartition(Subgroup((0, 1, 2)), (Subgroup((0, 3)), Subgroup((0, 1, 2))))
+    with pytest.raises(ValueError, match="^complement 1 is not malnormal$"):
+        validate_partition(d6, bad)
 
 
 # --- quotients --------------------------------------------------------------

@@ -55,7 +55,9 @@ from frobmat import (
 from frobmat.biased import (
     IDENTITY_PART,
     KERNEL_PART,
+    CircuitIndex,
     ComponentOracle,
+    _ClassLift,
     component_rank,
     rank_table,
 )
@@ -967,6 +969,59 @@ def test_is_linear_class_matches_pairwise_check_querying_unions_with_outside_cir
             assert (ok, witness) == (want_ok, want_witness), (ctx, cand)
             assert len(queries) == unions, (ctx, cand)
             assert ok or cand is not cls
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_class_lift_rank_matches_its_definition_on_random_sets(data):
+    """The outside-circuit index against its definition: host rank, plus one
+    iff a host circuit outside the member set lies in X. Member sets are the
+    class, a random set of host circuits and the class with one circuit
+    toggled; X is a random sample of ids in random order, with repeats."""
+    i = data.draw(st.sampled_from(range(len(DIFFERENTIAL_GROUPS))))
+    rng = random.Random(data.draw(st.integers(0, 2**31 - 1)))
+    g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=4, max_edges=10)
+    ctx = data.draw(st.sampled_from(DIFFERENTIAL_CONTEXTS[i]))
+    qb = BiasedGraph.from_gain_graph(quotient_gains(g, ctx.quotient))
+    host = FrameOracle(qb)
+    host_circuits = frame_circuits(qb)
+    cls = linear_class(ctx, g)
+    candidates = [cls, [c for c in host_circuits if rng.random() < 0.5]]
+    if host_circuits:
+        flip = rng.choice(host_circuits)
+        candidates.append([c for c in cls if c != flip] if flip in cls else cls + [flip])
+    ground = host.ground
+    for members in candidates:
+        outside = [set(c) for c in host_circuits if c not in members]
+        lift = _ClassLift(host, host_circuits, members)
+        for _ in range(20):
+            x = data.draw(st.lists(st.sampled_from(ground), max_size=2 * len(ground)))
+            want = host.rank(x) + any(c <= set(x) for c in outside)
+            assert lift.rank(x) == want, (members, x)
+
+
+def test_brylawski_lift_and_is_elementary_lift_index_outside_circuits_once(
+    monkeypatch, d6, d6_frobenius
+):
+    """The modular-pair check and the rank queries after it read one index
+    of the circuits outside the class."""
+    built = []
+    init = CircuitIndex.__init__
+    monkeypatch.setattr(
+        CircuitIndex, "__init__", lambda self, *a: built.append(1) or init(self, *a)
+    )
+    g = random_gain_graph(d6, random.Random(3), max_vertices=4, max_edges=8)
+    m = LiftedMatroid(d6_frobenius, g)
+    host = FrameOracle(m.quotient_biased)
+    lift = brylawski_lift(host, m.frame_circuits, m.linear_class)
+    for r in range(len(m.ground) + 1):
+        for sub in itertools.combinations(m.ground, r):
+            assert lift.rank(sub) == m.rank(sub)
+    assert len(built) == 1
+    built.clear()
+    ok, recovered = is_elementary_lift(m, host)
+    assert ok and sorted(recovered) == sorted(m.linear_class)
+    assert len(built) == 1
 
 
 # --- minors -----------------------------------------------------------------
