@@ -160,7 +160,8 @@ class RankOracle:
 
     ground: tuple[int, ...]
     # True when ``walk`` steps one element at a time rather than asking
-    # ``rank`` of each subset
+    # ``rank`` of each subset. Such a walk never lowers the rank, so once a
+    # state reaches full_rank() every set stepped from it has that rank
     incremental = False
 
     def rank(self, subset: Iterable[int]) -> int:
@@ -326,7 +327,8 @@ class ComponentOracle(RankOracle):
     r(E) is found once, by a direct pass (not a rank query), and each later
     pass stops once its prefix reaches it (see _capped_rank). The walk runs
     _union_edges on one edge per step, on a copy of the union-find state
-    unless the step is the state's last.
+    unless the step is the state's last. A step raises |V| - c + w + l by 0
+    or 1, so the walk is monotone, as ``incremental`` requires.
     """
 
     incremental = True
@@ -757,12 +759,16 @@ def rank_table(oracle: RankOracle) -> list[int]:
 
     The oracle is walked depth first, one element per step: each subset's
     state is its parent's (the subset without its last element) plus that
-    element.
+    element. An incremental walk is monotone, so a node at full_rank() is
+    not stepped below: the sets under it, its mask plus s·2^(j+1) for the
+    node's last element j, take its rank in one slice. An oracle asked per
+    subset is asked of every subset.
     """
     ground = oracle.ground
     m = len(ground)
     if m > EXHAUSTIVE_LIMIT:
         raise LimitExceeded(f"ground set larger than {EXHAUSTIVE_LIMIT}")
+    full = oracle.full_rank() if oracle.incremental else None
     state, r, step = oracle.walk()
     table = [r] * (1 << m)
 
@@ -770,11 +776,19 @@ def rank_table(oracle: RankOracle) -> list[int]:
         for j in range(start, m):
             # the last child is a leaf, so it may take the parent's state
             last = j == m - 1
-            child, table[mask | 1 << j] = step(state, ground[j], last)
-            if not last:
-                visit(mask | 1 << j, j + 1, child)
+            child = mask | 1 << j
+            state_j, x = step(state, ground[j], last)
+            table[child] = x
+            if last:
+                continue
+            if x == full:
+                stride = 1 << j + 1
+                table[child + stride :: stride] = [x] * ((1 << m - j - 1) - 1)
+            else:
+                visit(child, j + 1, state_j)
 
-    visit(0, 0, state)
+    if r != full:
+        visit(0, 0, state)
     return table
 
 
@@ -813,10 +827,15 @@ def _walk_disagreement(a: RankOracle, b: RankOracle) -> Optional[tuple[int, ...]
     per step. That order visits the subsets of each size in combinations
     order, so after a disagreement of size s only a smaller subset can come
     first, and the walk goes no deeper than s - 1 from there on. Each node
-    costs one step of each walk, and no run visits more than 2^m nodes.
+    costs one step of each walk. Below a node where both incremental walks
+    are at full_rank() every set has that rank in each (the ranks agreed at
+    the node), so the walk does not step there; an oracle asked per subset
+    is never taken to be full. No run visits more than 2^m nodes.
     """
     ground = a.ground
     m = len(ground)
+    full_a = a.full_rank() if a.incremental else None
+    full_b = b.full_rank() if b.incremental else None
     state_a, ra, step_a = a.walk()
     state_b, rb, step_b = b.walk()
     if ra != rb:
@@ -836,10 +855,11 @@ def _walk_disagreement(a: RankOracle, b: RankOracle) -> Optional[tuple[int, ...]
             if xa != xb:
                 found, depth = path + (e,), size - 1
                 return
-            if not last and size < depth:
+            if not last and size < depth and (xa != full_a or xb != full_b):
                 visit(path + (e,), j + 1, ca, cb)
 
-    visit((), 0, state_a, state_b)
+    if ra != full_a or rb != full_b:
+        visit((), 0, state_a, state_b)
     return found
 
 

@@ -176,7 +176,7 @@ def cmd_verify(args) -> int:
 class _OracleMinor(RankOracle):
     """``oracle`` with edge e deleted, or contracted when ``contracting``:
     r(X + C) - r(C) on the other edges, where C is {e} or empty. The walk
-    steps through C first."""
+    steps through C first, so it is monotone when the oracle's walk is."""
 
     def __init__(self, oracle: RankOracle, e: int, contracting: bool):
         self.oracle, self.lead = oracle, (e,) if contracting else ()

@@ -73,6 +73,31 @@ class FuncOracle(RankOracle):
         return self._fn(frozenset(subset))
 
 
+class CountingWalk(RankOracle):
+    """``oracle`` as it is, with the steps of its walks counted in ``steps``."""
+
+    def __init__(self, oracle: RankOracle):
+        self.oracle = oracle
+        self.ground = oracle.ground
+        self.incremental = oracle.incremental
+        self.steps = 0
+
+    def rank(self, subset: Iterable[int]) -> int:
+        return self.oracle.rank(subset)
+
+    def full_rank(self) -> int:
+        return self.oracle.full_rank()
+
+    def walk(self):
+        state, r, step = self.oracle.walk()
+
+        def counted(state, e: int, last: bool):
+            self.steps += 1
+            return step(state, e, last)
+
+        return state, r, counted
+
+
 # Group isomorphism by backtracking: an independent check of the group
 # constructors and of the embedding that kernel-loop contraction uses.
 

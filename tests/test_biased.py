@@ -43,7 +43,7 @@ from frobmat.biased import (
 )
 from frobmat.errors import LimitExceeded
 
-from conftest import FuncOracle, random_gain_graph
+from conftest import CountingWalk, FuncOracle, random_gain_graph
 
 
 def graph(group, n, triples):
@@ -591,6 +591,31 @@ def test_axiom_check_on_twelve_elements_matches_pairwise_reference():
     assert matroid_axiom_check(bumped) == result
 
 
+def test_axiom_check_sees_a_moved_rank_under_a_full_rank_set():
+    """A per-subset oracle is asked of every subset, even of a set X whose
+    parent in the walk (X without its last element) has rank r(E): with the
+    rank of X moved either way, the check still names X in its witness."""
+    m = LiftedMatroid(WALK_CONTEXT, WALK_GRAPH)
+    ground, full = m.ground, m.full_rank()
+    table = rank_table(FuncOracle(ground, m.rank))
+    basis = next(
+        x for x in range(1 << len(ground) - 1) if table[x] == full == x.bit_count()
+    )
+    moved = basis | 1 << basis.bit_length()
+    x_ids = frozenset(e for k, e in enumerate(ground) if moved >> k & 1)
+    for delta in (-1, 1):
+        bad = list(table)
+        bad[moved] += delta
+        asked = set()
+        oracle = _table_oracle(ground, bad)
+        counted = FuncOracle(ground, lambda s: asked.add(s) or oracle.rank(s))
+        ok, witness = result = matroid_axiom_check(counted)
+        assert x_ids in asked
+        assert not ok and result == _pairwise_axiom_check(oracle)
+        kind, subset, element = witness
+        assert kind == "unit" and x_ids in (frozenset(subset), frozenset(subset) | {element})
+
+
 # --- first disagreement -------------------------------------------------------
 
 
@@ -701,3 +726,51 @@ def test_first_disagreement_refuses_a_large_ground_before_any_query():
 def test_first_disagreement_rejects_other_ground_sets():
     with pytest.raises(ValueError, match="ground sets differ"):
         first_disagreement(FuncOracle(range(3), len), FuncOracle(range(4), len))
+
+
+# --- walks that stop at full rank --------------------------------------------
+
+# Ten D6 edges under the partition with kernel Z3, where r(E) = 5; the walk
+# step counts below are pinned on this graph.
+WALK_GRAPH = graph(
+    AXIOM_GROUPS[0],
+    4,
+    [
+        (0, 1, 0), (1, 2, 3), (2, 3, 1), (0, 3, 4), (0, 2, 2),
+        (1, 3, 5), (1, 1, 1), (3, 3, 3), (0, 2, 5), (2, 2, 2),
+    ],
+)
+WALK_CONTEXT = AXIOM_CONTEXTS[0][2]
+
+
+def _parents_below_full(table, full):
+    """The nonempty sets whose parent in a depth-first walk, the set without
+    its last element, has rank below ``full``: the sets a walk that fills
+    below full rank still steps to."""
+    return sum(table[x ^ 1 << x.bit_length() - 1] < full for x in range(1, len(table)))
+
+
+def test_rank_table_fills_below_full_rank():
+    """A walk at r(E) is not stepped further: 730 of the 1023 nonempty sets
+    are stepped to, the rest filled, and the table is the per-subset one.
+    An oracle asked per subset is stepped to every set."""
+    m = LiftedMatroid(WALK_CONTEXT, WALK_GRAPH)
+    assert len(m.ground) == 10 and m.full_rank() == 5
+    counted, plain = CountingWalk(m), CountingWalk(FuncOracle(m.ground, m.rank))
+    want = rank_table(plain)
+    assert rank_table(counted) == want
+    assert counted.steps == _parents_below_full(want, 5) == 730
+    assert plain.steps == 1023
+
+
+def test_walk_disagreement_skips_where_both_walks_are_full():
+    """An oracle against itself steps each walk to the 730 sets that
+    rank_table steps to; with one side asked per subset, no set is
+    skipped."""
+    m = LiftedMatroid(WALK_CONTEXT, WALK_GRAPH)
+    a, b = CountingWalk(m), CountingWalk(m)
+    assert _walk_disagreement(a, b) is None
+    assert a.steps == b.steps == 730
+    c, d = CountingWalk(m), CountingWalk(FuncOracle(m.ground, m.rank))
+    assert _walk_disagreement(c, d) is None
+    assert c.steps == d.steps == 1023

@@ -22,12 +22,17 @@ from frobmat import (
     is_balanced_cycle,
     linear_class,
     make_cyclic,
+    make_dihedral,
+    make_field_affine,
 )
 import frobmat
 from frobmat.lifts import contract, delete
 from frobmat import cli
 from frobmat.cli import main
+from frobmat.biased import first_disagreement, rank_table
 from frobmat.fileio import format_circuits, graph_to_spec
+
+from conftest import FuncOracle, random_gain_graph
 
 D6_SPEC = {"kind": "dihedral", "order": 6}
 FIGURE_SPEC = {
@@ -934,3 +939,26 @@ def test_mutated_specs_and_subsets_answer_or_fail_in_one_line(tmp_path_factory, 
         assert code == 2 and out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+MINOR_CONTEXTS = [
+    [FrobeniusContext(grp, p, validate=False) for p in frobenius_partitions(grp)]
+    for grp in (make_dihedral(6), make_field_affine(5))
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_oracle_minor_walks_match_per_subset_rank(seed):
+    """The deletion and contraction walks of the oracle-level minor, which
+    stop at full rank, against the minor's per-subset rank, and the lift's
+    own minors against them, on every edge of a random D6 or F20 graph."""
+    rng = random.Random(seed)
+    ctx = rng.choice(MINOR_CONTEXTS[seed % 2])
+    g = random_gain_graph(ctx.group, rng, max_vertices=4, max_edges=8)
+    m = LiftedMatroid(ctx, g)
+    for e in m.ground:
+        for lifted, contracting in ((delete, False), (contract, True)):
+            minor = cli._OracleMinor(m, e, contracting)
+            assert rank_table(minor) == rank_table(FuncOracle(minor.ground, minor.rank))
+            assert first_disagreement(lifted(ctx, g, e), minor) is None

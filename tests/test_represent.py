@@ -29,7 +29,7 @@ from frobmat import (
 from frobmat.biased import rank_table
 from frobmat.represent import MAX_MATRIX_ENTRIES, FieldMatrix
 
-from conftest import random_gain_graph
+from conftest import FuncOracle, random_gain_graph
 
 
 @pytest.fixture(scope="module")
@@ -353,3 +353,21 @@ def test_vector_walk_matches_per_subset_elimination(seed):
     want = [matrix_rank_gf(matrix, [col_of[e] for e in s]) for s in subsets]
     assert rank_table(oracle) == want
     assert [oracle.rank(s) for s in subsets] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_vector_walk_fills_as_per_subset_rank(seed):
+    """rank_table stops the echelon walk at full rank and fills below it;
+    the table must equal the one asked per subset, where each rank is a
+    fresh matrix_rank_gf: on an incidence matrix of a random F20 graph and
+    on an awkward matrix."""
+    rng = random.Random(seed)
+    g = random_gain_graph(make_field_affine(5), rng, max_vertices=4, max_edges=10)
+    ids = sorted(e.id for e in g.edges)
+    matrix = _awkward_matrix(rng)
+    for vec in (
+        VectorOracle(incidence_matrix(g), ids),
+        VectorOracle(matrix, rng.sample(range(3 * matrix.cols + 1), matrix.cols)),
+    ):
+        assert rank_table(vec) == rank_table(FuncOracle(vec.ground, vec.rank))
