@@ -85,9 +85,6 @@ class CountingWalk(RankOracle):
     def rank(self, subset: Iterable[int]) -> int:
         return self.oracle.rank(subset)
 
-    def full_rank(self) -> int:
-        return self.oracle.full_rank()
-
     def walk(self):
         state, r, step = self.oracle.walk()
 

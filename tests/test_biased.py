@@ -591,31 +591,6 @@ def test_axiom_check_on_twelve_elements_matches_pairwise_reference():
     assert matroid_axiom_check(bumped) == result
 
 
-def test_axiom_check_sees_a_moved_rank_under_a_full_rank_set():
-    """A per-subset oracle is asked of every subset, even of a set X whose
-    parent in the walk (X without its last element) has rank r(E): with the
-    rank of X moved either way, the check still names X in its witness."""
-    m = LiftedMatroid(WALK_CONTEXT, WALK_GRAPH)
-    ground, full = m.ground, m.full_rank()
-    table = rank_table(FuncOracle(ground, m.rank))
-    basis = next(
-        x for x in range(1 << len(ground) - 1) if table[x] == full == x.bit_count()
-    )
-    moved = basis | 1 << basis.bit_length()
-    x_ids = frozenset(e for k, e in enumerate(ground) if moved >> k & 1)
-    for delta in (-1, 1):
-        bad = list(table)
-        bad[moved] += delta
-        asked = set()
-        oracle = _table_oracle(ground, bad)
-        counted = FuncOracle(ground, lambda s: asked.add(s) or oracle.rank(s))
-        ok, witness = result = matroid_axiom_check(counted)
-        assert x_ids in asked
-        assert not ok and result == _pairwise_axiom_check(oracle)
-        kind, subset, element = witness
-        assert kind == "unit" and x_ids in (frozenset(subset), frozenset(subset) | {element})
-
-
 # --- first disagreement -------------------------------------------------------
 
 
@@ -774,3 +749,28 @@ def test_walk_disagreement_skips_where_both_walks_are_full():
     c, d = CountingWalk(m), CountingWalk(FuncOracle(m.ground, m.rank))
     assert _walk_disagreement(c, d) is None
     assert c.steps == d.steps == 1023
+
+
+def test_axiom_check_sees_a_moved_rank_under_a_full_rank_set():
+    """A per-subset oracle is asked of every subset, even of a set X whose
+    parent in the walk (X without its last element) has rank r(E): with the
+    rank of X moved either way, the check still names X in its witness."""
+    m = LiftedMatroid(WALK_CONTEXT, WALK_GRAPH)
+    ground, full = m.ground, m.full_rank()
+    table = rank_table(FuncOracle(ground, m.rank))
+    basis = next(
+        x for x in range(1 << len(ground) - 1) if table[x] == full == x.bit_count()
+    )
+    moved = basis | 1 << basis.bit_length()
+    x_ids = frozenset(e for k, e in enumerate(ground) if moved >> k & 1)
+    for delta in (-1, 1):
+        bad = list(table)
+        bad[moved] += delta
+        asked = set()
+        oracle = _table_oracle(ground, bad)
+        counted = FuncOracle(ground, lambda s: asked.add(s) or oracle.rank(s))
+        ok, witness = result = matroid_axiom_check(counted)
+        assert x_ids in asked
+        assert not ok and result == _pairwise_axiom_check(oracle)
+        kind, subset, element = witness
+        assert kind == "unit" and x_ids in (frozenset(subset), frozenset(subset) | {element})
