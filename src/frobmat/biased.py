@@ -324,11 +324,12 @@ def _capped_rank(
 class ComponentOracle(RankOracle):
     """component_rank(graph, X, part_of, lift) on every edge of ``graph``.
 
-    r(E) is found once, by a direct pass (not a rank query), and each later
-    pass stops once its prefix reaches it (see _capped_rank). The walk runs
-    _union_edges on one edge per step, on a copy of the union-find state
-    unless the step is the state's last. A step raises |V| - c + w + l by 0
-    or 1, so the walk is monotone, as ``incremental`` requires.
+    r(E) is found once, by a direct pass (not a rank query), and is then
+    full_rank(); each later pass stops once its prefix reaches it (see
+    _capped_rank). The walk runs _union_edges on one edge per step, on a
+    copy of the union-find state unless the step is the state's last. A
+    step raises |V| - c + w + l by 0 or 1, so the walk is monotone, as
+    ``incremental`` requires.
     """
 
     incremental = True
@@ -345,6 +346,9 @@ class ComponentOracle(RankOracle):
 
     def rank(self, subset: Iterable[int]) -> int:
         return _capped_rank(self.graph, subset, self.part_of, self.lift, self._cap)
+
+    def full_rank(self) -> int:
+        return self._cap
 
     def walk(self):
         g, part_of, lift = self.graph, self.part_of, self.lift
@@ -400,6 +404,9 @@ class _EdgeOracle(ComponentOracle):
         if not self.incremental:
             return _scan_rank(self.biased, subset, self.lift)
         return super().rank(subset)
+
+    def full_rank(self) -> int:
+        return super().full_rank() if self.incremental else RankOracle.full_rank(self)
 
     def walk(self):
         return super().walk() if self.incremental else RankOracle.walk(self)

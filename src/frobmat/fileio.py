@@ -4,6 +4,7 @@ Group spec: {"kind": "cyclic"|"dihedral"|"direct"|"semidirect"|"field_affine"|
 "inversion"|"table", plus kind-specific fields}. Gain graph: {"group": spec or
 {"file": path}, "vertices": n, "edges": [[tail, head, gain], ...]} with the
 edge id equal to the array position, or {"complete": {"group": spec, "n": k}}.
+Every loader leaves a group's Cayley table to its first read.
 Circuit lists are one comma-separated line per circuit, lines sorted.
 """
 
@@ -54,18 +55,11 @@ def _int_rows(value: Any, where: str) -> list[list[int]]:
 
 
 def group_from_spec(spec: Any, path: str = "") -> FiniteGroup:
-    """Build a group and its Cayley table from its JSON spec; a malformed
+    """Build a group from its JSON spec, its Cayley table left to the first
+    read, so a command that refuses a group by its order
+    (:func:`groups.frobenius_partitions`) never builds the table. A malformed
     spec raises ValueError naming the JSON path of the bad field (``path``
     prefixes nested specs)."""
-    group = _spec_group(spec, path)
-    group.table  # builds the table
-    return group
-
-
-def _spec_group(spec: Any, path: str) -> FiniteGroup:
-    """:func:`group_from_spec` with the table left to its first read: the
-    loaders below take it, so a command that refuses a group by its order
-    (:func:`groups.frobenius_partitions`) never builds the table."""
     if not isinstance(spec, dict) or "kind" not in spec:
         what = f"spec field {path}" if path else "group spec"
         raise ValueError(f"{what} must be an object with a 'kind' field")
@@ -74,7 +68,7 @@ def _spec_group(spec: Any, path: str) -> FiniteGroup:
         return _int(_field(spec, key, path), _where(path, key))
 
     def sub(key: str) -> FiniteGroup:
-        return _spec_group(_field(spec, key, path), _where(path, key))
+        return group_from_spec(_field(spec, key, path), _where(path, key))
 
     kind = spec["kind"]
     if kind == "cyclic":
@@ -84,7 +78,7 @@ def _spec_group(spec: Any, path: str) -> FiniteGroup:
     if kind == "direct":
         where = _where(path, "factors")
         factors = [
-            _spec_group(s, _where(where, i))
+            group_from_spec(s, _where(where, i))
             for i, s in enumerate(_list(_field(spec, "factors", path), where))
         ]
         if len(factors) < 2:
@@ -111,7 +105,7 @@ def _spec_group(spec: Any, path: str) -> FiniteGroup:
 
 
 def load_group(path: str | Path) -> FiniteGroup:
-    return _spec_group(json.loads(Path(path).read_text()), "")
+    return group_from_spec(json.loads(Path(path).read_text()))
 
 
 def _resolve_group(spec: Any, base_dir: Path, path: str) -> FiniteGroup:
@@ -120,7 +114,7 @@ def _resolve_group(spec: Any, base_dir: Path, path: str) -> FiniteGroup:
         if not isinstance(file, str):
             raise ValueError(f"spec field {_where(path, 'file')} must be a string")
         return load_group(base_dir / file)
-    return _spec_group(spec, path)
+    return group_from_spec(spec, path)
 
 
 def graph_from_spec(spec: Any, base_dir: Optional[Path] = None) -> GainGraph:

@@ -51,6 +51,8 @@ class GainGraph:
     """Immutable gain graph over a FiniteGroup."""
 
     def __init__(self, group: FiniteGroup, vertex_count: int, edges: Iterable[Edge]):
+        if vertex_count < 0:
+            raise ValueError(f"vertex count must be non-negative, got {vertex_count}")
         self.group = group
         self.vertex_count = vertex_count
         self.edges: tuple[Edge, ...] = tuple(edges)

@@ -6,16 +6,17 @@ relabel their natural element sets to keep that invariant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import LimitExceeded
 
 DEFAULT_GROUP_LIMIT = 96
 MAX_FIELD_MODULUS = 47
 # Largest Cayley table a constructor builds: the order of AGL(1,47), the
-# largest group make_field_affine admits. `group_from_spec` builds its table
+# largest group make_field_affine admits. Its table builds
 # in 0.6-0.7 s at 215 MB peak RSS (2-core Xeon, CPython 3.11), so it fits
 # under a 1 GB address-space limit. Checked before any table exists.
 MAX_TABLE_ORDER = 2162
@@ -24,34 +25,35 @@ MAX_TABLE_ORDER = 2162
 class FiniteGroup:
     """Immutable group given by its multiplication table.
 
-    ``table[a][b]`` is the product a∘b, ``inverse[a]`` the inverse of a.
+    ``rows`` is a function with no arguments returning the ``order`` rows of
+    the table, ``rows()[a][b]`` the product a∘b. It is called once, at the
+    first read of ``table``: the constructors check their arguments at once
+    and leave the table to its first use. ``inverse[a]`` is the inverse of a.
     ``affine_modulus`` is set only by :func:`make_field_affine`; it records the
     prime q for which elements decode as pairs (a, b) with b in GF(q)*.
-    With ``order`` given, ``table`` is a function returning the rows instead,
-    called at the first read of ``table`` or ``inverse``: the constructors
-    check their arguments at once and leave the table to its first use.
     """
-
-    __slots__ = (
-        "order", "table", "inverse", "labels", "affine_modulus", "_generators", "_rows",
-    )
 
     def __init__(
         self,
-        table,
+        order: int,
+        rows: Callable[[], Iterable[Iterable[int]]],
         labels: Optional[Sequence[str]] = None,
         affine_modulus: Optional[int] = None,
-        order: Optional[int] = None,
     ):
-        if order is None:
-            self.table: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in table)
-            self.order = len(self.table)
-            self.inverse: tuple[int, ...] = _inverses_from_table(self.table)
-        else:
-            self.order, self._rows, self.__class__ = order, table, _Unbuilt
+        self.order = order
+        self._rows = rows
         self.labels = tuple(labels) if labels is not None else None
         self.affine_modulus = affine_modulus
-        self._generators: Optional[tuple[int, ...]] = None
+
+    @functools.cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        table = tuple(map(tuple, self._rows()))
+        del self._rows  # nor keep the rows, or the factors they read
+        return table
+
+    @functools.cached_property
+    def inverse(self) -> tuple[int, ...]:
+        return _inverses_from_table(self.table)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -70,39 +72,22 @@ class FiniteGroup:
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels is not None else str(a)
 
-    @property
+    @functools.cached_property
     def generators(self) -> tuple[int, ...]:
         """A generating sequence, chosen greedily: each element, in index
         order, that the earlier ones do not generate joins it."""
-        if self._generators is None:
-            gens: list[int] = []
-            span = [0]
-            seen = {0}
-            for x in range(self.order):
-                if x not in seen:
-                    gens.append(x)
-                    span = _close(self.table, span, gens)
-                    seen = set(span)
-            self._generators = tuple(gens)
-        return self._generators
+        gens: list[int] = []
+        span = [0]
+        seen = {0}
+        for x in range(self.order):
+            if x not in seen:
+                gens.append(x)
+                span = _close(self.table, span, gens)
+                seen = set(span)
+        return tuple(gens)
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
-
-
-class _Unbuilt(FiniteGroup):
-    """A FiniteGroup before its table is built. The first read of ``table``
-    or ``inverse`` builds it and makes the group a plain FiniteGroup again,
-    whose attribute reads a ``__getattr__`` would slow."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        if name not in ("table", "inverse"):
-            raise AttributeError(name)
-        FiniteGroup.__init__(self, self._rows(), self.labels, self.affine_modulus)
-        self._rows, self.__class__ = None, FiniteGroup
-        return getattr(self, name)
 
 
 @dataclass(frozen=True, order=True)
@@ -184,7 +169,7 @@ def make_cyclic(n: int) -> FiniteGroup:
         raise ValueError("cyclic group order must be positive")
     _check_table_order(n)
     # row a is range(n) rotated left by a: (a + b) mod n
-    return FiniteGroup(lambda: [[*range(a, n), *range(a)] for a in range(n)], order=n)
+    return FiniteGroup(n, lambda: [[*range(a, n), *range(a)] for a in range(n)])
 
 
 def make_dihedral(two_n: int) -> FiniteGroup:
@@ -204,7 +189,7 @@ def make_dihedral(two_n: int) -> FiniteGroup:
         return [r + [k + n for k in r] for r in up] + [[k + n for k in r] + r for r in down]
 
     labels = [f"r^{i}" for i in range(n)] + [f"r^{i}s" for i in range(n)]
-    return FiniteGroup(rows, labels=labels, order=two_n)
+    return FiniteGroup(two_n, rows, labels)
 
 
 def make_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -262,7 +247,7 @@ def make_semidirect(
 
     second = list(map(g2.label, g2.elements()))
     labels = [f"({x},{y})" for x in map(g1.label, g1.elements()) for y in second]
-    return FiniteGroup(rows, labels=labels, order=g1.order * n2)
+    return FiniteGroup(g1.order * n2, rows, labels)
 
 
 def is_prime(n: int) -> bool:
@@ -286,8 +271,9 @@ def make_field_affine(q: int) -> FiniteGroup:
     # GF(q)* on 0..q-2, index b standing for the unit b + 1, acting by
     # multiplication; labels name its elements by their units
     units = FiniteGroup(
-        [[(b * d) % q - 1 for d in range(1, q)] for b in range(1, q)],
-        labels=[str(b) for b in range(1, q)],
+        q - 1,
+        lambda: [[(b * d) % q - 1 for d in range(1, q)] for b in range(1, q)],
+        [str(b) for b in range(1, q)],
     )
     action = [[b * c % q for c in range(q)] for b in range(1, q)]
     group = make_semidirect(make_cyclic(q), units, action)
@@ -363,7 +349,7 @@ def from_table(table: Sequence[Sequence[int]], labels=None) -> FiniteGroup:
         b = rows[a].index(0)
         if rows[b][a] != 0:
             raise ValueError(f"no inverse for {a}")
-    return FiniteGroup(rows, labels=labels)
+    return FiniteGroup(n, lambda: rows, labels)
 
 
 def _close(
@@ -486,10 +472,6 @@ def subgroups(group: FiniteGroup, limit: int = DEFAULT_GROUP_LIMIT) -> list[Subg
     return sorted(found.values(), key=lambda s: (s.order, s.elements))
 
 
-def conjugate_subgroup(group: FiniteGroup, h: Subgroup, g: int) -> Subgroup:
-    return Subgroup(tuple(sorted(group.conjugate(g, a) for a in h.elements)))
-
-
 def is_normal(group: FiniteGroup, h: Subgroup) -> bool:
     """True iff h is closed under conjugation by the group's generators.
 
@@ -573,20 +555,26 @@ def frobenius_partitions(
     return out
 
 
+def _conjugates(group: FiniteGroup, h: Sequence[int]) -> Iterator[list[int]]:
+    """The conjugates g^-1·h·g of the subgroup ``h``, each sorted, for one g
+    per right coset h·g: the elements of a coset conjugate h alike, so every
+    conjugate is listed, and for a nontrivial malnormal proper h each once."""
+    table = group.table
+    done: set[int] = set()
+    for g in group.elements():
+        if g not in done:
+            done.update(table[a][g] for a in h)
+            yield sorted(group.conjugate(g, a) for a in h)
+
+
 def _partition_from_complement(group: FiniteGroup, h: Sequence[int]) -> FrobeniusPartition:
     """The partition whose complements are the conjugates of the proper
-    malnormal subgroup ``h``, one per right coset h·g. Raises ValueError
-    unless they meet only in 0 and leave a normal kernel, as in any group.
+    malnormal subgroup ``h``. Raises ValueError unless they meet only in 0
+    and leave a normal kernel, as in any group.
     """
-    table = group.table
     rest = set(range(1, group.order))
-    done: set[int] = set()
     complements = []
-    for g in group.elements():
-        if g in done:
-            continue
-        done.update(table[a][g] for a in h)
-        conj = sorted(group.conjugate(g, a) for a in h)
+    for conj in _conjugates(group, h):
         if not rest.issuperset(conj[1:]):
             raise ValueError("conjugates of a malnormal subgroup overlap")
         rest.difference_update(conj[1:])
@@ -619,7 +607,7 @@ def validate_partition(group: FiniteGroup, part: FrobeniusPartition) -> None:
         if a not in conjugates and not is_malnormal(group, a):
             raise ValueError(f"complement {i} is not malnormal")
         if i == 0:
-            conjugates = {conjugate_subgroup(group, a, g) for g in group.elements()}
+            conjugates = {Subgroup(tuple(c)) for c in _conjugates(group, a.elements)}
         for e in a.elements:
             if e == 0:
                 continue
@@ -646,11 +634,11 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientMap:
     reps = sorted(set(rep))
     index = {r: i for i, r in enumerate(reps)}
     projection = tuple(index[rep[a]] for a in group.elements())
-    table = [
-        [projection[group.mul(x, y)] for y in reps]
-        for x in reps
-    ]
-    qgroup = FiniteGroup(table, labels=[group.label(r) for r in reps])
+    qgroup = FiniteGroup(
+        len(reps),
+        lambda: [[projection[group.mul(x, y)] for y in reps] for x in reps],
+        [group.label(r) for r in reps],
+    )
     return QuotientMap(
         source=group,
         normal=normal,

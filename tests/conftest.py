@@ -1,4 +1,5 @@
 import random
+import types
 from typing import Callable, Iterable, Optional, Sequence
 
 import pytest
@@ -19,7 +20,7 @@ from frobmat import (
     subgroups,
 )
 from frobmat.biased import RankOracle
-from frobmat.groups import DEFAULT_GROUP_LIMIT, conjugate_subgroup
+from frobmat.groups import DEFAULT_GROUP_LIMIT
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +51,25 @@ def f20_frobenius(f20):
 @pytest.fixture(scope="session")
 def z2():
     return make_cyclic(2)
+
+
+@pytest.fixture
+def rows_spy(monkeypatch):
+    """Every FiniteGroup made while the fixture is on, in ``made``, and the
+    group again in ``built`` each time its rows function runs."""
+    spy = types.SimpleNamespace(made=[], built=[])
+    init = FiniteGroup.__init__
+
+    def spied(self, order, rows, *args, **kwargs):
+        def counted():
+            spy.built.append(self)
+            return rows()
+
+        spy.made.append(self)
+        init(self, order, counted, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", spied)
+    return spy
 
 
 def random_gain_graph(group, rng: random.Random, max_vertices=4, max_edges=8):
@@ -115,10 +135,11 @@ def order_profile(group: FiniteGroup) -> tuple[int, ...]:
 def subgroup_as_group(group: FiniteGroup, sub: Subgroup) -> FiniteGroup:
     """The subgroup as a standalone FiniteGroup; element i is sub.elements[i]."""
     index = {e: i for i, e in enumerate(sub.elements)}
-    table = [
-        [index[group.mul(a, b)] for b in sub.elements] for a in sub.elements
-    ]
-    return FiniteGroup(table, labels=[group.label(e) for e in sub.elements])
+    return FiniteGroup(
+        sub.order,
+        lambda: [[index[group.mul(a, b)] for b in sub.elements] for a in sub.elements],
+        [group.label(e) for e in sub.elements],
+    )
 
 
 def find_isomorphism(a: FiniteGroup, b: FiniteGroup) -> Optional[list[int]]:
@@ -191,6 +212,10 @@ def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
 # normal subgroup as a kernel, every exact cover of the rest by malnormal
 # subgroups, kept if conjugation-closed. The reference for
 # frobenius_partitions, which finds the same partitions from one centralizer.
+
+
+def conjugate_subgroup(group: FiniteGroup, h: Subgroup, g: int) -> Subgroup:
+    return Subgroup(tuple(sorted(group.conjugate(g, a) for a in h.elements)))
 
 
 def _conjugation_closed(group: FiniteGroup, family: Sequence[Subgroup]) -> bool:

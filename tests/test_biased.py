@@ -707,14 +707,11 @@ def test_first_disagreement_rejects_other_ground_sets():
 
 # Ten D6 edges under the partition with kernel Z3, where r(E) = 5; the walk
 # step counts below are pinned on this graph.
-WALK_GRAPH = graph(
-    AXIOM_GROUPS[0],
-    4,
-    [
-        (0, 1, 0), (1, 2, 3), (2, 3, 1), (0, 3, 4), (0, 2, 2),
-        (1, 3, 5), (1, 1, 1), (3, 3, 3), (0, 2, 5), (2, 2, 2),
-    ],
-)
+WALK_GRAPH_TRIPLES = [
+    (0, 1, 0), (1, 2, 3), (2, 3, 1), (0, 3, 4), (0, 2, 2),
+    (1, 3, 5), (1, 1, 1), (3, 3, 3), (0, 2, 5), (2, 2, 2),
+]
+WALK_GRAPH = graph(AXIOM_GROUPS[0], 4, WALK_GRAPH_TRIPLES)
 WALK_CONTEXT = AXIOM_CONTEXTS[0][2]
 
 
@@ -736,6 +733,34 @@ def test_rank_table_fills_below_full_rank():
     assert rank_table(counted) == want
     assert counted.steps == _parents_below_full(want, 5) == 730
     assert plain.steps == 1023
+
+
+def test_full_rank_is_found_by_one_union_find_pass(monkeypatch):
+    """r(E) of a fresh lift is one pass over the ground set, read again by
+    every later full_rank() call."""
+    g = graph(WALK_GRAPH.group, 4, WALK_GRAPH_TRIPLES[:8])
+    want = LiftedMatroid(WALK_CONTEXT, g).rank(g.edge_ids())
+    passes = []
+    union_edges = biased_module._union_edges
+    monkeypatch.setattr(
+        biased_module, "_union_edges", lambda *a: passes.append(1) or union_edges(*a)
+    )
+    m = LiftedMatroid(WALK_CONTEXT, g)
+    assert [m.full_rank() for _ in range(3)] == [want] * 3
+    assert len(passes) == 1
+
+
+def test_explicit_set_full_rank_is_the_scanned_rank(d6):
+    """A digon whose gains are balanced, given with no balanced cycle: r(E)
+    is read from its scanned components, not from its gains."""
+    g = graph(d6, 2, [(0, 1, 0), (0, 1, 0)])
+    for oracle, scanned, by_gains in [
+        (FrameOracle, 2, 1),
+        (LiftOracle, 2, 1),
+    ]:
+        explicit = oracle(BiasedGraph.from_balanced_set(g, []))
+        assert explicit.full_rank() == explicit.rank(g.edge_ids()) == scanned
+        assert oracle(BiasedGraph.from_gain_graph(g)).full_rank() == by_gains
 
 
 def test_walk_disagreement_skips_where_both_walks_are_full():

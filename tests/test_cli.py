@@ -121,21 +121,30 @@ def test_frobpart_refuses_agl_1_101_under_a_1gb_address_space(write):
 
 
 @pytest.mark.parametrize(
-    "spec, order",
+    "spec, err",
     [
-        ({"kind": "field_affine", "q": 47}, 2162),
-        ({"kind": "table", "table": [[(a + b) % 240 for b in range(240)] for a in range(240)]}, 240),
+        ({"kind": "field_affine", "q": 47}, "group order 2162 exceeds limit 96"),
+        (
+            {"kind": "table", "table": [[(a + b) % 240 for b in range(240)] for a in range(240)]},
+            "group order 240 exceeds limit 96",
+        ),
+        (
+            {"kind": "direct", "factors": [{"kind": "cyclic", "n": n} for n in (47, 46, 2)]},
+            "group order 4324 exceeds the table cap 2162",
+        ),
     ],
-    ids=["AGL(1,47)", "Z240-table"],
+    ids=["AGL(1,47)", "Z240-table", "Z47xZ46xZ2"],
 )
-def test_frobpart_refuses_a_group_above_the_limit_at_once(write, spec, order):
+def test_frobpart_refuses_a_group_above_the_limit_at_once(write, spec, err):
     """A group inside the table cap but above the limit is refused by its
     order before its table is built (AGL(1,47)) and after its table is
-    checked (a given table, whose check comes first)."""
+    checked (a given table, whose check comes first). A product past the
+    table cap is refused by its order before any factor's table is built
+    (Z47×Z46×Z2; see test_groups.test_table_cap_rejects_before_building)."""
     child, seconds = _frobpart_in_child(write("g.json", spec))
     assert seconds < 1.0
     assert child.returncode == 2 and child.stdout == ""
-    assert child.stderr == f"error: group order {order} exceeds limit 96\n"
+    assert child.stderr == f"error: {err}\n"
 
 
 AGL47 = {"kind": "field_affine", "q": 47}
@@ -194,27 +203,41 @@ AGL47 = {"kind": "field_affine", "q": 47}
     ],
 )
 def test_a_group_above_the_limit_is_refused_unbuilt_after_other_input_errors(
-    write, capsys, monkeypatch, argv, spec, env, err
+    write, capsys, monkeypatch, rows_spy, argv, spec, env, err
 ):
     """Commands that search partitions load their group with its table
     unbuilt. A group above the limit is refused by its order, or by an
     earlier error in the rest of the input, as before, and its table is never
     built, nor, for a direct product, a factor's."""
-    import frobmat.fileio as fileio
-    from frobmat.groups import FiniteGroup
-
-    loaded = []
-    spec_group = fileio._spec_group
-    monkeypatch.setattr(fileio, "_spec_group", lambda *a: loaded.append(spec_group(*a)) or loaded[-1])
     if env is None:
         monkeypatch.delenv("FROBMAT_LIMIT", raising=False)
     else:
         monkeypatch.setenv("FROBMAT_LIMIT", env)
     code, out, got = run(capsys, *argv, write("spec.json", spec))
     assert (code, out, got) == (2, "", f"error: {err}\n")
-    # the group is loaded last, after any factors
-    assert loaded[-1].order == 2162
-    assert all(type(g) is not FiniteGroup for g in loaded)  # still unbuilt
+    # the group is made last, after any factors; no rows function ran but
+    # those of Z47 and GF(47)*, whose tables AGL(1,47)'s action check reads
+    assert rows_spy.made[-1].order == 2162
+    assert sorted(g.order for g in rows_spy.built) == [46, 47]
+
+
+@pytest.mark.parametrize("group", [D6_SPEC, {"kind": "field_affine", "q": 5}], ids=["D6", "AGL(1,5)"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank"],
+        ["bases", "--kernel", "auto"],
+        ["circuits", "--kernel", "auto"],
+        ["verify", "--kernel", "auto", "--axioms", "--minors"],
+        ["minor", "--kernel", "auto"],
+        ["matrix"],
+    ],
+    ids=["rank", "bases", "circuits", "verify", "minor", "matrix"],
+)
+def test_a_negative_vertex_count_is_refused(write, capsys, argv, group):
+    spec = {"group": group, "vertices": -3, "edges": []}
+    code, out, err = run(capsys, *argv, "--graph", write("g.json", spec))
+    assert (code, out, err) == (2, "", "error: vertex count must be non-negative, got -3\n")
 
 
 def test_frobpart_bad_file(write, capsys):

@@ -61,6 +61,14 @@ def test_unknown_edge_id_is_a_value_error(d6, method):
         getattr(g, method)(7, 0)
 
 
+def test_negative_vertex_count_is_a_value_error(d6):
+    with pytest.raises(ValueError, match=r"^vertex count must be non-negative, got -3$"):
+        GainGraph.from_triples(d6, -3, [])
+    with pytest.raises(ValueError, match=r"^vertex count must be non-negative, got -1$"):
+        GainGraph(d6, -1, [])
+    assert GainGraph(d6, 0, []).vertex_count == 0
+
+
 def test_walk_rejects_broken_incidence(d6):
     g = graph(d6, 3, [(0, 1, 1), (1, 2, 2)])
     with pytest.raises(ValueError):

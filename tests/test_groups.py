@@ -30,13 +30,13 @@ from frobmat import groups as groups_module
 from frobmat.fileio import group_from_spec
 from frobmat.groups import (
     MAX_TABLE_ORDER,
-    conjugate_subgroup,
     generated_subgroup,
     is_subgroup,
 )
 
 from conftest import (
     _conjugation_closed,
+    conjugate_subgroup,
     element_order,
     exhaustive_partitions,
     find_isomorphism,
@@ -230,14 +230,16 @@ def test_inversion_extension_rejects_bad_input():
     [
         lambda: make_cyclic(10**6),
         lambda: group_from_spec({"kind": "direct", "factors": [{"kind": "cyclic", "n": 1000}] * 2}),
+        lambda: group_from_spec({"kind": "direct", "factors": [_cyc(47), _cyc(46), _cyc(2)]}),
     ],
-    ids=["cyclic-1e6", "Z1000xZ1000"],
+    ids=["cyclic-1e6", "Z1000xZ1000", "Z47xZ46xZ2"],
 )
-def test_table_cap_rejects_before_building(build):
+def test_table_cap_rejects_before_building(rows_spy, build):
     start = time.perf_counter()
     with pytest.raises(ValueError, match="table cap"):
         build()
     assert time.perf_counter() - start < 1.0
+    assert rows_spy.built == []  # not even a factor's table
 
 
 def test_from_table_cap_rejects_before_copying_rows():
@@ -622,14 +624,50 @@ def test_a_partition_that_fails_its_final_check_is_refused(monkeypatch):
         frobenius_partitions(make_dihedral(6))
 
 
-def test_partition_search_refuses_by_order_before_the_table():
+def test_partition_search_refuses_by_order_before_the_table(rows_spy):
     from frobmat.errors import LimitExceeded
 
     g = make_field_affine(47)
     with pytest.raises(LimitExceeded) as info:
         frobenius_partitions(g)
     assert str(info.value) == "group order 2162 exceeds limit 96"
-    assert type(g) is groups_module._Unbuilt
+    # no rows function ran but those of Z47 and GF(47)*, whose tables the
+    # action check reads
+    assert sorted(h.order for h in rows_spy.built) == [46, 47]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_cyclic(5),
+        lambda: make_dihedral(8),
+        lambda: make_direct_product(make_cyclic(3), make_dihedral(6)),
+        lambda: make_semidirect(make_cyclic(5), make_cyclic(4), [[pow(2, b, 5) * x % 5 for x in range(5)] for b in range(4)]),
+        lambda: make_field_affine(5),
+        lambda: make_inversion_extension(make_cyclic(5)),
+        lambda: from_table(quaternion_table()),
+        lambda: quotient(make_dihedral(6), Subgroup((0, 1, 2))).quotient,
+        lambda: subgroup_as_group(make_dihedral(6), Subgroup((0, 1, 2))),
+    ],
+    ids=["cyclic", "dihedral", "direct", "semidirect", "field_affine", "inversion", "from_table",
+         "quotient", "subgroup_as_group"],
+)
+def test_each_rows_function_runs_once(rows_spy, make):
+    """Whichever read comes first builds the table, and no read builds it
+    again, nor any other group's made with it."""
+    reads = [
+        lambda g: g.table,
+        lambda g: g.inverse,
+        lambda g: g.mul(g.order - 1, g.order - 1),
+        lambda g: g.conjugate(g.order - 1, 1),
+        lambda g: g.generators,
+    ]
+    for first in range(len(reads)):
+        g = make()
+        for read in (reads[first:] + reads[:first]) * 2:
+            read(g)
+        assert rows_spy.built.count(g) == 1
+    assert all(rows_spy.built.count(h) <= 1 for h in rows_spy.made)
 
 
 def test_partitions_of_orders_one_and_two():
@@ -1119,6 +1157,22 @@ def test_constructors_match_the_per_cell_rules(make, cell):
     """Groups from the constructors themselves build their tables at the
     first read, not in group_from_spec."""
     assert _outcome(make) == _outcome(cell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SHAPES)), data=st.data())
+def test_conjugates_by_right_coset_are_the_conjugates_by_every_element(name, data):
+    """On the Frobenius complements of the catalog's shapes, and on a random
+    subgroup, conjugating by one element per right coset gives the set of
+    conjugates by every element; a complement's are listed once each."""
+    g = group_from_spec(SHAPES[name])
+    complements = [a for p in frobenius_partitions(g, limit=g.order) for a in p.complements]
+    picks = data.draw(st.lists(st.integers(0, g.order - 1), max_size=2))
+    for h in complements + [generated_subgroup(g, picks)]:
+        listed = [tuple(c) for c in groups_module._conjugates(g, h.elements)]
+        assert set(listed) == {conjugate_subgroup(g, h, x).elements for x in g.elements()}
+        if h in complements:
+            assert len(listed) == len(set(listed))
 
 
 def _corrupted_action(rng):
