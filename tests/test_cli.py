@@ -221,7 +221,9 @@ def test_a_group_above_the_limit_is_refused_unbuilt_after_other_input_errors(
     assert sorted(g.order for g in rows_spy.built) == [46, 47]
 
 
-@pytest.mark.parametrize("group", [D6_SPEC, {"kind": "field_affine", "q": 5}], ids=["D6", "AGL(1,5)"])
+@pytest.mark.parametrize(
+    "group", [D6_SPEC, {"kind": "field_affine", "q": 5}], ids=["D6", "AGL(1,5)"]
+)
 @pytest.mark.parametrize(
     "argv",
     [

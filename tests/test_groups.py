@@ -642,7 +642,7 @@ def test_partition_search_refuses_by_order_before_the_table(rows_spy):
         lambda: make_cyclic(5),
         lambda: make_dihedral(8),
         lambda: make_direct_product(make_cyclic(3), make_dihedral(6)),
-        lambda: make_semidirect(make_cyclic(5), make_cyclic(4), [[pow(2, b, 5) * x % 5 for x in range(5)] for b in range(4)]),
+        lambda: group_from_spec(_cyclic_action(5, 4, 2)),
         lambda: make_field_affine(5),
         lambda: make_inversion_extension(make_cyclic(5)),
         lambda: from_table(quaternion_table()),
