@@ -16,10 +16,8 @@ from .biased import (
     RankOracle,
     brylawski_lift,
     frame_circuits,
-    frame_rank,
     is_linear_class,
     lift_circuits,
-    lift_rank,
     matroid_axiom_check,
     minimal_dependent_sets,
     theta_property_check,
@@ -35,7 +33,6 @@ from .gaingraph import (
     enumerate_cycles,
     from_signed_gains,
     gain_of_walk,
-    gain_set,
     is_balanced_cycle,
     normalize_forest,
     quotient_gains,
@@ -78,7 +75,7 @@ from .lifts import (
     switch_invariance_check,
     verify_spike,
 )
-from .recovery import edge_bundle, recover_partition, switching_action_check
+from .recovery import edge_bundle, recover_partition
 from .represent import (
     AffinePair,
     FieldMatrix,

@@ -430,20 +430,6 @@ class GraphicOracle(_EdgeOracle):
         super().__init__(BiasedGraph.from_gain_graph(graph))
 
 
-def frame_rank(b: BiasedGraph, subset: Iterable[int]) -> int:
-    """|V(G[X])| minus the number of balanced components."""
-    return FrameOracle(b).rank(subset)
-
-
-def graphic_rank(g: GainGraph, subset: Iterable[int]) -> int:
-    return GraphicOracle(g).rank(subset)
-
-
-def lift_rank(b: BiasedGraph, subset: Iterable[int]) -> int:
-    """Graphic rank, plus one iff the restriction has an unbalanced cycle."""
-    return LiftOracle(b).rank(subset)
-
-
 class _ClassLift(RankOracle):
     """The elementary lift of ``host`` by a linear class of its circuits
     (Brylawski, *Constructions*, 1986): the host rank of X, plus one when a

@@ -121,12 +121,6 @@ class GainGraph:
         return f"GainGraph(|V|={self.vertex_count}, |E|={len(self.edges)})"
 
 
-def gain_set(g: GainGraph, eid: int) -> frozenset[int]:
-    """The one- or two-element set {gain, gain^-1} of an edge."""
-    gain = g.edge(eid).gain
-    return frozenset((gain, g.group.inv(gain)))
-
-
 def gain_of_walk(g: GainGraph, walk: Walk) -> int:
     """Ordered product of oriented gains along the walk."""
     table = g.group.table

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .biased import (
     EXHAUSTIVE_LIMIT,
@@ -43,8 +43,8 @@ from .groups import (
 from .lifts import FrobeniusContext, LiftedMatroid, is_elementary_lift
 
 EXHAUSTIVE_GROUP_ORDER = 10
-# Random draws per sampled check: cycles of each kind in the cycle
-# hypothesis, and subsets in the elementary check and the final comparison
+# Random halves per sampled subset sweep: the elementary check and the
+# final comparison
 SAMPLES = 1500
 
 
@@ -131,45 +131,37 @@ def _all_complete_cycles(group: FiniteGroup, n: int) -> list[tuple[tuple[int, ..
     return out
 
 
-def _random_cycle(
-    group: FiniteGroup, n: int, rng: random.Random, balanced: bool
-) -> Optional[tuple[tuple[int, ...], bool]]:
-    """A random cycle of K_n and its balance flag, or None for a balanced
-    digon, which is one edge walked twice."""
-    # balanced digons do not exist in a complete gain graph (parallel edges
-    # carry distinct gains), so balanced samples use length >= 3
-    k = rng.randint(3 if balanced else 2, n)
-    verts = rng.sample(range(n), k)
-    gains = [rng.randrange(group.order) for _ in range(k)]
-    if balanced:
-        acc = 0
-        for x in gains[:-1]:
-            acc = group.mul(acc, x)
-        gains[-1] = group.inv(acc)
-    cycle = _complete_cycle(group, n, verts, gains)
-    if k == 2 and cycle[1]:
-        return None
-    return cycle
+def _reduced_cycles(group: FiniteGroup, n: int) -> Iterable[tuple[tuple[int, ...], bool]]:
+    """Every digon of K_n, then every balanced triangle 0 -> i -> j -> 0 with
+    0 < i < j, each once, with gains (a, b, (ab)^-1), and their balance flags."""
+    yield from _complete_digons(group, n)
+    table, inverse = group.table, group.inverse
+    for i, j in itertools.combinations(range(1, n), 2):
+        for a, b in itertools.product(range(group.order), repeat=2):
+            yield _complete_cycle(group, n, (0, i, j), (a, b, inverse[table[a][b]]))
 
 
-def _check_cycle_hypothesis(
-    group: FiniteGroup,
-    n: int,
-    m: RankOracle,
-    rng: random.Random,
-) -> None:
-    """A cycle must be a circuit of m exactly when it is balanced."""
+def _check_cycle_hypothesis(group: FiniteGroup, n: int, m: RankOracle) -> None:
+    """A cycle must be a circuit of m exactly when it is balanced.
+
+    Up to order EXHAUSTIVE_GROUP_ORDER every cycle of K_n is checked, which
+    asks nothing of m. Above it only the ``_reduced_cycles`` are, and that is
+    exact when m is an elementary lift of N, the quotient frame matroid of K_n
+    over Γ/Γ₁, with n >= 4. Sketch: if two cycles of a theta are circuits of
+    m and the third is an N-circuit, so is the third of m, since m's class is
+    linear (Brylawski) and two N-circuits of a theta are a modular pair. A
+    balanced triangle ijk avoiding 0 follows from the thetas of 0ij and 0jk,
+    then 0ijk and 0ik, all balanced. An unbalanced triangle that is an
+    N-circuit shares two edges with a balanced one, and were both circuits
+    their theta would force a digon inside one Γ₁-coset. A longer cycle splits
+    at a chord that balances one side into a theta of two shorter cycles of
+    its quotient balance; induct. A cycle that is no N-circuit is independent
+    in N, so in m, and unbalanced.
+    """
     if group.order <= EXHAUSTIVE_GROUP_ORDER:
         cycles = _all_complete_cycles(group, n)
     else:
-        # all digons (the sharpest probes), plus random cycles of both kinds
-        found = dict(_complete_digons(group, n))
-        for _ in range(SAMPLES):
-            for want_balanced in (False, True):
-                c = _random_cycle(group, n, rng, want_balanced)
-                if c is not None:
-                    found[c[0]] = c[1]
-        cycles = sorted(found.items())
+        cycles = sorted(_reduced_cycles(group, n))
     for cycle, balanced in cycles:
         if balanced != _is_circuit(m, cycle):
             raise RecoveryError(
@@ -230,7 +222,7 @@ def recover_partition(
     qm = quotient(group, kernel)
     frame = FrameOracle(BiasedGraph.from_gain_graph(quotient_gains(g, qm)))
     _check_elementary(m, frame, bundled, rng)
-    _check_cycle_hypothesis(group, n, m, rng)
+    _check_cycle_hypothesis(group, n, m)
 
     kernel_set = kernel.element_set
     if len(kernel_set) == group.order:
@@ -297,64 +289,3 @@ def recover_partition(
             f"reconstructed matroid disagrees with the input on {tuple(sorted(bad))}"
         )
     return partition
-
-
-def induced_edge_permutation(
-    group: FiniteGroup, n: int, eta: Sequence[int]
-) -> dict[int, int]:
-    """Edge map of switching on the complete gain graph: the (i, j) edge with
-    gain alpha goes to the edge with gain eta_i^-1 ∘ alpha ∘ eta_j."""
-    if len(eta) != n:
-        raise ValueError("switching function length must be n")
-    perm = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for alpha in group.elements():
-                new = group.mul(group.mul(group.inv(eta[i]), alpha), eta[j])
-                perm[complete_edge_id(group, n, i, j, alpha)] = complete_edge_id(
-                    group, n, i, j, new
-                )
-    return perm
-
-
-def switching_action_check(
-    group: FiniteGroup,
-    kernel: Subgroup,
-    n: int,
-    linear_class: Iterable[Iterable[int]],
-    samples: int = 20,
-    seed: int = 0,
-) -> bool:
-    """Single-vertex switchings must map the class onto itself.
-
-    Requires n >= 3 and that every balanced cycle is in the class (spot-checked
-    on triangles).
-    """
-    if n < 3:
-        raise ValueError("the switching action needs n >= 3")
-    g = complete_gain_graph(group, n)
-    members = {frozenset(c) for c in linear_class}
-    rng = random.Random(seed)
-    for _ in range(samples):
-        alpha, beta = rng.randrange(group.order), rng.randrange(group.order)
-        tri = sorted(
-            (
-                complete_edge_id(group, n, 0, 1, alpha),
-                complete_edge_id(group, n, 1, 2, beta),
-                complete_edge_id(group, n, 0, 2, group.mul(alpha, beta)),
-            )
-        )
-        if frozenset(tri) not in members:
-            raise ValueError(
-                f"hypothesis violated: balanced triangle {tuple(tri)} is missing"
-            )
-    for _ in range(samples):
-        v = rng.randrange(n)
-        gamma = rng.randrange(group.order)
-        eta = [0] * n
-        eta[v] = gamma
-        perm = induced_edge_permutation(group, n, eta)
-        image = {frozenset(perm[e] for e in c) for c in members}
-        if image != members:
-            return False
-    return True

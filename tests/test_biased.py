@@ -20,12 +20,10 @@ from frobmat import (
     complete_gain_graph,
     enumerate_cycles,
     frame_circuits,
-    frame_rank,
     frobenius_partitions,
     is_balanced_cycle,
     is_linear_class,
     lift_circuits,
-    lift_rank,
     make_cyclic,
     make_dihedral,
     make_field_affine,
@@ -37,7 +35,6 @@ from frobmat.biased import (
     EXHAUSTIVE_LIMIT,
     _walk_disagreement,
     first_disagreement,
-    graphic_rank,
     rank_table,
     subset_sweep,
 )
@@ -58,16 +55,16 @@ def biased(group, n, triples):
 
 
 def test_frame_rank_empty(d6):
-    assert frame_rank(biased(d6, 3, [(0, 1, 1)]), []) == 0
+    assert FrameOracle(biased(d6, 3, [(0, 1, 1)])).rank([]) == 0
 
 
 def test_frame_rank_unbalanced_loop(d6):
-    assert frame_rank(biased(d6, 1, [(0, 0, 3)]), [0]) == 1
+    assert FrameOracle(biased(d6, 1, [(0, 0, 3)])).rank([0]) == 1
 
 
 def test_frame_rank_balanced_triangle(d6):
     b = biased(d6, 3, [(0, 1, 1), (1, 2, 2), (0, 2, 0)])
-    assert frame_rank(b, [0, 1, 2]) == 2
+    assert FrameOracle(b).rank([0, 1, 2]) == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -83,12 +80,16 @@ def test_gain_ranks_match_explicit_balanced_set(seed):
         g, [c for c in enumerate_cycles(g) if is_balanced_cycle(g, c)]
     )
     every_cycle = BiasedGraph.from_balanced_set(g, enumerate_cycles(g))
+    pairs = [
+        (FrameOracle(gain), FrameOracle(explicit)),
+        (LiftOracle(gain), LiftOracle(explicit)),
+        (GraphicOracle(g), FrameOracle(every_cycle)),
+    ]
     ids = g.edge_ids()
     for r in range(len(ids) + 1):
         for sub in itertools.combinations(ids, r):
-            assert frame_rank(gain, sub) == frame_rank(explicit, sub), sub
-            assert lift_rank(gain, sub) == lift_rank(explicit, sub), sub
-            assert graphic_rank(g, sub) == frame_rank(every_cycle, sub), sub
+            for a, b in pairs:
+                assert a.rank(sub) == b.rank(sub), sub
 
 
 @pytest.mark.parametrize("oracle", [FrameOracle, LiftOracle, GraphicOracle, ClassLiftOracle])
@@ -158,12 +159,12 @@ def test_lift_rank_balanced_equals_graphic(d6):
     b = biased(d6, 3, [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
     for r in range(4):
         for sub in itertools.combinations([0, 1, 2], r):
-            assert lift_rank(b, sub) == GraphicOracle(b.graph).rank(sub)
+            assert LiftOracle(b).rank(sub) == GraphicOracle(b.graph).rank(sub)
 
 
 def test_lift_rank_disjoint_unbalanced_loops(d6):
     b = biased(d6, 2, [(0, 0, 3), (1, 1, 1)])
-    assert lift_rank(b, [0, 1]) == 1
+    assert LiftOracle(b).rank([0, 1]) == 1
     assert lift_circuits(b) == [(0, 1)]
 
 
@@ -185,10 +186,11 @@ def test_frame_equals_lift_without_disjoint_unbalanced_cycles():
         if has_disjoint:
             continue
         checked += 1
+        frame, lift = FrameOracle(b), LiftOracle(b)
         ids = [e.id for e in g.edges]
         for r in range(len(ids) + 1):
             for sub in itertools.combinations(ids, r):
-                assert frame_rank(b, sub) == lift_rank(b, sub)
+                assert frame.rank(sub) == lift.rank(sub)
 
 
 def _thetas_by_pairs(b):
@@ -376,10 +378,11 @@ def test_brylawski_with_balanced_class_is_lift_matroid(d6):
         cycles = enumerate_cycles(g)
         balanced = [c for c in cycles if b.cycle_is_balanced(c)]
         lifted = brylawski_lift(GraphicOracle(g), cycles, balanced)
+        lift = LiftOracle(b)
         ids = [e.id for e in g.edges]
         for r in range(len(ids) + 1):
             for sub in itertools.combinations(ids, r):
-                assert lifted.rank(sub) == lift_rank(b, sub)
+                assert lifted.rank(sub) == lift.rank(sub)
 
 
 def test_brylawski_rejects_non_linear_class():

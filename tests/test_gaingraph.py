@@ -15,7 +15,6 @@ from frobmat import (
     enumerate_cycles,
     from_signed_gains,
     gain_of_walk,
-    gain_set,
     is_balanced_cycle,
     make_cyclic,
     make_dihedral,
@@ -298,9 +297,9 @@ def test_from_signed_gains():
 
 def test_gain_set(d6):
     g = graph(d6, 2, [(0, 1, 0), (0, 1, 3), (0, 1, 1)])
-    assert gain_set(g, 0) == frozenset({0})
-    assert gain_set(g, 1) == frozenset({3})  # reflections are involutions
-    assert gain_set(g, 2) == frozenset({1, 2})
+    gains = [(g.edge(i).gain, d6.inv(g.edge(i).gain)) for i in range(3)]
+    # an edge's gain and its inverse: reflections are involutions
+    assert gains == [(0, 0), (3, 3), (1, 2)]
 
 
 # --- invariants -------------------------------------------------------------

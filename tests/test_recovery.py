@@ -1,4 +1,7 @@
+import functools
+import operator
 import random
+from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from frobmat import (
     BiasedGraph,
     ClassLiftOracle,
+    FiniteGroup,
     FrameOracle,
     FrobeniusContext,
     LiftedMatroid,
@@ -22,14 +26,22 @@ from frobmat import (
     linear_class,
     make_cyclic,
     make_dihedral,
+    make_direct_product,
     make_field_affine,
     quotient_gains,
     recover_partition,
-    switching_action_check,
 )
-from frobmat.recovery import _all_complete_cycles, _random_cycle, complete_cycle_count
+from frobmat.groups import quotient
+from frobmat.recovery import (
+    EXHAUSTIVE_GROUP_ORDER,
+    _all_complete_cycles,
+    _is_circuit,
+    _reduced_cycles,
+    complete_cycle_count,
+)
 
 from conftest import FuncOracle
+from test_acceptance import order_20_catalog
 
 
 def test_edge_bundle_counts(d6):
@@ -88,8 +100,6 @@ def test_rejects_cycle_hypothesis_violation(z2):
     circuits that are not balanced."""
     kernel = Subgroup((0, 1))
     k4 = complete_gain_graph(z2, 4)
-    from frobmat.groups import quotient
-
     frame = FrameOracle(BiasedGraph.from_gain_graph(quotient_gains(k4, quotient(z2, kernel))))
     with pytest.raises(RecoveryError, match="cycle"):
         recover_partition(z2, kernel, 4, frame)
@@ -176,21 +186,31 @@ WITNESS_GROUPS = {"D6": make_dihedral(6), "F20": make_field_affine(5)}
         ("D6", True, 3, 5, 0, 0, "cycle (0, 9, 21) is balanced but is not a circuit of the lift"),
         ("D6", False, 4, 17, 5, 5,
          "cycle (0, 9, 29, 35) is unbalanced but is a circuit of the lift"),
-        # all digons plus seeded samples (order 20)
-        ("F20", True, 3, 5, 0, 0, "cycle (0, 35, 75) is balanced but is not a circuit of the lift"),
+        # every digon and every balanced triangle through vertex 0 (order 20)
+        ("F20", True, 3, 5, 0, 0, "cycle (0, 20, 60) is balanced but is not a circuit of the lift"),
+        # the first in id order, where 0 -> 1 -> j -> 0 triangles are built first
+        ("F20", True, 3, 23, 5, 0, "cycle (0, 40, 80) is balanced but is not a circuit of the lift"),
         ("F20", False, 2, 7, 0, 0, "cycle (0, 7) is unbalanced but is a circuit of the lift"),
-        ("F20", False, 4, 17, 5, 5,
-         "cycle (1, 28, 96, 118) is unbalanced but is a circuit of the lift"),
+        # nothing flipped: the quotient frame matroid by the kernel Z5, an
+        # elementary lift of itself in which every digon inside a coset is a
+        # circuit
+        ("F20", None, None, None, None, 0,
+         "cycle (0, 4) is unbalanced but is a circuit of the lift"),
     ],
 )
 def test_cycle_hypothesis_witnesses(name, balanced, length, mod, residue, seed, message):
     """The first failing cycle in sorted id order, for both routes and both
-    failure kinds; the sampled witnesses also pin the seeded draws."""
+    failure kinds."""
     group = WITNESS_GROUPS[name]
     part = frobenius_partitions(group)[-1]
     g = complete_gain_graph(group, 4)
-    m = LiftedMatroid(FrobeniusContext(group, part, validate=False), g)
-    oracle = _flip_cycles(g, m, balanced, length, mod, residue)
+    if balanced is None:
+        oracle = FrameOracle(
+            BiasedGraph.from_gain_graph(quotient_gains(g, quotient(group, part.kernel)))
+        )
+    else:
+        m = LiftedMatroid(FrobeniusContext(group, part, validate=False), g)
+        oracle = _flip_cycles(g, m, balanced, length, mod, residue)
     with pytest.raises(RecoveryError) as info:
         recover_partition(group, part.kernel, 4, oracle, seed=seed)
     assert str(info.value) == message
@@ -250,21 +270,104 @@ def test_complete_cycles_match_enumeration(group, n):
     assert complete_cycle_count(group.order, n) == len(expected)
 
 
+def _holds_on(m, cycles):
+    """Whether every listed cycle is a circuit of m exactly when balanced."""
+    return all(balanced == _is_circuit(m, cycle) for cycle, balanced in cycles)
+
+
+SMALL_CATALOG = {
+    name: group for name, group in order_20_catalog().items() if group.order <= EXHAUSTIVE_GROUP_ORDER
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CATALOG))
+def test_reduced_cycles_give_the_verdict_of_every_cycle(name):
+    """On K_4, for each partition, the digons and balanced triangles through
+    vertex 0 against every cycle (the route below order 11): on the true
+    lift, and on the quotient frame matroid by a nontrivial kernel, whose
+    digons inside a coset are circuits."""
+    group = SMALL_CATALOG[name]
+    g = complete_gain_graph(group, 4)
+    every = _all_complete_cycles(group, 4)
+    reduced = sorted(_reduced_cycles(group, 4))
+    assert reduced == [
+        (cycle, balanced)
+        for cycle, balanced in every
+        if len(cycle) == 2
+        or (balanced and len(cycle) == 3 and any(g.edge(e).tail == 0 for e in cycle))
+    ]
+    for part in frobenius_partitions(group):
+        oracles = [LiftedMatroid(FrobeniusContext(group, part, validate=False), g)]
+        if part.kernel.order > 1:
+            qg = quotient_gains(g, quotient(group, part.kernel))
+            oracles.append(FrameOracle(BiasedGraph.from_gain_graph(qg)))
+        for m in oracles:
+            assert _holds_on(m, reduced) == _holds_on(m, every), (part, m)
+
+
+THETA_PAIRS = {
+    "Z3/0": (make_cyclic(3), (0,)),
+    "Z4/Z2": (make_cyclic(4), (0, 2)),
+    "Z2xZ2/Z2": (make_direct_product(make_cyclic(2), make_cyclic(2)), (0, 1)),
+    "Z5/0": (make_cyclic(5), (0,)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _quotient_balanced_cycles(name):
+    """For K_4 over the named (Γ, Γ₁): each cycle balanced over Γ/Γ₁ as an
+    edge mask with its vertex mask, the Γ-balanced ones among them, and the
+    reduced cycles as masks with their Γ-balance flags."""
+    group, kernel = THETA_PAIRS[name]
+    g = complete_gain_graph(group, 4)
+    qg = quotient_gains(g, quotient(group, Subgroup(kernel)))
+    ends = [(1 << e.tail) | (1 << e.head) for e in g.edges]
+    verts, balanced = {}, set()
+    for ids, flag in _all_complete_cycles(group, 4):
+        if is_balanced_cycle(qg, ids):
+            mask = sum(1 << e for e in ids)
+            verts[mask] = functools.reduce(operator.or_, (ends[e] for e in ids))
+            if flag:
+                balanced.add(mask)
+    reduced = [(sum(1 << e for e in ids), flag) for ids, flag in _reduced_cycles(group, 4)]
+    return verts, frozenset(balanced), reduced
+
+
+def _theta_closure(seed, verts):
+    """The least family holding ``seed`` with the third cycle of every theta
+    whose other two it holds. Two cycles that share an edge form a theta
+    exactly when their union has one edge more than its vertices, and the
+    third cycle is then their symmetric difference."""
+    family = set(seed)
+    todo = list(family)
+    while todo:
+        a = todo.pop()
+        for b in list(family):
+            if a & b and (a | b).bit_count() == (verts[a] | verts[b]).bit_count() + 1:
+                c = a ^ b
+                if c not in family:
+                    family.add(c)
+                    todo.append(c)
+    return family
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.integers(0, len(ROUTE_GROUPS) - 1), st.integers(2, 4))
-def test_random_cycle_balance_matches_walk(seed, gi, n):
-    group = ROUTE_GROUPS[gi]
-    g = complete_gain_graph(group, n)
+@given(st.sampled_from(sorted(THETA_PAIRS)), st.integers(0, 2**31 - 1))
+def test_theta_closed_families_are_decided_by_the_reduced_cycles(name, seed):
+    """A theta-closed family of quotient-balanced cycles on K_4 is exactly
+    the Γ-balanced cycles iff it holds every balanced triangle through
+    vertex 0 and no digon: the reduction the cycle hypothesis check rests on
+    above order 10, with membership in place of rank queries. Z4/{0,2} and
+    Z2×Z2/Z2 are not Frobenius kernel pairs."""
+    verts, balanced, reduced = _quotient_balanced_cycles(name)
     rng = random.Random(seed)
-    for _ in range(20):
-        for want_balanced in (False, True) if n >= 3 else (False,):
-            cycle = _random_cycle(group, n, rng, want_balanced)
-            if cycle is None:
-                continue
-            ids, balanced = cycle
-            assert list(ids) == sorted(set(ids))
-            assert balanced == is_balanced_cycle(g, ids)
-            assert balanced or not want_balanced
+    density = rng.uniform(0.0, 0.3)
+    start = [c for c in sorted(balanced) if rng.random() < density]
+    unbalanced = sorted(verts.keys() - balanced)
+    if unbalanced and rng.random() < 0.5:
+        start += rng.sample(unbalanced, rng.randint(1, 2))
+    family = _theta_closure(start, verts)
+    assert (family == balanced) == all((c in family) == flag for c, flag in reduced)
 
 
 def _z7_frame_lift():
@@ -322,7 +425,7 @@ def test_recovery_rank_query_count_on_k5_over_agl15():
         return m.rank(s)
 
     assert recover_partition(group, part.kernel, 5, FuncOracle(m.ground, rank), seed=0) == part
-    assert calls == 13958
+    assert calls == 14832
 
 
 def test_k5_over_order_ten_is_refused_by_its_cycle_count():
@@ -341,6 +444,67 @@ def test_round_trip_sampled_path_uses_seed(d6, d6_partitions, d6_frobenius):
     a = recover_partition(d6, d6_partitions[2].kernel, 4, m, seed=1)
     b = recover_partition(d6, d6_partitions[2].kernel, 4, m, seed=2)
     assert a == b == d6_partitions[2]
+
+
+def induced_edge_permutation(
+    group: FiniteGroup, n: int, eta: Sequence[int]
+) -> dict[int, int]:
+    """Edge map of switching on the complete gain graph: the (i, j) edge with
+    gain alpha goes to the edge with gain eta_i^-1 ∘ alpha ∘ eta_j."""
+    if len(eta) != n:
+        raise ValueError("switching function length must be n")
+    perm = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for alpha in group.elements():
+                new = group.mul(group.mul(group.inv(eta[i]), alpha), eta[j])
+                perm[complete_edge_id(group, n, i, j, alpha)] = complete_edge_id(
+                    group, n, i, j, new
+                )
+    return perm
+
+
+def switching_action_check(
+    group: FiniteGroup,
+    kernel: Subgroup,
+    n: int,
+    linear_class: Iterable[Iterable[int]],
+    samples: int = 20,
+    seed: int = 0,
+) -> bool:
+    """Single-vertex switchings must map the class onto itself.
+
+    Requires n >= 3 and that every balanced cycle is in the class (spot-checked
+    on triangles).
+    """
+    if n < 3:
+        raise ValueError("the switching action needs n >= 3")
+    g = complete_gain_graph(group, n)
+    members = {frozenset(c) for c in linear_class}
+    rng = random.Random(seed)
+    for _ in range(samples):
+        alpha, beta = rng.randrange(group.order), rng.randrange(group.order)
+        tri = sorted(
+            (
+                complete_edge_id(group, n, 0, 1, alpha),
+                complete_edge_id(group, n, 1, 2, beta),
+                complete_edge_id(group, n, 0, 2, group.mul(alpha, beta)),
+            )
+        )
+        if frozenset(tri) not in members:
+            raise ValueError(
+                f"hypothesis violated: balanced triangle {tuple(tri)} is missing"
+            )
+    for _ in range(samples):
+        v = rng.randrange(n)
+        gamma = rng.randrange(group.order)
+        eta = [0] * n
+        eta[v] = gamma
+        perm = induced_edge_permutation(group, n, eta)
+        image = {frozenset(perm[e] for e in c) for c in members}
+        if image != members:
+            return False
+    return True
 
 
 def test_switching_action_on_constructed_class(d6, d6_frobenius, d6_partitions):
