@@ -17,10 +17,8 @@ from .biased import (
     brylawski_lift,
     frame_circuits,
     is_linear_class,
-    lift_circuits,
     matroid_axiom_check,
     minimal_dependent_sets,
-    theta_property_check,
 )
 from .errors import LimitExceeded, RecoveryError
 from .gaingraph import (
@@ -31,10 +29,8 @@ from .gaingraph import (
     complete_edge_id,
     complete_gain_graph,
     enumerate_cycles,
-    from_signed_gains,
     gain_of_walk,
     is_balanced_cycle,
-    normalize_forest,
     quotient_gains,
 )
 from .groups import (
@@ -72,7 +68,6 @@ from .lifts import (
     delete,
     is_elementary_lift,
     linear_class,
-    switch_invariance_check,
     verify_spike,
 )
 from .recovery import edge_bundle, recover_partition
@@ -84,12 +79,7 @@ from .represent import (
     affine_pair,
     incidence_matrix,
     matrix_rank_gf,
-    reorient_edge,
-    reorientation_check,
-    same_affine_part,
     scale_gains,
     switching_projective_check,
     verify_representation,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -586,40 +586,16 @@ def _vertices_of(g: GainGraph, ids: Iterable[int]) -> frozenset[int]:
     return frozenset(verts)
 
 
-def theta_property_check(b: BiasedGraph):
-    """(True, None), or (False, witness) with a theta holding exactly two
-    balanced cycles.
+def frame_circuits(
+    b: BiasedGraph, max_edges: int = DEFAULT_CYCLE_EDGE_LIMIT
+) -> list[tuple[int, ...]]:
+    """Balanced cycles, unbalanced tight/loose handcuffs, unbalanced thetas,
+    built as masks of one EdgeIndex.
 
-    Two cycles span a theta when their union has one edge more than its
-    vertices and their symmetric difference is a cycle, the third (two
-    cycles with no common edge have no cycle as their symmetric
-    difference). Each theta is judged once, at its first pair.
-    """
-    cycles = enumerate_cycles(b.graph)
-    index = EdgeIndex(b.graph.edge_ids(), b.graph)
-    shapes = [index.shape(c) for c in cycles]
-    edges = [e for e, _ in shapes]
-    cycle_of = dict(zip(edges, cycles))
-    for i, j, union in distinct_unions(edges):
-        third = cycle_of.get(edges[i] ^ edges[j])
-        verts = shapes[i][1] | shapes[j][1]
-        if third is None or union.bit_count() != verts.bit_count() + 1:
-            continue
-        if sum(b.cycle_is_balanced(c) for c in (cycles[i], cycles[j], third)) == 2:
-            return False, tuple(sorted((cycles[i], cycles[j], third)))
-    return True, None
-
-
-def _circuit_families(b: BiasedGraph, loose_mode: str, max_edges: int):
-    """Balanced cycles plus the unbalanced-pair families, built as masks of
-    one EdgeIndex.
-
-    ``loose_mode`` picks the fourth family: "paths" gives loose handcuffs
-    (frame), "disjoint" gives vertex-disjoint pairs (lift). Two unbalanced
-    cycles sharing an edge give an unbalanced theta when their union has one
-    edge more than its vertices and the third cycle is unbalanced. Raises
-    LimitExceeded, before the first cycle is masked, when there are more
-    than DEFAULT_CYCLE_COUNT_LIMIT pairs of unbalanced cycles.
+    Two unbalanced cycles sharing an edge give an unbalanced theta when their
+    union has one edge more than its vertices and the third cycle is
+    unbalanced. Raises LimitExceeded, before the first cycle is masked, when
+    there are more than DEFAULT_CYCLE_COUNT_LIMIT pairs of unbalanced cycles.
     """
     g = b.graph
     cycles = enumerate_cycles(g, max_edges=max_edges)
@@ -658,26 +634,13 @@ def _circuit_families(b: BiasedGraph, loose_mode: str, max_edges: int):
         if e1 & e2:
             if union.bit_count() == (v1 | v2).bit_count() + 1 and e1 ^ e2 not in balanced:
                 circuits.add(union)
-        elif common.bit_count() == 1 or not common and loose_mode == "disjoint":
+        elif common.bit_count() == 1:
             circuits.add(union)
         elif not common:
             for start in adj:
                 if start & v1:
                     connect(start, v1, union, v2)
     return sorted(index.ids(c) for c in circuits)
-
-
-def frame_circuits(
-    b: BiasedGraph, max_edges: int = DEFAULT_CYCLE_EDGE_LIMIT
-) -> list[tuple[int, ...]]:
-    """Balanced cycles, unbalanced tight/loose handcuffs, unbalanced thetas."""
-    return _circuit_families(b, "paths", max_edges)
-
-
-def lift_circuits(b: BiasedGraph) -> list[tuple[int, ...]]:
-    """Like frame circuits, with vertex-disjoint unbalanced pairs instead of
-    loose handcuffs."""
-    return _circuit_families(b, "disjoint", DEFAULT_CYCLE_EDGE_LIMIT)
 
 
 def is_linear_class(

@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import LimitExceeded
-from .groups import FiniteGroup, QuotientMap, make_inversion_extension
+from .groups import FiniteGroup, QuotientMap
 
 DEFAULT_CYCLE_EDGE_LIMIT = 40
 DEFAULT_CYCLE_COUNT_LIMIT = 10**6
@@ -147,45 +147,6 @@ def apply_switching(g: GainGraph, eta: Sequence[int]) -> GainGraph:
         Edge(e.id, e.tail, e.head, grp.mul(grp.mul(grp.inv(eta[e.tail]), e.gain), eta[e.head]))
         for e in g.edges
     )
-
-
-def normalize_forest(g: GainGraph, forest: Iterable[int], root: int) -> list[int]:
-    """A switching function with eta(root) = identity that normalizes the forest.
-
-    Every forest edge has identity gain after apply_switching; forests spanning
-    several components are rooted at their least vertex (or at ``root``).
-    """
-    ids = sorted(set(forest))
-    grp = g.group
-    adj: dict[int, list[int]] = {}
-    for eid in ids:
-        e = g.edge(eid)
-        if e.is_loop:
-            raise ValueError(f"edge {eid} is a loop, not a forest edge")
-        adj.setdefault(e.tail, []).append(eid)
-        adj.setdefault(e.head, []).append(eid)
-    eta = [0] * g.vertex_count
-    seen: set[int] = set()
-    components = 0
-    for r in [root] + sorted(adj):
-        if r in seen or r not in adj:
-            continue
-        components += 1
-        seen.add(r)
-        stack = [r]
-        while stack:
-            u = stack.pop()
-            for eid in adj[u]:
-                v = g.other_end(eid, u)
-                if v in seen:
-                    continue
-                # solve eta(u)^-1 ∘ gain ∘ eta(v) = identity
-                eta[v] = grp.mul(grp.inv(g.gain_from(eid, u)), eta[u])
-                seen.add(v)
-                stack.append(v)
-    if len(ids) != len(adj) - components:
-        raise ValueError("forest contains a cycle")
-    return eta
 
 
 def _check_cycle(g: GainGraph, cycle: Iterable[int]) -> tuple[list[int], int]:
@@ -363,20 +324,3 @@ def complete_pair_offsets(order: int, n: int) -> tuple[tuple[int, ...], ...]:
             pair += 1
     return tuple(map(tuple, offset))
 
-
-def from_signed_gains(
-    base: FiniteGroup,
-    vertex_count: int,
-    edges: Sequence[tuple[int, int, int, int]],
-) -> GainGraph:
-    """Gain graph over base ⋊ {1,-1} from (tail, head, base-gain, sign) records.
-
-    Signs are +1 or -1; the pair (a, s) becomes the element indexed 2a + [s<0].
-    """
-    group = make_inversion_extension(base)
-    triples = []
-    for (t, h, a, s) in edges:
-        if s not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {s}")
-        triples.append((t, h, 2 * a + (1 if s == -1 else 0)))
-    return GainGraph.from_triples(group, vertex_count, triples)

@@ -210,10 +210,10 @@ def make_semidirect(
     ``action[b]`` is the permutation φ_b of g1's elements; the family must be a
     homomorphism from g2 into Aut(g1). Pairs (a,b) get index a*|g2| + b.
     """
-    _check_table_order(g1.order * g2.order)
+    phis = [tuple(p) for p in action]
+    group = _semidirect(g1, g2, phis)  # the order cap first; builds no table
     if len(action) != g2.order:
         raise ValueError("action must give one permutation per element of g2")
-    phis = [tuple(p) for p in action]
     ident = tuple(g1.elements())
     for b, phi in enumerate(phis):
         if tuple(sorted(phi)) != ident:
@@ -237,6 +237,14 @@ def make_semidirect(
             for d, bd in enumerate(g2.table[b]):
                 if tuple(map(phi.__getitem__, phis[d])) != phis[bd]:
                     raise ValueError(f"action is not a homomorphism: breaks ({b},{d},{bd})")
+    return group
+
+
+def _semidirect(g1: FiniteGroup, g2: FiniteGroup, phis: Sequence[Sequence[int]]) -> FiniteGroup:
+    """make_semidirect without its checks on the action, for an action that is
+    a homomorphism into Aut(g1) by construction; reads no table until the
+    product's is read."""
+    _check_table_order(g1.order * g2.order)
     n2 = g2.order
 
     def rows() -> list[list[int]]:
@@ -275,8 +283,9 @@ def make_field_affine(q: int) -> FiniteGroup:
         lambda: [[(b * d) % q - 1 for d in range(1, q)] for b in range(1, q)],
         [str(b) for b in range(1, q)],
     )
+    # b ↦ (c ↦ bc) maps GF(q)* into Aut(Z_q) homomorphically
     action = [[b * c % q for c in range(q)] for b in range(1, q)]
-    group = make_semidirect(make_cyclic(q), units, action)
+    group = _semidirect(make_cyclic(q), units, action)
     group.affine_modulus = q
     return group
 

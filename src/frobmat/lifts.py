@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .biased import (
     IDENTITY_PART,
@@ -42,7 +42,6 @@ from .gaingraph import (
     enumerate_cycles,
     gain_of_walk,
     is_balanced_cycle,
-    normalize_forest,
     quotient_gains,
     walk_edges,
 )
@@ -388,7 +387,9 @@ def contract_nonloop(ctx: FrobeniusContext, g: GainGraph, eid: int) -> LiftedMat
     e = g.edge(eid)
     if e.is_loop:
         raise ValueError(f"edge {eid} is a loop")
-    eta = normalize_forest(g, [eid], root=e.tail)
+    # eta(tail)^-1 ∘ gain ∘ eta(head) is then the identity
+    eta = [0] * g.vertex_count
+    eta[e.head] = g.group.inv(e.gain)
     g2 = apply_switching(g, eta)
     keep, drop = min(e.tail, e.head), max(e.tail, e.head)
 
@@ -553,11 +554,3 @@ def is_elementary_lift(m: RankOracle, host: RankOracle) -> tuple[bool, object]:
         return False, tuple(sorted(bad))
     return True, recovered
 
-
-def switch_invariance_check(
-    ctx: FrobeniusContext, g: GainGraph, eta: Sequence[int]
-) -> bool:
-    """The linear class is untouched by switching (edge ids are stable)."""
-    before = set(linear_class(ctx, g))
-    after = set(linear_class(ctx, apply_switching(g, eta)))
-    return before == after

@@ -214,32 +214,6 @@ def verify_representation(ctx: FrobeniusContext, g: GainGraph, seed: int = 0):
     return bad is None, bad
 
 
-def reorient_edge(g: GainGraph, eid: int) -> GainGraph:
-    """Flip the stored orientation of a non-loop; the gain inverts."""
-    e = g.edge(eid)
-    if e.is_loop:
-        raise ValueError("loops have no orientation to flip")
-    return g.with_edges(
-        Edge(f.id, f.head, f.tail, g.group.inv(f.gain)) if f.id == eid else f
-        for f in g.edges
-    )
-
-
-def reorientation_check(g: GainGraph, eid: int) -> bool:
-    """Column of the reoriented matrix is -1/b times the original column."""
-    q = affine_modulus(g.group)
-    before = incidence_matrix(g)
-    after = incidence_matrix(reorient_edge(g, eid))
-    order = sorted(e.id for e in g.edges)
-    j = order.index(eid)
-    b = affine_pair(g.group, g.edge(eid).gain).b
-    factor = (-pow(b, q - 2, q)) % q
-    want = tuple((factor * x) % q for x in before.column(j))
-    return after.column(j) == want and all(
-        after.column(k) == before.column(k) for k in range(len(order)) if k != j
-    )
-
-
 def scale_gains(g: GainGraph, c: int) -> GainGraph:
     """Replace every gain (a, b) by (ac, b)."""
     q = affine_modulus(g.group)
@@ -275,9 +249,3 @@ def switching_projective_check(g: GainGraph, eta: Sequence[int]) -> bool:
                 matrix = matrix.scale_column(j, dinv)
     return matrix == incidence_matrix(apply_switching(g, eta))
 
-
-def same_affine_part(q: int, p: AffinePair, r: AffinePair) -> bool:
-    """Whether two non-translations fix the same point: a(1-d) = c(1-b) mod q."""
-    if p.b % q == 1 or r.b % q == 1:
-        raise ValueError("translations do not fix a point")
-    return (p.a * (1 - r.b)) % q == (r.a * (1 - p.b)) % q

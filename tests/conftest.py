@@ -82,6 +82,45 @@ def random_gain_graph(group, rng: random.Random, max_vertices=4, max_edges=8):
     return GainGraph.from_triples(group, nv, triples)
 
 
+def normalize_forest(g: GainGraph, forest: Iterable[int], root: int) -> list[int]:
+    """A switching function with eta(root) = identity that normalizes the forest.
+
+    Every forest edge has identity gain after apply_switching; forests spanning
+    several components are rooted at their least vertex (or at ``root``).
+    """
+    ids = sorted(set(forest))
+    grp = g.group
+    adj: dict[int, list[int]] = {}
+    for eid in ids:
+        e = g.edge(eid)
+        if e.is_loop:
+            raise ValueError(f"edge {eid} is a loop, not a forest edge")
+        adj.setdefault(e.tail, []).append(eid)
+        adj.setdefault(e.head, []).append(eid)
+    eta = [0] * g.vertex_count
+    seen: set[int] = set()
+    components = 0
+    for r in [root] + sorted(adj):
+        if r in seen or r not in adj:
+            continue
+        components += 1
+        seen.add(r)
+        stack = [r]
+        while stack:
+            u = stack.pop()
+            for eid in adj[u]:
+                v = g.other_end(eid, u)
+                if v in seen:
+                    continue
+                # solve eta(u)^-1 ∘ gain ∘ eta(v) = identity
+                eta[v] = grp.mul(grp.inv(g.gain_from(eid, u)), eta[u])
+                seen.add(v)
+                stack.append(v)
+    if len(ids) != len(adj) - components:
+        raise ValueError("forest contains a cycle")
+    return eta
+
+
 class FuncOracle(RankOracle):
     """A rank oracle given by a function of frozensets, asked once per subset."""
 

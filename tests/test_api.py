@@ -1,0 +1,67 @@
+"""The public surface of ``frobmat``: every name its ``__init__`` exports has
+a use outside the tests, so that code only its own tests call cannot come
+back as a library function."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "frobmat"
+
+
+def exported_names() -> list[str]:
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names, attributes, imported names and string constants (``getattr``
+    lookups) of a module, outside the definition of the name itself."""
+    found = set()
+    for top in ast.parse(source).body:
+        names = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(top.name)
+        found |= names
+    return found
+
+
+def unused_exports() -> list[str]:
+    """The exported names that no other library module, the acceptance
+    suite, the bench or a backticked span of the README refers to. A span
+    counts for the name it starts with: the README's API note names removed
+    functions by their module, as in `gaingraph.from_signed_gains`."""
+    sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    sources += [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob("*.py"))]
+    used = set()
+    for path in sources:
+        used |= referenced_names(path.read_text())
+    for span in re.findall(r"`([^`]+)`", (ROOT / "README.md").read_text()):
+        used.add(re.match(r"\w*", span).group())
+    return [name for name in exported_names() if name not in used]
+
+
+def test_every_export_is_used_outside_the_tests():
+    assert exported_names()
+    unused = unused_exports()
+    assert not unused, "exported, but used only by the tests: " + ", ".join(unused)
+
+
+def test_the_definition_alone_is_not_a_use():
+    source = "def f():\n    return f()\n\n\ndef g():\n    return h\n"
+    assert referenced_names(source) == {"h"}

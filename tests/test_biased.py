@@ -23,13 +23,11 @@ from frobmat import (
     frobenius_partitions,
     is_balanced_cycle,
     is_linear_class,
-    lift_circuits,
     make_cyclic,
     make_dihedral,
     make_field_affine,
     matroid_axiom_check,
     minimal_dependent_sets,
-    theta_property_check,
 )
 from frobmat.biased import (
     EXHAUSTIVE_LIMIT,
@@ -127,10 +125,7 @@ def test_frame_circuits_k4_with_loop_matches_brute_force():
     assert sorted(frame_circuits(b)) == sorted(minimal_dependent_sets(FrameOracle(b)))
 
 
-@pytest.mark.parametrize("family", [frame_circuits, lift_circuits])
-def test_circuit_families_refuse_too_many_unbalanced_pairs_before_the_first(
-    d6, family, monkeypatch
-):
+def test_circuit_families_refuse_too_many_unbalanced_pairs_before_the_first(d6, monkeypatch):
     """36 random edges on 6 vertices over D6: thousands of unbalanced cycles,
     so more than 10^6 pairs; the cap raises before any cycle is masked for
     the pair loop."""
@@ -142,7 +137,7 @@ def test_circuit_families_refuse_too_many_unbalanced_pairs_before_the_first(
 
     monkeypatch.setattr(biased_module.EdgeIndex, "shape", no_pairs)
     with pytest.raises(LimitExceeded, match="more than 1000000 pairs of unbalanced cycles"):
-        family(b)
+        frame_circuits(b)
 
 
 def test_circuit_family_pair_cap_is_inclusive(d6, monkeypatch):
@@ -165,7 +160,6 @@ def test_lift_rank_balanced_equals_graphic(d6):
 def test_lift_rank_disjoint_unbalanced_loops(d6):
     b = biased(d6, 2, [(0, 0, 3), (1, 1, 1)])
     assert LiftOracle(b).rank([0, 1]) == 1
-    assert lift_circuits(b) == [(0, 1)]
 
 
 def test_frame_equals_lift_without_disjoint_unbalanced_cycles():
@@ -194,8 +188,9 @@ def test_frame_equals_lift_without_disjoint_unbalanced_cycles():
 
 
 def _thetas_by_pairs(b):
-    """theta_property_check by the frozenset pair loop it replaced: every
-    theta as (union, three cycles), then the first with two balanced."""
+    """(True, None), or (False, witness) with a theta holding exactly two
+    balanced cycles: every theta as (union, three cycles), then the first
+    with two balanced."""
     from frobmat.biased import _vertices_of
 
     sets = [frozenset(c) for c in enumerate_cycles(b.graph)]
@@ -217,10 +212,10 @@ def _thetas_by_pairs(b):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_circuit_families_and_thetas_match_brute_force(seed):
-    """Frame and lift circuits against minimal dependent sets, on a gain
-    graph over D6, Z3 or F20 (at most 10 edges, with a loop and a parallel
-    pair) and on the same graph given by its balanced cycles; the theta
-    verdict against the pair loop, also on a random balanced set."""
+    """Frame circuits against minimal dependent sets, on a gain graph over
+    D6, Z3 or F20 (at most 10 edges, with a loop and a parallel pair) and on
+    the same graph given by its balanced cycles; both hold the theta
+    property."""
     rng = random.Random(seed)
     group = (make_dihedral(6), make_cyclic(3), make_field_affine(5))[seed % 3]
     nv = rng.randint(2, 4)
@@ -237,10 +232,7 @@ def test_circuit_families_and_thetas_match_brute_force(seed):
     explicit = BiasedGraph.from_balanced_set(g, [c for c in cycles if is_balanced_cycle(g, c)])
     for b in (gain, explicit):
         assert frame_circuits(b) == minimal_dependent_sets(FrameOracle(b))
-        assert lift_circuits(b) == minimal_dependent_sets(LiftOracle(b))
-        assert theta_property_check(b) == _thetas_by_pairs(b) == (True, None)
-    arbitrary = BiasedGraph.from_balanced_set(g, [c for c in cycles if rng.random() < 0.5])
-    assert theta_property_check(arbitrary) == _thetas_by_pairs(arbitrary)
+        assert _thetas_by_pairs(b) == (True, None)
 
 
 def test_class_lift_oracle_answers_past_the_cycle_edge_cap(d6):
@@ -296,7 +288,7 @@ def test_theta_property_gain_derived_always_holds():
     rng = random.Random(31)
     for group in (make_dihedral(6), make_cyclic(4), make_dihedral(10)):
         for _ in range(70):
-            ok, witness = theta_property_check(
+            ok, witness = _thetas_by_pairs(
                 BiasedGraph.from_gain_graph(random_gain_graph(group, rng))
             )
             assert ok and witness is None
@@ -313,13 +305,13 @@ def test_theta_property_violation_witness():
     cycles = enumerate_cycles(g)
     assert len(cycles) == 3
     bad = BiasedGraph.from_balanced_set(g, cycles[:2])
-    ok, witness = theta_property_check(bad)
+    ok, witness = _thetas_by_pairs(bad)
     assert not ok
     assert sorted(witness) == sorted(tuple(c) for c in cycles)
 
 
 def test_theta_property_empty_balanced_set():
-    ok, witness = theta_property_check(BiasedGraph.from_balanced_set(theta_graph(), []))
+    ok, witness = _thetas_by_pairs(BiasedGraph.from_balanced_set(theta_graph(), []))
     assert ok and witness is None
 
 

@@ -13,19 +13,17 @@ from frobmat import (
     complete_edge_id,
     complete_gain_graph,
     enumerate_cycles,
-    from_signed_gains,
     gain_of_walk,
     is_balanced_cycle,
     make_cyclic,
     make_dihedral,
-    normalize_forest,
     quotient,
     quotient_gains,
 )
 from frobmat.errors import LimitExceeded
 from frobmat.gaingraph import walk_edges
 
-from conftest import random_gain_graph
+from conftest import normalize_forest, random_gain_graph
 
 
 def graph(group, n, triples):
@@ -279,20 +277,6 @@ def test_complete_graph_orientation(d6):
     eid = complete_edge_id(d6, 3, 1, 2, 4)
     e = g.edge(eid)
     assert (e.tail, e.head, e.gain) == (1, 2, 4)
-
-
-def test_from_signed_gains():
-    z3 = make_cyclic(3)
-    g = from_signed_gains(z3, 2, [(0, 1, 0, 1), (0, 1, 1, 1), (0, 0, 2, -1)])
-    assert g.group.order == 6
-    assert g.edge(0).gain == 0
-    assert g.edge(1).gain == 2  # the pair (1,+1)
-    minus = g.edge(2).gain
-    assert g.group.mul(minus, minus) == 0 and minus != 0  # sign -1 gives an involution
-    with pytest.raises(ValueError, match="odd"):
-        from_signed_gains(make_cyclic(4), 1, [])
-    with pytest.raises(ValueError, match="sign"):
-        from_signed_gains(z3, 1, [(0, 0, 0, 2)])
 
 
 def test_gain_set(d6):

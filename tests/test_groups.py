@@ -29,8 +29,10 @@ from frobmat import (
 from frobmat import groups as groups_module
 from frobmat.fileio import group_from_spec
 from frobmat.groups import (
+    MAX_FIELD_MODULUS,
     MAX_TABLE_ORDER,
     generated_subgroup,
+    is_prime,
     is_subgroup,
 )
 
@@ -197,6 +199,22 @@ def test_field_affine_identity_and_product():
 
 def test_field_affine_three_is_dihedral_six():
     assert is_isomorphic(make_field_affine(3), make_dihedral(6))
+
+
+@pytest.mark.parametrize("q", [q for q in range(3, MAX_FIELD_MODULUS + 1) if is_prime(q)])
+def test_field_affine_is_the_checked_semidirect_product(q):
+    """make_field_affine skips make_semidirect's checks on its action; the
+    checked route, over GF(q)* from a validated table, accepts the action and
+    gives the same table and labels."""
+    units = from_table(
+        [[(b * d) % q - 1 for d in range(1, q)] for b in range(1, q)],
+        [str(b) for b in range(1, q)],
+    )
+    action = [[b * c % q for c in range(q)] for b in range(1, q)]
+    want = make_semidirect(make_cyclic(q), units, action)
+    got = make_field_affine(q)
+    assert got.labels == want.labels
+    assert got.table == want.table
 
 
 def test_field_affine_rejects_composite():
@@ -631,9 +649,7 @@ def test_partition_search_refuses_by_order_before_the_table(rows_spy):
     with pytest.raises(LimitExceeded) as info:
         frobenius_partitions(g)
     assert str(info.value) == "group order 2162 exceeds limit 96"
-    # no rows function ran but those of Z47 and GF(47)*, whose tables the
-    # action check reads
-    assert sorted(h.order for h in rows_spy.built) == [46, 47]
+    assert rows_spy.built == []  # not even Z47's or GF(47)*'s
 
 
 @pytest.mark.parametrize(

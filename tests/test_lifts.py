@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -47,9 +48,7 @@ from frobmat import (
     make_semidirect,
     matroid_axiom_check,
     minimal_dependent_sets,
-    normalize_forest,
     quotient_gains,
-    switch_invariance_check,
     verify_spike,
 )
 from frobmat.biased import (
@@ -63,7 +62,13 @@ from frobmat.biased import (
 )
 from frobmat.lifts import _classify_circuit
 
-from conftest import FuncOracle, find_isomorphism, random_gain_graph, subgroup_as_group
+from conftest import (
+    FuncOracle,
+    find_isomorphism,
+    normalize_forest,
+    random_gain_graph,
+    subgroup_as_group,
+)
 
 
 def graph(group, n, triples):
@@ -1332,6 +1337,15 @@ def test_is_elementary_lift_witness_is_first_by_size(d6, d6_frobenius, bumped, w
 
 
 # --- switching invariance ----------------------------------------------------
+
+
+def switch_invariance_check(
+    ctx: FrobeniusContext, g: GainGraph, eta: Sequence[int]
+) -> bool:
+    """The linear class is untouched by switching (edge ids are stable)."""
+    before = set(linear_class(ctx, g))
+    after = set(linear_class(ctx, apply_switching(g, eta)))
+    return before == after
 
 
 def test_switch_invariance(d6, d6_frobenius):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from frobmat import (
     AffinePair,
+    Edge,
     FrobeniusContext,
     GainGraph,
     LiftedMatroid,
@@ -19,15 +20,12 @@ from frobmat import (
     incidence_matrix,
     make_field_affine,
     matrix_rank_gf,
-    reorient_edge,
-    reorientation_check,
-    same_affine_part,
     scale_gains,
     switching_projective_check,
     verify_representation,
 )
 from frobmat.biased import rank_table
-from frobmat.represent import MAX_MATRIX_ENTRIES, FieldMatrix
+from frobmat.represent import MAX_MATRIX_ENTRIES, FieldMatrix, affine_modulus
 
 from conftest import FuncOracle, random_gain_graph
 
@@ -226,6 +224,32 @@ def test_row_zero_deletion_gives_frame_matroid(figure_graph, f20_frobenius):
             assert vec.rank(sub) == oracle.underlying_rank(sub)
 
 
+def reorient_edge(g: GainGraph, eid: int) -> GainGraph:
+    """Flip the stored orientation of a non-loop; the gain inverts."""
+    e = g.edge(eid)
+    if e.is_loop:
+        raise ValueError("loops have no orientation to flip")
+    return g.with_edges(
+        Edge(f.id, f.head, f.tail, g.group.inv(f.gain)) if f.id == eid else f
+        for f in g.edges
+    )
+
+
+def reorientation_check(g: GainGraph, eid: int) -> bool:
+    """Column of the reoriented matrix is -1/b times the original column."""
+    q = affine_modulus(g.group)
+    before = incidence_matrix(g)
+    after = incidence_matrix(reorient_edge(g, eid))
+    order = sorted(e.id for e in g.edges)
+    j = order.index(eid)
+    b = affine_pair(g.group, g.edge(eid).gain).b
+    factor = (-pow(b, q - 2, q)) % q
+    want = tuple((factor * x) % q for x in before.column(j))
+    return after.column(j) == want and all(
+        after.column(k) == before.column(k) for k in range(len(order)) if k != j
+    )
+
+
 def test_reorientation(figure_graph, f20):
     for eid in (1, 2, 3, 4):
         assert reorientation_check(figure_graph, eid)
@@ -289,6 +313,13 @@ def test_switching_preserves_vector_matroid(figure_graph):
         for r in range(7):
             for sub in itertools.combinations(range(6), r):
                 assert base.rank(sub) == switched.rank(sub)
+
+
+def same_affine_part(q: int, p: AffinePair, r: AffinePair) -> bool:
+    """Whether two non-translations fix the same point: a(1-d) = c(1-b) mod q."""
+    if p.b % q == 1 or r.b % q == 1:
+        raise ValueError("translations do not fix a point")
+    return (p.a * (1 - r.b)) % q == (r.a * (1 - p.b)) % q
 
 
 def test_same_affine_part_examples():
