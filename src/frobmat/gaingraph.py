@@ -323,4 +323,3 @@ def complete_pair_offsets(order: int, n: int) -> tuple[tuple[int, ...], ...]:
             offset[i][j] = offset[j][i] = pair * order
             pair += 1
     return tuple(map(tuple, offset))
-

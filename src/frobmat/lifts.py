@@ -553,4 +553,3 @@ def is_elementary_lift(m: RankOracle, host: RankOracle) -> tuple[bool, object]:
     if bad is not None:
         return False, tuple(sorted(bad))
     return True, recovered
-

@@ -248,4 +248,3 @@ def switching_projective_check(g: GainGraph, eta: Sequence[int]) -> bool:
             if g.edge(eid).tail == v:
                 matrix = matrix.scale_column(j, dinv)
     return matrix == incidence_matrix(apply_switching(g, eta))
-
