@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from pathlib import Path
@@ -27,13 +26,7 @@ from .biased import (
 )
 from .errors import LimitExceeded, RecoveryError
 from .gaingraph import DEFAULT_CYCLE_COUNT_LIMIT, GainGraph, quotient_gains
-from .groups import (
-    DEFAULT_GROUP_LIMIT,
-    FiniteGroup,
-    FrobeniusPartition,
-    Subgroup,
-    frobenius_partitions,
-)
+from .groups import FiniteGroup, FrobeniusPartition, Subgroup, frobenius_partitions
 from .groups import quotient as group_quotient
 from .lifts import (
     FrobeniusContext,
@@ -48,27 +41,8 @@ from .recovery import complete_cycle_count, recover_partition
 from .represent import incidence_matrix, verify_representation
 
 
-def _positive_int(text: str, name: str) -> int:
-    """``text`` as a positive integer; ValueError naming ``name`` otherwise."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {text!r}")
-    return value
-
-
-def _limit(args) -> int:
-    """The group order cap: ``--limit``, else ``FROBMAT_LIMIT``, else the default."""
-    if getattr(args, "limit", None) is not None:
-        return _positive_int(args.limit, "--limit")
-    env = os.environ.get("FROBMAT_LIMIT")
-    return _positive_int(env, "FROBMAT_LIMIT") if env else DEFAULT_GROUP_LIMIT
-
-
-def _select_partition(group: FiniteGroup, selector: str, limit: int) -> FrobeniusPartition:
-    parts = frobenius_partitions(group, limit=limit)
+def _select_partition(group: FiniteGroup, selector: str) -> FrobeniusPartition:
+    parts = frobenius_partitions(group)
     if selector == "auto":
         nontrivial = [p for p in parts if p.is_nontrivial(group.order)]
         if len(nontrivial) != 1:
@@ -85,13 +59,13 @@ def _select_partition(group: FiniteGroup, selector: str, limit: int) -> Frobeniu
 
 def _context(args) -> tuple[FiniteGroup, GainGraph, FrobeniusContext]:
     graph = fileio.load_graph(args.graph)
-    part = _select_partition(graph.group, args.kernel, _limit(args))
+    part = _select_partition(graph.group, args.kernel)
     return graph.group, graph, FrobeniusContext(graph.group, part, validate=False)
 
 
 def cmd_frobpart(args) -> int:
     group = fileio.load_group(args.group)
-    parts = frobenius_partitions(group, limit=_limit(args))
+    parts = frobenius_partitions(group)
     for i, p in enumerate(parts, start=1):
         print(fileio.format_partition(group, p, i))
     return 0
@@ -254,7 +228,7 @@ def cmd_recover(args) -> int:
             raise LimitExceeded(f"more than {DEFAULT_CYCLE_COUNT_LIMIT} cycles")
         oracle = ClassLiftOracle(BiasedGraph.from_gain_graph(qgraph), members)
     else:
-        part = _select_partition(group, args.kernel, _limit(args))
+        part = _select_partition(group, args.kernel)
         oracle = LiftedMatroid(FrobeniusContext(group, part, validate=False), graph)
     recovered = recover_partition(group, kernel, n, oracle, seed=args.seed)
     print(fileio.format_partition(group, recovered, 1))
@@ -283,11 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
                 default="auto",
                 help="partition selector: 'auto' or kernel elements 'e1,e2,...'",
             )
-        p.add_argument("--limit", default=None, help="group enumeration cap")
 
     p = sub.add_parser("frobpart", help="list Frobenius partitions of a group")
     p.add_argument("--group", required=True, help="group spec JSON file")
-    p.add_argument("--limit", default=None, help="group enumeration cap")
     p.set_defaults(fn=cmd_frobpart)
 
     p = sub.add_parser("rank", help="rank of an edge subset")

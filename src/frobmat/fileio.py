@@ -56,10 +56,9 @@ def _int_rows(value: Any, where: str) -> list[list[int]]:
 
 def group_from_spec(spec: Any, path: str = "") -> FiniteGroup:
     """Build a group from its JSON spec, its Cayley table left to the first
-    read, so a command that refuses a group by its order
-    (:func:`groups.frobenius_partitions`) never builds the table. A malformed
-    spec raises ValueError naming the JSON path of the bad field (``path``
-    prefixes nested specs)."""
+    read; a group past the table cap is refused by its order before any
+    table, a factor's included, is built. A malformed spec raises ValueError
+    naming the JSON path of the bad field (``path`` prefixes nested specs)."""
     if not isinstance(spec, dict) or "kind" not in spec:
         what = f"spec field {path}" if path else "group spec"
         raise ValueError(f"{what} must be an object with a 'kind' field")
@@ -105,7 +104,11 @@ def group_from_spec(spec: Any, path: str = "") -> FiniteGroup:
 
 
 def load_group(path: str | Path) -> FiniteGroup:
-    return group_from_spec(json.loads(Path(path).read_text()))
+    # past the recursion limit, in the JSON parser or in the spec walk
+    try:
+        return group_from_spec(json.loads(Path(path).read_text()))
+    except RecursionError:
+        raise ValueError("spec is nested too deeply") from None
 
 
 def _resolve_group(spec: Any, base_dir: Path, path: str) -> FiniteGroup:
@@ -140,7 +143,10 @@ def graph_from_spec(spec: Any, base_dir: Optional[Path] = None) -> GainGraph:
 
 def load_graph(path: str | Path) -> GainGraph:
     p = Path(path)
-    return graph_from_spec(json.loads(p.read_text()), base_dir=p.parent)
+    try:
+        return graph_from_spec(json.loads(p.read_text()), base_dir=p.parent)
+    except RecursionError:
+        raise ValueError("spec is nested too deeply") from None
 
 
 def graph_to_spec(g: GainGraph, group_spec: Any) -> dict:

@@ -14,11 +14,10 @@ from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 from .errors import LimitExceeded
 
 DEFAULT_GROUP_LIMIT = 96
-MAX_FIELD_MODULUS = 47
-# Largest Cayley table a constructor builds: the order of AGL(1,47), the
-# largest group make_field_affine admits. Its table builds
-# in 0.6-0.7 s at 215 MB peak RSS (2-core Xeon, CPython 3.11), so it fits
-# under a 1 GB address-space limit. Checked before any table exists.
+# Largest Cayley table a constructor builds, and so the one bound on a group:
+# the order of AGL(1,47), the largest group make_field_affine admits. Its
+# table builds in 0.6-0.7 s at 215 MB peak RSS (2-core Xeon, CPython 3.11), so
+# it fits under a 1 GB address-space limit. Checked before any table exists.
 MAX_TABLE_ORDER = 2162
 
 
@@ -268,13 +267,13 @@ def make_field_affine(q: int) -> FiniteGroup:
     """GF(q)+ ⋊ GF(q)* with (a,b)∘(c,d) = (a + bc, bd) mod q.
 
     The pair (a,b) with a in 0..q-1, b in 1..q-1 gets index a*(q-1) + (b-1),
-    so the identity (0,1) is index 0. The q cap keeps the dense Cayley table
-    affordable.
+    so the identity (0,1) is index 0. The order q(q-1) is checked against the
+    table cap before q's primality, whose trial division takes O(sqrt q) steps.
     """
-    if not is_prime(q) or q < 3:
+    if q >= 3:
+        _check_table_order(q * (q - 1))
+    if q < 3 or not is_prime(q):
         raise ValueError("field modulus must be a prime >= 3")
-    if q > MAX_FIELD_MODULUS:
-        raise ValueError(f"field modulus {q} exceeds the cap {MAX_FIELD_MODULUS}")
 
     # GF(q)* on 0..q-2, index b standing for the unit b + 1, acting by
     # multiplication; labels name its elements by their units
@@ -489,8 +488,9 @@ def is_normal(group: FiniteGroup, h: Subgroup) -> bool:
     """
     _check_range(group, h.elements)
     s = h.element_set
+    table, inverse = group.table, group.inverse
     return all(
-        group.conjugate(g, a) in s for g in group.generators for a in h.elements
+        table[table[inverse[g]][a]][g] in s for g in group.generators for a in h.elements
     )
 
 
@@ -498,18 +498,18 @@ def is_malnormal(group: FiniteGroup, h: Subgroup) -> bool:
     """True iff every conjugate by an element outside h meets h only in 0."""
     _check_range(group, h.elements)
     s = h.element_set
+    table, inverse = group.table, group.inverse
     for g in group.elements():
         if g in s:
             continue
+        row = table[inverse[g]]
         for a in h.elements:
-            if a != 0 and group.conjugate(g, a) in s:
+            if a != 0 and table[row[a]][g] in s:
                 return False
     return True
 
 
-def frobenius_partitions(
-    group: FiniteGroup, limit: int = DEFAULT_GROUP_LIMIT
-) -> list[FrobeniusPartition]:
+def frobenius_partitions(group: FiniteGroup) -> list[FrobeniusPartition]:
     """Every partition {kernel} ∪ complements satisfying the invariants.
 
     Order: the whole-group partition, then (for order > 1) the trivial-kernel
@@ -533,8 +533,6 @@ def frobenius_partitions(
     complement element meet only in 0; so the walk stops at the first
     candidate that is the whole group, at x = 1 for an abelian group.
     """
-    if group.order > limit:
-        raise LimitExceeded(f"group order {group.order} exceeds limit {limit}")
     n = group.order
     whole = Subgroup(tuple(range(n)))
     out = [FrobeniusPartition(whole, ())]
@@ -568,12 +566,13 @@ def _conjugates(group: FiniteGroup, h: Sequence[int]) -> Iterator[list[int]]:
     """The conjugates g^-1·h·g of the subgroup ``h``, each sorted, for one g
     per right coset h·g: the elements of a coset conjugate h alike, so every
     conjugate is listed, and for a nontrivial malnormal proper h each once."""
-    table = group.table
+    table, inverse = group.table, group.inverse
     done: set[int] = set()
     for g in group.elements():
         if g not in done:
             done.update(table[a][g] for a in h)
-            yield sorted(group.conjugate(g, a) for a in h)
+            row = table[inverse[g]]
+            yield sorted(table[row[a]][g] for a in h)
 
 
 def _partition_from_complement(group: FiniteGroup, h: Sequence[int]) -> FrobeniusPartition:

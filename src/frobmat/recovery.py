@@ -114,10 +114,7 @@ def _all_complete_cycles(group: FiniteGroup, n: int) -> list[tuple[tuple[int, ..
 
     Each vertex cycle is listed once, from its least vertex in the direction
     whose second vertex is below its last, and crossed with every gain word.
-    The count is checked against the enumeration cap before anything is built.
     """
-    if complete_cycle_count(group.order, n) > DEFAULT_CYCLE_COUNT_LIMIT:
-        raise LimitExceeded(f"more than {DEFAULT_CYCLE_COUNT_LIMIT} cycles")
     out = list(_complete_digons(group, n))
     for k in range(3, n + 1):
         for first, *rest in itertools.combinations(range(n), k):
@@ -206,9 +203,20 @@ def recover_partition(
     the identity stays at n; the classes (plus the identity) are verified to
     be malnormal subgroups forming a conjugation-closed exact cover, and the
     reconstructed matroid is checked against m before returning.
+
+    The cycles the hypothesis check lists (see ``_check_cycle_hypothesis``)
+    are counted first, before the graph or any sample is built, against
+    DEFAULT_CYCLE_COUNT_LIMIT.
     """
     if n < 4:
         raise RecoveryError("recovery requires n >= 4")
+    order = group.order
+    if order <= EXHAUSTIVE_GROUP_ORDER:
+        checked = complete_cycle_count(order, n)
+    else:  # digons and balanced triangles through vertex 0
+        checked = math.comb(n, 2) * math.comb(order, 2) + math.comb(n - 1, 2) * order**2
+    if checked > DEFAULT_CYCLE_COUNT_LIMIT:
+        raise LimitExceeded(f"more than {DEFAULT_CYCLE_COUNT_LIMIT} cycles")
     if not is_subgroup(group, kernel.elements) or not is_normal(group, kernel):
         raise RecoveryError("the declared kernel is not a normal subgroup")
     rng = random.Random(seed)

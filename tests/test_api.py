@@ -65,3 +65,14 @@ def test_every_export_is_used_outside_the_tests():
 def test_the_definition_alone_is_not_a_use():
     source = "def f():\n    return f()\n\n\ndef g():\n    return h\n"
     assert referenced_names(source) == {"h"}
+
+
+def test_no_module_reads_the_environment():
+    """Every setting is an argument or a constant: no module of the package
+    reads ``os.environ`` or ``os.getenv``, so no environment knob comes back."""
+    readers = {
+        path.name: sorted(names)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := {"environ", "getenv"} & referenced_names(path.read_text()))
+    }
+    assert not readers, f"modules that read the environment: {readers}"

@@ -93,12 +93,11 @@ def test_frobpart_field_affine_three(write, capsys):
 
 def _frobpart_in_child(path):
     """Run ``frobpart`` on ``path`` in a child process limited to 1 GB of
-    address space, at the default limit; the limit applies to the child only.
-    Returns the child and its wall time."""
+    address space; the limit applies to the child only. Returns the child and
+    its wall time."""
     src = os.path.dirname(os.path.dirname(frobmat.__file__))
     path_dirs = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_dirs)))
-    env.pop("FROBMAT_LIMIT", None)
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -117,107 +116,102 @@ def test_frobpart_refuses_agl_1_101_under_a_1gb_address_space(write):
     child, seconds = _frobpart_in_child(write("g.json", {"kind": "field_affine", "q": 101}))
     assert seconds < 1.0
     assert child.returncode == 2 and child.stdout == ""
-    assert child.stderr == "error: field modulus 101 exceeds the cap 47\n"
+    assert child.stderr == "error: group order 10100 exceeds the table cap 2162\n"
 
 
 @pytest.mark.parametrize(
-    "spec, err",
+    "spec, partitions, err",
     [
-        ({"kind": "field_affine", "q": 47}, "group order 2162 exceeds limit 96"),
+        ({"kind": "field_affine", "q": 47}, 3, None),
         (
             {"kind": "table", "table": [[(a + b) % 240 for b in range(240)] for a in range(240)]},
-            "group order 240 exceeds limit 96",
+            2,
+            None,
         ),
         (
             {"kind": "direct", "factors": [{"kind": "cyclic", "n": n} for n in (47, 46, 2)]},
+            0,
             "group order 4324 exceeds the table cap 2162",
         ),
     ],
     ids=["AGL(1,47)", "Z240-table", "Z47xZ46xZ2"],
 )
-def test_frobpart_refuses_a_group_above_the_limit_at_once(write, spec, err):
-    """A group inside the table cap but above the limit is refused by its
-    order before its table is built (AGL(1,47)) and after its table is
-    checked (a given table, whose check comes first). A product past the
-    table cap is refused by its order before any factor's table is built
-    (Z47×Z46×Z2; see test_groups.test_table_cap_rejects_before_building)."""
+def test_frobpart_refuses_a_group_above_the_limit_at_once(write, spec, partitions, err):
+    """The table cap is the one bound on a group. Inside it, AGL(1,47) (the
+    cap itself, a Frobenius group) and a given Z240 table (abelian, so only
+    the whole-group and trivial-kernel partitions) are answered within the
+    1 GB child. A product past the cap is refused by its order at once,
+    before any factor's table is built (Z47×Z46×Z2; see
+    test_groups.test_table_cap_rejects_before_building)."""
     child, seconds = _frobpart_in_child(write("g.json", spec))
-    assert seconds < 1.0
-    assert child.returncode == 2 and child.stdout == ""
-    assert child.stderr == f"error: {err}\n"
+    if err is None:
+        assert seconds < 10.0
+        assert child.returncode == 0 and child.stderr == ""
+        assert child.stdout.count("partition ") == partitions
+    else:
+        assert seconds < 1.0
+        assert child.returncode == 2 and child.stdout == ""
+        assert child.stderr == f"error: {err}\n"
 
 
-AGL47 = {"kind": "field_affine", "q": 47}
+AGL53 = {"kind": "field_affine", "q": 53}
+CAP_ERR = "group order 2756 exceeds the table cap 2162"
 
 
 @pytest.mark.parametrize(
-    "argv, spec, env, err",
+    "argv, spec, err",
     [
-        (["frobpart", "--group"], AGL47, None, "group order 2162 exceeds limit 96"),
+        (["frobpart", "--group"], AGL53, CAP_ERR),
+        (["rank", "--graph"], {"group": AGL53, "vertices": 2, "edges": [[0, 1, 5]]}, CAP_ERR),
+        (["rank", "--graph"], {"group": AGL53, "vertices": 2, "edges": [[0, 1, 5000]]}, CAP_ERR),
+        (["recover", "--kernel", "1", "--graph"], {"complete": {"group": AGL53, "n": 2}}, CAP_ERR),
         (
-            ["rank", "--graph"],
-            {"group": AGL47, "vertices": 2, "edges": [[0, 1, 5]]},
-            None,
-            "group order 2162 exceeds limit 96",
+            ["frobpart", "--group"],
+            {"kind": "direct", "factors": [AGL53, {"kind": "cyclic", "n": 1}]},
+            CAP_ERR,
         ),
         (
-            ["rank", "--graph"],
-            {"group": AGL47, "vertices": 2, "edges": [[0, 1, 5000]]},
-            None,
-            "edge 0 has gain out of range",
+            ["frobpart", "--group"],
+            {"kind": "direct", "factors": [{"kind": "cyclic", "n": 1}, AGL53]},
+            CAP_ERR,
         ),
         (
             ["circuits", "--graph"],
-            {"group": AGL47, "vertices": 2, "edges": [[0, 1, 5000]]},
-            "many",
-            "edge 0 has gain out of range",
-        ),
-        (
-            ["bases", "--graph"],
-            {"complete": {"group": AGL47, "n": 2}},
-            "many",
-            "FROBMAT_LIMIT must be a positive integer, got 'many'",
-        ),
-        (
-            ["recover", "--kernel", "1", "--graph"],
-            {"complete": {"group": AGL47, "n": 2}},
-            None,
-            "subgroup must contain the identity 0",
-        ),
-        (
-            ["frobpart", "--group"],
-            {"kind": "direct", "factors": [AGL47, {"kind": "cyclic", "n": 1}]},
-            None,
-            "group order 2162 exceeds limit 96",
-        ),
-        (
-            ["frobpart", "--group"],
-            {"kind": "direct", "factors": [{"kind": "cyclic", "n": 1}, AGL47]},
-            None,
-            "group order 2162 exceeds limit 96",
+            {"group": {"kind": "direct", "factors": [{"kind": "nope"}, AGL53]},
+             "vertices": 2, "edges": []},
+            "unknown group kind 'nope'",
         ),
     ],
     ids=[
-        "frobpart", "rank", "rank-bad-gain", "bad-gain-before-bad-env", "bad-env",
-        "recover-bad-kernel", "direct-agl-first", "direct-agl-second",
+        "frobpart", "rank", "rank-bad-gain", "recover-bad-kernel", "direct-agl-first",
+        "direct-agl-second", "bad-factor-before-agl",
     ],
 )
 def test_a_group_above_the_limit_is_refused_unbuilt_after_other_input_errors(
-    write, capsys, monkeypatch, rows_spy, argv, spec, env, err
+    write, capsys, rows_spy, argv, spec, err
 ):
-    """Commands that search partitions load their group with its table
-    unbuilt. A group above the limit is refused by its order, or by an
-    earlier error in the rest of the input, as before, and its table is never
-    built, nor, for a direct product, a factor's."""
-    if env is None:
-        monkeypatch.delenv("FROBMAT_LIMIT", raising=False)
-    else:
-        monkeypatch.setenv("FROBMAT_LIMIT", env)
+    """A group past the table cap is refused by its order as it is read:
+    after errors in the input read before it (an earlier factor), before
+    errors in the input read after it (a gain, the recovery kernel). No
+    rows function runs, and no group but a trivial factor is made: not the
+    group, nor Z53 or GF(53)*."""
     code, out, got = run(capsys, *argv, write("spec.json", spec))
     assert (code, out, got) == (2, "", f"error: {err}\n")
-    # the group is made last, after any factors; no rows function ran
-    assert rows_spy.made[-1].order == 2162
     assert rows_spy.built == []
+    assert all(g.order == 1 for g in rows_spy.made)
+
+
+@pytest.mark.parametrize("depth", [600, 3000])
+@pytest.mark.parametrize("command", ["frobpart", "rank"])
+def test_a_deeply_nested_spec_is_refused_in_one_line(write, capsys, command, depth):
+    """Past the recursion limit, in the spec walk (600 inversion levels) or
+    in the JSON parser (3000), the spec is refused as a usage error."""
+    group = '{"kind": "inversion", "base": ' * depth + '{"kind": "cyclic", "n": 3}' + "}" * depth
+    if command == "frobpart":
+        argv = ["--group", write("g.json", group)]
+    else:
+        argv = ["--graph", write("g.json", f'{{"vertices": 2, "edges": [], "group": {group}}}')]
+    assert run(capsys, command, *argv) == (2, "", "error: spec is nested too deeply\n")
 
 
 @pytest.mark.parametrize(
@@ -793,6 +787,24 @@ def test_recover_rejects_out_of_range_kernel(write, capsys, with_class):
     assert err.startswith("error:") and err.count("\n") == 1 and "99" in err
 
 
+def test_recover_refuses_a_cycle_set_above_the_cap_before_building_any(
+    write, capsys, monkeypatch
+):
+    """Above order 10 recovery checks every digon and every balanced triangle
+    through vertex 0: on K_46 over Z96 that is 13,843,440 cycles, counted and
+    refused before one is built."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a cycle was built")
+
+    monkeypatch.setattr("frobmat.recovery._complete_cycle", fail)
+    spec = {"complete": {"group": {"kind": "cyclic", "n": 96}, "n": 46}}
+    start = time.perf_counter()
+    code, out, err = run(capsys, "recover", "--graph", write("k46.json", spec), "--kernel", "0")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", "error: more than 1000000 cycles\n")
+
+
 def test_recover_class_refuses_too_many_cycles_before_listing_any(write, capsys, monkeypatch):
     """K_5 over D20 has more than 10^6 cycles; the class-lift oracle would
     list them all at its first query."""
@@ -813,41 +825,22 @@ def test_recover_class_refuses_too_many_cycles_before_listing_any(write, capsys,
 @pytest.mark.parametrize(
     "command, flag",
     [(c, "--seed") for c in ("frobpart", "rank", "circuits", "bases", "matrix", "minor")]
-    + [("matrix", "--limit")],
+    + [
+        (c, "--limit")
+        for c in ("frobpart", "rank", "circuits", "bases", "matrix", "verify", "minor", "recover")
+    ],
 )
 def test_unread_flags_are_refused_in_one_line(write, capsys, command, flag):
     source = ["--group", write("d6.json", D6_SPEC)] if command == "frobpart" else [
         "--graph", write("g.json", FIGURE_SPEC)
     ]
+    if command == "recover":
+        source += ["--kernel", "0"]
     with pytest.raises(SystemExit) as exc:
         main([command, *source, flag, "1"])
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
     assert err.startswith("error: unrecognized arguments") and err.count("\n") == 1
-
-
-def test_limit_flag_and_env(write, capsys, monkeypatch):
-    path = write("g.json", D6_SPEC)
-    code, _, err = run(capsys, "frobpart", "--group", path, "--limit", "2")
-    assert code == 2 and "exceeds limit" in err
-    monkeypatch.setenv("FROBMAT_LIMIT", "3")
-    code, _, err = run(capsys, "frobpart", "--group", path)
-    assert code == 2 and "exceeds limit" in err
-    monkeypatch.delenv("FROBMAT_LIMIT")
-    code, _, _ = run(capsys, "frobpart", "--group", path)
-    assert code == 0
-    # a limit of 0 is refused, not taken for "no limit given"
-    for bad in ("0", "-3", "abc"):
-        code, out, err = run(capsys, "frobpart", "--group", path, "--limit", bad)
-        assert (code, out) == (2, "")
-        assert err == f"error: --limit must be a positive integer, got '{bad}'\n"
-        monkeypatch.setenv("FROBMAT_LIMIT", bad)
-        code, out, err = run(capsys, "frobpart", "--group", path)
-        assert (code, out) == (2, "")
-        assert err == f"error: FROBMAT_LIMIT must be a positive integer, got '{bad}'\n"
-        code, out, _ = run(capsys, "frobpart", "--group", path, "--limit", "6")
-        assert code == 0 and out.count("partition") == 3
-        monkeypatch.delenv("FROBMAT_LIMIT")
 
 
 # Graph specs the error-path test mutates: every group kind, a complete graph

@@ -29,7 +29,6 @@ from frobmat import (
 from frobmat import groups as groups_module
 from frobmat.fileio import group_from_spec
 from frobmat.groups import (
-    MAX_FIELD_MODULUS,
     MAX_TABLE_ORDER,
     generated_subgroup,
     is_prime,
@@ -201,7 +200,9 @@ def test_field_affine_three_is_dihedral_six():
     assert is_isomorphic(make_field_affine(3), make_dihedral(6))
 
 
-@pytest.mark.parametrize("q", [q for q in range(3, MAX_FIELD_MODULUS + 1) if is_prime(q)])
+@pytest.mark.parametrize(
+    "q", [q for q in range(3, MAX_TABLE_ORDER) if q * (q - 1) <= MAX_TABLE_ORDER and is_prime(q)]
+)
 def test_field_affine_is_the_checked_semidirect_product(q):
     """make_field_affine skips make_semidirect's checks on its action; the
     checked route, over GF(q)* from a validated table, accepts the action and
@@ -249,8 +250,10 @@ def test_inversion_extension_rejects_bad_input():
         lambda: make_cyclic(10**6),
         lambda: group_from_spec({"kind": "direct", "factors": [{"kind": "cyclic", "n": 1000}] * 2}),
         lambda: group_from_spec({"kind": "direct", "factors": [_cyc(47), _cyc(46), _cyc(2)]}),
+        # before the trial division of a prime q, which runs O(sqrt q) steps
+        lambda: make_field_affine(10**18 + 3),
     ],
-    ids=["cyclic-1e6", "Z1000xZ1000", "Z47xZ46xZ2"],
+    ids=["cyclic-1e6", "Z1000xZ1000", "Z47xZ46xZ2", "AGL(1,10^18+3)"],
 )
 def test_table_cap_rejects_before_building(rows_spy, build):
     start = time.perf_counter()
@@ -539,9 +542,9 @@ REFERENCE_FAMILIES = {
 
 @pytest.mark.parametrize("family", sorted(REFERENCE_FAMILIES))
 def test_partitions_match_the_exhaustive_search(family):
-    # AGL(1,11) has order 110, above the default limit
+    # AGL(1,11) has order 110, above the default limit of subgroups
     for g in REFERENCE_FAMILIES[family]():
-        assert frobenius_partitions(g, limit=110) == exhaustive_partitions(g, limit=110)
+        assert frobenius_partitions(g) == exhaustive_partitions(g, limit=110)
 
 
 @pytest.mark.parametrize("name", sorted(PERMUTATION_GROUPS))
@@ -643,13 +646,13 @@ def test_a_partition_that_fails_its_final_check_is_refused(monkeypatch):
 
 
 def test_partition_search_refuses_by_order_before_the_table(rows_spy):
-    from frobmat.errors import LimitExceeded
-
-    g = make_field_affine(47)
-    with pytest.raises(LimitExceeded) as info:
-        frobenius_partitions(g)
-    assert str(info.value) == "group order 2162 exceeds limit 96"
-    assert rows_spy.built == []  # not even Z47's or GF(47)*'s
+    """The table cap is the one bound on a group the partition search
+    receives: AGL(1,53) is refused by its order q(q-1), before any group,
+    Z53 or GF(53)* included, is made."""
+    with pytest.raises(ValueError) as info:
+        make_field_affine(53)
+    assert str(info.value) == "group order 2756 exceeds the table cap 2162"
+    assert rows_spy.made == []
 
 
 @pytest.mark.parametrize(
@@ -1182,7 +1185,7 @@ def test_conjugates_by_right_coset_are_the_conjugates_by_every_element(name, dat
     subgroup, conjugating by one element per right coset gives the set of
     conjugates by every element; a complement's are listed once each."""
     g = group_from_spec(SHAPES[name])
-    complements = [a for p in frobenius_partitions(g, limit=g.order) for a in p.complements]
+    complements = [a for p in frobenius_partitions(g) for a in p.complements]
     picks = data.draw(st.lists(st.integers(0, g.order - 1), max_size=2))
     for h in complements + [generated_subgroup(g, picks)]:
         listed = [tuple(c) for c in groups_module._conjugates(g, h.elements)]
