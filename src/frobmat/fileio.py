@@ -18,6 +18,12 @@ from . import groups as _groups
 from .gaingraph import GainGraph, complete_gain_graph
 from .groups import FiniteGroup, FrobeniusPartition
 
+# Levels of products a group spec may nest, each factor a direct product
+# folds in counting as one: a table built lazily reads its factors' tables on
+# its first read, about three frames a level, so 300 levels stay under
+# CPython's default recursion limit of 1000 (330 do not).
+MAX_SPEC_DEPTH = 300
+
 
 def _where(path: str, key: str | int) -> str:
     if isinstance(key, int):
@@ -58,7 +64,16 @@ def group_from_spec(spec: Any, path: str = "") -> FiniteGroup:
     """Build a group from its JSON spec, its Cayley table left to the first
     read; a group past the table cap is refused by its order before any
     table, a factor's included, is built. A malformed spec raises ValueError
-    naming the JSON path of the bad field (``path`` prefixes nested specs)."""
+    naming the JSON path of the bad field (``path`` prefixes nested specs),
+    and one that nests products past MAX_SPEC_DEPTH levels raises
+    ``ValueError("spec is nested too deeply")``."""
+    return _group_from_spec(spec, path, 0)
+
+
+def _group_from_spec(spec: Any, path: str, depth: int) -> FiniteGroup:
+    """group_from_spec on a spec ``depth`` product levels below the root."""
+    if depth > MAX_SPEC_DEPTH:
+        raise ValueError("spec is nested too deeply")
     if not isinstance(spec, dict) or "kind" not in spec:
         what = f"spec field {path}" if path else "group spec"
         raise ValueError(f"{what} must be an object with a 'kind' field")
@@ -67,7 +82,7 @@ def group_from_spec(spec: Any, path: str = "") -> FiniteGroup:
         return _int(_field(spec, key, path), _where(path, key))
 
     def sub(key: str) -> FiniteGroup:
-        return group_from_spec(_field(spec, key, path), _where(path, key))
+        return _group_from_spec(_field(spec, key, path), _where(path, key), depth + 1)
 
     kind = spec["kind"]
     if kind == "cyclic":
@@ -76,9 +91,11 @@ def group_from_spec(spec: Any, path: str = "") -> FiniteGroup:
         return _groups.make_dihedral(get_int("order"))
     if kind == "direct":
         where = _where(path, "factors")
+        specs = _list(_field(spec, "factors", path), where)
+        # the fold makes factor i, and factor 0, len(specs) - i products deep
         factors = [
-            group_from_spec(s, _where(where, i))
-            for i, s in enumerate(_list(_field(spec, "factors", path), where))
+            _group_from_spec(s, _where(where, i), depth + len(specs) - max(i, 1))
+            for i, s in enumerate(specs)
         ]
         if len(factors) < 2:
             raise ValueError("direct product needs at least two factors")
@@ -104,7 +121,7 @@ def group_from_spec(spec: Any, path: str = "") -> FiniteGroup:
 
 
 def load_group(path: str | Path) -> FiniteGroup:
-    # past the recursion limit, in the JSON parser or in the spec walk
+    # past the recursion limit in the JSON parser
     try:
         return group_from_spec(json.loads(Path(path).read_text()))
     except RecursionError:

@@ -11,9 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
-from .errors import LimitExceeded
-
-DEFAULT_GROUP_LIMIT = 96
 # Largest Cayley table a constructor builds, and so the one bound on a group:
 # the order of AGL(1,47), the largest group make_field_affine admits. Its
 # table builds in 0.6-0.7 s at 215 MB peak RSS (2-core Xeon, CPython 3.11), so
@@ -59,11 +56,6 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return self.inverse[a]
-
-    def conjugate(self, g: int, a: int) -> int:
-        """Return g^-1 ∘ a ∘ g."""
-        t = self.table
-        return t[t[self.inverse[g]][a]][g]
 
     def elements(self) -> range:
         return range(self.order)
@@ -419,7 +411,7 @@ def is_subgroup(group: FiniteGroup, elements: Iterable[int]) -> bool:
     return all(group.mul(a, b) in s for a in s for b in s)
 
 
-def subgroups(group: FiniteGroup, limit: int = DEFAULT_GROUP_LIMIT) -> list[Subgroup]:
+def subgroups(group: FiniteGroup) -> list[Subgroup]:
     """All subgroups, sorted by (size, elements).
 
     Every subgroup is the join of the cyclic subgroups of its elements, so
@@ -437,8 +429,6 @@ def subgroups(group: FiniteGroup, limit: int = DEFAULT_GROUP_LIMIT) -> list[Subg
     found, and the order they are extended in, are those of one join per
     representative outside h.
     """
-    if group.order > limit:
-        raise LimitExceeded(f"group order {group.order} exceeds limit {limit}")
     table = group.table
     found = {(0,): Subgroup((0,))}
     frontier: list[tuple[Subgroup, tuple[int, ...]]] = []

@@ -14,21 +14,13 @@ import math
 import random
 from typing import Iterable, Sequence
 
-from .biased import (
-    EXHAUSTIVE_LIMIT,
-    BiasedGraph,
-    FrameOracle,
-    RankOracle,
-    first_disagreement,
-    subset_sweep,
-)
+from .biased import EXHAUSTIVE_LIMIT, RankOracle, first_disagreement, subset_sweep
 from .errors import LimitExceeded, RecoveryError
 from .gaingraph import (
     DEFAULT_CYCLE_COUNT_LIMIT,
     complete_edge_id,
     complete_gain_graph,
     complete_pair_offsets,
-    quotient_gains,
 )
 from .groups import (
     FiniteGroup,
@@ -37,14 +29,14 @@ from .groups import (
     is_malnormal,
     is_normal,
     is_subgroup,
-    quotient,
     validate_partition,
 )
-from .lifts import FrobeniusContext, LiftedMatroid, is_elementary_lift
+from .lifts import FrobeniusContext, LiftedMatroid
 
 EXHAUSTIVE_GROUP_ORDER = 10
-# Random halves per sampled subset sweep: the elementary check and the
-# final comparison
+# Random halves the final comparison draws above EXHAUSTIVE_LIMIT edges. On
+# each it asks that m's rank equal the rebuilt lift's, which is what decides
+# there whether m is an elementary lift of the quotient frame matroid.
 SAMPLES = 1500
 
 
@@ -154,6 +146,9 @@ def _check_cycle_hypothesis(group: FiniteGroup, n: int, m: RankOracle) -> None:
     at a chord that balances one side into a theta of two shorter cycles of
     its quotient balance; induct. A cycle that is no N-circuit is independent
     in N, so in m, and unbalanced.
+
+    Whether m is an elementary lift of N is left to the final comparison in
+    ``recover_partition`` with the rebuilt lift.
     """
     if group.order <= EXHAUSTIVE_GROUP_ORDER:
         cycles = _all_complete_cycles(group, n)
@@ -164,29 +159,6 @@ def _check_cycle_hypothesis(group: FiniteGroup, n: int, m: RankOracle) -> None:
             raise RecoveryError(
                 f"cycle {cycle} is {'balanced' if balanced else 'unbalanced'} "
                 f"but is {'not ' if balanced else ''}a circuit of the lift"
-            )
-
-
-def _check_elementary(
-    m: RankOracle, frame: RankOracle, bundled: Sequence[int], rng: random.Random
-) -> None:
-    """m must be an elementary lift of ``frame``: checked on every subset
-    when the ground has at most EXHAUSTIVE_LIMIT edges, else on random
-    halves of the ground listed as ``bundled``."""
-    if tuple(frame.ground) != tuple(m.ground):
-        raise RecoveryError("ground sets of the lift and frame oracles differ")
-    if len(bundled) <= EXHAUSTIVE_LIMIT:
-        ok, witness = is_elementary_lift(m, frame)
-        if not ok:
-            raise RecoveryError(f"not an elementary lift of the frame matroid: {witness}")
-        return
-    if m.rank(()) != 0:
-        raise RecoveryError("rank of the empty set is not zero")
-    for subset in subset_sweep(bundled, SAMPLES, rng):
-        d = m.rank(subset) - frame.rank(subset)
-        if d not in (0, 1):
-            raise RecoveryError(
-                f"subset {tuple(sorted(subset))} has lift rank {d} above the frame rank"
             )
 
 
@@ -204,6 +176,13 @@ def recover_partition(
     be malnormal subgroups forming a conjugation-closed exact cover, and the
     reconstructed matroid is checked against m before returning.
 
+    That final comparison is the one check that m is an elementary lift of
+    N, the quotient frame matroid: the rebuilt lift is one, with the declared
+    kernel, so a subset on which m's rank less N's is not 0 or 1 is one on
+    which m and the rebuilt lift differ. It asks every subset up to
+    EXHAUSTIVE_LIMIT edges; above, the empty set, the bundles of the identity
+    and two elements, and SAMPLES random halves seeded by ``seed``.
+
     The cycles the hypothesis check lists (see ``_check_cycle_hypothesis``)
     are counted first, before the graph or any sample is built, against
     DEFAULT_CYCLE_COUNT_LIMIT.
@@ -219,17 +198,9 @@ def recover_partition(
         raise LimitExceeded(f"more than {DEFAULT_CYCLE_COUNT_LIMIT} cycles")
     if not is_subgroup(group, kernel.elements) or not is_normal(group, kernel):
         raise RecoveryError("the declared kernel is not a normal subgroup")
-    rng = random.Random(seed)
     g = complete_gain_graph(group, n)
     if tuple(m.ground) != tuple(e.id for e in g.edges):
         raise RecoveryError("oracle ground set does not match the complete gain graph")
-    # the ground bundle by bundle, the identity bundle first: a random half
-    # listed this way reaches a spanning forest of identity edges, and then
-    # its first unbalanced edges, within a few reads, where a rank pass stops
-    bundled = tuple(e for a in group.elements() for e in edge_bundle(group, n, (a,)))
-    qm = quotient(group, kernel)
-    frame = FrameOracle(BiasedGraph.from_gain_graph(quotient_gains(g, qm)))
-    _check_elementary(m, frame, bundled, rng)
     _check_cycle_hypothesis(group, n, m)
 
     kernel_set = kernel.element_set
@@ -285,12 +256,19 @@ def recover_partition(
 
     reconstructed = LiftedMatroid(FrobeniusContext(group, partition, validate=False), g)
     sample = None
-    if len(bundled) > EXHAUSTIVE_LIMIT:
-        structured = (
-            edge_bundle(group, n, (0, a, b))
-            for a, b in itertools.combinations_with_replacement(group.elements(), 2)
+    if len(g.edges) > EXHAUSTIVE_LIMIT:
+        # the ground bundle by bundle, the identity bundle first: a random half
+        # listed this way reaches a spanning forest of identity edges, and then
+        # its first unbalanced edges, within a few reads, where a rank pass stops
+        bundled = tuple(e for a in group.elements() for e in edge_bundle(group, n, (a,)))
+        sample = itertools.chain(
+            [()],
+            (
+                edge_bundle(group, n, (0, a, b))
+                for a, b in itertools.combinations_with_replacement(group.elements(), 2)
+            ),
+            subset_sweep(bundled, SAMPLES, random.Random(seed)),
         )
-        sample = itertools.chain(structured, subset_sweep(bundled, SAMPLES, rng))
     bad = first_disagreement(m, reconstructed, sample)
     if bad is not None:
         raise RecoveryError(

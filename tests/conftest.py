@@ -20,7 +20,6 @@ from frobmat import (
     subgroups,
 )
 from frobmat.biased import RankOracle
-from frobmat.groups import DEFAULT_GROUP_LIMIT
 
 
 @pytest.fixture(scope="session")
@@ -253,8 +252,14 @@ def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
 # frobenius_partitions, which finds the same partitions from one centralizer.
 
 
+def conjugate(group: FiniteGroup, g: int, a: int) -> int:
+    """Return g^-1 ∘ a ∘ g."""
+    t = group.table
+    return t[t[group.inverse[g]][a]][g]
+
+
 def conjugate_subgroup(group: FiniteGroup, h: Subgroup, g: int) -> Subgroup:
-    return Subgroup(tuple(sorted(group.conjugate(g, a) for a in h.elements)))
+    return Subgroup(tuple(sorted(conjugate(group, g, a) for a in h.elements)))
 
 
 def _conjugation_closed(group: FiniteGroup, family: Sequence[Subgroup]) -> bool:
@@ -291,13 +296,11 @@ def _exact_covers(
     yield from rec(target, ())
 
 
-def exhaustive_partitions(
-    group: FiniteGroup, limit: int = DEFAULT_GROUP_LIMIT
-) -> list[FrobeniusPartition]:
+def exhaustive_partitions(group: FiniteGroup) -> list[FrobeniusPartition]:
     """Every partition {kernel} ∪ complements satisfying the invariants, in
     the order of frobenius_partitions: whole group, trivial kernel, then by
     kernel elements."""
-    subs = subgroups(group, limit=limit)
+    subs = subgroups(group)
     malnormal = [a for a in subs if a.order > 1 and is_malnormal(group, a)]
     out = []
     for n in subs:

@@ -204,14 +204,43 @@ def test_a_group_above_the_limit_is_refused_unbuilt_after_other_input_errors(
 @pytest.mark.parametrize("depth", [600, 3000])
 @pytest.mark.parametrize("command", ["frobpart", "rank"])
 def test_a_deeply_nested_spec_is_refused_in_one_line(write, capsys, command, depth):
-    """Past the recursion limit, in the spec walk (600 inversion levels) or
-    in the JSON parser (3000), the spec is refused as a usage error."""
+    """Past the spec depth (600 inversion levels) or the recursion limit in
+    the JSON parser (3000), the spec is refused as a usage error."""
     group = '{"kind": "inversion", "base": ' * depth + '{"kind": "cyclic", "n": 3}' + "}" * depth
     if command == "frobpart":
         argv = ["--group", write("g.json", group)]
     else:
         argv = ["--graph", write("g.json", f'{{"vertices": 2, "edges": [], "group": {group}}}')]
     assert run(capsys, command, *argv) == (2, "", "error: spec is nested too deeply\n")
+
+
+def _nested_semidirect(levels, fold_direct=False):
+    """Z3 under ``levels`` trivial semidirect products by Z1, each read
+    lazily through the one below; with ``fold_direct``, Z3 and ``levels``
+    copies of Z1 in one direct product, which folds to the same chain."""
+    z1, s = {"kind": "cyclic", "n": 1}, {"kind": "cyclic", "n": 3}
+    if fold_direct:
+        return {"kind": "direct", "factors": [s] + [z1] * levels}
+    for _ in range(levels):
+        s = {"kind": "semidirect", "g1": s, "g2": z1, "action": [[0, 1, 2]]}
+    return s
+
+
+@pytest.mark.parametrize("fold_direct", [False, True], ids=["semidirect", "direct"])
+@pytest.mark.parametrize("levels, code", [(300, 0), (301, 2), (400, 2)])
+def test_a_table_chain_past_the_spec_depth_is_refused_in_one_line(
+    write, levels, code, fold_direct
+):
+    """Each level's table is first read through the one below it, so specs
+    are bounded at 300 levels: in a child under the default recursion limit,
+    300 levels answer, and deeper specs are refused as they are read, before
+    a first table read could pass that limit."""
+    child, _ = _frobpart_in_child(write("g.json", _nested_semidirect(levels, fold_direct)))
+    assert child.returncode == code
+    if code == 0:
+        assert child.stdout.startswith("partition 1: kernel size 3;") and child.stderr == ""
+    else:
+        assert (child.stdout, child.stderr) == ("", "error: spec is nested too deeply\n")
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import random
 from typing import Iterable, Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobmat import (
@@ -23,6 +23,7 @@ from frobmat import (
     enumerate_cycles,
     frobenius_partitions,
     is_balanced_cycle,
+    is_elementary_lift,
     linear_class,
     make_cyclic,
     make_dihedral,
@@ -31,9 +32,11 @@ from frobmat import (
     quotient_gains,
     recover_partition,
 )
+from frobmat.biased import EXHAUSTIVE_LIMIT, subset_sweep
 from frobmat.groups import quotient
 from frobmat.recovery import (
     EXHAUSTIVE_GROUP_ORDER,
+    SAMPLES,
     _all_complete_cycles,
     _is_circuit,
     _reduced_cycles,
@@ -159,18 +162,14 @@ def _flip_cycles(g, m, balanced, length, mod, residue):
         ([(0, 1, 2, 3, 4, 7, 9), (2, 5, 8, 11)], (2, 5, 8, 11)),
     ],
 )
-def test_exhaustive_sweep_witnesses(z2, monkeypatch, index, bumped, witness):
+def test_exhaustive_sweep_witnesses(z2, index, bumped, witness):
     """K_4 over Z2 (12 edges) with one rank raised on each bumped set: the
-    first of them by size is named by the elementary check and, with that
-    check skipped, by the final comparison with the reconstructed lift."""
+    first of them by size is named by the final comparison with the
+    reconstructed lift, which asks every subset."""
     part = frobenius_partitions(z2)[index]
     m = LiftedMatroid(FrobeniusContext(z2, part), complete_gain_graph(z2, 4))
     bad = {frozenset(s) for s in bumped}
     oracle = FuncOracle(m.ground, lambda s: m.rank(s) + (s in bad))
-    with pytest.raises(RecoveryError) as info:
-        recover_partition(z2, part.kernel, 4, oracle)
-    assert str(info.value) == f"not an elementary lift of the frame matroid: {witness}"
-    monkeypatch.setattr("frobmat.recovery._check_elementary", lambda *args: None)
     with pytest.raises(RecoveryError) as info:
         recover_partition(z2, part.kernel, 4, oracle)
     assert str(info.value) == f"reconstructed matroid disagrees with the input on {witness}"
@@ -229,7 +228,7 @@ D6, F20 = WITNESS_GROUPS["D6"], WITNESS_GROUPS["F20"]
 @pytest.mark.parametrize(
     "group, patch, message",
     [
-        (D6, lambda s, r: r + (not s), "rank of the empty set is not zero"),
+        (D6, lambda s, r: r + (not s), "reconstructed matroid disagrees with the input on ()"),
         (D6, lambda s, r: r + 2 * (len(s) == 36), "full rank 7 is neither n nor n+1"),
         (
             D6,
@@ -244,10 +243,10 @@ D6, F20 = WITNESS_GROUPS["D6"], WITNESS_GROUPS["F20"]
     ids=["empty-set", "full-rank", "not-transitive", "not-a-subgroup", "not-malnormal"],
 )
 def test_rejects_a_lift_changed_only_where_named(group, patch, message):
-    """The Frobenius lift over K_4 (36 or 120 edges, so the elementary check
-    samples), with the answers ``patch`` changes: the empty set, the whole
-    ground, or bundles of the identity and two elements, which only the
-    bundle relation asks."""
+    """The Frobenius lift over K_4 (36 or 120 edges, so the final comparison
+    samples), with the answers ``patch`` changes: the empty set, which heads
+    that comparison's sample, the whole ground, or bundles of the identity
+    and two elements, which the bundle relation asks first."""
     part = frobenius_partitions(group)[-1]
     m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 4))
     oracle = FuncOracle(m.ground, lambda s: patch(s, m.rank(s)))
@@ -378,13 +377,15 @@ def _z7_frame_lift():
     return z7, part, LiftedMatroid(FrobeniusContext(z7, part), complete_gain_graph(z7, 4))
 
 
-def test_sampled_elementary_check_names_the_first_failing_half():
-    """With the kernel trivial the lift is the quotient frame matroid, so an
-    oracle two above it on every set of 21 or more edges fails at the first
-    such half. The halves are drawn over the ground listed bundle by bundle,
-    one random() draw per edge, and the witness is printed sorted."""
+def test_sampled_final_comparison_names_the_first_failing_half():
+    """An oracle two above the lift on every set of 21 to 41 edges is no
+    elementary lift of the quotient frame matroid, and the final comparison
+    names the first such half: the cycles, the bundles and the whole ground
+    (42 edges) are left alone. The halves are drawn over the ground listed
+    bundle by bundle, one random() draw per edge, and the witness is printed
+    sorted."""
     z7, part, m = _z7_frame_lift()
-    oracle = FuncOracle(m.ground, lambda s: m.rank(s) + 2 * (len(s) >= 21))
+    oracle = FuncOracle(m.ground, lambda s: m.rank(s) + 2 * (21 <= len(s) < 42))
     bundled = [e for a in z7.elements() for e in edge_bundle(z7, 4, (a,))]
     ref = random.Random(0)
     half = ()
@@ -392,7 +393,85 @@ def test_sampled_elementary_check_names_the_first_failing_half():
         half = tuple(e for e in bundled if ref.random() < 0.5)
     with pytest.raises(RecoveryError) as info:
         recover_partition(z7, part.kernel, 4, oracle, seed=0)
-    assert str(info.value) == f"subset {tuple(sorted(half))} has lift rank 2 above the frame rank"
+    witness = tuple(sorted(half))
+    assert witness[:4] == (1, 2, 3, 5) and witness[-1] == 41
+    assert str(info.value) == f"reconstructed matroid disagrees with the input on {witness}"
+
+
+def _elementary_reference(m, frame, bundled, rng):
+    """The elementary pre-check recovery once ran before its cycle check, kept
+    as the reference its final comparison must cover: m must be an
+    elementary lift of ``frame``, checked on every subset when the ground has
+    at most EXHAUSTIVE_LIMIT edges, else on random halves of the ground
+    listed as ``bundled``."""
+    if tuple(frame.ground) != tuple(m.ground):
+        raise RecoveryError("ground sets of the lift and frame oracles differ")
+    if len(bundled) <= EXHAUSTIVE_LIMIT:
+        ok, witness = is_elementary_lift(m, frame)
+        if not ok:
+            raise RecoveryError(f"not an elementary lift of the frame matroid: {witness}")
+        return
+    if m.rank(()) != 0:
+        raise RecoveryError("rank of the empty set is not zero")
+    for subset in subset_sweep(bundled, SAMPLES, rng):
+        d = m.rank(subset) - frame.rank(subset)
+        if d not in (0, 1):
+            raise RecoveryError(
+                f"subset {tuple(sorted(subset))} has lift rank {d} above the frame rank"
+            )
+
+
+GUARD_GROUPS = {"D6": D6, "F20": F20, "Z7": make_cyclic(7)}
+
+
+@functools.lru_cache(maxsize=None)
+def _guard_case(name, index):
+    """K_4 over the named group: a partition, its lift, the quotient frame
+    matroid by its kernel, and the ground listed bundle by bundle."""
+    group = GUARD_GROUPS[name]
+    parts = frobenius_partitions(group)
+    part = parts[index % len(parts)]
+    g = complete_gain_graph(group, 4)
+    m = LiftedMatroid(FrobeniusContext(group, part, validate=False), g)
+    qg = quotient_gains(g, quotient(group, part.kernel))
+    frame = FrameOracle(BiasedGraph.from_gain_graph(qg))
+    bundled = tuple(e for a in group.elements() for e in edge_bundle(group, 4, (a,)))
+    return group, part, m, frame, bundled
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(GUARD_GROUPS)),
+    st.integers(0, 2),
+    st.sampled_from([-2, -1, 2, 3]),
+    st.sampled_from(["above", "size", "superset"]),
+    st.integers(0, 120),
+    st.lists(st.integers(0, 119), min_size=1, max_size=3),
+    st.integers(0, 3),
+)
+def test_the_final_comparison_refuses_what_the_elementary_check_refused(
+    name, index, shift, kind, size, edges, seed
+):
+    """A lift with its rank shifted on every set above a size, of one size,
+    or holding a few edges: whenever the elementary check recovery once
+    made refuses it, recovery still raises RecoveryError."""
+    group, part, m, frame, bundled = _guard_case(name, index)
+    size %= len(m.ground) + 1
+    held = frozenset(e % len(m.ground) for e in edges)
+    faulty = {
+        "above": lambda s: len(s) >= size,
+        "size": lambda s: len(s) == size,
+        "superset": lambda s: held <= s,
+    }[kind]
+    oracle = FuncOracle(m.ground, lambda s: m.rank(s) + shift * faulty(s))
+    try:
+        _elementary_reference(oracle, frame, bundled, random.Random(seed))
+        refused = False
+    except RecoveryError:
+        refused = True
+    assume(refused)
+    with pytest.raises(RecoveryError):
+        recover_partition(group, part.kernel, 4, oracle, seed=seed)
 
 
 def test_recovery_rank_query_count_on_k4_over_z7():
@@ -407,7 +486,7 @@ def test_recovery_rank_query_count_on_k4_over_z7():
         return m.rank(s)
 
     assert recover_partition(z7, part.kernel, 4, FuncOracle(m.ground, rank), seed=0) == part
-    assert calls == 16435
+    assert calls == 14935
 
 
 def test_recovery_rank_query_count_on_k5_over_agl15():
@@ -425,7 +504,7 @@ def test_recovery_rank_query_count_on_k5_over_agl15():
         return m.rank(s)
 
     assert recover_partition(group, part.kernel, 5, FuncOracle(m.ground, rank), seed=0) == part
-    assert calls == 14832
+    assert calls == 13332
 
 
 def test_k5_over_order_ten_is_refused_by_its_cycle_count():
