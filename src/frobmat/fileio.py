@@ -10,6 +10,7 @@ Circuit lists are one comma-separated line per circuit, lines sorted.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 from typing import Any, Iterable, Optional
@@ -17,12 +18,6 @@ from typing import Any, Iterable, Optional
 from . import groups as _groups
 from .gaingraph import GainGraph, complete_gain_graph
 from .groups import FiniteGroup, FrobeniusPartition
-
-# Levels of products a group spec may nest, each factor a direct product
-# folds in counting as one: a table built lazily reads its factors' tables on
-# its first read, about three frames a level, so 300 levels stay under
-# CPython's default recursion limit of 1000 (330 do not).
-MAX_SPEC_DEPTH = 300
 
 
 def _where(path: str, key: str | int) -> str:
@@ -62,18 +57,10 @@ def _int_rows(value: Any, where: str) -> list[list[int]]:
 
 def group_from_spec(spec: Any, path: str = "") -> FiniteGroup:
     """Build a group from its JSON spec, its Cayley table left to the first
-    read; a group past the table cap is refused by its order before any
-    table, a factor's included, is built. A malformed spec raises ValueError
-    naming the JSON path of the bad field (``path`` prefixes nested specs),
-    and one that nests products past MAX_SPEC_DEPTH levels raises
-    ``ValueError("spec is nested too deeply")``."""
-    return _group_from_spec(spec, path, 0)
-
-
-def _group_from_spec(spec: Any, path: str, depth: int) -> FiniteGroup:
-    """group_from_spec on a spec ``depth`` product levels below the root."""
-    if depth > MAX_SPEC_DEPTH:
-        raise ValueError("spec is nested too deeply")
+    read; a group past the table cap, or nesting products past
+    ``groups.MAX_PRODUCT_DEPTH`` levels, is refused before any table, a
+    factor's included, is built. A malformed spec raises ValueError naming the
+    JSON path of the bad field (``path`` prefixes nested specs)."""
     if not isinstance(spec, dict) or "kind" not in spec:
         what = f"spec field {path}" if path else "group spec"
         raise ValueError(f"{what} must be an object with a 'kind' field")
@@ -82,7 +69,7 @@ def _group_from_spec(spec: Any, path: str, depth: int) -> FiniteGroup:
         return _int(_field(spec, key, path), _where(path, key))
 
     def sub(key: str) -> FiniteGroup:
-        return _group_from_spec(_field(spec, key, path), _where(path, key), depth + 1)
+        return group_from_spec(_field(spec, key, path), _where(path, key))
 
     kind = spec["kind"]
     if kind == "cyclic":
@@ -92,17 +79,12 @@ def _group_from_spec(spec: Any, path: str, depth: int) -> FiniteGroup:
     if kind == "direct":
         where = _where(path, "factors")
         specs = _list(_field(spec, "factors", path), where)
-        # the fold makes factor i, and factor 0, len(specs) - i products deep
-        factors = [
-            _group_from_spec(s, _where(where, i), depth + len(specs) - max(i, 1))
-            for i, s in enumerate(specs)
-        ]
-        if len(factors) < 2:
+        if len(specs) < 2:
             raise ValueError("direct product needs at least two factors")
-        out = factors[0]
-        for f in factors[1:]:
-            out = _groups.make_direct_product(out, f)
-        return out
+        # each factor folds in as it is read, so a product past a bound is
+        # refused before the factors after it are read
+        factors = (group_from_spec(s, _where(where, i)) for i, s in enumerate(specs))
+        return functools.reduce(_groups.make_direct_product, factors)
     if kind == "semidirect":
         action = _int_rows(_field(spec, "action", path), _where(path, "action"))
         return _groups.make_semidirect(sub("g1"), sub("g2"), action)
@@ -111,17 +93,12 @@ def _group_from_spec(spec: Any, path: str, depth: int) -> FiniteGroup:
     if kind == "inversion":
         return _groups.make_inversion_extension(sub("base"))
     if kind == "table":
-        table = _int_rows(_field(spec, "table", path), _where(path, "table"))
-        labels = spec.get("labels")
-        where = _where(path, "labels")
-        if labels is not None and len(_list(labels, where)) != len(table):
-            raise ValueError(f"spec field {where} must have one label per element")
-        return _groups.from_table(table, labels=labels)
+        return _groups.from_table(_int_rows(_field(spec, "table", path), _where(path, "table")))
     raise ValueError(f"unknown group kind {kind!r}")
 
 
 def load_group(path: str | Path) -> FiniteGroup:
-    # past the recursion limit in the JSON parser
+    # past the recursion limit in the JSON parser or the spec walk
     try:
         return group_from_spec(json.loads(Path(path).read_text()))
     except RecursionError:

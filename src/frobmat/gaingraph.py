@@ -224,9 +224,7 @@ def is_balanced_cycle(g: GainGraph, cycle: Iterable[int]) -> bool:
 
 
 def enumerate_cycles(
-    g: GainGraph,
-    max_edges: int = DEFAULT_CYCLE_EDGE_LIMIT,
-    max_cycles: int = DEFAULT_CYCLE_COUNT_LIMIT,
+    g: GainGraph, max_edges: int = DEFAULT_CYCLE_EDGE_LIMIT
 ) -> list[tuple[int, ...]]:
     """All vertex-simple cycles (loops and digons included) as sorted id tuples.
 
@@ -252,8 +250,8 @@ def enumerate_cycles(
             if other == start:
                 if len(path) >= 1 and e.id > path[0]:
                     out.append(tuple(sorted(path + [e.id])))
-                    if len(out) > max_cycles:
-                        raise LimitExceeded(f"more than {max_cycles} cycles")
+                    if len(out) > DEFAULT_CYCLE_COUNT_LIMIT:
+                        raise LimitExceeded(f"more than {DEFAULT_CYCLE_COUNT_LIMIT} cycles")
                 continue
             if other < start or other in used_vertices:
                 continue

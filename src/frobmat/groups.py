@@ -17,34 +17,55 @@ from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 # it fits under a 1 GB address-space limit. Checked before any table exists.
 MAX_TABLE_ORDER = 2162
 
+# Levels of products a group may nest, counted from the groups without
+# factors; checked before the product is made. A product keeps its factors
+# until its table is first read, about 1.1 KB a level (tracemalloc, 50,000
+# trivial levels), so an unbuilt chain grows with its length.
+MAX_PRODUCT_DEPTH = 300
+
 
 class FiniteGroup:
     """Immutable group given by its multiplication table.
 
     ``rows`` is a function with no arguments returning the ``order`` rows of
-    the table, ``rows()[a][b]`` the product a∘b. It is called once, at the
-    first read of ``table``: the constructors check their arguments at once
-    and leave the table to its first use. ``inverse[a]`` is the inverse of a.
+    the table, ``rows()[a][b]`` the product a∘b, and ``factors`` are the
+    groups whose tables it reads. It is called once, at the first read of
+    ``table``: the constructors check their arguments at once and leave the
+    table to its first use. ``inverse[a]`` is the inverse of a.
     ``affine_modulus`` is set only by :func:`make_field_affine`; it records the
     prime q for which elements decode as pairs (a, b) with b in GF(q)*.
     """
+
+    affine_modulus: Optional[int] = None
 
     def __init__(
         self,
         order: int,
         rows: Callable[[], Iterable[Iterable[int]]],
-        labels: Optional[Sequence[str]] = None,
-        affine_modulus: Optional[int] = None,
+        factors: Sequence[FiniteGroup] = (),
     ):
         self.order = order
         self._rows = rows
-        self.labels = tuple(labels) if labels is not None else None
-        self.affine_modulus = affine_modulus
+        self._factors = tuple(factors)
+        # levels of factors below, counted from the groups without factors
+        self._depth = max((f._depth + 1 for f in self._factors), default=0)
 
     @functools.cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
+        # every unbuilt table below is built first, shallowest first, and a
+        # factor is shallower than its product: so each rows function reads
+        # built tables only, and a first read takes a few frames at any depth
+        below: dict[FiniteGroup, None] = {}
+        todo = list(self._factors)
+        while todo:
+            f = todo.pop()
+            if "table" not in f.__dict__ and f not in below:
+                below[f] = None
+                todo += f._factors
+        for f in sorted(below, key=lambda f: f._depth):
+            f.table
         table = tuple(map(tuple, self._rows()))
-        del self._rows  # nor keep the rows, or the factors they read
+        del self._rows, self._factors  # nor keep the rows, or the factors they read
         return table
 
     @functools.cached_property
@@ -59,9 +80,6 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels is not None else str(a)
 
     @functools.cached_property
     def generators(self) -> tuple[int, ...]:
@@ -179,8 +197,7 @@ def make_dihedral(two_n: int) -> FiniteGroup:
         down = [[*range(i, -1, -1), *range(n - 1, i, -1)] for i in range(n)]
         return [r + [k + n for k in r] for r in up] + [[k + n for k in r] + r for r in down]
 
-    labels = [f"r^{i}" for i in range(n)] + [f"r^{i}s" for i in range(n)]
-    return FiniteGroup(two_n, rows, labels)
+    return FiniteGroup(two_n, rows)
 
 
 def make_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -236,6 +253,8 @@ def _semidirect(g1: FiniteGroup, g2: FiniteGroup, phis: Sequence[Sequence[int]])
     a homomorphism into Aut(g1) by construction; reads no table until the
     product's is read."""
     _check_table_order(g1.order * g2.order)
+    if max(g1._depth, g2._depth) >= MAX_PRODUCT_DEPTH:
+        raise ValueError(f"products nest more than {MAX_PRODUCT_DEPTH} levels deep")
     n2 = g2.order
 
     def rows() -> list[list[int]]:
@@ -244,9 +263,7 @@ def _semidirect(g1: FiniteGroup, g2: FiniteGroup, phis: Sequence[Sequence[int]])
         scaled = [[x * n2 for x in row] for row in g1.table]
         return [[sa[c] + v for c in phi for v in rb] for sa in scaled for phi, rb in zip(phis, t2)]
 
-    second = list(map(g2.label, g2.elements()))
-    labels = [f"({x},{y})" for x in map(g1.label, g1.elements()) for y in second]
-    return FiniteGroup(g1.order * n2, rows, labels)
+    return FiniteGroup(g1.order * n2, rows, (g1, g2))
 
 
 def is_prime(n: int) -> bool:
@@ -268,11 +285,9 @@ def make_field_affine(q: int) -> FiniteGroup:
         raise ValueError("field modulus must be a prime >= 3")
 
     # GF(q)* on 0..q-2, index b standing for the unit b + 1, acting by
-    # multiplication; labels name its elements by their units
+    # multiplication
     units = FiniteGroup(
-        q - 1,
-        lambda: [[(b * d) % q - 1 for d in range(1, q)] for b in range(1, q)],
-        [str(b) for b in range(1, q)],
+        q - 1, lambda: [[(b * d) % q - 1 for d in range(1, q)] for b in range(1, q)]
     )
     # b ↦ (c ↦ bc) maps GF(q)* into Aut(Z_q) homomorphically
     action = [[b * c % q for c in range(q)] for b in range(1, q)]
@@ -292,7 +307,7 @@ def make_inversion_extension(g1: FiniteGroup) -> FiniteGroup:
     return make_semidirect(g1, make_cyclic(2), action)
 
 
-def from_table(table: Sequence[Sequence[int]], labels=None) -> FiniteGroup:
+def from_table(table: Sequence[Sequence[int]]) -> FiniteGroup:
     """Validate an arbitrary Cayley table, relabeling so the identity is 0.
 
     Reports the first violated axiom: closure, associativity, identity,
@@ -341,15 +356,13 @@ def from_table(table: Sequence[Sequence[int]], labels=None) -> FiniteGroup:
         perm = list(range(n))
         perm[0], perm[ident] = ident, 0
         rows = [[perm[rows[perm[a]][perm[b]]] for b in range(n)] for a in range(n)]
-        if labels is not None:
-            labels = [labels[perm[a]] for a in range(n)]
     for a in range(n):
         if 0 not in rows[a]:
             raise ValueError(f"no inverse for {a}")
         b = rows[a].index(0)
         if rows[b][a] != 0:
             raise ValueError(f"no inverse for {a}")
-    return FiniteGroup(n, lambda: rows, labels)
+    return FiniteGroup(n, lambda: rows)
 
 
 def _close(
@@ -635,7 +648,7 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientMap:
     qgroup = FiniteGroup(
         len(reps),
         lambda: [[projection[group.mul(x, y)] for y in reps] for x in reps],
-        [group.label(r) for r in reps],
+        (group,),
     )
     return QuotientMap(
         source=group,

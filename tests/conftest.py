@@ -176,7 +176,6 @@ def subgroup_as_group(group: FiniteGroup, sub: Subgroup) -> FiniteGroup:
     return FiniteGroup(
         sub.order,
         lambda: [[index[group.mul(a, b)] for b in sub.elements] for a in sub.elements],
-        [group.label(e) for e in sub.elements],
     )
 
 

@@ -204,7 +204,7 @@ def test_a_group_above_the_limit_is_refused_unbuilt_after_other_input_errors(
 @pytest.mark.parametrize("depth", [600, 3000])
 @pytest.mark.parametrize("command", ["frobpart", "rank"])
 def test_a_deeply_nested_spec_is_refused_in_one_line(write, capsys, command, depth):
-    """Past the spec depth (600 inversion levels) or the recursion limit in
+    """Past the recursion limit in the spec walk (600 inversion levels) or in
     the JSON parser (3000), the spec is refused as a usage error."""
     group = '{"kind": "inversion", "base": ' * depth + '{"kind": "cyclic", "n": 3}' + "}" * depth
     if command == "frobpart":
@@ -212,6 +212,9 @@ def test_a_deeply_nested_spec_is_refused_in_one_line(write, capsys, command, dep
     else:
         argv = ["--graph", write("g.json", f'{{"vertices": 2, "edges": [], "group": {group}}}')]
     assert run(capsys, command, *argv) == (2, "", "error: spec is nested too deeply\n")
+
+
+DEPTH_ERR = "products nest more than 300 levels deep"
 
 
 def _nested_semidirect(levels, fold_direct=False):
@@ -231,16 +234,25 @@ def _nested_semidirect(levels, fold_direct=False):
 def test_a_table_chain_past_the_spec_depth_is_refused_in_one_line(
     write, levels, code, fold_direct
 ):
-    """Each level's table is first read through the one below it, so specs
-    are bounded at 300 levels: in a child under the default recursion limit,
-    300 levels answer, and deeper specs are refused as they are read, before
-    a first table read could pass that limit."""
+    """A product keeps its unbuilt factors, so products nest at most 300
+    levels deep: in the 1 GB child, 300 levels answer, and deeper specs are
+    refused by the product depth bound as they are read, before any table is
+    built."""
     child, _ = _frobpart_in_child(write("g.json", _nested_semidirect(levels, fold_direct)))
     assert child.returncode == code
     if code == 0:
         assert child.stdout.startswith("partition 1: kernel size 3;") and child.stderr == ""
     else:
-        assert (child.stdout, child.stderr) == ("", "error: spec is nested too deeply\n")
+        assert (child.stdout, child.stderr) == ("", f"error: {DEPTH_ERR}\n")
+
+
+def test_a_long_flat_direct_product_is_refused_as_it_is_read(write):
+    """A direct product folds each factor in as it reads it, so Z3 times
+    200,000 copies of Z1 is refused at the 301st product, without making
+    the factors after it."""
+    child, seconds = _frobpart_in_child(write("g.json", _nested_semidirect(200_000, True)))
+    assert seconds < 1.0
+    assert (child.returncode, child.stdout, child.stderr) == (2, "", f"error: {DEPTH_ERR}\n")
 
 
 @pytest.mark.parametrize(
@@ -301,11 +313,6 @@ def test_malformed_spec_exits_cleanly(write, capsys, command, flag, spec, path):
             "spec field complete.group.file must be a string",
         ),
         (
-            {"group": {"kind": "table", "table": [[0]], "labels": ["e", "x"]}, "vertices": 1,
-             "edges": []},
-            "spec field group.labels must have one label per element",
-        ),
-        (
             {"group": D6_SPEC, "vertices": 2, "edges": [[0, 1, 2], 3]},
             "spec field edges[1] must be a list, got int",
         ),
@@ -314,8 +321,8 @@ def test_malformed_spec_exits_cleanly(write, capsys, command, flag, spec, path):
             "spec field edges[1][2] must be an integer, got bool",
         ),
     ],
-    ids=["not-an-object", "file-not-a-string", "complete-file-not-a-string", "label-count",
-         "row-not-a-list", "cell-not-an-integer"],
+    ids=["not-an-object", "file-not-a-string", "complete-file-not-a-string", "row-not-a-list",
+         "cell-not-an-integer"],
 )
 def test_graph_spec_errors_name_their_field(write, capsys, spec, message):
     code, out, err = run(capsys, "rank", "--graph", write("spec.json", json.dumps(spec)))

@@ -20,6 +20,7 @@ from frobmat import (
     quotient,
     quotient_gains,
 )
+from frobmat import gaingraph as gaingraph_module
 from frobmat.errors import LimitExceeded
 from frobmat.gaingraph import walk_edges
 
@@ -215,10 +216,13 @@ def test_enumerate_cycles_triangle_with_parallel(d6):
     assert (0, 3) in cycles  # the digon
 
 
-def test_enumerate_cycles_k4_simple():
+def _simple_k4():
     z1 = make_cyclic(1)
-    g = graph(z1, 4, [(0, 1, 0), (0, 2, 0), (0, 3, 0), (1, 2, 0), (1, 3, 0), (2, 3, 0)])
-    assert len(enumerate_cycles(g)) == 7
+    return graph(z1, 4, [(0, 1, 0), (0, 2, 0), (0, 3, 0), (1, 2, 0), (1, 3, 0), (2, 3, 0)])
+
+
+def test_enumerate_cycles_k4_simple():
+    assert len(enumerate_cycles(_simple_k4())) == 7
 
 
 def test_enumerate_cycles_respects_edge_cap(d6):
@@ -227,10 +231,14 @@ def test_enumerate_cycles_respects_edge_cap(d6):
         enumerate_cycles(g, max_edges=10)
 
 
-def test_enumerate_cycles_respects_count_cap(d6):
-    g = complete_gain_graph(d6, 4)
-    with pytest.raises(LimitExceeded):
-        enumerate_cycles(g, max_edges=40, max_cycles=50)
+def test_enumerate_cycles_respects_count_cap(monkeypatch):
+    """The count cap is read at each call: simple K_4 has 7 cycles, so a
+    cap of 7 lists them all and a cap of 5 refuses at the sixth."""
+    monkeypatch.setattr(gaingraph_module, "DEFAULT_CYCLE_COUNT_LIMIT", 7)
+    assert len(enumerate_cycles(_simple_k4())) == 7
+    monkeypatch.setattr(gaingraph_module, "DEFAULT_CYCLE_COUNT_LIMIT", 5)
+    with pytest.raises(LimitExceeded, match="^more than 5 cycles$"):
+        enumerate_cycles(_simple_k4())
 
 
 # --- quotient gains ---------------------------------------------------------

@@ -29,6 +29,7 @@ from frobmat import (
 from frobmat import groups as groups_module
 from frobmat.fileio import group_from_spec
 from frobmat.groups import (
+    MAX_PRODUCT_DEPTH,
     MAX_TABLE_ORDER,
     generated_subgroup,
     is_prime,
@@ -192,7 +193,6 @@ def test_semidirect_rejects_non_homomorphism():
 def test_field_affine_identity_and_product():
     g = make_field_affine(5)
     assert g.order == 20
-    assert g.label(0) == "(0,1)"
     idx = lambda a, b: a * 4 + b - 1
     assert g.mul(idx(1, 3), idx(0, 2)) == idx(1, 1)
 
@@ -207,16 +207,11 @@ def test_field_affine_three_is_dihedral_six():
 def test_field_affine_is_the_checked_semidirect_product(q):
     """make_field_affine skips make_semidirect's checks on its action; the
     checked route, over GF(q)* from a validated table, accepts the action and
-    gives the same table and labels."""
-    units = from_table(
-        [[(b * d) % q - 1 for d in range(1, q)] for b in range(1, q)],
-        [str(b) for b in range(1, q)],
-    )
+    gives the same table."""
+    units = from_table([[(b * d) % q - 1 for d in range(1, q)] for b in range(1, q)])
     action = [[b * c % q for c in range(q)] for b in range(1, q)]
     want = make_semidirect(make_cyclic(q), units, action)
-    got = make_field_affine(q)
-    assert got.labels == want.labels
-    assert got.table == want.table
+    assert make_field_affine(q).table == want.table
 
 
 def test_field_affine_rejects_composite():
@@ -682,6 +677,46 @@ def test_each_rows_function_runs_once(rows_spy, make):
     assert all(rows_spy.built.count(h) <= 1 for h in rows_spy.made)
 
 
+def _at_depth(frames, call):
+    """``call()`` run ``frames`` Python frames below this one."""
+    return call() if frames == 0 else _at_depth(frames - 1, call)
+
+
+@pytest.mark.parametrize("frames", [100, 800])
+def test_a_first_table_read_takes_a_few_frames_at_any_depth(frames):
+    """A 300-level spec's tables are built bottom up on the first read, so
+    the partition search answers from deep in a caller's stack."""
+    spec = _cyc(3)
+    for _ in range(MAX_PRODUCT_DEPTH):
+        spec = {"kind": "semidirect", "g1": spec, "g2": _cyc(1), "action": [[0, 1, 2]]}
+    group = group_from_spec(spec)
+    parts = _at_depth(frames, lambda: frobenius_partitions(group))
+    assert [p.kernel.order for p in parts] == [3, 1]
+
+
+def test_a_product_chain_past_the_depth_bound_is_refused_unbuilt(rows_spy):
+    out = make_cyclic(3)
+    for _ in range(MAX_PRODUCT_DEPTH):
+        out = make_direct_product(out, make_cyclic(1))
+    with pytest.raises(ValueError, match="^products nest more than 300 levels deep$"):
+        make_direct_product(out, make_cyclic(1))
+    assert rows_spy.built == []
+    assert out.table == make_cyclic(3).table
+
+
+def test_factor_tables_are_built_before_their_products_once_each(rows_spy):
+    """Z2×Z3 is a factor of the product at each of the two levels above it."""
+    z2, z3, d6 = make_cyclic(2), make_cyclic(3), make_dihedral(6)
+    low = make_direct_product(z2, z3)
+    mid = make_direct_product(low, d6)
+    top = make_direct_product(mid, low)
+    top.table
+    built = rows_spy.built
+    assert sorted(map(id, built)) == sorted(map(id, [z2, z3, d6, low, mid, top]))
+    for factor, product in [(z2, low), (z3, low), (low, mid), (d6, mid), (mid, top), (low, top)]:
+        assert built.index(factor) < built.index(product)
+
+
 def test_partitions_of_orders_one_and_two():
     whole = FrobeniusPartition(Subgroup((0,)), ())
     assert frobenius_partitions(make_cyclic(1)) == [whole]
@@ -985,13 +1020,10 @@ def _cell_inverse(table):
 
 
 class _CellGroup:
-    def __init__(self, table, labels=None, affine_modulus=None):
-        self.table, self.labels, self.affine_modulus = table, labels, affine_modulus
+    def __init__(self, table, affine_modulus=None):
+        self.table, self.affine_modulus = table, affine_modulus
         self.order = len(table)
         self.inverse = _cell_inverse(table)
-
-    def label(self, a):
-        return self.labels[a] if self.labels is not None else str(a)
 
 
 def _cell_cyclic(n):
@@ -1008,8 +1040,7 @@ def _cell_dihedral(two_n):
         k = (i - j) % n if p else (i + j) % n
         return k + (0 if p == q else n)
 
-    labels = [f"r^{i}" for i in range(n)] + [f"r^{i}s" for i in range(n)]
-    return _CellGroup(_cell_table(mul, two_n), labels)
+    return _CellGroup(_cell_table(mul, two_n))
 
 
 def _cell_semidirect(g1, g2, action):
@@ -1046,8 +1077,7 @@ def _cell_semidirect(g1, g2, action):
         c, d = divmod(y, n2)
         return mul1(a, phis[b][c]) * n2 + mul2(b, d)
 
-    labels = [f"({g1.label(a)},{g2.label(b)})" for a in els1 for b in els2]
-    return _CellGroup(_cell_table(mul, g1.order * n2), labels)
+    return _CellGroup(_cell_table(mul, g1.order * n2))
 
 
 def _cell_field_affine(q):
@@ -1057,8 +1087,7 @@ def _cell_field_affine(q):
         b, d = b + 1, d + 1
         return ((a + b * c) % q) * (q - 1) + (b * d) % q - 1
 
-    labels = [f"({a},{b})" for a in range(q) for b in range(1, q)]
-    return _CellGroup(_cell_table(mul, q * (q - 1)), labels, affine_modulus=q)
+    return _CellGroup(_cell_table(mul, q * (q - 1)), affine_modulus=q)
 
 
 def _cell_group(spec):
@@ -1089,7 +1118,7 @@ def _cell_group(spec):
 
 
 def _outcome(build):
-    """A built group's table, inverse, labels, affine modulus and
+    """A built group's table, inverse, affine modulus and
     commutativity, or the text of the ValueError it raised."""
     try:
         g = build()
@@ -1097,8 +1126,7 @@ def _outcome(build):
         return str(exc)
     t = [list(row) for row in g.table]
     abelian = all(t[a][b] == t[b][a] for a in range(len(t)) for b in range(a))
-    labels = list(g.labels) if g.labels is not None else None
-    return t, tuple(g.inverse), labels, g.affine_modulus, abelian
+    return t, tuple(g.inverse), g.affine_modulus, abelian
 
 
 def _shapes():
@@ -1229,7 +1257,7 @@ def test_corrupted_actions_fail_alike_on_both_routes():
     }
 
 
-def _cell_from_table(table, labels=None):
+def _cell_from_table(table):
     """from_table with associativity tested one triple at a time."""
     n = len(table)
     rows = [list(r) for r in table]
@@ -1255,15 +1283,13 @@ def _cell_from_table(table, labels=None):
         perm = list(range(n))
         perm[0], perm[ident] = ident, 0
         rows = [[perm[rows[perm[a]][perm[b]]] for b in range(n)] for a in range(n)]
-        if labels is not None:
-            labels = [labels[perm[a]] for a in range(n)]
     for a in range(n):
         if 0 not in rows[a]:
             raise ValueError(f"no inverse for {a}")
         b = rows[a].index(0)
         if rows[b][a] != 0:
             raise ValueError(f"no inverse for {a}")
-    return _CellGroup(rows, labels)
+    return _CellGroup(rows)
 
 
 def test_corrupted_tables_fail_alike_on_both_routes():
@@ -1288,9 +1314,8 @@ def test_corrupted_tables_fail_alike_on_both_routes():
                     table[perm[a]][perm[b]] = perm[g.table[a][b]]
             for _ in range(rng.randrange(0, 4) if g.order > 1 else 0):
                 table[rng.randrange(g.order)][rng.randrange(g.order)] = rng.randrange(g.order)
-        labels = [f"x{i}" for i in range(len(table))]
-        row_built = _outcome(lambda: from_table(table, labels=labels))
-        assert row_built == _outcome(lambda: _cell_from_table(table, labels=labels)), table
+        row_built = _outcome(lambda: from_table(table))
+        assert row_built == _outcome(lambda: _cell_from_table(table)), table
         verdicts.add(row_built.split(" ")[0] if isinstance(row_built, str) else "group")
     assert verdicts == {"group", "not", "no"}
     assert _outcome(lambda: from_table([[0, 0], [0, 0]])) == "no identity element"
