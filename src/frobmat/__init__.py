@@ -26,7 +26,6 @@ from .gaingraph import (
     GainGraph,
     Walk,
     apply_switching,
-    complete_edge_id,
     complete_gain_graph,
     enumerate_cycles,
     gain_of_walk,

@@ -107,28 +107,18 @@ def scan_components(g: GainGraph, subset: Iterable[int]) -> list[ComponentScan]:
 class BiasedGraph:
     """A multigraph plus its set of balanced cycles.
 
-    Balance is either derived from the carried gain function or given as an
-    explicit cycle set (used to exercise classes that no gain function
-    produces).
+    Balance is either derived from the carried gain function, when
+    ``balanced`` is None, or given as an explicit cycle set (used to exercise
+    classes that no gain function produces).
     """
 
-    def __init__(self, graph: GainGraph, balanced: Optional[Iterable[Iterable[int]]]):
+    def __init__(self, graph: GainGraph, balanced: Optional[Iterable[Iterable[int]]] = None):
         self.graph = graph
         self.balanced: Optional[frozenset[frozenset[int]]] = (
             None
             if balanced is None
             else frozenset(frozenset(c) for c in balanced)
         )
-
-    @classmethod
-    def from_gain_graph(cls, graph: GainGraph) -> "BiasedGraph":
-        return cls(graph, None)
-
-    @classmethod
-    def from_balanced_set(
-        cls, graph: GainGraph, balanced: Iterable[Iterable[int]]
-    ) -> "BiasedGraph":
-        return cls(graph, balanced)
 
     @property
     def gain_derived(self) -> bool:
@@ -427,7 +417,7 @@ class GraphicOracle(_EdgeOracle):
     _part = IDENTITY_PART
 
     def __init__(self, graph: GainGraph):
-        super().__init__(BiasedGraph.from_gain_graph(graph))
+        super().__init__(BiasedGraph(graph))
 
 
 class _ClassLift(RankOracle):

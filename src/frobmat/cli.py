@@ -226,7 +226,7 @@ def cmd_recover(args) -> int:
         # refuses any other graph
         if complete_cycle_count(group.order, n) > DEFAULT_CYCLE_COUNT_LIMIT:
             raise LimitExceeded(f"more than {DEFAULT_CYCLE_COUNT_LIMIT} cycles")
-        oracle = ClassLiftOracle(BiasedGraph.from_gain_graph(qgraph), members)
+        oracle = ClassLiftOracle(BiasedGraph(qgraph), members)
     else:
         part = _select_partition(group, args.kernel)
         oracle = LiftedMatroid(FrobeniusContext(group, part, validate=False), graph)

@@ -60,7 +60,15 @@ def group_from_spec(spec: Any, path: str = "") -> FiniteGroup:
     read; a group past the table cap, or nesting products past
     ``groups.MAX_PRODUCT_DEPTH`` levels, is refused before any table, a
     factor's included, is built. A malformed spec raises ValueError naming the
-    JSON path of the bad field (``path`` prefixes nested specs)."""
+    JSON path of the bad field (``path`` prefixes nested specs), and so does
+    one nested past the interpreter's recursion limit."""
+    try:
+        return _spec_group(spec, path)
+    except RecursionError:
+        raise ValueError("spec is nested too deeply") from None
+
+
+def _spec_group(spec: Any, path: str) -> FiniteGroup:
     if not isinstance(spec, dict) or "kind" not in spec:
         what = f"spec field {path}" if path else "group spec"
         raise ValueError(f"{what} must be an object with a 'kind' field")
@@ -69,7 +77,7 @@ def group_from_spec(spec: Any, path: str = "") -> FiniteGroup:
         return _int(_field(spec, key, path), _where(path, key))
 
     def sub(key: str) -> FiniteGroup:
-        return group_from_spec(_field(spec, key, path), _where(path, key))
+        return _spec_group(_field(spec, key, path), _where(path, key))
 
     kind = spec["kind"]
     if kind == "cyclic":
@@ -83,7 +91,7 @@ def group_from_spec(spec: Any, path: str = "") -> FiniteGroup:
             raise ValueError("direct product needs at least two factors")
         # each factor folds in as it is read, so a product past a bound is
         # refused before the factors after it are read
-        factors = (group_from_spec(s, _where(where, i)) for i, s in enumerate(specs))
+        factors = (_spec_group(s, _where(where, i)) for i, s in enumerate(specs))
         return functools.reduce(_groups.make_direct_product, factors)
     if kind == "semidirect":
         action = _int_rows(_field(spec, "action", path), _where(path, "action"))
@@ -98,7 +106,7 @@ def group_from_spec(spec: Any, path: str = "") -> FiniteGroup:
 
 
 def load_group(path: str | Path) -> FiniteGroup:
-    # past the recursion limit in the JSON parser or the spec walk
+    # past the recursion limit in the JSON parser
     try:
         return group_from_spec(json.loads(Path(path).read_text()))
     except RecursionError:
@@ -167,7 +175,7 @@ def parse_circuits(text: str) -> list[tuple[int, ...]]:
 
 
 def format_partition(group: FiniteGroup, part: FrobeniusPartition, index: int) -> str:
-    lines = [f"partition {index}: {part.describe(group)}"]
+    lines = [f"partition {index}: {part.describe()}"]
     lines.append("  kernel: " + ",".join(str(x) for x in part.kernel.elements))
     for comp in part.complements:
         lines.append("  complement: " + ",".join(str(x) for x in comp.elements))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import LimitExceeded
 from .groups import FiniteGroup, QuotientMap
@@ -110,12 +110,8 @@ class GainGraph:
             return e.tail
         raise ValueError(f"vertex {u} is not an end of edge {eid}")
 
-    def with_edges(self, edges: Iterable[Edge], vertex_count: Optional[int] = None) -> "GainGraph":
-        return GainGraph(
-            self.group,
-            self.vertex_count if vertex_count is None else vertex_count,
-            edges,
-        )
+    def with_edges(self, edges: Iterable[Edge]) -> "GainGraph":
+        return GainGraph(self.group, self.vertex_count, edges)
 
     def __repr__(self) -> str:
         return f"GainGraph(|V|={self.vertex_count}, |E|={len(self.edges)})"
@@ -301,19 +297,11 @@ def complete_gain_graph(group: FiniteGroup, n: int) -> GainGraph:
     return GainGraph(group, n, edges)
 
 
-def complete_edge_id(group: FiniteGroup, n: int, i: int, j: int, alpha: int) -> int:
-    """Edge id of (i, j, alpha) in complete_gain_graph(group, n); needs i < j."""
-    if not 0 <= i < j < n:
-        raise ValueError("need 0 <= i < j < n")
-    pair_index = i * n - i * (i + 1) // 2 + (j - i - 1)
-    return pair_index * group.order + alpha
-
-
 @lru_cache(maxsize=64)
 def complete_pair_offsets(order: int, n: int) -> tuple[tuple[int, ...], ...]:
     """offset[i][j] = offset[j][i] = the id of the identity edge of the pair
     {i, j} in complete_gain_graph(group, n) for a group of the given order:
-    for i < j, complete_edge_id(group, n, i, j, alpha) is offset[i][j] + alpha."""
+    for i < j, the edge (i, j, alpha) has id offset[i][j] + alpha."""
     offset = [[0] * n for _ in range(n)]
     pair = 0
     for i in range(n):

@@ -140,20 +140,18 @@ class FrobeniusPartition:
         )
         return nontrivial >= 2 and self.kernel.order < group_order
 
-    def describe(self, group: FiniteGroup) -> str:
+    def describe(self) -> str:
         comp = ",".join(str(a.order) for a in self.complements) or "none"
         return f"kernel size {self.kernel.order}; complement sizes: {comp}"
 
 
 @dataclass(frozen=True)
 class QuotientMap:
-    """Projection onto Γ/N with coset-minimum representatives as section."""
+    """Projection onto Γ/N, cosets numbered in the order of their minima."""
 
     source: FiniteGroup
-    normal: Subgroup
     quotient: FiniteGroup
     projection: tuple[int, ...]
-    section: tuple[int, ...]
 
 
 def _inverses_from_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -650,10 +648,4 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientMap:
         lambda: [[projection[group.mul(x, y)] for y in reps] for x in reps],
         (group,),
     )
-    return QuotientMap(
-        source=group,
-        normal=normal,
-        quotient=qgroup,
-        projection=projection,
-        section=tuple(reps),
-    )
+    return QuotientMap(group, qgroup, projection)

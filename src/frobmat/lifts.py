@@ -76,9 +76,6 @@ class FrobeniusContext:
             raise ValueError("partition does not cover the group")
         self.part_of = tuple(part)
 
-    def part(self, x: int) -> int:
-        return self.part_of[x]
-
     def in_kernel(self, x: int) -> bool:
         return self.part_of[x] < 0
 
@@ -119,7 +116,7 @@ class LiftedMatroid(ComponentOracle):
 
     @cached_property
     def quotient_biased(self) -> BiasedGraph:
-        return BiasedGraph.from_gain_graph(quotient_gains(self.graph, self.ctx.quotient))
+        return BiasedGraph(quotient_gains(self.graph, self.ctx.quotient))
 
     @cached_property
     def frame_circuits(self) -> tuple[tuple[int, ...], ...]:
@@ -193,16 +190,17 @@ def class_member(ctx: FrobeniusContext, g: GainGraph, circuit: Iterable[int]) ->
 
     Cycles must be balanced outright; thetas and handcuffs are accepted when,
     after normalizing a spanning tree of the circuit, both leftover gains land
-    in the same complement part. ``linear_class`` decides by rank instead, so
-    this and ``class_member_walks`` are the gain-side routes to compare it with.
+    in the same complement part. Neither lies in the kernel: each closes a
+    cycle of the circuit, and ``_classify_circuit`` refuses a theta or
+    handcuff with a quotient-balanced cycle. ``linear_class`` decides by rank
+    instead, so this and ``class_member_walks`` are the gain-side routes to
+    compare it with.
     """
     ids = sorted(set(circuit))
     if _classify_circuit(ctx, g, ids).kind == "cycle":
         return is_balanced_cycle(g, ids)
-    parts = [ctx.part_of[red] for _, red in scan_components(g, ids)[0].nontree]
-    if any(p < 0 for p in parts):
-        return False
-    return parts[0] == parts[1]
+    (_, a), (_, b) = scan_components(g, ids)[0].nontree
+    return ctx.part_of[a] == ctx.part_of[b]
 
 
 def _reverse_walk(g: GainGraph, w: Walk) -> Walk:
@@ -224,7 +222,9 @@ def _theta_paths(cycles: tuple[frozenset[int], ...]) -> tuple[frozenset[int], ..
 def class_member_walks(
     ctx: FrobeniusContext, g: GainGraph, circuit: Iterable[int]
 ) -> bool:
-    """Class membership decided through one cyclic covering pair of walks."""
+    """Class membership decided through one cyclic covering pair of walks;
+    each walk's gain is a cycle's up to conjugacy, so, as in ``class_member``,
+    outside the kernel."""
     w1, w2 = cyclic_covering_pair(ctx, g, circuit)
     counts: dict[int, int] = {}
     for eid, _ in w1.steps + w2.steps:
@@ -232,11 +232,7 @@ def class_member_walks(
     ids = set(circuit)
     if set(counts) != ids or any(c not in (1, 2) for c in counts.values()):
         raise AssertionError("walk pair does not cover each edge once or twice")
-    v1, v2 = gain_of_walk(g, w1), gain_of_walk(g, w2)
-    p1, p2 = ctx.part_of[v1], ctx.part_of[v2]
-    if p1 < 0 or p2 < 0:
-        return False
-    return p1 == p2
+    return ctx.part_of[gain_of_walk(g, w1)] == ctx.part_of[gain_of_walk(g, w2)]
 
 
 def cyclic_covering_pair(
@@ -425,8 +421,7 @@ def contract_unbalanced_loop(
         raise ValueError("loop gain lies in the kernel; use contract_kernel_loop")
     grp = g.group
     v = e.tail
-    part = ctx.part(e.gain)
-    part_set = ctx.partition.complements[part].element_set
+    part_set = ctx.partition.complements[ctx.part_of[e.gain]].element_set
     kernel_rest = [x for x in ctx.partition.kernel.elements if x != 0]
     new_edges = []
     for f in g.edges:
@@ -498,11 +493,7 @@ def build_spike_graph(ctx: FrobeniusContext, r: int) -> tuple[GainGraph, LiftedM
         triples.append((i, j, alpha))
     triples.append((0, 0, alpha))
     graph = GainGraph.from_triples(ctx.group, r, triples)
-    oracle = LiftedMatroid(ctx, graph)
-    ok, _tips = verify_spike(oracle, r)
-    if not ok:
-        raise AssertionError("constructed graph failed the spike predicate")
-    return graph, oracle
+    return graph, LiftedMatroid(ctx, graph)
 
 
 def verify_spike(oracle: RankOracle, r: int) -> tuple[bool, tuple[int, ...]]:

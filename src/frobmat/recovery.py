@@ -18,7 +18,6 @@ from .biased import EXHAUSTIVE_LIMIT, RankOracle, first_disagreement, subset_swe
 from .errors import LimitExceeded, RecoveryError
 from .gaingraph import (
     DEFAULT_CYCLE_COUNT_LIMIT,
-    complete_edge_id,
     complete_gain_graph,
     complete_pair_offsets,
 )
@@ -29,7 +28,6 @@ from .groups import (
     is_malnormal,
     is_normal,
     is_subgroup,
-    validate_partition,
 )
 from .lifts import FrobeniusContext, LiftedMatroid
 
@@ -42,13 +40,13 @@ SAMPLES = 1500
 
 def edge_bundle(group: FiniteGroup, n: int, elements: Iterable[int]) -> tuple[int, ...]:
     """All edges of the complete gain graph whose gain lies in the given set."""
+    offset = complete_pair_offsets(group.order, n)
+    identity = [offset[i][j] for i, j in itertools.combinations(range(n), 2)]
     out = []
     for alpha in sorted(set(elements)):
         if not 0 <= alpha < group.order:
             raise ValueError(f"element {alpha} out of range")
-        for i in range(n):
-            for j in range(i + 1, n):
-                out.append(complete_edge_id(group, n, i, j, alpha))
+        out.extend(e + alpha for e in identity)
     return tuple(sorted(out))
 
 
@@ -252,7 +250,6 @@ def recover_partition(
             partition = FrobeniusPartition(
                 kernel, tuple(sorted(comps, key=lambda s: s.elements))
             )
-            validate_partition(group, partition)
 
     reconstructed = LiftedMatroid(FrobeniusContext(group, partition, validate=False), g)
     sample = None

@@ -76,25 +76,6 @@ class FieldMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
-    def scale_column(self, j: int, c: int) -> "FieldMatrix":
-        return FieldMatrix.build(
-            self.q,
-            [
-                [x * c if k == j else x for k, x in enumerate(row)]
-                for row in self.entries
-            ],
-        )
-
-    def scale_row(self, i: int, c: int) -> "FieldMatrix":
-        data = [list(row) for row in self.entries]
-        data[i] = [x * c for x in data[i]]
-        return FieldMatrix.build(self.q, data)
-
-    def add_row_multiple(self, target: int, source: int, c: int) -> "FieldMatrix":
-        data = [list(row) for row in self.entries]
-        data[target] = [x + c * y for x, y in zip(data[target], data[source])]
-        return FieldMatrix.build(self.q, data)
-
     def to_text(self) -> str:
         lines = [f"{self.q} {self.rows} {self.cols}"]
         if self.cols:
@@ -234,17 +215,18 @@ def switching_projective_check(g: GainGraph, eta: Sequence[int]) -> bool:
     non-loops oriented away from v.
     """
     q = affine_modulus(g.group)
-    matrix = incidence_matrix(g)
-    order = sorted(e.id for e in g.edges)
+    rows = [list(row) for row in incidence_matrix(g).entries]
+    tails = [e.tail for e in sorted(g.edges, key=lambda e: e.id)]
     for v, el in enumerate(eta):
         pair = affine_pair(g.group, el)
         if pair.a == 0 and pair.b == 1:
             continue
         c, d = pair.a, pair.b
-        matrix = matrix.add_row_multiple(0, 1 + v, -c)
-        matrix = matrix.scale_row(1 + v, d)
+        rows[0] = [(x - c * y) % q for x, y in zip(rows[0], rows[1 + v])]
+        rows[1 + v] = [x * d % q for x in rows[1 + v]]
         dinv = pow(d, q - 2, q)
-        for j, eid in enumerate(order):
-            if g.edge(eid).tail == v:
-                matrix = matrix.scale_column(j, dinv)
-    return matrix == incidence_matrix(apply_switching(g, eta))
+        for j, tail in enumerate(tails):
+            if tail == v:
+                for row in rows:
+                    row[j] = row[j] * dinv % q
+    return FieldMatrix.build(q, rows) == incidence_matrix(apply_switching(g, eta))

@@ -20,6 +20,7 @@ from frobmat import (
     subgroups,
 )
 from frobmat.biased import RankOracle
+from frobmat.gaingraph import complete_pair_offsets
 
 
 @pytest.fixture(scope="session")
@@ -79,6 +80,13 @@ def random_gain_graph(group, rng: random.Random, max_vertices=4, max_edges=8):
         for _ in range(ne)
     ]
     return GainGraph.from_triples(group, nv, triples)
+
+
+def complete_edge_id(group: FiniteGroup, n: int, i: int, j: int, alpha: int) -> int:
+    """Edge id of (i, j, alpha) in complete_gain_graph(group, n); needs i < j."""
+    if not 0 <= i < j < n:
+        raise ValueError("need 0 <= i < j < n")
+    return complete_pair_offsets(group.order, n)[i][j] + alpha
 
 
 def normalize_forest(g: GainGraph, forest: Iterable[int], root: int) -> list[int]:

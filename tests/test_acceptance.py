@@ -152,10 +152,10 @@ def test_criterion_03_special_case_collapse():
         group = rng.choice(groups)
         g = random_gain_graph(group, rng, max_vertices=4, max_edges=10)
         ctx_frame, ctx_lift = contexts[id(group)]
-        b = BiasedGraph.from_gain_graph(g)
+        b = BiasedGraph(g)
         fo, lo = FrameOracle(b), LiftOracle(b)
         # the same matroids from the balanced cycles alone, by component scan
-        explicit = BiasedGraph.from_balanced_set(
+        explicit = BiasedGraph(
             g, [c for c in enumerate_cycles(g) if is_balanced_cycle(g, c)]
         )
         fx, lx = FrameOracle(explicit), LiftOracle(explicit)
@@ -189,7 +189,7 @@ def test_criterion_04_linear_class_theorem():
         i = rng.randrange(len(pool))
         group, ctx = pool[i], contexts[i]
         g = random_gain_graph(group, rng, max_vertices=4, max_edges=10)
-        qb = BiasedGraph.from_gain_graph(quotient_gains(g, ctx.quotient))
+        qb = BiasedGraph(quotient_gains(g, ctx.quotient))
         # the class by its gain definition, so that no rank engine picks it
         host_circuits = frame_circuits(qb)
         lc = [c for c in host_circuits if class_member(ctx, g, c)]
@@ -210,7 +210,7 @@ def test_criterion_05_walk_equivalence(d6, d6_frobenius, f20, f20_frobenius):
 
     def sweep(ctx, g):
         nonlocal checked
-        qb = BiasedGraph.from_gain_graph(quotient_gains(g, ctx.quotient))
+        qb = BiasedGraph(quotient_gains(g, ctx.quotient))
         for circuit in frame_circuits(qb):
             try:
                 shape = _classify_circuit(ctx, g, circuit)

@@ -76,3 +76,74 @@ def test_no_module_reads_the_environment():
         if (names := {"environ", "getenv"} & referenced_names(path.read_text()))
     }
     assert not readers, f"modules that read the environment: {readers}"
+
+
+# Parameters kept unread on purpose: the bench calls
+# fileio.format_partition(group, part, index) with this signature.
+UNREAD_ON_PURPOSE = {("fileio.py", "format_partition", "group")}
+
+
+def unread_parameters(path: Path) -> list[tuple[str, str, str]]:
+    """(file, function, parameter) for each parameter of a module-level
+    function or method that its body never reads. Nested functions are
+    skipped (a step closure's signature is fixed by its caller), and so is a
+    body that only raises NotImplementedError."""
+    out = []
+
+    def check(fn: ast.FunctionDef) -> None:
+        body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+        if [ast.unparse(stmt) for stmt in body] == ["raise NotImplementedError"]:
+            return
+        args = fn.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        for p in params:
+            if p is not None and p.arg not in ("self", "cls") and p.arg not in read:
+                out.append((path.name, fn.name, p.arg))
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                check(child)
+            elif isinstance(child, ast.ClassDef):
+                visit(child)
+
+    visit(ast.parse(path.read_text()))
+    return out
+
+
+def test_every_parameter_is_read():
+    unread = [
+        found
+        for path in sorted(PACKAGE.glob("*.py"))
+        for found in unread_parameters(path)
+        if found not in UNREAD_ON_PURPOSE
+    ]
+    assert not unread, "parameters their function never reads: " + ", ".join(
+        f"{file}:{fn}({param})" for file, fn, param in unread
+    )
+
+
+def test_an_unread_parameter_is_found(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "class C:\n"
+        "    def f(self, a, b=1, *rest, c):\n"
+        "        'doc'\n"
+        "        def inner(x, unused):\n"
+        "            return x + b\n"
+        "        return inner(a, c)\n"
+        "\n"
+        "    def stub(self, d):\n"
+        "        raise NotImplementedError\n"
+        "\n"
+        "    def refuse(self, h):\n"
+        "        raise ValueError\n"
+        "\n"
+        "\n"
+        "def g(e, f):\n"
+        "    return e\n"
+    )
+    assert unread_parameters(source) == [
+        ("m.py", "f", "rest"), ("m.py", "refuse", "h"), ("m.py", "g", "f")
+    ]

@@ -46,7 +46,7 @@ def graph(group, n, triples):
 
 
 def biased(group, n, triples):
-    return BiasedGraph.from_gain_graph(graph(group, n, triples))
+    return BiasedGraph(graph(group, n, triples))
 
 
 # --- frame rank -------------------------------------------------------------
@@ -73,11 +73,11 @@ def test_gain_ranks_match_explicit_balanced_set(seed):
     rng = random.Random(seed)
     group = make_dihedral(6) if seed % 2 else make_field_affine(5)
     g = random_gain_graph(group, rng, max_vertices=5, max_edges=9)
-    gain = BiasedGraph.from_gain_graph(g)
-    explicit = BiasedGraph.from_balanced_set(
+    gain = BiasedGraph(g)
+    explicit = BiasedGraph(
         g, [c for c in enumerate_cycles(g) if is_balanced_cycle(g, c)]
     )
-    every_cycle = BiasedGraph.from_balanced_set(g, enumerate_cycles(g))
+    every_cycle = BiasedGraph(g, enumerate_cycles(g))
     pairs = [
         (FrameOracle(gain), FrameOracle(explicit)),
         (LiftOracle(gain), LiftOracle(explicit)),
@@ -168,7 +168,7 @@ def test_frame_equals_lift_without_disjoint_unbalanced_cycles():
     checked = 0
     while checked < 25:
         g = random_gain_graph(d6, rng, max_vertices=4, max_edges=7)
-        b = BiasedGraph.from_gain_graph(g)
+        b = BiasedGraph(g)
         cycles = enumerate_cycles(g)
         unb = [c for c in cycles if not b.cycle_is_balanced(c)]
         from frobmat.biased import _vertices_of
@@ -228,8 +228,8 @@ def test_circuit_families_and_thetas_match_brute_force(seed):
     triples += [(t, (t + 1) % nv, rng.randrange(group.order)) for _ in range(2)]
     g = graph(group, nv, triples)
     cycles = enumerate_cycles(g)
-    gain = BiasedGraph.from_gain_graph(g)
-    explicit = BiasedGraph.from_balanced_set(g, [c for c in cycles if is_balanced_cycle(g, c)])
+    gain = BiasedGraph(g)
+    explicit = BiasedGraph(g, [c for c in cycles if is_balanced_cycle(g, c)])
     for b in (gain, explicit):
         assert frame_circuits(b) == minimal_dependent_sets(FrameOracle(b))
         assert _thetas_by_pairs(b) == (True, None)
@@ -265,7 +265,7 @@ def test_class_lift_oracle_matches_its_definition(seed):
     raises the host's ValueError."""
     rng = random.Random(seed)
     group = make_dihedral(6) if seed % 2 else make_field_affine(5)
-    b = BiasedGraph.from_gain_graph(random_gain_graph(group, rng, max_edges=9))
+    b = BiasedGraph(random_gain_graph(group, rng, max_edges=9))
     circuits = frame_circuits(b)
     members = [c for c in circuits if rng.random() < 0.5]
     outside = [set(c) for c in circuits if c not in members]
@@ -289,7 +289,7 @@ def test_theta_property_gain_derived_always_holds():
     for group in (make_dihedral(6), make_cyclic(4), make_dihedral(10)):
         for _ in range(70):
             ok, witness = _thetas_by_pairs(
-                BiasedGraph.from_gain_graph(random_gain_graph(group, rng))
+                BiasedGraph(random_gain_graph(group, rng))
             )
             assert ok and witness is None
 
@@ -304,14 +304,14 @@ def test_theta_property_violation_witness():
     g = theta_graph()
     cycles = enumerate_cycles(g)
     assert len(cycles) == 3
-    bad = BiasedGraph.from_balanced_set(g, cycles[:2])
+    bad = BiasedGraph(g, cycles[:2])
     ok, witness = _thetas_by_pairs(bad)
     assert not ok
     assert sorted(witness) == sorted(tuple(c) for c in cycles)
 
 
 def test_theta_property_empty_balanced_set():
-    ok, witness = _thetas_by_pairs(BiasedGraph.from_balanced_set(theta_graph(), []))
+    ok, witness = _thetas_by_pairs(BiasedGraph(theta_graph(), []))
     assert ok and witness is None
 
 
@@ -366,7 +366,7 @@ def test_brylawski_with_balanced_class_is_lift_matroid(d6):
     rng = random.Random(17)
     for _ in range(10):
         g = random_gain_graph(d6, rng, max_vertices=4, max_edges=7)
-        b = BiasedGraph.from_gain_graph(g)
+        b = BiasedGraph(g)
         cycles = enumerate_cycles(g)
         balanced = [c for c in cycles if b.cycle_is_balanced(c)]
         lifted = brylawski_lift(GraphicOracle(g), cycles, balanced)
@@ -753,9 +753,9 @@ def test_explicit_set_full_rank_is_the_scanned_rank(d6):
         (FrameOracle, 2, 1),
         (LiftOracle, 2, 1),
     ]:
-        explicit = oracle(BiasedGraph.from_balanced_set(g, []))
+        explicit = oracle(BiasedGraph(g, []))
         assert explicit.full_rank() == explicit.rank(g.edge_ids()) == scanned
-        assert oracle(BiasedGraph.from_gain_graph(g)).full_rank() == by_gains
+        assert oracle(BiasedGraph(g)).full_rank() == by_gains
 
 
 def test_walk_disagreement_skips_where_both_walks_are_full():

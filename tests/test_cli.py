@@ -30,7 +30,7 @@ from frobmat.lifts import contract, delete
 from frobmat import cli
 from frobmat.cli import main
 from frobmat.biased import first_disagreement, rank_table
-from frobmat.fileio import format_circuits, graph_to_spec
+from frobmat.fileio import format_circuits, graph_from_spec, graph_to_spec, group_from_spec
 
 from conftest import FuncOracle, random_gain_graph
 
@@ -212,6 +212,21 @@ def test_a_deeply_nested_spec_is_refused_in_one_line(write, capsys, command, dep
     else:
         argv = ["--graph", write("g.json", f'{{"vertices": 2, "edges": [], "group": {group}}}')]
     assert run(capsys, command, *argv) == (2, "", "error: spec is nested too deeply\n")
+
+
+@pytest.mark.parametrize("reader", ["group", "graph"])
+def test_a_deeply_nested_spec_is_a_value_error_in_process(reader):
+    """Library callers of the spec readers get the CLI's refusal too: 600
+    inversion levels over Z3 raise ValueError, not RecursionError."""
+    group = {"kind": "cyclic", "n": 3}
+    for _ in range(600):
+        group = {"kind": "inversion", "base": group}
+    with pytest.raises(ValueError) as info:
+        if reader == "group":
+            group_from_spec(group)
+        else:
+            graph_from_spec({"group": group, "vertices": 2, "edges": []})
+    assert str(info.value) == "spec is nested too deeply"
 
 
 DEPTH_ERR = "products nest more than 300 levels deep"

@@ -10,7 +10,6 @@ from frobmat import (
     Subgroup,
     Walk,
     apply_switching,
-    complete_edge_id,
     complete_gain_graph,
     enumerate_cycles,
     gain_of_walk,
@@ -24,7 +23,7 @@ from frobmat import gaingraph as gaingraph_module
 from frobmat.errors import LimitExceeded
 from frobmat.gaingraph import walk_edges
 
-from conftest import normalize_forest, random_gain_graph
+from conftest import complete_edge_id, normalize_forest, random_gain_graph
 
 
 def graph(group, n, triples):

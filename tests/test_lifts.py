@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -36,6 +37,7 @@ from frobmat import (
     enumerate_cycles,
     frame_circuits,
     frobenius_partitions,
+    gain_of_walk,
     is_balanced_cycle,
     is_elementary_lift,
     is_linear_class,
@@ -59,6 +61,7 @@ from frobmat.biased import (
     _ClassLift,
     component_rank,
     rank_table,
+    scan_components,
 )
 from frobmat.lifts import _classify_circuit
 
@@ -141,7 +144,7 @@ def test_loose_handcuff_covering_multiplicities(d6, d6_frobenius):
 
 def test_walks_agree_exhaustively_on_k3_d6(d6, d6_frobenius):
     k3 = complete_gain_graph(d6, 3)
-    qb = BiasedGraph.from_gain_graph(quotient_gains(k3, d6_frobenius.quotient))
+    qb = BiasedGraph(quotient_gains(k3, d6_frobenius.quotient))
     checked = 0
     for circuit in frame_circuits(qb):
         shape = None
@@ -163,7 +166,7 @@ def test_walks_agree_on_random_graphs_all_shapes(f20, f20_frobenius):
     shapes = {"theta": 0, "tight": 0, "loose": 0}
     for _ in range(60):
         g = random_gain_graph(f20, rng, max_vertices=5, max_edges=9)
-        qb = BiasedGraph.from_gain_graph(quotient_gains(g, f20_frobenius.quotient))
+        qb = BiasedGraph(quotient_gains(g, f20_frobenius.quotient))
         for circuit in frame_circuits(qb):
             try:
                 shape = _classify_circuit(f20_frobenius, g, circuit)
@@ -176,6 +179,42 @@ def test_walks_agree_on_random_graphs_all_shapes(f20, f20_frobenius):
                 f20_frobenius, g, circuit
             )
     assert all(count > 20 for count in shapes.values())
+
+
+# the groups whose partitions class_member's premise was first checked on
+PREMISE_GROUPS = (
+    lambda: make_dihedral(6),
+    lambda: make_field_affine(5),
+    lambda: make_inversion_extension(make_cyclic(9)),
+    lambda: make_cyclic(4),
+    lambda: make_cyclic(6),
+    lambda: make_field_affine(7),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _premise_contexts() -> tuple[FrobeniusContext, ...]:
+    return tuple(ctx for make in PREMISE_GROUPS for ctx in contexts_of(make()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_no_theta_or_handcuff_gain_lies_in_the_kernel(seed):
+    """The premise that lets class_member and class_member_walks compare
+    parts without a kernel case: on random graphs under every partition of
+    six groups, each theta and handcuff among the lift's frame circuits has
+    its two leftover gains, and the gains of its covering pair of walks, in
+    complements, and the two routes agree on it."""
+    rng = random.Random(seed)
+    for ctx in _premise_contexts():
+        g = random_gain_graph(ctx.group, rng, max_vertices=4, max_edges=8)
+        for c in LiftedMatroid(ctx, g).frame_circuits:
+            if _classify_circuit(ctx, g, c).kind == "cycle":
+                continue
+            leftover = [gain for _, gain in scan_components(g, c)[0].nontree]
+            walks = [gain_of_walk(g, w) for w in cyclic_covering_pair(ctx, g, c)]
+            assert all(ctx.part_of[x] >= 0 for x in leftover + walks), (ctx, g.edges, c)
+            assert class_member(ctx, g, c) == class_member_walks(ctx, g, c)
 
 
 # --- the linear class -------------------------------------------------------
@@ -194,7 +233,7 @@ def test_linear_class_lift_case_is_balanced_cycles(d6):
     balanced = [
         c
         for c in enumerate_cycles(g)
-        if BiasedGraph.from_gain_graph(g).cycle_is_balanced(c)
+        if BiasedGraph(g).cycle_is_balanced(c)
     ]
     assert sorted(linear_class(ctx, g)) == sorted(balanced) == sorted(expected)
 
@@ -203,7 +242,7 @@ def test_linear_class_frame_case_is_every_circuit(d6):
     ctx = contexts_of(d6)[1]  # trivial kernel, single complement = whole group
     rng = random.Random(4)
     g = random_gain_graph(d6, rng, max_vertices=4, max_edges=8)
-    qb = BiasedGraph.from_gain_graph(quotient_gains(g, ctx.quotient))
+    qb = BiasedGraph(quotient_gains(g, ctx.quotient))
     assert sorted(linear_class(ctx, g)) == sorted(frame_circuits(qb))
 
 
@@ -211,7 +250,7 @@ def test_linear_class_passes_linear_class_check(d6_frobenius, d6):
     rng = random.Random(8)
     for _ in range(20):
         g = random_gain_graph(d6, rng)
-        qb = BiasedGraph.from_gain_graph(quotient_gains(g, d6_frobenius.quotient))
+        qb = BiasedGraph(quotient_gains(g, d6_frobenius.quotient))
         ok, witness = is_linear_class(
             FrameOracle(qb), frame_circuits(qb), linear_class(d6_frobenius, g)
         )
@@ -232,7 +271,7 @@ def test_rank_collapses_to_frame_and_lift(d6):
     ctx_lift = contexts_of(d6)[0]
     for _ in range(15):
         g = random_gain_graph(d6, rng)
-        b = BiasedGraph.from_gain_graph(g)
+        b = BiasedGraph(g)
         fo, lo = FrameOracle(b), LiftOracle(b)
         mf, ml = LiftedMatroid(ctx_frame, g), LiftedMatroid(ctx_lift, g)
         ids = [e.id for e in g.edges]
@@ -252,7 +291,7 @@ def test_rank_matches_brylawski_lift_of_explicit_host(seed):
     g = random_gain_graph(group, rng, max_vertices=4, max_edges=9)
     for ctx in contexts_of(group):
         qg = quotient_gains(g, ctx.quotient)
-        host = BiasedGraph.from_balanced_set(
+        host = BiasedGraph(
             qg, [c for c in enumerate_cycles(qg) if is_balanced_cycle(qg, c)]
         )
         expected = brylawski_lift(FrameOracle(host), frame_circuits(host), _class_by_gains(ctx, g))
@@ -318,7 +357,7 @@ def test_cycle_circuit_iff_balanced(d6, d6_frobenius):
     for _ in range(15):
         g = random_gain_graph(d6, rng)
         m = LiftedMatroid(d6_frobenius, g)
-        b = BiasedGraph.from_gain_graph(g)
+        b = BiasedGraph(g)
         for cycle in enumerate_cycles(g):
             is_circuit = m.rank(cycle) == len(cycle) - 1 and all(
                 m.rank([x for x in cycle if x != e]) == len(cycle) - 1 for e in cycle
@@ -421,10 +460,10 @@ def test_union_find_ranks_are_order_invariant_on_every_branch(data):
     ctx = data.draw(st.sampled_from(DIFFERENTIAL_CONTEXTS[i]))
     g = GainGraph.from_triples(group, 4, _branch_edges(data, group, ctx))
     balanced = [c for c in enumerate_cycles(g) if is_balanced_cycle(g, c)]
-    frame = FrameOracle(BiasedGraph.from_balanced_set(g, balanced))
-    lift = LiftOracle(BiasedGraph.from_balanced_set(g, balanced))
+    frame = FrameOracle(BiasedGraph(g, balanced))
+    lift = LiftOracle(BiasedGraph(g, balanced))
     qg = quotient_gains(g, ctx.quotient)
-    host = BiasedGraph.from_balanced_set(
+    host = BiasedGraph(
         qg, [c for c in enumerate_cycles(qg) if is_balanced_cycle(qg, c)]
     )
     quotient = FrameOracle(host)
@@ -545,7 +584,7 @@ def test_circuits_reject_a_union_of_non_members_that_holds_a_member(d6, d6_frobe
     whole theta, which holds the member, so it is no circuit."""
     g = graph(d6, 4, [(0, 1, 1), (0, 2, 0), (2, 1, 0), (0, 3, 0), (3, 1, 0)])
     assert d6_frobenius.in_kernel(1)
-    qb = BiasedGraph.from_gain_graph(quotient_gains(g, d6_frobenius.quotient))
+    qb = BiasedGraph(quotient_gains(g, d6_frobenius.quotient))
     assert frame_circuits(qb) == [(0, 1, 2), (0, 3, 4), (1, 2, 3, 4)]
     assert linear_class(d6_frobenius, g) == [(1, 2, 3, 4)]
     m = LiftedMatroid(d6_frobenius, g)
@@ -625,7 +664,7 @@ def _spanning_bases(ctx, g):
     outside the class. Frame circuits and class come from the gains."""
     m = LiftedMatroid(ctx, g)
     size, n_rank = m.full_rank(), m.underlying_rank(m.ground)
-    qb = BiasedGraph.from_gain_graph(quotient_gains(g, ctx.quotient))
+    qb = BiasedGraph(quotient_gains(g, ctx.quotient))
     frame = [frozenset(c) for c in frame_circuits(qb)]
     members = {frozenset(c) for c in _class_by_gains(ctx, g)}
     out = []
@@ -665,7 +704,7 @@ def test_bases_match_the_spanning_characterization_on_both_branches(d6):
 
 def _class_by_gains(ctx, g):
     """The linear class by its gain definition, independent of the rank."""
-    qb = BiasedGraph.from_gain_graph(quotient_gains(g, ctx.quotient))
+    qb = BiasedGraph(quotient_gains(g, ctx.quotient))
     return [c for c in frame_circuits(qb) if class_member(ctx, g, c)]
 
 
@@ -740,12 +779,12 @@ def test_rank_table_walk_matches_per_subset_routes(seed):
     g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=4, max_edges=10)
 
     def explicit(graph):
-        return BiasedGraph.from_balanced_set(
+        return BiasedGraph(
             graph, [c for c in enumerate_cycles(graph) if is_balanced_cycle(graph, c)]
         )
 
-    gain, scanned = BiasedGraph.from_gain_graph(g), explicit(g)
-    every_cycle = BiasedGraph.from_balanced_set(g, enumerate_cycles(g))
+    gain, scanned = BiasedGraph(g), explicit(g)
+    every_cycle = BiasedGraph(g, enumerate_cycles(g))
     assert rank_table(FrameOracle(gain)) == rank_table(FrameOracle(scanned))
     assert rank_table(LiftOracle(gain)) == rank_table(LiftOracle(scanned))
     assert rank_table(GraphicOracle(g)) == rank_table(FrameOracle(every_cycle))
@@ -819,12 +858,12 @@ def test_capped_ranks_match_uncapped_and_explicit_routes(seed):
     g = _awkward_graph(DIFFERENTIAL_GROUPS[i], rng)
 
     def explicit(graph):
-        return BiasedGraph.from_balanced_set(
+        return BiasedGraph(
             graph, [c for c in enumerate_cycles(graph) if is_balanced_cycle(graph, c)]
         )
 
-    gain, scanned = BiasedGraph.from_gain_graph(g), explicit(g)
-    every_cycle = BiasedGraph.from_balanced_set(g, enumerate_cycles(g))
+    gain, scanned = BiasedGraph(g), explicit(g)
+    every_cycle = BiasedGraph(g, enumerate_cycles(g))
     routes = [
         (FrameOracle(gain).rank, _uncapped(FrameOracle(gain)), FrameOracle(scanned).rank),
         (LiftOracle(gain).rank, _uncapped(LiftOracle(gain)), LiftOracle(scanned).rank),
@@ -876,7 +915,7 @@ def test_capped_ranks_match_uncapped_on_complete_graphs(seed):
     queries += [q + rng.choices(q, k=len(q) // 2) for q in queries if q]
     for q in queries:
         rng.shuffle(q)
-    b = BiasedGraph.from_gain_graph(g)
+    b = BiasedGraph(g)
     oracles = [FrameOracle(b), LiftOracle(b), GraphicOracle(g)]
     for ctx in contexts_of(g.group):
         oracles.append(LiftedMatroid(ctx, g))
@@ -895,7 +934,7 @@ def test_unknown_id_after_the_ground_set_rank_raises(d6, d6_frobenius, complete)
     """Every id is looked up, also after a pass has reached the ground-set
     rank and stopped counting."""
     g = complete_gain_graph(d6, 4) if complete else graph(d6, 3, [(0, 1, 3), (1, 2, 4), (2, 2, 1)])
-    b = BiasedGraph.from_gain_graph(g)
+    b = BiasedGraph(g)
     m = LiftedMatroid(d6_frobenius, g)
     missing = max(g.edge_ids()) + 1
     ranks = [
@@ -958,7 +997,7 @@ def test_is_linear_class_matches_pairwise_check_querying_unions_with_outside_cir
     i = seed % len(DIFFERENTIAL_GROUPS)
     g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=4, max_edges=10)
     for ctx in DIFFERENTIAL_CONTEXTS[i]:
-        qb = BiasedGraph.from_gain_graph(quotient_gains(g, ctx.quotient))
+        qb = BiasedGraph(quotient_gains(g, ctx.quotient))
         host = FrameOracle(qb)
         host_circuits = frame_circuits(qb)
         cls = linear_class(ctx, g)
@@ -987,7 +1026,7 @@ def test_class_lift_rank_matches_its_definition_on_random_sets(data):
     rng = random.Random(data.draw(st.integers(0, 2**31 - 1)))
     g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=4, max_edges=10)
     ctx = data.draw(st.sampled_from(DIFFERENTIAL_CONTEXTS[i]))
-    qb = BiasedGraph.from_gain_graph(quotient_gains(g, ctx.quotient))
+    qb = BiasedGraph(quotient_gains(g, ctx.quotient))
     host = FrameOracle(qb)
     host_circuits = frame_circuits(qb)
     cls = linear_class(ctx, g)
@@ -1268,6 +1307,20 @@ def test_spikes_verify(n, r):
     assert ok and 2 * r in tips
 
 
+@pytest.mark.parametrize(
+    "size, rank",
+    [
+        (6, lambda s: min(len(s), 3)),
+        (7, lambda s: min(len(s), 4)),
+        (7, lambda s: min(len(s - {0}), 3)),
+        (7, lambda s: min(len({max(x, 1) for x in s}), 3)),
+    ],
+    ids=["six-elements", "rank-four", "a-loop", "a-rank-one-pair"],
+)
+def test_verify_spike_refuses_what_is_no_spike(size, rank):
+    assert verify_spike(FuncOracle(range(size), rank), 3) == (False, ())
+
+
 def test_spike_needs_nontrivial_kernel(d6):
     ctx = contexts_of(d6)[1]
     with pytest.raises(ValueError, match="kernel"):
@@ -1290,6 +1343,16 @@ def test_free_matroid_lifts_single_circuit():
     free = FuncOracle(range(3), len)
     ok, recovered = is_elementary_lift(free, host)
     assert ok and recovered == []
+
+
+def test_is_elementary_lift_refuses_a_class_that_is_not_linear(z2):
+    """Two of the three digons of a parallel class made circuits: they are
+    a modular pair whose union holds the third, which is the witness."""
+    host = GraphicOracle(graph(z2, 2, [(0, 1, 0)] * 3))
+    m = FuncOracle(range(3), lambda s: len(s) - (s in ({0, 1}, {0, 2}) or len(s) == 3))
+    assert is_elementary_lift(m, host) == (False, ((0, 1), (0, 2), (1, 2)))
+    with pytest.raises(ValueError, match="ground sets differ"):
+        is_elementary_lift(FuncOracle(range(2), len), host)
 
 
 def test_lifted_matroid_is_elementary_lift_of_frame(d6, d6_frobenius):

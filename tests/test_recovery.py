@@ -17,7 +17,6 @@ from frobmat import (
     LimitExceeded,
     RecoveryError,
     Subgroup,
-    complete_edge_id,
     complete_gain_graph,
     edge_bundle,
     enumerate_cycles,
@@ -29,10 +28,12 @@ from frobmat import (
     make_dihedral,
     make_direct_product,
     make_field_affine,
+    make_semidirect,
     quotient_gains,
     recover_partition,
 )
 from frobmat.biased import EXHAUSTIVE_LIMIT, subset_sweep
+from frobmat.fileio import group_from_spec
 from frobmat.groups import quotient
 from frobmat.recovery import (
     EXHAUSTIVE_GROUP_ORDER,
@@ -43,7 +44,7 @@ from frobmat.recovery import (
     complete_cycle_count,
 )
 
-from conftest import FuncOracle
+from conftest import FuncOracle, complete_edge_id
 from test_acceptance import order_20_catalog
 
 
@@ -85,7 +86,7 @@ def test_recovery_via_class_file_oracle(z2):
     ctx = FrobeniusContext(z2, part)
     k4 = complete_gain_graph(z2, 4)
     members = linear_class(ctx, k4)
-    qb = BiasedGraph.from_gain_graph(quotient_gains(k4, ctx.quotient))
+    qb = BiasedGraph(quotient_gains(k4, ctx.quotient))
     oracle = ClassLiftOracle(qb, members)
     recovered = recover_partition(z2, part.kernel, 4, oracle)
     assert recovered == part
@@ -103,9 +104,21 @@ def test_rejects_cycle_hypothesis_violation(z2):
     circuits that are not balanced."""
     kernel = Subgroup((0, 1))
     k4 = complete_gain_graph(z2, 4)
-    frame = FrameOracle(BiasedGraph.from_gain_graph(quotient_gains(k4, quotient(z2, kernel))))
+    frame = FrameOracle(BiasedGraph(quotient_gains(k4, quotient(z2, kernel))))
     with pytest.raises(RecoveryError, match="cycle"):
         recover_partition(z2, kernel, 4, frame)
+
+
+def test_rejects_rank_n_with_a_nontrivial_kernel():
+    """The lift of Z4's trivial-kernel partition has rank n on K_4, which
+    only a trivial kernel allows; declared with kernel {0, 2} it passes the
+    cycle check and is refused by its rank."""
+    z4 = make_cyclic(4)
+    trivial = next(p for p in frobenius_partitions(z4) if p.kernel.order == 1)
+    m = LiftedMatroid(FrobeniusContext(z4, trivial), complete_gain_graph(z4, 4))
+    with pytest.raises(RecoveryError) as info:
+        recover_partition(z4, Subgroup((0, 2)), 4, m)
+    assert str(info.value) == "rank n with a nontrivial kernel contradicts the cycle hypothesis"
 
 
 def test_rejects_non_normal_kernel(d6, d6_frobenius):
@@ -205,7 +218,7 @@ def test_cycle_hypothesis_witnesses(name, balanced, length, mod, residue, seed, 
     g = complete_gain_graph(group, 4)
     if balanced is None:
         oracle = FrameOracle(
-            BiasedGraph.from_gain_graph(quotient_gains(g, quotient(group, part.kernel)))
+            BiasedGraph(quotient_gains(g, quotient(group, part.kernel)))
         )
     else:
         m = LiftedMatroid(FrobeniusContext(group, part, validate=False), g)
@@ -299,7 +312,7 @@ def test_reduced_cycles_give_the_verdict_of_every_cycle(name):
         oracles = [LiftedMatroid(FrobeniusContext(group, part, validate=False), g)]
         if part.kernel.order > 1:
             qg = quotient_gains(g, quotient(group, part.kernel))
-            oracles.append(FrameOracle(BiasedGraph.from_gain_graph(qg)))
+            oracles.append(FrameOracle(BiasedGraph(qg)))
         for m in oracles:
             assert _holds_on(m, reduced) == _holds_on(m, every), (part, m)
 
@@ -434,7 +447,7 @@ def _guard_case(name, index):
     g = complete_gain_graph(group, 4)
     m = LiftedMatroid(FrobeniusContext(group, part, validate=False), g)
     qg = quotient_gains(g, quotient(group, part.kernel))
-    frame = FrameOracle(BiasedGraph.from_gain_graph(qg))
+    frame = FrameOracle(BiasedGraph(qg))
     bundled = tuple(e for a in group.elements() for e in edge_bundle(group, 4, (a,)))
     return group, part, m, frame, bundled
 
@@ -515,6 +528,47 @@ def test_k5_over_order_ten_is_refused_by_its_cycle_count():
     m = LiftedMatroid(FrobeniusContext(group, part, validate=False), complete_gain_graph(group, 5))
     with pytest.raises(LimitExceeded, match="more than 1000000 cycles"):
         recover_partition(group, part.kernel, 5, m)
+
+
+def _zp_by_zd(p: int, d: int) -> FiniteGroup:
+    """Z_p ⋊ Z_d, Z_d acting by the powers of a unit of order d mod p."""
+    u = next(u for u in range(2, p) if len({pow(u, k, p) for k in range(d + 1)}) == d)
+    action = [[x * pow(u, b, p) % p for x in range(p)] for b in range(d)]
+    return make_semidirect(make_cyclic(p), make_cyclic(d), action)
+
+
+# Frobenius groups of order 21 to 58, past the order-20 catalog
+OUTSIDE_CATALOG = {
+    **{f"Z{p}:Z{d}": (lambda p=p, d=d: _zp_by_zd(p, d))
+       for p, d in ((7, 3), (11, 2), (11, 5), (13, 2), (13, 3), (13, 4), (17, 2),
+                    (19, 2), (19, 3), (23, 2), (29, 2))},
+    "AGL(1,7)": lambda: make_field_affine(7),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _outside_catalog_group(name: str) -> FiniteGroup:
+    return OUTSIDE_CATALOG[name]()
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(sorted(OUTSIDE_CATALOG)), st.randoms(use_true_random=False))
+def test_every_partition_round_trips_past_the_catalog(name, rng):
+    """K_4 over a Frobenius group outside the order-20 catalog, its elements
+    renamed at random through a table spec: every partition comes back."""
+    group = _outside_catalog_group(name)
+    image = [0] + rng.sample(range(1, group.order), group.order - 1)
+    table = [[0] * group.order for _ in group.elements()]
+    for a, row in enumerate(group.table):
+        for b, ab in enumerate(row):
+            table[image[a]][image[b]] = image[ab]
+    renamed = group_from_spec({"kind": "table", "table": table})
+    k4 = complete_gain_graph(renamed, 4)
+    parts = frobenius_partitions(renamed)
+    assert len(parts) == 3
+    for part in parts:
+        m = LiftedMatroid(FrobeniusContext(renamed, part, validate=False), k4)
+        assert recover_partition(renamed, part.kernel, 4, m) == part
 
 
 def test_round_trip_sampled_path_uses_seed(d6, d6_partitions, d6_frobenius):

@@ -336,7 +336,7 @@ def test_same_affine_part_matches_partition(f20, f20_frobenius):
     for x, y in itertools.combinations(outside, 2):
         px, py = affine_pair(f20, x), affine_pair(f20, y)
         assert same_affine_part(5, px, py) == (
-            f20_frobenius.part(x) == f20_frobenius.part(y)
+            f20_frobenius.part_of[x] == f20_frobenius.part_of[y]
         )
 
 
