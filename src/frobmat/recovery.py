@@ -9,6 +9,7 @@ re-verifies every property the reconstruction relies on.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -58,37 +59,6 @@ def _is_circuit(m: RankOracle, ids: Sequence[int]) -> bool:
     return all(m.rank([x for x in ids if x != e]) == r for e in ids)
 
 
-def _complete_cycle(
-    group: FiniteGroup, n: int, verts: Sequence[int], gains: Sequence[int]
-) -> tuple[tuple[int, ...], bool]:
-    """The closed walk on K_n through the distinct ``verts`` whose step from
-    verts[t] to verts[t+1] carries gain gains[t]: its sorted edge ids, and
-    whether it is balanced (the product of its gains is the identity).
-
-    A balanced walk of length two uses one edge twice, so it is no cycle.
-    """
-    table, inverse = group.table, group.inverse
-    offset = complete_pair_offsets(group.order, n)
-    k = len(verts)
-    acc = 0
-    ids = []
-    for t in range(k):
-        i, j, x = verts[t], verts[(t + 1) % k], gains[t]
-        acc = table[acc][x]
-        ids.append(offset[i][j] + (x if i < j else inverse[x]))
-    ids.sort()
-    return tuple(ids), acc == 0
-
-
-def _complete_digons(group: FiniteGroup, n: int) -> Iterable[tuple[tuple[int, ...], bool]]:
-    """Every digon of K_n with its balance flag; parallel edges carry
-    distinct gains, so none is balanced."""
-    inverse = group.inverse
-    for i, j in itertools.combinations(range(n), 2):
-        for a, b in itertools.combinations(range(group.order), 2):
-            yield _complete_cycle(group, n, (i, j), (a, inverse[b]))
-
-
 def complete_cycle_count(group_order: int, n: int) -> int:
     """The number of cycles of K_n over a group of the given order:
     sum over k >= 3 of C(n,k)·(k-1)!/2·|G|^k vertex cycles with gain words,
@@ -99,33 +69,96 @@ def complete_cycle_count(group_order: int, n: int) -> int:
     return longer + math.comb(n, 2) * math.comb(group_order, 2)
 
 
-def _all_complete_cycles(group: FiniteGroup, n: int) -> list[tuple[tuple[int, ...], bool]]:
-    """Every cycle of K_n with its balance flag, sorted by edge ids.
+def _pair_digons(offset: int, order: int) -> Iterable[tuple[tuple[int, ...], bool]]:
+    """The digons of the pair whose identity edge is ``offset``, in sorted id
+    order; parallel edges carry distinct gains, so none is balanced."""
+    for a in range(order):
+        for b in range(a + 1, order):
+            yield (offset + a, offset + b), False
 
-    Each vertex cycle is listed once, from its least vertex in the direction
-    whose second vertex is below its last, and crossed with every gain word.
+
+def _walk_cycles(
+    group: FiniteGroup, n: int, verts: Sequence[int]
+) -> Iterable[tuple[tuple[int, ...], bool]]:
+    """The cycles of K_n around the distinct ``verts`` (at least three), one
+    per gain word, in sorted id order, with their balance flags.
+
+    The walk's pairs are sorted by id once. An edge's id within its pair's
+    block is its gain read from the lower vertex, so the cycles in sorted
+    order are the words over the sorted pairs in lexicographic order. Their
+    product is the identity for one gain on the last pair, which is found
+    once per prefix of the other gains.
     """
-    out = list(_complete_digons(group, n))
+    order, table, inverse = group.order, group.table, group.inverse
+    offset = complete_pair_offsets(order, n)
+    k = len(verts)
+    steps = sorted(
+        (offset[verts[t]][verts[(t + 1) % k]], t, verts[t] < verts[(t + 1) % k])
+        for t in range(k)
+    )
+    *head, (last, t_last, forward_last) = steps
+    at = {t: s for s, (_, t, _) in enumerate(head)}
+    # the other steps in walk order, from the one after the last pair's
+    rest = [at[(t_last + d) % k] for d in range(1, k)]
+    id_ranges = [range(o, o + order) for o, _, _ in head]
+    # the gain of each step read along the walk, by its id within the block
+    walk_gains = [range(order) if forward else inverse for _, _, forward in head]
+    prefixes = zip(itertools.product(*id_ranges), itertools.product(*walk_gains))
+    for ids, gains in prefixes:
+        acc = 0
+        for s in rest:
+            acc = table[acc][gains[s]]
+        balancing = inverse[acc] if forward_last else acc
+        for y in range(order):
+            yield ids + (last + y,), y == balancing
+
+
+def _all_cycles(group: FiniteGroup, n: int) -> Iterable[tuple[tuple[int, ...], bool]]:
+    """Every cycle of K_n with its balance flag, in sorted id order.
+
+    Each vertex cycle is taken once, from its least vertex in the direction
+    whose second vertex is below its last; the streams of the vertex cycles
+    and of the digons are merged, so no cycle list is held.
+    """
+    offset = complete_pair_offsets(group.order, n)
+    streams = [
+        itertools.chain.from_iterable(
+            _pair_digons(offset[i][j], group.order)
+            for i, j in itertools.combinations(range(n), 2)
+        )
+    ]
     for k in range(3, n + 1):
         for first, *rest in itertools.combinations(range(n), k):
             for tail in itertools.permutations(rest):
-                if tail[0] > tail[-1]:
-                    continue
-                verts = (first,) + tail
-                for word in itertools.product(range(group.order), repeat=k):
-                    out.append(_complete_cycle(group, n, verts, word))
-    out.sort()
-    return out
+                if tail[0] < tail[-1]:
+                    streams.append(_walk_cycles(group, n, (first,) + tail))
+    return heapq.merge(*streams)
 
 
 def _reduced_cycles(group: FiniteGroup, n: int) -> Iterable[tuple[tuple[int, ...], bool]]:
-    """Every digon of K_n, then every balanced triangle 0 -> i -> j -> 0 with
-    0 < i < j, each once, with gains (a, b, (ab)^-1), and their balance flags."""
-    yield from _complete_digons(group, n)
-    table, inverse = group.table, group.inverse
+    """Every digon of K_n and every balanced triangle 0 -> i -> j -> 0 with
+    0 < i < j, each once, with their balance flags, in sorted id order.
+
+    The triangle through the edges (0, i, a) and (0, j, c) closes with
+    (i, j, a^-1 c). Its ids, like a digon's on (0, i), start with pair
+    (0, i); a digon's second id stays in that pair's block and a triangle's
+    does not, so for each first edge its digons come before its triangles.
+    The digons of the pairs that avoid vertex 0 come last.
+    """
+    order, table, inverse = group.order, group.table, group.inverse
+    offset = complete_pair_offsets(order, n)
+    for i in range(1, n):
+        oi = offset[0][i]
+        for a in range(order):
+            for b in range(a + 1, order):
+                yield (oi + a, oi + b), False
+            quotient_row = table[inverse[a]]
+            for j in range(i + 1, n):
+                oj, oij = offset[0][j], offset[i][j]
+                for c in range(order):
+                    yield (oi + a, oj + c, oij + quotient_row[c]), True
     for i, j in itertools.combinations(range(1, n), 2):
-        for a, b in itertools.product(range(group.order), repeat=2):
-            yield _complete_cycle(group, n, (0, i, j), (a, b, inverse[table[a][b]]))
+        yield from _pair_digons(offset[i][j], order)
 
 
 def _check_cycle_hypothesis(group: FiniteGroup, n: int, m: RankOracle) -> None:
@@ -147,11 +180,14 @@ def _check_cycle_hypothesis(group: FiniteGroup, n: int, m: RankOracle) -> None:
 
     Whether m is an elementary lift of N is left to the final comparison in
     ``recover_partition`` with the rebuilt lift.
+
+    Either set is streamed in sorted id order, so the first failure, the
+    witness, is the least failing cycle, and no cycle is held past its check.
     """
     if group.order <= EXHAUSTIVE_GROUP_ORDER:
-        cycles = _all_complete_cycles(group, n)
+        cycles = _all_cycles(group, n)
     else:
-        cycles = sorted(_reduced_cycles(group, n))
+        cycles = _reduced_cycles(group, n)
     for cycle, balanced in cycles:
         if balanced != _is_circuit(m, cycle):
             raise RecoveryError(
@@ -181,9 +217,11 @@ def recover_partition(
     EXHAUSTIVE_LIMIT edges; above, the empty set, the bundles of the identity
     and two elements, and SAMPLES random halves seeded by ``seed``.
 
-    The cycles the hypothesis check lists (see ``_check_cycle_hypothesis``)
-    are counted first, before the graph or any sample is built, against
-    DEFAULT_CYCLE_COUNT_LIMIT.
+    The cycles the hypothesis check asks about (see
+    ``_check_cycle_hypothesis``) are counted first, before the graph or any
+    sample is built, against DEFAULT_CYCLE_COUNT_LIMIT. They are streamed in
+    sorted order and never held, so the cap bounds the queries, that is the
+    time, and not the memory.
     """
     if n < 4:
         raise RecoveryError("recovery requires n >= 4")

@@ -1,3 +1,4 @@
+import itertools
 import random
 import types
 from typing import Callable, Iterable, Optional, Sequence
@@ -87,6 +88,70 @@ def complete_edge_id(group: FiniteGroup, n: int, i: int, j: int, alpha: int) -> 
     if not 0 <= i < j < n:
         raise ValueError("need 0 <= i < j < n")
     return complete_pair_offsets(group.order, n)[i][j] + alpha
+
+
+# The cycles of K_n built one at a time from their vertices and gain words:
+# the reference for the sorted streams in ``frobmat.recovery``.
+
+
+def complete_cycle(
+    group: FiniteGroup, n: int, verts: Sequence[int], gains: Sequence[int]
+) -> tuple[tuple[int, ...], bool]:
+    """The closed walk on K_n through the distinct ``verts`` whose step from
+    verts[t] to verts[t+1] carries gain gains[t]: its sorted edge ids, and
+    whether it is balanced (the product of its gains is the identity).
+
+    A balanced walk of length two uses one edge twice, so it is no cycle.
+    """
+    table, inverse = group.table, group.inverse
+    offset = complete_pair_offsets(group.order, n)
+    k = len(verts)
+    acc = 0
+    ids = []
+    for t in range(k):
+        i, j, x = verts[t], verts[(t + 1) % k], gains[t]
+        acc = table[acc][x]
+        ids.append(offset[i][j] + (x if i < j else inverse[x]))
+    ids.sort()
+    return tuple(ids), acc == 0
+
+
+def complete_digons(group: FiniteGroup, n: int) -> Iterable[tuple[tuple[int, ...], bool]]:
+    """Every digon of K_n with its balance flag; parallel edges carry
+    distinct gains, so none is balanced."""
+    inverse = group.inverse
+    for i, j in itertools.combinations(range(n), 2):
+        for a, b in itertools.combinations(range(group.order), 2):
+            yield complete_cycle(group, n, (i, j), (a, inverse[b]))
+
+
+def all_complete_cycles(group: FiniteGroup, n: int) -> list[tuple[tuple[int, ...], bool]]:
+    """Every cycle of K_n with its balance flag, sorted by edge ids.
+
+    Each vertex cycle is listed once, from its least vertex in the direction
+    whose second vertex is below its last, and crossed with every gain word.
+    """
+    out = list(complete_digons(group, n))
+    for k in range(3, n + 1):
+        for first, *rest in itertools.combinations(range(n), k):
+            for tail in itertools.permutations(rest):
+                if tail[0] > tail[-1]:
+                    continue
+                verts = (first,) + tail
+                for word in itertools.product(range(group.order), repeat=k):
+                    out.append(complete_cycle(group, n, verts, word))
+    out.sort()
+    return out
+
+
+def reduced_complete_cycles(group: FiniteGroup, n: int) -> Iterable[tuple[tuple[int, ...], bool]]:
+    """Every digon of K_n, then every balanced triangle 0 -> i -> j -> 0 with
+    0 < i < j, each once, with gains (a, b, (ab)^-1), and their balance flags."""
+    yield from complete_digons(group, n)
+    table, inverse = group.table, group.inverse
+    for i, j in itertools.combinations(range(1, n), 2):
+        for a, b in itertools.product(range(group.order), repeat=2):
+            yield complete_cycle(group, n, (0, i, j), (a, b, inverse[table[a][b]]))
 
 
 def normalize_forest(g: GainGraph, forest: Iterable[int], root: int) -> list[int]:

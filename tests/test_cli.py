@@ -845,15 +845,31 @@ def test_recover_refuses_a_cycle_set_above_the_cap_before_building_any(
     through vertex 0: on K_46 over Z96 that is 13,843,440 cycles, counted and
     refused before one is built."""
 
-    def fail(*args, **kwargs):
-        raise AssertionError("a cycle was built")
-
-    monkeypatch.setattr("frobmat.recovery._complete_cycle", fail)
+    _refuse_cycle_streams(monkeypatch)
     spec = {"complete": {"group": {"kind": "cyclic", "n": 96}, "n": 46}}
     start = time.perf_counter()
     code, out, err = run(capsys, "recover", "--graph", write("k46.json", spec), "--kernel", "0")
     assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (2, "", "error: more than 1000000 cycles\n")
+
+
+def test_recover_refuses_every_cycle_above_the_cap_before_streaming_any(
+    write, capsys, monkeypatch
+):
+    """Up to order 10 recovery checks every cycle: on K_5 over D10 that is
+    1,360,450, counted and refused before either cycle stream is started."""
+    _refuse_cycle_streams(monkeypatch)
+    spec = {"complete": {"group": {"kind": "dihedral", "order": 10}, "n": 5}}
+    code, out, err = run(capsys, "recover", "--graph", write("k5.json", spec), "--kernel", "0")
+    assert (code, out, err) == (2, "", "error: more than 1000000 cycles\n")
+
+
+def _refuse_cycle_streams(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a cycle stream was started")
+
+    monkeypatch.setattr("frobmat.recovery._all_cycles", fail)
+    monkeypatch.setattr("frobmat.recovery._reduced_cycles", fail)
 
 
 def test_recover_class_refuses_too_many_cycles_before_listing_any(write, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -204,15 +205,21 @@ def test_no_theta_or_handcuff_gain_lies_in_the_kernel(seed):
     parts without a kernel case: on random graphs under every partition of
     six groups, each theta and handcuff among the lift's frame circuits has
     its two leftover gains, and the gains of its covering pair of walks, in
-    complements, and the two routes agree on it."""
+    complements, and the two routes agree on it. The pair is two closed walks
+    from one vertex that together cover each edge of the circuit once or
+    twice and no other edge."""
     rng = random.Random(seed)
     for ctx in _premise_contexts():
         g = random_gain_graph(ctx.group, rng, max_vertices=4, max_edges=8)
         for c in LiftedMatroid(ctx, g).frame_circuits:
             if _classify_circuit(ctx, g, c).kind == "cycle":
                 continue
+            pair = cyclic_covering_pair(ctx, g, c)
+            counts = collections.Counter(eid for w in pair for eid, _ in w.steps)
+            assert set(counts) == set(c) and set(counts.values()) <= {1, 2}, (g.edges, c)
+            assert pair[0].start == pair[1].start
             leftover = [gain for _, gain in scan_components(g, c)[0].nontree]
-            walks = [gain_of_walk(g, w) for w in cyclic_covering_pair(ctx, g, c)]
+            walks = [gain_of_walk(g, w) for w in pair]
             assert all(ctx.part_of[x] >= 0 for x in leftover + walks), (ctx, g.edges, c)
             assert class_member(ctx, g, c) == class_member_walks(ctx, g, c)
 

@@ -1,6 +1,7 @@
 import functools
 import operator
 import random
+import tracemalloc
 from typing import Iterable, Sequence
 
 import pytest
@@ -38,13 +39,13 @@ from frobmat.groups import quotient
 from frobmat.recovery import (
     EXHAUSTIVE_GROUP_ORDER,
     SAMPLES,
-    _all_complete_cycles,
+    _all_cycles,
     _is_circuit,
     _reduced_cycles,
     complete_cycle_count,
 )
 
-from conftest import FuncOracle, complete_edge_id
+from conftest import FuncOracle, all_complete_cycles, complete_edge_id, reduced_complete_cycles
 from test_acceptance import order_20_catalog
 
 
@@ -278,8 +279,43 @@ def test_complete_cycles_match_enumeration(group, n):
     the walk-based balance test, and the closed-form count against both."""
     g = complete_gain_graph(group, n)
     expected = [(c, is_balanced_cycle(g, c)) for c in enumerate_cycles(g, max_edges=len(g.edges))]
-    assert _all_complete_cycles(group, n) == expected
+    assert all_complete_cycles(group, n) == expected
     assert complete_cycle_count(group.order, n) == len(expected)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("group", ROUTE_GROUPS, ids=["Z2", "Z5", "D6", "AGL(1,3)"])
+def test_cycle_streams_come_in_sorted_order(group, n):
+    """Both streams the cycle check reads against the cycles built one at a
+    time from their gain words and sorted."""
+    assert list(_all_cycles(group, n)) == all_complete_cycles(group, n)
+    assert list(_reduced_cycles(group, n)) == sorted(reduced_complete_cycles(group, n))
+
+
+LARGE_CATALOG = {
+    name: group for name, group in order_20_catalog().items() if group.order > EXHAUSTIVE_GROUP_ORDER
+} | {"AGL(1,7)": make_field_affine(7)}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("name", sorted(LARGE_CATALOG))
+def test_reduced_cycle_stream_comes_in_sorted_order(name, n):
+    group = LARGE_CATALOG[name]
+    assert list(_reduced_cycles(group, n)) == sorted(reduced_complete_cycles(group, n))
+
+
+def test_the_cycle_stream_holds_no_cycle_list():
+    """K_4 over D10 has 34,270 cycles, about 4.5 MB as a list; the stream
+    holds one walk's prefix and the merge's heap."""
+    group = make_dihedral(10)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in _all_cycles(group, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == complete_cycle_count(10, 4) == 34_270
+    assert peak < 256 * 1024
 
 
 def _holds_on(m, cycles):
@@ -300,8 +336,8 @@ def test_reduced_cycles_give_the_verdict_of_every_cycle(name):
     digons inside a coset are circuits."""
     group = SMALL_CATALOG[name]
     g = complete_gain_graph(group, 4)
-    every = _all_complete_cycles(group, 4)
-    reduced = sorted(_reduced_cycles(group, 4))
+    every = all_complete_cycles(group, 4)
+    reduced = sorted(reduced_complete_cycles(group, 4))
     assert reduced == [
         (cycle, balanced)
         for cycle, balanced in every
@@ -335,13 +371,13 @@ def _quotient_balanced_cycles(name):
     qg = quotient_gains(g, quotient(group, Subgroup(kernel)))
     ends = [(1 << e.tail) | (1 << e.head) for e in g.edges]
     verts, balanced = {}, set()
-    for ids, flag in _all_complete_cycles(group, 4):
+    for ids, flag in all_complete_cycles(group, 4):
         if is_balanced_cycle(qg, ids):
             mask = sum(1 << e for e in ids)
             verts[mask] = functools.reduce(operator.or_, (ends[e] for e in ids))
             if flag:
                 balanced.add(mask)
-    reduced = [(sum(1 << e for e in ids), flag) for ids, flag in _reduced_cycles(group, 4)]
+    reduced = [(sum(1 << e for e in ids), flag) for ids, flag in reduced_complete_cycles(group, 4)]
     return verts, frozenset(balanced), reduced
 
 
