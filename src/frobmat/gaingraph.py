@@ -146,36 +146,25 @@ def apply_switching(g: GainGraph, eta: Sequence[int]) -> GainGraph:
 
 
 def _check_cycle(g: GainGraph, cycle: Iterable[int]) -> tuple[list[int], int]:
-    """The sorted ids of a vertex-simple cycle and its least vertex.
+    """The sorted ids of an edge set whose every vertex has degree two, and
+    its least vertex.
 
-    Raises ValueError unless every vertex the edges meet has degree two and
-    one search from a vertex reaches all of them.
+    Such a set is a disjoint union of cycles; ``walk_edges`` from the least
+    vertex refuses one of more than one cycle, since it comes back to its
+    start with edges unused.
     """
     ends = g.ends
     ids = sorted(set(cycle))
     if not ids:
         raise ValueError("empty edge set is not a cycle")
-    incident: dict[int, list[int]] = {}
+    degree: dict[int, int] = {}
     for eid in ids:
         t, h, _ = ends[eid]
-        incident.setdefault(t, []).append(eid)
-        incident.setdefault(h, []).append(eid)
-    if any(len(lst) != 2 for lst in incident.values()):
+        degree[t] = degree.get(t, 0) + 1
+        degree[h] = degree.get(h, 0) + 1
+    if any(d != 2 for d in degree.values()):
         raise ValueError("edge set is not a vertex-simple cycle")
-    start = ends[ids[0]][0]
-    reach = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for eid in incident[u]:
-            t, h, _ = ends[eid]
-            w = h if u == t else t
-            if w not in reach:
-                reach.add(w)
-                stack.append(w)
-    if len(reach) != len(incident):
-        raise ValueError("edge set is not connected")
-    return ids, min(incident)
+    return ids, min(degree)
 
 
 def walk_edges(g: GainGraph, edges: Iterable[int], start: int) -> Walk:

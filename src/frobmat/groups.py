@@ -70,7 +70,7 @@ class FiniteGroup:
 
     @functools.cached_property
     def inverse(self) -> tuple[int, ...]:
-        return _inverses_from_table(self.table)
+        return tuple(row.index(0) for row in self.table)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -154,17 +154,6 @@ class QuotientMap:
     projection: tuple[int, ...]
 
 
-def _inverses_from_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    n = len(table)
-    inv = []
-    for a in range(n):
-        b = table[a].index(0)
-        if table[b][a] != 0:
-            raise ValueError(f"element {a} has no two-sided inverse")
-        inv.append(b)
-    return tuple(inv)
-
-
 def _check_table_order(n: int) -> None:
     if n > MAX_TABLE_ORDER:
         raise ValueError(f"group order {n} exceeds the table cap {MAX_TABLE_ORDER}")
@@ -200,8 +189,7 @@ def make_dihedral(two_n: int) -> FiniteGroup:
 
 def make_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Componentwise product on pairs, indexed lexicographically."""
-    trivial = [list(g1.elements())] * g2.order
-    return make_semidirect(g1, g2, trivial)
+    return _semidirect(g1, g2, [g1.elements()] * g2.order)
 
 
 def _first_difference(xs: Sequence[int], ys: Sequence[int]) -> int:
@@ -301,8 +289,8 @@ def make_inversion_extension(g1: FiniteGroup) -> FiniteGroup:
     # generators that commute make the group they generate abelian
     if any(g1.mul(a, b) != g1.mul(b, a) for a in g1.generators for b in g1.generators):
         raise ValueError("base group must be abelian")
-    action = [list(g1.elements()), list(g1.inverse)]
-    return make_semidirect(g1, make_cyclic(2), action)
+    # inversion is an automorphism of an abelian group, of order two
+    return _semidirect(g1, make_cyclic(2), [g1.elements(), g1.inverse])
 
 
 def from_table(table: Sequence[Sequence[int]]) -> FiniteGroup:
@@ -354,11 +342,10 @@ def from_table(table: Sequence[Sequence[int]]) -> FiniteGroup:
         perm = list(range(n))
         perm[0], perm[ident] = ident, 0
         rows = [[perm[rows[perm[a]][perm[b]]] for b in range(n)] for a in range(n)]
-    for a in range(n):
-        if 0 not in rows[a]:
-            raise ValueError(f"no inverse for {a}")
-        b = rows[a].index(0)
-        if rows[b][a] != 0:
+    # a right inverse in every row is two-sided: from a∘b = 0 and b∘c = 0,
+    # a = a∘(b∘c) = (a∘b)∘c = c
+    for a, row in enumerate(rows):
+        if 0 not in row:
             raise ValueError(f"no inverse for {a}")
     return FiniteGroup(n, lambda: rows)
 

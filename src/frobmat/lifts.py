@@ -153,14 +153,14 @@ def _classify_circuit(ctx: FrobeniusContext, g: GainGraph, circuit: Iterable[int
         deg[e.head] = deg.get(e.head, 0) + 1
     if any(d < 2 for d in deg.values()):
         raise ValueError("not a frame circuit: a vertex has degree one")
+    # connected with every degree at least 2: nullity 1 is one cycle, and
+    # nullity 2 (degree sum 2|V| + 2) a theta or a tight or loose handcuff
     nullity = len(ids) - len(scans[0].vertices) + 1
     qbal = []
     for c in cycles:
         walk = cycle_walk(g, c)
         qbal.append(ctx.in_kernel(gain_of_walk(g, walk)))
     if nullity == 1:
-        if len(cycles) != 1 or set(cycles[0]) != set(ids):
-            raise ValueError("not a frame circuit")
         if not qbal[0]:
             raise ValueError("not a frame circuit: unbalanced cycle")
         return _CircuitShape("cycle", (frozenset(ids),), frozenset())
@@ -171,17 +171,9 @@ def _classify_circuit(ctx: FrobeniusContext, g: GainGraph, circuit: Iterable[int
     csets = [frozenset(c) for c in cycles]
     if len(csets) == 3:
         return _CircuitShape("theta", tuple(csets), frozenset())
-    if len(csets) != 2:
-        raise ValueError("not a frame circuit")
     c1, c2 = csets
     rest = frozenset(ids) - c1 - c2
-    if rest:
-        if _vertices_of(g, c1) & _vertices_of(g, c2):
-            raise ValueError("not a frame circuit")
-        return _CircuitShape("loose", (c1, c2), rest)
-    if len(_vertices_of(g, c1) & _vertices_of(g, c2)) != 1:
-        raise ValueError("not a frame circuit")
-    return _CircuitShape("tight", (c1, c2), frozenset())
+    return _CircuitShape("loose" if rest else "tight", (c1, c2), rest)
 
 
 def class_member(ctx: FrobeniusContext, g: GainGraph, circuit: Iterable[int]) -> bool:
@@ -430,10 +422,8 @@ def contract_unbalanced_loop(
         elif f.gain in part_set:
             new_edges.append(Edge(f.id, v, v, 0))
         else:
-            if not kernel_rest:
-                raise ValueError(
-                    "loop outside the contracted part needs a non-identity kernel element"
-                )
+            # the kernel is nontrivial: a trivial one leaves one complement,
+            # the whole group, which holds every gain
             new_edges.append(Edge(f.id, v, v, kernel_rest[0]))
     return LiftedMatroid(ctx, g.with_edges(new_edges))
 

@@ -153,13 +153,11 @@ class VectorOracle(RankOracle):
         tuple of (pivot, row), each row scaled to 1 at its pivot and zero at
         the pivots of the rows before it. A step reduces one column against
         the rows in order and appends what is left, if anything."""
-        q, rows = self.matrix.q, self.matrix.rows
+        q = self.matrix.q
         columns = {eid: self.matrix.column(j) for eid, j in self._col_of.items()}
         inverse = [0] + [pow(x, q - 2, q) for x in range(1, q)]
 
         def step(basis: tuple, eid: int, last: bool):
-            if len(basis) == rows:
-                return basis, rows
             col = columns[eid]
             for p, row in basis:
                 f = col[p]

@@ -44,8 +44,8 @@ def referenced_names(source: str) -> set[str]:
 def unused_exports() -> list[str]:
     """The exported names that no other library module, the acceptance
     suite, the bench or a backticked span of the README refers to. A span
-    counts for the name it starts with: the README's API note names removed
-    functions by their module, as in `gaingraph.from_signed_gains`."""
+    counts for the name it starts with: `GraphicOracle(g)` is a use of
+    ``GraphicOracle``, and `groups.MAX_TABLE_ORDER` one of ``groups``."""
     sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     sources += [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob("*.py"))]
     used = set()

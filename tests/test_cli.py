@@ -838,6 +838,64 @@ def test_recover_rejects_out_of_range_kernel(write, capsys, with_class):
     assert err.startswith("error:") and err.count("\n") == 1 and "99" in err
 
 
+SEVENTEEN_EDGES = {
+    "group": D6_SPEC,
+    "vertices": 3,
+    "edges": [[i % 3, (i + 1) % 3, i % 6] for i in range(17)],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, spec, message",
+    [
+        (["rank"], {"group": D6_SPEC, "vertices": 2, "edges": [[0, 2, 0]]},
+         "edge 0 has an endpoint out of range"),
+        (["rank"], {"group": D6_SPEC, "vertices": 2, "edges": [[0, 1, 6]]},
+         "edge 0 has gain out of range"),
+        (["recover", "--kernel", "1,2"], K4_D6_SPEC, "subgroup must contain the identity 0"),
+        (["recover", "--kernel", "0,0"], K4_D6_SPEC, "subgroup elements must be strictly increasing"),
+        (["minor", "--delete", "99"], GOLDEN_D6_GRAPH, "no edge 99"),
+        # rank_table tabulates at most biased.EXHAUSTIVE_LIMIT (16) elements
+        (["verify", "--axioms"], SEVENTEEN_EDGES, "ground set larger than 16"),
+        (["frobpart"], {"kind": "direct", "factors": [{"kind": "cyclic", "n": 3}]},
+         "direct product needs at least two factors"),
+    ],
+    ids=[
+        "rank-endpoint", "rank-gain", "recover-kernel-without-identity",
+        "recover-kernel-repeated", "minor-delete-unknown", "verify-axioms-17-edges",
+        "direct-one-factor",
+    ],
+)
+def test_a_refused_input_exits_in_one_line(write, capsys, argv, spec, message):
+    flag = "--group" if argv[0] == "frobpart" else "--graph"
+    code, out, err = run(capsys, argv[0], flag, write("in.json", spec), *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _identity_theta():
+    """Three balanced cycles (the digon 0,1 and the triangles 0,2,3 and
+    1,2,3): its linear class is all three."""
+    return {"group": D6_SPEC, "vertices": 3, "edges": [[0, 1, 0], [0, 1, 0], [0, 2, 0], [2, 1, 0]]}
+
+
+def test_verify_names_a_class_file_set_that_is_no_host_circuit(write, capsys):
+    code, out, err = run(
+        capsys, "verify", "--graph", write("g.json", _identity_theta()),
+        "--linear-class", write("class.txt", "0,1\n0,1,2\n"),
+    )
+    assert (code, err) == (1, "")
+    assert out == (
+        "linear-class: FAIL (modular-pair witness candidate [0, 1, 2] is not a circuit of the host)\n"
+    )
+
+
+def test_blank_lines_of_a_class_file_are_skipped(write, capsys):
+    graph = write("g.json", _identity_theta())
+    for text in ("0,1\n0,2,3\n1,2,3\n", "\n0,1\n\n  \n0,2,3\n1,2,3\n\n"):
+        code, out, err = run(capsys, "verify", "--graph", graph, "--linear-class", write("c.txt", text))
+        assert (code, out, err) == (0, "linear-class: PASS\n", "")
+
+
 def test_recover_refuses_a_cycle_set_above_the_cap_before_building_any(
     write, capsys, monkeypatch
 ):

@@ -398,3 +398,45 @@ def test_balance_independent_of_walk_start_and_direction(d6):
                 flags.add(gain_of_walk(g, w) == 0)
             assert len(flags) == 1
             assert flags.pop() == is_balanced_cycle(g, cycle)
+
+
+# --- refusals ---------------------------------------------------------------
+
+
+def _two_digons(d6):
+    return graph(d6, 4, [(0, 1, 0), (1, 0, 3), (2, 3, 0), (3, 2, 3)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda d6: GainGraph(d6, 2, [Edge(0, 0, 1, 0), Edge(0, 1, 0, 0)]), "duplicate edge ids"),
+        (lambda d6: graph(d6, 2, [(0, 1, 0), (0, 2, 0)]), "edge 1 has an endpoint out of range"),
+        (lambda d6: graph(d6, 2, [(-1, 1, 0)]), "edge 0 has an endpoint out of range"),
+        (lambda d6: graph(d6, 2, [(0, 1, 6)]), "edge 0 has gain out of range"),
+        (lambda d6: graph(d6, 2, [(0, 1, -1)]), "edge 0 has gain out of range"),
+        (lambda d6: graph(d6, 3, [(0, 1, 4)]).gain_from(0, 2), "vertex 2 is not an end of edge 0"),
+        (lambda d6: graph(d6, 3, [(0, 1, 4)]).other_end(0, 2), "vertex 2 is not an end of edge 0"),
+        (
+            lambda d6: apply_switching(graph(d6, 3, []), [0, 1]),
+            "switching function length must equal the vertex count",
+        ),
+        (lambda d6: is_balanced_cycle(graph(d6, 1, [(0, 0, 1)]), []), "empty edge set is not a cycle"),
+        # every degree is two, and the walk from vertex 0 closes one digon
+        (lambda d6: is_balanced_cycle(_two_digons(d6), [0, 1, 2, 3]),
+         "no unused edge of the set meets vertex 0"),
+        (
+            lambda d6: quotient_gains(graph(d6, 1, []), quotient(make_dihedral(6), Subgroup((0, 1, 2)))),
+            "quotient map source differs from the graph's group",
+        ),
+        (lambda d6: complete_gain_graph(d6, 1), "complete gain graph needs at least 2 vertices"),
+    ],
+    ids=[
+        "duplicate-id", "endpoint-high", "endpoint-negative", "gain-high", "gain-negative",
+        "gain_from-off-edge", "other_end-off-edge", "switching-length", "empty-cycle",
+        "two-disjoint-cycles", "other-group-quotient", "complete-n1",
+    ],
+)
+def test_a_malformed_argument_is_refused(d6, call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(d6)

@@ -1,9 +1,12 @@
 import functools
+import importlib.util
 import itertools
 import math
 import random
 import re
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +162,35 @@ def test_semidirect_trivial_action_is_direct_product():
     z3, z4 = make_cyclic(3), make_cyclic(4)
     trivial = [list(range(3))] * 4
     assert make_semidirect(z3, z4, trivial).table == make_direct_product(z3, z4).table
+
+
+def _bench_catalog_specs() -> list[dict]:
+    """Every group spec of the benchmark's catalog workload."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [s for slot in module.catalog_slots() for s in slot]
+
+
+def test_direct_and_inversion_products_are_the_checked_semidirect_product():
+    """make_direct_product and make_inversion_extension skip make_semidirect's
+    checks on their actions, the trivial one and inversion; on every direct
+    and inversion group of the bench catalog, the checked route accepts the
+    same action and gives the same table."""
+    specs = _bench_catalog_specs()
+    directs = [s["factors"] for s in specs if s["kind"] == "direct"]
+    bases = [s["base"] for s in specs if s["kind"] == "inversion"]
+    assert len(directs) == 47 and len(bases) == 13
+    for factors in directs:
+        g1, g2 = map(group_from_spec, factors)
+        trivial = [list(g1.elements())] * g2.order
+        assert make_direct_product(g1, g2).table == make_semidirect(g1, g2, trivial).table
+    for spec in bases:
+        base = group_from_spec(spec)
+        inversion = [list(base.elements()), list(base.inverse)]
+        want = make_semidirect(base, make_cyclic(2), inversion)
+        assert make_inversion_extension(base).table == want.table
 
 
 def test_semidirect_inversion_is_dihedral():
@@ -819,6 +851,11 @@ def test_out_of_range_elements_are_rejected(d6):
     ):
         with pytest.raises(ValueError, match="out of range for a group of order 6"):
             check()
+
+
+def test_a_set_without_the_identity_is_no_subgroup(d6):
+    assert not is_subgroup(d6, [1, 2])
+    assert not is_subgroup(d6, [])
 
 
 # --- the join search and normality against their definitions ---------------

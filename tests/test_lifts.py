@@ -15,11 +15,13 @@ from frobmat import (
     Edge,
     FrameOracle,
     FrobeniusContext,
+    FrobeniusPartition,
     GainGraph,
     GraphicOracle,
     LiftOracle,
     LiftedMatroid,
     LimitExceeded,
+    Subgroup,
     apply_switching,
     bases,
     brylawski_lift,
@@ -222,6 +224,42 @@ def test_no_theta_or_handcuff_gain_lies_in_the_kernel(seed):
             walks = [gain_of_walk(g, w) for w in pair]
             assert all(ctx.part_of[x] >= 0 for x in leftover + walks), (ctx, g.edges, c)
             assert class_member(ctx, g, c) == class_member_walks(ctx, g, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_every_frame_circuit_is_a_cycle_theta_or_handcuff(seed):
+    """What _classify_circuit relies on without checking it. A frame circuit
+    is connected with every degree at least two; of nullity 1 it is one
+    cycle, and of nullity 2 (degree sum 2|V| + 2) either a theta, with three
+    cycles and two vertices of degree three, or it has two cycles, which
+    share exactly one vertex (a tight handcuff, a vertex of degree four)
+    exactly when no edge is left over, and none otherwise (a loose one, the
+    edges left over a path). On random graphs under every partition of six
+    groups, each frame circuit of the quotient is accepted and classified so."""
+    rng = random.Random(seed)
+    for ctx in _premise_contexts():
+        g = random_gain_graph(ctx.group, rng, max_vertices=4, max_edges=8)
+        for c in LiftedMatroid(ctx, g).frame_circuits:
+            shape = _classify_circuit(ctx, g, c)
+            cycles = [frozenset(x) for x in enumerate_cycles(g.with_edges(g.edge(i) for i in c))]
+            degree = collections.Counter(v for i in c for v in (g.edge(i).tail, g.edge(i).head))
+            assert set(shape.cycles) == set(cycles), (g.edges, c)
+            if len(c) == len(degree):
+                assert shape.kind == "cycle" and cycles == [frozenset(c)], (g.edges, c)
+                continue
+            assert len(c) == len(degree) + 1, (g.edges, c)
+            branch = sorted(d for d in degree.values() if d > 2)
+            if len(cycles) == 3:
+                assert shape.kind == "theta" and branch == [3, 3], (g.edges, c)
+                continue
+            assert len(cycles) == 2, (g.edges, c)
+            c1, c2 = cycles
+            rest = frozenset(c) - c1 - c2
+            ends = [{v for i in x for v in (g.edge(i).tail, g.edge(i).head)} for x in (c1, c2)]
+            shared = len(ends[0] & ends[1])
+            assert (shape.kind, shape.path) == ("loose" if rest else "tight", rest), (g.edges, c)
+            assert (shared, branch) == ((0, [3, 3]) if rest else (1, [4])), (g.edges, c)
 
 
 # --- the linear class -------------------------------------------------------
@@ -1332,6 +1370,60 @@ def test_spike_needs_nontrivial_kernel(d6):
     ctx = contexts_of(d6)[1]
     with pytest.raises(ValueError, match="kernel"):
         build_spike_graph(ctx, 3)
+
+
+# --- refusals ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda d6, ctx: FrobeniusContext(
+                d6, FrobeniusPartition(Subgroup((0, 1, 2)), (Subgroup((0, 3)),)), validate=False
+            ),
+            "partition does not cover the group",
+        ),
+        (
+            lambda d6, ctx: LiftedMatroid(ctx, graph(make_dihedral(6), 1, [])),
+            "graph group differs from the context group",
+        ),
+        (
+            lambda d6, ctx: class_member(ctx, graph(d6, 2, [(0, 0, 3), (1, 1, 3)]), [0, 1]),
+            "not a frame circuit: restriction is disconnected",
+        ),
+        (
+            lambda d6, ctx: class_member(ctx, graph(d6, 1, [(0, 0, 3), (0, 0, 4), (0, 0, 5)]), [0, 1, 2]),
+            "not a frame circuit: nullity is not 1 or 2",
+        ),
+        # a tight handcuff whose kernel loop is quotient-balanced
+        (
+            lambda d6, ctx: class_member(ctx, graph(d6, 1, [(0, 0, 1), (0, 0, 3)]), [0, 1]),
+            "not a frame circuit: contains a balanced cycle",
+        ),
+        (lambda d6, ctx: contract_nonloop(ctx, graph(d6, 1, [(0, 0, 3)]), 0), "edge 0 is a loop"),
+        (lambda d6, ctx: contract_unbalanced_loop(ctx, graph(d6, 2, [(0, 1, 3)]), 0), "edge 0 is not a loop"),
+        (
+            lambda d6, ctx: contract_unbalanced_loop(ctx, graph(d6, 1, [(0, 0, 1)]), 0),
+            "loop gain lies in the kernel; use contract_kernel_loop",
+        ),
+        (lambda d6, ctx: contract_kernel_loop(ctx, graph(d6, 2, [(0, 1, 1)]), 0), "edge 0 is not a loop"),
+        (
+            lambda d6, ctx: contract_kernel_loop(ctx, graph(d6, 1, [(0, 0, 0)]), 0),
+            "loop gain must be a non-identity kernel element",
+        ),
+        (lambda d6, ctx: build_spike_graph(ctx, 2), r"spikes need r >= 3"),
+    ],
+    ids=[
+        "uncovered-partition", "other-group-graph", "disconnected", "nullity-three",
+        "quotient-balanced-cycle", "contract_nonloop-loop", "contract_unbalanced_loop-nonloop",
+        "contract_unbalanced_loop-kernel-loop", "contract_kernel_loop-nonloop",
+        "contract_kernel_loop-identity-loop", "spike-r2",
+    ],
+)
+def test_a_malformed_argument_is_refused(d6, d6_frobenius, call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(d6, d6_frobenius)
 
 
 # --- elementary lift recognition --------------------------------------------

@@ -57,6 +57,12 @@ def test_edge_bundle_counts(d6):
     assert ids == tuple(sorted(complete_edge_id(d6, 3, i, j, 3) for i, j in ((0, 1), (0, 2), (1, 2))))
 
 
+@pytest.mark.parametrize("alpha", [6, -1])
+def test_edge_bundle_refuses_an_element_out_of_range(d6, alpha):
+    with pytest.raises(ValueError, match=f"^element {alpha} out of range$"):
+        edge_bundle(d6, 4, [0, alpha])
+
+
 def test_round_trip_d6(d6, d6_partitions, d6_frobenius):
     k4 = complete_gain_graph(d6, 4)
     m = LiftedMatroid(d6_frobenius, k4)
@@ -587,11 +593,16 @@ def _outside_catalog_group(name: str) -> FiniteGroup:
     return OUTSIDE_CATALOG[name]()
 
 
-@settings(max_examples=8, deadline=None)
-@given(st.sampled_from(sorted(OUTSIDE_CATALOG)), st.randoms(use_true_random=False))
-def test_every_partition_round_trips_past_the_catalog(name, rng):
-    """K_4 over a Frobenius group outside the order-20 catalog, its elements
-    renamed at random through a table spec: every partition comes back."""
+@settings(max_examples=7, deadline=None)
+@given(
+    st.sampled_from(sorted(OUTSIDE_CATALOG)), st.sampled_from([4, 5]), st.randoms(use_true_random=False)
+)
+def test_every_partition_round_trips_past_the_catalog(name, n, rng):
+    """K_4 or K_5 over a Frobenius group outside the order-20 catalog, its
+    elements renamed at random through a table spec: every partition comes
+    back. On K_5 the three partitions of a group take 0.3 s (Z7:Z3) to
+    1.5 s (Z29:Z2) in all, so about half of the seven draws are K_5 and the
+    test takes 3-6 s."""
     group = _outside_catalog_group(name)
     image = [0] + rng.sample(range(1, group.order), group.order - 1)
     table = [[0] * group.order for _ in group.elements()]
@@ -599,12 +610,12 @@ def test_every_partition_round_trips_past_the_catalog(name, rng):
         for b, ab in enumerate(row):
             table[image[a]][image[b]] = image[ab]
     renamed = group_from_spec({"kind": "table", "table": table})
-    k4 = complete_gain_graph(renamed, 4)
+    kn = complete_gain_graph(renamed, n)
     parts = frobenius_partitions(renamed)
     assert len(parts) == 3
     for part in parts:
-        m = LiftedMatroid(FrobeniusContext(renamed, part, validate=False), k4)
-        assert recover_partition(renamed, part.kernel, 4, m) == part
+        m = LiftedMatroid(FrobeniusContext(renamed, part, validate=False), kn)
+        assert recover_partition(renamed, part.kernel, n, m) == part
 
 
 def test_round_trip_sampled_path_uses_seed(d6, d6_partitions, d6_frobenius):

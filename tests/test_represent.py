@@ -346,6 +346,24 @@ def test_incidence_matrix_rejects_other_groups(d6):
         incidence_matrix(g)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda f20: affine_index(f20, 1, 5), "multiplier must be nonzero mod q"),
+        (lambda f20: affine_index(f20, 1, 0), "multiplier must be nonzero mod q"),
+        (lambda f20: FieldMatrix.build(5, [[1, 2], [3]]), "ragged matrix"),
+        (
+            lambda f20: VectorOracle(FieldMatrix.build(5, [[1, 2]]), [0, 1, 2]),
+            "one ground id per column required",
+        ),
+    ],
+    ids=["multiplier-q", "multiplier-0", "ragged", "ids-for-columns"],
+)
+def test_a_malformed_argument_is_refused(f20, call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(f20)
+
+
 def _awkward_matrix(rng):
     """A random matrix over GF(3), GF(5) or GF(7) whose columns include zero
     columns, repeats and nonzero multiples of earlier ones."""
