@@ -16,10 +16,12 @@ from .errors import LimitExceeded
 from .gaingraph import (
     DEFAULT_CYCLE_COUNT_LIMIT,
     DEFAULT_CYCLE_EDGE_LIMIT,
+    EdgeEnds,
     GainGraph,
     enumerate_cycles,
     is_balanced_cycle,
 )
+from .groups import FiniteGroup
 
 # Most elements a sweep over every subset takes
 EXHAUSTIVE_LIMIT = 16
@@ -174,12 +176,7 @@ class RankOracle:
 
 
 def _union_edges(
-    g: GainGraph,
-    part_of: Sequence[int],
-    state: tuple,
-    edges: Iterable[int],
-    lifted: bool,
-    need: int = -1,
+    g: GainGraph, part_of: Sequence[int], state: tuple, edges: Iterable[int], lifted: bool
 ) -> bool:
     """Add ``edges`` to the union-find ``state`` (root, eta, members,
     witness) in place; returns the lifted flag.
@@ -195,13 +192,8 @@ def _union_edges(
     complement (its witness). A merge re-roots the smaller component by c,
     which conjugates its reduced gains, so its witness becomes c^-1 w c.
     Members are tuples, so a shallow copy of the four dicts is a snapshot.
-
-    ``need`` counts down the edges that raise |V| - c + w + l by one: an
-    unseen end joining, a merge (unless both sides have a witness and l
-    stays), a component's first witness, or the lifted flag turning on. At
-    zero the pass stops and the rest of ``edges`` is left unread; a negative
-    count never stops it. A caller that does not count l passes ``lifted``
-    set, so that no edge turns it on.
+    A caller that does not count the lift bit passes ``lifted`` set, so that
+    no edge turns it on. _rank_pass is the same pass on fresh state.
     """
     root, eta, members, witness = state
     table = g.group.table
@@ -264,11 +256,112 @@ def _union_edges(
                     continue
                 else:
                     lifted = True
-        # the edge raised the rank by one
-        need -= 1
-        if not need:
-            break
     return lifted
+
+
+def _dense_ends(g: GainGraph) -> tuple[EdgeEnds, int]:
+    """``g.ends`` with the vertices that the edges meet renumbered 0, 1, ...
+    in increasing order, and how many there are: lists over those numbers
+    are sized by the edges, not by ``g.vertex_count``."""
+    ends = g.ends
+    verts = sorted({v for t, h, _ in ends.values() for v in (t, h)})
+    number = {v: i for i, v in enumerate(verts)}
+    dense = EdgeEnds({eid: (number[t], number[h], x) for eid, (t, h, x) in ends.items()})
+    return dense, len(number)
+
+
+def _rank_pass(
+    group: FiniteGroup,
+    ends: EdgeEnds,
+    n: int,
+    part_of: Sequence[int],
+    subset: Iterable[int],
+    lift: bool,
+    cap: int,
+) -> int:
+    """|V| - c + w + l of ``subset``, by _union_edges's rules on state of its
+    own over the ``n`` dense vertex numbers of ``ends`` (see _dense_ends):
+    root (-1 for an unseen vertex) and eta are lists, each root's members a
+    list appended in place, the witnesses a dict.
+
+    Returns the count of edges that raised |V| - c + w + l by one: an unseen
+    end joining, a merge (unless both sides have a witness and l stays), a
+    component's first witness, or l turning on. Without ``lift``, l stays
+    zero. Once the count reaches ``cap`` the pass stops counting: with
+    ``cap`` the rank of every edge this is exact, since rank is monotone and
+    a set holding a prefix of that rank has that rank. The ids left unread
+    are then checked against ``ends`` by one ``filterfalse`` pass, so an
+    unknown one still raises ValueError. A negative cap never stops the pass.
+    """
+    table = group.table
+    inverse = group.inverse
+    root = [-1] * n
+    eta = [0] * n
+    members: list = [None] * n
+    witness: dict[int, int] = {}
+    lifted = not lift
+    r = 0
+    rest = iter(subset)
+    for eid in rest:
+        t, h, x = ends[eid]
+        rt = root[t]
+        rh = root[h]
+        if rt < 0 and t == h:
+            root[t] = rt = rh = t
+            members[t] = [t]
+        if rt < 0:
+            if rh < 0:
+                root[t] = root[h] = t
+                eta[h] = inverse[x]
+                members[t] = [t, h]
+            else:
+                root[t] = rh
+                eta[t] = table[x][eta[h]]
+                members[rh].append(t)
+        elif rh < 0:
+            root[h] = rt
+            eta[h] = table[inverse[x]][eta[t]]
+            members[rt].append(h)
+        elif rt == rh:
+            red = table[table[inverse[eta[t]]][x]][eta[h]]
+            part = part_of[red]
+            if part == IDENTITY_PART:
+                continue
+            if part == KERNEL_PART:
+                if lifted:
+                    continue
+                lifted = True
+            elif rt not in witness:
+                witness[rt] = red
+            elif lifted or part_of[witness[rt]] == part:
+                continue
+            else:
+                lifted = True
+        else:
+            if len(members[rt]) < len(members[rh]):
+                a, b, y, keep, move = t, h, x, rh, rt
+            else:
+                a, b, y, keep, move = h, t, inverse[x], rt, rh
+            c = table[table[inverse[eta[a]]][y]][eta[b]]
+            moved = members[move]
+            for v in moved:
+                root[v] = keep
+                eta[v] = table[eta[v]][c]
+            members[keep] += moved
+            if move in witness:
+                w = table[table[inverse[c]][witness.pop(move)]][c]
+                if keep not in witness:
+                    witness[keep] = w
+                elif lifted or part_of[witness[keep]] == part_of[w]:
+                    continue
+                else:
+                    lifted = True
+        r += 1
+        if r == cap:
+            for eid in itertools.filterfalse(ends.__contains__, rest):
+                ends[eid]
+            break
+    return r
 
 
 def component_rank(
@@ -284,41 +377,18 @@ def component_rank(
     Neither verdict depends on the forest: both are properties of the gain
     group up to conjugacy.
     """
-    return _capped_rank(g, subset, part_of, lift, -1)
-
-
-def _capped_rank(
-    g: GainGraph, subset: Iterable[int], part_of: Sequence[int], lift: bool, cap: int
-) -> int:
-    """component_rank, stopped once the edges read so far reach rank ``cap``.
-
-    With ``cap`` the rank of every edge of ``g`` this is exact: rank is
-    monotone, so a set holding a prefix of that rank has that rank. A pass
-    that stopped early has rank ``cap``; only then are ids left unread, and
-    they are checked against the edge table by one ``filterfalse`` pass, so
-    an unknown one still raises ValueError. A negative cap never stops the
-    pass.
-    """
-    state = root, _, members, witness = {}, {}, {}, {}
-    rest = iter(subset)
-    # the empty state has rank 0, so ``cap`` rank-raising edges reach the cap
-    lifted = _union_edges(g, part_of, state, rest, not lift, cap)
-    r = len(root) - len(members) + len(witness) + (lift and lifted)
-    if r == cap:
-        ends = g.ends
-        for eid in itertools.filterfalse(ends.__contains__, rest):
-            ends[eid]
-    return r
+    return _rank_pass(g.group, *_dense_ends(g), part_of, subset, lift, -1)
 
 
 class ComponentOracle(RankOracle):
     """component_rank(graph, X, part_of, lift) on every edge of ``graph``.
 
-    r(E) is found once, by a direct pass (not a rank query), and is then
+    The graph's vertices are numbered densely once (see _dense_ends). r(E)
+    is found once, by a direct pass (not a rank query), and is then
     full_rank(); each later pass stops once its prefix reaches it (see
-    _capped_rank). The walk runs _union_edges on one edge per step, on a
-    copy of the union-find state unless the step is the state's last. A
-    step raises |V| - c + w + l by 0 or 1, so the walk is monotone, as
+    _rank_pass). The walk runs _union_edges on one edge per step, on a copy
+    of the union-find state unless the step is the state's last. A step
+    raises |V| - c + w + l by 0 or 1, so the walk is monotone, as
     ``incremental`` requires.
     """
 
@@ -331,11 +401,19 @@ class ComponentOracle(RankOracle):
         self.ground = tuple(sorted(graph.edge_ids()))
 
     @functools.cached_property
+    def _ends(self) -> tuple[EdgeEnds, int]:
+        return _dense_ends(self.graph)
+
+    @functools.cached_property
     def _cap(self) -> int:
-        return component_rank(self.graph, self.ground, self.part_of, self.lift)
+        ends, n = self._ends
+        return _rank_pass(self.graph.group, ends, n, self.part_of, self.ground, self.lift, -1)
 
     def rank(self, subset: Iterable[int]) -> int:
-        return _capped_rank(self.graph, subset, self.part_of, self.lift, self._cap)
+        ends, n = self._ends
+        return _rank_pass(
+            self.graph.group, ends, n, self.part_of, subset, self.lift, self._cap
+        )
 
     def full_rank(self) -> int:
         return self._cap

@@ -134,9 +134,10 @@ def cmd_verify(args) -> int:
             cand = fileio.parse_circuits(Path(args.linear_class).read_text())
         try:
             ok, witness = is_linear_class(host, host_circuits, cand)
+            detail = f"modular-pair witness {witness}"
         except ValueError as exc:
-            ok, witness = False, str(exc)
-        report("linear-class", ok, f"modular-pair witness {witness}")
+            ok, detail = False, str(exc)
+        report("linear-class", ok, detail)
     if args.representation:
         ok, witness = verify_representation(ctx, graph, seed=args.seed)
         report("representation", ok, f"witness subset {witness}")
@@ -216,7 +217,11 @@ def cmd_minor(args) -> int:
 def cmd_recover(args) -> int:
     graph = fileio.load_graph(args.graph)
     group = graph.group
-    kernel = Subgroup(tuple(sorted(fileio.parse_id_list(args.kernel))))
+    elements = fileio.parse_id_list(args.kernel)
+    if len(set(elements)) < len(elements):
+        x = next(x for i, x in enumerate(elements) if x in elements[:i])
+        raise ValueError(f"kernel element {x} is listed more than once")
+    kernel = Subgroup(tuple(sorted(elements)))
     n = graph.vertex_count
     if args.cls:
         members = fileio.parse_circuits(Path(args.cls).read_text())

@@ -144,8 +144,6 @@ def _classify_circuit(ctx: FrobeniusContext, g: GainGraph, circuit: Iterable[int
     scans = scan_components(g, ids)
     if len(scans) != 1:
         raise ValueError("not a frame circuit: restriction is disconnected")
-    sub = g.with_edges(g.edge(i) for i in ids)
-    cycles = enumerate_cycles(sub)
     deg: dict[int, int] = {}
     for i in ids:
         e = g.edge(i)
@@ -154,8 +152,13 @@ def _classify_circuit(ctx: FrobeniusContext, g: GainGraph, circuit: Iterable[int
     if any(d < 2 for d in deg.values()):
         raise ValueError("not a frame circuit: a vertex has degree one")
     # connected with every degree at least 2: nullity 1 is one cycle, and
-    # nullity 2 (degree sum 2|V| + 2) a theta or a tight or loose handcuff
+    # nullity 2 (degree sum 2|V| + 2) a theta or a tight or loose handcuff;
+    # any other nullity is refused before a cycle is listed
     nullity = len(ids) - len(scans[0].vertices) + 1
+    if nullity not in (1, 2):
+        raise ValueError("not a frame circuit: nullity is not 1 or 2")
+    sub = g.with_edges(g.edge(i) for i in ids)
+    cycles = enumerate_cycles(sub)
     qbal = []
     for c in cycles:
         walk = cycle_walk(g, c)
@@ -164,8 +167,6 @@ def _classify_circuit(ctx: FrobeniusContext, g: GainGraph, circuit: Iterable[int
         if not qbal[0]:
             raise ValueError("not a frame circuit: unbalanced cycle")
         return _CircuitShape("cycle", (frozenset(ids),), frozenset())
-    if nullity != 2:
-        raise ValueError("not a frame circuit: nullity is not 1 or 2")
     if any(qbal):
         raise ValueError("not a frame circuit: contains a balanced cycle")
     csets = [frozenset(c) for c in cycles]

@@ -736,9 +736,9 @@ def test_full_rank_is_found_by_one_union_find_pass(monkeypatch):
     g = graph(WALK_GRAPH.group, 4, WALK_GRAPH_TRIPLES[:8])
     want = LiftedMatroid(WALK_CONTEXT, g).rank(g.edge_ids())
     passes = []
-    union_edges = biased_module._union_edges
+    rank_pass = biased_module._rank_pass
     monkeypatch.setattr(
-        biased_module, "_union_edges", lambda *a: passes.append(1) or union_edges(*a)
+        biased_module, "_rank_pass", lambda *a: passes.append(1) or rank_pass(*a)
     )
     m = LiftedMatroid(WALK_CONTEXT, g)
     assert [m.full_rank() for _ in range(3)] == [want] * 3

@@ -853,7 +853,7 @@ SEVENTEEN_EDGES = {
         (["rank"], {"group": D6_SPEC, "vertices": 2, "edges": [[0, 1, 6]]},
          "edge 0 has gain out of range"),
         (["recover", "--kernel", "1,2"], K4_D6_SPEC, "subgroup must contain the identity 0"),
-        (["recover", "--kernel", "0,0"], K4_D6_SPEC, "subgroup elements must be strictly increasing"),
+        (["recover", "--kernel", "0,0"], K4_D6_SPEC, "kernel element 0 is listed more than once"),
         (["minor", "--delete", "99"], GOLDEN_D6_GRAPH, "no edge 99"),
         # rank_table tabulates at most biased.EXHAUSTIVE_LIMIT (16) elements
         (["verify", "--axioms"], SEVENTEEN_EDGES, "ground set larger than 16"),
@@ -885,7 +885,7 @@ def test_verify_names_a_class_file_set_that_is_no_host_circuit(write, capsys):
     )
     assert (code, err) == (1, "")
     assert out == (
-        "linear-class: FAIL (modular-pair witness candidate [0, 1, 2] is not a circuit of the host)\n"
+        "linear-class: FAIL (candidate [0, 1, 2] is not a circuit of the host)\n"
     )
 
 

@@ -858,6 +858,20 @@ def test_a_set_without_the_identity_is_no_subgroup(d6):
     assert not is_subgroup(d6, [])
 
 
+@pytest.mark.parametrize(
+    "elements, message",
+    [
+        ((), "subgroup must contain the identity 0"),
+        ((1, 2), "subgroup must contain the identity 0"),
+        ((0, 2, 1), "subgroup elements must be strictly increasing"),
+        ((0, 0), "subgroup elements must be strictly increasing"),
+    ],
+)
+def test_subgroup_refuses_a_malformed_element_tuple(elements, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Subgroup(elements)
+
+
 # --- the join search and normality against their definitions ---------------
 
 

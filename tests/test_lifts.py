@@ -3,6 +3,7 @@ import functools
 import itertools
 import random
 import time
+import tracemalloc
 from typing import Sequence
 
 import pytest
@@ -449,6 +450,33 @@ def test_circuits_on_high_vertex_numbers(d6, d6_frobenius):
     assert time.perf_counter() - start < 2.0  # 10^9-bit masks take seconds
 
 
+def test_a_rank_query_on_high_vertex_numbers_allocates_by_its_edges(d6, d6_frobenius):
+    """Edges on vertices near 10^7: each pass keeps its lists over the
+    vertices that the graph's edges meet, so a query allocates a few
+    kilobytes, not a list of 10^7 entries (80 MB)."""
+    low = graph(d6, 3, [(0, 1, 0), (1, 2, 3), (0, 2, 1), (0, 1, 2), (2, 2, 4)])
+    top = 10**7 - low.vertex_count
+    high = GainGraph(
+        d6, 10**7, (Edge(e.id, e.tail + top, e.head + top, e.gain) for e in low.edges)
+    )
+    queries = [list(low.edge_ids()), [4, 2, 0], [3, 0], [1]]
+    expected = [
+        (LiftedMatroid(d6_frobenius, low).rank(q), FrameOracle(BiasedGraph(low)).rank(q))
+        for q in queries
+    ]
+    m, frame = LiftedMatroid(d6_frobenius, high), FrameOracle(BiasedGraph(high))
+    tracemalloc.start()
+    try:
+        got = [(m.rank(q), frame.rank(q)) for q in queries]
+        got_uncapped = [component_rank(high, q, d6_frobenius.part_of, True) for q in queries]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert got_uncapped == [r for r, _ in expected]
+    assert peak < 200_000
+
+
 # Groups of the differential tests below, D6, F20 and Inv(Z9), with the
 # contexts of all their partitions built once.
 DIFFERENTIAL_GROUPS = [
@@ -879,6 +907,18 @@ def _uncapped(oracle):
     return lambda ids: component_rank(oracle.graph, ids, oracle.part_of, oracle.lift)
 
 
+def _walked(oracle):
+    """The oracle's ranks by its walk, one step per id."""
+
+    def rank(ids):
+        state, r, step = oracle.walk()
+        for k, e in enumerate(ids, 1):
+            state, r = step(state, e, k == len(ids))
+        return r
+
+    return rank
+
+
 def _shuffled_queries(ids, rng):
     """Every subset of ``ids``, shuffled and with some ids repeated, so that
     a pass may stop at any position."""
@@ -893,11 +933,12 @@ def _shuffled_queries(ids, rng):
 @given(st.integers(0, 2**31 - 1))
 def test_capped_ranks_match_uncapped_and_explicit_routes(seed):
     """Every oracle whose passes stop at the ground-set rank against a pass
-    that reads every id, and against the explicit balanced-cycle route:
-    scanned components for the frame, lift and graphic ranks, and the
-    modular-pair lift of the gain-defined class for the lifted rank. The
-    walk of the quotient's frame ComponentOracle is checked against
-    per-subset ``underlying_rank``."""
+    that reads every id, against its walk over the same ids, and against
+    the explicit balanced-cycle route: scanned components for the frame,
+    lift and graphic ranks, and the modular-pair lift of the gain-defined
+    class for the lifted rank. The queries come in every order, so parts of
+    a component meet by a merge. The walk of the quotient's frame
+    ComponentOracle is checked against per-subset ``underlying_rank``."""
     rng = random.Random(seed)
     i = seed % len(DIFFERENTIAL_GROUPS)
     g = _awkward_graph(DIFFERENTIAL_GROUPS[i], rng)
@@ -907,34 +948,38 @@ def test_capped_ranks_match_uncapped_and_explicit_routes(seed):
             graph, [c for c in enumerate_cycles(graph) if is_balanced_cycle(graph, c)]
         )
 
+    def route(oracle, by_cycles):
+        return oracle.rank, _uncapped(oracle), _walked(oracle), by_cycles
+
     gain, scanned = BiasedGraph(g), explicit(g)
     every_cycle = BiasedGraph(g, enumerate_cycles(g))
     routes = [
-        (FrameOracle(gain).rank, _uncapped(FrameOracle(gain)), FrameOracle(scanned).rank),
-        (LiftOracle(gain).rank, _uncapped(LiftOracle(gain)), LiftOracle(scanned).rank),
-        (GraphicOracle(g).rank, _uncapped(GraphicOracle(g)), FrameOracle(every_cycle).rank),
+        route(FrameOracle(gain), FrameOracle(scanned).rank),
+        route(LiftOracle(gain), LiftOracle(scanned).rank),
+        route(GraphicOracle(g), FrameOracle(every_cycle).rank),
     ]
     for ctx in DIFFERENTIAL_CONTEXTS[i]:
         m = LiftedMatroid(ctx, g)
         host = explicit(quotient_gains(g, ctx.quotient))
         frame = FrameOracle(host)
         lift = brylawski_lift(frame, frame_circuits(host), _class_by_gains(ctx, g))
-        routes.append((m.rank, _uncapped(m), lift.rank))
+        quotient = ComponentOracle(g, ctx.part_of, False)
+        routes.append(route(m, lift.rank))
         routes.append(
             (
                 m.underlying_rank,
                 lambda ids, ctx=ctx: component_rank(g, ids, ctx.part_of, False),
+                _walked(quotient),
                 frame.rank,
             )
         )
-        quotient = ComponentOracle(g, ctx.part_of, False)
-        routes.append((quotient.rank, _uncapped(quotient), frame.rank))
+        routes.append(route(quotient, frame.rank))
         walked = rank_table(quotient)
         assert walked == rank_table(FuncOracle(m.ground, m.underlying_rank)), ctx
     for sub, query in _shuffled_queries(g.edge_ids(), rng):
-        for capped, uncapped, by_cycles in routes:
+        for capped, uncapped, walk, by_cycles in routes:
             expected = by_cycles(sub)
-            assert capped(query) == uncapped(query) == expected, (sub, query)
+            assert capped(query) == uncapped(query) == walk(query) == expected, (sub, query)
 
 
 COMPLETE_GRAPHS = [
@@ -1424,6 +1469,25 @@ def test_spike_needs_nontrivial_kernel(d6):
 def test_a_malformed_argument_is_refused(d6, d6_frobenius, call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call(d6, d6_frobenius)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_set_above_nullity_two_is_refused_before_any_cycle_is_listed(
+    d6, d6_frobenius, monkeypatch, n
+):
+    """Every edge of K_4 over D6 (36 edges, nullity 33), and of K_5 (60
+    edges, past the 40-edge cap of the cycle enumeration): refused by the
+    nullity, which the scan gives, without listing a cycle."""
+    import frobmat.lifts as lifts
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cycles listed")
+
+    monkeypatch.setattr(lifts, "enumerate_cycles", refuse)
+    g = complete_gain_graph(d6, n)
+    assert len(g.edges) == (36 if n == 4 else 60)
+    with pytest.raises(ValueError, match="^not a frame circuit: nullity is not 1 or 2$"):
+        class_member(d6_frobenius, g, g.edge_ids())
 
 
 # --- elementary lift recognition --------------------------------------------
