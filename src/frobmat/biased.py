@@ -175,90 +175,6 @@ class RankOracle:
         return (), self.rank(()), step
 
 
-def _union_edges(
-    g: GainGraph, part_of: Sequence[int], state: tuple, edges: Iterable[int], lifted: bool
-) -> bool:
-    """Add ``edges`` to the union-find ``state`` (root, eta, members,
-    witness) in place; returns the lifted flag.
-
-    Each vertex holds its root and a potential eta relative to it, chosen so
-    that switching by eta makes every forest edge the identity; an edge
-    t -> h with gain x inside a component then reduces to eta(t)^-1 x eta(h).
-    A vertex seen for the first time joins the component of the edge's other
-    end in place, with the eta that makes the edge the identity (two unseen
-    ends start a component rooted at t; a loop at an unseen vertex makes it a
-    singleton first), so only an edge between two seen vertices merges.
-    Each root holds its vertices and, once one is seen, a reduced gain in a
-    complement (its witness). A merge re-roots the smaller component by c,
-    which conjugates its reduced gains, so its witness becomes c^-1 w c.
-    Members are tuples, so a shallow copy of the four dicts is a snapshot.
-    A caller that does not count the lift bit passes ``lifted`` set, so that
-    no edge turns it on. _rank_pass is the same pass on fresh state.
-    """
-    root, eta, members, witness = state
-    table = g.group.table
-    inverse = g.group.inverse
-    ends = g.ends
-    for eid in edges:
-        t, h, x = ends[eid]
-        rt = root.get(t)
-        rh = root.get(h)
-        if rt is None and t == h:
-            root[t], eta[t], members[t] = t, 0, (t,)
-            rt = rh = t
-        # an unseen end takes eta(t) = x eta(h), or eta(h) = x^-1 eta(t)
-        if rt is None:
-            if rh is None:
-                root[t] = root[h] = t
-                eta[t], eta[h] = 0, inverse[x]
-                members[t] = (t, h)
-            else:
-                root[t] = rh
-                eta[t] = table[x][eta[h]]
-                members[rh] += (t,)
-        elif rh is None:
-            root[h] = rt
-            eta[h] = table[inverse[x]][eta[t]]
-            members[rt] += (h,)
-        elif rt == rh:
-            red = table[table[inverse[eta[t]]][x]][eta[h]]
-            part = part_of[red]
-            if part == IDENTITY_PART:
-                continue
-            if part == KERNEL_PART:
-                if lifted:
-                    continue
-                lifted = True
-            elif rt not in witness:
-                witness[rt] = red
-            elif lifted or part_of[witness[rt]] == part:
-                continue
-            else:
-                lifted = True
-        else:
-            # move the smaller component: a is its end of the edge, y the
-            # gain of the orientation a -> b
-            if len(members[rt]) < len(members[rh]):
-                a, b, y, keep, move = t, h, x, rh, rt
-            else:
-                a, b, y, keep, move = h, t, inverse[x], rt, rh
-            c = table[table[inverse[eta[a]]][y]][eta[b]]
-            moved = members.pop(move)
-            for v in moved:
-                root[v] = keep
-                eta[v] = table[eta[v]][c]
-            members[keep] += moved
-            if move in witness:
-                w = table[table[inverse[c]][witness.pop(move)]][c]
-                if keep not in witness:
-                    witness[keep] = w
-                elif lifted or part_of[witness[keep]] == part_of[w]:
-                    continue
-                else:
-                    lifted = True
-    return lifted
-
-
 def _dense_ends(g: GainGraph) -> tuple[EdgeEnds, int]:
     """``g.ends`` with the vertices that the edges meet renumbered 0, 1, ...
     in increasing order, and how many there are: lists over those numbers
@@ -278,28 +194,46 @@ def _rank_pass(
     subset: Iterable[int],
     lift: bool,
     cap: int,
+    state: Optional[list] = None,
 ) -> int:
-    """|V| - c + w + l of ``subset``, by _union_edges's rules on state of its
-    own over the ``n`` dense vertex numbers of ``ends`` (see _dense_ends):
-    root (-1 for an unseen vertex) and eta are lists, each root's members a
-    list appended in place, the witnesses a dict.
+    """Add the edges of ``subset`` to union-find state over the ``n`` dense
+    vertex numbers of ``ends`` (see _dense_ends); returns the count of edges
+    that raised |V| - c + w + l by one. Every ComponentOracle rank is this.
 
-    Returns the count of edges that raised |V| - c + w + l by one: an unseen
-    end joining, a merge (unless both sides have a witness and l stays), a
-    component's first witness, or l turning on. Without ``lift``, l stays
-    zero. Once the count reaches ``cap`` the pass stops counting: with
-    ``cap`` the rank of every edge this is exact, since rank is monotone and
-    a set holding a prefix of that rank has that rank. The ids left unread
-    are then checked against ``ends`` by one ``filterfalse`` pass, so an
-    unknown one still raises ValueError. A negative cap never stops the pass.
+    Each vertex holds its root (-1 while unseen) and a potential eta relative
+    to it, chosen so that switching by eta makes every forest edge the
+    identity; an edge t -> h with gain x inside a component then reduces to
+    eta(t)^-1 x eta(h). A vertex seen for the first time joins the component
+    of the edge's other end in place, with the eta that makes the edge the
+    identity (two unseen ends start a component rooted at t; a loop at an
+    unseen vertex makes it a singleton first), so only an edge between two
+    seen vertices merges. Each root holds a list of its vertices and, once
+    one is seen, a reduced gain in a complement (its witness, in a dict). A
+    merge re-roots the smaller component by c, which conjugates its reduced
+    gains, so its witness becomes c^-1 w c. An edge counts when an unseen
+    end joins, at a merge (unless both sides have a witness and l stays), at
+    a component's first witness, and when l turns on; without ``lift``, l
+    stays zero.
+
+    A rank query passes no ``state``: the pass starts from the empty set and
+    stops counting once the count reaches ``cap``. With ``cap`` the rank of
+    every edge this is exact, since rank is monotone and a set holding a
+    prefix of that rank has that rank. The ids left unread are then checked
+    against ``ends`` by one ``filterfalse`` pass, so an unknown one still
+    raises ValueError. A negative cap never stops the pass. A walk passes
+    ``state``, the list [root, eta, members, witness, lifted] of its set; the
+    pass adds ``subset`` to it in place and writes the lifted flag back.
     """
     table = group.table
     inverse = group.inverse
-    root = [-1] * n
-    eta = [0] * n
-    members: list = [None] * n
-    witness: dict[int, int] = {}
-    lifted = not lift
+    if state is None:
+        root = [-1] * n
+        eta = [0] * n
+        members: list = [None] * n
+        witness: dict[int, int] = {}
+        lifted = not lift
+    else:
+        root, eta, members, witness, lifted = state
     r = 0
     rest = iter(subset)
     for eid in rest:
@@ -309,6 +243,7 @@ def _rank_pass(
         if rt < 0 and t == h:
             root[t] = rt = rh = t
             members[t] = [t]
+        # an unseen end takes eta(t) = x eta(h), or eta(h) = x^-1 eta(t)
         if rt < 0:
             if rh < 0:
                 root[t] = root[h] = t
@@ -338,6 +273,8 @@ def _rank_pass(
             else:
                 lifted = True
         else:
+            # move the smaller component: a is its end of the edge, y the
+            # gain of the orientation a -> b
             if len(members[rt]) < len(members[rh]):
                 a, b, y, keep, move = t, h, x, rh, rt
             else:
@@ -361,6 +298,8 @@ def _rank_pass(
             for eid in itertools.filterfalse(ends.__contains__, rest):
                 ends[eid]
             break
+    if state is not None:
+        state[4] = lifted
     return r
 
 
@@ -383,13 +322,13 @@ def component_rank(
 class ComponentOracle(RankOracle):
     """component_rank(graph, X, part_of, lift) on every edge of ``graph``.
 
-    The graph's vertices are numbered densely once (see _dense_ends). r(E)
-    is found once, by a direct pass (not a rank query), and is then
-    full_rank(); each later pass stops once its prefix reaches it (see
-    _rank_pass). The walk runs _union_edges on one edge per step, on a copy
-    of the union-find state unless the step is the state's last. A step
-    raises |V| - c + w + l by 0 or 1, so the walk is monotone, as
-    ``incremental`` requires.
+    The graph's vertices are numbered densely once (see _dense_ends), and
+    every rank is one _rank_pass. r(E) is found once, by a direct pass (not
+    a rank query), and is then full_rank(); each later query stops once its
+    prefix reaches it. A walk's state is the pass's union-find state of the
+    set and its rank; a step adds one edge to a copy of the union-find state,
+    unless the step is the state's last, and adds the pass's count, 0 or 1,
+    to the rank. So the walk is monotone, as ``incremental`` requires.
     """
 
     incremental = True
@@ -419,19 +358,21 @@ class ComponentOracle(RankOracle):
         return self._cap
 
     def walk(self):
-        g, part_of, lift = self.graph, self.part_of, self.lift
+        group, part_of, lift = self.graph.group, self.part_of, self.lift
+        ends, n = self._ends
 
         def step(state: tuple, e: int, last: bool):
-            uf, lifted = state
-            root, eta, members, witness = uf
+            uf, r = state
             if not last:
-                uf = root, eta, members, witness = (
-                    root.copy(), eta.copy(), members.copy(), witness.copy()
-                )
-            lifted = _union_edges(g, part_of, uf, (e,), lifted)
-            return (uf, lifted), len(root) - len(members) + len(witness) + (lift and lifted)
+                root, eta, members, witness, lifted = uf
+                uf = [
+                    root.copy(), eta.copy(), [m and m.copy() for m in members],
+                    witness.copy(), lifted,
+                ]
+            r += _rank_pass(group, ends, n, part_of, (e,), lift, -1, uf)
+            return (uf, r), r
 
-        return (({}, {}, {}, {}), False), 0, step
+        return ([[-1] * n, [0] * n, [None] * n, {}, not lift], 0), 0, step
 
 
 @functools.lru_cache(maxsize=64)

@@ -41,6 +41,15 @@ from .recovery import complete_cycle_count, recover_partition
 from .represent import incidence_matrix, verify_representation
 
 
+def _parse_kernel(text: str) -> tuple[int, ...]:
+    """The kernel elements of a ``--kernel`` list, sorted; refuses a repeat."""
+    elements = fileio.parse_id_list(text)
+    for i, x in enumerate(elements):
+        if x in elements[:i]:
+            raise ValueError(f"kernel element {x} is listed more than once")
+    return tuple(sorted(elements))
+
+
 def _select_partition(group: FiniteGroup, selector: str) -> FrobeniusPartition:
     parts = frobenius_partitions(group)
     if selector == "auto":
@@ -50,7 +59,7 @@ def _select_partition(group: FiniteGroup, selector: str) -> FrobeniusPartition:
                 f"'auto' needs exactly one nontrivial partition, found {len(nontrivial)}"
             )
         return nontrivial[0]
-    want = tuple(sorted(fileio.parse_id_list(selector)))
+    want = _parse_kernel(selector)
     for p in parts:
         if p.kernel.elements == want:
             return p
@@ -217,11 +226,7 @@ def cmd_minor(args) -> int:
 def cmd_recover(args) -> int:
     graph = fileio.load_graph(args.graph)
     group = graph.group
-    elements = fileio.parse_id_list(args.kernel)
-    if len(set(elements)) < len(elements):
-        x = next(x for i, x in enumerate(elements) if x in elements[:i])
-        raise ValueError(f"kernel element {x} is listed more than once")
-    kernel = Subgroup(tuple(sorted(elements)))
+    kernel = Subgroup(_parse_kernel(args.kernel))
     n = graph.vertex_count
     if args.cls:
         members = fileio.parse_circuits(Path(args.cls).read_text())

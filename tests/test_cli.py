@@ -838,6 +838,8 @@ def test_recover_rejects_out_of_range_kernel(write, capsys, with_class):
     assert err.startswith("error:") and err.count("\n") == 1 and "99" in err
 
 
+TWO_EDGE_D6 = {"group": D6_SPEC, "vertices": 2, "edges": [[0, 1, 1], [0, 1, 3]]}
+
 SEVENTEEN_EDGES = {
     "group": D6_SPEC,
     "vertices": 3,
@@ -854,6 +856,8 @@ SEVENTEEN_EDGES = {
          "edge 0 has gain out of range"),
         (["recover", "--kernel", "1,2"], K4_D6_SPEC, "subgroup must contain the identity 0"),
         (["recover", "--kernel", "0,0"], K4_D6_SPEC, "kernel element 0 is listed more than once"),
+        (["rank", "--kernel", "0,1,2,2"], TWO_EDGE_D6, "kernel element 2 is listed more than once"),
+        (["bases", "--kernel", "2,0,1,2"], TWO_EDGE_D6, "kernel element 2 is listed more than once"),
         (["minor", "--delete", "99"], GOLDEN_D6_GRAPH, "no edge 99"),
         # rank_table tabulates at most biased.EXHAUSTIVE_LIMIT (16) elements
         (["verify", "--axioms"], SEVENTEEN_EDGES, "ground set larger than 16"),
@@ -862,7 +866,8 @@ SEVENTEEN_EDGES = {
     ],
     ids=[
         "rank-endpoint", "rank-gain", "recover-kernel-without-identity",
-        "recover-kernel-repeated", "minor-delete-unknown", "verify-axioms-17-edges",
+        "recover-kernel-repeated", "rank-kernel-repeated", "bases-kernel-repeated",
+        "minor-delete-unknown", "verify-axioms-17-edges",
         "direct-one-factor",
     ],
 )
