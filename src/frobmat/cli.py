@@ -240,7 +240,12 @@ def cmd_recover(args) -> int:
     else:
         part = _select_partition(group, args.kernel)
         oracle = LiftedMatroid(FrobeniusContext(group, part, validate=False), graph)
-    recovered = recover_partition(group, kernel, n, oracle, seed=args.seed)
+    stats = {} if args.stats else None
+    try:
+        recovered = recover_partition(group, kernel, n, oracle, seed=args.seed, stats=stats)
+    finally:
+        if stats is not None:
+            print(json.dumps(stats), file=sys.stderr)
     print(fileio.format_partition(group, recovered, 1))
     return 0
 
@@ -322,6 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         metavar="FILE",
         help="linear-class circuit list; omitted = rebuild from the kernel's partition",
+    )
+    p.add_argument(
+        "--stats",
+        action="store_true",
+        help="write the oracle's rank queries and seconds per phase to stderr as JSON",
     )
     p.set_defaults(fn=cmd_recover)
 

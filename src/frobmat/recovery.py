@@ -13,7 +13,8 @@ import heapq
 import itertools
 import math
 import random
-from typing import Iterable, Sequence
+import time
+from typing import Callable, Iterable, Sequence
 
 from .biased import EXHAUSTIVE_LIMIT, RankOracle, first_disagreement, subset_sweep
 from .errors import LimitExceeded, RecoveryError
@@ -49,14 +50,6 @@ def edge_bundle(group: FiniteGroup, n: int, elements: Iterable[int]) -> tuple[in
             raise ValueError(f"element {alpha} out of range")
         out.extend(e + alpha for e in identity)
     return tuple(sorted(out))
-
-
-def _is_circuit(m: RankOracle, ids: Sequence[int]) -> bool:
-    """True iff the sorted ids form a circuit of m."""
-    r = len(ids) - 1
-    if m.rank(ids) != r:
-        return False
-    return all(m.rank([x for x in ids if x != e]) == r for e in ids)
 
 
 def complete_cycle_count(group_order: int, n: int) -> int:
@@ -164,10 +157,14 @@ def _reduced_cycles(group: FiniteGroup, n: int) -> Iterable[tuple[tuple[int, ...
 def _check_cycle_hypothesis(group: FiniteGroup, n: int, m: RankOracle) -> None:
     """A cycle must be a circuit of m exactly when it is balanced.
 
-    Up to order EXHAUSTIVE_GROUP_ORDER every cycle of K_n is checked, which
-    asks nothing of m. Above it only the ``_reduced_cycles`` are, and that is
-    exact when m is an elementary lift of N, the quotient frame matroid of K_n
-    over Γ/Γ₁, with n >= 4. Sketch: if two cycles of a theta are circuits of
+    Both routes take m to be an elementary lift of N, the quotient frame
+    matroid of K_n over Γ/Γ₁. Then a cycle C is a circuit of m exactly when
+    r_m(C) = |C| - 1, one query per cycle: every proper subset of C is a
+    forest, independent in N and so in m, since r_m >= r_N (Brylawski).
+
+    Up to order EXHAUSTIVE_GROUP_ORDER every cycle of K_n is checked. Above
+    it only the ``_reduced_cycles`` are, and under the promise that is exact
+    with n >= 4. Sketch: if two cycles of a theta are circuits of
     m and the third is an N-circuit, so is the third of m, since m's class is
     linear (Brylawski) and two N-circuits of a theta are a modular pair. A
     balanced triangle ijk avoiding 0 follows from the thetas of 0ij and 0jk,
@@ -179,7 +176,9 @@ def _check_cycle_hypothesis(group: FiniteGroup, n: int, m: RankOracle) -> None:
     in N, so in m, and unbalanced.
 
     Whether m is an elementary lift of N is left to the final comparison in
-    ``recover_partition`` with the rebuilt lift.
+    ``recover_partition`` with the rebuilt lift. So is an oracle with
+    r(C) = |C| - 1 on a cycle C that holds a dependent proper subset: it is
+    no matroid, so no elementary lift of N.
 
     Either set is streamed in sorted id order, so the first failure, the
     witness, is the least failing cycle, and no cycle is held past its check.
@@ -189,11 +188,52 @@ def _check_cycle_hypothesis(group: FiniteGroup, n: int, m: RankOracle) -> None:
     else:
         cycles = _reduced_cycles(group, n)
     for cycle, balanced in cycles:
-        if balanced != _is_circuit(m, cycle):
+        if balanced != (m.rank(cycle) == len(cycle) - 1):
             raise RecoveryError(
                 f"cycle {cycle} is {'balanced' if balanced else 'unbalanced'} "
                 f"but is {'not ' if balanced else ''}a circuit of the lift"
             )
+
+
+class _PhaseStats(RankOracle):
+    """m as it is, with the rank queries asked of it and the perf_counter
+    seconds counted per recovery phase into ``stats`` (see
+    ``recover_partition``). A step of m's walk counts as one query: it
+    answers the rank of one set."""
+
+    def __init__(self, m: RankOracle, stats: dict):
+        self.m, self.ground, self.incremental = m, m.ground, m.incremental
+        self.counts = stats.setdefault("rank_queries", {})
+        self.seconds = stats.setdefault("seconds", {})
+        self.queries = 0
+        self.phase: str | None = None
+
+    def rank(self, subset: Iterable[int]) -> int:
+        self.queries += 1
+        return self.m.rank(subset)
+
+    def full_rank(self) -> int:
+        return self.m.full_rank()
+
+    def walk(self):
+        state, r, step = self.m.walk()
+
+        def counted(state, e: int, last: bool):
+            self.queries += 1
+            return step(state, e, last)
+
+        return state, r, counted
+
+    def enter(self, phase: str | None) -> None:
+        """Record the phase under way, if any, and start ``phase``; None ends
+        the run and records the total."""
+        now = time.perf_counter()
+        if self.phase is not None:
+            self.counts[self.phase] = self.queries - self.queries_at_start
+            self.seconds[self.phase] = now - self.started
+        self.phase, self.started, self.queries_at_start = phase, now, self.queries
+        if phase is None:
+            self.counts["total"] = self.queries
 
 
 def recover_partition(
@@ -202,6 +242,7 @@ def recover_partition(
     n: int,
     m: RankOracle,
     seed: int = 0,
+    stats: dict | None = None,
 ) -> FrobeniusPartition:
     """Reconstruct the partition whose lift over the complete gain graph is m.
 
@@ -210,19 +251,47 @@ def recover_partition(
     be malnormal subgroups forming a conjugation-closed exact cover, and the
     reconstructed matroid is checked against m before returning.
 
-    That final comparison is the one check that m is an elementary lift of
-    N, the quotient frame matroid: the rebuilt lift is one, with the declared
-    kernel, so a subset on which m's rank less N's is not 0 or 1 is one on
-    which m and the rebuilt lift differ. It asks every subset up to
-    EXHAUSTIVE_LIMIT edges; above, the empty set, the bundles of the identity
-    and two elements, and SAMPLES random halves seeded by ``seed``.
+    Both routes of the cycle hypothesis check (see
+    ``_check_cycle_hypothesis``) take m to be an elementary lift of N, the
+    quotient frame matroid. The final comparison is the one check of that:
+    the rebuilt lift is one, with the declared kernel, so a subset on which
+    m's rank less N's is not 0 or 1 is one on which m and the rebuilt lift
+    differ. It asks every subset up to EXHAUSTIVE_LIMIT edges; above, the
+    empty set, the bundles of the identity and two elements, and SAMPLES
+    random halves seeded by ``seed``.
 
-    The cycles the hypothesis check asks about (see
-    ``_check_cycle_hypothesis``) are counted first, before the graph or any
-    sample is built, against DEFAULT_CYCLE_COUNT_LIMIT. They are streamed in
-    sorted order and never held, so the cap bounds the queries, that is the
-    time, and not the memory.
+    The cycles the hypothesis check asks about are counted first, before the
+    graph or any sample is built, against DEFAULT_CYCLE_COUNT_LIMIT. Each is
+    asked of m once, streamed in sorted order and never held, so the cap
+    bounds the queries of that check, that is its time, and not the memory.
+
+    With ``stats``, a dict, m is wrapped to count the rank queries asked of
+    it, and each phase that runs records its queries and perf_counter
+    seconds there: "cycles" (the hypothesis check), "bundles" (the full rank
+    and the bundle relation) and "final" (the final comparison), as
+    {"rank_queries": {phase: count, ..., "total": count}, "seconds":
+    {phase: seconds, ...}}. A phase that raises is recorded too. Without
+    ``stats`` m is asked directly.
     """
+    if stats is None:
+        return _recover(group, kernel, n, m, seed, lambda phase: None)
+    counted = _PhaseStats(m, stats)
+    try:
+        return _recover(group, kernel, n, counted, seed, counted.enter)
+    finally:
+        counted.enter(None)
+
+
+def _recover(
+    group: FiniteGroup,
+    kernel: Subgroup,
+    n: int,
+    m: RankOracle,
+    seed: int,
+    enter: Callable[[str], None],
+) -> FrobeniusPartition:
+    """``recover_partition``, calling ``enter`` with each phase's name as the
+    phase starts."""
     if n < 4:
         raise RecoveryError("recovery requires n >= 4")
     order = group.order
@@ -237,7 +306,9 @@ def recover_partition(
     g = complete_gain_graph(group, n)
     if tuple(m.ground) != tuple(e.id for e in g.edges):
         raise RecoveryError("oracle ground set does not match the complete gain graph")
+    enter("cycles")
     _check_cycle_hypothesis(group, n, m)
+    enter("bundles")
 
     kernel_set = kernel.element_set
     if len(kernel_set) == group.order:
@@ -289,6 +360,7 @@ def recover_partition(
                 kernel, tuple(sorted(comps, key=lambda s: s.elements))
             )
 
+    enter("final")
     reconstructed = LiftedMatroid(FrobeniusContext(group, partition, validate=False), g)
     sample = None
     if len(g.edges) > EXHAUSTIVE_LIMIT:

@@ -30,6 +30,7 @@ from frobmat.lifts import contract, delete
 from frobmat import cli
 from frobmat.cli import main
 from frobmat.biased import first_disagreement, rank_table
+from frobmat.recovery import complete_cycle_count
 from frobmat.fileio import format_circuits, graph_from_spec, graph_to_spec, group_from_spec
 
 from conftest import FuncOracle, random_gain_graph
@@ -827,6 +828,48 @@ def test_recover_refuses_a_non_frobenius_kernel(write, capsys):
     assert err == "error: bundle of the identity and 1 does not have rank n\n"
 
 
+def _z4_balanced_class():
+    k4 = complete_gain_graph(make_cyclic(4), 4)
+    return format_circuits([c for c in enumerate_cycles(k4) if is_balanced_cycle(k4, c)])
+
+
+@pytest.mark.parametrize(
+    "group, kernel, class_file, phases",
+    [
+        (D6_SPEC, "0,1,2", None, ["cycles", "bundles", "final"]),
+        # 12 edges: the final comparison walks both oracles
+        ({"kind": "cyclic", "n": 2}, "0", None, ["cycles", "bundles", "final"]),
+        # refused by the bundle relation, so no final comparison
+        ({"kind": "cyclic", "n": 4}, "0,2", _z4_balanced_class, ["cycles", "bundles"]),
+    ],
+    ids=["K4-D6", "K4-Z2", "K4-Z4-refused"],
+)
+def test_recover_stats_go_to_stderr_and_leave_stdout_alone(
+    write, capsys, group, kernel, class_file, phases
+):
+    """``--stats`` adds one JSON line to stderr, before any error line, and
+    changes neither stdout nor the exit code. The phases that ran are
+    listed in order, their counts add up to the total, and the cycle phase
+    asks one query per cycle of K_4."""
+    argv = ["recover", "--graph", write("k4.json", {"complete": {"group": group, "n": 4}})]
+    argv += ["--kernel", kernel]
+    if class_file is not None:
+        argv += ["--class", write("class.txt", class_file())]
+    code, out, err = run(capsys, *argv)
+    stats_code, stats_out, stats_err = run(capsys, *argv, "--stats")
+    assert code == (2 if class_file else 0)
+    assert (stats_code, stats_out) == (code, out)
+    line, rest = stats_err.split("\n", 1)
+    assert rest == err
+    stats = json.loads(line)
+    queries = stats["rank_queries"]
+    assert list(queries) == phases + ["total"] and list(stats["seconds"]) == phases
+    assert sum(queries[p] for p in phases) == queries["total"]
+    order = group_from_spec(group).order
+    assert queries["cycles"] == complete_cycle_count(order, 4)
+    assert all(seconds >= 0 for seconds in stats["seconds"].values())
+
+
 @pytest.mark.parametrize("with_class", [False, True])
 def test_recover_rejects_out_of_range_kernel(write, capsys, with_class):
     spec = {"complete": {"group": {"kind": "cyclic", "n": 2}, "n": 4}}
@@ -863,12 +906,13 @@ SEVENTEEN_EDGES = {
         (["verify", "--axioms"], SEVENTEEN_EDGES, "ground set larger than 16"),
         (["frobpart"], {"kind": "direct", "factors": [{"kind": "cyclic", "n": 3}]},
          "direct product needs at least two factors"),
+        (["rank"], {"complete": [D6_SPEC, 4]}, "spec field complete must be an object"),
     ],
     ids=[
         "rank-endpoint", "rank-gain", "recover-kernel-without-identity",
         "recover-kernel-repeated", "rank-kernel-repeated", "bases-kernel-repeated",
         "minor-delete-unknown", "verify-axioms-17-edges",
-        "direct-one-factor",
+        "direct-one-factor", "complete-not-an-object",
     ],
 )
 def test_a_refused_input_exits_in_one_line(write, capsys, argv, spec, message):

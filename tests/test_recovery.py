@@ -33,14 +33,13 @@ from frobmat import (
     quotient_gains,
     recover_partition,
 )
-from frobmat.biased import EXHAUSTIVE_LIMIT, subset_sweep
+from frobmat.biased import EXHAUSTIVE_LIMIT, RankOracle, subset_sweep
 from frobmat.fileio import group_from_spec
 from frobmat.groups import quotient
 from frobmat.recovery import (
     EXHAUSTIVE_GROUP_ORDER,
     SAMPLES,
     _all_cycles,
-    _is_circuit,
     _reduced_cycles,
     complete_cycle_count,
 )
@@ -235,6 +234,23 @@ def test_cycle_hypothesis_witnesses(name, balanced, length, mod, residue, seed, 
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "name, cycle", [("D6", (0, 9, 21)), ("F20", (0, 20, 60))], ids=["D6", "F20"]
+)
+def test_a_balanced_cycle_below_circuit_rank_is_refused(name, cycle):
+    """The lift with the rank of one balanced triangle alone lowered to
+    |C| - 2, which no elementary lift of N gives a cycle: the one query asks
+    r(C) = |C| - 1, not r(C) <= |C| - 1, so the cycle check names the
+    triangle on both routes; nothing later in recovery asks that set."""
+    group = WITNESS_GROUPS[name]
+    part = frobenius_partitions(group)[-1]
+    m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 4))
+    oracle = FuncOracle(m.ground, lambda s: m.rank(s) - (s == frozenset(cycle)))
+    with pytest.raises(RecoveryError) as info:
+        recover_partition(group, part.kernel, 4, oracle)
+    assert str(info.value) == f"cycle {cycle} is balanced but is not a circuit of the lift"
+
+
 def _bundles_at_rank(group, pairs, rank):
     """A patch that answers ``rank`` on the K_4 bundle of the identity and
     each pair, and passes every other answer through."""
@@ -324,6 +340,14 @@ def test_the_cycle_stream_holds_no_cycle_list():
     assert peak < 256 * 1024
 
 
+def _is_circuit(m, ids):
+    """The definition, in |C| + 1 queries: the ids form a circuit of m when
+    they have rank |C| - 1 and so has each set of all but one of them. The
+    reference for the one query the cycle check asks."""
+    r = len(ids) - 1
+    return m.rank(ids) == r and all(m.rank([x for x in ids if x != e]) == r for e in ids)
+
+
 def _holds_on(m, cycles):
     """Whether every listed cycle is a circuit of m exactly when balanced."""
     return all(balanced == _is_circuit(m, cycle) for cycle, balanced in cycles)
@@ -357,6 +381,25 @@ def test_reduced_cycles_give_the_verdict_of_every_cycle(name):
             oracles.append(FrameOracle(BiasedGraph(qg)))
         for m in oracles:
             assert _holds_on(m, reduced) == _holds_on(m, every), (part, m)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CATALOG))
+def test_one_query_gives_the_circuit_verdict_of_every_cycle(name):
+    """On K_4, under each partition, r(C) = |C| - 1 names the same cycles as
+    circuits as the definition does, for the lift and for the quotient frame
+    matroid: in both each proper subset of a cycle, a forest, is
+    independent."""
+    group = SMALL_CATALOG[name]
+    g = complete_gain_graph(group, 4)
+    cycles = [cycle for cycle, _ in _all_cycles(group, 4)]
+    for part in frobenius_partitions(group):
+        qg = quotient_gains(g, quotient(group, part.kernel))
+        for m in (
+            LiftedMatroid(FrobeniusContext(group, part, validate=False), g),
+            FrameOracle(BiasedGraph(qg)),
+        ):
+            one_query = [c for c in cycles if m.rank(c) == len(c) - 1]
+            assert one_query == [c for c in cycles if _is_circuit(m, c)], (part, m)
 
 
 THETA_PAIRS = {
@@ -541,7 +584,7 @@ def test_recovery_rank_query_count_on_k4_over_z7():
         return m.rank(s)
 
     assert recover_partition(z7, part.kernel, 4, FuncOracle(m.ground, rank), seed=0) == part
-    assert calls == 14935
+    assert calls == 10231
 
 
 def test_recovery_rank_query_count_on_k5_over_agl15():
@@ -559,7 +602,48 @@ def test_recovery_rank_query_count_on_k5_over_agl15():
         return m.rank(s)
 
     assert recover_partition(group, part.kernel, 5, FuncOracle(m.ground, rank), seed=0) == part
-    assert calls == 13332
+    assert calls == 6132
+
+
+class _Asked(RankOracle):
+    """m as it is, with every set asked of it recorded in ``asked``, in order."""
+
+    def __init__(self, m):
+        self.m, self.ground, self.asked = m, m.ground, []
+
+    def rank(self, subset):
+        self.asked.append(tuple(subset))
+        return self.m.rank(subset)
+
+
+@pytest.mark.parametrize(
+    "group, n, kernel_order, checked",
+    [(make_cyclic(7), 4, 1, 8701), (make_field_affine(5), 5, 5, 4300)],
+    ids=["K4-Z7", "K5-AGL(1,5)"],
+)
+def test_the_cycle_check_asks_each_cycle_once_in_stream_order(
+    group, n, kernel_order, checked, monkeypatch
+):
+    """The cycle phase asks m of each cycle it streams, the cycle itself,
+    once and in stream order: every cycle of K_4 over Z7, the digons and
+    balanced triangles through vertex 0 of K_5 over AGL(1,5). That is the
+    count recovery holds against DEFAULT_CYCLE_COUNT_LIMIT, so the cap
+    bounds the phase's queries exactly; and the phases' counts add up to
+    every query m was asked."""
+    part = next(p for p in frobenius_partitions(group) if p.kernel.order == kernel_order)
+    m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, n))
+    oracle, stats = _Asked(m), {}
+    monkeypatch.setattr("frobmat.recovery.DEFAULT_CYCLE_COUNT_LIMIT", checked)
+    assert recover_partition(group, part.kernel, n, oracle, stats=stats) == part
+    queries = stats["rank_queries"]
+    stream = _all_cycles if group.order <= EXHAUSTIVE_GROUP_ORDER else _reduced_cycles
+    assert oracle.asked[: queries["cycles"]] == [cycle for cycle, _ in stream(group, n)]
+    assert queries["cycles"] == checked
+    assert queries["cycles"] + queries["bundles"] + queries["final"] == queries["total"]
+    assert queries["total"] == len(oracle.asked)
+    monkeypatch.setattr("frobmat.recovery.DEFAULT_CYCLE_COUNT_LIMIT", checked - 1)
+    with pytest.raises(LimitExceeded, match=f"more than {checked - 1} cycles"):
+        recover_partition(group, part.kernel, n, m)
 
 
 def test_k5_over_order_ten_is_refused_by_its_cycle_count():
