@@ -696,8 +696,8 @@ def minimal_dependent_sets(oracle: RankOracle) -> list[tuple[int, ...]]:
     return sorted(index.ids(c) for c in found)
 
 
-# byte -> 1 when its bit 7 is clear, else 0
-_KEEP_BELOW_HIGH = bytes(b < 0x80 for b in range(256))
+# binary digit -> 0 or 1, as a byte compress can select by
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def subset_sweep(
@@ -706,17 +706,16 @@ def subset_sweep(
     """``samples`` random halves of ``ground``, each listed in ``ground``'s
     order.
 
-    A half keeps each element exactly when one ``rng.random() < 0.5`` per
-    element would, and leaves ``rng`` in the same state: ``random()`` is
-    below one half exactly when the top bit of the first of its two 32-bit
-    words is clear, and ``getrandbits(64 * k)`` draws the same 2k words and
-    packs them little-endian, so byte 8i + 3 holds element i's bit as its
-    bit 7.
+    A half keeps element i exactly when bit i of one
+    ``rng.getrandbits(len(ground))`` is set: one fair coin per element, one
+    draw per half, and none over an empty ground. ``bin`` lists the bits
+    from the top, and read backwards its digits end at the highest set bit,
+    where ``compress`` stops too.
     """
     k = len(ground)
     for _ in range(samples):
-        words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
-        yield tuple(itertools.compress(ground, words[3::8].translate(_KEEP_BELOW_HIGH)))
+        digits = bin(rng.getrandbits(k))[:1:-1].encode().translate(_DIGIT_BITS)
+        yield tuple(itertools.compress(ground, digits))
 
 
 def rank_table(oracle: RankOracle) -> list[int]:

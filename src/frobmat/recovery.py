@@ -34,9 +34,9 @@ from .groups import (
 from .lifts import FrobeniusContext, LiftedMatroid
 
 EXHAUSTIVE_GROUP_ORDER = 10
-# Random halves the final comparison draws above EXHAUSTIVE_LIMIT edges. On
-# each it asks that m's rank equal the rebuilt lift's, which is what decides
-# there whether m is an elementary lift of the quotient frame matroid.
+# Halves the final comparison draws above EXHAUSTIVE_LIMIT edges, one random bit
+# per edge (see subset_sweep). m must match the rebuilt lift on each, which
+# decides there whether m is an elementary lift of the quotient frame matroid.
 SAMPLES = 1500
 
 
@@ -195,18 +195,38 @@ def _check_cycle_hypothesis(group: FiniteGroup, n: int, m: RankOracle) -> None:
             )
 
 
+class _Laps:
+    """Rank queries and perf_counter seconds per named lap, into ``stats`` as
+    {"rank_queries": {lap: count, ...}, "seconds": {lap: seconds, ...}}."""
+
+    def __init__(self, stats: dict):
+        self.stats = stats
+        self.counts = stats.setdefault("rank_queries", {})
+        self.seconds = stats.setdefault("seconds", {})
+        self.lap: str | None = None
+
+    def enter(self, lap: str | None, now: float, queries: int) -> None:
+        """End the lap under way, if any, at ``now`` after ``queries`` queries
+        in all, and start ``lap`` there."""
+        if self.lap is not None:
+            self.counts[self.lap] = queries - self.queries_at
+            self.seconds[self.lap] = now - self.started
+        self.lap, self.started, self.queries_at = lap, now, queries
+
+
 class _PhaseStats(RankOracle):
     """m as it is, with the rank queries asked of it and the perf_counter
-    seconds counted per recovery phase into ``stats`` (see
+    seconds counted per recovery phase into ``stats``, and per part of the
+    final comparison into ``stats["final_parts"]`` (see
     ``recover_partition``). A step of m's walk counts as one query: it
     answers the rank of one set."""
 
     def __init__(self, m: RankOracle, stats: dict):
         self.m, self.ground, self.incremental = m, m.ground, m.incremental
-        self.counts = stats.setdefault("rank_queries", {})
-        self.seconds = stats.setdefault("seconds", {})
+        self.stats = stats
         self.queries = 0
-        self.phase: str | None = None
+        self.phases = _Laps(stats)
+        self.parts = _Laps({})
 
     def rank(self, subset: Iterable[int]) -> int:
         self.queries += 1
@@ -225,15 +245,31 @@ class _PhaseStats(RankOracle):
         return state, r, counted
 
     def enter(self, phase: str | None) -> None:
-        """Record the phase under way, if any, and start ``phase``; None ends
-        the run and records the total."""
+        """Record the phase under way, if any, and its last part, and start
+        ``phase``; None ends the run and records the total."""
         now = time.perf_counter()
-        if self.phase is not None:
-            self.counts[self.phase] = self.queries - self.queries_at_start
-            self.seconds[self.phase] = now - self.started
-        self.phase, self.started, self.queries_at_start = phase, now, self.queries
+        self.parts.enter(None, now, self.queries)
+        self.phases.enter(phase, now, self.queries)
         if phase is None:
-            self.counts["total"] = self.queries
+            self.phases.counts["total"] = self.queries
+            if self.parts.counts:
+                self.stats["final_parts"] = self.parts.stats
+
+    def enter_part(self, part: str) -> None:
+        """Record the part under way, if any, and start ``part``; the first
+        part starts with its phase, so the parts add up to it."""
+        if self.parts.lap is None:
+            self.parts.enter(part, self.phases.started, self.phases.queries_at)
+        else:
+            self.parts.enter(part, time.perf_counter(), self.queries)
+
+
+def _parts(parts: Iterable[tuple[str, Iterable]], enter_part: Callable[[str], None]):
+    """The subsets of each (name, subsets) part in turn, with ``enter_part``
+    called on each name before its first subset is drawn."""
+    for name, subsets in parts:
+        enter_part(name)
+        yield from subsets
 
 
 def recover_partition(
@@ -270,14 +306,18 @@ def recover_partition(
     seconds there: "cycles" (the hypothesis check), "bundles" (the full rank
     and the bundle relation) and "final" (the final comparison), as
     {"rank_queries": {phase: count, ..., "total": count}, "seconds":
-    {phase: seconds, ...}}. A phase that raises is recorded too. Without
-    ``stats`` m is asked directly.
+    {phase: seconds, ...}}. The final comparison is split the same way
+    under "final_parts", into "empty", "bundles" and "halves" when sampled,
+    or one "subsets" part, and the parts add up to "final"; drawing a
+    subset counts in its part. A phase that raises is recorded too, with
+    its last part. Without ``stats`` m is asked directly and no hook runs
+    per query.
     """
     if stats is None:
-        return _recover(group, kernel, n, m, seed, lambda phase: None)
+        return _recover(group, kernel, n, m, seed, lambda phase: None, lambda part: None)
     counted = _PhaseStats(m, stats)
     try:
-        return _recover(group, kernel, n, counted, seed, counted.enter)
+        return _recover(group, kernel, n, counted, seed, counted.enter, counted.enter_part)
     finally:
         counted.enter(None)
 
@@ -289,9 +329,10 @@ def _recover(
     m: RankOracle,
     seed: int,
     enter: Callable[[str], None],
+    enter_part: Callable[[str], None],
 ) -> FrobeniusPartition:
     """``recover_partition``, calling ``enter`` with each phase's name as the
-    phase starts."""
+    phase starts, and ``enter_part`` with each final comparison part's."""
     if n < 4:
         raise RecoveryError("recovery requires n >= 4")
     order = group.order
@@ -363,18 +404,24 @@ def _recover(
     enter("final")
     reconstructed = LiftedMatroid(FrobeniusContext(group, partition, validate=False), g)
     sample = None
-    if len(g.edges) > EXHAUSTIVE_LIMIT:
+    if len(g.edges) <= EXHAUSTIVE_LIMIT:
+        enter_part("subsets")
+    else:
         # the ground bundle by bundle, the identity bundle first: a random half
         # listed this way reaches a spanning forest of identity edges, and then
         # its first unbalanced edges, within a few reads, where a rank pass stops
         bundled = tuple(e for a in group.elements() for e in edge_bundle(group, n, (a,)))
-        sample = itertools.chain(
-            [()],
+        bundles = (
+            edge_bundle(group, n, (0, a, b))
+            for a, b in itertools.combinations_with_replacement(group.elements(), 2)
+        )
+        sample = _parts(
             (
-                edge_bundle(group, n, (0, a, b))
-                for a, b in itertools.combinations_with_replacement(group.elements(), 2)
+                ("empty", [()]),
+                ("bundles", bundles),
+                ("halves", subset_sweep(bundled, SAMPLES, random.Random(seed))),
             ),
-            subset_sweep(bundled, SAMPLES, random.Random(seed)),
+            enter_part,
         )
     bad = first_disagreement(m, reconstructed, sample)
     if bad is not None:

@@ -1,7 +1,7 @@
 import itertools
 import random
 import types
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import pytest
 
@@ -191,6 +191,17 @@ def normalize_forest(g: GainGraph, forest: Iterable[int], root: int) -> list[int
     if len(ids) != len(adj) - components:
         raise ValueError("forest contains a cycle")
     return eta
+
+
+def reference_halves(
+    ground: Sequence[int], samples: int, rng: random.Random
+) -> Iterator[tuple[int, ...]]:
+    """The halves ``subset_sweep`` must draw, written out element by element:
+    one ``rng.getrandbits(len(ground))`` per half, and element i of
+    ``ground`` kept when bit i of it is set."""
+    for _ in range(samples):
+        bits = rng.getrandbits(len(ground))
+        yield tuple(x for i, x in enumerate(ground) if bits >> i & 1)
 
 
 class FuncOracle(RankOracle):

@@ -38,7 +38,7 @@ from frobmat.biased import (
 )
 from frobmat.errors import LimitExceeded
 
-from conftest import CountingWalk, FuncOracle, random_gain_graph
+from conftest import CountingWalk, FuncOracle, random_gain_graph, reference_halves
 
 
 def graph(group, n, triples):
@@ -404,22 +404,45 @@ def test_minimal_dependent_sets_limit():
 
 def test_subset_sweep_draws_seeded_halves():
     ground = (2, 5, 7)
-    rng, same = random.Random(4), random.Random(4)
-    want = [tuple(i for i in ground if same.random() < 0.5) for _ in range(5)]
-    assert list(subset_sweep(ground, 5, rng)) == want
+    want = list(reference_halves(ground, 5, random.Random(4)))
+    assert list(subset_sweep(ground, 5, random.Random(4))) == want
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(17, 260), st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))
-def test_sampled_halves_match_one_random_draw_per_element(size, shuffle_seed, seed):
-    """Each sampled half keeps, in ground order, the elements whose
-    ``random()`` draw is below one half, and leaves the generator where
-    those draws leave it."""
+def test_sampled_halves_match_one_random_bit_per_element(size, shuffle_seed, seed):
+    """Each sampled half keeps, in ground order, the elements whose bit of
+    one ``getrandbits(len(ground))`` draw is set, and leaves the generator
+    where that draw leaves it."""
     ground = random.Random(shuffle_seed).sample(range(2 * size), size)
     rng, ref = random.Random(seed), random.Random(seed)
-    for half in subset_sweep(ground, 4, rng):
-        assert half == tuple(i for i in ground if ref.random() < 0.5)
+    for half, want in zip(subset_sweep(ground, 4, rng), reference_halves(ground, 4, ref)):
+        assert half == want
         assert rng.getstate() == ref.getstate()
+
+
+def test_halves_of_an_empty_ground_are_empty_and_draw_nothing():
+    rng = random.Random(8)
+    state = rng.getstate()
+    assert list(subset_sweep((), 3, rng)) == [(), (), ()]
+    assert rng.getstate() == state
+
+
+def test_halves_of_one_element_match_the_reference():
+    got = list(subset_sweep((9,), 40, random.Random(2)))
+    assert got == list(reference_halves((9,), 40, random.Random(2)))
+    assert set(got) == {(), (9,)}
+
+
+def test_each_element_is_kept_in_about_half_of_the_halves():
+    """Over 4,000 halves of 200 elements each element is kept 45-55% of the
+    time: the top bit is drawn like the others, and no bit is dropped."""
+    ground = tuple(range(0, 400, 2))
+    kept = dict.fromkeys(ground, 0)
+    for half in subset_sweep(ground, 4000, random.Random(3)):
+        for x in half:
+            kept[x] += 1
+    assert all(1800 <= count <= 2200 for count in kept.values()), min(kept.values())
 
 
 def test_axiom_check_graphic_k4():

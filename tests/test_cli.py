@@ -626,21 +626,24 @@ MINORS_D6_14B = [
          "deletion of 0 differs on (4, 5)"),
         # above 13 edges: seeded halves, drawn on from edge to edge
         (D6_SPEC, 4, MINORS_D6_15, 7, {"contract": _wrong_contraction},
-         "contraction of 1 differs on (3, 4, 5, 7, 8, 12, 13, 14)"),
+         "contraction of 1 differs on (0, 2, 4, 9, 11, 13, 14)"),
+        # both minors wrong on the same half: deletion is named
         (AGL15_SPEC, 4, MINORS_AGL_15, 7,
          {"contract": _wrong_contraction, "delete": _swapped_deletion},
-         "deletion of 0 differs on (1, 2, 4, 6, 7, 9, 10, 11, 12, 13)"),
-        (D6_SPEC, 4, MINORS_D6_14A, 36,
+         "deletion of 0 differs on (1, 4, 5, 6, 8, 11, 13)"),
+        # the contraction's witness comes first in the sample, though the
+        # deletion's, (2, 4, 9), is smaller
+        (D6_SPEC, 4, MINORS_D6_14A, 10,
          {"contract": _wrong_contraction, "delete": _other_partition_deletion(1)},
-         "contraction of 0 differs on (1, 7, 9, 11)"),
+         "contraction of 0 differs on (4, 7, 10, 13)"),
         (D6_SPEC, 4, MINORS_D6_14B, 30,
          {"contract": _wrong_contraction, "delete": _other_partition_deletion(0)},
-         "deletion of 0 differs on (2, 3, 5, 6, 7, 10, 13)"),
+         "deletion of 0 differs on (7, 9, 13)"),
         # the deletion's witness comes first in the sample, though the
-        # contraction's, (2, 4, 7, 11, 15), is smaller
-        (D6_SPEC, 4, MINORS_D6_16, 17,
+        # contraction's, (1, 2, 4, 6, 9, 15), is smaller
+        (D6_SPEC, 4, MINORS_D6_16, 1190,
          {"contract": _wrong_contraction, "delete": _other_partition_deletion(0)},
-         "deletion of 0 differs on (4, 8, 9, 10, 12, 14)"),
+         "deletion of 0 differs on (4, 6, 8, 9, 12, 13, 14)"),
     ],
 )
 def test_verify_minors_names_the_first_wrong_minor(
@@ -834,23 +837,25 @@ def _z4_balanced_class():
 
 
 @pytest.mark.parametrize(
-    "group, kernel, class_file, phases",
+    "group, kernel, class_file, phases, parts",
     [
-        (D6_SPEC, "0,1,2", None, ["cycles", "bundles", "final"]),
+        (D6_SPEC, "0,1,2", None, ["cycles", "bundles", "final"],
+         ["empty", "bundles", "halves"]),
         # 12 edges: the final comparison walks both oracles
-        ({"kind": "cyclic", "n": 2}, "0", None, ["cycles", "bundles", "final"]),
+        ({"kind": "cyclic", "n": 2}, "0", None, ["cycles", "bundles", "final"], ["subsets"]),
         # refused by the bundle relation, so no final comparison
-        ({"kind": "cyclic", "n": 4}, "0,2", _z4_balanced_class, ["cycles", "bundles"]),
+        ({"kind": "cyclic", "n": 4}, "0,2", _z4_balanced_class, ["cycles", "bundles"], None),
     ],
     ids=["K4-D6", "K4-Z2", "K4-Z4-refused"],
 )
 def test_recover_stats_go_to_stderr_and_leave_stdout_alone(
-    write, capsys, group, kernel, class_file, phases
+    write, capsys, group, kernel, class_file, phases, parts
 ):
     """``--stats`` adds one JSON line to stderr, before any error line, and
     changes neither stdout nor the exit code. The phases that ran are
     listed in order, their counts add up to the total, and the cycle phase
-    asks one query per cycle of K_4."""
+    asks one query per cycle of K_4. The final comparison's parts are
+    listed in order, and their counts and seconds add up to the phase's."""
     argv = ["recover", "--graph", write("k4.json", {"complete": {"group": group, "n": 4}})]
     argv += ["--kernel", kernel]
     if class_file is not None:
@@ -868,6 +873,14 @@ def test_recover_stats_go_to_stderr_and_leave_stdout_alone(
     order = group_from_spec(group).order
     assert queries["cycles"] == complete_cycle_count(order, 4)
     assert all(seconds >= 0 for seconds in stats["seconds"].values())
+    if parts is None:
+        assert "final_parts" not in stats
+        return
+    split = stats["final_parts"]
+    assert list(split["rank_queries"]) == parts and list(split["seconds"]) == parts
+    assert sum(split["rank_queries"].values()) == queries["final"]
+    assert sum(split["seconds"].values()) == pytest.approx(stats["seconds"]["final"])
+    assert all(seconds >= 0 for seconds in split["seconds"].values())
 
 
 @pytest.mark.parametrize("with_class", [False, True])

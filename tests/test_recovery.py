@@ -44,7 +44,13 @@ from frobmat.recovery import (
     complete_cycle_count,
 )
 
-from conftest import FuncOracle, all_complete_cycles, complete_edge_id, reduced_complete_cycles
+from conftest import (
+    FuncOracle,
+    all_complete_cycles,
+    complete_edge_id,
+    reduced_complete_cycles,
+    reference_halves,
+)
 from test_acceptance import order_20_catalog
 
 
@@ -249,6 +255,29 @@ def test_a_balanced_cycle_below_circuit_rank_is_refused(name, cycle):
     with pytest.raises(RecoveryError) as info:
         recover_partition(group, part.kernel, 4, oracle)
     assert str(info.value) == f"cycle {cycle} is balanced but is not a circuit of the lift"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=pytest.fail.Exception,
+    reason="ROADMAP item 7: the final sample does not reach a dependent pair inside a cycle",
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "name, kernel_order, pair", [("D6", 3, (0, 9)), ("F20", 5, (0, 20))], ids=["D6", "F20"]
+)
+def test_a_dependent_pair_inside_a_cycle_is_refused(name, kernel_order, pair, seed):
+    """The lift with the rank of one 2-edge set alone lowered by one is no
+    matroid, so no elementary lift of N. Each cycle through the pair still
+    has rank |C| - 1, so the one query per cycle passes it, and the final
+    comparison must refuse it; today none of its sets is the pair."""
+    group = WITNESS_GROUPS[name]
+    part = next(p for p in frobenius_partitions(group) if p.kernel.order == kernel_order)
+    m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 4))
+    oracle = FuncOracle(m.ground, lambda s: m.rank(s) - (s == frozenset(pair)))
+    assert oracle.rank(pair) == 1
+    with pytest.raises(RecoveryError):
+        recover_partition(group, part.kernel, 4, oracle, seed=seed)
 
 
 def _bundles_at_rank(group, pairs, rank):
@@ -480,19 +509,16 @@ def test_sampled_final_comparison_names_the_first_failing_half():
     elementary lift of the quotient frame matroid, and the final comparison
     names the first such half: the cycles, the bundles and the whole ground
     (42 edges) are left alone. The halves are drawn over the ground listed
-    bundle by bundle, one random() draw per edge, and the witness is printed
+    bundle by bundle, one random bit per edge, and the witness is printed
     sorted."""
     z7, part, m = _z7_frame_lift()
     oracle = FuncOracle(m.ground, lambda s: m.rank(s) + 2 * (21 <= len(s) < 42))
     bundled = [e for a in z7.elements() for e in edge_bundle(z7, 4, (a,))]
-    ref = random.Random(0)
-    half = ()
-    while len(half) < 21:
-        half = tuple(e for e in bundled if ref.random() < 0.5)
+    half = next(h for h in reference_halves(bundled, SAMPLES, random.Random(0)) if len(h) >= 21)
     with pytest.raises(RecoveryError) as info:
         recover_partition(z7, part.kernel, 4, oracle, seed=0)
     witness = tuple(sorted(half))
-    assert witness[:4] == (1, 2, 3, 5) and witness[-1] == 41
+    assert witness[:4] == (1, 4, 5, 10) and witness[-1] == 41
     assert str(info.value) == f"reconstructed matroid disagrees with the input on {witness}"
 
 
