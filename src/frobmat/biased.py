@@ -468,6 +468,7 @@ class _ClassLift(RankOracle):
         return CircuitIndex(EdgeIndex(self.ground), outside)
 
     def rank(self, subset: Iterable[int]) -> int:
+        subset = tuple(subset)
         r = self.host.rank(subset)
         outside = self._outside
         x = set(subset)
@@ -476,19 +477,28 @@ class _ClassLift(RankOracle):
     def modular_pair_check(self):
         """(True, None) when the members are closed under modular pairs, else
         (False, (C1, C2, C)): a modular pair of members and the first host
-        circuit, in sorted order, in its union and outside the class. The
-        host rank is asked once per distinct union that holds such a
-        circuit; no other union can fail. Raises ValueError for a member
-        that is no host circuit.
+        circuit, in sorted order, in its union and outside the class.
+        Raises ValueError for a member that is no host circuit.
+
+        The host must be a matroid. A class of every host circuit is linear
+        and asks nothing. Otherwise r(E) is read once when two members exist;
+        a distinct union of more than r(E) + 2 edges has nullity above 2, so
+        it is skipped, and each other one that holds a circuit outside the
+        class is asked once. No other union can fail.
         """
         circuits = {frozenset(c) for c in self._host_circuits()}
         for c in self.members:
             if c not in circuits:
                 raise ValueError(f"candidate {sorted(c)} is not a circuit of the host")
+        if len(self.members) == len(circuits):
+            return True, None
         outside = self._outside
         index = outside.index
         members = sorted(self.members, key=sorted)
+        most = len(members) > 1 and self.host.full_rank() + 2
         for i, j, u in distinct_unions([index.mask(c) for c in members]):
+            if u.bit_count() > most:
+                continue
             union = members[i] | members[j]
             if any(outside.inside(union, u)) and len(union) - self.host.rank(union) == 2:
                 c = min(map(index.ids, outside.inside(union, u)))
@@ -657,8 +667,12 @@ def is_linear_class(
     host_circuits: Iterable[Iterable[int]],
     cand: Iterable[Iterable[int]],
 ):
-    """Check the modular-pair closure; returns (ok, witness) as
-    _ClassLift.modular_pair_check does."""
+    """Check the modular-pair closure of ``cand`` in the matroid ``host``;
+    returns (ok, witness) as _ClassLift.modular_pair_check does. A class
+    that holds every host circuit asks the host nothing; otherwise r(E) is
+    read once when two members exist, and the host rank once per distinct
+    union of two members of at most r(E) + 2 edges that holds a circuit
+    outside the class, up to the verdict."""
     return _ClassLift(host, list(host_circuits), cand).modular_pair_check()
 
 

@@ -16,11 +16,13 @@ from frobmat import (
     GraphicOracle,
     LiftOracle,
     LiftedMatroid,
+    VectorOracle,
     brylawski_lift,
     complete_gain_graph,
     enumerate_cycles,
     frame_circuits,
     frobenius_partitions,
+    incidence_matrix,
     is_balanced_cycle,
     is_linear_class,
     make_cyclic,
@@ -102,6 +104,51 @@ def test_unknown_edge_and_empty_subset(d6, oracle):
     assert o.rank([]) == 0
     with pytest.raises(ValueError, match="no edge 7"):
         o.rank([0, 7])
+
+
+class _ExplicitGraphic(GraphicOracle):
+    """GraphicOracle on the explicit route: every cycle listed as balanced."""
+
+    def __init__(self, g: GainGraph):
+        super(GraphicOracle, self).__init__(BiasedGraph(g, enumerate_cycles(g)))
+
+
+def _k3_oracles():
+    """Every oracle class, by name, on K_3 over D6 under its Z3-kernel
+    partition, or for VectorOracle the incidence matrix of K_3 over F20."""
+    d6 = make_dihedral(6)
+    part = next(p for p in frobenius_partitions(d6) if p.kernel.order == 3)
+    m = LiftedMatroid(FrobeniusContext(d6, part), complete_gain_graph(d6, 3))
+    gain = m.quotient_biased
+    explicit = BiasedGraph(
+        gain.graph, [c for c in enumerate_cycles(gain.graph) if gain.cycle_is_balanced(c)]
+    )
+    return {
+        "LiftedMatroid": m,
+        "FrameOracle": FrameOracle(gain),
+        "FrameOracle-explicit": FrameOracle(explicit),
+        "LiftOracle": LiftOracle(gain),
+        "LiftOracle-explicit": LiftOracle(explicit),
+        "GraphicOracle": GraphicOracle(m.graph),
+        "GraphicOracle-explicit": _ExplicitGraphic(m.graph),
+        "ClassLiftOracle": ClassLiftOracle(gain, m.linear_class),
+        "brylawski_lift": brylawski_lift(FrameOracle(gain), m.frame_circuits, m.linear_class),
+        "VectorOracle": VectorOracle(incidence_matrix(complete_gain_graph(make_field_affine(5), 3))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_k3_oracles()))
+def test_a_one_shot_iterator_has_the_rank_of_its_tuple(name):
+    oracle = _k3_oracles()[name]
+    rng = random.Random(name)
+    subsets = [(), (0, 1), oracle.ground] + [
+        tuple(rng.sample(oracle.ground, rng.randint(1, 8))) for _ in range(30)
+    ]
+    for s in subsets:
+        assert oracle.rank(iter(s)) == oracle.rank(s), s
+    if "Class" in name or "brylawski" in name:
+        # the Z3-kernel digon (0, 1) is a host circuit outside the class
+        assert oracle.rank(iter((0, 1))) == 2
 
 
 # --- circuit families -------------------------------------------------------
@@ -324,6 +371,12 @@ def test_is_linear_class_trivial_cases(d6):
     circuits = frame_circuits(b)
     assert is_linear_class(host, circuits, []) == (True, None)
     assert is_linear_class(host, circuits, circuits) == (True, None)
+    # neither class can build a pair with a circuit outside it
+    queries = []
+    counted = FuncOracle(host.ground, lambda x: queries.append(x) or host.rank(x))
+    assert is_linear_class(counted, circuits, []) == (True, None)
+    assert is_linear_class(counted, circuits, circuits) == (True, None)
+    assert queries == []
 
 
 def test_is_linear_class_theta_violation():

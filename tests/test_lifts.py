@@ -1057,32 +1057,42 @@ def test_unknown_id_after_the_ground_set_rank_raises(d6, d6_frobenius, complete)
 
 
 def _pairwise_linear_class(host, host_circuits, cand):
-    """The modular-pair check over every pair of members, no union skipped;
-    also returns how many distinct unions it reached that hold a host
-    circuit outside the candidate, the only unions whose rank can fail it."""
+    """The modular-pair check over every pair of members, no union skipped.
+    Also returns the queries the check may ask of a matroid host, in order:
+    the ground set when a pair can be built (two members and a host circuit
+    outside them), for its r(E), then each distinct union up to the verdict
+    of at most r(E) + 2 edges that holds a host circuit outside the
+    candidate, the only unions whose rank can fail it."""
     circuits = sorted({frozenset(c) for c in host_circuits}, key=sorted)
     members = {frozenset(c) for c in cand}
-    unions = set()
+    most = host.full_rank() + 2
+    asked, seen = [], set()
+    if len(members) > 1 and any(c not in members for c in circuits):
+        asked.append(frozenset(host.ground))
     for c1, c2 in itertools.combinations(sorted(members, key=sorted), 2):
         union = c1 | c2
-        if any(c <= union and c not in members for c in circuits):
-            unions.add(union)
+        if union not in seen and len(union) <= most and any(
+            c <= union and c not in members for c in circuits
+        ):
+            asked.append(union)
+        seen.add(union)
         if len(union) - host.rank(union) != 2:
             continue
         for c in circuits:
             if c <= union and c not in members:
                 witness = (tuple(sorted(c1)), tuple(sorted(c2)), tuple(sorted(c)))
-                return False, witness, len(unions)
-    return True, None, len(unions)
+                return False, witness, asked
+    return True, None, asked
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_is_linear_class_matches_pairwise_check_querying_unions_with_outside_circuits(seed):
-    """Same verdict and witness as the pairwise loop, with one host rank
-    query per distinct union, up to the verdict, that holds a host circuit
-    outside the candidate; candidates are the class, random sets of host
-    circuits, and the class with one circuit toggled."""
+    """Same verdict and witness as the pairwise loop. The host is asked for
+    r(E) once when a pair can be built, then once per distinct union, in
+    pair order up to the verdict, of at most r(E) + 2 edges that holds a
+    host circuit outside the candidate; candidates are the class, random
+    sets of host circuits, and the class with one circuit toggled."""
     rng = random.Random(seed)
     i = seed % len(DIFFERENTIAL_GROUPS)
     g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=4, max_edges=10)
@@ -1099,9 +1109,9 @@ def test_is_linear_class_matches_pairwise_check_querying_unions_with_outside_cir
             queries = []
             counted = FuncOracle(host.ground, lambda x: queries.append(x) or host.rank(x))
             ok, witness = is_linear_class(counted, host_circuits, cand)
-            want_ok, want_witness, unions = _pairwise_linear_class(host, host_circuits, cand)
+            want_ok, want_witness, asked = _pairwise_linear_class(host, host_circuits, cand)
             assert (ok, witness) == (want_ok, want_witness), (ctx, cand)
-            assert len(queries) == unions, (ctx, cand)
+            assert queries == asked, (ctx, cand)
             assert ok or cand is not cls
 
 
