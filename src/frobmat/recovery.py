@@ -1,10 +1,13 @@
 """Recovering a Frobenius partition from an elementary lift over a complete
 gain graph.
 
-Given a group, a normal subgroup, and a rank oracle for an elementary lift of
-the quotient frame matroid of the complete gain graph that respects balanced
-cycles, this reconstructs the partition through bundle-rank queries and
-re-verifies every property the reconstruction relies on.
+Given a group, a normal subgroup and a rank oracle m, this reconstructs the
+partition through bundle-rank queries, checking that the circuits of m among
+the cycles are the balanced ones and that the classes form a Frobenius
+partition. The cycle check takes m to be an elementary lift of N, the
+quotient frame matroid; the final comparison with the rebuilt lift is the
+one check of that, exhaustive up to EXHAUSTIVE_LIMIT edges and sampled above
+(see ``recover_partition``).
 """
 
 from __future__ import annotations
@@ -195,38 +198,13 @@ def _check_cycle_hypothesis(group: FiniteGroup, n: int, m: RankOracle) -> None:
             )
 
 
-class _Laps:
-    """Rank queries and perf_counter seconds per named lap, into ``stats`` as
-    {"rank_queries": {lap: count, ...}, "seconds": {lap: seconds, ...}}."""
+class _Counted(RankOracle):
+    """m as it is, with the rank queries asked of it counted in ``queries``.
+    A step of m's walk counts as one query: it answers the rank of one set."""
 
-    def __init__(self, stats: dict):
-        self.stats = stats
-        self.counts = stats.setdefault("rank_queries", {})
-        self.seconds = stats.setdefault("seconds", {})
-        self.lap: str | None = None
-
-    def enter(self, lap: str | None, now: float, queries: int) -> None:
-        """End the lap under way, if any, at ``now`` after ``queries`` queries
-        in all, and start ``lap`` there."""
-        if self.lap is not None:
-            self.counts[self.lap] = queries - self.queries_at
-            self.seconds[self.lap] = now - self.started
-        self.lap, self.started, self.queries_at = lap, now, queries
-
-
-class _PhaseStats(RankOracle):
-    """m as it is, with the rank queries asked of it and the perf_counter
-    seconds counted per recovery phase into ``stats``, and per part of the
-    final comparison into ``stats["final_parts"]`` (see
-    ``recover_partition``). A step of m's walk counts as one query: it
-    answers the rank of one set."""
-
-    def __init__(self, m: RankOracle, stats: dict):
+    def __init__(self, m: RankOracle):
         self.m, self.ground, self.incremental = m, m.ground, m.incremental
-        self.stats = stats
         self.queries = 0
-        self.phases = _Laps(stats)
-        self.parts = _Laps({})
 
     def rank(self, subset: Iterable[int]) -> int:
         self.queries += 1
@@ -244,32 +222,22 @@ class _PhaseStats(RankOracle):
 
         return state, r, counted
 
-    def enter(self, phase: str | None) -> None:
-        """Record the phase under way, if any, and its last part, and start
-        ``phase``; None ends the run and records the total."""
-        now = time.perf_counter()
-        self.parts.enter(None, now, self.queries)
-        self.phases.enter(phase, now, self.queries)
-        if phase is None:
-            self.phases.counts["total"] = self.queries
-            if self.parts.counts:
-                self.stats["final_parts"] = self.parts.stats
 
-    def enter_part(self, part: str) -> None:
-        """Record the part under way, if any, and start ``part``; the first
-        part starts with its phase, so the parts add up to it."""
-        if self.parts.lap is None:
-            self.parts.enter(part, self.phases.started, self.phases.queries_at)
-        else:
-            self.parts.enter(part, time.perf_counter(), self.queries)
-
-
-def _parts(parts: Iterable[tuple[str, Iterable]], enter_part: Callable[[str], None]):
-    """The subsets of each (name, subsets) part in turn, with ``enter_part``
-    called on each name before its first subset is drawn."""
-    for name, subsets in parts:
-        enter_part(name)
-        yield from subsets
+def _fold(marks: list[tuple]) -> dict:
+    """The stats of ``marks``, each (phase, part, perf_counter, queries so
+    far) and the last one the end: each mark runs to the next, and its
+    queries and seconds add to its phase and to its part, if it names one."""
+    stats: dict = {"rank_queries": {}, "seconds": {}}
+    parts: dict = {"rank_queries": {}, "seconds": {}}
+    for (phase, part, t, q), (_, _, t_next, q_next) in zip(marks, marks[1:]):
+        for into, key in ((stats, phase), (parts, part)):
+            if key is not None:
+                into["rank_queries"][key] = into["rank_queries"].get(key, 0) + (q_next - q)
+                into["seconds"][key] = into["seconds"].get(key, 0) + (t_next - t)
+    stats["rank_queries"]["total"] = marks[-1][3]
+    if parts["rank_queries"]:
+        stats["final_parts"] = parts
+    return stats
 
 
 def recover_partition(
@@ -309,17 +277,25 @@ def recover_partition(
     {phase: seconds, ...}}. The final comparison is split the same way
     under "final_parts", into "empty", "bundles" and "halves" when sampled,
     or one "subsets" part, and the parts add up to "final"; drawing a
-    subset counts in its part. A phase that raises is recorded too, with
-    its last part. Without ``stats`` m is asked directly and no hook runs
-    per query.
+    subset counts in its part. The phases and parts are marked as they
+    start: each mark runs to the next; the first part starts with its
+    phase, so rebuilding the lift counts in it; a phase that raises is
+    recorded up to the raise. Without ``stats`` m is asked directly and no
+    hook runs per query.
     """
     if stats is None:
-        return _recover(group, kernel, n, m, seed, lambda phase: None, lambda part: None)
-    counted = _PhaseStats(m, stats)
+        return _recover(group, kernel, n, m, seed, lambda phase, part=None: None)
+    counted = _Counted(m)
+    marks: list[tuple] = []
+
+    def mark(phase: str | None, part: str | None = None) -> None:
+        marks.append((phase, part, time.perf_counter(), counted.queries))
+
     try:
-        return _recover(group, kernel, n, counted, seed, counted.enter, counted.enter_part)
+        return _recover(group, kernel, n, counted, seed, mark)
     finally:
-        counted.enter(None)
+        mark(None)
+        stats.update(_fold(marks))
 
 
 def _recover(
@@ -328,11 +304,10 @@ def _recover(
     n: int,
     m: RankOracle,
     seed: int,
-    enter: Callable[[str], None],
-    enter_part: Callable[[str], None],
+    mark: Callable[..., None],
 ) -> FrobeniusPartition:
-    """``recover_partition``, calling ``enter`` with each phase's name as the
-    phase starts, and ``enter_part`` with each final comparison part's."""
+    """``recover_partition``, calling ``mark`` as each phase and each part of
+    the final comparison starts."""
     if n < 4:
         raise RecoveryError("recovery requires n >= 4")
     order = group.order
@@ -347,9 +322,9 @@ def _recover(
     g = complete_gain_graph(group, n)
     if tuple(m.ground) != tuple(e.id for e in g.edges):
         raise RecoveryError("oracle ground set does not match the complete gain graph")
-    enter("cycles")
+    mark("cycles")
     _check_cycle_hypothesis(group, n, m)
-    enter("bundles")
+    mark("bundles")
 
     kernel_set = kernel.element_set
     if len(kernel_set) == group.order:
@@ -401,11 +376,11 @@ def _recover(
                 kernel, tuple(sorted(comps, key=lambda s: s.elements))
             )
 
-    enter("final")
+    exhaustive = len(g.edges) <= EXHAUSTIVE_LIMIT
+    mark("final", "subsets" if exhaustive else "empty")
     reconstructed = LiftedMatroid(FrobeniusContext(group, partition, validate=False), g)
-    sample = None
-    if len(g.edges) <= EXHAUSTIVE_LIMIT:
-        enter_part("subsets")
+    if exhaustive:
+        parts = [("subsets", None)]
     else:
         # the ground bundle by bundle, the identity bundle first: a random half
         # listed this way reaches a spanning forest of identity edges, and then
@@ -415,17 +390,16 @@ def _recover(
             edge_bundle(group, n, (0, a, b))
             for a, b in itertools.combinations_with_replacement(group.elements(), 2)
         )
-        sample = _parts(
-            (
-                ("empty", [()]),
-                ("bundles", bundles),
-                ("halves", subset_sweep(bundled, SAMPLES, random.Random(seed))),
-            ),
-            enter_part,
-        )
-    bad = first_disagreement(m, reconstructed, sample)
-    if bad is not None:
-        raise RecoveryError(
-            f"reconstructed matroid disagrees with the input on {tuple(sorted(bad))}"
-        )
+        parts = [
+            ("empty", [()]),
+            ("bundles", bundles),
+            ("halves", subset_sweep(bundled, SAMPLES, random.Random(seed))),
+        ]
+    for part, sample in parts:
+        mark("final", part)
+        bad = first_disagreement(m, reconstructed, sample)
+        if bad is not None:
+            raise RecoveryError(
+                f"reconstructed matroid disagrees with the input on {tuple(sorted(bad))}"
+            )
     return partition

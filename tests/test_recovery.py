@@ -1,7 +1,10 @@
 import functools
+import itertools
 import operator
 import random
+import sys
 import tracemalloc
+import types
 from typing import Iterable, Sequence
 
 import pytest
@@ -45,6 +48,7 @@ from frobmat.recovery import (
 )
 
 from conftest import (
+    CountingWalk,
     FuncOracle,
     all_complete_cycles,
     complete_edge_id,
@@ -670,6 +674,107 @@ def test_the_cycle_check_asks_each_cycle_once_in_stream_order(
     monkeypatch.setattr("frobmat.recovery.DEFAULT_CYCLE_COUNT_LIMIT", checked - 1)
     with pytest.raises(LimitExceeded, match=f"more than {checked - 1} cycles"):
         recover_partition(group, part.kernel, n, m)
+
+
+def test_stats_of_a_run_refused_inside_the_final_comparison():
+    """K_4 over Z7 with the trivial kernel, and an oracle one above the lift
+    on the third sampled half only: the run is refused there. Its stats list
+    the three phases and the total, which is every query m was asked; the
+    final comparison's parts that ran are listed in order, their queries
+    (the empty set, the 28 bundles, three halves) and seconds adding up to
+    the phase's."""
+    z7, part, m = _z7_frame_lift()
+    bundled = [e for a in z7.elements() for e in edge_bundle(z7, 4, (a,))]
+    third = next(itertools.islice(reference_halves(bundled, SAMPLES, random.Random(0)), 2, None))
+    oracle = _Asked(FuncOracle(m.ground, lambda s: m.rank(s) + (s == frozenset(third))))
+    stats = {}
+    with pytest.raises(RecoveryError) as info:
+        recover_partition(z7, part.kernel, 4, oracle, seed=0, stats=stats)
+    assert str(info.value).endswith(f"disagrees with the input on {tuple(sorted(third))}")
+    queries, seconds = stats["rank_queries"], stats["seconds"]
+    phases = ["cycles", "bundles", "final"]
+    assert list(stats) == ["rank_queries", "seconds", "final_parts"]
+    assert queries == {"cycles": complete_cycle_count(7, 4), "bundles": 1, "final": 32,
+                       "total": len(oracle.asked)}
+    assert sum(queries[p] for p in phases) == queries["total"] and list(seconds) == phases
+    split = stats["final_parts"]
+    assert split["rank_queries"] == {"empty": 1, "bundles": 28, "halves": 3}
+    assert list(split["rank_queries"]) == list(split["seconds"]) == ["empty", "bundles", "halves"]
+    assert sum(split["seconds"].values()) == pytest.approx(seconds["final"])
+    assert all(s >= 0 for s in [*seconds.values(), *split["seconds"].values()])
+
+
+@pytest.mark.parametrize(
+    "group, first_parts",
+    [(make_cyclic(7), {"empty": 1, "bundles": 0, "halves": 0}), (make_cyclic(2), {"subsets": 1})],
+    ids=["K4-Z7-sampled", "K4-Z2-exhaustive"],
+)
+def test_rebuilding_the_lift_counts_in_the_final_phase_and_its_first_part(
+    group, first_parts, monkeypatch
+):
+    """The seconds are read from a clock that only the rebuild of the lift
+    moves, by one: that second goes to the final phase and its first part."""
+    part = next(p for p in frobenius_partitions(group) if p.kernel.order == 1)
+    m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 4))
+    now = [0.0]
+
+    def rebuild(*args):
+        now[0] += 1
+        return LiftedMatroid(*args)
+
+    monkeypatch.setattr("frobmat.recovery.LiftedMatroid", rebuild)
+    monkeypatch.setattr("frobmat.recovery.time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+    stats = {}
+    assert recover_partition(group, part.kernel, 4, m, stats=stats) == part
+    assert stats["seconds"] == {"cycles": 0, "bundles": 0, "final": 1}
+    assert stats["final_parts"]["seconds"] == first_parts
+
+
+def test_stats_of_a_run_refused_before_any_phase():
+    z7 = make_cyclic(7)
+    part = next(p for p in frobenius_partitions(z7) if p.kernel.order == 1)
+    m = LiftedMatroid(FrobeniusContext(z7, part), complete_gain_graph(z7, 3))
+    stats = {}
+    with pytest.raises(RecoveryError, match="n >= 4"):
+        recover_partition(z7, part.kernel, 3, m, stats=stats)
+    assert stats == {"rank_queries": {"total": 0}, "seconds": {}}
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_stats_count_each_step_of_a_walk_as_one_query(z2, index):
+    """K_4 over Z2 (12 edges): the final comparison walks m and the rebuilt
+    lift together. A step of m's walk counts as one query and reading m's
+    full rank as none, so the final phase counts the steps."""
+    part = frobenius_partitions(z2)[index]
+    m = LiftedMatroid(FrobeniusContext(z2, part), complete_gain_graph(z2, 4))
+    oracle, stats = CountingWalk(m), {}
+    assert recover_partition(z2, part.kernel, 4, oracle, stats=stats) == part
+    final = stats["rank_queries"]["final"]
+    assert final == stats["final_parts"]["rank_queries"]["subsets"] == oracle.steps > 0
+
+
+def test_recovery_without_stats_asks_m_itself(monkeypatch):
+    """With ``stats`` None no counting wrapper is built, and every query
+    reaches m's own rank from recovery's or the final comparison's code:
+    as many as a run with stats counts."""
+    z7, part, m = _z7_frame_lift()
+    stats = {}
+    assert recover_partition(z7, part.kernel, 4, m, seed=0, stats=stats) == part
+    callers = []
+
+    def rank(s):
+        caller = sys._getframe(2)  # past FuncOracle.rank
+        callers.append((caller.f_globals["__name__"], caller.f_code.co_name))
+        return m.rank(s)
+
+    def no_wrapper(*args):
+        raise AssertionError("a counting wrapper was built")
+
+    monkeypatch.setattr("frobmat.recovery._Counted", no_wrapper)
+    assert recover_partition(z7, part.kernel, 4, FuncOracle(m.ground, rank), seed=0) == part
+    assert len(callers) == stats["rank_queries"]["total"] == 10231
+    assert {module for module, _ in callers} == {"frobmat.recovery", "frobmat.biased"}
+    assert all(name != "rank" for _, name in callers)
 
 
 def test_k5_over_order_ten_is_refused_by_its_cycle_count():
