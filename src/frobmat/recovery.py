@@ -6,8 +6,9 @@ partition through bundle-rank queries, checking that the circuits of m among
 the cycles are the balanced ones and that the classes form a Frobenius
 partition. The cycle check takes m to be an elementary lift of N, the
 quotient frame matroid; the final comparison with the rebuilt lift is the
-one check of that, exhaustive up to EXHAUSTIVE_LIMIT edges and sampled above
-(see ``recover_partition``).
+one check of that, exhaustive up to EXHAUSTIVE_LIMIT edges and above it
+asked on the empty set, the bundles, one prefix of the ground per size and
+SAMPLES random halves (see ``recover_partition``).
 """
 
 from __future__ import annotations
@@ -38,9 +39,13 @@ from .lifts import FrobeniusContext, LiftedMatroid
 
 EXHAUSTIVE_GROUP_ORDER = 10
 # Halves the final comparison draws above EXHAUSTIVE_LIMIT edges, one random bit
-# per edge (see subset_sweep). m must match the rebuilt lift on each, which
-# decides there whether m is an elementary lift of the quotient frame matroid.
-SAMPLES = 1500
+# per edge (see subset_sweep), after the prefixes, which hold a set of every
+# size. Every bundle and prefix holds the first edge, so a half is for a set
+# that misses given edges: it misses k of them with probability 2^-k, and an
+# oracle wrong on every set of more than a few edges that misses at most 4
+# given edges passes all the halves with probability (15/16)^SAMPLES < 10^-6,
+# whatever the seed.
+SAMPLES = 215
 
 
 def edge_bundle(group: FiniteGroup, n: int, elements: Iterable[int]) -> tuple[int, ...]:
@@ -261,8 +266,9 @@ def recover_partition(
     the rebuilt lift is one, with the declared kernel, so a subset on which
     m's rank less N's is not 0 or 1 is one on which m and the rebuilt lift
     differ. It asks every subset up to EXHAUSTIVE_LIMIT edges; above, the
-    empty set, the bundles of the identity and two elements, and SAMPLES
-    random halves seeded by ``seed``.
+    empty set, the bundles of the identity and two elements, the prefixes
+    of the ground listed bundle by bundle, one of each size from 1 to |E|,
+    and SAMPLES random halves seeded by ``seed``.
 
     The cycles the hypothesis check asks about are counted first, before the
     graph or any sample is built, against DEFAULT_CYCLE_COUNT_LIMIT. Each is
@@ -275,10 +281,10 @@ def recover_partition(
     and the bundle relation) and "final" (the final comparison), as
     {"rank_queries": {phase: count, ..., "total": count}, "seconds":
     {phase: seconds, ...}}. The final comparison is split the same way
-    under "final_parts", into "empty", "bundles" and "halves" when sampled,
-    or one "subsets" part, and the parts add up to "final"; drawing a
-    subset counts in its part. The phases and parts are marked as they
-    start: each mark runs to the next; the first part starts with its
+    under "final_parts", into "empty", "bundles", "prefixes" and "halves"
+    when sampled, or one "subsets" part, and the parts add up to "final";
+    drawing a subset counts in its part. The phases and parts are marked as
+    they start: each mark runs to the next; the first part starts with its
     phase, so rebuilding the lift counts in it; a phase that raises is
     recorded up to the raise. Without ``stats`` m is asked directly and no
     hook runs per query.
@@ -382,9 +388,10 @@ def _recover(
     if exhaustive:
         parts = [("subsets", None)]
     else:
-        # the ground bundle by bundle, the identity bundle first: a random half
-        # listed this way reaches a spanning forest of identity edges, and then
-        # its first unbalanced edges, within a few reads, where a rank pass stops
+        # the ground bundle by bundle, the identity bundle first: a prefix or a
+        # random half listed this way reaches a spanning forest of identity
+        # edges, and then its first unbalanced edges, within a few reads, where
+        # a rank pass stops
         bundled = tuple(e for a in group.elements() for e in edge_bundle(group, n, (a,)))
         bundles = (
             edge_bundle(group, n, (0, a, b))
@@ -393,6 +400,7 @@ def _recover(
         parts = [
             ("empty", [()]),
             ("bundles", bundles),
+            ("prefixes", (bundled[:k] for k in range(1, len(bundled) + 1))),
             ("halves", subset_sweep(bundled, SAMPLES, random.Random(seed))),
         ]
     for part, sample in parts:

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import random
 import types
@@ -6,11 +8,15 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import pytest
 
 from frobmat import (
+    BiasedGraph,
     FiniteGroup,
+    FrameOracle,
     FrobeniusContext,
     FrobeniusPartition,
     GainGraph,
+    LiftedMatroid,
     Subgroup,
+    complete_gain_graph,
     frobenius_partitions,
     from_table,
     is_malnormal,
@@ -18,10 +24,12 @@ from frobmat import (
     make_cyclic,
     make_dihedral,
     make_field_affine,
+    quotient_gains,
     subgroups,
 )
 from frobmat.biased import RankOracle
 from frobmat.gaingraph import complete_pair_offsets
+from frobmat.groups import quotient
 
 
 @pytest.fixture(scope="session")
@@ -425,3 +433,166 @@ def perm_group(gens: Sequence[Sequence[int]], degree: int) -> FiniteGroup:
                 index[q] = len(elems)
                 elems.append(q)
     return from_table([[index[tuple(q[i] for i in p)] for q in elems] for p in elems])
+
+
+# A corpus of faults for recovery's final comparison: oracles on K_4 that are
+# no elementary lift of N, the quotient frame matroid of the declared kernel,
+# each built from the lift of one partition. ``tests/final_sample_probe.py``
+# reports which phase and part of recovery refuses each, and
+# ``tests/test_recovery.py`` pins that the faults the 1,500-half sample
+# refused stay refused.
+
+
+CORPUS_GROUPS = {
+    "Z7": make_cyclic(7),
+    "Z11": make_cyclic(11),
+    "D6": make_dihedral(6),
+    "F20": make_field_affine(5),
+}
+
+
+@dataclasses.dataclass(frozen=True)
+class Fault:
+    """One corpus fault: recovery is asked for ``kernel`` on K_4 over
+    ``group`` with the oracle ``build()`` returns."""
+
+    name: str
+    group: FiniteGroup
+    kernel: Subgroup
+    build: Callable[[], RankOracle]
+
+
+def shifted(m: RankOracle, shift: int, faulty: Callable[[frozenset[int]], bool]) -> RankOracle:
+    """m with ``shift`` added to its rank on each set ``faulty`` names."""
+    return FuncOracle(m.ground, lambda s: m.rank(s) + shift * faulty(s))
+
+
+def dropped_from_class(m: LiftedMatroid, cycle: Iterable[int]) -> RankOracle:
+    """The lift of N by m's class less the member ``cycle``: a set gains one
+    in rank when it holds the cycle and no circuit of N outside the class."""
+    c = frozenset(cycle)
+    return FuncOracle(m.ground, lambda s: m.rank(s) + (c <= s and m.rank(s) == m.underlying_rank(s)))
+
+
+def added_to_class(m: LiftedMatroid, cycle: Iterable[int]) -> RankOracle:
+    """The lift of N by m's class plus the circuit of N ``cycle``: a set that
+    holds it loses one in rank when it holds no other circuit of N outside
+    the class. Circuits are incomparable, so any other one misses an edge of
+    the cycle and stays in the set less that edge."""
+    d = frozenset(cycle)
+
+    def rank(s: frozenset[int]) -> int:
+        r = m.rank(s)
+        if not d <= s or r == m.underlying_rank(s):
+            return r
+        return r - all(m.rank(s - {e}) == m.underlying_rank(s - {e}) for e in d)
+
+    return FuncOracle(m.ground, rank)
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_lift(gname: str, index: int) -> LiftedMatroid:
+    group = CORPUS_GROUPS[gname]
+    part = frobenius_partitions(group)[index]
+    return LiftedMatroid(FrobeniusContext(group, part, validate=False), complete_gain_graph(group, 4))
+
+
+def _partition_faults(gname: str, index: int) -> Iterator[Fault]:
+    """The faults built on one partition's lift; each kind is listed in
+    ``final_sample_corpus``."""
+    group = CORPUS_GROUPS[gname]
+    part = frobenius_partitions(group)[index]
+    kernel, table, inverse = part.kernel, group.table, group.inverse
+    edges = 6 * group.order
+    prefix = f"{gname}/p{index}"
+
+    def fault(name: str, build: Callable[[], RankOracle]) -> Fault:
+        return Fault(f"{prefix}/{name}", group, kernel, build)
+
+    lift = functools.partial(corpus_lift, gname, index)
+    for shift in (-1, 2):
+        for size in (3, edges // 2, edges - 4):
+            yield fault(f"above/{size}/{shift:+d}",
+                        lambda s=size, d=shift: shifted(lift(), d, lambda x: len(x) >= s))
+        for size in (3, edges // 2 - 2, edges // 2, edges - 4, edges):
+            yield fault(f"size/{size}/{shift:+d}",
+                        lambda s=size, d=shift: shifted(lift(), d, lambda x: len(x) == s))
+        for held in ((0,), (edges // 2, edges - 1), (1, edges // 3, 2 * edges // 3)):
+            name = '.'.join(map(str, held))
+            yield fault(f"superset/{name}/{shift:+d}",
+                        lambda h=frozenset(held), d=shift: shifted(lift(), d, h.__le__))
+            yield fault(f"avoid/{name}/{shift:+d}",
+                        lambda h=frozenset(held), d=shift: shifted(
+                            lift(), d, lambda x: len(x) > 4 and h.isdisjoint(x)))
+    # balanced 4-cycles 0 1 3 2 with gains (0, g, g^-1, 0), 0 the identity,
+    # and one more whose gains are drawn
+    rng = random.Random(f"{gname}/{index}")
+    a, b, c = (rng.randrange(group.order) for _ in range(3))
+    words = [(0, g, inverse[g], 0) for g in (0, 1, 2)]
+    words.append((a, b, c, inverse[table[table[a][b]][c]]))
+    for word in words:
+        cycle, balanced = complete_cycle(group, 4, (0, 1, 3, 2), word)
+        assert balanced
+        yield fault(f"drop/{'.'.join(map(str, cycle))}",
+                    lambda c=cycle: dropped_from_class(lift(), c))
+    if kernel.order > 1:
+        # cycles whose gain is the least non-identity kernel element: circuits
+        # of N, unbalanced over the group
+        k = kernel.elements[1]
+        for verts, word in (((0, 1), (0, inverse[k])), ((0, 1, 2), (0, 0, k)),
+                            ((1, 2, 3), (0, 0, k)), ((0, 1, 3, 2), (0, k, 0, 0))):
+            cycle, balanced = complete_cycle(group, 4, verts, word)
+            assert not balanced
+            yield fault(f"add/{'.'.join(map(str, cycle))}",
+                        lambda c=cycle: added_to_class(lift(), c))
+        qg = quotient_gains(complete_gain_graph(group, 4), quotient(group, kernel))
+        yield fault("frame", lambda: FrameOracle(BiasedGraph(qg)))
+    # two edges at each vertex v, to v + 1 and v + 2 mod 4, with gains 0 and 1
+    # read from the lower vertex
+    pairs = [
+        tuple(sorted((complete_edge_id(group, 4, *sorted((v, (v + 1) % 4)), 0),
+                      complete_edge_id(group, 4, *sorted((v, (v + 2) % 4)), 1))))
+        for v in range(4)
+    ]
+    pairs += [p for g, order, p in (("D6", 3, (0, 9)), ("F20", 5, (0, 20)))
+              if g == gname and order == kernel.order]
+    for pair in pairs:
+        yield fault(f"pair/{pair[0]}.{pair[1]}",
+                    lambda p=frozenset(pair): shifted(lift(), -1, p.__eq__))
+
+
+def final_sample_corpus() -> list[Fault]:
+    """The corpus on K_4 over Z7, Z11, D6 and F20 under every partition.
+
+    Per partition (E edges), each with shifts -1 and +2, the rank shifts of
+    ``test_the_final_comparison_refuses_what_the_elementary_check_refused``:
+    on every set of at least 3, E/2 or E - 4 edges (``above``); on every set
+    of 3, E/2 - 2, E/2, E - 4 or E edges (``size``); and on every superset of
+    one, two or three edges (``superset``); and on every set of more than 4
+    edges that misses all of those edges (``avoid``), which no cycle of K_4,
+    no bundle and no prefix of the final comparison is, so that only a
+    random half reaches it. Then:
+
+    - ``drop``: the lift's class less one balanced 4-cycle; on K_4 over Z11
+      with the whole group as kernel, the three with gains (0, g, g^-1, 0)
+      for g = 0, 1, 2 are (0, 11, 44, 55), (0, 11, 45, 56) and
+      (0, 11, 46, 57);
+    - ``add``: the class plus one cycle whose gain is a non-identity kernel
+      element, a digon, two triangles or a 4-cycle;
+    - ``frame``: N itself, declared with its kernel;
+    - ``pair``: the lift with one pair of edges at a vertex made dependent,
+      at each vertex, and the pairs (0, 9) on D6 with kernel Z3 and (0, 20)
+      on F20 with kernel Z5.
+
+    ``add`` and ``frame`` need a nontrivial kernel: over a trivial kernel
+    every circuit of N is balanced, and N is the lift of the partition
+    whose one complement is the group. Every fault builds under today's
+    caps, since none lists a class: ``drop`` and ``add`` are the
+    ``ClassLiftOracle`` of the changed class, read off m and N's ranks.
+    """
+    return [
+        fault
+        for gname, group in CORPUS_GROUPS.items()
+        for index in range(len(frobenius_partitions(group)))
+        for fault in _partition_faults(gname, index)
+    ]

@@ -840,7 +840,7 @@ def _z4_balanced_class():
     "group, kernel, class_file, phases, parts",
     [
         (D6_SPEC, "0,1,2", None, ["cycles", "bundles", "final"],
-         ["empty", "bundles", "halves"]),
+         ["empty", "bundles", "prefixes", "halves"]),
         # 12 edges: the final comparison walks both oracles
         ({"kind": "cyclic", "n": 2}, "0", None, ["cycles", "bundles", "final"], ["subsets"]),
         # refused by the bundle relation, so no final comparison
