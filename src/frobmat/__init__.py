@@ -60,9 +60,6 @@ from .lifts import (
     class_member,
     class_member_walks,
     contract,
-    contract_kernel_loop,
-    contract_nonloop,
-    contract_unbalanced_loop,
     cyclic_covering_pair,
     delete,
     is_elementary_lift,

@@ -25,7 +25,7 @@ from .groups import FiniteGroup
 
 # Most elements a sweep over every subset takes
 EXHAUSTIVE_LIMIT = 16
-# Element classes for component_rank; complements are numbered from 0.
+# Element classes of a ComponentOracle's part_of; complements are numbered from 0.
 IDENTITY_PART = -2
 KERNEL_PART = -1
 
@@ -303,10 +303,8 @@ def _rank_pass(
     return r
 
 
-def component_rank(
-    g: GainGraph, subset: Iterable[int], part_of: Sequence[int], lift: bool
-) -> int:
-    """|V(G[X])| - b(X) + l(X), by one union-find pass over the edges of X.
+class ComponentOracle(RankOracle):
+    """|V(G[X])| - b(X) + l(X) on every edge of ``graph``.
 
     ``part_of`` classifies each group element as IDENTITY_PART, KERNEL_PART
     or a complement index; the kernel must be normal and the complements
@@ -315,12 +313,6 @@ def component_rank(
     complement; l(X) is one iff ``lift`` is set and some component is lifted.
     Neither verdict depends on the forest: both are properties of the gain
     group up to conjugacy.
-    """
-    return _rank_pass(g.group, *_dense_ends(g), part_of, subset, lift, -1)
-
-
-class ComponentOracle(RankOracle):
-    """component_rank(graph, X, part_of, lift) on every edge of ``graph``.
 
     The graph's vertices are numbered densely once (see _dense_ends), and
     every rank is one _rank_pass. r(E) is found once, by a direct pass (not

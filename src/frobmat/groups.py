@@ -7,7 +7,6 @@ relabel their natural element sets to keep that invariant.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
@@ -415,53 +414,28 @@ def subgroups(group: FiniteGroup) -> list[Subgroup]:
     Every subgroup is the join of the cyclic subgroups of its elements, so
     joining one cyclic subgroup at a time from the cyclic subgroups reaches
     them all: for found K < H and g in H - K, <K, g> is a larger subgroup of
-    H. Each found subgroup keeps the short generator tuple it was found by and
-    is extended by the least generator g of each cyclic subgroup it does not
-    contain; the join is a coset closure over the found subgroup
-    (:func:`_close`).
-
-    A join <h, g> also stands for every representative g' in a double coset
-    h·x·h with x a generator of <g>: <h, g'> = <h, x> = <h, g>, since
-    <x> = <g>. So once <h, g> is made those representatives are skipped. A
-    skipped join would only find a subgroup already found, so the subgroups
-    found, and the order they are extended in, are those of one join per
-    representative outside h.
+    H. Each found subgroup, with the short generator tuple it was found by,
+    is joined with the least generator g of each cyclic subgroup outside it,
+    by a coset closure over the found subgroup (:func:`_close`).
     """
     table = group.table
     found = {(0,): Subgroup((0,))}
     frontier: list[tuple[Subgroup, tuple[int, ...]]] = []
-    # each cyclic subgroup once, by its least generator g, with all its
-    # generators g^k, k prime to the order of g; the orbit of 0 under g
-    # lists g^0, g^1, ... in order
-    rep_gens: dict[int, list[int]] = {}
-    named: set[int] = set()
+    cyclic_gens = []
     for g in range(1, group.order):
-        if g in named:
-            continue
         c = generated_subgroup(group, (g,))
-        powers = _close(table, (0,), (g,))
-        rep_gens[g] = [x for k, x in enumerate(powers) if math.gcd(k, c.order) == 1]
-        named.update(rep_gens[g])
-        found[c.elements] = c
-        frontier.append((c, (g,)))
+        if c.elements not in found:
+            found[c.elements] = c
+            cyclic_gens.append(g)
+            frontier.append((c, (g,)))
     while frontier:
         h, gens = frontier.pop()
-        base = h.elements
-        covered = set(base)
-        for g, xs in rep_gens.items():
-            if g in covered:
+        inside = h.element_set
+        for g in cyclic_gens:
+            if g in inside:
                 continue
-            # h·x·h as the right cosets h·(x·b); covered is a union of right
-            # cosets of h, so one already met is skipped whole
-            for x in xs:
-                row = table[x]
-                for b in base:
-                    y = row[b]
-                    if y not in covered:
-                        for a in base:
-                            covered.add(table[a][y])
             joined = gens + (g,)
-            key = tuple(sorted(_close(table, base, joined)))
+            key = tuple(sorted(_close(table, h.elements, joined)))
             if key not in found:
                 k = found[key] = Subgroup(key)
                 frontier.append((k, joined))

@@ -349,27 +349,27 @@ def circuits(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
 
 def delete(ctx: FrobeniusContext, g: GainGraph, eid: int) -> LiftedMatroid:
     """Deletion: drop the edge, ids and vertices untouched."""
-    if eid not in {e.id for e in g.edges}:
-        raise ValueError(f"no edge {eid}")
+    g.edge(eid)  # refuses an unknown id
     return LiftedMatroid(ctx, g.with_edges(e for e in g.edges if e.id != eid))
 
 
 def contract(ctx: FrobeniusContext, g: GainGraph, eid: int) -> LiftedMatroid:
-    """Contraction of any edge, by the rule for its kind: non-loop, non-identity
-    kernel loop, or any other loop."""
+    """Contraction of any edge, by the rule for its kind: a non-loop is
+    switched to the identity and its ends merged, an identity loop (a matroid
+    loop) is deleted, a non-identity kernel loop re-embeds every gain through
+    the first complement, and a complement loop is rewritten by the loop rule."""
     e = g.edge(eid)
     if not e.is_loop:
-        return contract_nonloop(ctx, g, eid)
-    if e.gain != 0 and ctx.in_kernel(e.gain):
-        return contract_kernel_loop(ctx, g, eid)
-    return contract_unbalanced_loop(ctx, g, eid)
+        return _merge_ends(ctx, g, e)
+    if e.gain == 0:
+        return delete(ctx, g, eid)
+    if ctx.in_kernel(e.gain):
+        return _reembed_gains(ctx, g, e)
+    return _rewrite_loops(ctx, g, e)
 
 
-def contract_nonloop(ctx: FrobeniusContext, g: GainGraph, eid: int) -> LiftedMatroid:
-    """Contraction of a non-loop: switch it to the identity, then merge ends."""
-    e = g.edge(eid)
-    if e.is_loop:
-        raise ValueError(f"edge {eid} is a loop")
+def _merge_ends(ctx: FrobeniusContext, g: GainGraph, e: Edge) -> LiftedMatroid:
+    """A non-loop: switch it to the identity, then merge its ends."""
     # eta(tail)^-1 ∘ gain ∘ eta(head) is then the identity
     eta = [0] * g.vertex_count
     eta[e.head] = g.group.inv(e.gain)
@@ -384,35 +384,24 @@ def contract_nonloop(ctx: FrobeniusContext, g: GainGraph, eid: int) -> LiftedMat
     edges = [
         Edge(f.id, remap(f.tail), remap(f.head), f.gain)
         for f in g2.edges
-        if f.id != eid
+        if f.id != e.id
     ]
     return LiftedMatroid(ctx, GainGraph(g.group, g.vertex_count - 1, edges))
 
 
-def contract_unbalanced_loop(
-    ctx: FrobeniusContext, g: GainGraph, eid: int
-) -> LiftedMatroid:
-    """Contraction of a loop whose gain sits in a complement part.
+def _rewrite_loops(ctx: FrobeniusContext, g: GainGraph, e: Edge) -> LiftedMatroid:
+    """A loop whose gain sits in a complement part.
 
     Neighbours of the loop's vertex turn into conjugated loops at their other
     end; same-part loops become identity loops; other loops at the vertex get
-    the least non-identity kernel element. An identity loop is a matroid loop,
-    so it falls back to deletion.
+    the least non-identity kernel element.
     """
-    e = g.edge(eid)
-    if not e.is_loop:
-        raise ValueError(f"edge {eid} is not a loop")
-    if e.gain == 0:
-        return delete(ctx, g, eid)
-    if ctx.in_kernel(e.gain):
-        raise ValueError("loop gain lies in the kernel; use contract_kernel_loop")
     grp = g.group
     v = e.tail
     part_set = ctx.partition.complements[ctx.part_of[e.gain]].element_set
-    kernel_rest = [x for x in ctx.partition.kernel.elements if x != 0]
     new_edges = []
     for f in g.edges:
-        if f.id == eid:
+        if f.id == e.id:
             continue
         if v not in (f.tail, f.head):
             new_edges.append(f)
@@ -425,23 +414,18 @@ def contract_unbalanced_loop(
         else:
             # the kernel is nontrivial: a trivial one leaves one complement,
             # the whole group, which holds every gain
-            new_edges.append(Edge(f.id, v, v, kernel_rest[0]))
+            new_edges.append(Edge(f.id, v, v, ctx.partition.kernel.elements[1]))
     return LiftedMatroid(ctx, g.with_edges(new_edges))
 
 
-def contract_kernel_loop(ctx: FrobeniusContext, g: GainGraph, eid: int) -> LiftedMatroid:
-    """Contraction of a non-identity kernel loop.
+def _reembed_gains(ctx: FrobeniusContext, g: GainGraph, e: Edge) -> LiftedMatroid:
+    """A non-identity kernel loop.
 
     Drops the loop and replaces every gain by its quotient image, re-embedded
     into the first complement (the identity when the quotient is trivial and
     there is no complement). A Frobenius complement is a transversal of the
     kernel, so the projection maps it isomorphically onto the quotient.
     """
-    e = g.edge(eid)
-    if not e.is_loop:
-        raise ValueError(f"edge {eid} is not a loop")
-    if e.gain == 0 or not ctx.in_kernel(e.gain):
-        raise ValueError("loop gain must be a non-identity kernel element")
     qm = ctx.quotient
     embed = [0] * qm.quotient.order
     for comp in ctx.partition.complements[:1]:
@@ -450,7 +434,7 @@ def contract_kernel_loop(ctx: FrobeniusContext, g: GainGraph, eid: int) -> Lifte
     new_edges = [
         Edge(f.id, f.tail, f.head, embed[qm.projection[f.gain]])
         for f in g.edges
-        if f.id != eid
+        if f.id != e.id
     ]
     return LiftedMatroid(ctx, g.with_edges(new_edges))
 
@@ -467,10 +451,9 @@ def build_spike_graph(ctx: FrobeniusContext, r: int) -> tuple[GainGraph, LiftedM
     """
     if r < 3:
         raise ValueError("spikes need r >= 3")
-    kernel_rest = [x for x in ctx.partition.kernel.elements if x != 0]
-    if not kernel_rest:
+    if ctx.partition.kernel.order == 1:
         raise ValueError("spike construction needs a nontrivial kernel")
-    alpha = kernel_rest[0]
+    alpha = ctx.partition.kernel.elements[1]
     triples = []
     for i in range(r):
         j = (i + 1) % r

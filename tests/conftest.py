@@ -27,7 +27,7 @@ from frobmat import (
     quotient_gains,
     subgroups,
 )
-from frobmat.biased import RankOracle
+from frobmat.biased import RankOracle, _dense_ends, _rank_pass
 from frobmat.gaingraph import complete_pair_offsets
 from frobmat.groups import quotient
 
@@ -221,6 +221,15 @@ class FuncOracle(RankOracle):
 
     def rank(self, subset: Iterable[int]) -> int:
         return self._fn(frozenset(subset))
+
+
+def component_rank(
+    g: GainGraph, subset: Iterable[int], part_of: Sequence[int], lift: bool
+) -> int:
+    """|V(G[X])| - b(X) + l(X) by one union-find pass over the edges of X,
+    with no cap: the reference for ComponentOracle, whose queries stop once
+    they reach the full rank. See ComponentOracle for b, l and ``part_of``."""
+    return _rank_pass(g.group, *_dense_ends(g), part_of, subset, lift, -1)
 
 
 class CountingWalk(RankOracle):

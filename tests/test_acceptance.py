@@ -39,12 +39,7 @@ from frobmat import (
     verify_spike,
 )
 from frobmat.cli import main
-from frobmat.lifts import (
-    contract_kernel_loop,
-    contract_nonloop,
-    contract_unbalanced_loop,
-    delete,
-)
+from frobmat.lifts import contract, delete
 from frobmat.represent import VectorOracle
 
 from conftest import random_gain_graph
@@ -286,14 +281,13 @@ def test_criterion_07_minor_commutation():
             for sub in subsets:
                 assert deletion.rank(sub) == m.rank(sub)
             coverage["delete"] += 1
+            minor = contract(ctx, g, e.id)
             if not e.is_loop:
-                minor, kind = contract_nonloop(ctx, g, e.id), "nonloop"
+                kind = "nonloop"
             elif e.gain == 0:
-                minor, kind = contract_unbalanced_loop(ctx, g, e.id), "identity"
-            elif ctx.in_kernel(e.gain):
-                minor, kind = contract_kernel_loop(ctx, g, e.id), "kernel"
+                kind = "identity"
             else:
-                minor, kind = contract_unbalanced_loop(ctx, g, e.id), "unbalanced"
+                kind = "kernel" if ctx.in_kernel(e.gain) else "unbalanced"
             r_e = m.rank([e.id])
             for sub in subsets:
                 assert minor.rank(sub) == m.rank(set(sub) | {e.id}) - r_e

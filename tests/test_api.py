@@ -1,6 +1,7 @@
-"""The public surface of ``frobmat``: every name its ``__init__`` exports has
-a use outside the tests, so that code only its own tests call cannot come
-back as a library function."""
+"""The public surface of ``frobmat``: every name its ``__init__`` exports,
+and every public module-level function and class, has a use outside the
+tests, so that code only its own tests call cannot come back as a library
+function."""
 
 import ast
 import re
@@ -41,11 +42,22 @@ def referenced_names(source: str) -> set[str]:
     return found
 
 
-def unused_exports() -> list[str]:
-    """The exported names that no other library module, the acceptance
-    suite, the bench or a backticked span of the README refers to. A span
-    counts for the name it starts with: `GraphicOracle(g)` is a use of
-    ``GraphicOracle``, and `groups.MAX_TABLE_ORDER` one of ``groups``."""
+def public_definitions() -> list[tuple[str, str]]:
+    """(module, name) for each module-level function and class of the
+    package whose name does not start with an underscore."""
+    return [
+        (path.stem, node.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def used_outside_the_tests() -> set[str]:
+    """The names that a library module other than ``__init__``, the
+    acceptance suite, the bench or a backticked span of the README refers
+    to. A span counts for the name it starts with: `GraphicOracle(g)` is a
+    use of ``GraphicOracle``, and `groups.MAX_TABLE_ORDER` one of ``groups``."""
     sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     sources += [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob("*.py"))]
     used = set()
@@ -53,13 +65,21 @@ def unused_exports() -> list[str]:
         used |= referenced_names(path.read_text())
     for span in re.findall(r"`([^`]+)`", (ROOT / "README.md").read_text()):
         used.add(re.match(r"\w*", span).group())
-    return [name for name in exported_names() if name not in used]
+    return used
 
 
 def test_every_export_is_used_outside_the_tests():
     assert exported_names()
-    unused = unused_exports()
+    used = used_outside_the_tests()
+    unused = [name for name in exported_names() if name not in used]
     assert not unused, "exported, but used only by the tests: " + ", ".join(unused)
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    assert public_definitions()
+    used = used_outside_the_tests()
+    unused = [f"{module}.{name}" for module, name in public_definitions() if name not in used]
+    assert not unused, "defined, but used only by the tests: " + ", ".join(unused)
 
 
 def test_the_definition_alone_is_not_a_use():

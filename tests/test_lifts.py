@@ -32,9 +32,6 @@ from frobmat import (
     class_member_walks,
     complete_gain_graph,
     contract,
-    contract_kernel_loop,
-    contract_nonloop,
-    contract_unbalanced_loop,
     cyclic_covering_pair,
     delete,
     edge_bundle,
@@ -63,7 +60,6 @@ from frobmat.biased import (
     CircuitIndex,
     ComponentOracle,
     _ClassLift,
-    component_rank,
     rank_table,
     scan_components,
 )
@@ -71,6 +67,7 @@ from frobmat.lifts import _classify_circuit
 
 from conftest import (
     FuncOracle,
+    component_rank,
     find_isomorphism,
     normalize_forest,
     random_gain_graph,
@@ -1198,14 +1195,14 @@ def test_delete_full_sweep(d6, d6_frobenius):
 
 def test_contract_pendant_identity_edge(d6, d6_frobenius):
     g = graph(d6, 3, [(0, 1, 0), (1, 2, 3)])
-    minor = contract_nonloop(d6_frobenius, g, 0)
+    minor = contract(d6_frobenius, g, 0)
     assert minor.graph.vertex_count == 2
     _sweep_contract(d6_frobenius, g, 0, minor)
 
 
 def test_contract_balanced_digon_leaves_matroid_loop(d6, d6_frobenius):
     g = graph(d6, 2, [(0, 1, 4), (0, 1, 4)])
-    minor = contract_nonloop(d6_frobenius, g, 0)
+    minor = contract(d6_frobenius, g, 0)
     loop = minor.graph.edge(1)
     assert loop.is_loop and loop.gain == 0
     assert minor.rank([1]) == 0
@@ -1219,7 +1216,7 @@ def test_contract_nonloop_random_sweep(d6, d6_frobenius, f20, f20_frobenius):
             for e in g.edges:
                 if e.is_loop:
                     continue
-                _sweep_contract(ctx, g, e.id, contract_nonloop(ctx, g, e.id))
+                _sweep_contract(ctx, g, e.id, contract(ctx, g, e.id))
 
 
 def test_contract_unbalanced_loop_bullet_cases(d6, d6_frobenius):
@@ -1227,7 +1224,7 @@ def test_contract_unbalanced_loop_bullet_cases(d6, d6_frobenius):
     # a kernel gain; loop 2 in the same part becomes an identity loop;
     # edge 3 becomes a conjugated loop at the other end
     g = graph(d6, 2, [(0, 0, 3), (0, 0, 1), (0, 0, 3), (0, 1, 2), (1, 1, 4)])
-    minor = contract_unbalanced_loop(d6_frobenius, g, 0)
+    minor = contract(d6_frobenius, g, 0)
     assert d6_frobenius.in_kernel(minor.graph.edge(1).gain)
     assert minor.graph.edge(1).gain != 0
     assert minor.graph.edge(2).gain == 0
@@ -1240,13 +1237,13 @@ def test_contract_unbalanced_loop_bullet_cases(d6, d6_frobenius):
 
 def test_contract_loop_on_isolated_vertex(d6, d6_frobenius):
     g = graph(d6, 1, [(0, 0, 3)])
-    minor = contract_unbalanced_loop(d6_frobenius, g, 0)
+    minor = contract(d6_frobenius, g, 0)
     assert minor.ground == () and minor.full_rank() == 0
 
 
 def test_contract_identity_loop_falls_back_to_deletion(d6, d6_frobenius):
     g = graph(d6, 2, [(0, 0, 0), (0, 1, 3)])
-    minor = contract_unbalanced_loop(d6_frobenius, g, 0)
+    minor = contract(d6_frobenius, g, 0)
     _sweep_contract(d6_frobenius, g, 0, minor)
 
 
@@ -1258,13 +1255,13 @@ def test_contract_unbalanced_loop_random_sweep(d6, d6_frobenius, f20, f20_froben
             g = random_gain_graph(group, rng, max_vertices=3, max_edges=6)
             loops = [e for e in g.edges if e.is_loop and not ctx.in_kernel(e.gain)]
             for e in loops:
-                _sweep_contract(ctx, g, e.id, contract_unbalanced_loop(ctx, g, e.id))
+                _sweep_contract(ctx, g, e.id, contract(ctx, g, e.id))
                 count += 1
 
 
 def test_contract_kernel_loop_trivial_quotient(z2, lift_ctx_z2):
     g = graph(z2, 2, [(0, 0, 1), (0, 1, 1), (0, 1, 0)])
-    minor = contract_kernel_loop(lift_ctx_z2, g, 0)
+    minor = contract(lift_ctx_z2, g, 0)
     assert all(e.gain == 0 for e in minor.graph.edges)
     _sweep_contract(lift_ctx_z2, g, 0, minor)
 
@@ -1277,7 +1274,7 @@ def test_contract_kernel_loop_d6(d6, d6_frobenius):
         for e in g.edges:
             if e.is_loop and e.gain != 0 and d6_frobenius.in_kernel(e.gain):
                 _sweep_contract(
-                    d6_frobenius, g, e.id, contract_kernel_loop(d6_frobenius, g, e.id)
+                    d6_frobenius, g, e.id, contract(d6_frobenius, g, e.id)
                 )
                 count += 1
 
@@ -1316,7 +1313,7 @@ def test_kernel_loop_embedding_is_an_isomorphism_onto_a_complement():
                     want = [comp.elements[iso[x]] for x in qm.quotient.elements()]
                     break
             g = graph(group, 1, [(0, 0, part.kernel.elements[1])] + [(0, 0, a) for a in group.elements()])
-            gains = [e.gain for e in contract_kernel_loop(ctx, g, 0).graph.edges]
+            gains = [e.gain for e in contract(ctx, g, 0).graph.edges]
             assert gains == [want[qm.projection[a]] for a in group.elements()], (group.order, part)
             checked += 1
     assert checked == 33
@@ -1324,23 +1321,17 @@ def test_kernel_loop_embedding_is_an_isomorphism_onto_a_complement():
 
 def test_contract_kernel_loop_only_edge(d6, d6_frobenius):
     g = graph(d6, 1, [(0, 0, 1)])
-    minor = contract_kernel_loop(d6_frobenius, g, 0)
+    minor = contract(d6_frobenius, g, 0)
     assert minor.ground == () and minor.full_rank() == 0
-
-
-def test_contract_kernel_loop_rejects_wrong_gain(d6, d6_frobenius):
-    g = graph(d6, 1, [(0, 0, 3)])
-    with pytest.raises(ValueError, match="kernel"):
-        contract_kernel_loop(d6_frobenius, g, 0)
 
 
 def test_contract_picks_the_rule_for_each_edge_kind(d6, d6_frobenius):
     # a non-loop, an identity loop, a kernel loop and a complement loop
     g = graph(d6, 2, [(0, 1, 3), (0, 0, 0), (0, 0, 1), (1, 1, 3)])
-    rules = [contract_nonloop, delete, contract_kernel_loop, contract_unbalanced_loop]
-    for eid, rule in enumerate(rules):
-        got, want = contract(d6_frobenius, g, eid).graph, rule(d6_frobenius, g, eid).graph
-        assert (got.vertex_count, got.edges) == (want.vertex_count, want.edges)
+    got, want = contract(d6_frobenius, g, 1).graph, delete(d6_frobenius, g, 1).graph
+    assert (got.vertex_count, got.edges) == (want.vertex_count, want.edges)
+    for eid in (0, 2, 3):
+        _sweep_contract(d6_frobenius, g, eid, contract(d6_frobenius, g, eid))
 
 
 def test_loop_placement_lemmas(d6, d6_frobenius):
@@ -1456,24 +1447,13 @@ def test_spike_needs_nontrivial_kernel(d6):
             lambda d6, ctx: class_member(ctx, graph(d6, 1, [(0, 0, 1), (0, 0, 3)]), [0, 1]),
             "not a frame circuit: contains a balanced cycle",
         ),
-        (lambda d6, ctx: contract_nonloop(ctx, graph(d6, 1, [(0, 0, 3)]), 0), "edge 0 is a loop"),
-        (lambda d6, ctx: contract_unbalanced_loop(ctx, graph(d6, 2, [(0, 1, 3)]), 0), "edge 0 is not a loop"),
-        (
-            lambda d6, ctx: contract_unbalanced_loop(ctx, graph(d6, 1, [(0, 0, 1)]), 0),
-            "loop gain lies in the kernel; use contract_kernel_loop",
-        ),
-        (lambda d6, ctx: contract_kernel_loop(ctx, graph(d6, 2, [(0, 1, 1)]), 0), "edge 0 is not a loop"),
-        (
-            lambda d6, ctx: contract_kernel_loop(ctx, graph(d6, 1, [(0, 0, 0)]), 0),
-            "loop gain must be a non-identity kernel element",
-        ),
+        (lambda d6, ctx: contract(ctx, graph(d6, 1, [(0, 0, 3)]), 9), "no edge 9"),
+        (lambda d6, ctx: delete(ctx, graph(d6, 1, [(0, 0, 3)]), 9), "no edge 9"),
         (lambda d6, ctx: build_spike_graph(ctx, 2), r"spikes need r >= 3"),
     ],
     ids=[
         "uncovered-partition", "other-group-graph", "disconnected", "nullity-three",
-        "quotient-balanced-cycle", "contract_nonloop-loop", "contract_unbalanced_loop-nonloop",
-        "contract_unbalanced_loop-kernel-loop", "contract_kernel_loop-nonloop",
-        "contract_kernel_loop-identity-loop", "spike-r2",
+        "quotient-balanced-cycle", "contract-unknown-id", "delete-unknown-id", "spike-r2",
     ],
 )
 def test_a_malformed_argument_is_refused(d6, d6_frobenius, call, message):
