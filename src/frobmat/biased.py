@@ -21,7 +21,6 @@ from .gaingraph import (
     enumerate_cycles,
     is_balanced_cycle,
 )
-from .groups import FiniteGroup
 
 # Most elements a sweep over every subset takes
 EXHAUSTIVE_LIMIT = 16
@@ -186,19 +185,12 @@ def _dense_ends(g: GainGraph) -> tuple[EdgeEnds, int]:
     return dense, len(number)
 
 
-def _rank_pass(
-    group: FiniteGroup,
-    ends: EdgeEnds,
-    n: int,
-    part_of: Sequence[int],
-    subset: Iterable[int],
-    lift: bool,
-    cap: int,
-    state: Optional[list] = None,
-) -> int:
+def _rank_pass(engine: tuple, subset: Iterable[int], cap: int, state: Optional[list] = None) -> int:
     """Add the edges of ``subset`` to union-find state over the ``n`` dense
     vertex numbers of ``ends`` (see _dense_ends); returns the count of edges
-    that raised |V| - c + w + l by one. Every ComponentOracle rank is this.
+    that raised |V| - c + w + l by one. Every ComponentOracle rank is this,
+    with the oracle's ``engine``, built once: (group table, inverse, ends, n,
+    part_of, lift).
 
     Each vertex holds its root (-1 while unseen) and a potential eta relative
     to it, chosen so that switching by eta makes every forest edge the
@@ -224,8 +216,7 @@ def _rank_pass(
     ``state``, the list [root, eta, members, witness, lifted] of its set; the
     pass adds ``subset`` to it in place and writes the lifted flag back.
     """
-    table = group.table
-    inverse = group.inverse
+    table, inverse, ends, n, part_of, lift = engine
     if state is None:
         root = [-1] * n
         eta = [0] * n
@@ -314,8 +305,8 @@ class ComponentOracle(RankOracle):
     Neither verdict depends on the forest: both are properties of the gain
     group up to conjugacy.
 
-    The graph's vertices are numbered densely once (see _dense_ends), and
-    every rank is one _rank_pass. r(E) is found once, by a direct pass (not
+    The graph's vertices are numbered densely once, into the engine that
+    every rank passes to _rank_pass. r(E) is found once, by a direct pass (not
     a rank query), and is then full_rank(); each later query stops once its
     prefix reaches it. A walk's state is the pass's union-find state of the
     set and its rank; a step adds one edge to a copy of the union-find state,
@@ -332,26 +323,24 @@ class ComponentOracle(RankOracle):
         self.ground = tuple(sorted(graph.edge_ids()))
 
     @functools.cached_property
-    def _ends(self) -> tuple[EdgeEnds, int]:
-        return _dense_ends(self.graph)
+    def _engine(self) -> tuple:
+        group = self.graph.group
+        ends, n = _dense_ends(self.graph)
+        return group.table, group.inverse, ends, n, self.part_of, self.lift
 
     @functools.cached_property
     def _cap(self) -> int:
-        ends, n = self._ends
-        return _rank_pass(self.graph.group, ends, n, self.part_of, self.ground, self.lift, -1)
+        return _rank_pass(self._engine, self.ground, -1)
 
     def rank(self, subset: Iterable[int]) -> int:
-        ends, n = self._ends
-        return _rank_pass(
-            self.graph.group, ends, n, self.part_of, subset, self.lift, self._cap
-        )
+        return _rank_pass(self._engine, subset, self._cap)
 
     def full_rank(self) -> int:
         return self._cap
 
     def walk(self):
-        group, part_of, lift = self.graph.group, self.part_of, self.lift
-        ends, n = self._ends
+        engine = self._engine
+        n = engine[3]
 
         def step(state: tuple, e: int, last: bool):
             uf, r = state
@@ -361,10 +350,10 @@ class ComponentOracle(RankOracle):
                     root.copy(), eta.copy(), [m and m.copy() for m in members],
                     witness.copy(), lifted,
                 ]
-            r += _rank_pass(group, ends, n, part_of, (e,), lift, -1, uf)
+            r += _rank_pass(engine, (e,), -1, uf)
             return (uf, r), r
 
-        return ([[-1] * n, [0] * n, [None] * n, {}, not lift], 0), 0, step
+        return ([[-1] * n, [0] * n, [None] * n, {}, not self.lift], 0), 0, step
 
 
 @functools.lru_cache(maxsize=64)

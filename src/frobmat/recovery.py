@@ -4,16 +4,16 @@ gain graph.
 Given a group, a normal subgroup and a rank oracle m, this reconstructs the
 partition through bundle-rank queries, checking that the circuits of m among
 the cycles are the balanced ones and that the classes form a Frobenius
-partition. The cycle check takes m to be an elementary lift of N, the
-quotient frame matroid; the final comparison with the rebuilt lift is the
-one check of that, exhaustive up to EXHAUSTIVE_LIMIT edges and above it
-asked on the empty set, the bundles, one prefix of the ground per size and
-SAMPLES random halves (see ``recover_partition``).
+partition. The cycle check reads sorted streams of cycles in turn and names
+the least failing one. It takes m to be an elementary lift of N, the quotient
+frame matroid; the final comparison with the rebuilt lift is the one check
+of that, exhaustive up to EXHAUSTIVE_LIMIT edges and above it asked on the
+empty set, the bundles, one prefix of the ground per size and SAMPLES
+random halves (see ``recover_partition``).
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import random
@@ -114,12 +114,13 @@ def _walk_cycles(
             yield ids + (last + y,), y == balancing
 
 
-def _all_cycles(group: FiniteGroup, n: int) -> Iterable[tuple[tuple[int, ...], bool]]:
-    """Every cycle of K_n with its balance flag, in sorted id order.
+def _all_cycles(group: FiniteGroup, n: int) -> list[Iterable[tuple[tuple[int, ...], bool]]]:
+    """Every cycle of K_n with its balance flag, as streams, each in sorted
+    id order and none started: the digons, then one per vertex cycle.
 
     Each vertex cycle is taken once, from its least vertex in the direction
-    whose second vertex is below its last; the streams of the vertex cycles
-    and of the digons are merged, so no cycle list is held.
+    whose second vertex is below its last, so no cycle is in two streams,
+    and no cycle list is held.
     """
     offset = complete_pair_offsets(group.order, n)
     streams = [
@@ -133,7 +134,7 @@ def _all_cycles(group: FiniteGroup, n: int) -> Iterable[tuple[tuple[int, ...], b
             for tail in itertools.permutations(rest):
                 if tail[0] < tail[-1]:
                     streams.append(_walk_cycles(group, n, (first,) + tail))
-    return heapq.merge(*streams)
+    return streams
 
 
 def _reduced_cycles(group: FiniteGroup, n: int) -> Iterable[tuple[tuple[int, ...], bool]]:
@@ -188,19 +189,29 @@ def _check_cycle_hypothesis(group: FiniteGroup, n: int, m: RankOracle) -> None:
     r(C) = |C| - 1 on a cycle C that holds a dependent proper subset: it is
     no matroid, so no elementary lift of N.
 
-    Either set is streamed in sorted id order, so the first failure, the
-    witness, is the least failing cycle, and no cycle is held past its check.
+    Either set comes as streams, each in sorted id order, and no cycle is
+    held past its check. They are read in turn, each to its first failure
+    and, after one, only below the least failure so far: so the witness is
+    the least failing cycle, and on success every cycle is asked once.
     """
     if group.order <= EXHAUSTIVE_GROUP_ORDER:
-        cycles = _all_cycles(group, n)
+        streams = _all_cycles(group, n)
     else:
-        cycles = _reduced_cycles(group, n)
-    for cycle, balanced in cycles:
-        if balanced != (m.rank(cycle) == len(cycle) - 1):
-            raise RecoveryError(
-                f"cycle {cycle} is {'balanced' if balanced else 'unbalanced'} "
-                f"but is {'not ' if balanced else ''}a circuit of the lift"
-            )
+        streams = [_reduced_cycles(group, n)]
+    least = None
+    for stream in streams:
+        if least is not None:
+            stream = itertools.takewhile(lambda item: item < least, stream)
+        for cycle, balanced in stream:
+            if balanced != (m.rank(cycle) == len(cycle) - 1):
+                least = cycle, balanced
+                break
+    if least is not None:
+        cycle, balanced = least
+        raise RecoveryError(
+            f"cycle {cycle} is {'balanced' if balanced else 'unbalanced'} "
+            f"but is {'not ' if balanced else ''}a circuit of the lift"
+        )
 
 
 class _Counted(RankOracle):
@@ -272,7 +283,7 @@ def recover_partition(
 
     The cycles the hypothesis check asks about are counted first, before the
     graph or any sample is built, against DEFAULT_CYCLE_COUNT_LIMIT. Each is
-    asked of m once, streamed in sorted order and never held, so the cap
+    asked of m once, stream by stream, and never held, so the cap
     bounds the queries of that check, that is its time, and not the memory.
 
     With ``stats``, a dict, m is wrapped to count the rank queries asked of

@@ -229,7 +229,8 @@ def component_rank(
     """|V(G[X])| - b(X) + l(X) by one union-find pass over the edges of X,
     with no cap: the reference for ComponentOracle, whose queries stop once
     they reach the full rank. See ComponentOracle for b, l and ``part_of``."""
-    return _rank_pass(g.group, *_dense_ends(g), part_of, subset, lift, -1)
+    ends, n = _dense_ends(g)
+    return _rank_pass((g.group.table, g.group.inverse, ends, n, part_of, lift), subset, -1)
 
 
 class CountingWalk(RankOracle):

@@ -350,9 +350,12 @@ def test_complete_cycles_match_enumeration(group, n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("group", ROUTE_GROUPS, ids=["Z2", "Z5", "D6", "AGL(1,3)"])
 def test_cycle_streams_come_in_sorted_order(group, n):
-    """Both streams the cycle check reads against the cycles built one at a
-    time from their gain words and sorted."""
-    assert list(_all_cycles(group, n)) == all_complete_cycles(group, n)
+    """The streams the cycle check reads against the cycles built one at a
+    time from their gain words: each stream is sorted, and the streams of
+    every cycle together hold each cycle once."""
+    streams = [list(stream) for stream in _all_cycles(group, n)]
+    assert all(stream == sorted(stream) for stream in streams)
+    assert sorted(itertools.chain.from_iterable(streams)) == all_complete_cycles(group, n)
     assert list(_reduced_cycles(group, n)) == sorted(reduced_complete_cycles(group, n))
 
 
@@ -369,17 +372,17 @@ def test_reduced_cycle_stream_comes_in_sorted_order(name, n):
 
 
 def test_the_cycle_stream_holds_no_cycle_list():
-    """K_4 over D10 has 34,270 cycles, about 4.5 MB as a list; the stream
-    holds one walk's prefix and the merge's heap."""
+    """K_4 over D10 has 34,270 cycles, about 4.5 MB as a list; its eight
+    streams, read in turn, hold one walk's prefix at a time."""
     group = make_dihedral(10)
     tracemalloc.start()
     try:
-        count = sum(1 for _ in _all_cycles(group, 4))
+        count = sum(1 for stream in _all_cycles(group, 4) for _ in stream)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert count == complete_cycle_count(10, 4) == 34_270
-    assert peak < 256 * 1024
+    assert peak < 64 * 1024
 
 
 def _is_circuit(m, ids):
@@ -433,7 +436,7 @@ def test_one_query_gives_the_circuit_verdict_of_every_cycle(name):
     independent."""
     group = SMALL_CATALOG[name]
     g = complete_gain_graph(group, 4)
-    cycles = [cycle for cycle, _ in _all_cycles(group, 4)]
+    cycles = [cycle for stream in _all_cycles(group, 4) for cycle, _ in stream]
     for part in frobenius_partitions(group):
         qg = quotient_gains(g, quotient(group, part.kernel))
         for m in (
@@ -876,7 +879,7 @@ def test_the_cycle_check_asks_each_cycle_once_in_stream_order(
     group, n, kernel_order, checked, monkeypatch
 ):
     """The cycle phase asks m of each cycle it streams, the cycle itself,
-    once and in stream order: every cycle of K_4 over Z7, the digons and
+    once and stream by stream in the order they are read: every cycle of K_4 over Z7, the digons and
     balanced triangles through vertex 0 of K_5 over AGL(1,5). That is the
     count recovery holds against DEFAULT_CYCLE_COUNT_LIMIT, so the cap
     bounds the phase's queries exactly; and the phases' counts add up to
@@ -887,14 +890,69 @@ def test_the_cycle_check_asks_each_cycle_once_in_stream_order(
     monkeypatch.setattr("frobmat.recovery.DEFAULT_CYCLE_COUNT_LIMIT", checked)
     assert recover_partition(group, part.kernel, n, oracle, stats=stats) == part
     queries = stats["rank_queries"]
-    stream = _all_cycles if group.order <= EXHAUSTIVE_GROUP_ORDER else _reduced_cycles
-    assert oracle.asked[: queries["cycles"]] == [cycle for cycle, _ in stream(group, n)]
+    if group.order <= EXHAUSTIVE_GROUP_ORDER:
+        streams = _all_cycles(group, n)
+    else:
+        streams = [_reduced_cycles(group, n)]
+    assert oracle.asked[: queries["cycles"]] == [c for stream in streams for c, _ in stream]
     assert queries["cycles"] == checked
     assert queries["cycles"] + queries["bundles"] + queries["final"] == queries["total"]
     assert queries["total"] == len(oracle.asked)
     monkeypatch.setattr("frobmat.recovery.DEFAULT_CYCLE_COUNT_LIMIT", checked - 1)
     with pytest.raises(LimitExceeded, match=f"more than {checked - 1} cycles"):
         recover_partition(group, part.kernel, n, m)
+
+
+STREAMED_GROUPS = {"D6": make_dihedral(6), "Z7": make_cyclic(7), "Q8": order_20_catalog()["Q8"]}
+
+
+def _stream_reads(streams, flipped):
+    """The cycles the cycle check asks, in order, of an oracle that fails on
+    the ``flipped`` cycles alone: each stream in turn up to its first flipped
+    cycle, and once one is found, only while below the least found so far."""
+    asked, least = [], None
+    for stream in streams:
+        for cycle, _ in stream:
+            if least is not None and cycle >= least:
+                break
+            asked.append(cycle)
+            if cycle in flipped:
+                least = cycle
+                break
+    return asked
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", sorted(STREAMED_GROUPS))
+def test_the_witness_is_the_least_failing_cycle_of_all_streams(name, seed, monkeypatch):
+    """K_4 over a group of order at most 10, whose cycles come in eight
+    streams (the digons, four triangles, three 4-cycles), and an oracle that
+    is the lift but flips the circuit verdict of one to three random cycles,
+    each from its own stream: recovery is refused on the least flipped
+    cycle, and each cycle is asked at most once, stream by stream as
+    ``_stream_reads`` lists them. A last stream that holds the witness again
+    is not read, since a later stream is read only below the least failure."""
+    group = STREAMED_GROUPS[name]
+    rng = random.Random(seed)
+    part = rng.choice(frobenius_partitions(group))
+    m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 4))
+    streams = [list(stream) for stream in _all_cycles(group, 4)]
+    assert len(streams) == 8
+    picked = [rng.choice(stream) for stream in rng.sample(streams, rng.randint(1, 3))]
+    flip = {frozenset(cycle): 1 if balanced else -1 for cycle, balanced in picked}
+    cycle, balanced = min(picked)
+    monkeypatch.setattr(
+        "frobmat.recovery._all_cycles", lambda *args: _all_cycles(*args) + [[(cycle, balanced)]]
+    )
+    oracle = _Asked(FuncOracle(m.ground, lambda s: m.rank(s) + flip.get(s, 0)))
+    with pytest.raises(RecoveryError) as info:
+        recover_partition(group, part.kernel, 4, oracle)
+    assert str(info.value) == (
+        f"cycle {cycle} is {'balanced' if balanced else 'unbalanced'} "
+        f"but is {'not ' if balanced else ''}a circuit of the lift"
+    )
+    assert len(set(oracle.asked)) == len(oracle.asked)
+    assert oracle.asked == _stream_reads(streams, {c for c, _ in picked})
 
 
 def test_stats_of_a_run_refused_inside_the_final_comparison():
