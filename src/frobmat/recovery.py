@@ -8,8 +8,8 @@ partition. The cycle check reads sorted streams of cycles in turn and names
 the least failing one. It takes m to be an elementary lift of N, the quotient
 frame matroid; the final comparison with the rebuilt lift is the one check
 of that, exhaustive up to EXHAUSTIVE_LIMIT edges and above it asked on the
-empty set, the bundles, one prefix of the ground per size and SAMPLES
-random halves (see ``recover_partition``).
+empty set, the bundles, the prefixes of the ground (walked when both oracles
+are incremental) and SAMPLES random halves (see ``recover_partition``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import itertools
 import math
 import random
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .biased import EXHAUSTIVE_LIMIT, RankOracle, first_disagreement, subset_sweep
 from .errors import LimitExceeded, RecoveryError
@@ -214,6 +214,36 @@ def _check_cycle_hypothesis(group: FiniteGroup, n: int, m: RankOracle) -> None:
         )
 
 
+def _final_sets(group: FiniteGroup, n: int) -> tuple[tuple[int, ...], Iterator[list[int]]]:
+    """The ground listed bundle by bundle, the identity bundle first so that a
+    rank pass soon reaches a spanning forest and stops, and the set of each
+    ``edge_bundle(group, n, (0, a, b))``, a <= b, joined from its blocks."""
+    identity = edge_bundle(group, n, (0,))
+    blocks = [tuple(e + a for e in identity) for a in group.elements()]
+    pairs = itertools.combinations_with_replacement(group.elements(), 2)
+    bundles = ([e for x in sorted({0, a, b}) for e in blocks[x]] for a, b in pairs)
+    return tuple(itertools.chain.from_iterable(blocks)), bundles
+
+
+def _prefix_disagreement(a: RankOracle, b: RankOracle, order: Sequence[int]) -> tuple | None:
+    """The shortest prefix of ``order`` on which a and b differ in rank, or
+    None. Incremental oracles are walked along it together, each step its
+    state's last so none is copied, until both are at full_rank(), which no
+    longer prefix changes; other oracles are asked each prefix."""
+    if not (a.incremental and b.incremental):
+        return first_disagreement(a, b, (order[:k] for k in range(1, len(order) + 1)))
+    full_a, full_b = a.full_rank(), b.full_rank()
+    (state_a, _, step_a), (state_b, _, step_b) = a.walk(), b.walk()
+    for k, e in enumerate(order, 1):
+        state_a, ra = step_a(state_a, e, True)
+        state_b, rb = step_b(state_b, e, True)
+        if ra != rb:
+            return tuple(order[:k])
+        if ra == full_a and rb == full_b:
+            break
+    return None
+
+
 class _Counted(RankOracle):
     """m as it is, with the rank queries asked of it counted in ``queries``.
     A step of m's walk counts as one query: it answers the rank of one set."""
@@ -230,6 +260,8 @@ class _Counted(RankOracle):
         return self.m.full_rank()
 
     def walk(self):
+        if not self.incremental:  # so that every set is asked through ``rank``
+            return RankOracle.walk(self)
         state, r, step = self.m.walk()
 
         def counted(state, e: int, last: bool):
@@ -278,8 +310,9 @@ def recover_partition(
     m's rank less N's is not 0 or 1 is one on which m and the rebuilt lift
     differ. It asks every subset up to EXHAUSTIVE_LIMIT edges; above, the
     empty set, the bundles of the identity and two elements, the prefixes
-    of the ground listed bundle by bundle, one of each size from 1 to |E|,
-    and SAMPLES random halves seeded by ``seed``.
+    of the ground listed bundle by bundle, one of each size from 1 to |E|
+    (walked, up to where m and the rebuilt lift are both at full rank, when
+    both are incremental), and SAMPLES random halves seeded by ``seed``.
 
     The cycles the hypothesis check asks about are counted first, before the
     graph or any sample is built, against DEFAULT_CYCLE_COUNT_LIMIT. Each is
@@ -397,26 +430,18 @@ def _recover(
     mark("final", "subsets" if exhaustive else "empty")
     reconstructed = LiftedMatroid(FrobeniusContext(group, partition, validate=False), g)
     if exhaustive:
-        parts = [("subsets", None)]
+        parts = [("subsets", first_disagreement, None)]
     else:
-        # the ground bundle by bundle, the identity bundle first: a prefix or a
-        # random half listed this way reaches a spanning forest of identity
-        # edges, and then its first unbalanced edges, within a few reads, where
-        # a rank pass stops
-        bundled = tuple(e for a in group.elements() for e in edge_bundle(group, n, (a,)))
-        bundles = (
-            edge_bundle(group, n, (0, a, b))
-            for a, b in itertools.combinations_with_replacement(group.elements(), 2)
-        )
+        bundled, bundles = _final_sets(group, n)
         parts = [
-            ("empty", [()]),
-            ("bundles", bundles),
-            ("prefixes", (bundled[:k] for k in range(1, len(bundled) + 1))),
-            ("halves", subset_sweep(bundled, SAMPLES, random.Random(seed))),
+            ("empty", first_disagreement, [()]),
+            ("bundles", first_disagreement, bundles),
+            ("prefixes", _prefix_disagreement, bundled),
+            ("halves", first_disagreement, subset_sweep(bundled, SAMPLES, random.Random(seed))),
         ]
-    for part, sample in parts:
+    for part, compare, sample in parts:
         mark("final", part)
-        bad = first_disagreement(m, reconstructed, sample)
+        bad = compare(m, reconstructed, sample)
         if bad is not None:
             raise RecoveryError(
                 f"reconstructed matroid disagrees with the input on {tuple(sorted(bad))}"

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import operator
 import random
 import sys
@@ -36,13 +37,16 @@ from frobmat import (
     quotient_gains,
     recover_partition,
 )
-from frobmat.biased import EXHAUSTIVE_LIMIT, RankOracle, subset_sweep
+from frobmat.biased import EXHAUSTIVE_LIMIT, RankOracle, rank_table, subset_sweep
 from frobmat.fileio import group_from_spec
 from frobmat.groups import quotient
 from frobmat.recovery import (
     EXHAUSTIVE_GROUP_ORDER,
     SAMPLES,
     _all_cycles,
+    _Counted,
+    _final_sets,
+    _prefix_disagreement,
     _reduced_cycles,
     complete_cycle_count,
 )
@@ -1039,10 +1043,12 @@ def test_stats_count_each_step_of_a_walk_as_one_query(z2, index):
 def test_recovery_without_stats_asks_m_itself(monkeypatch):
     """With ``stats`` None no counting wrapper is built, and every query
     reaches m's own rank from recovery's or the final comparison's code:
-    as many as a run with stats counts."""
+    as many as a run with stats counts of the same oracle kind. A FuncOracle
+    is not incremental, so the final comparison asks it every prefix."""
     z7, part, m = _z7_frame_lift()
     stats = {}
-    assert recover_partition(z7, part.kernel, 4, m, seed=0, stats=stats) == part
+    plain = FuncOracle(m.ground, m.rank)
+    assert recover_partition(z7, part.kernel, 4, plain, seed=0, stats=stats) == part
     callers = []
 
     def rank(s):
@@ -1058,6 +1064,137 @@ def test_recovery_without_stats_asks_m_itself(monkeypatch):
     assert len(callers) == stats["rank_queries"]["total"] == 8701 + 1 + (1 + 28 + 42 + 215)
     assert {module for module, _ in callers} == {"frobmat.recovery", "frobmat.biased"}
     assert all(name != "rank" for _, name in callers)
+
+
+def test_recovery_walks_the_prefixes_of_an_incremental_m():
+    """m the lift itself: both oracles of the final comparison are
+    incremental, so its prefixes are walked, one step of each per prefix.
+    The walk stops at the seventh, the identity bundle and one edge of gain
+    1, where both are at full rank 4: 35 queries fewer than a FuncOracle's
+    42 prefixes, with stats or without."""
+    z7, part, m = _z7_frame_lift()
+    stats = {}
+    assert recover_partition(z7, part.kernel, 4, m, seed=0, stats=stats) == part
+    assert stats["rank_queries"]["total"] == 8701 + 1 + (1 + 28 + 7 + 215)
+    assert stats["final_parts"]["rank_queries"]["prefixes"] == 7
+    walked = CountingWalk(m)
+    assert recover_partition(z7, part.kernel, 4, walked, seed=0) == part
+    assert walked.steps == 7
+
+
+@pytest.mark.parametrize("route", ["rank_table", "steps"])
+def test_a_counted_walk_of_an_oracle_asked_per_set_counts_every_ask(route):
+    """A walk of a non-incremental oracle asks it the rank of each set, the
+    empty set first: the counting wrapper counts each of those asks."""
+    asks = []
+    counted = _Counted(FuncOracle(range(4), lambda s: asks.append(s) or min(len(s), 2)))
+    if route == "rank_table":
+        assert rank_table(counted) == [min(bin(mask).count("1"), 2) for mask in range(16)]
+    else:
+        state, _, step = counted.walk()
+        for e in counted.ground:
+            state, _ = step(state, e, True)
+    assert counted.queries == len(asks) == (16 if route == "rank_table" else 5)
+
+
+PREFIX_GROUPS = {"D6": D6, "D10": make_dihedral(10), "F20": F20}
+
+
+def _asked_prefixes(a, b, order):
+    """The first prefix of ``order`` on which a and b differ, found by asking
+    both every prefix, and the number of steps a walk of both should take:
+    up to that prefix, or else up to the first one where both are at full
+    rank."""
+    ranks = [(a.rank(order[:k]), b.rank(order[:k])) for k in range(1, len(order) + 1)]
+    k = next((k for k, (ra, rb) in enumerate(ranks, 1) if ra != rb), None)
+    if k is not None:
+        return tuple(order[:k]), k
+    full = (a.full_rank(), b.full_rank())
+    return None, next(k for k, r in enumerate(ranks, 1) if r == full)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("name", sorted(PREFIX_GROUPS))
+def test_walked_prefixes_name_the_witness_of_per_prefix_asks(name, n):
+    """The lifts of K_n over the group under every ordered pair of its
+    partitions, along the ground listed bundle by bundle and along a random
+    order: walking both oracles names the prefix that asking them every
+    prefix names, and steps each walk up to it, or else up to the first
+    prefix where both are at full rank, and no further."""
+    group = PREFIX_GROUPS[name]
+    g = complete_gain_graph(group, n)
+    lifts = [LiftedMatroid(FrobeniusContext(group, p), g) for p in frobenius_partitions(group)]
+    shuffled = list(g.edge_ids())
+    random.Random(f"{name}{n}").shuffle(shuffled)
+    verdicts = set()
+    for order in (_final_sets(group, n)[0], tuple(shuffled)):
+        for a, b in itertools.product(lifts, repeat=2):
+            witness, steps = _asked_prefixes(a, b, order)
+            walk_a, walk_b = CountingWalk(a), CountingWalk(b)
+            assert _prefix_disagreement(walk_a, walk_b, order) == witness
+            assert walk_a.steps == walk_b.steps == steps
+            verdicts.add(witness is None)
+    assert verdicts == {True, False}
+
+
+def test_the_walk_of_a_frame_and_a_lift_stops_at_neither_full_rank_alone():
+    """K_4 over D6: the frame matroid, with the trivial kernel, is at its
+    full rank 4 from the seventh prefix on, where the lift with kernel Z3 is
+    at 4 of 5. They first differ on the nineteenth prefix, the bundles of
+    the three rotations and one reflection: there the lift is at its full
+    rank too, so a walk that stops when either is full, or that tests the
+    stop before it compares the ranks, names nothing."""
+    g = complete_gain_graph(D6, 4)
+    frame, lift = (
+        LiftedMatroid(FrobeniusContext(D6, p), g)
+        for p in frobenius_partitions(D6)
+        if p.kernel.order in (1, 3)
+    )
+    bundled = _final_sets(D6, 4)[0]
+    assert (frame.full_rank(), lift.full_rank()) == (4, 5)
+    assert (frame.rank(bundled[:7]), lift.rank(bundled[:7])) == (4, 4)
+    assert (frame.rank(bundled[:19]), lift.rank(bundled[:19])) == (4, 5)
+    assert _prefix_disagreement(lift, frame, bundled) == bundled[:19]
+    assert _prefix_disagreement(frame, lift, bundled) == bundled[:19]
+
+
+@pytest.mark.parametrize("size", [1, 7, 21, 42])
+@pytest.mark.parametrize("shift", [-1, 2])
+def test_prefixes_of_an_oracle_asked_per_set_are_each_asked(shift, size):
+    """An oracle that is not incremental is asked every prefix, past where
+    both are at full rank: a shift of the lift's rank on one size of set
+    alone is named at that size, against the lift and against a FuncOracle
+    of it. Each of the two oracles is asked each prefix up to it once."""
+    z7, part, m = _z7_frame_lift()
+    bundled = _final_sets(z7, 4)[0]
+    asked = []
+
+    def shifted(s):
+        asked.append(len(s))
+        return m.rank(s) + shift * (len(s) == size)
+
+    for other in (m, FuncOracle(m.ground, m.rank)):
+        asked.clear()
+        oracle = FuncOracle(m.ground, shifted)
+        assert _prefix_disagreement(oracle, other, bundled) == bundled[:size]
+        assert _prefix_disagreement(other, oracle, bundled) == bundled[:size]
+        assert asked == [*range(1, size + 1)] * 2
+
+
+@pytest.mark.parametrize("name, n", [("D6", 4), ("F20", 5)])
+def test_the_final_bundles_are_the_edge_bundles(name, n):
+    """The final comparison's listing of the ground is the bundles of the
+    elements in order, each sorted, and each bundle it joins from that
+    listing's blocks holds the edges of ``edge_bundle`` for the identity and
+    its pair of elements, each once."""
+    group = PREFIX_GROUPS[name]
+    bundled, bundles = _final_sets(group, n)
+    assert bundled == tuple(e for a in group.elements() for e in edge_bundle(group, n, (a,)))
+    pairs = list(itertools.combinations_with_replacement(group.elements(), 2))
+    joined = list(bundles)
+    assert len(joined) == len(pairs) == math.comb(group.order + 1, 2)
+    for (a, b), bundle in zip(pairs, joined):
+        assert tuple(sorted(bundle)) == edge_bundle(group, n, (0, a, b))
 
 
 def test_k5_over_order_ten_is_refused_by_its_cycle_count():
