@@ -8,8 +8,9 @@ partition. The cycle check reads sorted streams of cycles in turn and names
 the least failing one. It takes m to be an elementary lift of N, the quotient
 frame matroid; the final comparison with the rebuilt lift is the one check
 of that, exhaustive up to EXHAUSTIVE_LIMIT edges and above it asked on the
-empty set, the bundles, the prefixes of the ground (walked when both oracles
-are incremental) and SAMPLES random halves (see ``recover_partition``).
+empty set, the distinct bundles of the identity and two elements and the
+prefixes of the ground (both walked when both oracles are incremental) and
+SAMPLES random halves (see ``recover_partition``).
 """
 
 from __future__ import annotations
@@ -214,15 +215,72 @@ def _check_cycle_hypothesis(group: FiniteGroup, n: int, m: RankOracle) -> None:
         )
 
 
-def _final_sets(group: FiniteGroup, n: int) -> tuple[tuple[int, ...], Iterator[list[int]]]:
+def _final_sets(group: FiniteGroup, n: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """The ground listed bundle by bundle, the identity bundle first so that a
-    rank pass soon reaches a spanning forest and stops, and the set of each
-    ``edge_bundle(group, n, (0, a, b))``, a <= b, joined from its blocks."""
+    rank pass soon reaches a spanning forest and stops, and that listing's
+    blocks, the bundle of each element, sorted, indexed by the element."""
     identity = edge_bundle(group, n, (0,))
     blocks = [tuple(e + a for e in identity) for a in group.elements()]
-    pairs = itertools.combinations_with_replacement(group.elements(), 2)
-    bundles = ([e for x in sorted({0, a, b}) for e in blocks[x]] for a, b in pairs)
-    return tuple(itertools.chain.from_iterable(blocks)), bundles
+    return tuple(itertools.chain.from_iterable(blocks)), blocks
+
+
+def _bundles(blocks: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """Each distinct ``edge_bundle(group, n, {0, a, b})`` joined from the
+    ``blocks`` of 0, a and b, once, in the order of the pairs a <= b: the
+    identity's, then {0, a} for each a, then {0, a, b} for each a < b."""
+    identity = blocks[0]
+    yield list(identity)
+    for a in range(1, len(blocks)):
+        yield [*identity, *blocks[a]]
+    for a, b in itertools.combinations(range(1, len(blocks)), 2):
+        yield [*identity, *blocks[a], *blocks[b]]
+
+
+def _bundle_disagreement(
+    a: RankOracle, b: RankOracle, blocks: Sequence[Sequence[int]]
+) -> list[int] | None:
+    """The first of ``_bundles(blocks)`` on which a and b differ in rank, or
+    None. Incremental oracles are walked through the identity block once,
+    that state through each block a, and each {0, a} state, kept, through
+    each block b > a, their ranks compared where a bundle ends. A block stops
+    once both are at full_rank(), which no superset changes, and a state
+    full in both is not extended; other oracles are asked each bundle."""
+    if not (a.incremental and b.incremental):
+        return first_disagreement(a, b, _bundles(blocks))
+    full_a, full_b = a.full_rank(), b.full_rank()
+    (state_a, _, step_a), (state_b, _, step_b) = a.walk(), b.walk()
+
+    def extend(state: tuple, block: Sequence[int], keep: bool) -> tuple:
+        # (state', differs): the walks of state's set plus ``block``, the
+        # first step copying ``state`` when it is kept; state' is None once
+        # both are at full rank, and the ranks are compared at the end
+        (sa, sb), last = state, not keep
+        for e in block:
+            sa, ra = step_a(sa, e, last)
+            sb, rb = step_b(sb, e, last)
+            last = True
+            if ra == full_a and rb == full_b:
+                return None, ra != rb
+        return (sa, sb), ra != rb
+
+    identity, rest = blocks[0], range(1, len(blocks))
+    state, differs = extend((state_a, state_b), identity, False)
+    if differs:
+        return list(identity)
+    if state is None:
+        return None
+    pairs = []
+    for x in rest:
+        kept, differs = extend(state, blocks[x], True)
+        if differs:
+            return [*identity, *blocks[x]]
+        pairs.append(kept)
+    for x, kept in zip(rest, pairs):
+        if kept is not None:
+            for y in range(x + 1, len(blocks)):
+                if extend(kept, blocks[y], True)[1]:
+                    return [*identity, *blocks[x], *blocks[y]]
+    return None
 
 
 def _prefix_disagreement(a: RankOracle, b: RankOracle, order: Sequence[int]) -> tuple | None:
@@ -257,6 +315,8 @@ class _Counted(RankOracle):
         return self.m.rank(subset)
 
     def full_rank(self) -> int:
+        if not self.incremental:  # so that the ground is asked through ``rank``
+            return RankOracle.full_rank(self)
         return self.m.full_rank()
 
     def walk(self):
@@ -309,10 +369,14 @@ def recover_partition(
     the rebuilt lift is one, with the declared kernel, so a subset on which
     m's rank less N's is not 0 or 1 is one on which m and the rebuilt lift
     differ. It asks every subset up to EXHAUSTIVE_LIMIT edges; above, the
-    empty set, the bundles of the identity and two elements, the prefixes
-    of the ground listed bundle by bundle, one of each size from 1 to |E|
-    (walked, up to where m and the rebuilt lift are both at full rank, when
-    both are incremental), and SAMPLES random halves seeded by ``seed``.
+    empty set, each distinct bundle of the identity and at most two other
+    elements once, the prefixes of the ground listed bundle by bundle, one
+    of each size from 1 to |E|, and SAMPLES random halves seeded by
+    ``seed``. When m and the rebuilt lift are both incremental, the bundles
+    and the prefixes are walked: the bundles from the identity block, each
+    {0, a} state kept and extended by each block b > a, and a block, a
+    state's extensions or the prefixes left once both are at full rank,
+    which no larger set changes. Other oracles are asked each set.
 
     The cycles the hypothesis check asks about are counted first, before the
     graph or any sample is built, against DEFAULT_CYCLE_COUNT_LIMIT. Each is
@@ -432,10 +496,10 @@ def _recover(
     if exhaustive:
         parts = [("subsets", first_disagreement, None)]
     else:
-        bundled, bundles = _final_sets(group, n)
+        bundled, blocks = _final_sets(group, n)
         parts = [
             ("empty", first_disagreement, [()]),
-            ("bundles", first_disagreement, bundles),
+            ("bundles", _bundle_disagreement, blocks),
             ("prefixes", _prefix_disagreement, bundled),
             ("halves", first_disagreement, subset_sweep(bundled, SAMPLES, random.Random(seed))),
         ]

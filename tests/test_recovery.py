@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -37,13 +38,21 @@ from frobmat import (
     quotient_gains,
     recover_partition,
 )
-from frobmat.biased import EXHAUSTIVE_LIMIT, RankOracle, rank_table, subset_sweep
+from frobmat.biased import (
+    EXHAUSTIVE_LIMIT,
+    RankOracle,
+    first_disagreement,
+    rank_table,
+    subset_sweep,
+)
 from frobmat.fileio import group_from_spec
 from frobmat.groups import quotient
 from frobmat.recovery import (
     EXHAUSTIVE_GROUP_ORDER,
     SAMPLES,
     _all_cycles,
+    _bundle_disagreement,
+    _bundles,
     _Counted,
     _final_sets,
     _prefix_disagreement,
@@ -827,8 +836,9 @@ def test_corpus_class_faults_are_the_lifts_of_the_changed_class(index):
 def test_recovery_rank_query_count_on_k4_over_z7():
     """The order in which the sampled sweeps list the ground changes which
     halves they ask, not how many queries recovery makes: every cycle, the
-    full rank, then the final comparison's empty set, 28 bundles, 42
-    prefixes and 215 halves."""
+    full rank, then the final comparison's empty set, the 22 distinct
+    bundles (C(8, 2) pairs a <= b, less the 6 pairs (a, a), a != 0, that
+    repeat (0, a)), 42 prefixes and 215 halves."""
     z7, part, m = _z7_frame_lift()
     calls = 0
 
@@ -838,7 +848,7 @@ def test_recovery_rank_query_count_on_k4_over_z7():
         return m.rank(s)
 
     assert recover_partition(z7, part.kernel, 4, FuncOracle(m.ground, rank), seed=0) == part
-    assert calls == 8701 + 1 + (1 + 28 + 42 + 215)
+    assert calls == 8701 + 1 + (1 + 22 + 42 + 215)
 
 
 def test_recovery_rank_query_count_on_k5_over_agl15():
@@ -847,8 +857,9 @@ def test_recovery_rank_query_count_on_k5_over_agl15():
     cheaper pass does not come from asking fewer queries: the digons and
     balanced triangles through vertex 0, the full rank and the bundles of
     the identity with one and with two of the 15 elements outside the
-    kernel, then the final comparison's empty set, 210 bundles, 200 prefixes
-    and 215 halves."""
+    kernel, then the final comparison's empty set, the 191 distinct bundles
+    (C(21, 2) pairs a <= b, less the 19 pairs (a, a), a != 0, that repeat
+    (0, a)), 200 prefixes and 215 halves."""
     group = make_field_affine(5)
     part = next(p for p in frobenius_partitions(group) if 1 < p.kernel.order < group.order)
     m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 5))
@@ -860,7 +871,7 @@ def test_recovery_rank_query_count_on_k5_over_agl15():
         return m.rank(s)
 
     assert recover_partition(group, part.kernel, 5, FuncOracle(m.ground, rank), seed=0) == part
-    assert calls == 4300 + (1 + 15 + 105) + (1 + 210 + 200 + 215)
+    assert calls == 4300 + (1 + 15 + 105) + (1 + 191 + 200 + 215)
 
 
 class _Asked(RankOracle):
@@ -964,7 +975,7 @@ def test_stats_of_a_run_refused_inside_the_final_comparison():
     on the third sampled half only: the run is refused there. Its stats list
     the three phases and the total, which is every query m was asked; the
     final comparison's parts that ran are listed in order, their queries
-    (the empty set, the 28 bundles, the 42 prefixes, three halves) and
+    (the empty set, the 22 distinct bundles, the 42 prefixes, three halves) and
     seconds adding up to the phase's."""
     z7, part, m = _z7_frame_lift()
     bundled = [e for a in z7.elements() for e in edge_bundle(z7, 4, (a,))]
@@ -978,10 +989,10 @@ def test_stats_of_a_run_refused_inside_the_final_comparison():
     phases = ["cycles", "bundles", "final"]
     assert list(stats) == ["rank_queries", "seconds", "final_parts"]
     assert queries == {"cycles": complete_cycle_count(7, 4), "bundles": 1,
-                       "final": 1 + 28 + 42 + 3, "total": len(oracle.asked)}
+                       "final": 1 + 22 + 42 + 3, "total": len(oracle.asked)}
     assert sum(queries[p] for p in phases) == queries["total"] and list(seconds) == phases
     split = stats["final_parts"]
-    assert split["rank_queries"] == {"empty": 1, "bundles": 28, "prefixes": 42, "halves": 3}
+    assert split["rank_queries"] == {"empty": 1, "bundles": 22, "prefixes": 42, "halves": 3}
     parts = ["empty", "bundles", "prefixes", "halves"]
     assert list(split["rank_queries"]) == list(split["seconds"]) == parts
     assert sum(split["seconds"].values()) == pytest.approx(seconds["final"])
@@ -1044,7 +1055,8 @@ def test_recovery_without_stats_asks_m_itself(monkeypatch):
     """With ``stats`` None no counting wrapper is built, and every query
     reaches m's own rank from recovery's or the final comparison's code:
     as many as a run with stats counts of the same oracle kind. A FuncOracle
-    is not incremental, so the final comparison asks it every prefix."""
+    is not incremental, so the final comparison asks it each of the 22
+    distinct bundles and every prefix."""
     z7, part, m = _z7_frame_lift()
     stats = {}
     plain = FuncOracle(m.ground, m.rank)
@@ -1061,25 +1073,30 @@ def test_recovery_without_stats_asks_m_itself(monkeypatch):
 
     monkeypatch.setattr("frobmat.recovery._Counted", no_wrapper)
     assert recover_partition(z7, part.kernel, 4, FuncOracle(m.ground, rank), seed=0) == part
-    assert len(callers) == stats["rank_queries"]["total"] == 8701 + 1 + (1 + 28 + 42 + 215)
+    assert len(callers) == stats["rank_queries"]["total"] == 8701 + 1 + (1 + 22 + 42 + 215)
     assert {module for module, _ in callers} == {"frobmat.recovery", "frobmat.biased"}
     assert all(name != "rank" for _, name in callers)
 
 
 def test_recovery_walks_the_prefixes_of_an_incremental_m():
     """m the lift itself: both oracles of the final comparison are
-    incremental, so its prefixes are walked, one step of each per prefix.
-    The walk stops at the seventh, the identity bundle and one edge of gain
-    1, where both are at full rank 4: 35 queries fewer than a FuncOracle's
-    42 prefixes, with stats or without."""
+    incremental, so its prefixes and its bundles are walked, one step of
+    each per edge. The walk of the prefixes stops at the seventh, the
+    identity bundle and one edge of gain 1, where both are at full rank 4:
+    35 queries fewer than a FuncOracle's 42 prefixes. The bundles take the
+    identity block's 6 steps to rank 3, then one step into each of the 6
+    other blocks, where both are at full rank, so no {0, a} state is
+    extended: 12 steps for a FuncOracle's 22 bundles. So with stats or
+    without."""
     z7, part, m = _z7_frame_lift()
     stats = {}
     assert recover_partition(z7, part.kernel, 4, m, seed=0, stats=stats) == part
-    assert stats["rank_queries"]["total"] == 8701 + 1 + (1 + 28 + 7 + 215)
+    assert stats["rank_queries"]["total"] == 8701 + 1 + (1 + 12 + 7 + 215)
+    assert stats["final_parts"]["rank_queries"]["bundles"] == 6 + 6
     assert stats["final_parts"]["rank_queries"]["prefixes"] == 7
     walked = CountingWalk(m)
     assert recover_partition(z7, part.kernel, 4, walked, seed=0) == part
-    assert walked.steps == 7
+    assert walked.steps == 12 + 7
 
 
 @pytest.mark.parametrize("route", ["rank_table", "steps"])
@@ -1184,17 +1201,187 @@ def test_prefixes_of_an_oracle_asked_per_set_are_each_asked(shift, size):
 @pytest.mark.parametrize("name, n", [("D6", 4), ("F20", 5)])
 def test_the_final_bundles_are_the_edge_bundles(name, n):
     """The final comparison's listing of the ground is the bundles of the
-    elements in order, each sorted, and each bundle it joins from that
-    listing's blocks holds the edges of ``edge_bundle`` for the identity and
-    its pair of elements, each once."""
+    elements in order, each sorted, one block per element; the bundles it
+    joins from those blocks are the distinct ``edge_bundle`` sets of the
+    identity and a pair a <= b, in the order of the pairs, each once: the
+    pair (a, a), a != 0, repeats (0, a), so |Γ| - 1 of the C(|Γ| + 1, 2)
+    pairs are dropped. No bundle holds an edge twice."""
     group = PREFIX_GROUPS[name]
-    bundled, bundles = _final_sets(group, n)
-    assert bundled == tuple(e for a in group.elements() for e in edge_bundle(group, n, (a,)))
-    pairs = list(itertools.combinations_with_replacement(group.elements(), 2))
-    joined = list(bundles)
-    assert len(joined) == len(pairs) == math.comb(group.order + 1, 2)
-    for (a, b), bundle in zip(pairs, joined):
-        assert tuple(sorted(bundle)) == edge_bundle(group, n, (0, a, b))
+    bundled, blocks = _final_sets(group, n)
+    assert blocks == [edge_bundle(group, n, (a,)) for a in group.elements()]
+    assert bundled == tuple(e for block in blocks for e in block)
+    pairs = itertools.combinations_with_replacement(group.elements(), 2)
+    distinct = list(dict.fromkeys(edge_bundle(group, n, (0, a, b)) for a, b in pairs))
+    joined = list(_bundles(blocks))
+    assert len(joined) == len(distinct) == math.comb(group.order + 1, 2) - (group.order - 1)
+    assert [tuple(sorted(bundle)) for bundle in joined] == distinct
+    assert all(len(set(bundle)) == len(bundle) for bundle in joined)
+
+
+def _asked_bundles(a, b, blocks):
+    """The first bundle of ``_bundles(blocks)`` on which a and b differ, found
+    by asking both every bundle, and the number of steps a walk of both
+    should take up to it: each bundle is stepped from its parent, the bundle
+    one block smaller, unless both are at full rank there, through its
+    block up to the first set where both are."""
+    full = (a.full_rank(), b.full_rank())
+
+    def ranks(s):
+        return a.rank(s), b.rank(s)
+
+    identity, rest = list(blocks[0]), range(1, len(blocks))
+    tree = [([], identity)] + [(identity, list(blocks[x])) for x in rest]
+    tree += [(identity + list(blocks[x]), list(blocks[y])) for x, y in itertools.combinations(rest, 2)]
+    steps = 0
+    for parent, block in tree:
+        if ranks(parent) != full:
+            sizes = range(1, len(block) + 1)
+            steps += next((k for k in sizes if ranks(parent + block[:k]) == full), len(block))
+        ra, rb = ranks(parent + block)
+        if ra != rb:
+            return parent + block, steps
+    return None, steps
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("name", sorted(PREFIX_GROUPS))
+def test_walked_bundles_name_the_witness_of_per_bundle_asks(name, n):
+    """The lifts of K_n over the group under each of its partitions and their
+    quotient frame matroids, every ordered pair of them: walking both
+    oracles through the bundles names the bundle that asking them every
+    bundle names, and steps each walk as ``_asked_bundles`` counts, no
+    further. The pairs differ in full rank, and at a bundle where one is
+    full and the other is not, as well as agree."""
+    group = PREFIX_GROUPS[name]
+    g = complete_gain_graph(group, n)
+    lifts = [LiftedMatroid(FrobeniusContext(group, p), g) for p in frobenius_partitions(group)]
+    oracles = lifts + [FrameOracle(m.quotient_biased) for m in lifts]
+    blocks = _final_sets(group, n)[1]
+    verdicts = set()
+    for a, b in itertools.product(oracles, repeat=2):
+        witness, steps = _asked_bundles(a, b, blocks)
+        assert first_disagreement(a, b, _bundles(blocks)) == witness
+        walk_a, walk_b = CountingWalk(a), CountingWalk(b)
+        assert _bundle_disagreement(walk_a, walk_b, blocks) == witness
+        assert walk_a.steps == walk_b.steps == steps
+        verdicts.add((witness is None, a.full_rank() == b.full_rank()))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def test_the_bundle_walk_of_a_frame_and_a_lift_stops_at_neither_full_rank_alone():
+    """K_4 over D6: the frame matroid, with the trivial kernel, is at its
+    full rank 4 on every bundle {0, a}, where the lift with kernel Z3 is at
+    4 of 5, and on {0, 1, 2}, of the identity and two rotations, where the
+    lift still is. They first differ on {0, 1, 3}, a rotation and a
+    reflection, where the lift is at its full rank: a walk that stops a
+    block or skips a state when either is full names nothing."""
+    g = complete_gain_graph(D6, 4)
+    frame, lift = (
+        LiftedMatroid(FrobeniusContext(D6, p), g)
+        for p in frobenius_partitions(D6)
+        if p.kernel.order in (1, 3)
+    )
+    blocks = _final_sets(D6, 4)[1]
+    identity = list(blocks[0])
+    assert (frame.full_rank(), lift.full_rank()) == (4, 5)
+    assert {(frame.rank(identity + list(blocks[x])), lift.rank(identity + list(blocks[x])))
+            for x in range(1, 6)} == {(4, 4)}
+    witness = identity + list(blocks[1]) + list(blocks[3])
+    assert (frame.rank(witness), lift.rank(witness)) == (4, 5)
+    assert _bundle_disagreement(lift, frame, blocks) == witness
+    assert _bundle_disagreement(frame, lift, blocks) == witness
+
+
+class _Traced(RankOracle):
+    """``oracle``, one above its rank on the set ``wrong`` alone, its walk's
+    states carried with their sets: each step is recorded in ``steps`` as
+    (the set it steps from, the element, whether it is that state's last
+    step, the rank it reads)."""
+
+    def __init__(self, oracle, wrong=()):
+        self.oracle, self.ground, self.incremental = oracle, oracle.ground, oracle.incremental
+        self.wrong, self.steps = frozenset(wrong), []
+
+    def rank(self, subset):
+        return self.oracle.rank(subset) + (frozenset(subset) == self.wrong)
+
+    def full_rank(self):
+        return self.oracle.full_rank()
+
+    def walk(self):
+        state, r, step = self.oracle.walk()
+
+        def traced(state, e, last):
+            inner, edges = state
+            inner, r = step(inner, e, last)
+            edges += (e,)
+            r += frozenset(edges) == self.wrong
+            self.steps.append((edges[:-1], e, last, r))
+            return (inner, edges), r
+
+        return (state, ()), r, traced
+
+
+def test_a_saved_bundle_state_reads_the_same_rank_after_each_extension():
+    """K_4 over D6 with kernel Z3 = {0, 1, 2}, walked against itself: the
+    walk keeps the state of {0} and of each bundle {0, a}, and each of its
+    extensions steps first from a copy. So every step reads the rank of the
+    set it reaches, from a saved state's first and last extension alike:
+    {0, 3}, of rank 4, reaches full rank 5 with each of the reflections 4
+    and 5, which the state must not keep. {0} is extended by each of the 5
+    other blocks, {0, a} by each block b > a, except {0, 5}, by none."""
+    part = next(p for p in frobenius_partitions(D6) if p.kernel.order == 3)
+    lift = LiftedMatroid(FrobeniusContext(D6, part), complete_gain_graph(D6, 4))
+    blocks = _final_sets(D6, 4)[1]
+    traced = _Traced(lift)
+    assert _bundle_disagreement(traced, _Traced(lift), blocks) is None
+    assert all(r == lift.rank(edges + (e,)) for edges, e, _, r in traced.steps)
+    saved = collections.Counter(edges for edges, _, last, _ in traced.steps if not last)
+    identity = tuple(blocks[0])
+    assert saved == {identity: 5, **{identity + tuple(blocks[a]): 5 - a for a in range(1, 5)}}
+    assert lift.rank(identity + tuple(blocks[3])) == 4
+    assert {lift.rank(identity + tuple(blocks[3]) + tuple(blocks[b])) for b in (4, 5)} == {5}
+
+
+@pytest.mark.parametrize("index, bundle", [(0, (0,)), (3, (0, 3)), (6, (0, 1, 2))])
+def test_a_bundle_walk_names_the_one_bundle_an_oracle_is_wrong_on(index, bundle):
+    """K_4 over D6 with kernel Z3, and the lift one above itself on one
+    bundle alone, below full rank: the identity's, the first level's {0, 3}
+    or the second level's {0, 1, 2}. A bundle below full rank is read to
+    its end, so walked or asked per bundle, either way round, the
+    comparison names that bundle."""
+    part = next(p for p in frobenius_partitions(D6) if p.kernel.order == 3)
+    lift = LiftedMatroid(FrobeniusContext(D6, part), complete_gain_graph(D6, 4))
+    blocks = _final_sets(D6, 4)[1]
+    witness = list(_bundles(blocks))[index]
+    assert tuple(sorted(witness)) == edge_bundle(D6, 4, bundle)
+    assert lift.rank(witness) < lift.full_rank()
+    wrong = _Traced(lift, witness)
+    for a, b in ((wrong, lift), (lift, wrong)):
+        assert _bundle_disagreement(a, b, blocks) == witness
+        assert _bundle_disagreement(FuncOracle(a.ground, a.rank), b, blocks) == witness
+
+
+def test_bundles_of_an_oracle_asked_per_set_are_each_asked():
+    """An oracle that is not incremental is asked each distinct bundle once,
+    in the listing's order, and so is the lift it is compared with, even
+    where both are at full rank."""
+    z7, part, m = _z7_frame_lift()
+    blocks = _final_sets(z7, 4)[1]
+    plain, lift = _Asked(FuncOracle(m.ground, m.rank)), _Asked(m)
+    assert _bundle_disagreement(plain, lift, blocks) is None
+    listing = [tuple(bundle) for bundle in _bundles(blocks)]
+    assert len(listing) == 22
+    assert plain.asked == lift.asked == listing
+
+
+def test_a_counted_full_rank_of_an_oracle_asked_per_set_counts_its_ask():
+    """The full rank of an oracle that is not incremental is the rank of its
+    ground, asked through the counting wrapper, so it counts one query."""
+    asks = []
+    counted = _Counted(FuncOracle(range(4), lambda s: asks.append(s) or min(len(s), 2)))
+    assert counted.full_rank() == 2
+    assert counted.queries == len(asks) == 1
 
 
 def test_k5_over_order_ten_is_refused_by_its_cycle_count():
