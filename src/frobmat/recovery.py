@@ -47,6 +47,7 @@ EXHAUSTIVE_GROUP_ORDER = 10
 # given edges passes all the halves with probability (15/16)^SAMPLES < 10^-6,
 # whatever the seed.
 SAMPLES = 215
+Cycles = Iterable[tuple[tuple[int, ...], bool]]
 
 
 def edge_bundle(group: FiniteGroup, n: int, elements: Iterable[int]) -> tuple[int, ...]:
@@ -64,32 +65,37 @@ def edge_bundle(group: FiniteGroup, n: int, elements: Iterable[int]) -> tuple[in
 def complete_cycle_count(group_order: int, n: int) -> int:
     """The number of cycles of K_n over a group of the given order:
     sum over k >= 3 of C(n,k)·(k-1)!/2·|G|^k vertex cycles with gain words,
-    plus C(n,2)·C(|G|,2) digons."""
+    plus C(n,2)·C(|G|,2) digons, a bound on the cycle check's queries."""
     longer = sum(
         math.comb(n, k) * math.factorial(k - 1) // 2 * group_order**k for k in range(3, n + 1)
     )
     return longer + math.comb(n, 2) * math.comb(group_order, 2)
 
 
-def _pair_digons(offset: int, order: int) -> Iterable[tuple[tuple[int, ...], bool]]:
-    """The digons of the pair whose identity edge is ``offset``, in sorted id
-    order; parallel edges carry distinct gains, so none is balanced."""
-    for a in range(order):
-        for b in range(a + 1, order):
+def _cosets(group: FiniteGroup, kernel: Subgroup) -> list[list[int]]:
+    """The coset x·Γ₁ of each element x, sorted: Γ₁ is normal, so it is Γ₁·x."""
+    return [sorted(group.table[x][k] for k in kernel.elements) for x in group.elements()]
+
+
+def _pair_digons(offset: int, cosets: list[list[int]]) -> Cycles:
+    """The N-circuit digons of the pair whose identity edge is ``offset``, in
+    sorted id order; parallel edges carry distinct gains, so none is balanced."""
+    for a, coset in enumerate(cosets):
+        for b in coset[coset.index(a) + 1 :]:
             yield (offset + a, offset + b), False
 
 
 def _walk_cycles(
-    group: FiniteGroup, n: int, verts: Sequence[int]
-) -> Iterable[tuple[tuple[int, ...], bool]]:
-    """The cycles of K_n around the distinct ``verts`` (at least three), one
-    per gain word, in sorted id order, with their balance flags.
+    group: FiniteGroup, n: int, verts: Sequence[int], cosets: list[list[int]]
+) -> Cycles:
+    """The N-circuits of K_n around the distinct ``verts`` (at least three),
+    one per gain word, in sorted id order, with their balance flags.
 
     The walk's pairs are sorted by id once. An edge's id within its pair's
     block is its gain read from the lower vertex, so the cycles in sorted
     order are the words over the sorted pairs in lexicographic order. Their
-    product is the identity for one gain on the last pair, which is found
-    once per prefix of the other gains.
+    product is the identity for one gain on the last pair, found once per
+    prefix of the other gains, and lies in Γ₁ for that gain's coset.
     """
     order, table, inverse = group.order, group.table, group.inverse
     offset = complete_pair_offsets(order, n)
@@ -111,36 +117,36 @@ def _walk_cycles(
         for s in rest:
             acc = table[acc][gains[s]]
         balancing = inverse[acc] if forward_last else acc
-        for y in range(order):
+        for y in cosets[balancing]:
             yield ids + (last + y,), y == balancing
 
 
-def _all_cycles(group: FiniteGroup, n: int) -> list[Iterable[tuple[tuple[int, ...], bool]]]:
-    """Every cycle of K_n with its balance flag, as streams, each in sorted
-    id order and none started: the digons, then one per vertex cycle.
+def _all_cycles(group: FiniteGroup, kernel: Subgroup, n: int) -> list[Cycles]:
+    """Every N-circuit of K_n with its balance flag, every cycle if
+    ``kernel`` is Γ, as streams, each in sorted id order and none started:
+    the digons, then one per vertex cycle.
 
     Each vertex cycle is taken once, from its least vertex in the direction
     whose second vertex is below its last, so no cycle is in two streams,
     and no cycle list is held.
     """
-    offset = complete_pair_offsets(group.order, n)
+    offset, cosets = complete_pair_offsets(group.order, n), _cosets(group, kernel)
     streams = [
         itertools.chain.from_iterable(
-            _pair_digons(offset[i][j], group.order)
-            for i, j in itertools.combinations(range(n), 2)
+            _pair_digons(offset[i][j], cosets) for i, j in itertools.combinations(range(n), 2)
         )
     ]
     for k in range(3, n + 1):
         for first, *rest in itertools.combinations(range(n), k):
             for tail in itertools.permutations(rest):
                 if tail[0] < tail[-1]:
-                    streams.append(_walk_cycles(group, n, (first,) + tail))
+                    streams.append(_walk_cycles(group, n, (first,) + tail, cosets))
     return streams
 
 
-def _reduced_cycles(group: FiniteGroup, n: int) -> Iterable[tuple[tuple[int, ...], bool]]:
-    """Every digon of K_n and every balanced triangle 0 -> i -> j -> 0 with
-    0 < i < j, each once, with their balance flags, in sorted id order.
+def _reduced_cycles(group: FiniteGroup, kernel: Subgroup, n: int) -> Cycles:
+    """Every N-circuit digon of K_n and every balanced triangle 0 -> i -> j -> 0
+    with 0 < i < j, each once, with their balance flags, in sorted id order.
 
     The triangle through the edges (0, i, a) and (0, j, c) closes with
     (i, j, a^-1 c). Its ids, like a digon's on (0, i), start with pair
@@ -149,11 +155,11 @@ def _reduced_cycles(group: FiniteGroup, n: int) -> Iterable[tuple[tuple[int, ...
     The digons of the pairs that avoid vertex 0 come last.
     """
     order, table, inverse = group.order, group.table, group.inverse
-    offset = complete_pair_offsets(order, n)
+    offset, cosets = complete_pair_offsets(order, n), _cosets(group, kernel)
     for i in range(1, n):
         oi = offset[0][i]
         for a in range(order):
-            for b in range(a + 1, order):
+            for b in cosets[a][cosets[a].index(a) + 1 :]:
                 yield (oi + a, oi + b), False
             quotient_row = table[inverse[a]]
             for j in range(i + 1, n):
@@ -161,10 +167,10 @@ def _reduced_cycles(group: FiniteGroup, n: int) -> Iterable[tuple[tuple[int, ...
                 for c in range(order):
                     yield (oi + a, oj + c, oij + quotient_row[c]), True
     for i, j in itertools.combinations(range(1, n), 2):
-        yield from _pair_digons(offset[i][j], order)
+        yield from _pair_digons(offset[i][j], cosets)
 
 
-def _check_cycle_hypothesis(group: FiniteGroup, n: int, m: RankOracle) -> None:
+def _check_cycle_hypothesis(group: FiniteGroup, kernel: Subgroup, n: int, m: RankOracle) -> None:
     """A cycle must be a circuit of m exactly when it is balanced.
 
     Both routes take m to be an elementary lift of N, the quotient frame
@@ -172,18 +178,19 @@ def _check_cycle_hypothesis(group: FiniteGroup, n: int, m: RankOracle) -> None:
     r_m(C) = |C| - 1, one query per cycle: every proper subset of C is a
     forest, independent in N and so in m, since r_m >= r_N (Brylawski).
 
-    Up to order EXHAUSTIVE_GROUP_ORDER every cycle of K_n is checked. Above
-    it only the ``_reduced_cycles`` are, and under the promise that is exact
-    with n >= 4. Sketch: if two cycles of a theta are circuits of
-    m and the third is an N-circuit, so is the third of m, since m's class is
-    linear (Brylawski) and two N-circuits of a theta are a modular pair. A
-    balanced triangle ijk avoiding 0 follows from the thetas of 0ij and 0jk,
-    then 0ijk and 0ik, all balanced. An unbalanced triangle that is an
-    N-circuit shares two edges with a balanced one, and were both circuits
-    their theta would force a digon inside one Γ₁-coset. A longer cycle splits
-    at a chord that balances one side into a theta of two shorter cycles of
-    its quotient balance; induct. A cycle that is no N-circuit is independent
-    in N, so in m, and unbalanced.
+    Only N-circuits, the cycles with gain in the ``kernel`` Γ₁, are asked:
+    any other is independent in N (Zaslavsky), so in m, and unbalanced. Up
+    to order EXHAUSTIVE_GROUP_ORDER all are. Above it only the
+    ``_reduced_cycles`` are, and under the promise that is exact with
+    n >= 4. Sketch: if two cycles of a theta are circuits of m and the third
+    is an N-circuit, so is the third of m, since m's class is linear
+    (Brylawski) and two N-circuits of a theta are a modular pair. A balanced
+    triangle ijk avoiding 0 follows from the thetas of 0ij and 0jk, then
+    0ijk and 0ik, all balanced. An unbalanced triangle that is an N-circuit
+    shares two edges with a balanced one, and were both circuits their theta
+    would force a digon inside one Γ₁-coset. A longer cycle splits at a
+    chord that balances one side into a theta of two shorter cycles of its
+    quotient balance; induct.
 
     Whether m is an elementary lift of N is left to the final comparison in
     ``recover_partition`` with the rebuilt lift. So is an oracle with
@@ -193,12 +200,12 @@ def _check_cycle_hypothesis(group: FiniteGroup, n: int, m: RankOracle) -> None:
     Either set comes as streams, each in sorted id order, and no cycle is
     held past its check. They are read in turn, each to its first failure
     and, after one, only below the least failure so far: so the witness is
-    the least failing cycle, and on success every cycle is asked once.
+    the least failing cycle, and on success every listed cycle is asked once.
     """
     if group.order <= EXHAUSTIVE_GROUP_ORDER:
-        streams = _all_cycles(group, n)
+        streams = _all_cycles(group, kernel, n)
     else:
-        streams = [_reduced_cycles(group, n)]
+        streams = [_reduced_cycles(group, kernel, n)]
     least = None
     for stream in streams:
         if least is not None:
@@ -378,10 +385,12 @@ def recover_partition(
     state's extensions or the prefixes left once both are at full rank,
     which no larger set changes. Other oracles are asked each set.
 
-    The cycles the hypothesis check asks about are counted first, before the
-    graph or any sample is built, against DEFAULT_CYCLE_COUNT_LIMIT. Each is
-    asked of m once, stream by stream, and never held, so the cap
-    bounds the queries of that check, that is its time, and not the memory.
+    The cycle check is exact for every elementary lift of N with n >= 4. Of
+    any oracle it asks the N-circuits among every cycle, or above order
+    EXHAUSTIVE_GROUP_ORDER among the digons and balanced triangles through
+    vertex 0, counted first, before the graph or any sample is built,
+    against DEFAULT_CYCLE_COUNT_LIMIT: so the cap bounds the check's
+    queries, each asked once and never held, and not its memory.
 
     With ``stats``, a dict, m is wrapped to count the rank queries asked of
     it, and each phase that runs records its queries and perf_counter
@@ -437,7 +446,7 @@ def _recover(
     if tuple(m.ground) != tuple(e.id for e in g.edges):
         raise RecoveryError("oracle ground set does not match the complete gain graph")
     mark("cycles")
-    _check_cycle_hypothesis(group, n, m)
+    _check_cycle_hypothesis(group, kernel, n, m)
     mark("bundles")
 
     kernel_set = kernel.element_set

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import random
 import types
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -30,6 +31,7 @@ from frobmat import (
 from frobmat.biased import RankOracle, _dense_ends, _rank_pass
 from frobmat.gaingraph import complete_pair_offsets
 from frobmat.groups import quotient
+from frobmat.recovery import EXHAUSTIVE_GROUP_ORDER
 
 
 @pytest.fixture(scope="session")
@@ -160,6 +162,28 @@ def reduced_complete_cycles(group: FiniteGroup, n: int) -> Iterable[tuple[tuple[
     for i, j in itertools.combinations(range(1, n), 2):
         for a, b in itertools.product(range(group.order), repeat=2):
             yield complete_cycle(group, n, (0, i, j), (a, b, inverse[table[a][b]]))
+
+
+def asked_cycle_count(group_order: int, kernel_order: int, n: int) -> int:
+    """The cycles recovery's cycle check asks of a lift of K_n over a group
+    of the given order with a kernel Γ₁ of the given order: the N-circuits,
+    the cycles whose gain lies in Γ₁, among the cycles of its route.
+
+    A digon on a pair is an N-circuit when its two gains lie in one coset of
+    Γ₁: C(|Γ₁|, 2) per coset, C(n,2)·(|Γ|/|Γ₁|)·C(|Γ₁|,2) in all. Up to order
+    EXHAUSTIVE_GROUP_ORDER every N-circuit is asked: each of the
+    C(n,k)·(k-1)!/2 vertex cycles of length k >= 3 takes any gains on k - 1
+    of its pairs and, on the last, the |Γ₁| gains of one coset that put the
+    cycle's gain in Γ₁, so |Γ|^(k-1)·|Γ₁| words. Above that order the
+    digons and the C(n-1,2)·|Γ|² balanced triangles through vertex 0.
+    """
+    digons = math.comb(n, 2) * (group_order // kernel_order) * math.comb(kernel_order, 2)
+    if group_order > EXHAUSTIVE_GROUP_ORDER:
+        return digons + math.comb(n - 1, 2) * group_order**2
+    return digons + sum(
+        math.comb(n, k) * math.factorial(k - 1) // 2 * group_order ** (k - 1) * kernel_order
+        for k in range(3, n + 1)
+    )
 
 
 def normalize_forest(g: GainGraph, forest: Iterable[int], root: int) -> list[int]:

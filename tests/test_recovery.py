@@ -65,6 +65,7 @@ from conftest import (
     FuncOracle,
     added_to_class,
     all_complete_cycles,
+    asked_cycle_count,
     complete_cycle,
     complete_edge_id,
     dropped_from_class,
@@ -227,15 +228,18 @@ WITNESS_GROUPS = {"D6": make_dihedral(6), "F20": make_field_affine(5)}
 @pytest.mark.parametrize(
     "name,balanced,length,mod,residue,seed,message",
     [
-        # every cycle is checked (order <= 10)
+        # every N-circuit is checked (order <= 10); the least flipped 4-cycle,
+        # (0, 9, 29, 35), has its gain outside the kernel Z3, so is not asked
         ("D6", True, 3, 5, 0, 0, "cycle (0, 9, 21) is balanced but is not a circuit of the lift"),
         ("D6", False, 4, 17, 5, 5,
-         "cycle (0, 9, 29, 35) is unbalanced but is a circuit of the lift"),
-        # every digon and every balanced triangle through vertex 0 (order 20)
+         "cycle (1, 8, 29, 35) is unbalanced but is a circuit of the lift"),
+        # every digon inside a coset of the kernel Z5 and every balanced
+        # triangle through vertex 0 (order 20)
         ("F20", True, 3, 5, 0, 0, "cycle (0, 20, 60) is balanced but is not a circuit of the lift"),
         # the first in id order, where 0 -> 1 -> j -> 0 triangles are built first
         ("F20", True, 3, 23, 5, 0, "cycle (0, 40, 80) is balanced but is not a circuit of the lift"),
-        ("F20", False, 2, 7, 0, 0, "cycle (0, 7) is unbalanced but is a circuit of the lift"),
+        # the digon (0, 7), gains 0 and 7 in two cosets, is not asked
+        ("F20", False, 2, 7, 0, 0, "cycle (1, 13) is unbalanced but is a circuit of the lift"),
         # nothing flipped: the quotient frame matroid by the kernel Z5, an
         # elementary lift of itself in which every digon inside a coset is a
         # circuit
@@ -244,8 +248,8 @@ WITNESS_GROUPS = {"D6": make_dihedral(6), "F20": make_field_affine(5)}
     ],
 )
 def test_cycle_hypothesis_witnesses(name, balanced, length, mod, residue, seed, message):
-    """The first failing cycle in sorted id order, for both routes and both
-    failure kinds."""
+    """The first failing cycle in sorted id order among those asked, the
+    N-circuits of each route, for both routes and both failure kinds."""
     group = WITNESS_GROUPS[name]
     part = frobenius_partitions(group)[-1]
     g = complete_gain_graph(group, 4)
@@ -349,6 +353,12 @@ def test_rejects_a_lift_changed_only_where_named(group, patch, message):
 ROUTE_GROUPS = [make_cyclic(2), make_cyclic(5), make_dihedral(6), make_field_affine(3)]
 
 
+def _whole(group):
+    """Γ as a kernel: every cycle's gain lies in it, so every cycle is an
+    N-circuit and the cycle streams list every cycle."""
+    return Subgroup(tuple(group.elements()))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("group", ROUTE_GROUPS, ids=["Z2", "Z5", "D6", "AGL(1,3)"])
 def test_complete_cycles_match_enumeration(group, n):
@@ -363,13 +373,14 @@ def test_complete_cycles_match_enumeration(group, n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("group", ROUTE_GROUPS, ids=["Z2", "Z5", "D6", "AGL(1,3)"])
 def test_cycle_streams_come_in_sorted_order(group, n):
-    """The streams the cycle check reads against the cycles built one at a
-    time from their gain words: each stream is sorted, and the streams of
-    every cycle together hold each cycle once."""
-    streams = [list(stream) for stream in _all_cycles(group, n)]
+    """The streams the cycle check reads, with the kernel Γ, against the
+    cycles built one at a time from their gain words: each stream is sorted,
+    and the streams of every cycle together hold each cycle once."""
+    whole = _whole(group)
+    streams = [list(stream) for stream in _all_cycles(group, whole, n)]
     assert all(stream == sorted(stream) for stream in streams)
     assert sorted(itertools.chain.from_iterable(streams)) == all_complete_cycles(group, n)
-    assert list(_reduced_cycles(group, n)) == sorted(reduced_complete_cycles(group, n))
+    assert list(_reduced_cycles(group, whole, n)) == sorted(reduced_complete_cycles(group, n))
 
 
 LARGE_CATALOG = {
@@ -381,16 +392,64 @@ LARGE_CATALOG = {
 @pytest.mark.parametrize("name", sorted(LARGE_CATALOG))
 def test_reduced_cycle_stream_comes_in_sorted_order(name, n):
     group = LARGE_CATALOG[name]
-    assert list(_reduced_cycles(group, n)) == sorted(reduced_complete_cycles(group, n))
+    stream = _reduced_cycles(group, _whole(group), n)
+    assert list(stream) == sorted(reduced_complete_cycles(group, n))
+
+
+def _n_circuits(group, kernel, n, cycles):
+    """The listed cycles that are circuits of N, the quotient frame matroid
+    of K_n over Γ/kernel, in their order: r_N(C) = |C| - 1, since every
+    proper subset of a cycle is a forest."""
+    g = complete_gain_graph(group, n)
+    frame = FrameOracle(BiasedGraph(quotient_gains(g, quotient(group, kernel))))
+    return [(c, flag) for c, flag in cycles if frame.rank(c) == len(c) - 1]
+
+
+N_CIRCUIT_HOSTS = {
+    "D6": (make_dihedral(6), (4,)),
+    "Z7": (make_cyclic(7), (4,)),
+    "D8": (make_dihedral(8), (4,)),
+    "D10": (make_dihedral(10), (4,)),
+    "Q8": (order_20_catalog()["Q8"], (4,)),
+    "A4": (order_20_catalog()["A4"], (4, 5)),
+    "AGL(1,5)": (make_field_affine(5), (4, 5)),
+    "D14": (make_dihedral(14), (4, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(N_CIRCUIT_HOSTS))
+def test_the_cycle_streams_list_exactly_the_n_circuits(name):
+    """Under every partition, each stream the cycle check reads is its
+    stream with the kernel Γ, every cycle, filtered by a FrameOracle of N,
+    in the same order, and so sorted: the exhaustive route's streams on K_4
+    up to order 10, the reduced route's one stream on K_4 and K_5 above it.
+    With the kernel Γ the streams hold every cycle, each once, or the
+    reference's digons and balanced triangles through vertex 0."""
+    group, ns = N_CIRCUIT_HOSTS[name]
+    for n in ns:
+        if group.order <= EXHAUSTIVE_GROUP_ORDER:
+            every = [list(stream) for stream in _all_cycles(group, _whole(group), n)]
+            assert sorted(itertools.chain.from_iterable(every)) == all_complete_cycles(group, n)
+        else:
+            every = [list(_reduced_cycles(group, _whole(group), n))]
+            assert every == [sorted(reduced_complete_cycles(group, n))]
+        for part in frobenius_partitions(group):
+            if group.order <= EXHAUSTIVE_GROUP_ORDER:
+                streams = [list(stream) for stream in _all_cycles(group, part.kernel, n)]
+            else:
+                streams = [list(_reduced_cycles(group, part.kernel, n))]
+            assert streams == [_n_circuits(group, part.kernel, n, s) for s in every], part
+            assert all(stream == sorted(stream) for stream in streams)
 
 
 def test_the_cycle_stream_holds_no_cycle_list():
     """K_4 over D10 has 34,270 cycles, about 4.5 MB as a list; its eight
-    streams, read in turn, hold one walk's prefix at a time."""
+    streams with the kernel Γ, read in turn, hold one walk's prefix at a
+    time."""
     group = make_dihedral(10)
     tracemalloc.start()
     try:
-        count = sum(1 for stream in _all_cycles(group, 4) for _ in stream)
+        count = sum(1 for stream in _all_cycles(group, _whole(group), 4) for _ in stream)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -449,7 +508,7 @@ def test_one_query_gives_the_circuit_verdict_of_every_cycle(name):
     independent."""
     group = SMALL_CATALOG[name]
     g = complete_gain_graph(group, 4)
-    cycles = [cycle for stream in _all_cycles(group, 4) for cycle, _ in stream]
+    cycles = [cycle for stream in _all_cycles(group, _whole(group), 4) for cycle, _ in stream]
     for part in frobenius_partitions(group):
         qg = quotient_gains(g, quotient(group, part.kernel))
         for m in (
@@ -835,10 +894,12 @@ def test_corpus_class_faults_are_the_lifts_of_the_changed_class(index):
 
 def test_recovery_rank_query_count_on_k4_over_z7():
     """The order in which the sampled sweeps list the ground changes which
-    halves they ask, not how many queries recovery makes: every cycle, the
-    full rank, then the final comparison's empty set, the 22 distinct
-    bundles (C(8, 2) pairs a <= b, less the 6 pairs (a, a), a != 0, that
-    repeat (0, a)), 42 prefixes and 215 halves."""
+    halves they ask, not how many queries recovery makes: the 1225
+    N-circuits, under the trivial kernel the balanced cycles, 4·7²·1 +
+    3·7³·1 by ``asked_cycle_count``, the full rank, then the final
+    comparison's empty set, the 22 distinct bundles (C(8, 2) pairs a <= b,
+    less the 6 pairs (a, a), a != 0, that repeat (0, a)), 42 prefixes and
+    215 halves."""
     z7, part, m = _z7_frame_lift()
     calls = 0
 
@@ -848,14 +909,15 @@ def test_recovery_rank_query_count_on_k4_over_z7():
         return m.rank(s)
 
     assert recover_partition(z7, part.kernel, 4, FuncOracle(m.ground, rank), seed=0) == part
-    assert calls == 8701 + 1 + (1 + 22 + 42 + 215)
+    assert calls == 1225 + 1 + (1 + 22 + 42 + 215)
 
 
 def test_recovery_rank_query_count_on_k5_over_agl15():
     """K_5 over AGL(1,5) with its Frobenius kernel Z5: a non-abelian group
     whose rank queries run every union-find branch. The count pins that a
-    cheaper pass does not come from asking fewer queries: the digons and
-    balanced triangles through vertex 0, the full rank and the bundles of
+    cheaper pass does not come from asking fewer queries: the 400 digons
+    inside a coset of Z5, 10·4·C(5, 2), and the 2400 balanced triangles
+    through vertex 0, C(4, 2)·20², the full rank and the bundles of
     the identity with one and with two of the 15 elements outside the
     kernel, then the final comparison's empty set, the 191 distinct bundles
     (C(21, 2) pairs a <= b, less the 19 pairs (a, a), a != 0, that repeat
@@ -871,7 +933,7 @@ def test_recovery_rank_query_count_on_k5_over_agl15():
         return m.rank(s)
 
     assert recover_partition(group, part.kernel, 5, FuncOracle(m.ground, rank), seed=0) == part
-    assert calls == 4300 + (1 + 15 + 105) + (1 + 191 + 200 + 215)
+    assert calls == 2800 + (1 + 15 + 105) + (1 + 191 + 200 + 215)
 
 
 class _Asked(RankOracle):
@@ -886,19 +948,23 @@ class _Asked(RankOracle):
 
 
 @pytest.mark.parametrize(
-    "group, n, kernel_order, checked",
-    [(make_cyclic(7), 4, 1, 8701), (make_field_affine(5), 5, 5, 4300)],
+    "group, n, kernel_order, checked, asked",
+    [(make_cyclic(7), 4, 1, 8701, 1225), (make_field_affine(5), 5, 5, 4300, 2800)],
     ids=["K4-Z7", "K5-AGL(1,5)"],
 )
 def test_the_cycle_check_asks_each_cycle_once_in_stream_order(
-    group, n, kernel_order, checked, monkeypatch
+    group, n, kernel_order, checked, asked, monkeypatch
 ):
     """The cycle phase asks m of each cycle it streams, the cycle itself,
-    once and stream by stream in the order they are read: every cycle of K_4 over Z7, the digons and
-    balanced triangles through vertex 0 of K_5 over AGL(1,5). That is the
-    count recovery holds against DEFAULT_CYCLE_COUNT_LIMIT, so the cap
-    bounds the phase's queries exactly; and the phases' counts add up to
-    every query m was asked."""
+    once and stream by stream in the order they are read: the N-circuits
+    among every cycle of K_4 over Z7, and among the digons and balanced
+    triangles through vertex 0 of K_5 over AGL(1,5). Recovery holds the
+    count of those listings, ``checked``, against DEFAULT_CYCLE_COUNT_LIMIT,
+    so the cap bounds the phase's queries from above. ``asked`` is
+    ``asked_cycle_count``: with the trivial kernel on Z7 no digon and
+    4·7²·1 + 3·7³·1 = 196 + 1029 longer cycles, and with the kernel Z5 on
+    AGL(1,5) 10·4·C(5, 2) = 400 digons and C(4, 2)·20² = 2400 triangles.
+    The phases' counts add up to every query m was asked."""
     part = next(p for p in frobenius_partitions(group) if p.kernel.order == kernel_order)
     m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, n))
     oracle, stats = _Asked(m), {}
@@ -906,16 +972,32 @@ def test_the_cycle_check_asks_each_cycle_once_in_stream_order(
     assert recover_partition(group, part.kernel, n, oracle, stats=stats) == part
     queries = stats["rank_queries"]
     if group.order <= EXHAUSTIVE_GROUP_ORDER:
-        streams = _all_cycles(group, n)
+        streams = _all_cycles(group, part.kernel, n)
     else:
-        streams = [_reduced_cycles(group, n)]
+        streams = [_reduced_cycles(group, part.kernel, n)]
     assert oracle.asked[: queries["cycles"]] == [c for stream in streams for c, _ in stream]
-    assert queries["cycles"] == checked
+    assert queries["cycles"] == asked == asked_cycle_count(group.order, kernel_order, n) < checked
     assert queries["cycles"] + queries["bundles"] + queries["final"] == queries["total"]
     assert queries["total"] == len(oracle.asked)
     monkeypatch.setattr("frobmat.recovery.DEFAULT_CYCLE_COUNT_LIMIT", checked - 1)
     with pytest.raises(LimitExceeded, match=f"more than {checked - 1} cycles"):
         recover_partition(group, part.kernel, n, m)
+
+
+@pytest.mark.parametrize("name", ["D6", "Z7", "D10"])
+def test_the_cycle_phase_asks_the_closed_form_count(name):
+    """Under every partition of K_4 over D6, Z7 and D10 the cycle phase asks
+    ``asked_cycle_count`` cycles of the lift: the N-circuits. On D6 with the
+    kernel Z3 that is 4·6²·3 triangles, 3·6³·3 4-cycles and 6·2·C(3, 2)
+    digons, 432 + 1,944 + 36 = 2,412."""
+    assert asked_cycle_count(6, 3, 4) == 432 + 1944 + 36 == 2412
+    group = N_CIRCUIT_HOSTS[name][0]
+    for part in frobenius_partitions(group):
+        m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 4))
+        stats = {}
+        assert recover_partition(group, part.kernel, 4, m, stats=stats) == part
+        want = asked_cycle_count(group.order, part.kernel.order, 4)
+        assert stats["rank_queries"]["cycles"] == want, part
 
 
 STREAMED_GROUPS = {"D6": make_dihedral(6), "Z7": make_cyclic(7), "Q8": order_20_catalog()["Q8"]}
@@ -937,31 +1019,36 @@ def _stream_reads(streams, flipped):
     return asked
 
 
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("name", sorted(STREAMED_GROUPS))
-def test_the_witness_is_the_least_failing_cycle_of_all_streams(name, seed, monkeypatch):
-    """K_4 over a group of order at most 10, whose cycles come in eight
-    streams (the digons, four triangles, three 4-cycles), and an oracle that
-    is the lift but flips the circuit verdict of one to three random cycles,
-    each from its own stream: recovery is refused on the least flipped
-    cycle, and each cycle is asked at most once, stream by stream as
-    ``_stream_reads`` lists them. A last stream that holds the witness again
-    is not read, since a later stream is read only below the least failure."""
+def _refused_on_the_least_flipped_n_circuit(name, seed, every, monkeypatch):
+    """Recovery of the lift of K_4 over the named group, under a partition
+    drawn with ``seed``, with the circuit verdict flipped on one to three
+    random cycles, each from its own stream: the streams of N's circuits
+    that the cycle check reads, or with ``every`` the streams of every
+    cycle. It must be refused on the least flipped N-circuit, each cycle
+    asked at most once, stream by stream as ``_stream_reads`` lists them. A
+    last stream that holds the witness again is not read, since a later
+    stream is read only below the least failure."""
     group = STREAMED_GROUPS[name]
     rng = random.Random(seed)
     part = rng.choice(frobenius_partitions(group))
     m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 4))
-    streams = [list(stream) for stream in _all_cycles(group, 4)]
+    streams = [list(stream) for stream in _all_cycles(group, part.kernel, 4)]
     assert len(streams) == 8
-    picked = [rng.choice(stream) for stream in rng.sample(streams, rng.randint(1, 3))]
+    drawn = [list(stream) for stream in _all_cycles(group, _whole(group), 4)] if every else streams
+    # the digons' stream is empty under the trivial kernel
+    drawn = [stream for stream in drawn if stream]
+    picked = [rng.choice(stream) for stream in rng.sample(drawn, rng.randint(1, 3))]
     flip = {frozenset(cycle): 1 if balanced else -1 for cycle, balanced in picked}
-    cycle, balanced = min(picked)
-    monkeypatch.setattr(
-        "frobmat.recovery._all_cycles", lambda *args: _all_cycles(*args) + [[(cycle, balanced)]]
-    )
+    listed = set(itertools.chain.from_iterable(streams))
+    witness = min((c for c in picked if c in listed), default=None)
+    if witness is not None:
+        monkeypatch.setattr(
+            "frobmat.recovery._all_cycles", lambda *args: _all_cycles(*args) + [[witness]]
+        )
     oracle = _Asked(FuncOracle(m.ground, lambda s: m.rank(s) + flip.get(s, 0)))
     with pytest.raises(RecoveryError) as info:
         recover_partition(group, part.kernel, 4, oracle)
+    cycle, balanced = witness
     assert str(info.value) == (
         f"cycle {cycle} is {'balanced' if balanced else 'unbalanced'} "
         f"but is {'not ' if balanced else ''}a circuit of the lift"
@@ -970,12 +1057,56 @@ def test_the_witness_is_the_least_failing_cycle_of_all_streams(name, seed, monke
     assert oracle.asked == _stream_reads(streams, {c for c, _ in picked})
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", sorted(STREAMED_GROUPS))
+def test_the_witness_is_the_least_failing_cycle_of_all_streams(name, seed, monkeypatch):
+    """K_4 over a group of order at most 10, whose N-circuits come in eight
+    streams (the digons, four triangles, three 4-cycles), and an oracle that
+    is the lift but flips the verdict of one to three random N-circuits:
+    recovery is refused on the least flipped one. Seeds 1 to 4 draw the
+    partition with the kernel Γ, whose streams hold every cycle."""
+    _refused_on_the_least_flipped_n_circuit(name, seed, False, monkeypatch)
+
+
+_OUTSIDE_N = pytest.mark.xfail(
+    strict=True,
+    raises=pytest.fail.Exception,
+    reason="every flipped cycle lies outside N's circuits, which the cycle check does not ask",
+)
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [
+        ("D6", 0),
+        ("D6", 5),
+        ("Q8", 0),
+        pytest.param("Q8", 5, marks=_OUTSIDE_N),
+        pytest.param("Z7", 0, marks=_OUTSIDE_N),
+        ("Z7", 5),
+    ],
+    ids=["D6-0", "D6-5", "Q8-0", "Q8-5", "Z7-0", "Z7-5"],
+)
+def test_a_lift_flipped_on_any_cycles_is_refused_on_its_least_flipped_n_circuit(
+    name, seed, monkeypatch
+):
+    """The seeds whose partition has a kernel other than Γ, with the flipped
+    cycles drawn from every cycle, as they were while the cycle check asked
+    every cycle: where one is an N-circuit, recovery is refused on the least
+    such. Q8-5 and Z7-0, under the trivial kernel, flip only cycles outside
+    N's circuits. Each such oracle ranks one set, a cycle independent in N,
+    below r_N, so it is no elementary lift of N; but it is wrong on that set
+    alone, which the final comparison's sample of 48 or 42 edges misses."""
+    _refused_on_the_least_flipped_n_circuit(name, seed, True, monkeypatch)
+
+
 def test_stats_of_a_run_refused_inside_the_final_comparison():
     """K_4 over Z7 with the trivial kernel, and an oracle one above the lift
     on the third sampled half only: the run is refused there. Its stats list
-    the three phases and the total, which is every query m was asked; the
-    final comparison's parts that ran are listed in order, their queries
-    (the empty set, the 22 distinct bundles, the 42 prefixes, three halves) and
+    the three phases and the total, which is every query m was asked: the
+    1225 N-circuits of ``asked_cycle_count``, the full rank and the final
+    comparison's. Its parts that ran are listed in order, their queries (the
+    empty set, the 22 distinct bundles, the 42 prefixes, three halves) and
     seconds adding up to the phase's."""
     z7, part, m = _z7_frame_lift()
     bundled = [e for a in z7.elements() for e in edge_bundle(z7, 4, (a,))]
@@ -988,7 +1119,7 @@ def test_stats_of_a_run_refused_inside_the_final_comparison():
     queries, seconds = stats["rank_queries"], stats["seconds"]
     phases = ["cycles", "bundles", "final"]
     assert list(stats) == ["rank_queries", "seconds", "final_parts"]
-    assert queries == {"cycles": complete_cycle_count(7, 4), "bundles": 1,
+    assert queries == {"cycles": 1225, "bundles": 1,
                        "final": 1 + 22 + 42 + 3, "total": len(oracle.asked)}
     assert sum(queries[p] for p in phases) == queries["total"] and list(seconds) == phases
     split = stats["final_parts"]
@@ -1056,7 +1187,8 @@ def test_recovery_without_stats_asks_m_itself(monkeypatch):
     reaches m's own rank from recovery's or the final comparison's code:
     as many as a run with stats counts of the same oracle kind. A FuncOracle
     is not incremental, so the final comparison asks it each of the 22
-    distinct bundles and every prefix."""
+    distinct bundles and every prefix, after the 1225 N-circuits of
+    ``asked_cycle_count`` and the full rank."""
     z7, part, m = _z7_frame_lift()
     stats = {}
     plain = FuncOracle(m.ground, m.rank)
@@ -1073,7 +1205,7 @@ def test_recovery_without_stats_asks_m_itself(monkeypatch):
 
     monkeypatch.setattr("frobmat.recovery._Counted", no_wrapper)
     assert recover_partition(z7, part.kernel, 4, FuncOracle(m.ground, rank), seed=0) == part
-    assert len(callers) == stats["rank_queries"]["total"] == 8701 + 1 + (1 + 22 + 42 + 215)
+    assert len(callers) == stats["rank_queries"]["total"] == 1225 + 1 + (1 + 22 + 42 + 215)
     assert {module for module, _ in callers} == {"frobmat.recovery", "frobmat.biased"}
     assert all(name != "rank" for _, name in callers)
 
@@ -1087,11 +1219,12 @@ def test_recovery_walks_the_prefixes_of_an_incremental_m():
     identity block's 6 steps to rank 3, then one step into each of the 6
     other blocks, where both are at full rank, so no {0, a} state is
     extended: 12 steps for a FuncOracle's 22 bundles. So with stats or
-    without."""
+    without. The cycle check asks the 1225 N-circuits of
+    ``asked_cycle_count`` before them, and the full rank."""
     z7, part, m = _z7_frame_lift()
     stats = {}
     assert recover_partition(z7, part.kernel, 4, m, seed=0, stats=stats) == part
-    assert stats["rank_queries"]["total"] == 8701 + 1 + (1 + 12 + 7 + 215)
+    assert stats["rank_queries"]["total"] == 1225 + 1 + (1 + 12 + 7 + 215)
     assert stats["final_parts"]["rank_queries"]["bundles"] == 6 + 6
     assert stats["final_parts"]["rank_queries"]["prefixes"] == 7
     walked = CountingWalk(m)
