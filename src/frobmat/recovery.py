@@ -9,8 +9,8 @@ the least failing one. It takes m to be an elementary lift of N, the quotient
 frame matroid; the final comparison with the rebuilt lift is the one check
 of that, exhaustive up to EXHAUSTIVE_LIMIT edges and above it asked on the
 empty set, the distinct bundles of the identity and two elements and the
-prefixes of the ground (both walked when both oracles are incremental) and
-SAMPLES random halves (see ``recover_partition``).
+prefixes of the ground (both walked by one rule when both oracles are
+incremental) and SAMPLES random halves (see ``recover_partition``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import itertools
 import math
 import random
 import time
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .biased import EXHAUSTIVE_LIMIT, RankOracle, first_disagreement, subset_sweep
 from .errors import LimitExceeded, RecoveryError
@@ -48,6 +48,7 @@ EXHAUSTIVE_GROUP_ORDER = 10
 # whatever the seed.
 SAMPLES = 215
 Cycles = Iterable[tuple[tuple[int, ...], bool]]
+Node = tuple[int, Sequence[int]]  # (parent, block), see _listing_disagreement
 
 
 def edge_bundle(group: FiniteGroup, n: int, elements: Iterable[int]) -> tuple[int, ...]:
@@ -222,89 +223,60 @@ def _check_cycle_hypothesis(group: FiniteGroup, kernel: Subgroup, n: int, m: Ran
         )
 
 
-def _final_sets(group: FiniteGroup, n: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+def _final_sets(group: FiniteGroup, n: int) -> tuple[tuple[int, ...], list[Node], list[Node]]:
     """The ground listed bundle by bundle, the identity bundle first so that a
-    rank pass soon reaches a spanning forest and stops, and that listing's
-    blocks, the bundle of each element, sorted, indexed by the element."""
+    rank pass soon reaches a spanning forest and stops, and two listings of
+    nodes cut from its blocks, one sorted bundle per element: the distinct
+    bundles of 0, a and b, in the order of the pairs a <= b, and the prefixes."""
     identity = edge_bundle(group, n, (0,))
     blocks = [tuple(e + a for e in identity) for a in group.elements()]
-    return tuple(itertools.chain.from_iterable(blocks)), blocks
+    bundles = [(-1, identity)] + [(0, block) for block in blocks[1:]]
+    bundles += [(a, blocks[b]) for a, b in itertools.combinations(range(1, len(blocks)), 2)]
+    bundled = tuple(itertools.chain.from_iterable(blocks))
+    return bundled, bundles, [(k - 1, (e,)) for k, e in enumerate(bundled)]
 
 
-def _bundles(blocks: Sequence[Sequence[int]]) -> Iterator[list[int]]:
-    """Each distinct ``edge_bundle(group, n, {0, a, b})`` joined from the
-    ``blocks`` of 0, a and b, once, in the order of the pairs a <= b: the
-    identity's, then {0, a} for each a, then {0, a, b} for each a < b."""
-    identity = blocks[0]
-    yield list(identity)
-    for a in range(1, len(blocks)):
-        yield [*identity, *blocks[a]]
-    for a, b in itertools.combinations(range(1, len(blocks)), 2):
-        yield [*identity, *blocks[a], *blocks[b]]
+def _node_set(nodes: Sequence[Node], i: int) -> tuple[int, ...]:
+    """The set of node ``i``: the blocks of its parent chain, root first."""
+    chain: list[int] = []
+    while i >= 0:
+        i, block = nodes[i]
+        chain[:0] = block
+    return tuple(chain)
 
 
-def _bundle_disagreement(
-    a: RankOracle, b: RankOracle, blocks: Sequence[Sequence[int]]
-) -> list[int] | None:
-    """The first of ``_bundles(blocks)`` on which a and b differ in rank, or
-    None. Incremental oracles are walked through the identity block once,
-    that state through each block a, and each {0, a} state, kept, through
-    each block b > a, their ranks compared where a bundle ends. A block stops
-    once both are at full_rank(), which no superset changes, and a state
-    full in both is not extended; other oracles are asked each bundle."""
+def _listing_disagreement(a: RankOracle, b: RankOracle, nodes: Sequence[Node]) -> tuple | None:
+    """The set of the first of ``nodes`` on which a and b differ in rank, or
+    None. A node (parent, block) is an earlier node's set, or the empty set's
+    for -1, plus a non-empty block. Incremental oracles are walked: each node
+    from its parent's state through its block, copying that state first
+    unless the node is its last child, the ranks compared at the block's end.
+    A block stops once both are at full_rank(), which no superset changes;
+    such a node keeps no state, so nothing under it is stepped, and the walk
+    ends when no state is left. Other oracles are asked each node's set."""
     if not (a.incremental and b.incremental):
-        return first_disagreement(a, b, _bundles(blocks))
+        return first_disagreement(a, b, (_node_set(nodes, i) for i in range(len(nodes))))
     full_a, full_b = a.full_rank(), b.full_rank()
     (state_a, _, step_a), (state_b, _, step_b) = a.walk(), b.walk()
-
-    def extend(state: tuple, block: Sequence[int], keep: bool) -> tuple:
-        # (state', differs): the walks of state's set plus ``block``, the
-        # first step copying ``state`` when it is kept; state' is None once
-        # both are at full rank, and the ranks are compared at the end
-        (sa, sb), last = state, not keep
+    last_child = {parent: i for i, (parent, _) in enumerate(nodes)}
+    states = {-1: (state_a, state_b)}
+    for i, (parent, block) in enumerate(nodes):
+        if parent not in states:
+            continue
+        last = last_child[parent] == i
+        sa, sb = states.pop(parent) if last else states[parent]
         for e in block:
             sa, ra = step_a(sa, e, last)
             sb, rb = step_b(sb, e, last)
             last = True
             if ra == full_a and rb == full_b:
-                return None, ra != rb
-        return (sa, sb), ra != rb
-
-    identity, rest = blocks[0], range(1, len(blocks))
-    state, differs = extend((state_a, state_b), identity, False)
-    if differs:
-        return list(identity)
-    if state is None:
-        return None
-    pairs = []
-    for x in rest:
-        kept, differs = extend(state, blocks[x], True)
-        if differs:
-            return [*identity, *blocks[x]]
-        pairs.append(kept)
-    for x, kept in zip(rest, pairs):
-        if kept is not None:
-            for y in range(x + 1, len(blocks)):
-                if extend(kept, blocks[y], True)[1]:
-                    return [*identity, *blocks[x], *blocks[y]]
-    return None
-
-
-def _prefix_disagreement(a: RankOracle, b: RankOracle, order: Sequence[int]) -> tuple | None:
-    """The shortest prefix of ``order`` on which a and b differ in rank, or
-    None. Incremental oracles are walked along it together, each step its
-    state's last so none is copied, until both are at full_rank(), which no
-    longer prefix changes; other oracles are asked each prefix."""
-    if not (a.incremental and b.incremental):
-        return first_disagreement(a, b, (order[:k] for k in range(1, len(order) + 1)))
-    full_a, full_b = a.full_rank(), b.full_rank()
-    (state_a, _, step_a), (state_b, _, step_b) = a.walk(), b.walk()
-    for k, e in enumerate(order, 1):
-        state_a, ra = step_a(state_a, e, True)
-        state_b, rb = step_b(state_b, e, True)
+                break
+        else:  # below full rank in one of them: kept for the node's children
+            if i in last_child:
+                states[i] = sa, sb
         if ra != rb:
-            return tuple(order[:k])
-        if ra == full_a and rb == full_b:
+            return _node_set(nodes, i)
+        if not states:
             break
     return None
 
@@ -379,11 +351,11 @@ def recover_partition(
     empty set, each distinct bundle of the identity and at most two other
     elements once, the prefixes of the ground listed bundle by bundle, one
     of each size from 1 to |E|, and SAMPLES random halves seeded by
-    ``seed``. When m and the rebuilt lift are both incremental, the bundles
-    and the prefixes are walked: the bundles from the identity block, each
-    {0, a} state kept and extended by each block b > a, and a block, a
-    state's extensions or the prefixes left once both are at full rank,
-    which no larger set changes. Other oracles are asked each set.
+    ``seed``. The bundles, {0, a} from {0} and {0, a, b} from {0, a}, and
+    the prefixes, each from the one before, are walked by one rule when m
+    and the rebuilt lift are both incremental: a set from its parent's
+    state, left with all above it once both are at full rank, which no
+    larger set changes. Other oracles are asked each set.
 
     The cycle check is exact for every elementary lift of N with n >= 4. Of
     any oracle it asks the N-circuits among every cycle, or above order
@@ -505,11 +477,11 @@ def _recover(
     if exhaustive:
         parts = [("subsets", first_disagreement, None)]
     else:
-        bundled, blocks = _final_sets(group, n)
+        bundled, bundles, prefixes = _final_sets(group, n)
         parts = [
             ("empty", first_disagreement, [()]),
-            ("bundles", _bundle_disagreement, blocks),
-            ("prefixes", _prefix_disagreement, bundled),
+            ("bundles", _listing_disagreement, bundles),
+            ("prefixes", _listing_disagreement, prefixes),
             ("halves", first_disagreement, subset_sweep(bundled, SAMPLES, random.Random(seed))),
         ]
     for part, compare, sample in parts:

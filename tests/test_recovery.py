@@ -51,11 +51,9 @@ from frobmat.recovery import (
     EXHAUSTIVE_GROUP_ORDER,
     SAMPLES,
     _all_cycles,
-    _bundle_disagreement,
-    _bundles,
     _Counted,
     _final_sets,
-    _prefix_disagreement,
+    _listing_disagreement,
     _reduced_cycles,
     complete_cycle_count,
 )
@@ -1250,6 +1248,25 @@ def test_a_counted_walk_of_an_oracle_asked_per_set_counts_every_ask(route):
 PREFIX_GROUPS = {"D6": D6, "D10": make_dihedral(10), "F20": F20}
 
 
+def _chain(order):
+    """The prefixes of ``order`` as a listing of one-edge nodes."""
+    return [(k - 1, (e,)) for k, e in enumerate(order)]
+
+
+def _node_sets(nodes):
+    """The set of each node of a listing, in order, each its parent's plus
+    its block."""
+    sets = []
+    for parent, block in nodes:
+        sets.append((sets[parent] if parent >= 0 else ()) + tuple(block))
+    return sets
+
+
+def _edge_blocks(group, n):
+    """The bundle of each element, sorted, indexed by the element."""
+    return [edge_bundle(group, n, (a,)) for a in group.elements()]
+
+
 def _asked_prefixes(a, b, order):
     """The first prefix of ``order`` on which a and b differ, found by asking
     both every prefix, and the number of steps a walk of both should take:
@@ -1281,7 +1298,7 @@ def test_walked_prefixes_name_the_witness_of_per_prefix_asks(name, n):
         for a, b in itertools.product(lifts, repeat=2):
             witness, steps = _asked_prefixes(a, b, order)
             walk_a, walk_b = CountingWalk(a), CountingWalk(b)
-            assert _prefix_disagreement(walk_a, walk_b, order) == witness
+            assert _listing_disagreement(walk_a, walk_b, _chain(order)) == witness
             assert walk_a.steps == walk_b.steps == steps
             verdicts.add(witness is None)
     assert verdicts == {True, False}
@@ -1300,12 +1317,12 @@ def test_the_walk_of_a_frame_and_a_lift_stops_at_neither_full_rank_alone():
         for p in frobenius_partitions(D6)
         if p.kernel.order in (1, 3)
     )
-    bundled = _final_sets(D6, 4)[0]
+    bundled, _, prefixes = _final_sets(D6, 4)
     assert (frame.full_rank(), lift.full_rank()) == (4, 5)
     assert (frame.rank(bundled[:7]), lift.rank(bundled[:7])) == (4, 4)
     assert (frame.rank(bundled[:19]), lift.rank(bundled[:19])) == (4, 5)
-    assert _prefix_disagreement(lift, frame, bundled) == bundled[:19]
-    assert _prefix_disagreement(frame, lift, bundled) == bundled[:19]
+    assert _listing_disagreement(lift, frame, prefixes) == bundled[:19]
+    assert _listing_disagreement(frame, lift, prefixes) == bundled[:19]
 
 
 @pytest.mark.parametrize("size", [1, 7, 21, 42])
@@ -1316,7 +1333,7 @@ def test_prefixes_of_an_oracle_asked_per_set_are_each_asked(shift, size):
     alone is named at that size, against the lift and against a FuncOracle
     of it. Each of the two oracles is asked each prefix up to it once."""
     z7, part, m = _z7_frame_lift()
-    bundled = _final_sets(z7, 4)[0]
+    bundled, _, prefixes = _final_sets(z7, 4)
     asked = []
 
     def shifted(s):
@@ -1326,33 +1343,36 @@ def test_prefixes_of_an_oracle_asked_per_set_are_each_asked(shift, size):
     for other in (m, FuncOracle(m.ground, m.rank)):
         asked.clear()
         oracle = FuncOracle(m.ground, shifted)
-        assert _prefix_disagreement(oracle, other, bundled) == bundled[:size]
-        assert _prefix_disagreement(other, oracle, bundled) == bundled[:size]
+        assert _listing_disagreement(oracle, other, prefixes) == bundled[:size]
+        assert _listing_disagreement(other, oracle, prefixes) == bundled[:size]
         assert asked == [*range(1, size + 1)] * 2
 
 
 @pytest.mark.parametrize("name, n", [("D6", 4), ("F20", 5)])
 def test_the_final_bundles_are_the_edge_bundles(name, n):
     """The final comparison's listing of the ground is the bundles of the
-    elements in order, each sorted, one block per element; the bundles it
-    joins from those blocks are the distinct ``edge_bundle`` sets of the
-    identity and a pair a <= b, in the order of the pairs, each once: the
-    pair (a, a), a != 0, repeats (0, a), so |Γ| - 1 of the C(|Γ| + 1, 2)
-    pairs are dropped. No bundle holds an edge twice."""
+    elements in order, each sorted, one block per element, and its prefixes
+    are a chain of one-edge nodes along it. The bundle listing's first |Γ|
+    nodes carry those blocks, and its sets are the distinct ``edge_bundle``
+    sets of the identity and a pair a <= b, in the order of the pairs, each
+    once: the pair (a, a), a != 0, repeats (0, a), so |Γ| - 1 of the
+    C(|Γ| + 1, 2) pairs are dropped. No bundle holds an edge twice."""
     group = PREFIX_GROUPS[name]
-    bundled, blocks = _final_sets(group, n)
-    assert blocks == [edge_bundle(group, n, (a,)) for a in group.elements()]
+    bundled, bundles, prefixes = _final_sets(group, n)
+    blocks = _edge_blocks(group, n)
+    assert [block for _, block in bundles[: group.order]] == blocks
     assert bundled == tuple(e for block in blocks for e in block)
+    assert prefixes == _chain(bundled)
     pairs = itertools.combinations_with_replacement(group.elements(), 2)
     distinct = list(dict.fromkeys(edge_bundle(group, n, (0, a, b)) for a, b in pairs))
-    joined = list(_bundles(blocks))
+    joined = _node_sets(bundles)
     assert len(joined) == len(distinct) == math.comb(group.order + 1, 2) - (group.order - 1)
     assert [tuple(sorted(bundle)) for bundle in joined] == distinct
     assert all(len(set(bundle)) == len(bundle) for bundle in joined)
 
 
 def _asked_bundles(a, b, blocks):
-    """The first bundle of ``_bundles(blocks)`` on which a and b differ, found
+    """The first bundle joined from ``blocks`` on which a and b differ, found
     by asking both every bundle, and the number of steps a walk of both
     should take up to it: each bundle is stepped from its parent, the bundle
     one block smaller, unless both are at full rank there, through its
@@ -1389,13 +1409,14 @@ def test_walked_bundles_name_the_witness_of_per_bundle_asks(name, n):
     g = complete_gain_graph(group, n)
     lifts = [LiftedMatroid(FrobeniusContext(group, p), g) for p in frobenius_partitions(group)]
     oracles = lifts + [FrameOracle(m.quotient_biased) for m in lifts]
-    blocks = _final_sets(group, n)[1]
+    blocks, bundles = _edge_blocks(group, n), _final_sets(group, n)[1]
     verdicts = set()
     for a, b in itertools.product(oracles, repeat=2):
         witness, steps = _asked_bundles(a, b, blocks)
-        assert first_disagreement(a, b, _bundles(blocks)) == witness
+        witness = witness and tuple(witness)
+        assert first_disagreement(a, b, _node_sets(bundles)) == witness
         walk_a, walk_b = CountingWalk(a), CountingWalk(b)
-        assert _bundle_disagreement(walk_a, walk_b, blocks) == witness
+        assert _listing_disagreement(walk_a, walk_b, bundles) == witness
         assert walk_a.steps == walk_b.steps == steps
         verdicts.add((witness is None, a.full_rank() == b.full_rank()))
     assert verdicts == {(True, True), (False, True), (False, False)}
@@ -1414,15 +1435,15 @@ def test_the_bundle_walk_of_a_frame_and_a_lift_stops_at_neither_full_rank_alone(
         for p in frobenius_partitions(D6)
         if p.kernel.order in (1, 3)
     )
-    blocks = _final_sets(D6, 4)[1]
+    blocks, bundles = _edge_blocks(D6, 4), _final_sets(D6, 4)[1]
     identity = list(blocks[0])
     assert (frame.full_rank(), lift.full_rank()) == (4, 5)
     assert {(frame.rank(identity + list(blocks[x])), lift.rank(identity + list(blocks[x])))
             for x in range(1, 6)} == {(4, 4)}
-    witness = identity + list(blocks[1]) + list(blocks[3])
+    witness = tuple(identity + list(blocks[1]) + list(blocks[3]))
     assert (frame.rank(witness), lift.rank(witness)) == (4, 5)
-    assert _bundle_disagreement(lift, frame, blocks) == witness
-    assert _bundle_disagreement(frame, lift, blocks) == witness
+    assert _listing_disagreement(lift, frame, bundles) == witness
+    assert _listing_disagreement(frame, lift, bundles) == witness
 
 
 class _Traced(RankOracle):
@@ -1458,20 +1479,22 @@ class _Traced(RankOracle):
 def test_a_saved_bundle_state_reads_the_same_rank_after_each_extension():
     """K_4 over D6 with kernel Z3 = {0, 1, 2}, walked against itself: the
     walk keeps the state of {0} and of each bundle {0, a}, and each of its
-    extensions steps first from a copy. So every step reads the rank of the
-    set it reaches, from a saved state's first and last extension alike:
-    {0, 3}, of rank 4, reaches full rank 5 with each of the reflections 4
-    and 5, which the state must not keep. {0} is extended by each of the 5
-    other blocks, {0, a} by each block b > a, except {0, 5}, by none."""
+    extensions but the last steps first from a copy. So every step reads the
+    rank of the set it reaches, from a saved state's copied and last
+    extension alike: {0, 3}, of rank 4, reaches full rank 5 with each of
+    the reflections 4 and 5, which the state must not keep. {0} is extended
+    by each of the 5 other blocks, so it is copied 4 times; {0, a} by each
+    block b > a, copied 4 - a times for a = 1..3; {0, 4} by block 5 alone,
+    its last, and {0, 5} by none, so neither is copied."""
     part = next(p for p in frobenius_partitions(D6) if p.kernel.order == 3)
     lift = LiftedMatroid(FrobeniusContext(D6, part), complete_gain_graph(D6, 4))
-    blocks = _final_sets(D6, 4)[1]
+    blocks, bundles = _edge_blocks(D6, 4), _final_sets(D6, 4)[1]
     traced = _Traced(lift)
-    assert _bundle_disagreement(traced, _Traced(lift), blocks) is None
+    assert _listing_disagreement(traced, _Traced(lift), bundles) is None
     assert all(r == lift.rank(edges + (e,)) for edges, e, _, r in traced.steps)
     saved = collections.Counter(edges for edges, _, last, _ in traced.steps if not last)
     identity = tuple(blocks[0])
-    assert saved == {identity: 5, **{identity + tuple(blocks[a]): 5 - a for a in range(1, 5)}}
+    assert saved == {identity: 4, **{identity + tuple(blocks[a]): 4 - a for a in range(1, 4)}}
     assert lift.rank(identity + tuple(blocks[3])) == 4
     assert {lift.rank(identity + tuple(blocks[3]) + tuple(blocks[b])) for b in (4, 5)} == {5}
 
@@ -1485,14 +1508,14 @@ def test_a_bundle_walk_names_the_one_bundle_an_oracle_is_wrong_on(index, bundle)
     comparison names that bundle."""
     part = next(p for p in frobenius_partitions(D6) if p.kernel.order == 3)
     lift = LiftedMatroid(FrobeniusContext(D6, part), complete_gain_graph(D6, 4))
-    blocks = _final_sets(D6, 4)[1]
-    witness = list(_bundles(blocks))[index]
+    bundles = _final_sets(D6, 4)[1]
+    witness = _node_sets(bundles)[index]
     assert tuple(sorted(witness)) == edge_bundle(D6, 4, bundle)
     assert lift.rank(witness) < lift.full_rank()
     wrong = _Traced(lift, witness)
     for a, b in ((wrong, lift), (lift, wrong)):
-        assert _bundle_disagreement(a, b, blocks) == witness
-        assert _bundle_disagreement(FuncOracle(a.ground, a.rank), b, blocks) == witness
+        assert _listing_disagreement(a, b, bundles) == witness
+        assert _listing_disagreement(FuncOracle(a.ground, a.rank), b, bundles) == witness
 
 
 def test_bundles_of_an_oracle_asked_per_set_are_each_asked():
@@ -1500,12 +1523,88 @@ def test_bundles_of_an_oracle_asked_per_set_are_each_asked():
     in the listing's order, and so is the lift it is compared with, even
     where both are at full rank."""
     z7, part, m = _z7_frame_lift()
-    blocks = _final_sets(z7, 4)[1]
+    bundles = _final_sets(z7, 4)[1]
     plain, lift = _Asked(FuncOracle(m.ground, m.rank)), _Asked(m)
-    assert _bundle_disagreement(plain, lift, blocks) is None
-    listing = [tuple(bundle) for bundle in _bundles(blocks)]
+    assert _listing_disagreement(plain, lift, bundles) is None
+    listing = _node_sets(bundles)
     assert len(listing) == 22
     assert plain.asked == lift.asked == listing
+
+
+def _random_listing(ground, rng):
+    """12 to 24 nodes over ``ground``, each under the empty set or a random
+    earlier node whose set is not the whole ground, with a block of 1 to 3
+    edges, fewer where fewer are left, outside its parent's set."""
+    nodes, sets = [], []
+    for _ in range(rng.randint(12, 24)):
+        parent = rng.choice([-1] + [j for j, s in enumerate(sets) if len(s) < len(ground)])
+        base = sets[parent] if parent >= 0 else ()
+        outside = sorted(set(ground) - set(base))
+        block = tuple(rng.sample(outside, min(len(outside), rng.randint(1, 3))))
+        nodes.append((parent, block))
+        sets.append(base + block)
+    return nodes
+
+
+def _asked_listing(a, b, nodes):
+    """The first node set of ``nodes`` on which a and b differ, found by
+    asking both every node set, and the number of steps a walk of both
+    should take up to it: each node is stepped from its parent's set, unless
+    both are at full rank there, through its block up to the first set
+    where both are."""
+    full = (a.full_rank(), b.full_rank())
+
+    def ranks(s):
+        return a.rank(s), b.rank(s)
+
+    sets, steps = _node_sets(nodes), 0
+    for (parent, block), s in zip(nodes, sets):
+        base = sets[parent] if parent >= 0 else ()
+        if ranks(base) != full:
+            sizes = range(1, len(block) + 1)
+            steps += next((k for k in sizes if ranks(base + block[:k]) == full), len(block))
+        ra, rb = ranks(s)
+        if ra != rb:
+            return s, steps
+    return None, steps
+
+
+@pytest.mark.parametrize("name", ["D6", "Z7"])
+def test_a_walk_of_random_listings_names_the_witness_of_per_set_asks(name):
+    """Random listings of (parent, block) nodes over K_4 over the group. The
+    oracles are the lifts under every partition and their quotient frame
+    matroids, every ordered pair of them, and each lift against itself one
+    above its rank on one node's set below full rank, either way round. The
+    walk names the node set that asking every node set in listing order
+    names, steps each walk as ``_asked_listing`` counts, and reads at each
+    step the rank of the set it reaches; an oracle asked per set is asked
+    each node set once, in listing order, up to that witness."""
+    group = {"D6": D6, "Z7": make_cyclic(7)}[name]
+    g = complete_gain_graph(group, 4)
+    lifts = [LiftedMatroid(FrobeniusContext(group, p), g) for p in frobenius_partitions(group)]
+    oracles = lifts + [FrameOracle(m.quotient_biased) for m in lifts]
+    rng = random.Random(f"listing-{name}")
+    verdicts = set()
+    for _ in range(4):
+        nodes = _random_listing(g.edge_ids(), rng)
+        sets = _node_sets(nodes)
+        pairs, traced = list(itertools.product(oracles, repeat=2)), []
+        for lift in lifts:
+            wrong = _Traced(lift, rng.choice([s for s in sets if lift.rank(s) < lift.full_rank()]))
+            pairs += [(wrong, lift), (lift, wrong)]
+            traced.append(wrong)
+        for a, b in pairs:
+            witness, steps = _asked_listing(a, b, nodes)
+            assert first_disagreement(a, b, sets) == witness
+            walk_a, walk_b = CountingWalk(a), CountingWalk(b)
+            assert _listing_disagreement(walk_a, walk_b, nodes) == witness
+            assert walk_a.steps == walk_b.steps == steps
+            plain = _Asked(FuncOracle(a.ground, a.rank))
+            assert _listing_disagreement(plain, b, nodes) == witness
+            assert plain.asked == (sets if witness is None else sets[: sets.index(witness) + 1])
+            verdicts.add(witness is None)
+        assert all(r == t.rank(edges + (e,)) for t in traced for edges, e, _, r in t.steps)
+    assert verdicts == {True, False}
 
 
 def test_a_counted_full_rank_of_an_oracle_asked_per_set_counts_its_ask():
