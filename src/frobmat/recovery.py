@@ -5,12 +5,15 @@ Given a group, a normal subgroup and a rank oracle m, this reconstructs the
 partition through bundle-rank queries, checking that the circuits of m among
 the cycles are the balanced ones and that the classes form a Frobenius
 partition. The cycle check reads sorted streams of cycles in turn and names
-the least failing one. It takes m to be an elementary lift of N, the quotient
-frame matroid; the final comparison with the rebuilt lift is the one check
-of that, exhaustive up to EXHAUSTIVE_LIMIT edges and above it asked on the
-empty set, the distinct bundles of the identity and two elements and the
-prefixes of the ground (both walked by one rule when both oracles are
-incremental) and SAMPLES random halves (see ``recover_partition``).
+the least failing one; above order EXHAUSTIVE_GROUP_ORDER it asks the
+digons and C(n-1,2)·|Γ| + (n-2)·|S|·|Γ| + |Γ| balanced triangles through
+vertex 0, less overlaps, for S a generating set. It takes m to be an
+elementary lift of N, the quotient frame matroid; the final comparison with
+the rebuilt lift is the one check of that, exhaustive up to EXHAUSTIVE_LIMIT
+edges and above it asked on the empty set, the distinct bundles of the
+identity and two elements and the prefixes of the ground (both walked by one
+rule when both oracles are incremental) and SAMPLES random halves (see
+``recover_partition``).
 """
 
 from __future__ import annotations
@@ -146,27 +149,34 @@ def _all_cycles(group: FiniteGroup, kernel: Subgroup, n: int) -> list[Cycles]:
 
 
 def _reduced_cycles(group: FiniteGroup, kernel: Subgroup, n: int) -> Cycles:
-    """Every N-circuit digon of K_n and every balanced triangle 0 -> i -> j -> 0
+    """Every N-circuit digon of K_n and some balanced triangles 0 -> i -> j -> 0
     with 0 < i < j, each once, with their balance flags, in sorted id order.
 
-    The triangle through the edges (0, i, a) and (0, j, c) closes with
-    (i, j, a^-1 c). Its ids, like a digon's on (0, i), start with pair
-    (0, i); a digon's second id stays in that pair's block and a triangle's
-    does not, so for each first edge its digons come before its triangles.
-    The digons of the pairs that avoid vertex 0 come last.
+    T(i, j, a, c), the triangle through the edges (0, i, a) and (0, j, c),
+    closes with (i, j, a^-1 c). With S = ``group.generators`` the triangles
+    are the identity rows T(i, j, 0, c), the generator rows T(1, j, s, c)
+    for s in S and the column T(1, 2, a, 0). Their ids, like a digon's on
+    (0, i), start with pair (0, i); a digon's second id stays in that pair's
+    block and a triangle's does not, so for each first edge its digons come
+    before its triangles. The digons of the pairs that avoid vertex 0 come last.
     """
     order, table, inverse = group.order, group.table, group.inverse
     offset, cosets = complete_pair_offsets(order, n), _cosets(group, kernel)
+    gens = group.generators
     for i in range(1, n):
         oi = offset[0][i]
         for a in range(order):
             for b in cosets[a][cosets[a].index(a) + 1 :]:
                 yield (oi + a, oi + b), False
+            if a == 0 or (i == 1 and a in gens):
+                rows = itertools.product(range(i + 1, n), range(order))
+            elif i == 1:
+                rows = itertools.product(range(2, min(n, 3)), (0,))
+            else:
+                continue
             quotient_row = table[inverse[a]]
-            for j in range(i + 1, n):
-                oj, oij = offset[0][j], offset[i][j]
-                for c in range(order):
-                    yield (oi + a, oj + c, oij + quotient_row[c]), True
+            for j, c in rows:
+                yield (oi + a, offset[0][j] + c, offset[i][j] + quotient_row[c]), True
     for i, j in itertools.combinations(range(1, n), 2):
         yield from _pair_digons(offset[i][j], cosets)
 
@@ -182,10 +192,22 @@ def _check_cycle_hypothesis(group: FiniteGroup, kernel: Subgroup, n: int, m: Ran
     Only N-circuits, the cycles with gain in the ``kernel`` Γ₁, are asked:
     any other is independent in N (Zaslavsky), so in m, and unbalanced. Up
     to order EXHAUSTIVE_GROUP_ORDER all are. Above it only the
-    ``_reduced_cycles`` are, and under the promise that is exact with
-    n >= 4. Sketch: if two cycles of a theta are circuits of m and the third
-    is an N-circuit, so is the third of m, since m's class is linear
-    (Brylawski) and two N-circuits of a theta are a modular pair. A balanced
+    ``_reduced_cycles`` are, the digons and the rows and column of balanced
+    triangles through 0 read from S = ``group.generators``, and under the
+    promise that is exact with n >= 4. Sketch: if two cycles of a theta are
+    circuits of m and the third is an N-circuit, so is the third of m, since
+    m's class is linear (Brylawski) and two N-circuits of a theta are a
+    modular pair. Every balanced triangle through 0 is one of m's. On
+    {0, 1, j, k} a switching η = (η₁, η_j, η_k) gives a bundle, a balanced
+    K_4 (Zaslavsky), whose triangles T(1, j, η₁, η_j), T(1, k, η₁, η_k),
+    T(j, k, η_j, η_k) and U(η₁⁻¹η_j, η₁⁻¹η_k), where U(x, y) has gain x on
+    (1, j) and y on (1, k), pairwise form thetas of balanced cycles: if
+    three are m's, the 4-cycle of two and the third give the fourth. The
+    bundles (0, x, y) and (s, x, y), s in S, give T(j, k, x, y) ⇔ U(x, y)
+    ⇔ U(s⁻¹x, s⁻¹y), so m's U's are closed under ⟨S⟩ = Γ; U(0, y) holds by
+    an identity row, so every U and every T(j, k, x, y) does. On
+    {0, 1, 2, k} the bundles (a, 0, y) then give T(1, k, a, y) from the
+    column's T(1, 2, a, 0), and (a, x, y) give T(1, 2, a, x). A balanced
     triangle ijk avoiding 0 follows from the thetas of 0ij and 0jk, then
     0ijk and 0ik, all balanced. An unbalanced triangle that is an N-circuit
     shares two edges with a balanced one, and were both circuits their theta
@@ -359,10 +381,14 @@ def recover_partition(
 
     The cycle check is exact for every elementary lift of N with n >= 4. Of
     any oracle it asks the N-circuits among every cycle, or above order
-    EXHAUSTIVE_GROUP_ORDER among the digons and balanced triangles through
-    vertex 0, counted first, before the graph or any sample is built,
-    against DEFAULT_CYCLE_COUNT_LIMIT: so the cap bounds the check's
-    queries, each asked once and never held, and not its memory.
+    EXHAUSTIVE_GROUP_ORDER the N-circuit digons and the
+    C(n-1,2)·|Γ| + (n-2)·|S|·|Γ| + |Γ| balanced triangles through vertex 0,
+    less overlaps, of ``_reduced_cycles``. Every digon and balanced triangle
+    through 0, or every cycle, is counted first, before the graph or any
+    sample is built, against DEFAULT_CYCLE_COUNT_LIMIT: so the cap bounds
+    the check's queries, each asked once and never held, and not its memory.
+    An oracle that is no lift and is wrong only on cycles not asked, such as
+    a balanced triangle through 0 outside that set, passes the check.
 
     With ``stats``, a dict, m is wrapped to count the rank queries asked of
     it, and each phase that runs records its queries and perf_counter
@@ -408,7 +434,7 @@ def _recover(
     order = group.order
     if order <= EXHAUSTIVE_GROUP_ORDER:
         checked = complete_cycle_count(order, n)
-    else:  # digons and balanced triangles through vertex 0
+    else:  # every digon and balanced triangle through vertex 0, more than are asked
         checked = math.comb(n, 2) * math.comb(order, 2) + math.comb(n - 1, 2) * order**2
     if checked > DEFAULT_CYCLE_COUNT_LIMIT:
         raise LimitExceeded(f"more than {DEFAULT_CYCLE_COUNT_LIMIT} cycles")

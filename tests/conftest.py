@@ -30,7 +30,7 @@ from frobmat import (
 )
 from frobmat.biased import RankOracle, _dense_ends, _rank_pass
 from frobmat.gaingraph import complete_pair_offsets
-from frobmat.groups import quotient
+from frobmat.groups import generated_subgroup, quotient
 from frobmat.recovery import EXHAUSTIVE_GROUP_ORDER
 
 
@@ -164,10 +164,55 @@ def reduced_complete_cycles(group: FiniteGroup, n: int) -> Iterable[tuple[tuple[
             yield complete_cycle(group, n, (0, i, j), (a, b, inverse[table[a][b]]))
 
 
-def asked_cycle_count(group_order: int, kernel_order: int, n: int) -> int:
-    """The cycles recovery's cycle check asks of a lift of K_n over a group
-    of the given order with a kernel Γ₁ of the given order: the N-circuits,
-    the cycles whose gain lies in Γ₁, among the cycles of its route.
+def greedy_generators(group: FiniteGroup) -> tuple[int, ...]:
+    """S, chosen greedily in id order through ``generated_subgroup``: each
+    element outside the subgroup the earlier ones generate joins S. Each
+    joining element at least doubles that subgroup, so |S| <= log2 |Γ|."""
+    gens: list[int] = []
+    span = {0}
+    for x in group.elements():
+        if x not in span:
+            gens.append(x)
+            span = generated_subgroup(group, gens).element_set
+    assert generated_subgroup(group, gens).order == group.order
+    assert 2 ** len(gens) <= group.order
+    return tuple(gens)
+
+
+def candidate_cycles(
+    group: FiniteGroup, n: int, cycles: Iterable[tuple[tuple[int, ...], bool]], column: bool = True
+) -> list[tuple[tuple[int, ...], bool]]:
+    """The listed cycles the check above order 10 asks with the kernel Γ, in
+    their order: every digon and the balanced triangles T(i, j, a, c),
+    0 -> i -> j -> 0 with 0 < i < j and gain a on (0, i) and c on (0, j),
+    for which a is the identity (the identity rows), or i = 1 and a lies in
+    ``greedy_generators`` (the generator rows), or, with ``column``,
+    (i, j, c) = (1, 2, 0) (the column). ``cycles`` is every cycle of K_n,
+    from ``all_complete_cycles``, or a part of it that holds those.
+
+    That is C(n-1,2)·|Γ| + (n-2)·|S|·|Γ| triangles in the rows, and the
+    column's |Γ| less the 1 + |S| of it that the rows hold."""
+    gens = set(greedy_generators(group))
+    g = complete_gain_graph(group, n)
+    out = []
+    for cycle, balanced in cycles:
+        if len(cycle) == 3 and balanced:
+            # the edges (0, i) and (0, j) sort first, if the triangle has them
+            first, second = g.edge(cycle[0]), g.edge(cycle[1])
+            i, a, j, c = first.head, first.gain, second.head, second.gain
+            rows = a == 0 or (i == 1 and a in gens)
+            if second.tail != 0 or not (rows or (column and (i, j, c) == (1, 2, 0))):
+                continue
+        elif len(cycle) != 2:
+            continue
+        out.append((cycle, balanced))
+    return out
+
+
+def asked_cycle_count(group: FiniteGroup, kernel_order: int, n: int) -> int:
+    """The cycles recovery's cycle check asks of a lift of K_n over ``group``
+    with a kernel Γ₁ of the given order: the N-circuits, the cycles whose
+    gain lies in Γ₁, among the cycles of its route.
 
     A digon on a pair is an N-circuit when its two gains lie in one coset of
     Γ₁: C(|Γ₁|, 2) per coset, C(n,2)·(|Γ|/|Γ₁|)·C(|Γ₁|,2) in all. Up to order
@@ -175,13 +220,19 @@ def asked_cycle_count(group_order: int, kernel_order: int, n: int) -> int:
     C(n,k)·(k-1)!/2 vertex cycles of length k >= 3 takes any gains on k - 1
     of its pairs and, on the last, the |Γ₁| gains of one coset that put the
     cycle's gain in Γ₁, so |Γ|^(k-1)·|Γ₁| words. Above that order the
-    digons and the C(n-1,2)·|Γ|² balanced triangles through vertex 0.
+    digons and the balanced triangles of ``candidate_cycles``: the identity
+    rows, C(n-1,2)·|Γ|; the generator rows, (n-2)·|S|·|Γ| for S the
+    ``greedy_generators``; and the column's |Γ| triangles T(1, 2, a, 0) less
+    the 1 + |S| with a in {0} ∪ S, which the rows hold.
     """
-    digons = math.comb(n, 2) * (group_order // kernel_order) * math.comb(kernel_order, 2)
-    if group_order > EXHAUSTIVE_GROUP_ORDER:
-        return digons + math.comb(n - 1, 2) * group_order**2
+    order = group.order
+    digons = math.comb(n, 2) * (order // kernel_order) * math.comb(kernel_order, 2)
+    if order > EXHAUSTIVE_GROUP_ORDER:
+        gens = len(greedy_generators(group))
+        rows = math.comb(n - 1, 2) * order + (n - 2) * gens * order
+        return digons + rows + order - 1 - gens
     return digons + sum(
-        math.comb(n, k) * math.factorial(k - 1) // 2 * group_order ** (k - 1) * kernel_order
+        math.comb(n, k) * math.factorial(k - 1) // 2 * order ** (k - 1) * kernel_order
         for k in range(3, n + 1)
     )
 

@@ -27,6 +27,7 @@ from frobmat import (
     edge_bundle,
     enumerate_cycles,
     frobenius_partitions,
+    from_table,
     is_balanced_cycle,
     is_elementary_lift,
     linear_class,
@@ -46,7 +47,7 @@ from frobmat.biased import (
     subset_sweep,
 )
 from frobmat.fileio import group_from_spec
-from frobmat.groups import quotient
+from frobmat.groups import generated_subgroup, quotient
 from frobmat.recovery import (
     EXHAUSTIVE_GROUP_ORDER,
     SAMPLES,
@@ -64,10 +65,12 @@ from conftest import (
     added_to_class,
     all_complete_cycles,
     asked_cycle_count,
+    candidate_cycles,
     complete_cycle,
     complete_edge_id,
     dropped_from_class,
     final_sample_corpus,
+    greedy_generators,
     reduced_complete_cycles,
     reference_halves,
 )
@@ -264,13 +267,33 @@ def test_cycle_hypothesis_witnesses(name, balanced, length, mod, residue, seed, 
 
 
 @pytest.mark.parametrize(
-    "name, cycle", [("D6", (0, 9, 21)), ("F20", (0, 20, 60))], ids=["D6", "F20"]
+    "name, cycle",
+    [
+        ("D6", (0, 9, 21)),
+        ("F20", (0, 20, 60)),
+        # on F20, S = {1, 4}: T(1, 2, 2, 0) of the column, T(1, 3, 4, 5) of a
+        # generator row and T(2, 3, 0, 7) of an identity row
+        ("F20", (2, 20, 61)),
+        ("F20", (4, 45, 81)),
+        ("F20", (20, 47, 107)),
+        # T(2, 3, 1, 0), outside the candidate: (0, 2, 1), (0, 3, 0), (2, 3, 1⁻¹ = 2)
+        pytest.param("F20", (21, 40, 102), marks=pytest.mark.xfail(
+            strict=True,
+            raises=pytest.fail.Exception,
+            reason="ROADMAP item 13: above order 10 the cycle check asks only the "
+            "candidate's balanced triangles, and no final-comparison set is this one",
+        )),
+    ],
+    ids=["D6", "F20", "F20-column", "F20-generator-row", "F20-identity-row", "F20-off-candidate"],
 )
 def test_a_balanced_cycle_below_circuit_rank_is_refused(name, cycle):
     """The lift with the rank of one balanced triangle alone lowered to
     |C| - 2, which no elementary lift of N gives a cycle: the one query asks
     r(C) = |C| - 1, not r(C) <= |C| - 1, so the cycle check names the
-    triangle on both routes; nothing later in recovery asks that set."""
+    triangle on both routes; nothing later in recovery asks that set. Above
+    order 10 that holds for the candidate's triangles, T(1, 2, 0, 0) and one
+    of each of its parts on F20, and not for one outside it, such as
+    T(2, 3, 1, 0)."""
     group = WITNESS_GROUPS[name]
     part = frobenius_partitions(group)[-1]
     m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 4))
@@ -373,12 +396,14 @@ def test_complete_cycles_match_enumeration(group, n):
 def test_cycle_streams_come_in_sorted_order(group, n):
     """The streams the cycle check reads, with the kernel Γ, against the
     cycles built one at a time from their gain words: each stream is sorted,
-    and the streams of every cycle together hold each cycle once."""
+    and the streams of every cycle together hold each cycle once; the
+    reduced stream is the candidate read off every cycle, in order."""
     whole = _whole(group)
     streams = [list(stream) for stream in _all_cycles(group, whole, n)]
+    every = all_complete_cycles(group, n)
     assert all(stream == sorted(stream) for stream in streams)
-    assert sorted(itertools.chain.from_iterable(streams)) == all_complete_cycles(group, n)
-    assert list(_reduced_cycles(group, whole, n)) == sorted(reduced_complete_cycles(group, n))
+    assert sorted(itertools.chain.from_iterable(streams)) == every
+    assert list(_reduced_cycles(group, whole, n)) == candidate_cycles(group, n, every)
 
 
 LARGE_CATALOG = {
@@ -389,9 +414,38 @@ LARGE_CATALOG = {
 @pytest.mark.parametrize("n", [4, 5, 6])
 @pytest.mark.parametrize("name", sorted(LARGE_CATALOG))
 def test_reduced_cycle_stream_comes_in_sorted_order(name, n):
+    """The stream above order 10 is sorted, and is the candidate read off
+    every digon and balanced triangle through vertex 0, in order."""
     group = LARGE_CATALOG[name]
-    stream = _reduced_cycles(group, _whole(group), n)
-    assert list(stream) == sorted(reduced_complete_cycles(group, n))
+    stream = list(_reduced_cycles(group, _whole(group), n))
+    assert stream == sorted(stream)
+    assert stream == candidate_cycles(group, n, sorted(reduced_complete_cycles(group, n)))
+
+
+def _relabeled(group, rng):
+    """``group`` with its elements but the identity renamed by a random
+    permutation, as a validated Cayley table."""
+    perm = [0] + rng.sample(range(1, group.order), group.order - 1)
+    back = {p: x for x, p in enumerate(perm)}
+    table = group.table
+    return from_table(
+        [[perm[table[back[a]][back[b]]] for b in group.elements()] for a in group.elements()]
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(LARGE_CATALOG))
+def test_the_greedy_generators_generate_the_group_under_relabeling(name, seed):
+    """Under a random relabeling of the group, ``group.generators``, the S
+    the reduced stream reads, is the test side's greedy S, which generates
+    Γ with at most log2 |Γ| elements, and the stream on K_4 is the candidate
+    read off that S."""
+    group = _relabeled(LARGE_CATALOG[name], random.Random(seed))
+    gens = group.generators
+    assert gens == greedy_generators(group)
+    assert generated_subgroup(group, gens).order == group.order and 2 ** len(gens) <= group.order
+    stream = list(_reduced_cycles(group, _whole(group), 4))
+    assert stream == candidate_cycles(group, 4, sorted(reduced_complete_cycles(group, 4)))
 
 
 def _n_circuits(group, kernel, n, cycles):
@@ -422,7 +476,8 @@ def test_the_cycle_streams_list_exactly_the_n_circuits(name):
     in the same order, and so sorted: the exhaustive route's streams on K_4
     up to order 10, the reduced route's one stream on K_4 and K_5 above it.
     With the kernel Γ the streams hold every cycle, each once, or the
-    reference's digons and balanced triangles through vertex 0."""
+    candidate read off the reference's digons and balanced triangles through
+    vertex 0."""
     group, ns = N_CIRCUIT_HOSTS[name]
     for n in ns:
         if group.order <= EXHAUSTIVE_GROUP_ORDER:
@@ -430,7 +485,8 @@ def test_the_cycle_streams_list_exactly_the_n_circuits(name):
             assert sorted(itertools.chain.from_iterable(every)) == all_complete_cycles(group, n)
         else:
             every = [list(_reduced_cycles(group, _whole(group), n))]
-            assert every == [sorted(reduced_complete_cycles(group, n))]
+            reduced = sorted(reduced_complete_cycles(group, n))
+            assert every == [candidate_cycles(group, n, reduced)]
         for part in frobenius_partitions(group):
             if group.order <= EXHAUSTIVE_GROUP_ORDER:
                 streams = [list(stream) for stream in _all_cycles(group, part.kernel, n)]
@@ -499,6 +555,26 @@ def test_reduced_cycles_give_the_verdict_of_every_cycle(name):
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_CATALOG))
+def test_the_candidate_gives_the_verdict_of_every_cycle(name):
+    """On K_4, for each partition, the candidate's balanced triangles and
+    the digons inside a coset of the kernel, the set the route above order
+    10 asks, against every cycle: on the true lift, and on the quotient
+    frame matroid by a nontrivial kernel."""
+    group = SMALL_CATALOG[name]
+    g = complete_gain_graph(group, 4)
+    every = all_complete_cycles(group, 4)
+    candidate = candidate_cycles(group, 4, every)
+    for part in frobenius_partitions(group):
+        asked = _n_circuits(group, part.kernel, 4, candidate)
+        oracles = [LiftedMatroid(FrobeniusContext(group, part, validate=False), g)]
+        if part.kernel.order > 1:
+            qg = quotient_gains(g, quotient(group, part.kernel))
+            oracles.append(FrameOracle(BiasedGraph(qg)))
+        for m in oracles:
+            assert _holds_on(m, asked) == _holds_on(m, every), (part, m)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CATALOG))
 def test_one_query_gives_the_circuit_verdict_of_every_cycle(name):
     """On K_4, under each partition, r(C) = |C| - 1 names the same cycles as
     circuits as the definition does, for the lift and for the quotient frame
@@ -525,24 +601,39 @@ THETA_PAIRS = {
 }
 
 
+def _masks(cycles):
+    """The listed cycles as edge masks, with their flags."""
+    return [(sum(1 << e for e in ids), flag) for ids, flag in cycles]
+
+
 @functools.lru_cache(maxsize=None)
-def _quotient_balanced_cycles(name):
-    """For K_4 over the named (Γ, Γ₁): each cycle balanced over Γ/Γ₁ as an
-    edge mask with its vertex mask, the Γ-balanced ones among them, and the
-    reduced cycles as masks with their Γ-balance flags."""
-    group, kernel = THETA_PAIRS[name]
-    g = complete_gain_graph(group, 4)
+def _quotient_balanced_cycles(group, kernel, n):
+    """For K_n over Γ and the kernel Γ₁, given by its elements: each cycle
+    balanced over Γ/Γ₁ as an edge mask with its vertex mask, and the
+    Γ-balanced ones among them."""
+    g = complete_gain_graph(group, n)
     qg = quotient_gains(g, quotient(group, Subgroup(kernel)))
     ends = [(1 << e.tail) | (1 << e.head) for e in g.edges]
     verts, balanced = {}, set()
-    for ids, flag in all_complete_cycles(group, 4):
+    for ids, flag in all_complete_cycles(group, n):
         if is_balanced_cycle(qg, ids):
             mask = sum(1 << e for e in ids)
             verts[mask] = functools.reduce(operator.or_, (ends[e] for e in ids))
             if flag:
                 balanced.add(mask)
-    reduced = [(sum(1 << e for e in ids), flag) for ids, flag in reduced_complete_cycles(group, 4)]
-    return verts, frozenset(balanced), reduced
+    return verts, frozenset(balanced)
+
+
+@functools.lru_cache(maxsize=None)
+def _deciding_cycles(name, route):
+    """The named pair's cycles of K_4 that the route above order 10 asks
+    with the kernel Γ, as masks with their Γ-balance flags: every digon and
+    every balanced triangle through vertex 0 (``reduced``), or the
+    candidate's (``candidate``). The digons outside a coset of the kernel
+    are no quotient-balanced cycle, so no family holds them."""
+    group, _ = THETA_PAIRS[name]
+    reduced = sorted(reduced_complete_cycles(group, 4))
+    return _masks(reduced if route == "reduced" else candidate_cycles(group, 4, reduced))
 
 
 def _theta_closure(seed, verts):
@@ -563,15 +654,18 @@ def _theta_closure(seed, verts):
     return family
 
 
+@pytest.mark.parametrize("route", ["reduced", "candidate"])
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(THETA_PAIRS)), st.integers(0, 2**31 - 1))
-def test_theta_closed_families_are_decided_by_the_reduced_cycles(name, seed):
+def test_theta_closed_families_are_decided_by_the_reduced_cycles(route, name, seed):
     """A theta-closed family of quotient-balanced cycles on K_4 is exactly
-    the Γ-balanced cycles iff it holds every balanced triangle through
-    vertex 0 and no digon: the reduction the cycle hypothesis check rests on
-    above order 10, with membership in place of rank queries. Z4/{0,2} and
-    Z2×Z2/Z2 are not Frobenius kernel pairs."""
-    verts, balanced, reduced = _quotient_balanced_cycles(name)
+    the Γ-balanced cycles iff it holds every balanced triangle the route
+    lists and no digon: every one through vertex 0, or the candidate's. That
+    is the reduction the cycle hypothesis check rests on above order 10,
+    with membership in place of rank queries. Z4/{0,2} and Z2×Z2/Z2 are not
+    Frobenius kernel pairs."""
+    group, kernel = THETA_PAIRS[name]
+    verts, balanced = _quotient_balanced_cycles(group, kernel, 4)
     rng = random.Random(seed)
     density = rng.uniform(0.0, 0.3)
     start = [c for c in sorted(balanced) if rng.random() < density]
@@ -579,7 +673,47 @@ def test_theta_closed_families_are_decided_by_the_reduced_cycles(name, seed):
     if unbalanced and rng.random() < 0.5:
         start += rng.sample(unbalanced, rng.randint(1, 2))
     family = _theta_closure(start, verts)
-    assert (family == balanced) == all((c in family) == flag for c, flag in reduced)
+    decided = _deciding_cycles(name, route)
+    assert (family == balanced) == all((c in family) == flag for c, flag in decided)
+
+
+CANDIDATE_HOSTS = {
+    "K4-Z5": (make_cyclic(5), 4),
+    "K4-Z7": (make_cyclic(7), 4),
+    "K4-D6": (D6, 4),
+    "K4-D8": (make_dihedral(8), 4),
+    "K4-Z2xZ2": (THETA_PAIRS["Z2xZ2/Z2"][0], 4),
+    "K4-AGL(1,3)": (make_field_affine(3), 4),
+    "K5-Z2": (make_cyclic(2), 5),
+    "K5-Z3": (make_cyclic(3), 5),
+}
+
+
+def _candidate_closure(group, n, column=True):
+    """The theta closure of the candidate's balanced triangles on K_n, and
+    every balanced cycle of K_n, as masks."""
+    verts, balanced = _quotient_balanced_cycles(group, (0,), n)
+    every = all_complete_cycles(group, n)
+    seed = [c for c, flag in _masks(candidate_cycles(group, n, every, column)) if flag]
+    return _theta_closure(seed, verts), balanced
+
+
+@pytest.mark.parametrize("name", sorted(CANDIDATE_HOSTS))
+def test_the_candidate_closes_to_the_balanced_cycles(name):
+    """The theta closure of the candidate's triangles, with the trivial
+    kernel, is every balanced cycle: the identity rows, the generator rows
+    of the greedy S and the column decide every balanced cycle of the lift
+    of any partition, since each is in the closure of what is asked."""
+    closure, balanced = _candidate_closure(*CANDIDATE_HOSTS[name])
+    assert closure == balanced
+
+
+def test_the_candidate_without_its_column_does_not_close():
+    """Without the column T(1, 2, a, 0) the identity and generator rows of
+    K_4 over Z5, S = {1}, close to 295 of its 475 balanced cycles: no
+    bundle on {0, 1, 2, k} then reaches T(1, k, a, y) for a outside {0, 1}."""
+    closure, balanced = _candidate_closure(make_cyclic(5), 4, column=False)
+    assert (len(closure), len(balanced)) == (295, 475)
 
 
 def _z7_frame_lift():
@@ -914,8 +1048,10 @@ def test_recovery_rank_query_count_on_k5_over_agl15():
     """K_5 over AGL(1,5) with its Frobenius kernel Z5: a non-abelian group
     whose rank queries run every union-find branch. The count pins that a
     cheaper pass does not come from asking fewer queries: the 400 digons
-    inside a coset of Z5, 10·4·C(5, 2), and the 2400 balanced triangles
-    through vertex 0, C(4, 2)·20², the full rank and the bundles of
+    inside a coset of Z5, 10·4·C(5, 2), and the candidate's 257 balanced
+    triangles through vertex 0, with S = {1, 4}: the identity rows,
+    C(4, 2)·20 = 120, the generator rows, 3·2·20 = 120, and the column's
+    20 less the 3 the rows hold, 17; the full rank and the bundles of
     the identity with one and with two of the 15 elements outside the
     kernel, then the final comparison's empty set, the 191 distinct bundles
     (C(21, 2) pairs a <= b, less the 19 pairs (a, a), a != 0, that repeat
@@ -931,7 +1067,7 @@ def test_recovery_rank_query_count_on_k5_over_agl15():
         return m.rank(s)
 
     assert recover_partition(group, part.kernel, 5, FuncOracle(m.ground, rank), seed=0) == part
-    assert calls == 2800 + (1 + 15 + 105) + (1 + 191 + 200 + 215)
+    assert calls == 400 + 257 + (1 + 15 + 105) + (1 + 191 + 200 + 215)
 
 
 class _Asked(RankOracle):
@@ -947,7 +1083,7 @@ class _Asked(RankOracle):
 
 @pytest.mark.parametrize(
     "group, n, kernel_order, checked, asked",
-    [(make_cyclic(7), 4, 1, 8701, 1225), (make_field_affine(5), 5, 5, 4300, 2800)],
+    [(make_cyclic(7), 4, 1, 8701, 1225), (make_field_affine(5), 5, 5, 4300, 657)],
     ids=["K4-Z7", "K5-AGL(1,5)"],
 )
 def test_the_cycle_check_asks_each_cycle_once_in_stream_order(
@@ -956,12 +1092,13 @@ def test_the_cycle_check_asks_each_cycle_once_in_stream_order(
     """The cycle phase asks m of each cycle it streams, the cycle itself,
     once and stream by stream in the order they are read: the N-circuits
     among every cycle of K_4 over Z7, and among the digons and balanced
-    triangles through vertex 0 of K_5 over AGL(1,5). Recovery holds the
-    count of those listings, ``checked``, against DEFAULT_CYCLE_COUNT_LIMIT,
-    so the cap bounds the phase's queries from above. ``asked`` is
-    ``asked_cycle_count``: with the trivial kernel on Z7 no digon and
-    4·7²·1 + 3·7³·1 = 196 + 1029 longer cycles, and with the kernel Z5 on
-    AGL(1,5) 10·4·C(5, 2) = 400 digons and C(4, 2)·20² = 2400 triangles.
+    triangles through vertex 0 of K_5 over AGL(1,5). Recovery holds its
+    count of every digon and balanced triangle through vertex 0, ``checked``,
+    against DEFAULT_CYCLE_COUNT_LIMIT, so the cap bounds the phase's queries
+    from above. ``asked`` is ``asked_cycle_count``: with the trivial kernel
+    on Z7 no digon and 4·7²·1 + 3·7³·1 = 196 + 1029 longer cycles, and with
+    the kernel Z5 on AGL(1,5) 10·4·C(5, 2) = 400 digons and the candidate's
+    257 triangles of C(4, 2)·20² = 2400.
     The phases' counts add up to every query m was asked."""
     part = next(p for p in frobenius_partitions(group) if p.kernel.order == kernel_order)
     m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, n))
@@ -974,7 +1111,7 @@ def test_the_cycle_check_asks_each_cycle_once_in_stream_order(
     else:
         streams = [_reduced_cycles(group, part.kernel, n)]
     assert oracle.asked[: queries["cycles"]] == [c for stream in streams for c, _ in stream]
-    assert queries["cycles"] == asked == asked_cycle_count(group.order, kernel_order, n) < checked
+    assert queries["cycles"] == asked == asked_cycle_count(group, kernel_order, n) < checked
     assert queries["cycles"] + queries["bundles"] + queries["final"] == queries["total"]
     assert queries["total"] == len(oracle.asked)
     monkeypatch.setattr("frobmat.recovery.DEFAULT_CYCLE_COUNT_LIMIT", checked - 1)
@@ -988,13 +1125,13 @@ def test_the_cycle_phase_asks_the_closed_form_count(name):
     ``asked_cycle_count`` cycles of the lift: the N-circuits. On D6 with the
     kernel Z3 that is 4·6²·3 triangles, 3·6³·3 4-cycles and 6·2·C(3, 2)
     digons, 432 + 1,944 + 36 = 2,412."""
-    assert asked_cycle_count(6, 3, 4) == 432 + 1944 + 36 == 2412
+    assert asked_cycle_count(D6, 3, 4) == 432 + 1944 + 36 == 2412
     group = N_CIRCUIT_HOSTS[name][0]
     for part in frobenius_partitions(group):
         m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 4))
         stats = {}
         assert recover_partition(group, part.kernel, 4, m, stats=stats) == part
-        want = asked_cycle_count(group.order, part.kernel.order, 4)
+        want = asked_cycle_count(group, part.kernel.order, 4)
         assert stats["rank_queries"]["cycles"] == want, part
 
 
