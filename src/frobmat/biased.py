@@ -822,6 +822,84 @@ def _walk_disagreement(a: RankOracle, b: RankOracle) -> Optional[tuple[int, ...]
     return found
 
 
+# Halves a sampled comparison draws above EXHAUSTIVE_LIMIT elements, one
+# random bit per element (see subset_sweep), after the prefixes, which hold a
+# set of every size. Every prefix holds the listing's first element, so a
+# half is for a set that misses given elements: it misses k of them with
+# probability 2^-k, and an oracle wrong on every set of more than a few
+# elements that misses at most 4 given elements passes all the halves with
+# probability (15/16)^SAMPLES < 10^-6, whatever the seed.
+SAMPLES = 215
+Node = tuple[int, Sequence[int]]  # (parent, block), see _listing_disagreement
+
+
+def comparison_parts(
+    listing: Sequence[int], seed: int, *leading: tuple[str, Sequence[Node]]
+) -> list[tuple[str, Callable[[RankOracle, RankOracle], Optional[tuple[int, ...]]]]]:
+    """The named parts, in order, of a comparison of two oracles on the
+    ground listed as ``listing``, each a function of the two that returns
+    the first of its sets on which they differ in rank, or None: "subsets",
+    every subset, up to EXHAUSTIVE_LIMIT elements; above, "empty", each
+    (name, nodes) of ``leading`` and "prefixes", one of each size, walked by
+    _listing_disagreement, and "halves", SAMPLES halves of the listing,
+    drawn from ``random.Random(seed)`` as the part runs."""
+    if len(listing) <= EXHAUSTIVE_LIMIT:
+        return [("subsets", first_disagreement)]
+    prefixes = [(k - 1, (e,)) for k, e in enumerate(listing)]
+    return [
+        ("empty", lambda a, b: first_disagreement(a, b, [()])),
+        *((name, functools.partial(_listing_disagreement, nodes=nodes)) for name, nodes in leading),
+        ("prefixes", functools.partial(_listing_disagreement, nodes=prefixes)),
+        ("halves", lambda a, b: first_disagreement(
+            a, b, subset_sweep(listing, SAMPLES, random.Random(seed)))),
+    ]
+
+
+def _node_set(nodes: Sequence[Node], i: int) -> tuple[int, ...]:
+    """The set of node ``i``: the blocks of its parent chain, root first."""
+    chain: list[int] = []
+    while i >= 0:
+        i, block = nodes[i]
+        chain[:0] = block
+    return tuple(chain)
+
+
+def _listing_disagreement(a: RankOracle, b: RankOracle, nodes: Sequence[Node]) -> tuple | None:
+    """The set of the first of ``nodes`` on which a and b differ in rank, or
+    None. A node (parent, block) is an earlier node's set, or the empty set's
+    for -1, plus a non-empty block. Incremental oracles are walked: each node
+    from its parent's state through its block, copying that state first
+    unless the node is its last child, the ranks compared at the block's end.
+    A block stops once both are at full_rank(), which no superset changes;
+    such a node keeps no state, so nothing under it is stepped, and the walk
+    ends when no state is left. Other oracles are asked each node's set."""
+    if not (a.incremental and b.incremental):
+        return first_disagreement(a, b, (_node_set(nodes, i) for i in range(len(nodes))))
+    full_a, full_b = a.full_rank(), b.full_rank()
+    (state_a, _, step_a), (state_b, _, step_b) = a.walk(), b.walk()
+    last_child = {parent: i for i, (parent, _) in enumerate(nodes)}
+    states = {-1: (state_a, state_b)}
+    for i, (parent, block) in enumerate(nodes):
+        if parent not in states:
+            continue
+        last = last_child[parent] == i
+        sa, sb = states.pop(parent) if last else states[parent]
+        for e in block:
+            sa, ra = step_a(sa, e, last)
+            sb, rb = step_b(sb, e, last)
+            last = True
+            if ra == full_a and rb == full_b:
+                break
+        else:  # below full rank in one of them: kept for the node's children
+            if i in last_child:
+                states[i] = sa, sb
+        if ra != rb:
+            return _node_set(nodes, i)
+        if not states:
+            break
+    return None
+
+
 def matroid_axiom_check(oracle: RankOracle):
     """Verify r(∅)=0, unit increase, and local submodularity on all subsets.
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -18,11 +17,10 @@ from .biased import (
     ClassLiftOracle,
     FrameOracle,
     RankOracle,
-    first_disagreement,
+    comparison_parts,
     frame_circuits,
     is_linear_class,
     matroid_axiom_check,
-    subset_sweep,
 )
 from .errors import LimitExceeded, RecoveryError
 from .gaingraph import DEFAULT_CYCLE_COUNT_LIMIT, GainGraph, quotient_gains
@@ -185,26 +183,20 @@ class _OracleMinor(RankOracle):
 
 
 def _verify_minors(ctx, graph, oracle, seed: int) -> tuple[bool, str]:
-    """Each single-edge minor must match the oracle-level minor: on every
-    subset of the other edges when there are at most 12, else on 300 random
-    halves of them. The earlier of the two witnesses is named, by size and
-    then in combinations order (or by sample), the deletion's on a tie."""
-    rng = random.Random(seed)
+    """Each single-edge minor must match the oracle-level minor on the parts
+    of ``comparison_parts`` over the other edges, with ``seed`` for each
+    edge. Of an edge's two witnesses the least by size and then sorted ids
+    is named, the deletion's on a tie."""
     for e in graph.edges:
-        deletion, contraction = delete(ctx, graph, e.id), contract(ctx, graph, e.id)
-        rest = tuple(i for i in oracle.ground if i != e.id)
-        sample = None if len(rest) <= 12 else list(subset_sweep(rest, 300, rng))
+        parts = comparison_parts(tuple(i for i in oracle.ground if i != e.id), seed)
         found = []
-        for kind, minor, contracting in (
-            ("deletion", deletion, False),
-            ("contraction", contraction, True),
-        ):
-            bad = first_disagreement(minor, _OracleMinor(oracle, e.id, contracting), sample)
+        for kind, build in (("deletion", delete), ("contraction", contract)):
+            a, b = build(ctx, graph, e.id), _OracleMinor(oracle, e.id, kind == "contraction")
+            bad = next((s for _, compare in parts if (s := compare(a, b)) is not None), None)
             if bad is not None:
-                at = (len(bad), bad) if sample is None else sample.index(bad)
-                found.append((at, kind, bad))
+                found.append(((len(bad), tuple(sorted(bad))), kind, bad))
         if found:
-            # min keeps the first of equal positions: the deletion
+            # min keeps the first of equal keys: the deletion
             _, kind, bad = min(found, key=lambda f: f[0])
             return False, f"{kind} of {e.id} differs on {bad}"
     return True, ""

@@ -9,22 +9,19 @@ the least failing one; above order EXHAUSTIVE_GROUP_ORDER it asks the
 digons and C(n-1,2)·|Γ| + (n-2)·|S|·|Γ| + |Γ| balanced triangles through
 vertex 0, less overlaps, for S a generating set. It takes m to be an
 elementary lift of N, the quotient frame matroid; the final comparison with
-the rebuilt lift is the one check of that, exhaustive up to EXHAUSTIVE_LIMIT
-edges and above it asked on the empty set, the distinct bundles of the
-identity and two elements and the prefixes of the ground (both walked by one
-rule when both oracles are incremental) and SAMPLES random halves (see
-``recover_partition``).
+the rebuilt lift is the one check of that, asked on the parts of
+``biased.comparison_parts`` with the distinct bundles of the identity and
+two elements as its leading part (see ``recover_partition``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 import time
 from typing import Callable, Iterable, Sequence
 
-from .biased import EXHAUSTIVE_LIMIT, RankOracle, first_disagreement, subset_sweep
+from .biased import Node, RankOracle, comparison_parts
 from .errors import LimitExceeded, RecoveryError
 from .gaingraph import (
     DEFAULT_CYCLE_COUNT_LIMIT,
@@ -42,16 +39,7 @@ from .groups import (
 from .lifts import FrobeniusContext, LiftedMatroid
 
 EXHAUSTIVE_GROUP_ORDER = 10
-# Halves the final comparison draws above EXHAUSTIVE_LIMIT edges, one random bit
-# per edge (see subset_sweep), after the prefixes, which hold a set of every
-# size. Every bundle and prefix holds the first edge, so a half is for a set
-# that misses given edges: it misses k of them with probability 2^-k, and an
-# oracle wrong on every set of more than a few edges that misses at most 4
-# given edges passes all the halves with probability (15/16)^SAMPLES < 10^-6,
-# whatever the seed.
-SAMPLES = 215
 Cycles = Iterable[tuple[tuple[int, ...], bool]]
-Node = tuple[int, Sequence[int]]  # (parent, block), see _listing_disagreement
 
 
 def edge_bundle(group: FiniteGroup, n: int, elements: Iterable[int]) -> tuple[int, ...]:
@@ -245,62 +233,17 @@ def _check_cycle_hypothesis(group: FiniteGroup, kernel: Subgroup, n: int, m: Ran
         )
 
 
-def _final_sets(group: FiniteGroup, n: int) -> tuple[tuple[int, ...], list[Node], list[Node]]:
+def _final_sets(group: FiniteGroup, n: int) -> tuple[tuple[int, ...], list[Node]]:
     """The ground listed bundle by bundle, the identity bundle first so that a
-    rank pass soon reaches a spanning forest and stops, and two listings of
+    rank pass soon reaches a spanning forest and stops, and a listing of
     nodes cut from its blocks, one sorted bundle per element: the distinct
-    bundles of 0, a and b, in the order of the pairs a <= b, and the prefixes."""
+    bundles of 0, a and b, in the order of the pairs a <= b."""
     identity = edge_bundle(group, n, (0,))
     blocks = [tuple(e + a for e in identity) for a in group.elements()]
     bundles = [(-1, identity)] + [(0, block) for block in blocks[1:]]
     bundles += [(a, blocks[b]) for a, b in itertools.combinations(range(1, len(blocks)), 2)]
     bundled = tuple(itertools.chain.from_iterable(blocks))
-    return bundled, bundles, [(k - 1, (e,)) for k, e in enumerate(bundled)]
-
-
-def _node_set(nodes: Sequence[Node], i: int) -> tuple[int, ...]:
-    """The set of node ``i``: the blocks of its parent chain, root first."""
-    chain: list[int] = []
-    while i >= 0:
-        i, block = nodes[i]
-        chain[:0] = block
-    return tuple(chain)
-
-
-def _listing_disagreement(a: RankOracle, b: RankOracle, nodes: Sequence[Node]) -> tuple | None:
-    """The set of the first of ``nodes`` on which a and b differ in rank, or
-    None. A node (parent, block) is an earlier node's set, or the empty set's
-    for -1, plus a non-empty block. Incremental oracles are walked: each node
-    from its parent's state through its block, copying that state first
-    unless the node is its last child, the ranks compared at the block's end.
-    A block stops once both are at full_rank(), which no superset changes;
-    such a node keeps no state, so nothing under it is stepped, and the walk
-    ends when no state is left. Other oracles are asked each node's set."""
-    if not (a.incremental and b.incremental):
-        return first_disagreement(a, b, (_node_set(nodes, i) for i in range(len(nodes))))
-    full_a, full_b = a.full_rank(), b.full_rank()
-    (state_a, _, step_a), (state_b, _, step_b) = a.walk(), b.walk()
-    last_child = {parent: i for i, (parent, _) in enumerate(nodes)}
-    states = {-1: (state_a, state_b)}
-    for i, (parent, block) in enumerate(nodes):
-        if parent not in states:
-            continue
-        last = last_child[parent] == i
-        sa, sb = states.pop(parent) if last else states[parent]
-        for e in block:
-            sa, ra = step_a(sa, e, last)
-            sb, rb = step_b(sb, e, last)
-            last = True
-            if ra == full_a and rb == full_b:
-                break
-        else:  # below full rank in one of them: kept for the node's children
-            if i in last_child:
-                states[i] = sa, sb
-        if ra != rb:
-            return _node_set(nodes, i)
-        if not states:
-            break
-    return None
+    return bundled, bundles
 
 
 class _Counted(RankOracle):
@@ -369,15 +312,11 @@ def recover_partition(
     quotient frame matroid. The final comparison is the one check of that:
     the rebuilt lift is one, with the declared kernel, so a subset on which
     m's rank less N's is not 0 or 1 is one on which m and the rebuilt lift
-    differ. It asks every subset up to EXHAUSTIVE_LIMIT edges; above, the
-    empty set, each distinct bundle of the identity and at most two other
-    elements once, the prefixes of the ground listed bundle by bundle, one
-    of each size from 1 to |E|, and SAMPLES random halves seeded by
-    ``seed``. The bundles, {0, a} from {0} and {0, a, b} from {0, a}, and
-    the prefixes, each from the one before, are walked by one rule when m
-    and the rebuilt lift are both incremental: a set from its parent's
-    state, left with all above it once both are at full rank, which no
-    larger set changes. Other oracles are asked each set.
+    differ. It asks the parts of ``biased.comparison_parts`` over the
+    ground listed bundle by bundle, with ``seed``, and with each distinct
+    bundle of the identity and at most two other elements, {0, a} from {0}
+    and {0, a, b} from {0, a}, as the leading part: above EXHAUSTIVE_LIMIT
+    edges the empty set, the bundles, the prefixes and SAMPLES halves.
 
     The cycle check is exact for every elementary lift of N with n >= 4. Of
     any oracle it asks the N-circuits among every cycle, or above order
@@ -497,22 +436,13 @@ def _recover(
                 kernel, tuple(sorted(comps, key=lambda s: s.elements))
             )
 
-    exhaustive = len(g.edges) <= EXHAUSTIVE_LIMIT
-    mark("final", "subsets" if exhaustive else "empty")
+    bundled, bundles = _final_sets(group, n)
+    parts = comparison_parts(bundled, seed, ("bundles", bundles))
+    mark("final", parts[0][0])
     reconstructed = LiftedMatroid(FrobeniusContext(group, partition, validate=False), g)
-    if exhaustive:
-        parts = [("subsets", first_disagreement, None)]
-    else:
-        bundled, bundles, prefixes = _final_sets(group, n)
-        parts = [
-            ("empty", first_disagreement, [()]),
-            ("bundles", _listing_disagreement, bundles),
-            ("prefixes", _listing_disagreement, prefixes),
-            ("halves", first_disagreement, subset_sweep(bundled, SAMPLES, random.Random(seed))),
-        ]
-    for part, compare, sample in parts:
+    for part, compare in parts:
         mark("final", part)
-        bad = compare(m, reconstructed, sample)
+        bad = compare(m, reconstructed)
         if bad is not None:
             raise RecoveryError(
                 f"reconstructed matroid disagrees with the input on {tuple(sorted(bad))}"

@@ -6,11 +6,10 @@ vertices. Entries are reduced residues mod q.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .biased import EXHAUSTIVE_LIMIT, RankOracle, first_disagreement, subset_sweep
+from .biased import RankOracle, comparison_parts
 from .gaingraph import Edge, GainGraph, apply_switching
 from .groups import FiniteGroup
 from .lifts import FrobeniusContext, LiftedMatroid
@@ -173,23 +172,16 @@ class VectorOracle(RankOracle):
         return (), 0, step
 
 
-# Random subsets verify_representation compares above EXHAUSTIVE_LIMIT edges
-SAMPLES = 2000
-
-
 def verify_representation(ctx: FrobeniusContext, g: GainGraph, seed: int = 0):
-    """Compare matrix rank and matroid rank on all (or sampled) subsets.
+    """Compare matrix rank and matroid rank on the parts of
+    ``comparison_parts`` over the sorted edge ids, with ``seed``.
 
-    Returns (True, None) or (False, witness subset).
+    Returns (True, None) or (False, the first subset on which they differ).
     """
-    matrix = incidence_matrix(g)
     ids = sorted(e.id for e in g.edges)
-    vec = VectorOracle(matrix, ids)
-    m = LiftedMatroid(ctx, g)
-    sample = None
-    if len(ids) > EXHAUSTIVE_LIMIT:
-        sample = subset_sweep(ids, SAMPLES, random.Random(seed))
-    bad = first_disagreement(vec, m, sample)
+    vec, m = VectorOracle(incidence_matrix(g), ids), LiftedMatroid(ctx, g)
+    parts = comparison_parts(ids, seed)
+    bad = next((s for _, compare in parts if (s := compare(vec, m)) is not None), None)
     return bad is None, bad
 
 

@@ -15,7 +15,9 @@ accepted.
 ``--src`` imports ``frobmat`` from another source tree, such as an unpacked
 ``git archive`` of an earlier commit, so the same corpus runs against that
 commit's sample; the corpus and the probe are read from this checkout.
-``--samples`` sets ``frobmat.recovery.SAMPLES`` for the run. pytest does not
+``--samples`` sets ``frobmat.biased.SAMPLES``, the halves of every sampled
+comparison, for the run (``frobmat.recovery.SAMPLES`` in a tree from before
+the constant moved there). pytest does not
 collect this file, since its name does not start with ``test_``. The whole
 corpus runs in about 8 s per seed on a 2-core Xeon.
 """
@@ -58,12 +60,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--summary", action="store_true")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.src.resolve()), str(TESTS)]
+    import frobmat.biased
     import frobmat.recovery
     from conftest import final_sample_corpus
 
+    home = frobmat.biased if hasattr(frobmat.biased, "SAMPLES") else frobmat.recovery
     if args.samples is not None:
-        frobmat.recovery.SAMPLES = args.samples
-    print(f"# frobmat from {args.src}, SAMPLES = {frobmat.recovery.SAMPLES}")
+        home.SAMPLES = args.samples
+    print(f"# frobmat from {args.src}, SAMPLES = {home.SAMPLES}")
     tally: dict = collections.defaultdict(collections.Counter)
     for seed in map(int, args.seeds.split(",")):
         for fault in final_sample_corpus():

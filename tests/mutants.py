@@ -34,8 +34,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BIASED = "src/frobmat/biased.py"
 RECOVERY = "src/frobmat/recovery.py"
+REPRESENT = "src/frobmat/represent.py"
+TB = "tests/test_biased.py::"
 TR = "tests/test_recovery.py::"
+TP = "tests/test_represent.py::"
 
 MUTANTS = [
     # the cycle set above order 10
@@ -76,37 +80,69 @@ MUTANTS = [
      "                least = cycle, balanced\n                break\n",
      "                least = cycle, balanced\n",
      [TR + "test_the_witness_is_the_least_failing_cycle_of_all_streams"]),
-    # the listing walker of the final comparison
-    ("walk-stops-when-either-is-full", RECOVERY,
+    # the listing walker of the sampled comparison
+    ("walk-stops-when-either-is-full", BIASED,
      "            if ra == full_a and rb == full_b:\n",
      "            if ra == full_a or rb == full_b:\n",
      [TR + "test_the_walk_of_a_frame_and_a_lift_stops_at_neither_full_rank_alone",
       TR + "test_the_bundle_walk_of_a_frame_and_a_lift_stops_at_neither_full_rank_alone",
       TR + "test_a_walk_of_random_listings_names_the_witness_of_per_set_asks"]),
-    ("state-kept-when-both-are-full", RECOVERY,
+    ("state-kept-when-both-are-full", BIASED,
      "        else:  # below full rank in one of them: kept for the node's children\n",
      "        if True:\n",
      [TR + "test_recovery_walks_the_prefixes_of_an_incremental_m",
       TR + "test_a_walk_of_random_listings_names_the_witness_of_per_set_asks"]),
-    ("every-step-taken-as-last", RECOVERY,
+    ("every-step-taken-as-last", BIASED,
      "        last = last_child[parent] == i\n",
      "        last = True\n",
      [TR + "test_a_saved_bundle_state_reads_the_same_rank_after_each_extension",
       TR + "test_a_walk_of_random_listings_names_the_witness_of_per_set_asks"]),
-    ("state-always-copied", RECOVERY,
+    ("state-always-copied", BIASED,
      "        last = last_child[parent] == i\n",
      "        last = False\n",
      [TR + "test_a_saved_bundle_state_reads_the_same_rank_after_each_extension"]),
-    ("per-set-fallback-removed", RECOVERY,
+    ("per-set-fallback-removed", BIASED,
      "    if not (a.incremental and b.incremental):\n",
      "    if False:\n",
      [TR + "test_prefixes_of_an_oracle_asked_per_set_are_each_asked",
       TR + "test_bundles_of_an_oracle_asked_per_set_are_each_asked"]),
-    ("compare-skipped-when-both-are-full", RECOVERY,
+    ("compare-skipped-when-both-are-full", BIASED,
      "        if ra != rb:\n",
      "        if ra != rb and (ra != full_a or rb != full_b):\n",
      [TR + "test_the_walk_of_a_frame_and_a_lift_stops_at_neither_full_rank_alone",
       TR + "test_the_bundle_walk_of_a_frame_and_a_lift_stops_at_neither_full_rank_alone"]),
+    # the parts of the sampled comparison
+    ("prefix-range-one-short", BIASED,
+     "enumerate(listing)]",
+     "enumerate(listing[:-1])]",
+     [TB + "test_a_sampled_comparison_asks_its_parts_in_order",
+      TR + "test_the_last_prefix_is_the_whole_ground"]),
+    ("prefixes-deleted", BIASED,
+     '        ("prefixes", functools.partial(_listing_disagreement, nodes=prefixes)),\n',
+     "",
+     [TB + "test_comparison_parts_sweep_every_subset_up_to_the_limit",
+      TR + "test_the_last_prefix_is_the_whole_ground"]),
+    ("halves-before-prefixes", BIASED,
+     '        ("prefixes", functools.partial(_listing_disagreement, nodes=prefixes)),\n'
+     '        ("halves", lambda a, b: first_disagreement(\n'
+     "            a, b, subset_sweep(listing, SAMPLES, random.Random(seed)))),\n",
+     '        ("halves", lambda a, b: first_disagreement(\n'
+     "            a, b, subset_sweep(listing, SAMPLES, random.Random(seed)))),\n"
+     '        ("prefixes", functools.partial(_listing_disagreement, nodes=prefixes)),\n',
+     [TB + "test_comparison_parts_sweep_every_subset_up_to_the_limit",
+      TR + "test_the_last_prefix_is_the_whole_ground"]),
+    ("samples-214", BIASED,
+     "SAMPLES = 215\n",
+     "SAMPLES = 214\n",
+     [TB + "test_samples_is_the_least_count_under_the_escape_bound"]),
+    ("exhaustive-bound-strict", BIASED,
+     "    if len(listing) <= EXHAUSTIVE_LIMIT:\n",
+     "    if len(listing) < EXHAUSTIVE_LIMIT:\n",
+     [TB + "test_comparison_parts_sweep_every_subset_up_to_the_limit"]),
+    ("representation-skips-the-prefixes", REPRESENT,
+     "    parts = comparison_parts(ids, seed)\n",
+     '    parts = [p for p in comparison_parts(ids, seed) if p[0] != "prefixes"]\n',
+     [TP + "test_verify_representation_samples_above_sixteen_edges"]),
     ("counted-full-rank-fix-removed", RECOVERY,
      "        if not self.incremental:  # so that the ground is asked through ``rank``\n"
      "            return RankOracle.full_rank(self)\n",

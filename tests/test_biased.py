@@ -33,7 +33,9 @@ from frobmat import (
 )
 from frobmat.biased import (
     EXHAUSTIVE_LIMIT,
+    SAMPLES,
     _walk_disagreement,
+    comparison_parts,
     first_disagreement,
     rank_table,
     subset_sweep,
@@ -485,6 +487,48 @@ def test_halves_of_one_element_match_the_reference():
     got = list(subset_sweep((9,), 40, random.Random(2)))
     assert got == list(reference_halves((9,), 40, random.Random(2)))
     assert set(got) == {(), (9,)}
+
+
+def test_samples_is_the_least_count_under_the_escape_bound():
+    """An oracle wrong on the sets that miss 4 given elements escapes one half
+    with probability 15/16; SAMPLES is the least count of halves that all
+    let it escape with probability below 10^-6."""
+    assert (15 / 16) ** SAMPLES < 1e-6 <= (15 / 16) ** (SAMPLES - 1)
+
+
+@pytest.mark.parametrize("size", [EXHAUSTIVE_LIMIT, EXHAUSTIVE_LIMIT + 1])
+def test_comparison_parts_sweep_every_subset_up_to_the_limit(size):
+    """A listing of at most EXHAUSTIVE_LIMIT elements gets the one part of
+    every subset; a longer one the empty set, the leading parts in order,
+    the prefixes and then the halves."""
+    lead = [("a", [(-1, (0,))]), ("b", [(-1, (1,))])]
+    names = [name for name, _ in comparison_parts(range(size), 0, *lead)]
+    if size <= EXHAUSTIVE_LIMIT:
+        assert names == ["subsets"]
+    else:
+        assert names == ["empty", "a", "b", "prefixes", "halves"]
+
+
+@pytest.mark.parametrize("samples", [SAMPLES, 3])
+def test_a_sampled_comparison_asks_its_parts_in_order(monkeypatch, samples):
+    """Two agreeing per-set oracles on 20 elements, compared part by part:
+    one of them is asked the empty set, each node set of a leading listing,
+    every prefix of the listing, one of each size from 1 to 20 in the
+    listing's order, and then the halves of the listing that
+    ``random.Random(seed)`` draws, SAMPLES of them as the module holds it
+    when the halves are asked."""
+    monkeypatch.setattr(biased_module, "SAMPLES", samples)
+    listing = random.Random(5).sample(range(20), 20)
+    leading = [(-1, (4, 9)), (0, (1,)), (-1, (7,))]
+    asked = []  # every set ``a`` is asked, in order
+    a = FuncOracle(range(20), lambda s: asked.append(s) or min(len(s), 3))
+    b = FuncOracle(range(20), lambda s: min(len(s), 3))
+    for _, compare in comparison_parts(listing, 11, ("lead", leading)):
+        assert compare(a, b) is None
+    want = [(), (4, 9), (4, 9, 1), (7,)]
+    want += [listing[:k] for k in range(1, 21)]
+    want += reference_halves(listing, samples, random.Random(11))
+    assert asked == [frozenset(s) for s in want]
 
 
 def test_each_element_is_kept_in_about_half_of_the_halves():

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -29,7 +30,7 @@ import frobmat
 from frobmat.lifts import contract, delete
 from frobmat import cli
 from frobmat.cli import main
-from frobmat.biased import first_disagreement, rank_table
+from frobmat.biased import first_disagreement, rank_table, subset_sweep
 from frobmat.fileio import format_circuits, graph_from_spec, graph_to_spec, group_from_spec
 
 from conftest import FuncOracle, asked_cycle_count, random_gain_graph
@@ -603,12 +604,22 @@ MINORS_D6_14B = [
     [3, 2, 5], [3, 3, 0], [2, 1, 4], [2, 1, 2], [0, 1, 2], [0, 3, 0], [2, 1, 0], [3, 3, 2],
     [3, 3, 3], [0, 0, 4], [1, 1, 4], [2, 0, 1], [1, 0, 3], [3, 0, 2],
 ]
+MINORS_D6_18 = [
+    [2, 1, 3], [0, 3, 5], [3, 3, 5], [0, 3, 3], [0, 3, 1], [0, 1, 0], [3, 0, 2], [0, 2, 5],
+    [3, 2, 5], [3, 0, 0], [0, 0, 4], [3, 0, 1], [3, 3, 4], [1, 3, 1], [2, 3, 5], [2, 3, 1],
+    [2, 0, 1], [1, 1, 3],
+]
+MINORS_AGL_20 = [
+    [3, 2, 13], [0, 0, 1], [0, 1, 8], [3, 3, 18], [0, 1, 14], [1, 3, 16], [2, 3, 3], [2, 0, 17],
+    [0, 1, 2], [2, 2, 3], [0, 3, 1], [3, 3, 7], [2, 1, 15], [2, 2, 13], [2, 0, 9], [2, 3, 9],
+    [2, 0, 10], [3, 3, 12], [1, 1, 19], [1, 2, 0],
+]
 
 
 @pytest.mark.parametrize(
     "group, vertices, edges, seed, wrong, line",
     [
-        # at most 13 edges: every subset of the rest, by size
+        # at most 17 edges: every subset of the rest, by size
         (D6_SPEC, 3, MINORS_D6_9, 0, {"contract": _wrong_contraction},
          "contraction of 0 differs on (3, 5)"),
         # both minors wrong on the same subsets: deletion is named
@@ -623,34 +634,44 @@ MINORS_D6_14B = [
         (AGL15_SPEC, 3, MINORS_AGL_10, 0,
          {"contract": _wrong_contraction, "delete": _other_partition_deletion(0)},
          "deletion of 0 differs on (4, 5)"),
-        # above 13 edges: seeded halves, drawn on from edge to edge
+        # 14 to 16 edges, so at most 16 in the rest: every subset too, the
+        # seed unused. Edge 0 of MINORS_D6_15 is a balanced loop, whose
+        # contraction is its deletion, so edge 1 is named
         (D6_SPEC, 4, MINORS_D6_15, 7, {"contract": _wrong_contraction},
-         "contraction of 1 differs on (0, 2, 4, 9, 11, 13, 14)"),
-        # both minors wrong on the same half: deletion is named
+         "contraction of 1 differs on (4, 6)"),
+        # both minors wrong on the same subsets, first on (7, 10): deletion
         (AGL15_SPEC, 4, MINORS_AGL_15, 7,
          {"contract": _wrong_contraction, "delete": _swapped_deletion},
-         "deletion of 0 differs on (1, 4, 5, 6, 8, 11, 13)"),
-        # the contraction's witness comes first in the sample, though the
-        # deletion's, (2, 4, 9), is smaller
+         "deletion of 0 differs on (7, 10)"),
+        # the contraction's (3, 7) and the deletion's (4, 7): same size, and
+        # the contraction's ids come first
         (D6_SPEC, 4, MINORS_D6_14A, 10,
          {"contract": _wrong_contraction, "delete": _other_partition_deletion(1)},
-         "contraction of 0 differs on (4, 7, 10, 13)"),
+         "contraction of 0 differs on (3, 7)"),
+        # the deletion's (7, 8) is smaller than the contraction's (2, 4, 13)
         (D6_SPEC, 4, MINORS_D6_14B, 30,
          {"contract": _wrong_contraction, "delete": _other_partition_deletion(0)},
-         "deletion of 0 differs on (7, 9, 13)"),
-        # the deletion's witness comes first in the sample, though the
-        # contraction's, (1, 2, 4, 6, 9, 15), is smaller
+         "deletion of 0 differs on (7, 8)"),
+        # the deletion's (3, 4) comes before the contraction's (3, 10)
         (D6_SPEC, 4, MINORS_D6_16, 1190,
          {"contract": _wrong_contraction, "delete": _other_partition_deletion(0)},
-         "deletion of 0 differs on (4, 6, 8, 9, 12, 13, 14)"),
+         "deletion of 0 differs on (3, 4)"),
+        # above 17 edges: the empty set, the walked prefixes of the rest, then
+        # seeded halves; here the prefix of 7 edges names the contraction
+        (D6_SPEC, 4, MINORS_D6_18, 0, {"contract": _wrong_contraction},
+         "contraction of 0 differs on (1, 2, 3, 4, 5, 6, 7)"),
+        # the deletion's prefix (1, 2, 3) comes before the contraction's of 6
+        (AGL15_SPEC, 4, MINORS_AGL_20, 0,
+         {"contract": _wrong_contraction, "delete": _other_partition_deletion(0)},
+         "deletion of 0 differs on (1, 2, 3)"),
     ],
 )
 def test_verify_minors_names_the_first_wrong_minor(
     write, capsys, monkeypatch, group, vertices, edges, seed, wrong, line
 ):
-    """With a wrong minor injected, the report names the earlier of the
-    deletion and contraction witnesses, by size and then in combinations
-    order (or by sample), and the deletion on a tie."""
+    """With a wrong minor injected, the report names the least of the
+    deletion and contraction witnesses, by size and then by sorted ids, and
+    the deletion on a tie."""
     for name, fn in wrong.items():
         monkeypatch.setattr(cli, name, fn)
     spec = {"group": group, "vertices": vertices, "edges": edges}
@@ -659,6 +680,93 @@ def test_verify_minors_names_the_first_wrong_minor(
         "--minors", "--seed", str(seed),
     )
     assert (code, out, err) == (1, f"minors: FAIL ({line})\n", "")
+
+
+@functools.lru_cache(maxsize=None)
+def _minor_fault_graph(spec_name, edges):
+    """A graph of ``edges`` random edges on 4 vertices over the named group,
+    its context under the one nontrivial partition and its lift."""
+    spec = {"D6": D6_SPEC, "AGL(1,5)": AGL15_SPEC}[spec_name]
+    rng = random.Random(f"minor-faults/{spec_name}/{edges}")
+    order = group_from_spec(spec).order
+    triples = [[rng.randrange(4), rng.randrange(4), rng.randrange(order)] for _ in range(edges)]
+    graph = graph_from_spec({"group": spec, "vertices": 4, "edges": triples})
+    ctx = FrobeniusContext(graph.group, cli._select_partition(graph.group, "auto"))
+    return graph, ctx, LiftedMatroid(ctx, graph)
+
+
+def minor_faults():
+    """The minors corpus: on D6 and AGL(1,5) graphs of 13 to 20 edges, one
+    graph per group and size, four faults each. A fault is (name, group,
+    edges, kind, edge, set): the deletion or the contraction of a random
+    edge, one above its rank on one random set of the other edges with
+    fewer elements than the minor's full rank, so below it. Two faults per
+    graph are deletions and two contractions."""
+    faults = []
+    for spec_name in ("D6", "AGL(1,5)"):
+        for edges in range(13, 21):
+            graph, ctx, _ = _minor_fault_graph(spec_name, edges)
+            rng = random.Random(f"minor-fault-sets/{spec_name}/{edges}")
+            for kind in ("deletion", "deletion", "contraction", "contraction"):
+                e = rng.randrange(edges)
+                minor = (delete if kind == "deletion" else contract)(ctx, graph, e)
+                held = sorted(rng.sample(minor.ground, rng.randint(1, minor.full_rank() - 1)))
+                name = f"{spec_name}/{edges}/{kind}/{e}/{'.'.join(map(str, held))}"
+                faults.append((name, spec_name, edges, kind, e, tuple(held)))
+    return faults
+
+
+def _compared_by_300_halves(edges, e, held, seed):
+    """Whether the minor check before the shared comparison asked ``held``
+    of edge e's minors at ``seed``: every subset of the other edges when
+    there were at most 12 of them, else 300 halves of them drawn from one
+    rng shared from edge to edge. A fault off on ``held`` alone was refused
+    exactly when it was asked."""
+    rng = random.Random(seed)
+    for edge in range(e + 1):
+        rest = tuple(i for i in range(edges) if i != edge)
+        sample = None if len(rest) <= 12 else list(subset_sweep(rest, 300, rng))
+    return sample is None or held in sample
+
+
+def _verify_minor_fault(monkeypatch, spec_name, edges, kind, e, held, seed):
+    """``_verify_minors`` with one minor of edge e one above its rank on
+    ``held``."""
+    graph, ctx, oracle = _minor_fault_graph(spec_name, edges)
+
+    def faulty(right, right_kind):
+        def build(ctx, g, eid):
+            minor = right(ctx, g, eid)
+            if (eid, right_kind) != (e, kind):
+                return minor
+            return FuncOracle(minor.ground, lambda s: minor.rank(s) + (s == frozenset(held)))
+
+        return build
+
+    monkeypatch.setattr(cli, "delete", faulty(delete, "deletion"))
+    monkeypatch.setattr(cli, "contract", faulty(contract, "contraction"))
+    return cli._verify_minors(ctx, graph, oracle, seed)
+
+
+def test_minor_faults_refused_by_300_halves_are_still_refused(monkeypatch):
+    """Every fault of ``minor_faults`` that the minor check refused at one of
+    seeds 0 to 3 when it asked 300 halves above 12 other edges is refused by
+    the shared comparison at that seed, and the check names that edge's
+    minor on ``held``: no other set differs. Those are the 8 faults on 13
+    edges, at every seed, and 3 on 14 or 16 edges, where a half hit ``held``
+    at some seeds; the shared comparison asks every set of 16 or fewer
+    other edges."""
+    refused = [
+        (fault, seed)
+        for fault in minor_faults()
+        for seed in range(4)
+        if _compared_by_300_halves(fault[2], fault[4], fault[5], seed)
+    ]
+    assert len(refused) == 8 * 4 + 6
+    assert {fault[2] for fault, _ in refused} == {13, 14, 16}
+    for (name, spec_name, edges, kind, e, held), seed in refused:
+        ok, detail = _verify_minor_fault(monkeypatch, spec_name, edges, kind, e, held, seed)
+        assert (ok, detail) == (False, f"{kind} of {e} differs on {held}"), name
 
 
 def test_verify_without_a_check_exits_before_loading_the_graph(tmp_path, capsys):

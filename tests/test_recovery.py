@@ -41,7 +41,9 @@ from frobmat import (
 )
 from frobmat.biased import (
     EXHAUSTIVE_LIMIT,
+    SAMPLES,
     RankOracle,
+    _listing_disagreement,
     first_disagreement,
     rank_table,
     subset_sweep,
@@ -50,11 +52,9 @@ from frobmat.fileio import group_from_spec
 from frobmat.groups import generated_subgroup, quotient
 from frobmat.recovery import (
     EXHAUSTIVE_GROUP_ORDER,
-    SAMPLES,
     _all_cycles,
     _Counted,
     _final_sets,
-    _listing_disagreement,
     _reduced_cycles,
     complete_cycle_count,
 )
@@ -779,7 +779,7 @@ def test_the_last_prefix_is_the_whole_ground():
 
 # the halves of the elementary reference, the count recovery drew before its
 # final comparison asked the prefixes; pinned here so that the guard below
-# does not follow recovery.SAMPLES
+# does not follow biased.SAMPLES
 REFERENCE_HALVES = 1500
 
 
@@ -1454,7 +1454,8 @@ def test_the_walk_of_a_frame_and_a_lift_stops_at_neither_full_rank_alone():
         for p in frobenius_partitions(D6)
         if p.kernel.order in (1, 3)
     )
-    bundled, _, prefixes = _final_sets(D6, 4)
+    bundled = _final_sets(D6, 4)[0]
+    prefixes = _chain(bundled)
     assert (frame.full_rank(), lift.full_rank()) == (4, 5)
     assert (frame.rank(bundled[:7]), lift.rank(bundled[:7])) == (4, 4)
     assert (frame.rank(bundled[:19]), lift.rank(bundled[:19])) == (4, 5)
@@ -1470,7 +1471,8 @@ def test_prefixes_of_an_oracle_asked_per_set_are_each_asked(shift, size):
     alone is named at that size, against the lift and against a FuncOracle
     of it. Each of the two oracles is asked each prefix up to it once."""
     z7, part, m = _z7_frame_lift()
-    bundled, _, prefixes = _final_sets(z7, 4)
+    bundled = _final_sets(z7, 4)[0]
+    prefixes = _chain(bundled)
     asked = []
 
     def shifted(s):
@@ -1488,18 +1490,17 @@ def test_prefixes_of_an_oracle_asked_per_set_are_each_asked(shift, size):
 @pytest.mark.parametrize("name, n", [("D6", 4), ("F20", 5)])
 def test_the_final_bundles_are_the_edge_bundles(name, n):
     """The final comparison's listing of the ground is the bundles of the
-    elements in order, each sorted, one block per element, and its prefixes
-    are a chain of one-edge nodes along it. The bundle listing's first |Γ|
+    elements in order, each sorted, one block per element. The bundle
+    listing's first |Γ|
     nodes carry those blocks, and its sets are the distinct ``edge_bundle``
     sets of the identity and a pair a <= b, in the order of the pairs, each
     once: the pair (a, a), a != 0, repeats (0, a), so |Γ| - 1 of the
     C(|Γ| + 1, 2) pairs are dropped. No bundle holds an edge twice."""
     group = PREFIX_GROUPS[name]
-    bundled, bundles, prefixes = _final_sets(group, n)
+    bundled, bundles = _final_sets(group, n)
     blocks = _edge_blocks(group, n)
     assert [block for _, block in bundles[: group.order]] == blocks
     assert bundled == tuple(e for block in blocks for e in block)
-    assert prefixes == _chain(bundled)
     pairs = itertools.combinations_with_replacement(group.elements(), 2)
     distinct = list(dict.fromkeys(edge_bundle(group, n, (0, a, b)) for a, b in pairs))
     joined = _node_sets(bundles)

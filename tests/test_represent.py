@@ -24,10 +24,11 @@ from frobmat import (
     switching_projective_check,
     verify_representation,
 )
-from frobmat.biased import rank_table
+import frobmat.represent as represent
+from frobmat.biased import first_disagreement, rank_table, subset_sweep
 from frobmat.represent import MAX_MATRIX_ENTRIES, FieldMatrix, affine_modulus
 
-from conftest import FuncOracle, random_gain_graph, reference_halves
+from conftest import FuncOracle, random_gain_graph
 
 
 @pytest.fixture(scope="module")
@@ -169,17 +170,67 @@ def test_verify_representation_random_graphs():
 
 
 def test_verify_representation_samples_above_sixteen_edges(f20):
-    """K_3 over AGL(1,5) has 60 edges, so seeded random subsets are compared
-    in place of all of them: the Frobenius partition passes, and the lift
-    partition fails on a subset of 33 edges, the first one drawn, where the
-    full sweep would name a smaller one first."""
+    """K_3 over AGL(1,5) has 60 edges, so the sets of comparison_parts are
+    compared in place of all of them: the Frobenius partition passes, and
+    the lift partition fails on the fifth prefix, the first on which the
+    matrix rank (3) exceeds the lift's (2), where the full sweep would name
+    (0, 1, 4), a smaller set, first."""
     g = complete_gain_graph(f20, 3)
     lift, _, frobenius = frobenius_partitions(f20)
     assert verify_representation(FrobeniusContext(f20, frobenius), g) == (True, None)
-    witness = (0, 2, 3, 6, 7, 8, 9, 10, 18, 19, 21, 27, 28, 30, 31, 32, 33, 35, 36, 37, 38,
-               39, 41, 42, 44, 45, 46, 47, 48, 51, 53, 57, 58)
-    assert witness == next(reference_halves(range(60), 1, random.Random(0)))
-    assert verify_representation(FrobeniusContext(f20, lift), g) == (False, witness)
+    vec = VectorOracle(incidence_matrix(g), range(60))
+    m = LiftedMatroid(FrobeniusContext(f20, lift), g)
+    ranks = [(vec.rank(range(k)), m.rank(range(k))) for k in range(1, 6)]
+    assert ranks == [(1, 1), (2, 2), (2, 2), (2, 2), (3, 2)]
+    assert (vec.rank((0, 1, 4)), m.rank((0, 1, 4))) == (3, 2)
+    assert verify_representation(FrobeniusContext(f20, lift), g) == (False, (0, 1, 2, 3, 4))
+
+
+def representation_faults(f20):
+    """The representation corpus: the 4 x 60 incidence matrix of K_3 over
+    AGL(1,5) with one entry changed, in every other column, in each row, to
+    each other value mod 5: 480 faults named column/row/value, in that
+    order."""
+    entries = incidence_matrix(complete_gain_graph(f20, 3)).entries
+    faults = []
+    for col in range(0, 60, 2):
+        for row in range(4):
+            for value in range(5):
+                if value != entries[row][col]:
+                    rows = [list(r) for r in entries]
+                    rows[row][col] = value
+                    faults.append((f"{col}/{row}/{value}", FieldMatrix.build(5, rows)))
+    return faults
+
+
+# the halves verify_representation compared above EXHAUSTIVE_LIMIT edges
+# before it asked the sets of comparison_parts; pinned here so that the
+# reference below does not follow biased.SAMPLES
+REFERENCE_HALVES = 2000
+
+
+def test_the_representation_check_refuses_what_2000_halves_refused(f20, monkeypatch):
+    """Every 20th fault of ``representation_faults``, under the Frobenius
+    partition: each one that comparing the matrix with the lift on
+    REFERENCE_HALVES halves at seed 0 refuses, none of these 24, is refused
+    by verify_representation, which refuses three, each on a prefix. Over
+    the whole corpus the halves refuse none and verify_representation 52,
+    all in columns 0 to 20."""
+    g = complete_gain_graph(f20, 3)
+    ctx = FrobeniusContext(f20, frobenius_partitions(f20)[2])
+    m = LiftedMatroid(ctx, g)
+    faults = representation_faults(f20)
+    assert len(faults) == 480
+    by_halves, refused = [], []
+    for name, matrix in faults[::20]:
+        halves = subset_sweep(range(60), REFERENCE_HALVES, random.Random(0))
+        if first_disagreement(VectorOracle(matrix, range(60)), m, halves) is not None:
+            by_halves.append(name)
+        monkeypatch.setattr(represent, "incidence_matrix", lambda g, matrix=matrix: matrix)
+        if not verify_representation(ctx, g, seed=0)[0]:
+            refused.append(name)
+    assert set(by_halves) <= set(refused)
+    assert (by_halves, refused) == ([], ["0/0/1", "6/3/1", "16/3/1"])
 
 
 # (seed, lift-partition witness, frame-partition witness): the first subset,
