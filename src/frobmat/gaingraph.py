@@ -7,6 +7,7 @@ tail == head. Edge ids are stable: minors drop ids but never renumber them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -266,7 +267,7 @@ def complete_gain_graph(group: FiniteGroup, n: int) -> GainGraph:
     """K_n over the group: one edge per vertex pair per element.
 
     For i < j the edge (i, j, alpha) is oriented i -> j with gain alpha; ids
-    are lexicographic in (i, j, alpha).
+    are lexicographic in (i, j, alpha), read from complete_pair_offsets.
     """
     if n < 2:
         raise ValueError("complete gain graph needs at least 2 vertices")
@@ -276,13 +277,12 @@ def complete_gain_graph(group: FiniteGroup, n: int) -> GainGraph:
             f"K_{n} over a group of order {group.order} has {count} edges, "
             f"above the cap {MAX_COMPLETE_EDGES}"
         )
-    edges = []
-    eid = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            for alpha in group.elements():
-                edges.append(Edge(eid, i, j, alpha))
-                eid += 1
+    offset = complete_pair_offsets(group.order, n)
+    edges = [
+        Edge(offset[i][j] + alpha, i, j, alpha)
+        for i, j in itertools.combinations(range(n), 2)
+        for alpha in group.elements()
+    ]
     return GainGraph(group, n, edges)
 
 

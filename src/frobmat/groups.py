@@ -556,35 +556,35 @@ def _partition_from_complement(group: FiniteGroup, h: Sequence[int]) -> Frobeniu
 
 
 def validate_partition(group: FiniteGroup, part: FrobeniusPartition) -> None:
-    """Raise ValueError if any FrobeniusPartition invariant fails.
+    """Raise ValueError if any FrobeniusPartition invariant fails, naming a
+    failing complement by its elements.
 
-    Complement 0 is tested for malnormality in full, and a later one only
-    when it is no conjugate of complement 0. Complements that pass are
-    conjugation-closed: they are Frobenius complements, one conjugacy class
-    (see frobenius_partitions).
+    Each complement in turn must be a nontrivial malnormal subgroup meeting
+    the kernel and the earlier complements only in 0. Complement 0 is tested
+    for malnormality in full, and a later one only when it is no conjugate
+    of complement 0. Complements that pass are conjugation-closed: they are
+    Frobenius complements, one conjugacy class (see frobenius_partitions).
     """
     if not is_subgroup(group, part.kernel.elements):
         raise ValueError("kernel is not a subgroup")
     if not is_normal(group, part.kernel):
         raise ValueError("kernel is not normal")
-    seen: dict[int, int] = {}
+    seen: set[int] = set()
     conjugates: set[Subgroup] = set()
     for i, a in enumerate(part.complements):
         if a.order < 2:
             raise ValueError("complements must be nontrivial")
         if not is_subgroup(group, a.elements):
-            raise ValueError(f"complement {i} is not a subgroup")
+            raise ValueError(f"complement {a.elements} is not a subgroup")
         if a not in conjugates and not is_malnormal(group, a):
-            raise ValueError(f"complement {i} is not malnormal")
+            raise ValueError(f"complement {a.elements} is not malnormal")
         if i == 0:
             conjugates = {Subgroup(tuple(c)) for c in _conjugates(group, a.elements)}
-        for e in a.elements:
-            if e == 0:
-                continue
+        for e in a.elements[1:]:
             if e in seen or e in part.kernel:
                 raise ValueError(f"element {e} covered twice")
-            seen[e] = i
-    covered = set(seen) | part.kernel.element_set
+            seen.add(e)
+    covered = seen | part.kernel.element_set
     if covered != set(group.elements()):
         missing = sorted(set(group.elements()) - covered)
         raise ValueError(f"elements not covered: {missing}")

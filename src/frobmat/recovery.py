@@ -28,14 +28,7 @@ from .gaingraph import (
     complete_gain_graph,
     complete_pair_offsets,
 )
-from .groups import (
-    FiniteGroup,
-    FrobeniusPartition,
-    Subgroup,
-    is_malnormal,
-    is_normal,
-    is_subgroup,
-)
+from .groups import FiniteGroup, FrobeniusPartition, Subgroup, is_normal, is_subgroup
 from .lifts import FrobeniusContext, LiftedMatroid
 
 EXHAUSTIVE_GROUP_ORDER = 10
@@ -303,9 +296,13 @@ def recover_partition(
     """Reconstruct the partition whose lift over the complete gain graph is m.
 
     Relates two non-kernel elements when the rank of their joint bundle with
-    the identity stays at n; the classes (plus the identity) are verified to
-    be malnormal subgroups forming a conjugation-closed exact cover, and the
-    reconstructed matroid is checked against m before returning.
+    the identity stays at n. An element's class is it, the identity and the
+    elements it relates to; the distinct classes, sorted, are the
+    complements, and ``groups.validate_partition`` checks the partition as
+    the rebuilt lift's context is made: classes that overlap, from a
+    relation that is no equivalence, or that are no malnormal subgroups
+    raise RecoveryError("recovered partition: ..."). The reconstructed
+    matroid is checked against m before returning.
 
     Both routes of the cycle hypothesis check (see
     ``_check_cycle_hypothesis``) take m to be an elementary lift of N, the
@@ -331,17 +328,17 @@ def recover_partition(
 
     With ``stats``, a dict, m is wrapped to count the rank queries asked of
     it, and each phase that runs records its queries and perf_counter
-    seconds there: "cycles" (the hypothesis check), "bundles" (the full rank
-    and the bundle relation) and "final" (the final comparison), as
-    {"rank_queries": {phase: count, ..., "total": count}, "seconds":
-    {phase: seconds, ...}}. The final comparison is split the same way
-    under "final_parts", into "empty", "bundles", "prefixes" and "halves"
-    when sampled, or one "subsets" part, and the parts add up to "final";
-    drawing a subset counts in its part. The phases and parts are marked as
-    they start: each mark runs to the next; the first part starts with its
-    phase, so rebuilding the lift counts in it; a phase that raises is
-    recorded up to the raise. Without ``stats`` m is asked directly and no
-    hook runs per query.
+    seconds there: "cycles" (the hypothesis check), "bundles" (the full
+    rank, the bundle relation and the partition) and "final" (the final
+    comparison), as {"rank_queries": {phase: count, ..., "total": count},
+    "seconds": {phase: seconds, ...}}. The final comparison is split the
+    same way under "final_parts", into "empty", "bundles", "prefixes" and
+    "halves" when sampled, or one "subsets" part, and the parts add up to
+    "final"; drawing a subset counts in its part. The phases and parts are
+    marked as they start: each mark runs to the next; the first part starts
+    with its phase, so rebuilding the lift counts in it; a phase that raises
+    is recorded up to the raise. Without ``stats`` m is asked directly and
+    no hook runs per query.
     """
     if stats is None:
         return _recover(group, kernel, n, m, seed, lambda phase, part=None: None)
@@ -406,40 +403,22 @@ def _recover(
                     raise RecoveryError(
                         f"bundle of the identity and {alpha} does not have rank n"
                     )
-            related: dict[int, set[int]] = {a: {a} for a in outside}
+            classes = {a: {0, a} for a in outside}
             for alpha, beta in itertools.combinations(outside, 2):
                 if m.rank(edge_bundle(group, n, (0, alpha, beta))) == n:
-                    related[alpha].add(beta)
-                    related[beta].add(alpha)
-            classes: list[frozenset[int]] = []
-            for alpha in outside:
-                cls = frozenset(related[alpha])
-                if cls not in classes:
-                    classes.append(cls)
-            for cls in classes:
-                for beta in cls:
-                    if related[beta] != set(cls):
-                        raise RecoveryError(
-                            "bundle relation is not an equivalence relation "
-                            f"(witness classes of {min(cls)} and {beta})"
-                        )
-            comps = []
-            for cls in classes:
-                elems = tuple(sorted(cls | {0}))
-                if not is_subgroup(group, elems):
-                    raise RecoveryError(f"recovered class {elems} is not a subgroup")
-                sub = Subgroup(elems)
-                if not is_malnormal(group, sub):
-                    raise RecoveryError(f"recovered subgroup {elems} is not malnormal")
-                comps.append(sub)
-            partition = FrobeniusPartition(
-                kernel, tuple(sorted(comps, key=lambda s: s.elements))
-            )
+                    classes[alpha].add(beta)
+                    classes[beta].add(alpha)
+            comps = sorted({tuple(sorted(c)) for c in classes.values()})
+            partition = FrobeniusPartition(kernel, tuple(map(Subgroup, comps)))
+    try:
+        ctx = FrobeniusContext(group, partition)
+    except ValueError as err:
+        raise RecoveryError(f"recovered partition: {err}") from None
 
     bundled, bundles = _final_sets(group, n)
     parts = comparison_parts(bundled, seed, ("bundles", bundles))
     mark("final", parts[0][0])
-    reconstructed = LiftedMatroid(FrobeniusContext(group, partition, validate=False), g)
+    reconstructed = LiftedMatroid(ctx, g)
     for part, compare in parts:
         mark("final", part)
         bad = compare(m, reconstructed)

@@ -35,9 +35,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BIASED = "src/frobmat/biased.py"
+GROUPS = "src/frobmat/groups.py"
 RECOVERY = "src/frobmat/recovery.py"
 REPRESENT = "src/frobmat/represent.py"
 TB = "tests/test_biased.py::"
+TG = "tests/test_groups.py::"
 TR = "tests/test_recovery.py::"
 TP = "tests/test_represent.py::"
 
@@ -153,6 +155,30 @@ MUTANTS = [
      "            return RankOracle.walk(self)\n",
      "",
      [TR + "test_a_counted_walk_of_an_oracle_asked_per_set_counts_every_ask"]),
+    # the recovered partition, checked by validate_partition alone
+    ("recovered-partition-unvalidated", RECOVERY,
+     "        ctx = FrobeniusContext(group, partition)\n",
+     "        ctx = FrobeniusContext(group, partition, validate=False)\n",
+     [TR + "test_every_flipped_bundle_relation_is_refused_in_the_bundles_phase",
+      TR + "test_recovery_refuses_a_flipped_relation_when_the_reference_does"]),
+    ("cover-check-misses-earlier-complements", GROUPS,
+     "            if e in seen or e in part.kernel:\n",
+     "            if e in part.kernel:\n",
+     [TG + "test_validate_partition_rejects_bad_family"]),
+    ("rank-n-kernel-check-dropped", RECOVERY,
+     "            if kernel.order > 1:\n",
+     "            if False:\n",
+     [TR + "test_rejects_rank_n_with_a_nontrivial_kernel"]),
+    # the group layer
+    ("close-expands-one-coset-only", GROUPS,
+     "    for r in reps:\n",
+     "    for r in reps[:1]:\n",
+     [TG + "test_subgroups_match_brute_force",
+      TG + "test_generated_subgroup_is_smallest_containing_subgroup"]),
+    ("field-affine-cap-dropped", GROUPS,
+     "    if q >= 3:\n        _check_table_order(q * (q - 1))\n",
+     "",
+     [TG + "test_partition_search_refuses_by_order_before_the_table"]),
 ]
 
 

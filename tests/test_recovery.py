@@ -49,7 +49,7 @@ from frobmat.biased import (
     subset_sweep,
 )
 from frobmat.fileio import group_from_spec
-from frobmat.groups import generated_subgroup, quotient
+from frobmat.groups import generated_subgroup, is_malnormal, is_subgroup, quotient
 from frobmat.recovery import (
     EXHAUSTIVE_GROUP_ORDER,
     _all_cycles,
@@ -349,12 +349,13 @@ D6, F20 = WITNESS_GROUPS["D6"], WITNESS_GROUPS["F20"]
         (
             D6,
             _bundles_at_rank(D6, [(3, 4), (4, 5)], 4),
-            "bundle relation is not an equivalence relation (witness classes of 3 and 4)",
+            "recovered partition: complement (0, 3, 4) is not a subgroup",
         ),
-        (D6, _bundles_at_rank(D6, [(3, 4)], 4), "recovered class (0, 3, 4) is not a subgroup"),
+        (D6, _bundles_at_rank(D6, [(3, 4)], 4),
+         "recovered partition: complement (0, 3, 4) is not a subgroup"),
         # 11 is the involution of the complement {0, 11, 14, 17}, a Z4
         (F20, _bundles_at_rank(F20, [(11, 14), (11, 17)], 5),
-         "recovered subgroup (0, 11) is not malnormal"),
+         "recovered partition: complement (0, 11) is not malnormal"),
     ],
     ids=["empty-set", "full-rank", "not-transitive", "not-a-subgroup", "not-malnormal"],
 )
@@ -369,6 +370,105 @@ def test_rejects_a_lift_changed_only_where_named(group, patch, message):
     with pytest.raises(RecoveryError) as info:
         recover_partition(group, part.kernel, 4, oracle)
     assert str(info.value) == message
+
+
+RELATION_GROUPS = {
+    "D6": D6, "D10": make_dihedral(10), "AGL(1,3)": make_field_affine(3), "F20": F20,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _relation_case(name):
+    """The Frobenius partition of the named group, its lift over K_4 and the
+    pairs of elements outside its kernel."""
+    group = RELATION_GROUPS[name]
+    part = frobenius_partitions(group)[-1]
+    m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 4))
+    outside = [x for x in group.elements() if x not in part.kernel]
+    return group, part, m, list(itertools.combinations(outside, 2))
+
+
+def _flipped_relation(name, pairs):
+    """The lift of ``_relation_case`` with the rank of the bundle {0, a, b} of
+    each pair flipped between n and n + 1, n = 4."""
+    group, _, m, _ = _relation_case(name)
+    flipped = {frozenset(edge_bundle(group, 4, (0, a, b))) for a, b in pairs}
+    return FuncOracle(m.ground, lambda s: 9 - m.rank(s) if s in flipped else m.rank(s))
+
+
+def _refused_in_the_bundles_phase(name, oracle):
+    """Whether recovery refuses ``oracle`` before its final comparison starts;
+    it may accept it, or refuse it there."""
+    group, part, _, _ = _relation_case(name)
+    stats = {}
+    try:
+        recover_partition(group, part.kernel, 4, oracle, stats=stats)
+    except RecoveryError:
+        return "final" not in stats["rank_queries"]
+    return False
+
+
+def test_every_flipped_bundle_relation_is_refused_in_the_bundles_phase():
+    """The relation fault corpus: on K_4 over D6, D10, AGL(1,3) and F20 under
+    the Frobenius partition, the lift with the bundle of the identity and one
+    pair of elements outside the kernel flipped, for every pair: 3, 10, 3
+    and 105 faults. A flipped pair joins two classes or splits one, and
+    recovery refuses each before its final comparison."""
+    faults = [(name, pair) for name in RELATION_GROUPS for pair in _relation_case(name)[3]]
+    assert len(faults) == 121
+    accepted = [
+        (name, pair)
+        for name, pair in faults
+        if not _refused_in_the_bundles_phase(name, _flipped_relation(name, [pair]))
+    ]
+    assert accepted == []
+
+
+def _reference_classes(group, kernel, n, m):
+    """The class checks recovery made of its bundle relation before it handed
+    the classes to ``validate_partition``, kept as the reference: the
+    relation must be an equivalence, then each class with the identity a
+    subgroup, then each such subgroup malnormal."""
+    outside = [x for x in group.elements() if x not in kernel]
+    related = {a: {a} for a in outside}
+    for alpha, beta in itertools.combinations(outside, 2):
+        if m.rank(edge_bundle(group, n, (0, alpha, beta))) == n:
+            related[alpha].add(beta)
+            related[beta].add(alpha)
+    classes = []
+    for alpha in outside:
+        if related[alpha] not in classes:
+            classes.append(related[alpha])
+    for cls in classes:
+        for beta in cls:
+            if related[beta] != cls:
+                raise RecoveryError(
+                    "bundle relation is not an equivalence relation "
+                    f"(witness classes of {min(cls)} and {beta})"
+                )
+    for cls in classes:
+        elems = tuple(sorted(cls | {0}))
+        if not is_subgroup(group, elems):
+            raise RecoveryError(f"recovered class {elems} is not a subgroup")
+        if not is_malnormal(group, Subgroup(elems)):
+            raise RecoveryError(f"recovered subgroup {elems} is not malnormal")
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("name", ["D10", "F20"])
+def test_recovery_refuses_a_flipped_relation_when_the_reference_does(name, seed):
+    """Up to five pairs' bundles flipped at once, drawn with the seed:
+    recovery refuses before its final comparison exactly when the reference
+    class checks refuse."""
+    group, part, _, pairs = _relation_case(name)
+    rng = random.Random(f"{name}/{seed}")
+    oracle = _flipped_relation(name, rng.sample(pairs, rng.randint(0, 5)))
+    try:
+        _reference_classes(group, part.kernel, 4, oracle)
+        reference_refused = False
+    except RecoveryError:
+        reference_refused = True
+    assert _refused_in_the_bundles_phase(name, oracle) == reference_refused
 
 
 ROUTE_GROUPS = [make_cyclic(2), make_cyclic(5), make_dihedral(6), make_field_affine(3)]
