@@ -555,9 +555,28 @@ def _partition_from_complement(group: FiniteGroup, h: Sequence[int]) -> Frobeniu
     return FrobeniusPartition(kernel, tuple(sorted(complements)))
 
 
+def kernel_fault(group: FiniteGroup, kernel: Subgroup) -> str | None:
+    """Why ``kernel`` is no normal subgroup of the group, or None."""
+    if not is_subgroup(group, kernel.elements):
+        return "kernel is not a subgroup"
+    if not is_normal(group, kernel):
+        return "kernel is not normal"
+    return None
+
+
 def validate_partition(group: FiniteGroup, part: FrobeniusPartition) -> None:
-    """Raise ValueError if any FrobeniusPartition invariant fails, naming a
-    failing complement by its elements.
+    """Raise ValueError if any FrobeniusPartition invariant fails: the
+    ``kernel_fault``, or else that of ``validate_complements``."""
+    fault = kernel_fault(group, part.kernel)
+    if fault is not None:
+        raise ValueError(fault)
+    validate_complements(group, part)
+
+
+def validate_complements(group: FiniteGroup, part: FrobeniusPartition) -> None:
+    """Raise ValueError, naming a failing complement by its elements, unless
+    the complements and the kernel, taken to be a normal subgroup, partition
+    the group.
 
     Each complement in turn must be a nontrivial malnormal subgroup meeting
     the kernel and the earlier complements only in 0. Complement 0 is tested
@@ -565,10 +584,6 @@ def validate_partition(group: FiniteGroup, part: FrobeniusPartition) -> None:
     of complement 0. Complements that pass are conjugation-closed: they are
     Frobenius complements, one conjugacy class (see frobenius_partitions).
     """
-    if not is_subgroup(group, part.kernel.elements):
-        raise ValueError("kernel is not a subgroup")
-    if not is_normal(group, part.kernel):
-        raise ValueError("kernel is not normal")
     seen: set[int] = set()
     conjugates: set[Subgroup] = set()
     for i, a in enumerate(part.complements):

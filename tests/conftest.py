@@ -31,7 +31,6 @@ from frobmat import (
 from frobmat.biased import RankOracle, _dense_ends, _rank_pass
 from frobmat.gaingraph import complete_pair_offsets
 from frobmat.groups import generated_subgroup, quotient
-from frobmat.recovery import EXHAUSTIVE_GROUP_ORDER
 
 
 @pytest.fixture(scope="session")
@@ -101,7 +100,7 @@ def complete_edge_id(group: FiniteGroup, n: int, i: int, j: int, alpha: int) -> 
 
 
 # The cycles of K_n built one at a time from their vertices and gain words:
-# the reference for the sorted streams in ``frobmat.recovery``.
+# the reference for the sorted cycle stream in ``frobmat.recovery``.
 
 
 def complete_cycle(
@@ -135,23 +134,27 @@ def complete_digons(group: FiniteGroup, n: int) -> Iterable[tuple[tuple[int, ...
             yield complete_cycle(group, n, (i, j), (a, inverse[b]))
 
 
-def all_complete_cycles(group: FiniteGroup, n: int) -> list[tuple[tuple[int, ...], bool]]:
-    """Every cycle of K_n with its balance flag, sorted by edge ids.
+def complete_cycle_groups(group: FiniteGroup, n: int) -> list[list[tuple[tuple[int, ...], bool]]]:
+    """Every cycle of K_n with its balance flag, in groups, each sorted by
+    edge ids: the digons, then the cycles of each vertex cycle.
 
     Each vertex cycle is listed once, from its least vertex in the direction
     whose second vertex is below its last, and crossed with every gain word.
     """
-    out = list(complete_digons(group, n))
+    groups = [sorted(complete_digons(group, n))]
     for k in range(3, n + 1):
         for first, *rest in itertools.combinations(range(n), k):
             for tail in itertools.permutations(rest):
-                if tail[0] > tail[-1]:
-                    continue
-                verts = (first,) + tail
-                for word in itertools.product(range(group.order), repeat=k):
-                    out.append(complete_cycle(group, n, verts, word))
-    out.sort()
-    return out
+                if tail[0] < tail[-1]:
+                    verts = (first,) + tail
+                    words = itertools.product(range(group.order), repeat=k)
+                    groups.append(sorted(complete_cycle(group, n, verts, w) for w in words))
+    return groups
+
+
+def all_complete_cycles(group: FiniteGroup, n: int) -> list[tuple[tuple[int, ...], bool]]:
+    """Every cycle of K_n with its balance flag, sorted by edge ids."""
+    return sorted(itertools.chain.from_iterable(complete_cycle_groups(group, n)))
 
 
 def reduced_complete_cycles(group: FiniteGroup, n: int) -> Iterable[tuple[tuple[int, ...], bool]]:
@@ -182,7 +185,7 @@ def greedy_generators(group: FiniteGroup) -> tuple[int, ...]:
 def candidate_cycles(
     group: FiniteGroup, n: int, cycles: Iterable[tuple[tuple[int, ...], bool]], column: bool = True
 ) -> list[tuple[tuple[int, ...], bool]]:
-    """The listed cycles the check above order 10 asks with the kernel Γ, in
+    """The listed cycles the cycle check asks with the kernel Γ, in
     their order: every digon and the balanced triangles T(i, j, a, c),
     0 -> i -> j -> 0 with 0 < i < j and gain a on (0, i) and c on (0, j),
     for which a is the identity (the identity rows), or i = 1 and a lies in
@@ -212,29 +215,85 @@ def candidate_cycles(
 def asked_cycle_count(group: FiniteGroup, kernel_order: int, n: int) -> int:
     """The cycles recovery's cycle check asks of a lift of K_n over ``group``
     with a kernel Γ₁ of the given order: the N-circuits, the cycles whose
-    gain lies in Γ₁, among the cycles of its route.
+    gain lies in Γ₁, among the digons and the balanced triangles of
+    ``candidate_cycles``.
 
     A digon on a pair is an N-circuit when its two gains lie in one coset of
-    Γ₁: C(|Γ₁|, 2) per coset, C(n,2)·(|Γ|/|Γ₁|)·C(|Γ₁|,2) in all. Up to order
-    EXHAUSTIVE_GROUP_ORDER every N-circuit is asked: each of the
-    C(n,k)·(k-1)!/2 vertex cycles of length k >= 3 takes any gains on k - 1
-    of its pairs and, on the last, the |Γ₁| gains of one coset that put the
-    cycle's gain in Γ₁, so |Γ|^(k-1)·|Γ₁| words. Above that order the
-    digons and the balanced triangles of ``candidate_cycles``: the identity
-    rows, C(n-1,2)·|Γ|; the generator rows, (n-2)·|S|·|Γ| for S the
+    Γ₁: C(|Γ₁|, 2) per coset, C(n,2)·(|Γ|/|Γ₁|)·C(|Γ₁|,2) in all. Every
+    balanced triangle is one; those asked are the identity rows,
+    C(n-1,2)·|Γ|; the generator rows, (n-2)·|S|·|Γ| for S the
     ``greedy_generators``; and the column's |Γ| triangles T(1, 2, a, 0) less
     the 1 + |S| with a in {0} ∪ S, which the rows hold.
     """
     order = group.order
     digons = math.comb(n, 2) * (order // kernel_order) * math.comb(kernel_order, 2)
-    if order > EXHAUSTIVE_GROUP_ORDER:
-        gens = len(greedy_generators(group))
-        rows = math.comb(n - 1, 2) * order + (n - 2) * gens * order
-        return digons + rows + order - 1 - gens
-    return digons + sum(
-        math.comb(n, k) * math.factorial(k - 1) // 2 * order ** (k - 1) * kernel_order
-        for k in range(3, n + 1)
-    )
+    gens = len(greedy_generators(group))
+    rows = math.comb(n - 1, 2) * order + (n - 2) * gens * order
+    return digons + rows + order - 1 - gens
+
+
+def n_circuit_partners(
+    group: FiniteGroup, kernel: Subgroup, n: int, cycles: Iterable[Iterable[int]]
+) -> list[tuple[int, ...]]:
+    """The listed cycles, then, in sorted order, every other digon and
+    triangle of K_n that shares an edge with one of them and is a circuit
+    of N, its gain in ``kernel``: a family for ``non_lift_certificate``,
+    each listed cycle with the short cycles it may form a theta with."""
+    listed = [tuple(sorted(c)) for c in cycles]
+    g = complete_gain_graph(group, n)
+    frame = FrameOracle(BiasedGraph(quotient_gains(g, quotient(group, kernel))))
+    words = list(itertools.product(group.elements(), repeat=2))
+    found = set()
+    for e in set(itertools.chain.from_iterable(listed)):
+        i, j, a = g.edge(e).tail, g.edge(e).head, g.edge(e).gain
+        found.update(complete_cycle(group, n, (i, j), (a, b))[0] for b in group.elements())
+        for k in set(range(n)) - {i, j}:
+            found.update(complete_cycle(group, n, (i, j, k), (a, x, y))[0] for x, y in words)
+    partners = [c for c in sorted(found) if len(set(c)) == len(c) and c not in listed]
+    return listed + [c for c in partners if frame.rank(c) == len(c) - 1]
+
+
+def non_lift_certificate(
+    m: RankOracle, n_rank: Callable[[frozenset[int]], int], sets: Iterable[Iterable[int]]
+) -> Optional[tuple]:
+    """A proof, read off the listed ``sets``, that the rank oracle m is no
+    elementary lift of the matroid N whose rank function is ``n_rank``, or
+    None if the sets hold none. An elementary lift ranks every set at r_N or
+    one above it, and its circuits among N's form a linear class
+    (Brylawski): with two circuits of a modular pair of N, every circuit of N
+    inside their union. So the certificate is, first in the listing:
+
+    - ("rank", X): a set with r_m(X) - r_N(X) outside {0, 1};
+    - ("theta", (C, D, E)): two listed circuits of N that meet, C and D,
+      with r_N(C ∪ D) = |C ∪ D| - 2, whose symmetric difference E is a
+      circuit of N too (the third cycle of a theta, or a bicycle), of which
+      m ranks exactly two as circuits, r = |X| - 1.
+      Each proper subset of a circuit of N is independent in N, so in a lift
+      of N a circuit of N is one of m's exactly when it has that rank; and
+      any two of C, D, E are a modular pair whose union holds the third.
+
+    The rank rule is read on every set; then each circuit of N among them is
+    paired with each later one.
+    """
+    listed = [frozenset(x) for x in sets]
+    for x in listed:
+        if m.rank(x) - n_rank(x) not in (0, 1):
+            return "rank", tuple(sorted(x))
+
+    def n_circuit(x: frozenset[int]) -> bool:
+        return n_rank(x) == len(x) - 1 and all(n_rank(x - {e}) == len(x) - 1 for e in x)
+
+    def m_circuit(x: frozenset[int]) -> bool:
+        return m.rank(x) == len(x) - 1
+
+    circuits = [x for x in listed if n_circuit(x)]
+    for i, c in enumerate(circuits):
+        for d in circuits[i + 1 :]:
+            union, e = c | d, c ^ d
+            if c & d and n_rank(union) == len(union) - 2 and n_circuit(e):
+                if m_circuit(c) + m_circuit(d) + m_circuit(e) == 2:
+                    return "theta", tuple(tuple(sorted(x)) for x in (c, d, e))
+    return None
 
 
 def normalize_forest(g: GainGraph, forest: Iterable[int], root: int) -> list[int]:

@@ -44,7 +44,7 @@ TR = "tests/test_recovery.py::"
 TP = "tests/test_represent.py::"
 
 MUTANTS = [
-    # the cycle set above order 10
+    # the one cycle set, at every order
     ("column-dropped", RECOVERY,
      "            elif i == 1:\n",
      "            elif False:\n",
@@ -69,19 +69,27 @@ MUTANTS = [
      "            if (a == 0 and i == 1) or (i == 1 and a in gens):\n",
      [TR + "test_reduced_cycle_stream_comes_in_sorted_order[AGL(1,5)-4]",
       TR + "test_a_balanced_cycle_below_circuit_rank_is_refused"]),
-    # the cycle streams, read in turn below the least failure
-    ("least-failure-bound-inclusive", RECOVERY,
-     "lambda item: item < least",
-     "lambda item: item <= least",
-     [TR + "test_the_witness_is_the_least_failing_cycle_of_all_streams"]),
-    ("least-failure-bound-dropped", RECOVERY,
-     "            stream = itertools.takewhile(lambda item: item < least, stream)\n",
-     "            pass\n",
-     [TR + "test_the_witness_is_the_least_failing_cycle_of_all_streams"]),
-    ("break-dropped", RECOVERY,
-     "                least = cycle, balanced\n                break\n",
-     "                least = cycle, balanced\n",
-     [TR + "test_the_witness_is_the_least_failing_cycle_of_all_streams"]),
+    ("identity-rows-skip-the-last-vertex", RECOVERY,
+     "                rows = itertools.product(range(i + 1, n), range(order))\n",
+     "                rows = itertools.product(range(i + 1, n - 1), range(order))\n",
+     [TR + "test_cycle_streams_come_in_sorted_order[D6-4]",
+      TR + "test_the_cycle_phase_asks_the_closed_form_count[Z7]"]),
+    ("digons-off-vertex-0-dropped", RECOVERY,
+     "    for i, j in itertools.combinations(range(1, n), 2):\n"
+     "        yield from _pair_digons(offset[i][j], cosets)\n",
+     "",
+     [TR + "test_cycle_streams_come_in_sorted_order[D6-4]",
+      TR + "test_the_cycle_streams_list_exactly_the_n_circuits[D6]"]),
+    # the one stream, read to its first failure
+    ("circuit-verdict-at-most", RECOVERY,
+     "        if balanced != (m.rank(cycle) == len(cycle) - 1):\n",
+     "        if balanced != (m.rank(cycle) <= len(cycle) - 1):\n",
+     [TR + "test_a_balanced_cycle_below_circuit_rank_is_refused[D6]"]),
+    ("digons-not-checked", RECOVERY,
+     "        if balanced != (m.rank(cycle) == len(cycle) - 1):\n",
+     "        if len(cycle) > 2 and balanced != (m.rank(cycle) == len(cycle) - 1):\n",
+     [TR + "test_rejects_cycle_hypothesis_violation",
+      TR + "test_the_witness_is_the_least_failing_cycle_of_all_streams[Q8-1]"]),
     # the listing walker of the sampled comparison
     ("walk-stops-when-either-is-full", BIASED,
      "            if ra == full_a and rb == full_b:\n",
@@ -155,12 +163,17 @@ MUTANTS = [
      "            return RankOracle.walk(self)\n",
      "",
      [TR + "test_a_counted_walk_of_an_oracle_asked_per_set_counts_every_ask"]),
-    # the recovered partition, checked by validate_partition alone
+    # the recovered partition, its complements checked by validate_complements
+    # alone and the declared kernel once
     ("recovered-partition-unvalidated", RECOVERY,
-     "        ctx = FrobeniusContext(group, partition)\n",
-     "        ctx = FrobeniusContext(group, partition, validate=False)\n",
+     "        validate_complements(group, partition)\n",
+     "        pass\n",
      [TR + "test_every_flipped_bundle_relation_is_refused_in_the_bundles_phase",
       TR + "test_recovery_refuses_a_flipped_relation_when_the_reference_does"]),
+    ("complements-check-retests-the-kernel", GROUPS,
+     "    conjugates: set[Subgroup] = set()\n",
+     "    conjugates: set[Subgroup] = set()\n    kernel_fault(group, part.kernel)\n",
+     [TR + "test_recovery_checks_the_declared_kernel_once"]),
     ("cover-check-misses-earlier-complements", GROUPS,
      "            if e in seen or e in part.kernel:\n",
      "            if e in part.kernel:\n",

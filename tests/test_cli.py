@@ -961,9 +961,9 @@ def test_recover_stats_go_to_stderr_and_leave_stdout_alone(
     """``--stats`` adds one JSON line to stderr, before any error line, and
     changes neither stdout nor the exit code. The phases that ran are
     listed in order, their counts add up to the total, and the cycle phase
-    asks one query per N-circuit of K_4, ``asked_cycle_count``: 2,412 on D6
-    with the kernel Z3, 40 on Z2 with the trivial kernel and 524 on Z4 with
-    the kernel Z2. The final comparison's parts are listed in order, and
+    asks one query per N-circuit of its stream, ``asked_cycle_count``: 81
+    on D6 with the kernel Z3, 10 on Z2 with the trivial kernel and 34 on Z4
+    with the kernel Z2. The final comparison's parts are listed in order, and
     their counts and seconds add up to the phase's."""
     argv = ["recover", "--graph", write("k4.json", {"complete": {"group": group, "n": 4}})]
     argv += ["--kernel", kernel]
@@ -1070,9 +1070,9 @@ def test_blank_lines_of_a_class_file_are_skipped(write, capsys):
 def test_recover_refuses_a_cycle_set_above_the_cap_before_building_any(
     write, capsys, monkeypatch
 ):
-    """Above order 10 recovery checks every digon and every balanced triangle
-    through vertex 0: on K_46 over Z96 that is 13,843,440 cycles, counted and
-    refused before one is built."""
+    """Above order 10 recovery counts every digon and every balanced
+    triangle through vertex 0 against the cap: on K_46 over Z96 that is
+    13,843,440 cycles, counted and refused before one is built."""
 
     _refuse_cycle_streams(monkeypatch)
     spec = {"complete": {"group": {"kind": "cyclic", "n": 96}, "n": 46}}
@@ -1085,8 +1085,9 @@ def test_recover_refuses_a_cycle_set_above_the_cap_before_building_any(
 def test_recover_refuses_every_cycle_above_the_cap_before_streaming_any(
     write, capsys, monkeypatch
 ):
-    """Up to order 10 recovery checks every cycle: on K_5 over D10 that is
-    1,360,450, counted and refused before either cycle stream is started."""
+    """Up to order 10 recovery counts every cycle against the cap, an upper
+    bound on what its cycle check asks: on K_5 over D10 that is 1,360,450,
+    counted and refused before the cycle stream is started."""
     _refuse_cycle_streams(monkeypatch)
     spec = {"complete": {"group": {"kind": "dihedral", "order": 10}, "n": 5}}
     code, out, err = run(capsys, "recover", "--graph", write("k5.json", spec), "--kernel", "0")
@@ -1095,9 +1096,8 @@ def test_recover_refuses_every_cycle_above_the_cap_before_streaming_any(
 
 def _refuse_cycle_streams(monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("a cycle stream was started")
+        raise AssertionError("the cycle stream was started")
 
-    monkeypatch.setattr("frobmat.recovery._all_cycles", fail)
     monkeypatch.setattr("frobmat.recovery._reduced_cycles", fail)
 
 

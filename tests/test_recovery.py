@@ -48,11 +48,12 @@ from frobmat.biased import (
     rank_table,
     subset_sweep,
 )
+from frobmat import groups
 from frobmat.fileio import group_from_spec
 from frobmat.groups import generated_subgroup, is_malnormal, is_subgroup, quotient
 from frobmat.recovery import (
     EXHAUSTIVE_GROUP_ORDER,
-    _all_cycles,
+    _check_cycle_hypothesis,
     _Counted,
     _final_sets,
     _reduced_cycles,
@@ -67,10 +68,14 @@ from conftest import (
     asked_cycle_count,
     candidate_cycles,
     complete_cycle,
+    complete_cycle_groups,
     complete_edge_id,
+    corpus_lift,
     dropped_from_class,
     final_sample_corpus,
     greedy_generators,
+    n_circuit_partners,
+    non_lift_certificate,
     reduced_complete_cycles,
     reference_halves,
 )
@@ -229,9 +234,12 @@ WITNESS_GROUPS = {"D6": make_dihedral(6), "F20": make_field_affine(5)}
 @pytest.mark.parametrize(
     "name,balanced,length,mod,residue,seed,message",
     [
-        # every N-circuit is checked (order <= 10); the least flipped 4-cycle,
-        # (0, 9, 29, 35), has its gain outside the kernel Z3, so is not asked
+        # the least flipped balanced triangle, (0, 9, 21), is T(1, 2, 0, 3) of
+        # an identity row
         ("D6", True, 3, 5, 0, 0, "cycle (0, 9, 21) is balanced but is not a circuit of the lift"),
+        # the least flipped 4-cycle, (0, 9, 29, 35), has its gain outside the
+        # kernel Z3; the least among N's circuits is named, and no 4-cycle is
+        # asked
         ("D6", False, 4, 17, 5, 5,
          "cycle (1, 8, 29, 35) is unbalanced but is a circuit of the lift"),
         # every digon inside a coset of the kernel Z5 and every balanced
@@ -249,18 +257,26 @@ WITNESS_GROUPS = {"D6": make_dihedral(6), "F20": make_field_affine(5)}
     ],
 )
 def test_cycle_hypothesis_witnesses(name, balanced, length, mod, residue, seed, message):
-    """The first failing cycle in sorted id order among those asked, the
-    N-circuits of each route, for both routes and both failure kinds."""
+    """The first failing cycle in sorted id order among those asked, for
+    both failure kinds. The message names the least failing N-circuit; where
+    the cycle check does not list it, as D6's 4-cycle, recovery returns the
+    partition, and that cycle with its short partners of
+    ``n_circuit_partners`` holds a theta certificate that the oracle is no
+    elementary lift of N."""
     group = WITNESS_GROUPS[name]
     part = frobenius_partitions(group)[-1]
     g = complete_gain_graph(group, 4)
+    m = LiftedMatroid(FrobeniusContext(group, part, validate=False), g)
     if balanced is None:
-        oracle = FrameOracle(
-            BiasedGraph(quotient_gains(g, quotient(group, part.kernel)))
-        )
+        oracle = FrameOracle(m.quotient_biased)
     else:
-        m = LiftedMatroid(FrobeniusContext(group, part, validate=False), g)
         oracle = _flip_cycles(g, m, balanced, length, mod, residue)
+    cycle = tuple(map(int, message.split("(")[1].split(")")[0].split(", ")))
+    if cycle not in [c for c, _ in _reduced_cycles(group, part.kernel, 4)]:
+        assert recover_partition(group, part.kernel, 4, oracle, seed=seed) == part
+        family = n_circuit_partners(group, part.kernel, 4, [cycle])
+        assert non_lift_certificate(oracle, m.underlying_rank, family)[0] == "theta"
+        return
     with pytest.raises(RecoveryError) as info:
         recover_partition(group, part.kernel, 4, oracle, seed=seed)
     assert str(info.value) == message
@@ -280,24 +296,26 @@ def test_cycle_hypothesis_witnesses(name, balanced, length, mod, residue, seed, 
         pytest.param("F20", (21, 40, 102), marks=pytest.mark.xfail(
             strict=True,
             raises=pytest.fail.Exception,
-            reason="ROADMAP item 13: above order 10 the cycle check asks only the "
-            "candidate's balanced triangles, and no final-comparison set is this one",
+            reason="ROADMAP item 13: the cycle check asks only the candidate's "
+            "balanced triangles, and no final-comparison set is this one",
         )),
     ],
     ids=["D6", "F20", "F20-column", "F20-generator-row", "F20-identity-row", "F20-off-candidate"],
 )
 def test_a_balanced_cycle_below_circuit_rank_is_refused(name, cycle):
     """The lift with the rank of one balanced triangle alone lowered to
-    |C| - 2, which no elementary lift of N gives a cycle: the one query asks
-    r(C) = |C| - 1, not r(C) <= |C| - 1, so the cycle check names the
-    triangle on both routes; nothing later in recovery asks that set. Above
-    order 10 that holds for the candidate's triangles, T(1, 2, 0, 0) and one
-    of each of its parts on F20, and not for one outside it, such as
+    |C| - 2, which no elementary lift of N gives a cycle: its rank is one
+    below N's, the certificate of ``non_lift_certificate``. The one query
+    asks r(C) = |C| - 1, not r(C) <= |C| - 1, so the cycle check names the
+    triangle; nothing later in recovery asks that set. That holds for the
+    candidate's triangles, T(1, 2, 0, 3) on D6, and T(1, 2, 0, 0) and one of
+    each of its parts on F20, and not for one outside it, such as
     T(2, 3, 1, 0)."""
     group = WITNESS_GROUPS[name]
     part = frobenius_partitions(group)[-1]
     m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 4))
     oracle = FuncOracle(m.ground, lambda s: m.rank(s) - (s == frozenset(cycle)))
+    assert non_lift_certificate(oracle, m.underlying_rank, [cycle]) == ("rank", cycle)
     with pytest.raises(RecoveryError) as info:
         recover_partition(group, part.kernel, 4, oracle)
     assert str(info.value) == f"cycle {cycle} is balanced but is not a circuit of the lift"
@@ -321,12 +339,14 @@ def test_a_dependent_pair_inside_a_cycle_is_refused(name, kernel_order, pair, se
     has rank |C| - 1, so the one query per cycle passes it, and the final
     comparison must refuse it. On F20 the pair, the identity edges on
     (0, 1) and (0, 2), is the final comparison's prefix of two edges; on D6,
-    (0, 1) with gain 0 and (0, 2) with gain 3, no set of it is the pair."""
+    (0, 1) with gain 0 and (0, 2) with gain 3, no set of it is the pair. The
+    pair, a forest, is one below N's rank: the certificate."""
     group = WITNESS_GROUPS[name]
     part = next(p for p in frobenius_partitions(group) if p.kernel.order == kernel_order)
     m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 4))
     oracle = FuncOracle(m.ground, lambda s: m.rank(s) - (s == frozenset(pair)))
     assert oracle.rank(pair) == 1
+    assert non_lift_certificate(oracle, m.underlying_rank, [pair]) == ("rank", pair)
     with pytest.raises(RecoveryError):
         recover_partition(group, part.kernel, 4, oracle, seed=seed)
 
@@ -476,7 +496,7 @@ ROUTE_GROUPS = [make_cyclic(2), make_cyclic(5), make_dihedral(6), make_field_aff
 
 def _whole(group):
     """Γ as a kernel: every cycle's gain lies in it, so every cycle is an
-    N-circuit and the cycle streams list every cycle."""
+    N-circuit and the cycle stream lists every digon."""
     return Subgroup(tuple(group.elements()))
 
 
@@ -494,16 +514,11 @@ def test_complete_cycles_match_enumeration(group, n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("group", ROUTE_GROUPS, ids=["Z2", "Z5", "D6", "AGL(1,3)"])
 def test_cycle_streams_come_in_sorted_order(group, n):
-    """The streams the cycle check reads, with the kernel Γ, against the
-    cycles built one at a time from their gain words: each stream is sorted,
-    and the streams of every cycle together hold each cycle once; the
-    reduced stream is the candidate read off every cycle, in order."""
-    whole = _whole(group)
-    streams = [list(stream) for stream in _all_cycles(group, whole, n)]
-    every = all_complete_cycles(group, n)
-    assert all(stream == sorted(stream) for stream in streams)
-    assert sorted(itertools.chain.from_iterable(streams)) == every
-    assert list(_reduced_cycles(group, whole, n)) == candidate_cycles(group, n, every)
+    """The one stream the cycle check reads, with the kernel Γ, against the
+    cycles built one at a time from their gain words: it is sorted, and it
+    is the candidate read off every cycle, in order."""
+    stream = list(_reduced_cycles(group, _whole(group), n))
+    assert stream == sorted(stream) == candidate_cycles(group, n, all_complete_cycles(group, n))
 
 
 LARGE_CATALOG = {
@@ -514,8 +529,9 @@ LARGE_CATALOG = {
 @pytest.mark.parametrize("n", [4, 5, 6])
 @pytest.mark.parametrize("name", sorted(LARGE_CATALOG))
 def test_reduced_cycle_stream_comes_in_sorted_order(name, n):
-    """The stream above order 10 is sorted, and is the candidate read off
-    every digon and balanced triangle through vertex 0, in order."""
+    """Over a group above order 10, whose cycles are too many to list, the
+    stream is sorted, and is the candidate read off every digon and
+    balanced triangle through vertex 0, in order."""
     group = LARGE_CATALOG[name]
     stream = list(_reduced_cycles(group, _whole(group), n))
     assert stream == sorted(stream)
@@ -571,43 +587,31 @@ N_CIRCUIT_HOSTS = {
 
 @pytest.mark.parametrize("name", sorted(N_CIRCUIT_HOSTS))
 def test_the_cycle_streams_list_exactly_the_n_circuits(name):
-    """Under every partition, each stream the cycle check reads is its
-    stream with the kernel Γ, every cycle, filtered by a FrameOracle of N,
-    in the same order, and so sorted: the exhaustive route's streams on K_4
-    up to order 10, the reduced route's one stream on K_4 and K_5 above it.
-    With the kernel Γ the streams hold every cycle, each once, or the
+    """Under every partition, the stream the cycle check reads is its
+    stream with the kernel Γ filtered by a FrameOracle of N, in the same
+    order, and so sorted, on K_4 and on K_5. With the kernel Γ it is the
     candidate read off the reference's digons and balanced triangles through
     vertex 0."""
     group, ns = N_CIRCUIT_HOSTS[name]
     for n in ns:
-        if group.order <= EXHAUSTIVE_GROUP_ORDER:
-            every = [list(stream) for stream in _all_cycles(group, _whole(group), n)]
-            assert sorted(itertools.chain.from_iterable(every)) == all_complete_cycles(group, n)
-        else:
-            every = [list(_reduced_cycles(group, _whole(group), n))]
-            reduced = sorted(reduced_complete_cycles(group, n))
-            assert every == [candidate_cycles(group, n, reduced)]
+        every = list(_reduced_cycles(group, _whole(group), n))
+        assert every == candidate_cycles(group, n, sorted(reduced_complete_cycles(group, n)))
         for part in frobenius_partitions(group):
-            if group.order <= EXHAUSTIVE_GROUP_ORDER:
-                streams = [list(stream) for stream in _all_cycles(group, part.kernel, n)]
-            else:
-                streams = [list(_reduced_cycles(group, part.kernel, n))]
-            assert streams == [_n_circuits(group, part.kernel, n, s) for s in every], part
-            assert all(stream == sorted(stream) for stream in streams)
+            stream = list(_reduced_cycles(group, part.kernel, n))
+            assert stream == _n_circuits(group, part.kernel, n, every), part
 
 
 def test_the_cycle_stream_holds_no_cycle_list():
-    """K_4 over D10 has 34,270 cycles, about 4.5 MB as a list; its eight
-    streams with the kernel Γ, read in turn, hold one walk's prefix at a
-    time."""
-    group = make_dihedral(10)
+    """K_6 over AGL(1,7), order 42, with the kernel Γ: the stream lists
+    13,877 cycles, about 2 MB as a list, and read holds one at a time."""
+    group = make_field_affine(7)
     tracemalloc.start()
     try:
-        count = sum(1 for stream in _all_cycles(group, _whole(group), 4) for _ in stream)
+        count = sum(1 for _ in _reduced_cycles(group, _whole(group), 6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count == complete_cycle_count(10, 4) == 34_270
+    assert count == asked_cycle_count(group, 42, 6) == 13_877
     assert peak < 64 * 1024
 
 
@@ -631,10 +635,10 @@ SMALL_CATALOG = {
 
 @pytest.mark.parametrize("name", sorted(SMALL_CATALOG))
 def test_reduced_cycles_give_the_verdict_of_every_cycle(name):
-    """On K_4, for each partition, the digons and balanced triangles through
-    vertex 0 against every cycle (the route below order 11): on the true
-    lift, and on the quotient frame matroid by a nontrivial kernel, whose
-    digons inside a coset are circuits."""
+    """On K_4, for each partition, the digons and every balanced triangle
+    through vertex 0 against every cycle: on the true lift, and on the
+    quotient frame matroid by a nontrivial kernel, whose digons inside a
+    coset are circuits."""
     group = SMALL_CATALOG[name]
     g = complete_gain_graph(group, 4)
     every = all_complete_cycles(group, 4)
@@ -657,9 +661,9 @@ def test_reduced_cycles_give_the_verdict_of_every_cycle(name):
 @pytest.mark.parametrize("name", sorted(SMALL_CATALOG))
 def test_the_candidate_gives_the_verdict_of_every_cycle(name):
     """On K_4, for each partition, the candidate's balanced triangles and
-    the digons inside a coset of the kernel, the set the route above order
-    10 asks, against every cycle: on the true lift, and on the quotient
-    frame matroid by a nontrivial kernel."""
+    the digons inside a coset of the kernel, the set the cycle check asks,
+    against every cycle: on the true lift, and on the quotient frame
+    matroid by a nontrivial kernel."""
     group = SMALL_CATALOG[name]
     g = complete_gain_graph(group, 4)
     every = all_complete_cycles(group, 4)
@@ -682,7 +686,7 @@ def test_one_query_gives_the_circuit_verdict_of_every_cycle(name):
     independent."""
     group = SMALL_CATALOG[name]
     g = complete_gain_graph(group, 4)
-    cycles = [cycle for stream in _all_cycles(group, _whole(group), 4) for cycle, _ in stream]
+    cycles = [cycle for cycle, _ in all_complete_cycles(group, 4)]
     for part in frobenius_partitions(group):
         qg = quotient_gains(g, quotient(group, part.kernel))
         for m in (
@@ -726,11 +730,12 @@ def _quotient_balanced_cycles(group, kernel, n):
 
 @functools.lru_cache(maxsize=None)
 def _deciding_cycles(name, route):
-    """The named pair's cycles of K_4 that the route above order 10 asks
-    with the kernel Γ, as masks with their Γ-balance flags: every digon and
+    """The named pair's cycles of K_4 that decide the cycle hypothesis with
+    the kernel Γ, as masks with their Γ-balance flags: every digon and
     every balanced triangle through vertex 0 (``reduced``), or the
-    candidate's (``candidate``). The digons outside a coset of the kernel
-    are no quotient-balanced cycle, so no family holds them."""
+    candidate's, which the cycle check asks (``candidate``). The digons
+    outside a coset of the kernel are no quotient-balanced cycle, so no
+    family holds them."""
     group, _ = THETA_PAIRS[name]
     reduced = sorted(reduced_complete_cycles(group, 4))
     return _masks(reduced if route == "reduced" else candidate_cycles(group, 4, reduced))
@@ -761,7 +766,7 @@ def test_theta_closed_families_are_decided_by_the_reduced_cycles(route, name, se
     """A theta-closed family of quotient-balanced cycles on K_4 is exactly
     the Γ-balanced cycles iff it holds every balanced triangle the route
     lists and no digon: every one through vertex 0, or the candidate's. That
-    is the reduction the cycle hypothesis check rests on above order 10,
+    is the reduction the cycle hypothesis check rests on at every order,
     with membership in place of rank queries. Z4/{0,2} and Z2×Z2/Z2 are not
     Frobenius kernel pairs."""
     group, kernel = THETA_PAIRS[name]
@@ -1049,6 +1054,36 @@ def test_the_corpus_names_each_fault_once():
 # the bench's converse workload draws recovery's seeds from
 HELD_OUT_SEEDS = (2101, 65537, 987654321, 2**31 - 1)
 
+# Corpus faults of order at most 10 that recovery refused while its cycle
+# check asked every N-circuit there, and accepts now that it asks the digons
+# and the candidate's triangles at every order: the lift's class less a
+# balanced 4-cycle, or plus a triangle or 4-cycle whose gain is a kernel
+# element, neither of which the check asks, under the partitions whose
+# bundles and sample do not meet it.
+ACCEPTED_CLASS_FAULTS = [
+    f"{prefix}/{rest}"
+    for prefix, rests in (
+        ("Z7/p0", "drop/0.7.29.36 drop/0.7.30.37 drop/1.9.30.36 "
+                  "add/0.13.21 add/21.34.35 add/0.7.29.35"),
+        ("D6/p0", "drop/0.6.25.31 drop/0.6.26.32 drop/0.7.24.32 "
+                  "add/0.8.18 add/18.26.30 add/0.6.25.30"),
+        ("D6/p2", "drop/0.6.25.31 drop/0.6.26.32 drop/4.8.28.31 "
+                  "add/0.8.18 add/18.26.30 add/0.6.25.30"),
+    )
+    for rest in rests.split()
+]
+
+
+def _corpus_certificate(name):
+    """``non_lift_certificate`` of a corpus fault that changes the lift's
+    class by the one cycle its name ends with, read off that cycle and its
+    partners of ``n_circuit_partners``."""
+    fault = CORPUS[name]
+    gname, index, _, cycle = name.split("/")
+    family = n_circuit_partners(fault.group, fault.kernel, 4, [map(int, cycle.split("."))])
+    lift = corpus_lift(gname, int(index[1:]))
+    return non_lift_certificate(fault.build(), lift.underlying_rank, family)
+
 
 @pytest.mark.parametrize("name", list(_corpus_names(REFUSED_BY_1500_HALVES)))
 def test_the_final_sample_refuses_what_1500_halves_refused(name):
@@ -1058,8 +1093,15 @@ def test_the_final_sample_refuses_what_1500_halves_refused(name):
     seed, and the other seeds run only when the halves refused it. The
     ``avoid`` faults, on sets of more than 4 edges that miss one to three
     given edges, are refused only by a half; each escapes SAMPLES halves
-    with probability at most (7/8)^SAMPLES at any seed."""
+    with probability at most (7/8)^SAMPLES at any seed. The faults of
+    ACCEPTED_CLASS_FAULTS return the partition of their lift instead, and
+    hold a theta certificate that they are no elementary lift of N."""
     fault = CORPUS[name]
+    if name in ACCEPTED_CLASS_FAULTS:
+        part = frobenius_partitions(fault.group)[int(name.split("/")[1][1:])]
+        assert recover_partition(fault.group, fault.kernel, 4, fault.build()) == part
+        assert _corpus_certificate(name)[0] == "theta"
+        return
     for seed in (0, 1, 2, 3, *HELD_OUT_SEEDS):
         stats = {}
         with pytest.raises(RecoveryError):
@@ -1072,13 +1114,29 @@ def test_the_final_sample_refuses_what_1500_halves_refused(name):
 # one unbalanced cycle whose gain is a kernel element. Such a class is not
 # linear (the added cycle and a balanced triangle sharing two of its edges
 # make a theta whose third cycle, a digon inside a kernel coset, is outside
-# the class), so the oracle is no matroid, but the reduced cycle route asks
-# no set that shows it and the final sample misses it.
+# the class), so the oracle is no matroid, but the cycle check asks no set
+# that shows it and the final sample misses it.
 ACCEPTED_KERNEL_CYCLE_FAULTS = [
     "Z11/p0/add/0.21.33", "Z11/p0/add/33.54.55", "Z11/p0/add/0.11.45.55",
     "F20/p0/add/0.22.60", "F20/p0/add/60.82.100", "F20/p0/add/0.20.81.100",
     "F20/p2/add/0.36.60", "F20/p2/add/60.96.100", "F20/p2/add/0.20.84.100",
 ]
+
+
+@pytest.mark.parametrize("group", [make_cyclic(3), make_cyclic(5), D6], ids=["Z3", "Z5", "D6"])
+def test_no_certificate_is_found_for_a_lift(group):
+    """``non_lift_certificate`` certifies no elementary lift of N: the lift
+    of each partition of K_4 over the group, nor N itself, on the balanced
+    4-cycle 0 1 3 2 with gains (0, 1, 1⁻¹, 0) and its partners of
+    ``n_circuit_partners``, every pair of which it reads."""
+    g = complete_gain_graph(group, 4)
+    cycle, balanced = complete_cycle(group, 4, (0, 1, 3, 2), (0, 1, group.inverse[1], 0))
+    assert balanced
+    for part in frobenius_partitions(group):
+        m = LiftedMatroid(FrobeniusContext(group, part), g)
+        family = n_circuit_partners(group, part.kernel, 4, [cycle])
+        for oracle in (m, FrameOracle(m.quotient_biased)):
+            assert non_lift_certificate(oracle, m.underlying_rank, family) is None, part
 
 
 @pytest.mark.xfail(
@@ -1088,6 +1146,9 @@ ACCEPTED_KERNEL_CYCLE_FAULTS = [
 )
 @pytest.mark.parametrize("name", ACCEPTED_KERNEL_CYCLE_FAULTS)
 def test_an_added_kernel_gain_cycle_is_refused(name):
+    """Each fault holds a theta certificate that it is no elementary lift of
+    N, and recovery does not refuse it."""
+    assert _corpus_certificate(name)[0] == "theta"
     fault = CORPUS[name]
     with pytest.raises(RecoveryError):
         recover_partition(fault.group, fault.kernel, 4, fault.build(), seed=0)
@@ -1124,11 +1185,17 @@ def test_corpus_class_faults_are_the_lifts_of_the_changed_class(index):
         assert ranks != [m.rank(s) for s in sets]
 
 
+# the cycles the check asks of K_4 over Z7 with the trivial kernel, by
+# ``asked_cycle_count``: no digon, the identity rows C(3, 2)·7 = 21, the
+# generator rows 2·1·7 = 14 with S = {1}, and the column's 7 less the 2 the
+# rows hold, 40 in all
+Z7_ASKED = asked_cycle_count(make_cyclic(7), 1, 4)
+
+
 def test_recovery_rank_query_count_on_k4_over_z7():
     """The order in which the sampled sweeps list the ground changes which
-    halves they ask, not how many queries recovery makes: the 1225
-    N-circuits, under the trivial kernel the balanced cycles, 4·7²·1 +
-    3·7³·1 by ``asked_cycle_count``, the full rank, then the final
+    halves they ask, not how many queries recovery makes: the Z7_ASKED
+    balanced triangles, 40, the full rank, then the final
     comparison's empty set, the 22 distinct bundles (C(8, 2) pairs a <= b,
     less the 6 pairs (a, a), a != 0, that repeat (0, a)), 42 prefixes and
     215 halves."""
@@ -1141,7 +1208,8 @@ def test_recovery_rank_query_count_on_k4_over_z7():
         return m.rank(s)
 
     assert recover_partition(z7, part.kernel, 4, FuncOracle(m.ground, rank), seed=0) == part
-    assert calls == 1225 + 1 + (1 + 22 + 42 + 215)
+    assert Z7_ASKED == 21 + 14 + 5 == 40
+    assert calls == Z7_ASKED + 1 + (1 + 22 + 42 + 215)
 
 
 def test_recovery_rank_query_count_on_k5_over_agl15():
@@ -1183,34 +1251,31 @@ class _Asked(RankOracle):
 
 @pytest.mark.parametrize(
     "group, n, kernel_order, checked, asked",
-    [(make_cyclic(7), 4, 1, 8701, 1225), (make_field_affine(5), 5, 5, 4300, 657)],
+    [(make_cyclic(7), 4, 1, 8701, 40), (make_field_affine(5), 5, 5, 4300, 657)],
     ids=["K4-Z7", "K5-AGL(1,5)"],
 )
 def test_the_cycle_check_asks_each_cycle_once_in_stream_order(
     group, n, kernel_order, checked, asked, monkeypatch
 ):
     """The cycle phase asks m of each cycle it streams, the cycle itself,
-    once and stream by stream in the order they are read: the N-circuits
-    among every cycle of K_4 over Z7, and among the digons and balanced
-    triangles through vertex 0 of K_5 over AGL(1,5). Recovery holds its
-    count of every digon and balanced triangle through vertex 0, ``checked``,
-    against DEFAULT_CYCLE_COUNT_LIMIT, so the cap bounds the phase's queries
-    from above. ``asked`` is ``asked_cycle_count``: with the trivial kernel
-    on Z7 no digon and 4·7²·1 + 3·7³·1 = 196 + 1029 longer cycles, and with
-    the kernel Z5 on AGL(1,5) 10·4·C(5, 2) = 400 digons and the candidate's
-    257 triangles of C(4, 2)·20² = 2400.
-    The phases' counts add up to every query m was asked."""
+    once and in stream order: the N-circuits among the digons and the
+    candidate's balanced triangles through vertex 0. Recovery holds its
+    count of every cycle of K_4 over Z7, and of every digon and balanced
+    triangle through vertex 0 of K_5 over AGL(1,5), ``checked``, against
+    DEFAULT_CYCLE_COUNT_LIMIT, so the cap bounds the phase's queries from
+    above. ``asked`` is ``asked_cycle_count``: with the trivial kernel on Z7
+    no digon and 40 triangles (Z7_ASKED), and with the kernel Z5 on
+    AGL(1,5) 10·4·C(5, 2) = 400 digons and the candidate's 257 triangles of
+    C(4, 2)·20² = 2400. The phases' counts add up to every query m was
+    asked."""
     part = next(p for p in frobenius_partitions(group) if p.kernel.order == kernel_order)
     m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, n))
     oracle, stats = _Asked(m), {}
     monkeypatch.setattr("frobmat.recovery.DEFAULT_CYCLE_COUNT_LIMIT", checked)
     assert recover_partition(group, part.kernel, n, oracle, stats=stats) == part
     queries = stats["rank_queries"]
-    if group.order <= EXHAUSTIVE_GROUP_ORDER:
-        streams = _all_cycles(group, part.kernel, n)
-    else:
-        streams = [_reduced_cycles(group, part.kernel, n)]
-    assert oracle.asked[: queries["cycles"]] == [c for stream in streams for c, _ in stream]
+    stream = _reduced_cycles(group, part.kernel, n)
+    assert oracle.asked[: queries["cycles"]] == [c for c, _ in stream]
     assert queries["cycles"] == asked == asked_cycle_count(group, kernel_order, n) < checked
     assert queries["cycles"] + queries["bundles"] + queries["final"] == queries["total"]
     assert queries["total"] == len(oracle.asked)
@@ -1222,10 +1287,10 @@ def test_the_cycle_check_asks_each_cycle_once_in_stream_order(
 @pytest.mark.parametrize("name", ["D6", "Z7", "D10"])
 def test_the_cycle_phase_asks_the_closed_form_count(name):
     """Under every partition of K_4 over D6, Z7 and D10 the cycle phase asks
-    ``asked_cycle_count`` cycles of the lift: the N-circuits. On D6 with the
-    kernel Z3 that is 4·6²·3 triangles, 3·6³·3 4-cycles and 6·2·C(3, 2)
-    digons, 432 + 1,944 + 36 = 2,412."""
-    assert asked_cycle_count(D6, 3, 4) == 432 + 1944 + 36 == 2412
+    ``asked_cycle_count`` cycles of the lift. On D6 with the kernel Z3 and
+    S = {1, 3} that is 6·2·C(3, 2) digons, the identity rows C(3, 2)·6, the
+    generator rows 2·2·6 and the column's 6 less 3, 36 + 18 + 24 + 3 = 81."""
+    assert asked_cycle_count(D6, 3, 4) == 36 + 18 + 24 + 3 == 81
     group = N_CIRCUIT_HOSTS[name][0]
     for part in frobenius_partitions(group):
         m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 4))
@@ -1238,49 +1303,46 @@ def test_the_cycle_phase_asks_the_closed_form_count(name):
 STREAMED_GROUPS = {"D6": make_dihedral(6), "Z7": make_cyclic(7), "Q8": order_20_catalog()["Q8"]}
 
 
-def _stream_reads(streams, flipped):
-    """The cycles the cycle check asks, in order, of an oracle that fails on
-    the ``flipped`` cycles alone: each stream in turn up to its first flipped
-    cycle, and once one is found, only while below the least found so far."""
-    asked, least = [], None
-    for stream in streams:
-        for cycle, _ in stream:
-            if least is not None and cycle >= least:
-                break
-            asked.append(cycle)
-            if cycle in flipped:
-                least = cycle
-                break
-    return asked
-
-
-def _refused_on_the_least_flipped_n_circuit(name, seed, every, monkeypatch):
-    """Recovery of the lift of K_4 over the named group, under a partition
-    drawn with ``seed``, with the circuit verdict flipped on one to three
-    random cycles, each from its own stream: the streams of N's circuits
-    that the cycle check reads, or with ``every`` the streams of every
-    cycle. It must be refused on the least flipped N-circuit, each cycle
-    asked at most once, stream by stream as ``_stream_reads`` lists them. A
-    last stream that holds the witness again is not read, since a later
-    stream is read only below the least failure."""
+def _flipped_lift(name, seed, every):
+    """The lift of K_4 over the named group, under a partition drawn with
+    ``seed``, and the lift with the circuit verdict flipped on one to three
+    random cycles, each from its own group of ``complete_cycle_groups`` (the
+    digons, four triangles, three 4-cycles): among N's circuits, or with
+    ``every`` among every cycle. Returns the group, the partition, the
+    lift, the flipped oracle, which records the sets asked of it, and the
+    flipped cycles with their balance flags."""
     group = STREAMED_GROUPS[name]
     rng = random.Random(seed)
     part = rng.choice(frobenius_partitions(group))
     m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 4))
-    streams = [list(stream) for stream in _all_cycles(group, part.kernel, 4)]
-    assert len(streams) == 8
-    drawn = [list(stream) for stream in _all_cycles(group, _whole(group), 4)] if every else streams
-    # the digons' stream is empty under the trivial kernel
-    drawn = [stream for stream in drawn if stream]
-    picked = [rng.choice(stream) for stream in rng.sample(drawn, rng.randint(1, 3))]
+    groups = complete_cycle_groups(group, 4)
+    if not every:
+        groups = [_n_circuits(group, part.kernel, 4, cycles) for cycles in groups]
+    # the digons' group of N's circuits is empty under the trivial kernel
+    drawn = [cycles for cycles in groups if cycles]
+    picked = [rng.choice(cycles) for cycles in rng.sample(drawn, rng.randint(1, 3))]
     flip = {frozenset(cycle): 1 if balanced else -1 for cycle, balanced in picked}
-    listed = set(itertools.chain.from_iterable(streams))
-    witness = min((c for c in picked if c in listed), default=None)
-    if witness is not None:
-        monkeypatch.setattr(
-            "frobmat.recovery._all_cycles", lambda *args: _all_cycles(*args) + [[witness]]
-        )
     oracle = _Asked(FuncOracle(m.ground, lambda s: m.rank(s) + flip.get(s, 0)))
+    return group, part, m, oracle, picked
+
+
+def _refused_on_the_least_flipped_listed_cycle(name, seed, every, pinned=False):
+    """Recovery of ``_flipped_lift``'s oracle must be refused on the least
+    flipped cycle that the cycle check's stream lists, having asked each
+    cycle before it once, in stream order. Where the stream lists none, the
+    flipped cycles with their partners of ``n_circuit_partners`` hold a
+    certificate that the oracle is no elementary lift of N, and recovery
+    returns the partition; with ``pinned``, a strict xfail's row, it is
+    still asked to refuse."""
+    group, part, m, oracle, picked = _flipped_lift(name, seed, every)
+    stream = list(_reduced_cycles(group, part.kernel, 4))
+    witness = next((c for c in stream if c in picked), None)
+    if witness is None:
+        family = n_circuit_partners(group, part.kernel, 4, [c for c, _ in picked])
+        assert non_lift_certificate(oracle, m.underlying_rank, family) is not None
+        if not pinned:
+            assert recover_partition(group, part.kernel, 4, oracle) == part
+            return
     with pytest.raises(RecoveryError) as info:
         recover_partition(group, part.kernel, 4, oracle)
     cycle, balanced = witness
@@ -1288,19 +1350,19 @@ def _refused_on_the_least_flipped_n_circuit(name, seed, every, monkeypatch):
         f"cycle {cycle} is {'balanced' if balanced else 'unbalanced'} "
         f"but is {'not ' if balanced else ''}a circuit of the lift"
     )
-    assert len(set(oracle.asked)) == len(oracle.asked)
-    assert oracle.asked == _stream_reads(streams, {c for c, _ in picked})
+    assert oracle.asked == [c for c, _ in stream[: stream.index(witness) + 1]]
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("name", sorted(STREAMED_GROUPS))
-def test_the_witness_is_the_least_failing_cycle_of_all_streams(name, seed, monkeypatch):
-    """K_4 over a group of order at most 10, whose N-circuits come in eight
-    streams (the digons, four triangles, three 4-cycles), and an oracle that
-    is the lift but flips the verdict of one to three random N-circuits:
-    recovery is refused on the least flipped one. Seeds 1 to 4 draw the
-    partition with the kernel Γ, whose streams hold every cycle."""
-    _refused_on_the_least_flipped_n_circuit(name, seed, False, monkeypatch)
+def test_the_witness_is_the_least_failing_cycle_of_all_streams(name, seed):
+    """K_4 over a group of order at most 10 and an oracle that is the lift
+    but flips the verdict of one to three random N-circuits: recovery is
+    refused on the least flipped one that the cycle check's one stream
+    lists, or returns the partition and the flips are certified. Seeds 1 to
+    4 draw the partition with the kernel Γ, whose N-circuits are every
+    cycle."""
+    _refused_on_the_least_flipped_listed_cycle(name, seed, False)
 
 
 _OUTSIDE_N = pytest.mark.xfail(
@@ -1311,35 +1373,35 @@ _OUTSIDE_N = pytest.mark.xfail(
 
 
 @pytest.mark.parametrize(
-    "name, seed",
+    "name, seed, pinned",
     [
-        ("D6", 0),
-        ("D6", 5),
-        ("Q8", 0),
-        pytest.param("Q8", 5, marks=_OUTSIDE_N),
-        pytest.param("Z7", 0, marks=_OUTSIDE_N),
-        ("Z7", 5),
+        ("D6", 0, False),
+        ("D6", 5, False),
+        ("Q8", 0, False),
+        pytest.param("Q8", 5, True, marks=_OUTSIDE_N),
+        pytest.param("Z7", 0, True, marks=_OUTSIDE_N),
+        ("Z7", 5, False),
     ],
     ids=["D6-0", "D6-5", "Q8-0", "Q8-5", "Z7-0", "Z7-5"],
 )
 def test_a_lift_flipped_on_any_cycles_is_refused_on_its_least_flipped_n_circuit(
-    name, seed, monkeypatch
+    name, seed, pinned
 ):
     """The seeds whose partition has a kernel other than Γ, with the flipped
-    cycles drawn from every cycle, as they were while the cycle check asked
-    every cycle: where one is an N-circuit, recovery is refused on the least
-    such. Q8-5 and Z7-0, under the trivial kernel, flip only cycles outside
-    N's circuits. Each such oracle ranks one set, a cycle independent in N,
-    below r_N, so it is no elementary lift of N; but it is wrong on that set
-    alone, which the final comparison's sample of 48 or 42 edges misses."""
-    _refused_on_the_least_flipped_n_circuit(name, seed, True, monkeypatch)
+    cycles drawn from every cycle: where the stream lists one, recovery is
+    refused on the least such. Q8-5 and Z7-0, under the trivial kernel,
+    flip only cycles outside N's circuits. Each such oracle ranks one set, a
+    cycle independent in N, below r_N, the certificate, so it is no
+    elementary lift of N; but it is wrong on that set alone, which the
+    final comparison's sample of 48 or 42 edges misses."""
+    _refused_on_the_least_flipped_listed_cycle(name, seed, True, pinned)
 
 
 def test_stats_of_a_run_refused_inside_the_final_comparison():
     """K_4 over Z7 with the trivial kernel, and an oracle one above the lift
     on the third sampled half only: the run is refused there. Its stats list
     the three phases and the total, which is every query m was asked: the
-    1225 N-circuits of ``asked_cycle_count``, the full rank and the final
+    Z7_ASKED triangles of ``asked_cycle_count``, the full rank and the final
     comparison's. Its parts that ran are listed in order, their queries (the
     empty set, the 22 distinct bundles, the 42 prefixes, three halves) and
     seconds adding up to the phase's."""
@@ -1354,7 +1416,7 @@ def test_stats_of_a_run_refused_inside_the_final_comparison():
     queries, seconds = stats["rank_queries"], stats["seconds"]
     phases = ["cycles", "bundles", "final"]
     assert list(stats) == ["rank_queries", "seconds", "final_parts"]
-    assert queries == {"cycles": 1225, "bundles": 1,
+    assert queries == {"cycles": Z7_ASKED, "bundles": 1,
                        "final": 1 + 22 + 42 + 3, "total": len(oracle.asked)}
     assert sum(queries[p] for p in phases) == queries["total"] and list(seconds) == phases
     split = stats["final_parts"]
@@ -1422,7 +1484,7 @@ def test_recovery_without_stats_asks_m_itself(monkeypatch):
     reaches m's own rank from recovery's or the final comparison's code:
     as many as a run with stats counts of the same oracle kind. A FuncOracle
     is not incremental, so the final comparison asks it each of the 22
-    distinct bundles and every prefix, after the 1225 N-circuits of
+    distinct bundles and every prefix, after the Z7_ASKED triangles of
     ``asked_cycle_count`` and the full rank."""
     z7, part, m = _z7_frame_lift()
     stats = {}
@@ -1440,7 +1502,7 @@ def test_recovery_without_stats_asks_m_itself(monkeypatch):
 
     monkeypatch.setattr("frobmat.recovery._Counted", no_wrapper)
     assert recover_partition(z7, part.kernel, 4, FuncOracle(m.ground, rank), seed=0) == part
-    assert len(callers) == stats["rank_queries"]["total"] == 1225 + 1 + (1 + 22 + 42 + 215)
+    assert len(callers) == stats["rank_queries"]["total"] == Z7_ASKED + 1 + (1 + 22 + 42 + 215)
     assert {module for module, _ in callers} == {"frobmat.recovery", "frobmat.biased"}
     assert all(name != "rank" for _, name in callers)
 
@@ -1454,12 +1516,12 @@ def test_recovery_walks_the_prefixes_of_an_incremental_m():
     identity block's 6 steps to rank 3, then one step into each of the 6
     other blocks, where both are at full rank, so no {0, a} state is
     extended: 12 steps for a FuncOracle's 22 bundles. So with stats or
-    without. The cycle check asks the 1225 N-circuits of
+    without. The cycle check asks the Z7_ASKED triangles of
     ``asked_cycle_count`` before them, and the full rank."""
     z7, part, m = _z7_frame_lift()
     stats = {}
     assert recover_partition(z7, part.kernel, 4, m, seed=0, stats=stats) == part
-    assert stats["rank_queries"]["total"] == 1225 + 1 + (1 + 12 + 7 + 215)
+    assert stats["rank_queries"]["total"] == Z7_ASKED + 1 + (1 + 12 + 7 + 215)
     assert stats["final_parts"]["rank_queries"]["bundles"] == 6 + 6
     assert stats["final_parts"]["rank_queries"]["prefixes"] == 7
     walked = CountingWalk(m)
@@ -1862,6 +1924,43 @@ def test_k5_over_order_ten_is_refused_by_its_cycle_count():
     m = LiftedMatroid(FrobeniusContext(group, part, validate=False), complete_gain_graph(group, 5))
     with pytest.raises(LimitExceeded, match="more than 1000000 cycles"):
         recover_partition(group, part.kernel, 5, m)
+
+
+@pytest.mark.parametrize("name", ["D10", "Z10"])
+def test_the_cycle_check_alone_accepts_k5_over_order_ten(name):
+    """K_5 over D10 and over Z10 (250 edges), under every partition: the
+    cycle check alone accepts the lift and asks ``asked_cycle_count``
+    cycles, while ``recover_partition`` is refused before it by its
+    up-front count of every cycle, 1,360,450, which bounds K_5 at order 10
+    and not the cycles asked."""
+    group = {"D10": make_dihedral(10), "Z10": make_cyclic(10)}[name]
+    g = complete_gain_graph(group, 5)
+    for part in frobenius_partitions(group):
+        m = _Counted(LiftedMatroid(FrobeniusContext(group, part), g))
+        _check_cycle_hypothesis(group, part.kernel, 5, m)
+        assert m.queries == asked_cycle_count(group, part.kernel.order, 5), part
+        with pytest.raises(LimitExceeded, match="more than 1000000 cycles"):
+            recover_partition(group, part.kernel, 5, m)
+
+
+def test_recovery_checks_the_declared_kernel_once(monkeypatch):
+    """K_4 over D10 under its Frobenius partition: recovery tests the
+    declared kernel once for a subgroup and once for normality, before its
+    cycle check, and at its end validates the complements alone."""
+    group = make_dihedral(10)
+    part = frobenius_partitions(group)[-1]
+    m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 4))
+    calls = []
+    for name in ("is_subgroup", "is_normal"):
+        def spied(grp, h, real=getattr(groups, name), name=name):
+            calls.append((name, tuple(getattr(h, "elements", h))))
+            return real(grp, h)
+
+        monkeypatch.setattr(groups, name, spied)
+    assert recover_partition(group, part.kernel, 4, m) == part
+    kernel = part.kernel.elements
+    assert kernel == (0, 1, 2, 3, 4)
+    assert [c for c in calls if c[1] == kernel] == [("is_subgroup", kernel), ("is_normal", kernel)]
 
 
 def _zp_by_zd(p: int, d: int) -> FiniteGroup:
