@@ -550,7 +550,7 @@ def _partition_from_complement(group: FiniteGroup, h: Sequence[int]) -> Frobeniu
         rest.difference_update(conj[1:])
         complements.append(Subgroup(tuple(conj)))
     kernel = Subgroup((0, *sorted(rest)))
-    if not (is_subgroup(group, kernel.elements) and is_normal(group, kernel)):
+    if kernel_fault(group, kernel) is not None:
         raise ValueError("Frobenius kernel is not a normal subgroup")
     return FrobeniusPartition(kernel, tuple(sorted(complements)))
 

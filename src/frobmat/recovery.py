@@ -5,13 +5,13 @@ Given a group, a normal subgroup and a rank oracle m, this reconstructs the
 partition through bundle-rank queries, checking that the circuits of m among
 the cycles are the balanced ones and that the classes form a Frobenius
 partition. The cycle check reads one sorted stream of cycles at every
-order and names its first failing one: the N-circuit digons and
-C(n-1,2)·|Γ| + (n-2)·|S|·|Γ| + |Γ| balanced triangles through vertex 0,
-less overlaps, for S a generating set. It takes m to be an elementary lift
-of N, the quotient frame matroid; the final comparison with the rebuilt
-lift is the one check of that, asked on the parts of
-``biased.comparison_parts`` with the distinct bundles of the identity and
-two elements as its leading part (see ``recover_partition``).
+order and names its first failing one: a digon per class of the kernel
+less 0 under conjugation and inversion, and C(n-1,2)·|Γ| + (n-2)·|S|·|Γ| +
+|Γ| balanced triangles through 0, less overlaps, for S a generating set.
+It takes m to be an elementary lift of N, the quotient frame matroid; the
+final comparison with the rebuilt lift is the one check of that, asked on
+the parts of ``biased.comparison_parts`` with the distinct bundles of the
+identity and two elements as its leading part (see ``recover_partition``).
 """
 
 from __future__ import annotations
@@ -57,39 +57,41 @@ def complete_cycle_count(group_order: int, n: int) -> int:
     return longer + math.comb(n, 2) * math.comb(group_order, 2)
 
 
-def _cosets(group: FiniteGroup, kernel: Subgroup) -> list[list[int]]:
-    """The coset x·Γ₁ of each element x, sorted: Γ₁ is normal, so it is Γ₁·x."""
-    return [sorted(group.table[x][k] for k in kernel.elements) for x in group.elements()]
-
-
-def _pair_digons(offset: int, cosets: list[list[int]]) -> Cycles:
-    """The N-circuit digons of the pair whose identity edge is ``offset``, in
-    sorted id order; parallel edges carry distinct gains, so none is balanced."""
-    for a, coset in enumerate(cosets):
-        for b in coset[coset.index(a) + 1 :]:
-            yield (offset + a, offset + b), False
+def _kernel_classes(group: FiniteGroup, kernel: Subgroup) -> list[int]:
+    """The least id of each class of Γ₁ less the identity, in order: an orbit
+    under inversion and conjugation by ``group.generators``, so by all of Γ."""
+    table, inverse, gens = group.table, group.inverse, group.generators
+    least: dict[int, int] = {}  # each element to the least id of its class
+    for k in kernel.elements[1:]:
+        todo = [k]
+        while todo:
+            x = todo.pop()
+            if x not in least:
+                least[x] = k
+                todo += [inverse[x], *(table[table[inverse[s]][x]][s] for s in gens)]
+    return sorted(set(least.values()))
 
 
 def _reduced_cycles(group: FiniteGroup, kernel: Subgroup, n: int) -> Cycles:
-    """Every N-circuit digon of K_n and some balanced triangles 0 -> i -> j -> 0
-    with 0 < i < j, each once, with their balance flags, in sorted id order.
+    """One digon per class of ``_kernel_classes``, then some balanced
+    triangles 0 -> i -> j -> 0 with 0 < i < j, each once, with their balance
+    flags, in sorted id order.
 
+    A class's digon has gains 0 and k on pair (0, 1), k its least id.
     T(i, j, a, c), the triangle through the edges (0, i, a) and (0, j, c),
     closes with (i, j, a^-1 c). With S = ``group.generators`` the triangles
     are the identity rows T(i, j, 0, c), the generator rows T(1, j, s, c)
-    for s in S and the column T(1, 2, a, 0). Their ids, like a digon's on
-    (0, i), start with pair (0, i); a digon's second id stays in that pair's
-    block and a triangle's does not, so for each first edge its digons come
-    before its triangles. The digons of the pairs that avoid vertex 0 come last.
+    for s in S and the column T(1, 2, a, 0). A digon's two ids lie in pair
+    (0, 1)'s block and a triangle's second id does not, so the digons come
+    first.
     """
     order, table, inverse = group.order, group.table, group.inverse
-    offset, cosets = complete_pair_offsets(order, n), _cosets(group, kernel)
-    gens = group.generators
+    offset, gens = complete_pair_offsets(order, n), group.generators
+    for k in _kernel_classes(group, kernel):
+        yield (offset[0][1], offset[0][1] + k), False
     for i in range(1, n):
         oi = offset[0][i]
         for a in range(order):
-            for b in cosets[a][cosets[a].index(a) + 1 :]:
-                yield (oi + a, oi + b), False
             if a == 0 or (i == 1 and a in gens):
                 rows = itertools.product(range(i + 1, n), range(order))
             elif i == 1:
@@ -99,8 +101,6 @@ def _reduced_cycles(group: FiniteGroup, kernel: Subgroup, n: int) -> Cycles:
             quotient_row = table[inverse[a]]
             for j, c in rows:
                 yield (oi + a, offset[0][j] + c, offset[i][j] + quotient_row[c]), True
-    for i, j in itertools.combinations(range(1, n), 2):
-        yield from _pair_digons(offset[i][j], cosets)
 
 
 def _check_cycle_hypothesis(group: FiniteGroup, kernel: Subgroup, n: int, m: RankOracle) -> None:
@@ -113,28 +113,43 @@ def _check_cycle_hypothesis(group: FiniteGroup, kernel: Subgroup, n: int, m: Ran
 
     Only N-circuits, the cycles with gain in the ``kernel`` Γ₁, are asked: any
     other is independent in N (Zaslavsky), so in m, and unbalanced. Of those
-    only the ``_reduced_cycles`` are, the digons and the rows and column of
-    balanced triangles through 0 read from S = ``group.generators``, and under
-    the promise that is exact with n >= 4 at every order. Sketch: if two
-    cycles of a theta are circuits of m and the third is an N-circuit, so is
-    the third of m, since m's class is linear (Brylawski) and two N-circuits
-    of a theta are a modular pair. Every balanced triangle through 0 is one of
-    m's. On {0, 1, j, k} a switching η = (η₁, η_j, η_k) gives a bundle, a
-    balanced K_4 (Zaslavsky), whose triangles T(1, j, η₁, η_j),
-    T(1, k, η₁, η_k), T(j, k, η_j, η_k) and U(η₁⁻¹η_j, η₁⁻¹η_k), where U(x, y)
-    has gain x on (1, j) and y on (1, k), pairwise form thetas of balanced
-    cycles: if three are m's, the 4-cycle of two and the third give the
-    fourth. The bundles (0, x, y) and (s, x, y), s in S, give T(j, k, x, y) ⇔
-    U(x, y) ⇔ U(s⁻¹x, s⁻¹y), so m's U's are closed under ⟨S⟩ = Γ; U(0, y)
-    holds by an identity row, so every U and every T(j, k, x, y) does. On
-    {0, 1, 2, k} the bundles (a, 0, y) then give T(1, k, a, y) from the
-    column's T(1, 2, a, 0), and (a, x, y) give T(1, 2, a, x). A balanced
-    triangle ijk avoiding 0 follows from the thetas of 0ij and 0jk, then 0ijk
-    and 0ik, all balanced. An unbalanced triangle that is an N-circuit shares
-    two edges with a balanced one, and were both circuits their theta would
-    force a digon inside one Γ₁-coset. A longer cycle splits at a chord that
-    balances one side into a theta of two shorter cycles of its quotient
-    balance; induct.
+    only the ``_reduced_cycles`` are, one digon per class of Γ₁ less the
+    identity and the rows and column of balanced triangles through 0 read
+    from S = ``group.generators``, and under the promise that is exact with
+    n >= 4 at every order. Sketch: if two cycles of a theta are circuits of m
+    and the third is an N-circuit, so is the third of m, since m's class is
+    linear (Brylawski) and two N-circuits of a theta are a modular pair.
+    Every balanced triangle through 0 is one of m's. On {0, 1, j, k} a
+    switching η = (η₁, η_j, η_k) gives a bundle, a balanced K_4 (Zaslavsky),
+    whose triangles T(1, j, η₁, η_j), T(1, k, η₁, η_k), T(j, k, η_j, η_k) and
+    U(η₁⁻¹η_j, η₁⁻¹η_k), where U(x, y) has gain x on (1, j) and y on (1, k),
+    pairwise form thetas of balanced cycles: if three are m's, the 4-cycle of
+    two and the third give the fourth. The bundles (0, x, y) and (s, x, y),
+    s in S, give T(j, k, x, y) ⇔ U(x, y) ⇔ U(s⁻¹x, s⁻¹y), so m's U's are
+    closed under ⟨S⟩ = Γ; U(0, y) holds by an identity row, so every U and
+    every T(j, k, x, y) does. On {0, 1, 2, k} the bundles (a, 0, y) then give
+    T(1, k, a, y) from the column's T(1, 2, a, 0), and (a, x, y) give
+    T(1, 2, a, x). A balanced triangle ijk avoiding 0 follows from the thetas
+    of 0ij and 0jk, then 0ijk and 0ik, all balanced. So every balanced cycle
+    is m's. An unbalanced triangle that is an N-circuit shares two edges with
+    a balanced one, and were both circuits their theta would force a digon
+    inside one Γ₁-coset. A longer cycle splits at a chord that balances one
+    side into a theta of two shorter cycles of its quotient balance; induct.
+    So were any unbalanced N-circuit m's, a digon inside a coset would be.
+    Call D(u, v; x, hx), the digon with gains x and hx on (u, v) read from u,
+    an h-digon at u; it is an N-circuit when h is in Γ₁, and it is also an
+    h⁻¹-digon at u (gains hx and h⁻¹·hx) and an x⁻¹h⁻¹x-digon at v. For l off
+    u and v and any y, D and the balanced triangle through (u, v, x) and
+    (u, l, y) form a theta whose third cycle, of gain h, is an N-circuit; it
+    and the balanced triangle through its edges (u, v, hx) and (v, l, x⁻¹y)
+    form one whose third cycle is D(u, l; y, hy). So with one h-digon at u,
+    m holds every h-digon at u, on every pair at u and with every x (to l and
+    back). Read at v, with x free, these are a g-digon at v for every
+    conjugate g of h⁻¹, and so on from v: moving the end to 0 and the pair
+    to (0, 1), m holds D(0, 1; 0, h′) for every h′ in h's class under
+    conjugation and inversion, among them the one listed for the class, h′
+    its least id. So the listed digons refuse every unbalanced N-circuit of
+    m's.
 
     Whether m is an elementary lift of N is left to the final comparison in
     ``recover_partition`` with the rebuilt lift. So is an oracle with
@@ -243,15 +258,15 @@ def recover_partition(
     edges the empty set, the bundles, the prefixes and SAMPLES halves.
 
     The cycle check is exact for every elementary lift of N with n >= 4. Of
-    any oracle it asks the N-circuit digons and the
-    C(n-1,2)·|Γ| + (n-2)·|S|·|Γ| + |Γ| balanced triangles through vertex 0,
+    any oracle it asks the at most |Γ₁| - 1 digons, one per class of Γ₁, and
+    the C(n-1,2)·|Γ| + (n-2)·|S|·|Γ| + |Γ| balanced triangles through 0,
     less overlaps, of ``_reduced_cycles``. Every cycle up to order
     EXHAUSTIVE_GROUP_ORDER, and every digon and balanced triangle through 0
     above it, is counted first, before the graph or any sample is built,
     against DEFAULT_CYCLE_COUNT_LIMIT: so the cap bounds the check's
-    queries, each asked once and never held, and not its memory. An oracle
-    that is no lift and is wrong only on cycles not asked, such as a
-    balanced triangle or a 4-cycle outside that set, passes the check.
+    queries from far above, each asked once and never held, and not its
+    memory. An oracle that is no lift and is wrong only on cycles not asked,
+    such as a digon, triangle or 4-cycle outside that set, passes the check.
 
     With ``stats``, a dict, m is wrapped to count the rank queries asked of
     it, and each phase that runs records its queries and perf_counter
@@ -295,12 +310,12 @@ def _recover(
     if n < 4:
         raise RecoveryError("recovery requires n >= 4")
     order = group.order
-    # an upper bound on what the cycle check asks, every cycle up to this
-    # order: bench/test_bench.py::test_raising_job_counts_as_failed needs
-    # K_5 over D10 refused here until the benchmark's raising job changes
+    # far above what the cycle check asks at every order: every cycle up to
+    # this order, as bench/test_bench.py::test_raising_job_counts_as_failed
+    # needs K_5 over D10 refused here until the benchmark's raising job changes
     if order <= EXHAUSTIVE_GROUP_ORDER:
         checked = complete_cycle_count(order, n)
-    else:  # every digon and balanced triangle through vertex 0, more than are asked
+    else:  # every digon and balanced triangle through vertex 0
         checked = math.comb(n, 2) * math.comb(order, 2) + math.comb(n - 1, 2) * order**2
     if checked > DEFAULT_CYCLE_COUNT_LIMIT:
         raise LimitExceeded(f"more than {DEFAULT_CYCLE_COUNT_LIMIT} cycles")

@@ -182,51 +182,70 @@ def greedy_generators(group: FiniteGroup) -> tuple[int, ...]:
     return tuple(gens)
 
 
+def kernel_classes(group: FiniteGroup, kernel: Iterable[int]) -> list[tuple[int, ...]]:
+    """The classes of the ``kernel``'s elements less the identity under
+    inversion and conjugation by every element of Γ, each sorted, in the
+    order of their least ids. A class of a normal kernel stays inside it."""
+    table, inverse = group.table, group.inverse
+    classes: list[tuple[int, ...]] = []
+    for k in sorted(set(kernel) - {0}):
+        if all(k not in c for c in classes):
+            conjugates = {table[table[inverse[g]][k]][g] for g in group.elements()}
+            classes.append(tuple(sorted(conjugates | {inverse[x] for x in conjugates})))
+    return classes
+
+
 def candidate_cycles(
     group: FiniteGroup, n: int, cycles: Iterable[tuple[tuple[int, ...], bool]], column: bool = True
 ) -> list[tuple[tuple[int, ...], bool]]:
     """The listed cycles the cycle check asks with the kernel Γ, in
-    their order: every digon and the balanced triangles T(i, j, a, c),
-    0 -> i -> j -> 0 with 0 < i < j and gain a on (0, i) and c on (0, j),
-    for which a is the identity (the identity rows), or i = 1 and a lies in
-    ``greedy_generators`` (the generator rows), or, with ``column``,
-    (i, j, c) = (1, 2, 0) (the column). ``cycles`` is every cycle of K_n,
-    from ``all_complete_cycles``, or a part of it that holds those.
+    their order: the chosen digons, one per class of ``kernel_classes`` of
+    Γ, with gains 0 and the class's least id on (0, 1), and the balanced
+    triangles T(i, j, a, c), 0 -> i -> j -> 0 with 0 < i < j and gain a on
+    (0, i) and c on (0, j), for which a is the identity (the identity rows),
+    or i = 1 and a lies in ``greedy_generators`` (the generator rows), or,
+    with ``column``, (i, j, c) = (1, 2, 0) (the column). ``cycles`` is
+    every cycle of K_n, from ``all_complete_cycles``, or a part of it that
+    holds those.
 
     That is C(n-1,2)·|Γ| + (n-2)·|S|·|Γ| triangles in the rows, and the
     column's |Γ| less the 1 + |S| of it that the rows hold."""
     gens = set(greedy_generators(group))
+    least = {c[0] for c in kernel_classes(group, group.elements())}
     g = complete_gain_graph(group, n)
     out = []
     for cycle, balanced in cycles:
+        # the edges (0, i) and (0, j) sort first, if the triangle has them
+        first, second = g.edge(cycle[0]), g.edge(cycle[1])
         if len(cycle) == 3 and balanced:
-            # the edges (0, i) and (0, j) sort first, if the triangle has them
-            first, second = g.edge(cycle[0]), g.edge(cycle[1])
             i, a, j, c = first.head, first.gain, second.head, second.gain
             rows = a == 0 or (i == 1 and a in gens)
             if second.tail != 0 or not (rows or (column and (i, j, c) == (1, 2, 0))):
                 continue
-        elif len(cycle) != 2:
+        elif len(cycle) == 2:
+            if (first.tail, first.head, first.gain) != (0, 1, 0) or second.gain not in least:
+                continue
+        else:
             continue
         out.append((cycle, balanced))
     return out
 
 
-def asked_cycle_count(group: FiniteGroup, kernel_order: int, n: int) -> int:
+def asked_cycle_count(group: FiniteGroup, kernel: Iterable[int], n: int) -> int:
     """The cycles recovery's cycle check asks of a lift of K_n over ``group``
-    with a kernel Γ₁ of the given order: the N-circuits, the cycles whose
-    gain lies in Γ₁, among the digons and the balanced triangles of
+    with the kernel Γ₁ of the given elements: the N-circuits, the cycles
+    whose gain lies in Γ₁, among the digons and the balanced triangles of
     ``candidate_cycles``.
 
-    A digon on a pair is an N-circuit when its two gains lie in one coset of
-    Γ₁: C(|Γ₁|, 2) per coset, C(n,2)·(|Γ|/|Γ₁|)·C(|Γ₁|,2) in all. Every
-    balanced triangle is one; those asked are the identity rows,
-    C(n-1,2)·|Γ|; the generator rows, (n-2)·|S|·|Γ| for S the
+    The chosen digon of a class lies in one coset of Γ₁ exactly when the
+    class lies in Γ₁: one per class of ``kernel_classes`` of Γ₁, at most
+    |Γ₁| - 1. Every balanced triangle is an N-circuit; those asked are the
+    identity rows, C(n-1,2)·|Γ|; the generator rows, (n-2)·|S|·|Γ| for S the
     ``greedy_generators``; and the column's |Γ| triangles T(1, 2, a, 0) less
     the 1 + |S| with a in {0} ∪ S, which the rows hold.
     """
     order = group.order
-    digons = math.comb(n, 2) * (order // kernel_order) * math.comb(kernel_order, 2)
+    digons = len(kernel_classes(group, kernel))
     gens = len(greedy_generators(group))
     rows = math.comb(n - 1, 2) * order + (n - 2) * gens * order
     return digons + rows + order - 1 - gens

@@ -36,10 +36,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BIASED = "src/frobmat/biased.py"
 GROUPS = "src/frobmat/groups.py"
+LIFTS = "src/frobmat/lifts.py"
 RECOVERY = "src/frobmat/recovery.py"
 REPRESENT = "src/frobmat/represent.py"
 TB = "tests/test_biased.py::"
 TG = "tests/test_groups.py::"
+TL = "tests/test_lifts.py::"
 TR = "tests/test_recovery.py::"
 TP = "tests/test_represent.py::"
 
@@ -60,8 +62,8 @@ MUTANTS = [
      [TR + "test_reduced_cycle_stream_comes_in_sorted_order[AGL(1,5)-4]",
       TR + "test_a_balanced_cycle_below_circuit_rank_is_refused"]),
     ("greedy-generators-stopped-after-one", RECOVERY,
-     "    gens = group.generators\n",
-     "    gens = group.generators[:1]\n",
+     "    offset, gens = complete_pair_offsets(order, n), group.generators\n",
+     "    offset, gens = complete_pair_offsets(order, n), group.generators[:1]\n",
      [TR + "test_reduced_cycle_stream_comes_in_sorted_order[AGL(1,5)-4]",
       TR + "test_a_balanced_cycle_below_circuit_rank_is_refused"]),
     ("identity-rows-through-vertex-1-only", RECOVERY,
@@ -74,12 +76,17 @@ MUTANTS = [
      "                rows = itertools.product(range(i + 1, n - 1), range(order))\n",
      [TR + "test_cycle_streams_come_in_sorted_order[D6-4]",
       TR + "test_the_cycle_phase_asks_the_closed_form_count[Z7]"]),
-    ("digons-off-vertex-0-dropped", RECOVERY,
-     "    for i, j in itertools.combinations(range(1, n), 2):\n"
-     "        yield from _pair_digons(offset[i][j], cosets)\n",
-     "",
-     [TR + "test_cycle_streams_come_in_sorted_order[D6-4]",
-      TR + "test_the_cycle_streams_list_exactly_the_n_circuits[D6]"]),
+    # one digon per class of the kernel less the identity
+    ("last-kernel-class-dropped", RECOVERY,
+     "    return sorted(set(least.values()))\n",
+     "    return sorted(set(least.values()))[:-1]\n",
+     [TR + "test_every_unbalanced_n_circuit_brings_in_a_listed_digon[K4-Z7/Z7]",
+      TR + "test_the_kernel_classes_map_onto_each_other_under_relabeling"]),
+    ("kernel-classes-closed-under-inversion-only", RECOVERY,
+     "                todo += [inverse[x], *(table[table[inverse[s]][x]][s] for s in gens)]\n",
+     "                todo += [inverse[x]]\n",
+     [TR + "test_recovery_rank_query_count_on_k5_over_agl15",
+      TR + "test_the_kernel_classes_map_onto_each_other_under_relabeling"]),
     # the one stream, read to its first failure
     ("circuit-verdict-at-most", RECOVERY,
      "        if balanced != (m.rank(cycle) == len(cycle) - 1):\n",
@@ -182,7 +189,40 @@ MUTANTS = [
      "            if kernel.order > 1:\n",
      "            if False:\n",
      [TR + "test_rejects_rank_n_with_a_nontrivial_kernel"]),
+    # contraction, the one place that reads an edge's kind
+    ("identity-loop-sent-to-the-complement-loop-rule", LIFTS,
+     "    if e.gain == 0:\n        return delete(ctx, g, eid)\n",
+     "    if e.gain == 0:\n        return _rewrite_loops(ctx, g, e)\n",
+     [TL + "test_contract_identity_loop_falls_back_to_deletion",
+      TL + "test_contract_picks_the_rule_for_each_edge_kind"]),
+    ("contract-in-kernel-negated", LIFTS,
+     "    if ctx.in_kernel(e.gain):\n        return _reembed_gains(ctx, g, e)\n",
+     "    if not ctx.in_kernel(e.gain):\n        return _reembed_gains(ctx, g, e)\n",
+     [TL + "test_contract_kernel_loop_d6",
+      TL + "test_contract_picks_the_rule_for_each_edge_kind"]),
+    ("same-part-loop-given-the-kernel-element", LIFTS,
+     "        elif f.gain in part_set:\n",
+     "        elif False:\n",
+     [TL + "test_contract_unbalanced_loop_bullet_cases"]),
     # the group layer
+    ("subgroups-joined-from-the-trivial-subgroup-only", GROUPS,
+     "    frontier: list[tuple[Subgroup, tuple[int, ...]]] = []\n"
+     "    cyclic_gens = []\n"
+     "    for g in range(1, group.order):\n"
+     "        c = generated_subgroup(group, (g,))\n"
+     "        if c.elements not in found:\n"
+     "            found[c.elements] = c\n"
+     "            cyclic_gens.append(g)\n"
+     "            frontier.append((c, (g,)))\n",
+     "    frontier: list[tuple[Subgroup, tuple[int, ...]]] = [(found[(0,)], ())]\n"
+     "    cyclic_gens = []\n"
+     "    for g in range(1, group.order):\n"
+     "        c = generated_subgroup(group, (g,))\n"
+     "        if c.elements not in found:\n"
+     "            found[c.elements] = c\n"
+     "            cyclic_gens.append(g)\n",
+     [TG + "test_subgroups_match_brute_force",
+      TG + "test_subgroups_match_the_reference_join_search"]),
     ("close-expands-one-coset-only", GROUPS,
      "    for r in reps:\n",
      "    for r in reps[:1]:\n",

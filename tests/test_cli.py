@@ -961,8 +961,8 @@ def test_recover_stats_go_to_stderr_and_leave_stdout_alone(
     """``--stats`` adds one JSON line to stderr, before any error line, and
     changes neither stdout nor the exit code. The phases that ran are
     listed in order, their counts add up to the total, and the cycle phase
-    asks one query per N-circuit of its stream, ``asked_cycle_count``: 81
-    on D6 with the kernel Z3, 10 on Z2 with the trivial kernel and 34 on Z4
+    asks one query per N-circuit of its stream, ``asked_cycle_count``: 46
+    on D6 with the kernel Z3, 10 on Z2 with the trivial kernel and 23 on Z4
     with the kernel Z2. The final comparison's parts are listed in order, and
     their counts and seconds add up to the phase's."""
     argv = ["recover", "--graph", write("k4.json", {"complete": {"group": group, "n": 4}})]
@@ -979,7 +979,7 @@ def test_recover_stats_go_to_stderr_and_leave_stdout_alone(
     queries = stats["rank_queries"]
     assert list(queries) == phases + ["total"] and list(stats["seconds"]) == phases
     assert sum(queries[p] for p in phases) == queries["total"]
-    asked = asked_cycle_count(group_from_spec(group), len(kernel.split(",")), 4)
+    asked = asked_cycle_count(group_from_spec(group), map(int, kernel.split(",")), 4)
     assert queries["cycles"] == asked
     assert all(seconds >= 0 for seconds in stats["seconds"].values())
     if parts is None:

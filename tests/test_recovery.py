@@ -50,6 +50,7 @@ from frobmat.biased import (
 )
 from frobmat import groups
 from frobmat.fileio import group_from_spec
+from frobmat.gaingraph import cycle_walk, gain_of_walk
 from frobmat.groups import generated_subgroup, is_malnormal, is_subgroup, quotient
 from frobmat.recovery import (
     EXHAUSTIVE_GROUP_ORDER,
@@ -74,6 +75,7 @@ from conftest import (
     dropped_from_class,
     final_sample_corpus,
     greedy_generators,
+    kernel_classes,
     n_circuit_partners,
     non_lift_certificate,
     reduced_complete_cycles,
@@ -242,16 +244,20 @@ WITNESS_GROUPS = {"D6": make_dihedral(6), "F20": make_field_affine(5)}
         # asked
         ("D6", False, 4, 17, 5, 5,
          "cycle (1, 8, 29, 35) is unbalanced but is a circuit of the lift"),
-        # every digon inside a coset of the kernel Z5 and every balanced
-        # triangle through vertex 0 (order 20)
+        # one digon for the kernel Z5, whose other elements are one class,
+        # and the candidate's balanced triangles through vertex 0 (order 20)
         ("F20", True, 3, 5, 0, 0, "cycle (0, 20, 60) is balanced but is not a circuit of the lift"),
         # the first in id order, where 0 -> 1 -> j -> 0 triangles are built first
         ("F20", True, 3, 23, 5, 0, "cycle (0, 40, 80) is balanced but is not a circuit of the lift"),
-        # the digon (0, 7), gains 0 and 7 in two cosets, is not asked
+        # the digon (0, 7), gains 0 and 7 in two cosets, is not asked; nor is
+        # (1, 13), inside a coset but not the listed digon (0, 4) of Z5's
+        # class, which the oracle leaves alone: recovery returns the
+        # partition, and a theta with a balanced triangle certifies that the
+        # oracle, which flips digons alone, is no elementary lift of N
         ("F20", False, 2, 7, 0, 0, "cycle (1, 13) is unbalanced but is a circuit of the lift"),
         # nothing flipped: the quotient frame matroid by the kernel Z5, an
         # elementary lift of itself in which every digon inside a coset is a
-        # circuit
+        # circuit, the listed (0, 4) among them
         ("F20", None, None, None, None, 0,
          "cycle (0, 4) is unbalanced but is a circuit of the lift"),
     ],
@@ -496,7 +502,7 @@ ROUTE_GROUPS = [make_cyclic(2), make_cyclic(5), make_dihedral(6), make_field_aff
 
 def _whole(group):
     """Γ as a kernel: every cycle's gain lies in it, so every cycle is an
-    N-circuit and the cycle stream lists every digon."""
+    N-circuit and the cycle stream lists a digon for every class of Γ."""
     return Subgroup(tuple(group.elements()))
 
 
@@ -540,13 +546,14 @@ def test_reduced_cycle_stream_comes_in_sorted_order(name, n):
 
 def _relabeled(group, rng):
     """``group`` with its elements but the identity renamed by a random
-    permutation, as a validated Cayley table."""
+    permutation, as a validated Cayley table, and the permutation."""
     perm = [0] + rng.sample(range(1, group.order), group.order - 1)
     back = {p: x for x, p in enumerate(perm)}
     table = group.table
-    return from_table(
+    relabeled = from_table(
         [[perm[table[back[a]][back[b]]] for b in group.elements()] for a in group.elements()]
     )
+    return relabeled, perm
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -556,12 +563,31 @@ def test_the_greedy_generators_generate_the_group_under_relabeling(name, seed):
     the reduced stream reads, is the test side's greedy S, which generates
     Γ with at most log2 |Γ| elements, and the stream on K_4 is the candidate
     read off that S."""
-    group = _relabeled(LARGE_CATALOG[name], random.Random(seed))
+    group, _ = _relabeled(LARGE_CATALOG[name], random.Random(seed))
     gens = group.generators
     assert gens == greedy_generators(group)
     assert generated_subgroup(group, gens).order == group.order and 2 ** len(gens) <= group.order
     stream = list(_reduced_cycles(group, _whole(group), 4))
     assert stream == candidate_cycles(group, 4, sorted(reduced_complete_cycles(group, 4)))
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_CATALOG))
+def test_the_kernel_classes_map_onto_each_other_under_relabeling(name):
+    """Under three random relabelings of the group, the classes of Γ less
+    the identity under conjugation and inversion, read off every element by
+    ``kernel_classes``, are the relabeled classes, and the stream with the
+    kernel Γ lists one digon per class, gains 0 and its least id on
+    (0, 1): the chosen classes do not hang on the ids, only their
+    representatives do."""
+    group = LARGE_CATALOG[name]
+    classes = kernel_classes(group, group.elements())
+    for seed in range(3):
+        relabeled, perm = _relabeled(group, random.Random(seed))
+        mapped = sorted(tuple(sorted(perm[x] for x in c)) for c in classes)
+        assert kernel_classes(relabeled, relabeled.elements()) == mapped
+        digons = [c for c, _ in _reduced_cycles(relabeled, _whole(relabeled), 4) if len(c) == 2]
+        edge = functools.partial(complete_edge_id, relabeled, 4, 0, 1)
+        assert digons == [(edge(0), edge(c[0])) for c in mapped]
 
 
 def _n_circuits(group, kernel, n, cycles):
@@ -603,7 +629,7 @@ def test_the_cycle_streams_list_exactly_the_n_circuits(name):
 
 def test_the_cycle_stream_holds_no_cycle_list():
     """K_6 over AGL(1,7), order 42, with the kernel Γ: the stream lists
-    13,877 cycles, about 2 MB as a list, and read holds one at a time."""
+    966 cycles, about 140 KB as a list, and read holds one at a time."""
     group = make_field_affine(7)
     tracemalloc.start()
     try:
@@ -611,7 +637,7 @@ def test_the_cycle_stream_holds_no_cycle_list():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count == asked_cycle_count(group, 42, 6) == 13_877
+    assert count == asked_cycle_count(group, group.elements(), 6) == 966
     assert peak < 64 * 1024
 
 
@@ -661,7 +687,7 @@ def test_reduced_cycles_give_the_verdict_of_every_cycle(name):
 @pytest.mark.parametrize("name", sorted(SMALL_CATALOG))
 def test_the_candidate_gives_the_verdict_of_every_cycle(name):
     """On K_4, for each partition, the candidate's balanced triangles and
-    the digons inside a coset of the kernel, the set the cycle check asks,
+    the chosen digons of the kernel's classes, the set the cycle check asks,
     against every cycle: on the true lift, and on the quotient frame
     matroid by a nontrivial kernel."""
     group = SMALL_CATALOG[name]
@@ -733,22 +759,24 @@ def _deciding_cycles(name, route):
     """The named pair's cycles of K_4 that decide the cycle hypothesis with
     the kernel Γ, as masks with their Γ-balance flags: every digon and
     every balanced triangle through vertex 0 (``reduced``), or the
-    candidate's, which the cycle check asks (``candidate``). The digons
-    outside a coset of the kernel are no quotient-balanced cycle, so no
-    family holds them."""
+    candidate's, one digon per class of Γ and the triangles, which the cycle
+    check asks (``candidate``). The digons outside a coset of the kernel are
+    no quotient-balanced cycle, so no family holds them."""
     group, _ = THETA_PAIRS[name]
     reduced = sorted(reduced_complete_cycles(group, 4))
     return _masks(reduced if route == "reduced" else candidate_cycles(group, 4, reduced))
 
 
-def _theta_closure(seed, verts):
-    """The least family holding ``seed`` with the third cycle of every theta
-    whose other two it holds. Two cycles that share an edge form a theta
-    exactly when their union has one edge more than its vertices, and the
-    third cycle is then their symmetric difference."""
-    family = set(seed)
-    todo = list(family)
-    while todo:
+def _theta_closure(seed, verts, closed=frozenset(), until=frozenset()):
+    """The least family holding ``seed`` and ``closed``, a theta-closed
+    family, with the third cycle of every theta whose other two it holds;
+    or, with ``until``, that family grown until it holds one of ``until``.
+    Two cycles that share an edge form a theta exactly when their union has
+    one edge more than its vertices, and the third cycle is then their
+    symmetric difference."""
+    family = set(closed) | set(seed)
+    todo = list(family - closed)
+    while todo and not until & family:
         a = todo.pop()
         for b in list(family):
             if a & b and (a | b).bit_count() == (verts[a] | verts[b]).bit_count() + 1:
@@ -779,6 +807,78 @@ def test_theta_closed_families_are_decided_by_the_reduced_cycles(route, name, se
         start += rng.sample(unbalanced, rng.randint(1, 2))
     family = _theta_closure(start, verts)
     decided = _deciding_cycles(name, route)
+    assert (family == balanced) == all((c in family) == flag for c, flag in decided)
+
+
+Z2XZ2 = THETA_PAIRS["Z2xZ2/Z2"][0]
+
+# K_n, the group, the kernel's elements and how many of its Γ-unbalanced
+# N-circuits to draw, or None for every one
+CLASS_HOSTS = {
+    "K4-Z3/Z3": (4, make_cyclic(3), (0, 1, 2), None),
+    "K4-Z4/Z4": (4, make_cyclic(4), (0, 1, 2, 3), None),
+    "K4-Z2xZ2/Z2": (4, Z2XZ2, (0, 1), None),
+    "K4-Z2xZ2/Z2xZ2": (4, Z2XZ2, (0, 1, 2, 3), None),
+    "K4-D6/Z3": (4, D6, (0, 1, 2), 100),
+    "K4-D6/D6": (4, D6, tuple(range(6)), 100),
+    "K4-Z5/Z5": (4, make_cyclic(5), tuple(range(5)), 100),
+    "K4-Z7/Z7": (4, make_cyclic(7), tuple(range(7)), 100),
+    "K5-Z3/Z3": (5, make_cyclic(3), (0, 1, 2), 100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_HOSTS))
+def test_every_unbalanced_n_circuit_brings_in_a_listed_digon(name):
+    """The digons of ``_check_cycle_hypothesis``'s sketch: a Γ-unbalanced
+    N-circuit U added to the balanced cycles, a theta-closed family, brings
+    into the theta closure the digon the stream lists for the class of U's
+    gain under conjugation and inversion. So were U one of m's circuits,
+    m's class being linear, that listed digon would be one too, and the
+    cycle check refuses m; no other digon need be asked."""
+    n, group, kernel, samples = CLASS_HOSTS[name]
+    g = complete_gain_graph(group, n)
+    verts, balanced = _quotient_balanced_cycles(group, kernel, n)
+    classes = kernel_classes(group, kernel)
+    listed = {}
+    for cycle, _ in _reduced_cycles(group, Subgroup(kernel), n):
+        if len(cycle) == 2:
+            k = g.edge(cycle[1]).gain
+            listed[next(c for c in classes if k in c)] = sum(1 << e for e in cycle)
+    assert len(listed) == len(classes)
+    unbalanced = sorted(verts.keys() - balanced)
+    if samples is not None:
+        unbalanced = random.Random(name).sample(unbalanced, samples)
+    for u in unbalanced:
+        ids = [e for e in range(len(g.edges)) if u >> e & 1]
+        gain = gain_of_walk(g, cycle_walk(g, ids))
+        digon = listed[next(c for c in classes if gain in c)]
+        assert digon in _theta_closure([u], verts, balanced, {digon}), ids
+
+
+FACT_B_PAIRS = THETA_PAIRS | {
+    "Z3/Z3": (make_cyclic(3), (0, 1, 2)),
+    "Z2xZ2/Z2xZ2": (Z2XZ2, (0, 1, 2, 3)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FACT_B_PAIRS)), st.integers(0, 2**31 - 1))
+def test_theta_closed_families_are_decided_by_the_listed_cycles(name, seed):
+    """Fact B over the set the cycle check asks: a theta-closed family of
+    quotient-balanced cycles on K_4, drawn at densities up to 1.0, is
+    exactly the Γ-balanced cycles iff it holds every balanced triangle
+    ``_reduced_cycles`` lists for the kernel and none of its digons, one
+    per class of the kernel less the identity."""
+    group, kernel = FACT_B_PAIRS[name]
+    verts, balanced = _quotient_balanced_cycles(group, kernel, 4)
+    rng = random.Random(seed)
+    density = rng.uniform(0.0, 1.0)
+    start = [c for c in sorted(balanced) if rng.random() < density]
+    unbalanced = sorted(verts.keys() - balanced)
+    if unbalanced and rng.random() < 0.5:
+        start += rng.sample(unbalanced, rng.randint(1, 2))
+    family = _theta_closure(start, verts)
+    decided = _masks(_reduced_cycles(group, Subgroup(kernel), 4))
     assert (family == balanced) == all((c in family) == flag for c, flag in decided)
 
 
@@ -1055,11 +1155,11 @@ def test_the_corpus_names_each_fault_once():
 HELD_OUT_SEEDS = (2101, 65537, 987654321, 2**31 - 1)
 
 # Corpus faults of order at most 10 that recovery refused while its cycle
-# check asked every N-circuit there, and accepts now that it asks the digons
-# and the candidate's triangles at every order: the lift's class less a
-# balanced 4-cycle, or plus a triangle or 4-cycle whose gain is a kernel
-# element, neither of which the check asks, under the partitions whose
-# bundles and sample do not meet it.
+# check asked every N-circuit there, and accepts now that it asks one digon
+# per kernel class and the candidate's triangles at every order: the lift's
+# class less a balanced 4-cycle, or plus a triangle or 4-cycle whose gain is
+# a kernel element, neither of which the check asks, under the partitions
+# whose bundles and sample do not meet it.
 ACCEPTED_CLASS_FAULTS = [
     f"{prefix}/{rest}"
     for prefix, rests in (
@@ -1189,7 +1289,7 @@ def test_corpus_class_faults_are_the_lifts_of_the_changed_class(index):
 # ``asked_cycle_count``: no digon, the identity rows C(3, 2)·7 = 21, the
 # generator rows 2·1·7 = 14 with S = {1}, and the column's 7 less the 2 the
 # rows hold, 40 in all
-Z7_ASKED = asked_cycle_count(make_cyclic(7), 1, 4)
+Z7_ASKED = asked_cycle_count(make_cyclic(7), (0,), 4)
 
 
 def test_recovery_rank_query_count_on_k4_over_z7():
@@ -1215,15 +1315,15 @@ def test_recovery_rank_query_count_on_k4_over_z7():
 def test_recovery_rank_query_count_on_k5_over_agl15():
     """K_5 over AGL(1,5) with its Frobenius kernel Z5: a non-abelian group
     whose rank queries run every union-find branch. The count pins that a
-    cheaper pass does not come from asking fewer queries: the 400 digons
-    inside a coset of Z5, 10·4·C(5, 2), and the candidate's 257 balanced
-    triangles through vertex 0, with S = {1, 4}: the identity rows,
-    C(4, 2)·20 = 120, the generator rows, 3·2·20 = 120, and the column's
-    20 less the 3 the rows hold, 17; the full rank and the bundles of
-    the identity with one and with two of the 15 elements outside the
-    kernel, then the final comparison's empty set, the 191 distinct bundles
-    (C(21, 2) pairs a <= b, less the 19 pairs (a, a), a != 0, that repeat
-    (0, a)), 200 prefixes and 215 halves."""
+    cheaper pass does not come from asking fewer queries: one digon, since
+    the four other elements of Z5 are one class under conjugation, and the
+    candidate's 257 balanced triangles through vertex 0, with S = {1, 4}:
+    the identity rows, C(4, 2)·20 = 120, the generator rows, 3·2·20 = 120,
+    and the column's 20 less the 3 the rows hold, 17; the full rank and the
+    bundles of the identity with one and with two of the 15 elements outside
+    the kernel, then the final comparison's empty set, the 191 distinct
+    bundles (C(21, 2) pairs a <= b, less the 19 pairs (a, a), a != 0, that
+    repeat (0, a)), 200 prefixes and 215 halves."""
     group = make_field_affine(5)
     part = next(p for p in frobenius_partitions(group) if 1 < p.kernel.order < group.order)
     m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 5))
@@ -1235,7 +1335,7 @@ def test_recovery_rank_query_count_on_k5_over_agl15():
         return m.rank(s)
 
     assert recover_partition(group, part.kernel, 5, FuncOracle(m.ground, rank), seed=0) == part
-    assert calls == 400 + 257 + (1 + 15 + 105) + (1 + 191 + 200 + 215)
+    assert calls == 1 + 257 + (1 + 15 + 105) + (1 + 191 + 200 + 215)
 
 
 class _Asked(RankOracle):
@@ -1251,23 +1351,23 @@ class _Asked(RankOracle):
 
 @pytest.mark.parametrize(
     "group, n, kernel_order, checked, asked",
-    [(make_cyclic(7), 4, 1, 8701, 40), (make_field_affine(5), 5, 5, 4300, 657)],
+    [(make_cyclic(7), 4, 1, 8701, 40), (make_field_affine(5), 5, 5, 4300, 258)],
     ids=["K4-Z7", "K5-AGL(1,5)"],
 )
 def test_the_cycle_check_asks_each_cycle_once_in_stream_order(
     group, n, kernel_order, checked, asked, monkeypatch
 ):
     """The cycle phase asks m of each cycle it streams, the cycle itself,
-    once and in stream order: the N-circuits among the digons and the
-    candidate's balanced triangles through vertex 0. Recovery holds its
+    once and in stream order: the N-circuits among the chosen digons and
+    the candidate's balanced triangles through vertex 0. Recovery holds its
     count of every cycle of K_4 over Z7, and of every digon and balanced
     triangle through vertex 0 of K_5 over AGL(1,5), ``checked``, against
     DEFAULT_CYCLE_COUNT_LIMIT, so the cap bounds the phase's queries from
     above. ``asked`` is ``asked_cycle_count``: with the trivial kernel on Z7
     no digon and 40 triangles (Z7_ASKED), and with the kernel Z5 on
-    AGL(1,5) 10·4·C(5, 2) = 400 digons and the candidate's 257 triangles of
-    C(4, 2)·20² = 2400. The phases' counts add up to every query m was
-    asked."""
+    AGL(1,5) one digon, for Z5's one class, and the candidate's 257
+    triangles of C(4, 2)·20² = 2400. The phases' counts add up to every
+    query m was asked."""
     part = next(p for p in frobenius_partitions(group) if p.kernel.order == kernel_order)
     m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, n))
     oracle, stats = _Asked(m), {}
@@ -1276,7 +1376,7 @@ def test_the_cycle_check_asks_each_cycle_once_in_stream_order(
     queries = stats["rank_queries"]
     stream = _reduced_cycles(group, part.kernel, n)
     assert oracle.asked[: queries["cycles"]] == [c for c, _ in stream]
-    assert queries["cycles"] == asked == asked_cycle_count(group, kernel_order, n) < checked
+    assert queries["cycles"] == asked == asked_cycle_count(group, part.kernel.elements, n) < checked
     assert queries["cycles"] + queries["bundles"] + queries["final"] == queries["total"]
     assert queries["total"] == len(oracle.asked)
     monkeypatch.setattr("frobmat.recovery.DEFAULT_CYCLE_COUNT_LIMIT", checked - 1)
@@ -1288,15 +1388,16 @@ def test_the_cycle_check_asks_each_cycle_once_in_stream_order(
 def test_the_cycle_phase_asks_the_closed_form_count(name):
     """Under every partition of K_4 over D6, Z7 and D10 the cycle phase asks
     ``asked_cycle_count`` cycles of the lift. On D6 with the kernel Z3 and
-    S = {1, 3} that is 6·2·C(3, 2) digons, the identity rows C(3, 2)·6, the
-    generator rows 2·2·6 and the column's 6 less 3, 36 + 18 + 24 + 3 = 81."""
-    assert asked_cycle_count(D6, 3, 4) == 36 + 18 + 24 + 3 == 81
+    S = {1, 3} that is one digon, for the class {1, 2}, the identity rows
+    C(3, 2)·6, the generator rows 2·2·6 and the column's 6 less 3,
+    1 + 18 + 24 + 3 = 46."""
+    assert asked_cycle_count(D6, (0, 1, 2), 4) == 1 + 18 + 24 + 3 == 46
     group = N_CIRCUIT_HOSTS[name][0]
     for part in frobenius_partitions(group):
         m = LiftedMatroid(FrobeniusContext(group, part), complete_gain_graph(group, 4))
         stats = {}
         assert recover_partition(group, part.kernel, 4, m, stats=stats) == part
-        want = asked_cycle_count(group, part.kernel.order, 4)
+        want = asked_cycle_count(group, part.kernel.elements, 4)
         assert stats["rank_queries"]["cycles"] == want, part
 
 
@@ -1938,7 +2039,7 @@ def test_the_cycle_check_alone_accepts_k5_over_order_ten(name):
     for part in frobenius_partitions(group):
         m = _Counted(LiftedMatroid(FrobeniusContext(group, part), g))
         _check_cycle_hypothesis(group, part.kernel, 5, m)
-        assert m.queries == asked_cycle_count(group, part.kernel.order, 5), part
+        assert m.queries == asked_cycle_count(group, part.kernel.elements, 5), part
         with pytest.raises(LimitExceeded, match="more than 1000000 cycles"):
             recover_partition(group, part.kernel, 5, m)
 
