@@ -16,7 +16,7 @@ from .errors import LimitExceeded
 from .gaingraph import (
     DEFAULT_CYCLE_COUNT_LIMIT,
     DEFAULT_CYCLE_EDGE_LIMIT,
-    EdgeEnds,
+    EdgeMap,
     GainGraph,
     enumerate_cycles,
     is_balanced_cycle,
@@ -174,15 +174,20 @@ class RankOracle:
         return (), self.rank(()), step
 
 
-def _dense_ends(g: GainGraph) -> tuple[EdgeEnds, int]:
+def _dense_ends(g: GainGraph) -> tuple[EdgeMap, int]:
     """``g.ends`` with the vertices that the edges meet renumbered 0, 1, ...
     in increasing order, and how many there are: lists over those numbers
     are sized by the edges, not by ``g.vertex_count``."""
     ends = g.ends
     verts = sorted({v for t, h, _ in ends.values() for v in (t, h)})
     number = {v: i for i, v in enumerate(verts)}
-    dense = EdgeEnds({eid: (number[t], number[h], x) for eid, (t, h, x) in ends.items()})
+    dense = EdgeMap({eid: (number[t], number[h], x) for eid, (t, h, x) in ends.items()})
     return dense, len(number)
+
+
+def _empty_state(n: int) -> list:
+    """The _rank_pass state of the empty set over ``n`` dense vertices."""
+    return [[-1] * n, [0] * n, [None] * n, {}, False]
 
 
 def _rank_pass(engine: tuple, subset: Iterable[int], cap: int, state: Optional[list] = None) -> int:
@@ -190,7 +195,7 @@ def _rank_pass(engine: tuple, subset: Iterable[int], cap: int, state: Optional[l
     vertex numbers of ``ends`` (see _dense_ends); returns the count of edges
     that raised |V| - c + w + l by one. Every ComponentOracle rank is this,
     with the oracle's ``engine``, built once: (group table, inverse, ends, n,
-    part_of, lift).
+    part_of).
 
     Each vertex holds its root (-1 while unseen) and a potential eta relative
     to it, chosen so that switching by eta makes every forest edge the
@@ -204,27 +209,21 @@ def _rank_pass(engine: tuple, subset: Iterable[int], cap: int, state: Optional[l
     merge re-roots the smaller component by c, which conjugates its reduced
     gains, so its witness becomes c^-1 w c. An edge counts when an unseen
     end joins, at a merge (unless both sides have a witness and l stays), at
-    a component's first witness, and when l turns on; without ``lift``, l
-    stays zero.
+    a component's first witness, and when l turns on; the count less the
+    final l is |V| - c + w, the frame rank.
 
-    A rank query passes no ``state``: the pass starts from the empty set and
-    stops counting once the count reaches ``cap``. With ``cap`` the rank of
-    every edge this is exact, since rank is monotone and a set holding a
-    prefix of that rank has that rank. The ids left unread are then checked
-    against ``ends`` by one ``filterfalse`` pass, so an unknown one still
-    raises ValueError. A negative cap never stops the pass. A walk passes
-    ``state``, the list [root, eta, members, witness, lifted] of its set; the
-    pass adds ``subset`` to it in place and writes the lifted flag back.
+    ``state`` is the list [root, eta, members, witness, lifted] of the set
+    that the pass adds ``subset`` to, in place, writing the lifted flag
+    back; it is the empty set's when not given. The pass stops counting once
+    the count reaches ``cap``. With ``cap`` the rank of every edge this is
+    exact, since rank is monotone and a set holding a prefix of that rank
+    has that rank. The ids left unread are then checked against ``ends`` by
+    one ``filterfalse`` pass, so an unknown one still raises ValueError. A
+    negative cap never stops the pass.
     """
-    table, inverse, ends, n, part_of, lift = engine
-    if state is None:
-        root = [-1] * n
-        eta = [0] * n
-        members: list = [None] * n
-        witness: dict[int, int] = {}
-        lifted = not lift
-    else:
-        root, eta, members, witness, lifted = state
+    table, inverse, ends, n, part_of = engine
+    # _empty_state(n) inline: a call per rank query cost ~2% of converse jobs/s
+    root, eta, members, witness, lifted = state or ([-1] * n, [0] * n, [None] * n, {}, False)
     r = 0
     rest = iter(subset)
     for eid in rest:
@@ -301,7 +300,8 @@ class ComponentOracle(RankOracle):
     or a complement index; the kernel must be normal and the complements
     closed under conjugation. A component is balanced (counted in b) when its
     gain group lies in the kernel, and lifted when it lies in no single
-    complement; l(X) is one iff ``lift`` is set and some component is lifted.
+    complement; l(X) is one iff some component is lifted (none is when one
+    complement, or the identity part, holds every non-identity element).
     Neither verdict depends on the forest: both are properties of the gain
     group up to conjugacy.
 
@@ -316,17 +316,16 @@ class ComponentOracle(RankOracle):
 
     incremental = True
 
-    def __init__(self, graph: GainGraph, part_of: Sequence[int], lift: bool):
+    def __init__(self, graph: GainGraph, part_of: Sequence[int]):
         self.graph = graph
         self.part_of = part_of
-        self.lift = lift
         self.ground = tuple(sorted(graph.edge_ids()))
 
     @functools.cached_property
     def _engine(self) -> tuple:
         group = self.graph.group
         ends, n = _dense_ends(self.graph)
-        return group.table, group.inverse, ends, n, self.part_of, self.lift
+        return group.table, group.inverse, ends, n, self.part_of
 
     @functools.cached_property
     def _cap(self) -> int:
@@ -340,7 +339,6 @@ class ComponentOracle(RankOracle):
 
     def walk(self):
         engine = self._engine
-        n = engine[3]
 
         def step(state: tuple, e: int, last: bool):
             uf, r = state
@@ -353,13 +351,7 @@ class ComponentOracle(RankOracle):
             r += _rank_pass(engine, (e,), -1, uf)
             return (uf, r), r
 
-        return ([[-1] * n, [0] * n, [None] * n, {}, not self.lift], 0), 0, step
-
-
-@functools.lru_cache(maxsize=64)
-def _uniform_parts(order: int, part: int) -> tuple[int, ...]:
-    """The classification that puts every non-identity element in ``part``."""
-    return (IDENTITY_PART,) + (part,) * (order - 1)
+        return (_empty_state(engine[3]), 0), 0, step
 
 
 def _scan_rank(b: BiasedGraph, subset: Iterable[int], lift: bool) -> int:
@@ -386,13 +378,13 @@ class _EdgeOracle(ComponentOracle):
 
     def __init__(self, biased: BiasedGraph):
         g = biased.graph
-        super().__init__(g, _uniform_parts(g.group.order, self._part), self._lift)
+        super().__init__(g, (IDENTITY_PART,) + (self._part,) * (g.group.order - 1))
         self.biased = biased
         self.incremental = biased.gain_derived
 
     def rank(self, subset: Iterable[int]) -> int:
         if not self.incremental:
-            return _scan_rank(self.biased, subset, self.lift)
+            return _scan_rank(self.biased, subset, self._lift)
         return super().rank(subset)
 
     def full_rank(self) -> int:

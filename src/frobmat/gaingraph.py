@@ -17,7 +17,7 @@ from .groups import FiniteGroup, QuotientMap
 
 DEFAULT_CYCLE_EDGE_LIMIT = 40
 DEFAULT_CYCLE_COUNT_LIMIT = 10**6
-# Most edges complete_gain_graph builds; checked before the first edge exists.
+# Most edges of a K_n that complete_pair_offsets numbers; checked before any id exists.
 MAX_COMPLETE_EDGES = 100_000
 
 
@@ -41,8 +41,8 @@ class Walk:
     steps: tuple[tuple[int, bool], ...]
 
 
-class EdgeEnds(dict):
-    """Edge id -> (tail, head, gain); an unknown id raises ValueError."""
+class EdgeMap(dict):
+    """A dict keyed by edge id, as GainGraph.ends; an unknown id raises ValueError."""
 
     def __missing__(self, eid: int) -> tuple[int, int, int]:
         raise ValueError(f"no edge {eid}")
@@ -87,9 +87,9 @@ class GainGraph:
             raise ValueError(f"no edge {eid}") from None
 
     @cached_property
-    def ends(self) -> EdgeEnds:
+    def ends(self) -> EdgeMap:
         """Edge id -> (tail, head, gain)."""
-        return EdgeEnds({e.id: (e.tail, e.head, e.gain) for e in self.edges})
+        return EdgeMap({e.id: (e.tail, e.head, e.gain) for e in self.edges})
 
     def edge_ids(self) -> tuple[int, ...]:
         return tuple(e.id for e in self.edges)
@@ -271,12 +271,6 @@ def complete_gain_graph(group: FiniteGroup, n: int) -> GainGraph:
     """
     if n < 2:
         raise ValueError("complete gain graph needs at least 2 vertices")
-    count = n * (n - 1) // 2 * group.order
-    if count > MAX_COMPLETE_EDGES:
-        raise ValueError(
-            f"K_{n} over a group of order {group.order} has {count} edges, "
-            f"above the cap {MAX_COMPLETE_EDGES}"
-        )
     offset = complete_pair_offsets(group.order, n)
     edges = [
         Edge(offset[i][j] + alpha, i, j, alpha)
@@ -291,6 +285,12 @@ def complete_pair_offsets(order: int, n: int) -> tuple[tuple[int, ...], ...]:
     """offset[i][j] = offset[j][i] = the id of the identity edge of the pair
     {i, j} in complete_gain_graph(group, n) for a group of the given order:
     for i < j, the edge (i, j, alpha) has id offset[i][j] + alpha."""
+    count = n * (n - 1) // 2 * order
+    if count > MAX_COMPLETE_EDGES:
+        raise ValueError(
+            f"K_{n} over a group of order {order} has {count} edges, "
+            f"above the cap {MAX_COMPLETE_EDGES}"
+        )
     offset = [[0] * n for _ in range(n)]
     pair = 0
     for i in range(n):

@@ -607,8 +607,9 @@ def validate_complements(group: FiniteGroup, part: FrobeniusPartition) -> None:
 
 def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientMap:
     """Quotient by a normal subgroup with coset-minimum representatives."""
-    if not is_normal(group, normal):
-        raise ValueError("subgroup is not normal")
+    fault = kernel_fault(group, normal)
+    if fault is not None:
+        raise ValueError(fault)
     rep = [-1] * group.order
     for a in group.elements():
         if rep[a] >= 0:

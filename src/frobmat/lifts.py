@@ -24,6 +24,8 @@ from .biased import (
     EdgeIndex,
     RankOracle,
     _ClassLift,
+    _empty_state,
+    _rank_pass,
     _vertices_of,
     distinct_unions,
     first_disagreement,
@@ -95,24 +97,26 @@ class LiftedMatroid(ComponentOracle):
     """Rank oracle of the constructed elementary lift.
 
     rank(X) = |V(G[X])| - b(X) + l(X) with b counting quotient-balanced
-    components and l the lift bit; the same pass without l is the frame rank
-    of the quotient, ``underlying_rank``.
+    components and l the lift bit; the same pass less l is the rank of N,
+    the quotient's frame matroid, ``underlying_rank``.
     """
 
     def __init__(self, ctx: FrobeniusContext, graph: GainGraph):
         if graph.group is not ctx.group:
             raise ValueError("graph group differs from the context group")
-        super().__init__(graph, ctx.part_of, True)
+        super().__init__(graph, ctx.part_of)
         self.ctx = ctx
-        self._frame = ComponentOracle(graph, ctx.part_of, False)
 
     # bound here as well: bench/tracing.py wraps the method in this class's
     # own __dict__
     rank = ComponentOracle.rank
 
     def underlying_rank(self, subset: Iterable[int]) -> int:
-        """Rank in the frame matroid of the quotient gain graph."""
-        return self._frame.rank(subset)
+        """r(X) - l(X), the rank in N. The pass stops at r(E), exact for N
+        too: l never falls, so a prefix P of rank r(E) has l(P) = l(E) and
+        r_N(P) = r_N(E) (Brylawski, *Constructions*, 1986)."""
+        state = _empty_state(self._engine[3])
+        return _rank_pass(self._engine, subset, self._cap, state) - state[4]
 
     @cached_property
     def quotient_biased(self) -> BiasedGraph:
@@ -125,7 +129,8 @@ class LiftedMatroid(ComponentOracle):
 
     @cached_property
     def linear_class(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(linear_class(self.ctx, self.graph, frame=self.frame_circuits))
+        """The frame circuits that stay circuits of the lift; see ``linear_class``."""
+        return tuple(c for c in self.frame_circuits if self.rank(c) == len(c) - 1)
 
 
 # ---------------------------------------------------------------------------

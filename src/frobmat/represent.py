@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .biased import RankOracle, comparison_parts
-from .gaingraph import Edge, GainGraph, apply_switching
+from .gaingraph import Edge, EdgeMap, GainGraph, apply_switching
 from .groups import FiniteGroup
 from .lifts import FrobeniusContext, LiftedMatroid
 
@@ -141,7 +141,7 @@ class VectorOracle(RankOracle):
         ids = list(ids) if ids is not None else list(range(matrix.cols))
         if len(ids) != matrix.cols:
             raise ValueError("one ground id per column required")
-        self._col_of = {eid: j for j, eid in enumerate(ids)}
+        self._col_of = EdgeMap((eid, j) for j, eid in enumerate(ids))
         self.ground = tuple(sorted(ids))
 
     def rank(self, subset: Iterable[int]) -> int:
@@ -153,7 +153,7 @@ class VectorOracle(RankOracle):
         the pivots of the rows before it. A step reduces one column against
         the rows in order and appends what is left, if anything."""
         q = self.matrix.q
-        columns = {eid: self.matrix.column(j) for eid, j in self._col_of.items()}
+        columns = EdgeMap((eid, self.matrix.column(j)) for eid, j in self._col_of.items())
         inverse = [0] + [pow(x, q - 2, q) for x in range(1, q)]
 
         def step(basis: tuple, eid: int, last: bool):

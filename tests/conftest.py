@@ -376,14 +376,12 @@ class FuncOracle(RankOracle):
         return self._fn(frozenset(subset))
 
 
-def component_rank(
-    g: GainGraph, subset: Iterable[int], part_of: Sequence[int], lift: bool
-) -> int:
+def component_rank(g: GainGraph, subset: Iterable[int], part_of: Sequence[int]) -> int:
     """|V(G[X])| - b(X) + l(X) by one union-find pass over the edges of X,
     with no cap: the reference for ComponentOracle, whose queries stop once
     they reach the full rank. See ComponentOracle for b, l and ``part_of``."""
     ends, n = _dense_ends(g)
-    return _rank_pass((g.group.table, g.group.inverse, ends, n, part_of, lift), subset, -1)
+    return _rank_pass((g.group.table, g.group.inverse, ends, n, part_of), subset, -1)
 
 
 class CountingWalk(RankOracle):

@@ -35,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BIASED = "src/frobmat/biased.py"
+GAINGRAPH = "src/frobmat/gaingraph.py"
 GROUPS = "src/frobmat/groups.py"
 LIFTS = "src/frobmat/lifts.py"
 RECOVERY = "src/frobmat/recovery.py"
@@ -189,6 +190,25 @@ MUTANTS = [
      "            if kernel.order > 1:\n",
      "            if False:\n",
      [TR + "test_rejects_rank_n_with_a_nontrivial_kernel"]),
+    # one rank pass per lift: N's rank is the lift's count less l
+    ("underlying-rank-keeps-the-lift-bit", LIFTS,
+     "        return _rank_pass(self._engine, subset, self._cap, state) - state[4]\n",
+     "        return _rank_pass(self._engine, subset, self._cap, state)\n",
+     [TL + "test_underlying_rank_is_the_lift_pass_less_its_lift_bit"]),
+    ("rank-pass-starts-lifted", BIASED,
+     "state or ([-1] * n, [0] * n, [None] * n, {}, False)\n",
+     "state or ([-1] * n, [0] * n, [None] * n, {}, True)\n",
+     [TL + "test_union_find_ranks_are_order_invariant_on_every_branch",
+      TL + "test_rank_table_walk_matches_per_subset_routes"]),
+    ("walk-and-underlying-rank-start-lifted", BIASED,
+     "    return [[-1] * n, [0] * n, [None] * n, {}, False]\n",
+     "    return [[-1] * n, [0] * n, [None] * n, {}, True]\n",
+     [TL + "test_union_find_ranks_are_order_invariant_on_every_branch",
+      TL + "test_underlying_rank_is_the_lift_pass_less_its_lift_bit"]),
+    ("linear-class-takes-every-frame-circuit", LIFTS,
+     "        return tuple(c for c in self.frame_circuits if self.rank(c) == len(c) - 1)\n",
+     "        return tuple(c for c in self.frame_circuits if self.rank(c) >= len(c) - 1)\n",
+     [TL + "test_circuits_match_minimal_dependent_sets"]),
     # contraction, the one place that reads an edge's kind
     ("identity-loop-sent-to-the-complement-loop-rule", LIFTS,
      "    if e.gain == 0:\n        return delete(ctx, g, eid)\n",
@@ -228,6 +248,15 @@ MUTANTS = [
      "    for r in reps[:1]:\n",
      [TG + "test_subgroups_match_brute_force",
       TG + "test_generated_subgroup_is_smallest_containing_subgroup"]),
+    ("quotient-takes-a-normal-set-that-is-no-subgroup", GROUPS,
+     "    fault = kernel_fault(group, normal)\n",
+     "    fault = None if is_normal(group, normal) else \"kernel is not normal\"\n",
+     [TG + "test_quotient_rejects_a_normal_set_that_is_no_subgroup"]),
+    # K_n's ids: one edge cap, where they are laid out
+    ("complete-pair-offsets-uncapped", GAINGRAPH,
+     "    if count > MAX_COMPLETE_EDGES:\n",
+     "    if False:\n",
+     [TR + "test_edge_bundle_refuses_a_k_n_above_the_edge_cap_before_any_id"]),
     ("field-affine-cap-dropped", GROUPS,
      "    if q >= 3:\n        _check_table_order(q * (q - 1))\n",
      "",

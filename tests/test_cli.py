@@ -1003,6 +1003,20 @@ def test_recover_rejects_out_of_range_kernel(write, capsys, with_class):
     assert err.startswith("error:") and err.count("\n") == 1 and "99" in err
 
 
+@pytest.mark.parametrize(
+    "group,kernel,message",
+    [(D6_SPEC, "0,3", "kernel is not normal"),
+     ({"kind": "cyclic", "n": 4}, "0,1,3", "kernel is not a subgroup")],
+)
+def test_recover_with_a_class_names_the_kernel_fault(write, capsys, group, kernel, message):
+    """``--class`` forms the quotient by the declared kernel first, and that
+    refuses a set that is no normal subgroup with its ``kernel_fault``."""
+    spec = {"complete": {"group": group, "n": 4}}
+    args = ["recover", "--graph", write("k4.json", spec), "--kernel", kernel]
+    code, out, err = run(capsys, *args, "--class", write("c.txt", "0,1\n"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 TWO_EDGE_D6 = {"group": D6_SPEC, "vertices": 2, "edges": [[0, 1, 1], [0, 1, 3]]}
 
 SEVENTEEN_EDGES = {

@@ -825,8 +825,17 @@ def test_quotient_d6_by_rotations(d6):
 
 
 def test_quotient_rejects_non_normal(d6):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^kernel is not normal$"):
         quotient(d6, Subgroup((0, 3)))
+
+
+def test_quotient_rejects_a_normal_set_that_is_no_subgroup():
+    """{0, 1, 3} of Z4 is closed under conjugation, as every set of an
+    abelian group is, but not under addition: no quotient is formed."""
+    z4, closed = make_cyclic(4), Subgroup((0, 1, 3))
+    assert is_normal(z4, closed) and not is_subgroup(z4, closed.elements)
+    with pytest.raises(ValueError, match="^kernel is not a subgroup$"):
+        quotient(z4, closed)
 
 
 def test_subgroup_as_group(d6):

@@ -23,6 +23,7 @@ from frobmat import (
     LiftedMatroid,
     LimitExceeded,
     Subgroup,
+    VectorOracle,
     apply_switching,
     bases,
     brylawski_lift,
@@ -58,12 +59,12 @@ from frobmat.biased import (
     IDENTITY_PART,
     KERNEL_PART,
     CircuitIndex,
-    ComponentOracle,
     _ClassLift,
     rank_table,
     scan_components,
 )
 from frobmat.lifts import _classify_circuit
+from frobmat.represent import FieldMatrix
 
 from conftest import (
     FuncOracle,
@@ -465,7 +466,7 @@ def test_a_rank_query_on_high_vertex_numbers_allocates_by_its_edges(d6, d6_frobe
     tracemalloc.start()
     try:
         got = [(m.rank(q), frame.rank(q)) for q in queries]
-        got_uncapped = [component_rank(high, q, d6_frobenius.part_of, True) for q in queries]
+        got_uncapped = [component_rank(high, q, d6_frobenius.part_of) for q in queries]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -522,9 +523,10 @@ def _branch_edges(data, group, ctx):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_union_find_ranks_are_order_invariant_on_every_branch(data):
-    """Every ordering of a small edge set, through component_rank with and
-    without the lift bit and through the walk, against the ranks of the
-    explicit balanced-set route and of brylawski_lift."""
+    """Every ordering of a small edge set, through component_rank under the
+    frame, lift and partition classifications, through ``underlying_rank``
+    and through the walk, against the ranks of the explicit balanced-set
+    route and of brylawski_lift."""
     i = data.draw(st.sampled_from(range(len(DIFFERENTIAL_GROUPS))))
     group = DIFFERENTIAL_GROUPS[i]
     ctx = data.draw(st.sampled_from(DIFFERENTIAL_CONTEXTS[i]))
@@ -542,10 +544,10 @@ def test_union_find_ranks_are_order_invariant_on_every_branch(data):
     trivial = (IDENTITY_PART,) + (0,) * (group.order - 1)
     kernel = (IDENTITY_PART,) + (KERNEL_PART,) * (group.order - 1)
     for order in itertools.permutations(g.edge_ids()):
-        assert component_rank(g, order, trivial, False) == frame.rank(order), order
-        assert component_rank(g, order, kernel, True) == lift.rank(order), order
-        assert component_rank(g, order, ctx.part_of, False) == quotient.rank(order), order
-        assert m.rank(order) == expected.rank(order), order
+        assert component_rank(g, order, trivial) == frame.rank(order), order
+        assert component_rank(g, order, kernel) == lift.rank(order), order
+        assert m.underlying_rank(order) == quotient.rank(order), order
+        assert component_rank(g, order, ctx.part_of) == m.rank(order) == expected.rank(order), order
         state, _, step = m.walk()
         for k, e in enumerate(order, 1):
             state, r = step(state, e, k == len(order))
@@ -645,6 +647,30 @@ def test_circuits_ask_once_per_union_that_can_be_a_circuit(monkeypatch):
             circuits(ctx, g)
             assert len(asked) == len(expected), ctx
             assert {frozenset(s) for s in asked} == expected, ctx
+
+
+def test_circuits_number_the_vertices_once(monkeypatch):
+    """``circuits`` asks the lift, for its linear class, and N, for each
+    union, through the one engine of one LiftedMatroid: one vertex numbering
+    per call, also on the graphs where N is asked."""
+    import frobmat.biased as biased_module
+
+    numbered, asked = [], []
+    dense_ends = biased_module._dense_ends
+    monkeypatch.setattr(biased_module, "_dense_ends", lambda g: numbered.append(g) or dense_ends(g))
+    rank = LiftedMatroid.underlying_rank
+    monkeypatch.setattr(
+        LiftedMatroid, "underlying_rank", lambda self, s: asked.append(s) or rank(self, s)
+    )
+    rng = random.Random(5)
+    for trial in range(6):
+        i = trial % len(DIFFERENTIAL_GROUPS)
+        g = _graph_with_loop_and_parallel_pair(DIFFERENTIAL_GROUPS[i], rng, 9, 14)
+        for ctx in DIFFERENTIAL_CONTEXTS[i]:
+            numbered.clear()
+            circuits(ctx, g)
+            assert numbered == [g], ctx
+    assert asked
 
 
 def test_circuits_reject_a_union_of_non_members_that_holds_a_member(d6, d6_frobenius):
@@ -860,7 +886,7 @@ def test_rank_table_walk_matches_per_subset_routes(seed):
     assert rank_table(GraphicOracle(g)) == rank_table(FrameOracle(every_cycle))
     for ctx in DIFFERENTIAL_CONTEXTS[i]:
         walk = rank_table(LiftedMatroid(ctx, g))
-        fresh = FuncOracle(g.edge_ids(), lambda s: component_rank(g, s, ctx.part_of, True))
+        fresh = FuncOracle(g.edge_ids(), lambda s: component_rank(g, s, ctx.part_of))
         assert walk == rank_table(fresh), ctx
         host = explicit(quotient_gains(g, ctx.quotient))
         lift = brylawski_lift(FrameOracle(host), frame_circuits(host), _class_by_gains(ctx, g))
@@ -901,7 +927,7 @@ def _awkward_graph(group, rng):
 
 def _uncapped(oracle):
     """The oracle's ranks by a plain component_rank pass over every id."""
-    return lambda ids: component_rank(oracle.graph, ids, oracle.part_of, oracle.lift)
+    return lambda ids: component_rank(oracle.graph, ids, oracle.part_of)
 
 
 def _walked(oracle):
@@ -934,8 +960,9 @@ def test_capped_ranks_match_uncapped_and_explicit_routes(seed):
     the explicit balanced-cycle route: scanned components for the frame,
     lift and graphic ranks, and the modular-pair lift of the gain-defined
     class for the lifted rank. The queries come in every order, so parts of
-    a component meet by a merge. The walk of the quotient's frame
-    ComponentOracle is checked against per-subset ``underlying_rank``."""
+    a component meet by a merge. N's rank, ``underlying_rank``, joins the
+    routes of the quotient's FrameOracle, whose walk is also checked against
+    it on every subset."""
     rng = random.Random(seed)
     i = seed % len(DIFFERENTIAL_GROUPS)
     g = _awkward_graph(DIFFERENTIAL_GROUPS[i], rng)
@@ -960,23 +987,14 @@ def test_capped_ranks_match_uncapped_and_explicit_routes(seed):
         host = explicit(quotient_gains(g, ctx.quotient))
         frame = FrameOracle(host)
         lift = brylawski_lift(frame, frame_circuits(host), _class_by_gains(ctx, g))
-        quotient = ComponentOracle(g, ctx.part_of, False)
+        quotient = FrameOracle(m.quotient_biased)
         routes.append(route(m, lift.rank))
-        routes.append(
-            (
-                m.underlying_rank,
-                lambda ids, ctx=ctx: component_rank(g, ids, ctx.part_of, False),
-                _walked(quotient),
-                frame.rank,
-            )
-        )
-        routes.append(route(quotient, frame.rank))
-        walked = rank_table(quotient)
-        assert walked == rank_table(FuncOracle(m.ground, m.underlying_rank)), ctx
+        routes.append((m.underlying_rank,) + route(quotient, frame.rank))
+        assert rank_table(quotient) == rank_table(FuncOracle(m.ground, m.underlying_rank)), ctx
     for sub, query in _shuffled_queries(g.edge_ids(), rng):
-        for capped, uncapped, walk, by_cycles in routes:
+        for *ranks, by_cycles in routes:
             expected = by_cycles(sub)
-            assert capped(query) == uncapped(query) == walk(query) == expected, (sub, query)
+            assert [rank(query) for rank in ranks] == [expected] * len(ranks), (sub, query)
 
 
 COMPLETE_GRAPHS = [
@@ -1012,25 +1030,64 @@ def test_capped_ranks_match_uncapped_on_complete_graphs(seed):
             assert oracle.rank(q) == uncapped(q), (oracle, q)
     for ctx in contexts_of(g.group):
         m = LiftedMatroid(ctx, g)
+        uncapped = _uncapped(FrameOracle(m.quotient_biased))
         for q in queries:
-            assert m.underlying_rank(q) == component_rank(g, q, ctx.part_of, False), (ctx, q)
+            assert m.underlying_rank(q) == uncapped(q), (ctx, q)
+
+
+def _explicit_frame(b):
+    """The FrameOracle of ``b``'s graph given by its balanced-cycle set, read
+    from scanned components."""
+    g = b.graph
+    return FrameOracle(BiasedGraph(g, [c for c in enumerate_cycles(g) if b.cycle_is_balanced(c)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_underlying_rank_is_the_lift_pass_less_its_lift_bit(seed):
+    """``underlying_rank``, the lift's own pass less l, against N's two
+    independent routes: the quotient's gain-derived FrameOracle and its
+    explicit balanced-cycle FrameOracle, under every partition. The queries
+    are the ground set, random sets, and random sets drawn after a basis of
+    the lift, each asked in increasing id order, in decreasing id order and
+    as drawn: drawn, the last kind reaches r(E) at the basis, and the pass
+    stops there with ids unread."""
+    rng = random.Random(seed)
+    i = seed % len(DIFFERENTIAL_GROUPS)
+    g = random_gain_graph(DIFFERENTIAL_GROUPS[i], rng, max_vertices=5, max_edges=10)
+    ids = g.edge_ids()
+    for ctx in DIFFERENTIAL_CONTEXTS[i]:
+        m = LiftedMatroid(ctx, g)
+        routes = (FrameOracle(m.quotient_biased).rank, _explicit_frame(m.quotient_biased).rank)
+        basis = [e for k, e in enumerate(ids) if m.rank(ids[: k + 1]) > m.rank(ids[:k])]
+        queries = [list(ids)]
+        for _ in range(6):
+            queries.append(rng.sample(ids, rng.randint(0, len(ids))))
+            queries.append(basis + rng.sample(ids, rng.randint(1, len(ids))))
+        for q in queries:
+            for order in (sorted(q), sorted(q, reverse=True), q):
+                want = m.underlying_rank(order)
+                assert [rank(order) for rank in routes] == [want, want], (ctx, order)
+                assert m.rank(order) - want in (0, 1), (ctx, order)
 
 
 @pytest.mark.parametrize("complete", [False, True])
 def test_unknown_id_after_the_ground_set_rank_raises(d6, d6_frobenius, complete):
     """Every id is looked up, also after a pass has reached the ground-set
-    rank and stopped counting."""
+    rank and stopped counting, and by a walk step. The column matroid, all
+    ones over GF(5), raises the same error as the graph oracles."""
     g = complete_gain_graph(d6, 4) if complete else graph(d6, 3, [(0, 1, 3), (1, 2, 4), (2, 2, 1)])
     b = BiasedGraph(g)
     m = LiftedMatroid(d6_frobenius, g)
     missing = max(g.edge_ids()) + 1
-    ranks = [
-        m.rank,
-        m.underlying_rank,
-        FrameOracle(b).rank,
-        LiftOracle(b).rank,
-        GraphicOracle(g).rank,
-    ]
+    oracles = [m, FrameOracle(b), LiftOracle(b), GraphicOracle(g)]
+    oracles.append(VectorOracle(FieldMatrix.build(5, [[1] * len(g.edges)]), g.edge_ids()))
+    for oracle in oracles:
+        state, _, step = oracle.walk()
+        state, _ = step(state, g.edge_ids()[0], False)
+        with pytest.raises(ValueError, match=f"^no edge {missing}$"):
+            step(state, missing, True)
+    ranks = [m.underlying_rank] + [oracle.rank for oracle in oracles]
     for rank in ranks:
         assert rank(g.edge_ids()) > 0
         with pytest.raises(ValueError, match=f"no edge {missing}"):
@@ -1043,10 +1100,7 @@ def test_unknown_id_after_the_ground_set_rank_raises(d6, d6_frobenius, complete)
     for rank in ranks:
         assert rank(query[:12]) == rank(g.edge_ids())
     # component_rank never stops
-    ranks += [
-        lambda s, lift=lift: component_rank(g, s, d6_frobenius.part_of, lift)
-        for lift in (False, True)
-    ]
+    ranks += [_uncapped(m), _uncapped(FrameOracle(m.quotient_biased))]
     for rank in ranks:
         for at in (len(query), 1):
             with pytest.raises(ValueError, match=f"no edge {missing}"):
@@ -1513,7 +1567,7 @@ def test_lifted_matroid_is_elementary_lift_of_frame(d6, d6_frobenius):
     for _ in range(8):
         g = random_gain_graph(d6, rng)
         m = LiftedMatroid(d6_frobenius, g)
-        ok, recovered = is_elementary_lift(m, ComponentOracle(g, d6_frobenius.part_of, False))
+        ok, recovered = is_elementary_lift(m, FrameOracle(m.quotient_biased))
         assert ok
         assert sorted(map(tuple, recovered)) == sorted(linear_class(d6_frobenius, g))
 
@@ -1548,7 +1602,7 @@ def test_is_elementary_lift_witness_is_first_by_size(d6, d6_frobenius, bumped, w
     m = LiftedMatroid(d6_frobenius, g)
     bad = {frozenset(s) for s in bumped}
     oracle = FuncOracle(m.ground, lambda s: m.rank(s) + (s in bad))
-    host = ComponentOracle(g, d6_frobenius.part_of, False)
+    host = FrameOracle(m.quotient_biased)
     assert is_elementary_lift(oracle, host) == (False, witness)
 
 

@@ -50,7 +50,7 @@ from frobmat.biased import (
 )
 from frobmat import groups
 from frobmat.fileio import group_from_spec
-from frobmat.gaingraph import cycle_walk, gain_of_walk
+from frobmat.gaingraph import MAX_COMPLETE_EDGES, complete_pair_offsets, cycle_walk, gain_of_walk
 from frobmat.groups import generated_subgroup, is_malnormal, is_subgroup, quotient
 from frobmat.recovery import (
     EXHAUSTIVE_GROUP_ORDER,
@@ -96,6 +96,28 @@ def test_edge_bundle_counts(d6):
 def test_edge_bundle_refuses_an_element_out_of_range(d6, alpha):
     with pytest.raises(ValueError, match=f"^element {alpha} out of range$"):
         edge_bundle(d6, 4, [0, alpha])
+
+
+def test_edge_bundle_refuses_a_k_n_above_the_edge_cap_before_any_id():
+    """K_500 over the trivial group has 124,750 edges, above the cap that
+    complete_gain_graph keeps: its bundle is refused with the same message,
+    before the 500 x 500 offset table or any id exists. The cap is at most,
+    so one pair over an order of exactly the cap is laid out."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError, match="^K_500 over a group of order 1 has 124750 edges, above the cap 100000$"
+        ):
+            edge_bundle(make_cyclic(1), 500, (0,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    with pytest.raises(ValueError, match="above the cap"):
+        complete_gain_graph(make_cyclic(1), 500)
+    assert complete_pair_offsets(MAX_COMPLETE_EDGES, 2) == ((0, 0), (0, 0))
+    with pytest.raises(ValueError, match=f"has {MAX_COMPLETE_EDGES + 1} edges, above the cap"):
+        complete_pair_offsets(MAX_COMPLETE_EDGES + 1, 2)
 
 
 def test_round_trip_d6(d6, d6_partitions, d6_frobenius):
