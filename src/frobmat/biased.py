@@ -354,17 +354,17 @@ class ComponentOracle(RankOracle):
         return (_empty_state(engine[3]), 0), 0, step
 
 
-def _scan_rank(b: BiasedGraph, subset: Iterable[int], lift: bool) -> int:
-    """Frame (or, with ``lift``, lift) rank from scanned components; the route
-    for biased graphs given by an explicit balanced-cycle set."""
-    total = 0
-    lifted = False
+def _scan_rank(b: BiasedGraph, subset: Iterable[int], part: int) -> int:
+    """_rank_pass's rank with every non-identity gain in ``part``, from scanned
+    components: the route for an explicit balanced-cycle set. An unbalanced
+    component adds one, or, in KERNEL_PART, turns the lift bit on."""
+    total = lifted = 0
     for sc in scan_components(b.graph, subset):
-        if lift:
-            total += len(sc.vertices) - 1
+        total += len(sc.vertices) - 1
+        if part == KERNEL_PART:
             lifted = lifted or not b.component_balanced(sc)
         else:
-            total += len(sc.vertices) - b.component_balanced(sc)
+            total += not b.component_balanced(sc)
     return total + lifted
 
 
@@ -374,7 +374,6 @@ class _EdgeOracle(ComponentOracle):
     read from scanned components instead, one subset at a time."""
 
     _part: int
-    _lift = False
 
     def __init__(self, biased: BiasedGraph):
         g = biased.graph
@@ -384,7 +383,7 @@ class _EdgeOracle(ComponentOracle):
 
     def rank(self, subset: Iterable[int]) -> int:
         if not self.incremental:
-            return _scan_rank(self.biased, subset, self._lift)
+            return _scan_rank(self.biased, subset, self._part)
         return super().rank(subset)
 
     def full_rank(self) -> int:
@@ -402,7 +401,7 @@ class FrameOracle(_EdgeOracle):
 
 
 class LiftOracle(_EdgeOracle):
-    _part, _lift = KERNEL_PART, True
+    _part = KERNEL_PART
 
 
 class GraphicOracle(_EdgeOracle):
@@ -477,6 +476,14 @@ class _ClassLift(RankOracle):
                 c = min(map(index.ids, outside.inside(union, u)))
                 return False, (tuple(sorted(members[i])), tuple(sorted(members[j])), c)
         return True, None
+
+
+def class_of(m: RankOracle, circuits: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The circuits C of a host among ``circuits`` that m ranks |C| - 1: the
+    linear class of the host's circuits that m selects when m is an
+    elementary lift of the host, as C stays a circuit of m exactly when it
+    is a member (Brylawski, *Constructions*, 1986)."""
+    return [c for c in circuits if m.rank(c) == len(c) - 1]
 
 
 class ClassLiftOracle(_ClassLift):

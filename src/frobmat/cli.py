@@ -17,6 +17,7 @@ from .biased import (
     ClassLiftOracle,
     FrameOracle,
     RankOracle,
+    class_of,
     comparison_parts,
     frame_circuits,
     is_linear_class,
@@ -64,10 +65,10 @@ def _select_partition(group: FiniteGroup, selector: str) -> FrobeniusPartition:
     raise ValueError(f"no Frobenius partition has kernel {list(want)}")
 
 
-def _context(args) -> tuple[FiniteGroup, GainGraph, FrobeniusContext]:
+def _context(args) -> tuple[GainGraph, FrobeniusContext]:
     graph = fileio.load_graph(args.graph)
     part = _select_partition(graph.group, args.kernel)
-    return graph.group, graph, FrobeniusContext(graph.group, part, validate=False)
+    return graph, FrobeniusContext(graph.group, part, validate=False)
 
 
 def cmd_frobpart(args) -> int:
@@ -79,7 +80,7 @@ def cmd_frobpart(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    _, graph, ctx = _context(args)
+    graph, ctx = _context(args)
     oracle = LiftedMatroid(ctx, graph)
     subset = (
         fileio.parse_id_list(args.subset)
@@ -91,14 +92,14 @@ def cmd_rank(args) -> int:
 
 
 def cmd_circuits(args) -> int:
-    _, graph, ctx = _context(args)
+    graph, ctx = _context(args)
     fam = linear_class(ctx, graph) if args.of == "linear-class" else circuits(ctx, graph)
     sys.stdout.write(fileio.format_circuits(fam))
     return 0
 
 
 def cmd_bases(args) -> int:
-    _, graph, ctx = _context(args)
+    graph, ctx = _context(args)
     sys.stdout.write(fileio.format_circuits(bases(ctx, graph)))
     return 0
 
@@ -114,7 +115,7 @@ def cmd_verify(args) -> int:
         raise ValueError(
             "verify needs at least one of --axioms, --linear-class, --representation, --minors"
         )
-    _, graph, ctx = _context(args)
+    graph, ctx = _context(args)
     oracle = LiftedMatroid(ctx, graph)
     # printed once every requested check has returned, so an error in a later
     # check leaves its one ``error:`` line alone
@@ -136,7 +137,7 @@ def cmd_verify(args) -> int:
         host = FrameOracle(oracle.quotient_biased)
         host_circuits = frame_circuits(oracle.quotient_biased)
         if args.linear_class == "":
-            cand = linear_class(ctx, graph, frame=host_circuits)
+            cand = class_of(oracle, host_circuits)
         else:
             cand = fileio.parse_circuits(Path(args.linear_class).read_text())
         try:
@@ -203,7 +204,7 @@ def _verify_minors(ctx, graph, oracle, seed: int) -> tuple[bool, str]:
 
 
 def cmd_minor(args) -> int:
-    _, graph, ctx = _context(args)
+    graph, ctx = _context(args)
     current = graph
     for eid in fileio.parse_id_list(args.delete or ""):
         current = delete(ctx, current, eid).graph

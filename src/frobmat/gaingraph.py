@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .errors import LimitExceeded
 from .groups import FiniteGroup, QuotientMap
@@ -42,9 +42,9 @@ class Walk:
 
 
 class EdgeMap(dict):
-    """A dict keyed by edge id, as GainGraph.ends; an unknown id raises ValueError."""
+    """A dict keyed by edge id; an unknown id raises ValueError."""
 
-    def __missing__(self, eid: int) -> tuple[int, int, int]:
+    def __missing__(self, eid: int) -> NoReturn:
         raise ValueError(f"no edge {eid}")
 
 
@@ -57,7 +57,7 @@ class GainGraph:
         self.group = group
         self.vertex_count = vertex_count
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self._by_id = {e.id: e for e in self.edges}
+        self._by_id = EdgeMap({e.id: e for e in self.edges})
         if len(self._by_id) != len(self.edges):
             raise ValueError("duplicate edge ids")
         for e in self.edges:
@@ -81,10 +81,7 @@ class GainGraph:
         )
 
     def edge(self, eid: int) -> Edge:
-        try:
-            return self._by_id[eid]
-        except KeyError:
-            raise ValueError(f"no edge {eid}") from None
+        return self._by_id[eid]
 
     @cached_property
     def ends(self) -> EdgeMap:

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .biased import (
     IDENTITY_PART,
@@ -27,6 +27,7 @@ from .biased import (
     _empty_state,
     _rank_pass,
     _vertices_of,
+    class_of,
     distinct_unions,
     first_disagreement,
     frame_circuits,
@@ -129,8 +130,8 @@ class LiftedMatroid(ComponentOracle):
 
     @cached_property
     def linear_class(self) -> tuple[tuple[int, ...], ...]:
-        """The frame circuits that stay circuits of the lift; see ``linear_class``."""
-        return tuple(c for c in self.frame_circuits if self.rank(c) == len(c) - 1)
+        """The frame circuits that stay circuits of the lift, by ``class_of``."""
+        return tuple(class_of(self, self.frame_circuits))
 
 
 # ---------------------------------------------------------------------------
@@ -261,23 +262,14 @@ def cyclic_covering_pair(
     return w1, w2
 
 
-def linear_class(
-    ctx: FrobeniusContext,
-    g: GainGraph,
-    frame: Optional[Iterable[tuple[int, ...]]] = None,
-) -> list[tuple[int, ...]]:
+def linear_class(ctx: FrobeniusContext, g: GainGraph) -> list[tuple[int, ...]]:
     """All frame-matroid circuits of the quotient graph admitted by the class.
 
     The lift is the elementary lift of the frame matroid N that the class
     selects, so a circuit C of N is a member iff it stays a circuit of the
-    lift: rank(C) = |C| - 1, the lift bit of C is zero (Brylawski,
-    *Constructions*, 1986). ``frame`` is the quotient's frame circuits, for a
-    caller that holds them already; they are enumerated here otherwise.
+    lift: rank(C) = |C| - 1, the lift bit of C is zero (see ``class_of``).
     """
-    oracle = LiftedMatroid(ctx, g)
-    if frame is None:
-        frame = oracle.frame_circuits
-    return [c for c in frame if oracle.rank(c) == len(c) - 1]
+    return list(LiftedMatroid(ctx, g).linear_class)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +500,7 @@ def is_elementary_lift(m: RankOracle, host: RankOracle) -> tuple[bool, object]:
     if tuple(m.ground) != tuple(host.ground):
         raise ValueError("ground sets differ")
     host_circuits = minimal_dependent_sets(host)
-    recovered = [c for c in host_circuits if m.rank(c) == len(c) - 1]
+    recovered = class_of(m, host_circuits)
     lift = _ClassLift(host, host_circuits, recovered)
     ok, witness = lift.modular_pair_check()
     if not ok:

@@ -205,10 +205,16 @@ MUTANTS = [
      "    return [[-1] * n, [0] * n, [None] * n, {}, True]\n",
      [TL + "test_union_find_ranks_are_order_invariant_on_every_branch",
       TL + "test_underlying_rank_is_the_lift_pass_less_its_lift_bit"]),
-    ("linear-class-takes-every-frame-circuit", LIFTS,
-     "        return tuple(c for c in self.frame_circuits if self.rank(c) == len(c) - 1)\n",
-     "        return tuple(c for c in self.frame_circuits if self.rank(c) >= len(c) - 1)\n",
+    # Brylawski's membership rule, stated once, and the explicit-set route's
+    # one part encoding
+    ("linear-class-takes-every-frame-circuit", BIASED,
+     "    return [c for c in circuits if m.rank(c) == len(c) - 1]\n",
+     "    return [c for c in circuits if m.rank(c) >= len(c) - 1]\n",
      [TL + "test_circuits_match_minimal_dependent_sets"]),
+    ("scan-rank-kernel-part-test-negated", BIASED,
+     "        if part == KERNEL_PART:\n            lifted = lifted or not b.component_balanced(sc)\n",
+     "        if part != KERNEL_PART:\n            lifted = lifted or not b.component_balanced(sc)\n",
+     [TB + "test_gain_ranks_match_explicit_balanced_set"]),
     # contraction, the one place that reads an edge's kind
     ("identity-loop-sent-to-the-complement-loop-rule", LIFTS,
      "    if e.gain == 0:\n        return delete(ctx, g, eid)\n",

@@ -557,6 +557,30 @@ def test_verify_axioms_linear_class_minors(write, capsys):
     assert out == "axioms: PASS\nlinear-class: PASS\nminors: PASS\n"
 
 
+def test_verify_linear_class_builds_one_lift_and_lists_n_once(write, capsys, monkeypatch):
+    """``verify --linear-class`` reads the class off the lift it checks: one
+    LiftedMatroid is built and N's circuits are listed once, wherever
+    ``frame_circuits`` is bound."""
+    built, listed = [], []
+    init = LiftedMatroid.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(LiftedMatroid, "__init__", counted_init)
+    for module in (cli, frobmat.lifts):
+        original = module.frame_circuits
+        monkeypatch.setattr(
+            module, "frame_circuits", lambda *a, f=original, **k: listed.append(a) or f(*a, **k)
+        )
+    code, out, _ = run(
+        capsys, "verify", "--graph", write("g.json", GOLDEN_D6_GRAPH), "--linear-class"
+    )
+    assert (code, out) == (0, "linear-class: PASS\n")
+    assert (len(built), len(listed)) == (1, 1)
+
+
 def _wrong_contraction(ctx, g, eid):
     return delete(ctx, g, eid)
 
