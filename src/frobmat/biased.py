@@ -18,6 +18,7 @@ from .gaingraph import (
     DEFAULT_CYCLE_EDGE_LIMIT,
     EdgeMap,
     GainGraph,
+    cycle_gains,
     enumerate_cycles,
     is_balanced_cycle,
 )
@@ -510,7 +511,8 @@ class EdgeIndex:
     """
 
     def __init__(self, ids: Iterable[int], graph: Optional[GainGraph] = None):
-        self.bit = {eid: 1 << i for i, eid in enumerate(sorted(set(ids)))}
+        self._sorted = sorted(set(ids))
+        self.bit = {eid: 1 << i for i, eid in enumerate(self._sorted)}
         if graph is not None:
             ends = graph.ends
             verts = sorted({v for eid in self.bit for v in ends[eid][:2]})
@@ -522,8 +524,13 @@ class EdgeIndex:
         return sum(map(self.bit.__getitem__, ids))
 
     def ids(self, mask: int) -> tuple[int, ...]:
-        """The ids of ``mask``, sorted."""
-        return tuple(eid for eid, b in self.bit.items() if mask & b)
+        """The ids of ``mask``, sorted, read off its set bits alone."""
+        ids, out = self._sorted, []
+        while mask:
+            low = mask & -mask
+            out.append(ids[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
     def shape(self, ids: Iterable[int]) -> tuple[int, int]:
         """(edge mask, vertex mask) of ``ids``; needs the graph."""
@@ -591,14 +598,20 @@ def frame_circuits(
     """Balanced cycles, unbalanced tight/loose handcuffs, unbalanced thetas,
     built as masks of one EdgeIndex.
 
-    Two unbalanced cycles sharing an edge give an unbalanced theta when their
+    A gain-derived graph's balanced cycles are those that ``cycle_gains``
+    lists with identity gain; an explicit set is asked cycle by cycle. Two
+    unbalanced cycles sharing an edge give an unbalanced theta when their
     union has one edge more than its vertices and the third cycle is
     unbalanced. Raises LimitExceeded, before the first cycle is masked, when
     there are more than DEFAULT_CYCLE_COUNT_LIMIT pairs of unbalanced cycles.
     """
     g = b.graph
-    cycles = enumerate_cycles(g, max_edges=max_edges)
-    flags = [b.cycle_is_balanced(c) for c in cycles]
+    listed = cycle_gains(g, max_edges=max_edges)
+    cycles = [c for c, _ in listed]
+    if b.gain_derived:
+        flags = [x == 0 for _, x in listed]
+    else:
+        flags = [b.cycle_is_balanced(c) for c in cycles]
     if math.comb(flags.count(False), 2) > DEFAULT_CYCLE_COUNT_LIMIT:
         raise LimitExceeded(
             f"more than {DEFAULT_CYCLE_COUNT_LIMIT} pairs of unbalanced cycles"

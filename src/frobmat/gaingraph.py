@@ -209,43 +209,52 @@ def is_balanced_cycle(g: GainGraph, cycle: Iterable[int]) -> bool:
 def enumerate_cycles(
     g: GainGraph, max_edges: int = DEFAULT_CYCLE_EDGE_LIMIT
 ) -> list[tuple[int, ...]]:
-    """All vertex-simple cycles (loops and digons included) as sorted id tuples.
+    """All vertex-simple cycles (loops and digons included) as sorted id tuples."""
+    return [c for c, _ in cycle_gains(g, max_edges)]
+
+
+def cycle_gains(
+    g: GainGraph, max_edges: int = DEFAULT_CYCLE_EDGE_LIMIT
+) -> list[tuple[tuple[int, ...], int]]:
+    """Each vertex-simple cycle as (sorted ids, gain), sorted by its ids.
 
     Each cycle is found once: its minimal vertex starts the search and the
-    first edge id is smaller than the closing edge id.
+    first edge id is smaller than the closing edge id. The gain is the
+    product of oriented gains along that path, the walk ``cycle_walk`` takes.
     """
     if len(g.edges) > max_edges:
         raise LimitExceeded(f"cycle enumeration capped at {max_edges} edges")
-    out: list[tuple[int, ...]] = []
-    adj: dict[int, list[Edge]] = {}
+    table, inverse = g.group.table, g.group.inverse
+    out: list[tuple[tuple[int, ...], int]] = []
+    # vertex -> (edge id, other end, gain of the orientation leaving it)
+    adj: dict[int, list[tuple[int, int, int]]] = {}
     for e in g.edges:
         if e.is_loop:
-            out.append((e.id,))
+            out.append(((e.id,), e.gain))
             continue
-        adj.setdefault(e.tail, []).append(e)
-        adj.setdefault(e.head, []).append(e)
+        adj.setdefault(e.tail, []).append((e.id, e.head, e.gain))
+        adj.setdefault(e.head, []).append((e.id, e.tail, inverse[e.gain]))
     for lst in adj.values():
-        lst.sort(key=lambda e: e.id)
+        lst.sort()
 
-    def grow(start: int, at: int, used_vertices: set[int], path: list[int]):
-        for e in adj.get(at, ()):
-            other = e.head if at == e.tail else e.tail
+    def grow(start: int, at: int, used_vertices: set[int], path: list[int], gain: int):
+        for eid, other, x in adj.get(at, ()):
             if other == start:
-                if len(path) >= 1 and e.id > path[0]:
-                    out.append(tuple(sorted(path + [e.id])))
+                if len(path) >= 1 and eid > path[0]:
+                    out.append((tuple(sorted(path + [eid])), table[gain][x]))
                     if len(out) > DEFAULT_CYCLE_COUNT_LIMIT:
                         raise LimitExceeded(f"more than {DEFAULT_CYCLE_COUNT_LIMIT} cycles")
                 continue
             if other < start or other in used_vertices:
                 continue
             used_vertices.add(other)
-            path.append(e.id)
-            grow(start, other, used_vertices, path)
+            path.append(eid)
+            grow(start, other, used_vertices, path, table[gain][x])
             path.pop()
             used_vertices.remove(other)
 
     for s in sorted(adj):
-        grow(s, s, {s}, [])
+        grow(s, s, {s}, [], 0)
     return sorted(out)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from frobmat import (
     BiasedGraph,
+    Edge,
     FiniteGroup,
     FrameOracle,
     FrobeniusContext,
@@ -90,6 +91,22 @@ def random_gain_graph(group, rng: random.Random, max_vertices=4, max_edges=8):
         for _ in range(ne)
     ]
     return GainGraph.from_triples(group, nv, triples)
+
+
+def sparse_multigraph(group, rng: random.Random, max_vertices=5, max_edges=9):
+    """A random gain graph of at most ``max_edges`` edges, among them a loop
+    and a parallel pair, whose ids are sparse and out of order."""
+    nv = rng.randint(2, max_vertices)
+    triples = [
+        (rng.randrange(nv), rng.randrange(nv), rng.randrange(group.order))
+        for _ in range(rng.randint(0, max_edges - 3))
+    ]
+    v, t = rng.randrange(nv), rng.randrange(nv)
+    triples.append((v, v, rng.randrange(group.order)))
+    triples += [(t, (t + 1) % nv, rng.randrange(group.order)) for _ in range(2)]
+    rng.shuffle(triples)
+    ids = rng.sample(range(10 * len(triples)), len(triples))
+    return GainGraph(group, nv, (Edge(i, a, b, x) for i, (a, b, x) in zip(ids, triples)))
 
 
 def complete_edge_id(group: FiniteGroup, n: int, i: int, j: int, alpha: int) -> int:

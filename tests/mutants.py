@@ -42,6 +42,7 @@ RECOVERY = "src/frobmat/recovery.py"
 REPRESENT = "src/frobmat/represent.py"
 TB = "tests/test_biased.py::"
 TG = "tests/test_groups.py::"
+TGG = "tests/test_gaingraph.py::"
 TL = "tests/test_lifts.py::"
 TR = "tests/test_recovery.py::"
 TP = "tests/test_represent.py::"
@@ -215,6 +216,20 @@ MUTANTS = [
      "        if part == KERNEL_PART:\n            lifted = lifted or not b.component_balanced(sc)\n",
      "        if part != KERNEL_PART:\n            lifted = lifted or not b.component_balanced(sc)\n",
      [TB + "test_gain_ranks_match_explicit_balanced_set"]),
+    # each cycle's gain off the search that lists it, and masks read off
+    # their set bits
+    ("cycle-gain-reverse-orientation-not-inverted", GAINGRAPH,
+     "        adj.setdefault(e.head, []).append((e.id, e.tail, inverse[e.gain]))\n",
+     "        adj.setdefault(e.head, []).append((e.id, e.tail, e.gain))\n",
+     [TGG + "test_cycle_gains_match_the_walk_of_each_cycle"]),
+    ("frame-circuits-gain-derived-branch-negated", BIASED,
+     "    if b.gain_derived:\n        flags = [x == 0 for _, x in listed]\n",
+     "    if not b.gain_derived:\n        flags = [x == 0 for _, x in listed]\n",
+     [TB + "test_frame_circuits_match_minimal_dependent_sets_on_sparse_ids"]),
+    ("edge-index-ids-drops-the-lowest-set-bit", BIASED,
+     "        ids, out = self._sorted, []\n        while mask:\n",
+     "        ids, out = self._sorted, []\n        mask &= mask - 1\n        while mask:\n",
+     [TB + "test_edge_index_ids_read_back_each_mask"]),
     # contraction, the one place that reads an edge's kind
     ("identity-loop-sent-to-the-complement-loop-rule", LIFTS,
      "    if e.gain == 0:\n        return delete(ctx, g, eid)\n",

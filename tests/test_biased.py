@@ -34,6 +34,7 @@ from frobmat import (
 from frobmat.biased import (
     EXHAUSTIVE_LIMIT,
     SAMPLES,
+    EdgeIndex,
     _walk_disagreement,
     comparison_parts,
     first_disagreement,
@@ -42,7 +43,8 @@ from frobmat.biased import (
 )
 from frobmat.errors import LimitExceeded
 
-from conftest import CountingWalk, FuncOracle, random_gain_graph, reference_halves
+from conftest import CountingWalk, FuncOracle, random_gain_graph, reference_halves, sparse_multigraph
+from test_acceptance import order_20_catalog
 
 
 def graph(group, n, triples):
@@ -282,6 +284,50 @@ def test_circuit_families_and_thetas_match_brute_force(seed):
     for b in (gain, explicit):
         assert frame_circuits(b) == minimal_dependent_sets(FrameOracle(b))
         assert _thetas_by_pairs(b) == (True, None)
+
+
+FRAME_GROUPS = (make_dihedral(6), make_field_affine(5), order_20_catalog()["Q8"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_frame_circuits_match_minimal_dependent_sets_on_sparse_ids(seed):
+    """Frame circuits against minimal dependent sets on at most 9 edges
+    with sparse ids, over D6, AGL(1,5) or Q8: the gain-derived graph and
+    the same graph given by its balanced cycles, which the walk of each
+    cycle decides, both give N's circuits. Given every cycle as balanced the
+    circuits are the cycles; given none, the bicycles."""
+    rng = random.Random(seed)
+    g = sparse_multigraph(FRAME_GROUPS[seed % 3], rng, max_edges=9)
+    cycles = enumerate_cycles(g)
+    gain = BiasedGraph(g)
+    expected = minimal_dependent_sets(FrameOracle(gain))
+    assert frame_circuits(gain) == expected
+    assert frame_circuits(BiasedGraph(g, [c for c in cycles if is_balanced_cycle(g, c)])) == expected
+    assert frame_circuits(BiasedGraph(g, cycles)) == cycles
+    bicycles = BiasedGraph(g, [])
+    assert frame_circuits(bicycles) == minimal_dependent_sets(FrameOracle(bicycles))
+
+
+@given(
+    st.sets(st.integers(0, 2**40), max_size=200),
+    st.integers(0, 2**31 - 1),
+)
+def test_edge_index_ids_read_back_each_mask(ids, seed):
+    """Over sparse, unsorted and large id sets, ``ids`` inverts ``mask``
+    and reads a random mask bit by bit; an id outside the index raises
+    KeyError."""
+    rng = random.Random(seed)
+    order = sorted(ids)
+    shuffled = rng.sample(order, len(order))
+    index = EdgeIndex(shuffled)
+    for _ in range(5):
+        s = rng.sample(shuffled, rng.randint(0, len(shuffled)))
+        assert index.ids(index.mask(s)) == tuple(sorted(s))
+        mask = rng.getrandbits(len(order))
+        assert index.ids(mask) == tuple(e for i, e in enumerate(order) if mask >> i & 1)
+    with pytest.raises(KeyError):
+        index.mask([max(order, default=0) + 1])
 
 
 def test_class_lift_oracle_answers_past_the_cycle_edge_cap(d6):

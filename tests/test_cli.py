@@ -1147,6 +1147,7 @@ def test_recover_class_refuses_too_many_cycles_before_listing_any(write, capsys,
         raise AssertionError("cycles were listed")
 
     monkeypatch.setattr("frobmat.biased.enumerate_cycles", fail)
+    monkeypatch.setattr("frobmat.biased.cycle_gains", fail)
     spec = {"complete": {"group": {"kind": "dihedral", "order": 20}, "n": 5}}
     code, out, err = run(
         capsys, "recover", "--graph", write("k5.json", spec), "--kernel", "0",

@@ -16,14 +16,16 @@ from frobmat import (
     is_balanced_cycle,
     make_cyclic,
     make_dihedral,
+    make_field_affine,
     quotient,
     quotient_gains,
 )
 from frobmat import gaingraph as gaingraph_module
 from frobmat.errors import LimitExceeded
-from frobmat.gaingraph import walk_edges
+from frobmat.gaingraph import cycle_gains, cycle_walk, walk_edges
 
-from conftest import complete_edge_id, normalize_forest, random_gain_graph
+from conftest import complete_edge_id, normalize_forest, random_gain_graph, sparse_multigraph
+from test_acceptance import order_20_catalog
 
 
 def graph(group, n, triples):
@@ -238,6 +240,22 @@ def test_enumerate_cycles_respects_count_cap(monkeypatch):
     monkeypatch.setattr(gaingraph_module, "DEFAULT_CYCLE_COUNT_LIMIT", 5)
     with pytest.raises(LimitExceeded, match="^more than 5 cycles$"):
         enumerate_cycles(_simple_k4())
+
+
+CYCLE_GAIN_GROUPS = (make_dihedral(6), make_field_affine(5), order_20_catalog()["Q8"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_cycle_gains_match_the_walk_of_each_cycle(seed):
+    """Each cycle's gain, carried down the search that lists it, against the
+    gain of ``cycle_walk`` on the cycle, on a graph with a loop and a
+    parallel pair over D6, AGL(1,5) or Q8 (all non-abelian)."""
+    rng = random.Random(seed)
+    g = sparse_multigraph(CYCLE_GAIN_GROUPS[seed % 3], rng, max_edges=11)
+    assert cycle_gains(g) == [
+        (c, gain_of_walk(g, cycle_walk(g, c))) for c in enumerate_cycles(g)
+    ]
 
 
 # --- quotient gains ---------------------------------------------------------
