@@ -244,18 +244,19 @@ def recover_partition(
     rebuilt lift's context is made: classes that overlap, from a relation
     that is no equivalence, or that are no malnormal subgroups raise
     RecoveryError("recovered partition: ..."). The declared kernel is
-    checked once, by ``groups.kernel_fault``, before the cycle check. The reconstructed
-    matroid is checked against m before returning.
+    checked once, by ``groups.kernel_fault``, before the cycle check. The
+    reconstructed matroid is checked against m before returning.
 
     The cycle hypothesis check (see ``_check_cycle_hypothesis``) takes m to
     be an elementary lift of N, the quotient frame matroid. The final
     comparison is the one check of that: the rebuilt lift is one, with the
     declared kernel, so a subset on which m's rank less N's is not 0 or 1
-    is one on which m and the rebuilt lift differ. It asks the parts of ``biased.comparison_parts`` over the
-    ground listed bundle by bundle, with ``seed``, and with each distinct
-    bundle of the identity and at most two other elements, {0, a} from {0}
-    and {0, a, b} from {0, a}, as the leading part: above EXHAUSTIVE_LIMIT
-    edges the empty set, the bundles, the prefixes and SAMPLES halves.
+    is one on which m and the rebuilt lift differ. It asks the parts of
+    ``biased.comparison_parts`` over the ground listed bundle by bundle,
+    with ``seed``, and with each distinct bundle of the identity and at most
+    two other elements, {0, a} from {0} and {0, a, b} from {0, a}, as the
+    leading part: above EXHAUSTIVE_LIMIT edges the empty set, the bundles,
+    the prefixes and SAMPLES halves.
 
     The cycle check is exact for every elementary lift of N with n >= 4. Of
     any oracle it asks the at most |Γ₁| - 1 digons, one per class of Γ₁, and
@@ -276,11 +277,12 @@ def recover_partition(
     "seconds": {phase: seconds, ...}}. The final comparison is split the
     same way under "final_parts", into "empty", "bundles", "prefixes" and
     "halves" when sampled, or one "subsets" part, and the parts add up to
-    "final"; drawing a subset counts in its part. The phases and parts are
-    marked as they start: each mark runs to the next; the first part starts
-    with its phase, so rebuilding the lift counts in it; a phase that raises
-    is recorded up to the raise. Without ``stats`` m is asked directly and
-    no hook runs per query.
+    "final"; drawing a subset counts in its part, and a half is one query of
+    m, or two when its head falls short (see ``biased.comparison_parts``).
+    Each phase and part is marked as it starts and runs to the next mark;
+    the first part starts with its phase, so rebuilding the lift counts in
+    it; a phase that raises is recorded up to the raise. Without ``stats``
+    m is asked directly and no hook runs per query.
     """
     if stats is None:
         return _recover(group, kernel, n, m, seed, lambda phase, part=None: None)

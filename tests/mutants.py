@@ -121,8 +121,10 @@ MUTANTS = [
      "        last = False\n",
      [TR + "test_a_saved_bundle_state_reads_the_same_rank_after_each_extension"]),
     ("per-set-fallback-removed", BIASED,
-     "    if not (a.incremental and b.incremental):\n",
-     "    if False:\n",
+     "    if not (a.incremental and b.incremental):\n"
+     "        return first_disagreement(a, b, (_node_set(",
+     "    if False:\n"
+     "        return first_disagreement(a, b, (_node_set(",
      [TR + "test_prefixes_of_an_oracle_asked_per_set_are_each_asked",
       TR + "test_bundles_of_an_oracle_asked_per_set_are_each_asked"]),
     ("compare-skipped-when-both-are-full", BIASED,
@@ -143,13 +145,30 @@ MUTANTS = [
       TR + "test_the_last_prefix_is_the_whole_ground"]),
     ("halves-before-prefixes", BIASED,
      '        ("prefixes", functools.partial(_listing_disagreement, nodes=prefixes)),\n'
-     '        ("halves", lambda a, b: first_disagreement(\n'
-     "            a, b, subset_sweep(listing, SAMPLES, random.Random(seed)))),\n",
-     '        ("halves", lambda a, b: first_disagreement(\n'
-     "            a, b, subset_sweep(listing, SAMPLES, random.Random(seed)))),\n"
+     '        ("halves", functools.partial(_halves_disagreement, listing=listing, seed=seed)),\n',
+     '        ("halves", functools.partial(_halves_disagreement, listing=listing, seed=seed)),\n'
      '        ("prefixes", functools.partial(_listing_disagreement, nodes=prefixes)),\n',
      [TB + "test_comparison_parts_sweep_every_subset_up_to_the_limit",
       TR + "test_the_last_prefix_is_the_whole_ground"]),
+    # the halves, decided from their heads
+    ("halves-per-set-fallback-removed", BIASED,
+     "    if not (a.incremental and b.incremental):\n"
+     "        return first_disagreement(a, b, subset_sweep(",
+     "    if False:\n"
+     "        return first_disagreement(a, b, subset_sweep(",
+     [TB + "test_a_sampled_comparison_asks_its_parts_in_order"]),
+    ("halves-head-asked-of-one-oracle", BIASED,
+     "            if a.rank(half) == full_a and b.rank(half) == full_b and full_a == full_b:\n",
+     "            if a.rank(half) == full_a and full_a == full_b:\n",
+     [TB + "test_a_half_is_asked_whole_when_either_head_falls_short"]),
+    ("halves-full-heads-pass-unequal-full-ranks", BIASED,
+     "            if a.rank(half) == full_a and b.rank(half) == full_b and full_a == full_b:\n",
+     "            if a.rank(half) == full_a and b.rank(half) == full_b:\n",
+     [TB + "test_halves_of_oracles_of_different_full_rank_name_a_half_both_heads_span"]),
+    ("halves-short-head-not-asked-whole", BIASED,
+     "            half = tuple(itertools.compress(listing, digits))\n",
+     "",
+     [TB + "test_heads_that_fall_short_are_asked_again_whole"]),
     ("samples-214", BIASED,
      "SAMPLES = 215\n",
      "SAMPLES = 214\n",

@@ -16,6 +16,7 @@ from frobmat import (
     GraphicOracle,
     LiftOracle,
     LiftedMatroid,
+    RankOracle,
     VectorOracle,
     brylawski_lift,
     complete_gain_graph,
@@ -42,6 +43,7 @@ from frobmat.biased import (
     subset_sweep,
 )
 from frobmat.errors import LimitExceeded
+from frobmat.represent import FieldMatrix
 
 from conftest import CountingWalk, FuncOracle, random_gain_graph, reference_halves, sparse_multigraph
 from test_acceptance import order_20_catalog
@@ -586,6 +588,175 @@ def test_each_element_is_kept_in_about_half_of_the_halves():
         for x in half:
             kept[x] += 1
     assert all(1800 <= count <= 2200 for count in kept.values()), min(kept.values())
+
+
+# --- the halves part, decided from each half's head ---------------------------
+
+
+def _halves_part(listing, seed):
+    """The "halves" part of ``comparison_parts`` over ``listing``."""
+    return dict(comparison_parts(listing, seed))["halves"]
+
+
+def _every_half(a, b, listing, seed):
+    """The reference: every half asked whole of both oracles."""
+    return first_disagreement(a, b, subset_sweep(listing, SAMPLES, random.Random(seed)))
+
+
+class _Recorded(RankOracle):
+    """``oracle`` as it is, with every set asked of its rank recorded in
+    ``asked``, in order; reading its full rank is not recorded."""
+
+    def __init__(self, oracle):
+        self.oracle, self.ground, self.incremental = oracle, oracle.ground, oracle.incremental
+        self.asked = []
+
+    def rank(self, subset):
+        self.asked.append(tuple(subset))
+        return self.oracle.rank(subset)
+
+    def full_rank(self):
+        return self.oracle.full_rank()
+
+
+def _d6_k4_lifts():
+    d6 = make_dihedral(6)
+    g = complete_gain_graph(d6, 4)
+    return [LiftedMatroid(FrobeniusContext(d6, p), g) for p in frobenius_partitions(d6)]
+
+
+D6_K4_LIFTS = _d6_k4_lifts()
+
+
+def _two_unbalanced_components(rng, fewest=5):
+    """A gain graph over Z5 with two components of 4 vertices, each a path
+    with a loop of gain 1 and ``fewest`` to 30 random edges, in shuffled id
+    order: its frame matroid has rank 8, its lift matroid rank 7."""
+    z5 = make_cyclic(5)
+    triples = []
+    for base in (0, 4):
+        triples.append((base, base, 1))
+        triples += [(base + i, base + i + 1, rng.randrange(5)) for i in range(3)]
+        triples += [
+            (base + rng.randrange(4), base + rng.randrange(4), rng.randrange(5))
+            for _ in range(rng.randint(fewest, 30))
+        ]
+    rng.shuffle(triples)
+    return graph(z5, 8, triples)
+
+
+def _faulty_representation(rng):
+    """The 4 x 60 incidence matrix of K_3 over AGL(1,5) with one entry
+    changed, as a VectorOracle, and the lift it represents unchanged."""
+    f20 = make_field_affine(5)
+    g = complete_gain_graph(f20, 3)
+    rows = [list(r) for r in incidence_matrix(g).entries]
+    row, col = rng.randrange(4), rng.randrange(60)
+    rows[row][col] = (rows[row][col] + rng.randrange(1, 5)) % 5
+    lift = LiftedMatroid(FrobeniusContext(f20, frobenius_partitions(f20)[2]), g)
+    return VectorOracle(FieldMatrix.build(5, rows), range(60)), lift
+
+
+def _frame_and_lift(rng):
+    b = BiasedGraph(_two_unbalanced_components(rng))
+    return FrameOracle(b), LiftOracle(b)
+
+
+HEAD_PAIRS = {
+    "lifts": lambda rng: rng.sample(D6_K4_LIFTS, 2),
+    "frame-lift": _frame_and_lift,
+    "vector": _faulty_representation,
+    "func": lambda rng: tuple(FuncOracle(m.ground, m.rank) for m in rng.sample(D6_K4_LIFTS, 2)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(HEAD_PAIRS)), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_halves_read_from_heads_match_every_half_asked_whole(kind, build_seed, seed):
+    """On a listing of more than EXHAUSTIVE_LIMIT edges, in random order and
+    maybe not all of the ground, the halves part names what asking both
+    oracles every whole half names: two lifts of K_4 over D6 under different
+    partitions, a frame and a lift oracle whose full ranks differ, a
+    VectorOracle with one entry wrong against the lift on K_3 over AGL(1,5),
+    and two oracles asked per set, each of whose halves is asked whole, once,
+    up to the witness."""
+    rng = random.Random(build_seed)
+    a, b = HEAD_PAIRS[kind](rng)
+    listing = rng.sample(a.ground, rng.randint(EXHAUSTIVE_LIMIT + 1, len(a.ground)))
+    want = _every_half(a, b, listing, seed)
+    recorded = _Recorded(a)
+    assert _halves_part(listing, seed)(recorded, b) == want
+    if kind == "frame-lift":
+        assert (a.full_rank(), b.full_rank()) == (8, 7)
+    if kind == "func":
+        halves = list(subset_sweep(listing, SAMPLES, random.Random(seed)))
+        assert recorded.asked == (halves if want is None else halves[: halves.index(want) + 1])
+
+
+def test_halves_of_oracles_of_different_full_rank_name_a_half_both_heads_span():
+    """A frame and a lift oracle of one graph of 68 edges, full ranks 8 and
+    7: where the first half on which they differ runs past a head of 24 at
+    full rank in both, the full ranks alone decide it, and it is named whole;
+    so at 5 of the first 6 seeds."""
+    b = BiasedGraph(_two_unbalanced_components(random.Random(3), fewest=30))
+    frame, lift = FrameOracle(b), LiftOracle(b)
+    listing, spanned = frame.ground, 0
+    for seed in range(6):
+        want = _every_half(frame, lift, listing, seed)
+        assert _halves_part(listing, seed)(frame, lift) == want
+        head = want[: 3 * 8]
+        spanned += len(want) > len(head) and (frame.rank(head), lift.rank(head)) == (8, 7)
+    assert spanned == 5
+
+
+def test_a_half_is_asked_whole_when_either_head_falls_short():
+    """Two graphic matroids of rank 3 on 40 edge ids: in one the edges
+    spread over the six pairs of K_4, so nearly every head spans; in the
+    other ids 0 to 36 are loops and 37 to 39 a path, so only halves that
+    hold the whole path span. Whichever comes first, a head that spans in
+    one oracle alone does not decide the half."""
+    z1 = make_cyclic(1)
+    pairs = list(itertools.combinations(range(4), 2))
+    spread = GraphicOracle(graph(z1, 4, [(*pairs[i % 6], 0) for i in range(40)]))
+    late = GraphicOracle(graph(z1, 4, [(0, 0, 0)] * 37 + [(0, 1, 0), (1, 2, 0), (2, 3, 0)]))
+    listing = spread.ground
+    for seed in range(3):
+        for a, b in ((spread, late), (late, spread)):
+            want = _every_half(a, b, listing, seed)
+            assert want is not None and spread.rank(want[:9]) == 3
+            assert _halves_part(listing, seed)(a, b) == want
+
+
+@pytest.mark.parametrize("size", [62, 30])
+@pytest.mark.parametrize("pa, pb", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_heads_that_fall_short_are_asked_again_whole(pa, pb, size):
+    """K_4 over Z7 after 20 balanced loops, listed first, so that many heads
+    of 3·4 elements are mostly loops and fall short of full rank 4; the
+    lifts under the two partitions of Z7, both of full rank 4. The listing
+    is the whole ground, or its first 30 ids, on which no head spans and
+    some halves are shorter than a head. The part names what asking every
+    whole half names. Each oracle is asked each half's head, and the whole
+    half after it exactly when the head falls short in either: one query per
+    half, or two. A half no longer than its head is its head."""
+    z7 = make_cyclic(7)
+    k4 = [(i, j, x) for i, j in itertools.combinations(range(4), 2) for x in range(7)]
+    g = graph(z7, 4, [(0, 0, 0)] * 20 + k4)
+    lifts = [LiftedMatroid(FrobeniusContext(z7, p), g) for p in frobenius_partitions(z7)]
+    a, b = lifts[pa], lifts[pb]
+    assert a.full_rank() == b.full_rank() == 4
+    listing, cut = a.ground[:size], 12
+    for seed in range(3):
+        want = _every_half(a, b, listing, seed)
+        ra, rb = _Recorded(a), _Recorded(b)
+        assert _halves_part(listing, seed)(ra, rb) == want
+        halves = list(subset_sweep(listing, SAMPLES, random.Random(seed)))
+        if want is not None:
+            halves = halves[: halves.index(want) + 1]
+        short = [h for h in halves if len(h) >= cut and min(a.rank(h[:cut]), b.rank(h[:cut])) < 4]
+        assert 0 < len(short) < len(halves)
+        asked = [s for h in halves for s in ((h[:cut], h) if h in short else (h[:cut],))]
+        assert ra.asked == asked and len(asked) == len(halves) + len(short)
+        assert [s for s in rb.asked if len(s) > cut] == [h for h in short if len(h) > cut]
 
 
 def test_axiom_check_graphic_k4():

@@ -1652,6 +1652,22 @@ def test_recovery_walks_the_prefixes_of_an_incremental_m():
     assert walked.steps == 12 + 7
 
 
+@pytest.mark.parametrize("seed, short", [(0, 0), (180, 1)])
+def test_a_half_costs_one_query_or_two_when_its_head_falls_short(seed, short):
+    """K_4 over Z7 with the trivial kernel, m the lift itself, of full rank
+    4: the halves ask m each half's head, its first 12 edges, and the whole
+    half after it only when the head falls short of rank 4. No head does at
+    seed 0; at seed 180 one does, and its half costs m two queries."""
+    z7, part, m = _z7_frame_lift()
+    bundled = _final_sets(z7, 4)[0]
+    halves = list(reference_halves(bundled, SAMPLES, random.Random(seed)))
+    assert all(len(h) > 12 for h in halves)
+    assert sum(m.rank(h[:12]) < 4 for h in halves) == short
+    stats = {}
+    assert recover_partition(z7, part.kernel, 4, m, seed=seed, stats=stats) == part
+    assert stats["final_parts"]["rank_queries"]["halves"] == SAMPLES + short
+
+
 @pytest.mark.parametrize("route", ["rank_table", "steps"])
 def test_a_counted_walk_of_an_oracle_asked_per_set_counts_every_ask(route):
     """A walk of a non-incremental oracle asks it the rank of each set, the
