@@ -711,15 +711,16 @@ def subset_sweep(
 
     A half keeps element i exactly when bit i of one
     ``rng.getrandbits(len(ground))`` is set: one fair coin per element, one
-    draw per half, and none over an empty ground. ``bin`` lists the bits
-    from the top, and read backwards its digits end at the highest set bit,
-    where ``compress`` stops too.
+    draw per half, and none over an empty ground (see _draws).
     """
     return (tuple(itertools.compress(ground, d)) for d in _draws(len(ground), samples, rng))
 
 
 def _draws(k: int, samples: int, rng: random.Random) -> Iterator[bytes]:
-    """The ``compress`` selectors, bytes 0 and 1, of ``samples`` halves of k elements."""
+    """The ``compress`` selectors, bytes 0 and 1, of ``samples`` halves of k
+    elements, one ``rng.getrandbits(k)`` each. ``bin`` lists the bits from
+    the top, and read backwards its digits end at the highest set bit, where
+    ``compress`` stops too."""
     digit_bits = bytes.maketrans(b"01", b"\0\1")
     for _ in range(samples):
         yield bin(rng.getrandbits(k))[:1:-1].encode().translate(digit_bits)
@@ -774,64 +775,44 @@ def first_disagreement(
     EXHAUSTIVE_LIMIT elements this raises LimitExceeded before either oracle
     is asked. Otherwise the subsets of ``sample`` are compared in its order.
 
-    An exhaustive comparison of two incremental oracles walks them together
-    (see _walk_disagreement). Otherwise each subset is asked of both by size,
-    so the scan stops at the witness: depth first, a walk could ask nearly
-    all 2^m subsets before a small witness whose first element comes late.
+    The exhaustive comparison walks both oracles level by level: each set
+    is one step of each walk from its parent (the set without its last
+    element) on the level before, and a parent's children come in element
+    order, so each level is in combinations order and the first differing
+    step is the witness. A parent's state goes in place to its last child.
+    Below a set where both incremental walks are at full_rank() every set
+    has that rank in each (the ranks agreed at the set), so it keeps no
+    state; an oracle asked per subset is never taken to be full, and its
+    walk asks the by-size sequence up to the witness.
     """
     ground = a.ground
     if tuple(b.ground) != tuple(ground):
         raise ValueError("ground sets differ")
-    if sample is None:
-        if len(ground) > EXHAUSTIVE_LIMIT:
-            raise LimitExceeded(f"ground set larger than {EXHAUSTIVE_LIMIT}")
-        if a.incremental and b.incremental:
-            return _walk_disagreement(a, b)
-        sample = (
-            s for size in range(len(ground) + 1) for s in itertools.combinations(ground, size)
-        )
-    return next((s for s in sample if a.rank(s) != b.rank(s)), None)
-
-
-def _walk_disagreement(a: RankOracle, b: RankOracle) -> Optional[tuple[int, ...]]:
-    """first_disagreement by walking both oracles depth first, one element
-    per step. That order visits the subsets of each size in combinations
-    order, so after a disagreement of size s only a smaller subset can come
-    first, and the walk goes no deeper than s - 1 from there on. Each node
-    costs one step of each walk. Below a node where both incremental walks
-    are at full_rank() every set has that rank in each (the ranks agreed at
-    the node), so the walk does not step there; an oracle asked per subset
-    is never taken to be full. No run visits more than 2^m nodes.
-    """
-    ground = a.ground
+    if sample is not None:
+        return next((s for s in sample if a.rank(s) != b.rank(s)), None)
     m = len(ground)
+    if m > EXHAUSTIVE_LIMIT:
+        raise LimitExceeded(f"ground set larger than {EXHAUSTIVE_LIMIT}")
     full_a = a.full_rank() if a.incremental else None
     full_b = b.full_rank() if b.incremental else None
-    state_a, ra, step_a = a.walk()
-    state_b, rb, step_b = b.walk()
+    (state_a, ra, step_a), (state_b, rb, step_b) = a.walk(), b.walk()
     if ra != rb:
         return ()
-    found: Optional[tuple[int, ...]] = None
-    depth = m  # the largest size still worth visiting
-
-    def visit(path: tuple[int, ...], start: int, sa: object, sb: object) -> None:
-        # called only while sets one larger than ``path`` are worth visiting
-        nonlocal found, depth
-        size = len(path) + 1
-        for j in range(start, m):
-            e = ground[j]
-            last = j == m - 1
-            ca, xa = step_a(sa, e, last)
-            cb, xb = step_b(sb, e, last)
-            if xa != xb:
-                found, depth = path + (e,), size - 1
-                return
-            if not last and size < depth and (xa != full_a or xb != full_b):
-                visit(path + (e,), j + 1, ca, cb)
-
-    if ra != full_a or rb != full_b:
-        visit((), 0, state_a, state_b)
-    return found
+    # (set, index of its first child's element, state in a, state in b)
+    level = [((), 0, state_a, state_b)] if ra != full_a or rb != full_b else []
+    while level:
+        below = []
+        for path, start, sa, sb in level:
+            for j in range(start, m):
+                e, last = ground[j], j == m - 1
+                ca, xa = step_a(sa, e, last)
+                cb, xb = step_b(sb, e, last)
+                if xa != xb:
+                    return path + (e,)
+                if not last and (xa != full_a or xb != full_b):
+                    below.append((path + (e,), j + 1, ca, cb))
+        level = below
+    return None
 
 
 # Halves a sampled comparison draws above EXHAUSTIVE_LIMIT elements, one

@@ -99,6 +99,23 @@ MUTANTS = [
      "        if len(cycle) > 2 and balanced != (m.rank(cycle) == len(cycle) - 1):\n",
      [TR + "test_rejects_cycle_hypothesis_violation",
       TR + "test_the_witness_is_the_least_failing_cycle_of_all_streams[Q8-1]"]),
+    # the exhaustive comparison, one level of the walk at a time
+    ("level-walk-prunes-when-either-is-full", BIASED,
+     "                if not last and (xa != full_a or xb != full_b):\n",
+     "                if not last and xa != full_a and xb != full_b:\n",
+     [TB + "test_walk_disagreement_skips_where_both_walks_are_full"]),
+    ("level-walk-keeps-a-state-where-both-are-full", BIASED,
+     "                if not last and (xa != full_a or xb != full_b):\n",
+     "                if not last:\n",
+     [TB + "test_walk_disagreement_skips_where_both_walks_are_full"]),
+    ("level-walk-children-in-reverse-order", BIASED,
+     "            for j in range(start, m):\n",
+     "            for j in reversed(range(start, m)):\n",
+     [TB + "test_first_disagreement_asks_every_subset_by_size"]),
+    ("level-walk-skips-each-first-child", BIASED,
+     "            for j in range(start, m):\n",
+     "            for j in range(start + 1, m):\n",
+     [TB + "test_a_failing_walked_pair_stops_at_its_by_size_witness"]),
     # the listing walker of the sampled comparison
     ("walk-stops-when-either-is-full", BIASED,
      "            if ra == full_a and rb == full_b:\n",

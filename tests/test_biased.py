@@ -36,7 +36,6 @@ from frobmat.biased import (
     EXHAUSTIVE_LIMIT,
     SAMPLES,
     EdgeIndex,
-    _walk_disagreement,
     comparison_parts,
     first_disagreement,
     rank_table,
@@ -954,10 +953,10 @@ def _corrupted(oracle, rng):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_first_disagreement_matches_by_size_scan(seed):
-    """first_disagreement and the pruned walk on its own (which any oracle
-    can take, by its per-subset walk) against the reference scan: a lift
-    against corrupted copies of itself, walkable and not, and walkable pairs
-    that differ as matroids (two partitions, the quotient frame and lift)."""
+    """first_disagreement, both ways round, against the reference scan: a
+    lift against corrupted copies of itself, walkable and not, and walkable
+    pairs that differ as matroids (two partitions, the quotient frame and
+    lift)."""
     rng = random.Random(seed)
     i = rng.randrange(len(AXIOM_GROUPS))
     g = random_gain_graph(AXIOM_GROUPS[i], rng, max_vertices=4, max_edges=9)
@@ -979,14 +978,13 @@ def test_first_disagreement_matches_by_size_scan(seed):
     for a, b in pairs:
         expected = _first_by_size(a, b)
         assert first_disagreement(a, b) == expected, (a, b)
-        assert _walk_disagreement(a, b) == expected, (a, b)
+        assert first_disagreement(b, a) == expected, (a, b)
 
 
 def test_first_disagreement_asks_a_plain_oracle_by_size(z2):
     """With an oracle that is asked per subset, the comparison stops at the
     witness of a by-size scan: one rank flipped on (2, 5, 8, 11) of K_4 over
-    Z2 costs the subsets of at most four elements up to it, not the supersets
-    of 0 and 1 a depth-first walk would visit first."""
+    Z2 costs the subsets of at most four elements up to it."""
     m = LiftedMatroid(FrobeniusContext(z2, frobenius_partitions(z2)[0]), complete_gain_graph(z2, 4))
     assert len(m.ground) == 12
     witness = (2, 5, 8, 11)
@@ -1101,11 +1099,28 @@ def test_walk_disagreement_skips_where_both_walks_are_full():
     skipped."""
     m = LiftedMatroid(WALK_CONTEXT, WALK_GRAPH)
     a, b = CountingWalk(m), CountingWalk(m)
-    assert _walk_disagreement(a, b) is None
+    assert first_disagreement(a, b) is None
     assert a.steps == b.steps == 730
     c, d = CountingWalk(m), CountingWalk(FuncOracle(m.ground, m.rank))
-    assert _walk_disagreement(c, d) is None
+    assert first_disagreement(c, d) is None
     assert c.steps == d.steps == 1023
+
+
+def test_a_failing_walked_pair_stops_at_its_by_size_witness():
+    """Two incremental oracles that differ are stepped only through the
+    levels below their least witness and along its own level up to it: the
+    lift against its quotient frame differs on the single edge 6, and the
+    lifts of the second and third partitions first on (6, 9)."""
+    contexts = AXIOM_CONTEXTS[0]
+    m = LiftedMatroid(WALK_CONTEXT, WALK_GRAPH)
+    for a, b, witness, steps in [
+        (m, FrameOracle(m.quotient_biased), (6,), 7),
+        (LiftedMatroid(contexts[1], WALK_GRAPH), LiftedMatroid(contexts[2], WALK_GRAPH), (6, 9), 52),
+    ]:
+        assert _first_by_size(a, b) == witness
+        walk_a, walk_b = CountingWalk(a), CountingWalk(b)
+        assert first_disagreement(walk_a, walk_b) == witness
+        assert walk_a.steps == walk_b.steps == steps
 
 
 def test_axiom_check_sees_a_moved_rank_under_a_full_rank_set():

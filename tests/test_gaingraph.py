@@ -68,6 +68,11 @@ def test_negative_vertex_count_is_a_value_error(d6):
     assert GainGraph(d6, 0, []).vertex_count == 0
 
 
+def test_gain_graph_repr_counts_vertices_and_edges(d6):
+    assert repr(graph(d6, 3, [(0, 1, 1), (1, 2, 2), (2, 2, 3)])) == "GainGraph(|V|=3, |E|=3)"
+    assert repr(GainGraph(d6, 0, [])) == "GainGraph(|V|=0, |E|=0)"
+
+
 def test_walk_rejects_broken_incidence(d6):
     g = graph(d6, 3, [(0, 1, 1), (1, 2, 2)])
     with pytest.raises(ValueError):

@@ -255,6 +255,20 @@ def test_field_affine_rejects_composite():
         make_field_affine(103)
 
 
+def test_is_prime_matches_a_sieve():
+    """Against a sieve of Eratosthenes on -1..60: nothing below 2 is prime."""
+    sieve = [False, False] + [True] * 59
+    for p in range(2, 61):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+    assert [n for n in range(-1, 61) if is_prime(n)] == [n for n in range(61) if sieve[n]]
+
+
+def test_finite_group_repr_names_its_order():
+    assert repr(make_dihedral(6)) == "FiniteGroup(order=6)"
+    assert repr(make_field_affine(5)) == "FiniteGroup(order=20)"
+
+
 def test_inversion_extension_examples():
     assert is_isomorphic(make_inversion_extension(make_cyclic(3)), make_dihedral(6))
     assert is_isomorphic(make_inversion_extension(make_cyclic(1)), make_cyclic(2))

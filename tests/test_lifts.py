@@ -89,6 +89,11 @@ def lift_ctx_z2(z2):
     return FrobeniusContext(z2, frobenius_partitions(z2)[0])
 
 
+def test_frobenius_context_repr_names_the_partition_sizes(d6_frobenius):
+    """The group's order, the kernel's, and how many complements there are."""
+    assert repr(d6_frobenius) == "FrobeniusContext(order=6, kernel=3, complements=3)"
+
+
 # --- class membership -------------------------------------------------------
 
 
